@@ -674,10 +674,11 @@ let refuse_if_checkpointing () =
       exit Locald_runtime.Shard.Exit.usage
 
 let write_entries path entries =
-  (* One entry per line (the layout [parse_pins] reads back), each line
-     emitted through the telemetry JSON module so hostile workload ids
-     — quotes, backslashes — stay valid JSON. Wall times are rounded to
-     the microsecond the old %.6f writer printed at. *)
+  (* One JSON object keyed by entry ([parse_pins] reads it back), one
+     entry per line, each emitted through the telemetry JSON module so
+     hostile workload ids — quotes, backslashes — stay valid JSON. Wall
+     times are rounded to the microsecond the old %.6f writer printed
+     at. *)
   let entry_json e =
     Locald_runtime.Telemetry.Json.(
       Obj
@@ -751,60 +752,38 @@ let run_scale_bench ~only path =
 (* --check: CI smoke gate against the committed pins                   *)
 (* ------------------------------------------------------------------ *)
 
-(* Minimal parser for the writer's own one-entry-per-line format:
-   pulls the key, wall_s and result_digest out of each entry line. *)
+module Json = Locald_runtime.Telemetry.Json
+
+(* A pin file is one JSON object keyed by entry, each entry carrying its
+   wall_s and result_digest. A file that is not ends the check with one
+   CHECK FAIL line, exit 1. *)
 let parse_pins path =
-  let find_sub s sub =
-    let n = String.length s and m = String.length sub in
-    let rec go i =
-      if i + m > n then None
-      else if String.sub s i m = sub then Some (i + m)
-      else go (i + 1)
-    in
-    go 0
+  let fail fmt =
+    Printf.ksprintf
+      (fun msg ->
+        Printf.printf "CHECK FAIL: %s: %s\n" path msg;
+        exit 1)
+      fmt
   in
-  let quoted_at s i =
-    match String.index_from_opt s i '"' with
-    | None -> None
-    | Some a -> (
-        match String.index_from_opt s (a + 1) '"' with
-        | None -> None
-        | Some b -> Some (String.sub s (a + 1) (b - a - 1)))
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  let entries =
+    match Json.of_string text with
+    | Json.Obj entries -> entries
+    | _ -> fail "not a JSON object of pinned entries"
+    | exception Json.Parse_error msg -> fail "malformed JSON: %s" msg
   in
-  let number_after s i =
-    let n = String.length s in
-    let i = ref i in
-    while !i < n && s.[!i] = ' ' do
-      incr i
-    done;
-    let j = ref !i in
-    while
-      !j < n && (match s.[!j] with '0' .. '9' | '.' | '-' | 'e' | '+' -> true | _ -> false)
-    do
-      incr j
-    done;
-    float_of_string (String.sub s !i (!j - !i))
-  in
-  let ic = open_in path in
-  let pins = ref [] in
-  (try
-     while true do
-       let line = input_line ic in
-       match find_sub line "\"result_digest\":" with
-       | None -> ()
-       | Some after_digest_key -> (
-           match
-             ( quoted_at line 0,
-               find_sub line "\"wall_s\":",
-               quoted_at line after_digest_key )
-           with
-           | Some key, Some wall_pos, Some digest ->
-               pins := (key, (number_after line wall_pos, digest)) :: !pins
-           | _ -> ())
-     done
-   with End_of_file -> ());
-  close_in ic;
-  List.rev !pins
+  List.map
+    (fun (key, e) ->
+      let wall =
+        match Json.member "wall_s" e with
+        | Some (Json.Float w) -> w
+        | Some (Json.Int w) -> float_of_int w
+        | _ -> fail "entry %s has no numeric wall_s" key
+      in
+      match Json.member "result_digest" e with
+      | Some (Json.String d) -> (key, (wall, d))
+      | _ -> fail "entry %s has no result_digest" key)
+    entries
 
 (* Workloads whose decide-once caches must actually fire: a refactor
    that silently stops threading the memo through these cold paths
@@ -918,10 +897,6 @@ let serve_mix =
 let serve_rounds = 3
 let serve_connections = 2
 
-let json_member name = function
-  | Locald_runtime.Telemetry.Json.Obj kvs -> List.assoc_opt name kvs
-  | _ -> None
-
 let serve_fail fmt =
   Printf.ksprintf
     (fun msg ->
@@ -947,8 +922,8 @@ let serve_call fd ~id (workload, lo, hi, config) =
       if not v.Proto.v_ok then
         serve_fail "request %d (%s) answered %s" id workload
           (Locald_runtime.Telemetry.Json.to_string json);
-      match Option.bind v.Proto.v_result (json_member "digest") with
-      | Some (Locald_runtime.Telemetry.Json.String d) -> (d, wall)
+      match Option.bind v.Proto.v_result (Json.member "digest") with
+      | Some (Json.String d) -> (d, wall)
       | _ -> serve_fail "request %d (%s) carries no result digest" id workload)
 
 let serve_metrics_counter fd ~id name =
@@ -960,9 +935,9 @@ let serve_metrics_counter fd ~id name =
       let v = Proto.response_view json in
       match
         Option.bind v.Proto.v_result (fun r ->
-            Option.bind (json_member "counters" r) (json_member name))
+            Option.bind (Json.member "counters" r) (Json.member name))
       with
-      | Some (Locald_runtime.Telemetry.Json.Int n) -> n
+      | Some (Json.Int n) -> n
       | _ -> serve_fail "metrics response carries no %S counter" name)
 
 type serve_entry = {
@@ -1012,9 +987,9 @@ let run_serve_load socket =
   }
 
 let write_serve_entry path e =
-  (* Same one-entry-per-line layout as the other tiers, so
-     [parse_pins] reads the pin back. Only [response_digest] is
-     pinned; the timing fields are informational. *)
+  (* Same layout as the other tiers, so [parse_pins] reads the pin
+     back. Only [response_digest] is pinned; the timing fields are
+     informational. *)
   let json =
     Locald_runtime.Telemetry.Json.(
       Obj

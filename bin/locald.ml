@@ -294,7 +294,7 @@ let faults_cmd =
       $ fuel $ retries $ runs)
 
 (* ------------------------------------------------------------------ *)
-(* Certification and lint                                              *)
+(* Certification and static analysis                                  *)
 (* ------------------------------------------------------------------ *)
 
 let certify_cmd =
@@ -329,31 +329,31 @@ let certify_cmd =
       const run $ all_flag $ quick_flag $ jobs_opt $ memo_opt $ stats_flag
       $ trace_opt)
 
-(* Both scanners cover the whole tree by default: library, bench and
-   CLI code plus the tests (test-only idioms go through --allow-test,
-   not through a blind spot). *)
-let default_scan_roots = [ "lib"; "bench"; "bin"; "test" ]
+(* The analyser covers the whole tree by default: library, bench, CLI
+   and example code plus the tests (test-only idioms go through
+   --allow-test, not through a blind spot). *)
+let default_scan_roots = [ "lib"; "bench"; "bin"; "test"; "examples" ]
 
-let scan_roots_arg cmd roots =
+let scan_roots_arg roots =
   let roots = if roots = [] then default_scan_roots else roots in
   let missing = List.filter (fun r -> not (Sys.file_exists r)) roots in
   if missing <> [] then begin
     prerr_endline
-      ("locald " ^ cmd ^ ": no such path: " ^ String.concat ", " missing);
+      ("locald analyze: no such path: " ^ String.concat ", " missing);
     exit Shard.Exit.usage
   end;
   roots
 
 (* Parse --rule / --allow-test rule names, failing with the usage exit
    code (and the known-rule list) on a typo. *)
-let parse_rule_names cmd names =
+let parse_rule_names names =
   List.map
     (fun n ->
       match Locald_analysis.Ast_rules.of_name n with
       | Some r -> r
       | None ->
           prerr_endline
-            (Printf.sprintf "locald %s: unknown rule %S (known: %s)" cmd n
+            (Printf.sprintf "locald analyze: unknown rule %S (known: %s)" n
                (String.concat ", "
                   (List.map Locald_analysis.Ast_rules.name
                      Locald_analysis.Ast_rules.all)));
@@ -375,73 +375,17 @@ let findings_json_flag =
     & info [ "json" ]
         ~doc:
           "Emit findings as JSON objects, one per line (file, line, col, \
-           rule, severity, engine, excerpt, help).")
-
-let lint_cmd =
-  let run roots json allow_test =
-    let roots = scan_roots_arg "lint" roots in
-    let test_allow = parse_rule_names "lint" allow_test in
-    let findings =
-      Locald_analysis.Lint.scan_tree ~roots
-      |> List.filter (fun (f : Locald_analysis.Lint.finding) ->
-             not
-               (Locald_analysis.Ast_lint.under_test f.f_file
-               && List.mem
-                    (Locald_analysis.Ast_rules.of_lexical f.f_rule)
-                    test_allow))
-    in
-    if json then
-      List.iter
-        (fun f ->
-          print_endline
-            (Telemetry.Json.to_string
-               (Locald_analysis.Ast_lint.finding_json
-                  (Locald_analysis.Ast_lint.of_lexical f))))
-        findings
-    else
-      List.iter
-        (fun f ->
-          print_endline
-            (Format.asprintf "%a" Locald_analysis.Lint.pp_finding f))
-        findings;
-    match findings with
-    | [] ->
-        if not json then
-          Printf.printf "lint: clean (%s)\n" (String.concat " " roots)
-    | fs ->
-        if not json then Printf.printf "lint: %d finding(s)\n" (List.length fs);
-        exit Shard.Exit.mismatch
-  in
-  let roots =
-    Arg.(
-      value & pos_all string []
-      & info [] ~docv:"PATH"
-          ~doc:"Files or directories to scan (default: lib bench bin test).")
-  in
-  Cmd.v
-    (Cmd.info "lint"
-       ~doc:
-         "Fast lexical source checks: polymorphic compare/hash on graph \
-          structures, naked .ids field access outside lib/graph and \
-          lib/analysis, Random.self_init, raw polymorphic key functions \
-          on decide-once memo tables outside lib/runtime. Non-zero exit \
-          on findings. Deprecation window: prefer $(b,locald analyze), \
-          which grounds the same rules in the parsed AST and adds the \
-          race/nondeterminism/exception-safety families; lint remains \
-          the fallback for sources the parser rejects.")
-    Term.(const run $ roots $ findings_json_flag $ allow_test_opt)
+           rule, severity, excerpt, help).")
 
 let analyze_cmd =
   let module A = Locald_analysis.Ast_lint in
   let module R = Locald_analysis.Ast_rules in
   let run roots json sarif rule_names allow_test baseline write_baseline =
-    let roots = scan_roots_arg "analyze" roots in
+    let roots = scan_roots_arg roots in
     let rules =
-      match rule_names with
-      | [] -> None
-      | l -> Some (parse_rule_names "analyze" l)
+      match rule_names with [] -> None | l -> Some (parse_rule_names l)
     in
-    let test_allow = parse_rule_names "analyze" allow_test in
+    let test_allow = parse_rule_names allow_test in
     let findings = A.scan_tree ?rules ~test_allow roots in
     match write_baseline with
     | Some path ->
@@ -491,7 +435,9 @@ let analyze_cmd =
     Arg.(
       value & pos_all string []
       & info [] ~docv:"PATH"
-          ~doc:"Files or directories to analyse (default: lib bench bin test).")
+          ~doc:
+            "Files or directories to analyse (default: lib bench bin test \
+             examples).")
   in
   let sarif_flag =
     Arg.(
@@ -528,12 +474,14 @@ let analyze_cmd =
     (Cmd.info "analyze"
        ~doc:
          "AST-grounded static analysis: parses every .ml/.mli with the \
-          compiler's parser and checks scope-resolved rules — the four \
-          lint rules plus domain-race captures, nondeterminism sources \
-          (global Random, raw clocks, Hashtbl iteration feeding \
-          digests) and checkpoint exception-safety. Exit 0 clean, 2 on \
-          findings, 124 on usage errors. Files the parser rejects fall \
-          back to the lexical lint rules.")
+          compiler's parser and checks scope-resolved rules — \
+          polymorphic compare/hash on graph payloads, naked .ids reads \
+          that bypass the certifier's access monitor, Random.self_init, \
+          raw memo key functions, domain-race captures, nondeterminism \
+          sources (global Random, raw clocks, Hashtbl iteration feeding \
+          digests) and checkpoint exception-safety. A file the parser \
+          rejects is one parse-error finding. Exit 0 clean, 2 on \
+          findings, 124 on usage errors.")
     Term.(
       const run $ roots $ findings_json_flag $ sarif_flag $ rule_opt
       $ allow_test_opt $ baseline_opt $ write_baseline_opt)
@@ -1485,7 +1433,7 @@ let main =
     [
       table1_cmd; fig1_cmd; fig2_cmd; fig3_cmd; corollary1_cmd; p3_cmd;
       diagonal_cmd; oi_cmd; hereditary_cmd; construction_cmd; warmups_cmd;
-      faults_cmd; certify_cmd; lint_cmd; analyze_cmd; gmr_cmd; coverage_cmd;
+      faults_cmd; certify_cmd; analyze_cmd; gmr_cmd; coverage_cmd;
       metrics_cmd;
       shard_cmd; merge_cmd; sweep_cmd; serve_cmd; client_cmd; all_cmd;
     ]

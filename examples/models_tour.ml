@@ -15,7 +15,7 @@ let matching = Labelled.const (Gen.matching 4) ()
 (* LOCAL: colour = "my id is smaller than my neighbour's". *)
 let local_two_colouring =
   Algorithm.make ~name:"2col-by-id" ~radius:1 (fun view ->
-      let ids = match view.View.ids with Some ids -> ids | None -> [||] in
+      let ids = match View.ids view with Some ids -> ids | None -> [||] in
       let c = view.View.center in
       match Graph.neighbours view.View.graph c with
       | [| u |] -> if ids.(c) < ids.(u) then 0 else 1
@@ -24,7 +24,7 @@ let local_two_colouring =
 (* OI: the same algorithm is order-invariant — it only compares. *)
 let oi_two_colouring =
   Models.order_invariant ~name:"2col-by-rank" ~radius:1 (fun view ->
-      let ids = match view.View.ids with Some ids -> ids | None -> [||] in
+      let ids = match View.ids view with Some ids -> ids | None -> [||] in
       let c = view.View.center in
       match Graph.neighbours view.View.graph c with
       | [| u |] -> if ids.(c) < ids.(u) then 0 else 1

@@ -4,7 +4,7 @@
 
     The verdict lattice:
     - {!Certified_oblivious} — no input-identifier read occurred on any
-      covered view. Because [locald lint] makes identifier reads
+      covered view. Because [locald analyze] makes identifier reads
       accessor-mediated (no naked [.ids] field access outside
       [lib/graph]/[lib/analysis]), this is a sound certificate that the
       outputs on the covered views are invariant under re-assignment of

@@ -1,14 +1,11 @@
 module Json = Locald_runtime.Telemetry.Json
 
-type engine = Ast | Lexical
-
 type finding = {
   a_file : string;
   a_line : int;
   a_col : int;
   a_rule : Ast_rules.rule;
   a_excerpt : string;
-  a_engine : engine;
 }
 
 type config = {
@@ -33,6 +30,15 @@ let under_test path =
   let p = norm_path path in
   p = "test" || String.starts_with ~prefix:"test/" p || contains p "/test/"
 
+(* [.ids] access is the representation's own business under lib/graph
+   and lib/analysis; raw key functions under lib/runtime, which owns
+   the mediated key contract; the clocks under lib/runtime/timing.ml. *)
+let ids_allowed_for path =
+  let p = norm_path path in
+  contains p "lib/graph" || contains p "lib/analysis"
+
+let decorated_allowed_for path = contains (norm_path path) "lib/runtime"
+
 let clock_owner path =
   String.ends_with ~suffix:"lib/runtime/timing.ml" (norm_path path)
 
@@ -43,8 +49,8 @@ let config_for ?(rules = Ast_rules.all) ?(test_allow = []) path =
     else rules
   in
   {
-    c_allow_ids = Lint.ids_allowed_for path;
-    c_allow_decorated = Lint.decorated_allowed_for path;
+    c_allow_ids = ids_allowed_for path;
+    c_allow_decorated = decorated_allowed_for path;
     c_allow_clock = clock_owner path;
     c_rules = rules;
   }
@@ -53,9 +59,8 @@ let config_for ?(rules = Ast_rules.all) ?(test_allow = []) path =
 (* Rule targets                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* Canonical paths are component lists, never dotted strings — both so
-   resolution is structural and so this file cannot trip the lexical
-   scanner over its own rule tables. *)
+(* Canonical paths are component lists, never dotted strings, so
+   resolution is structural. *)
 
 let random_globals =
   [
@@ -127,25 +132,26 @@ let enabled ctx r =
   | Nondet_clock -> not ctx.conf.c_allow_clock
   | _ -> true
 
-let raw_line ctx line =
-  if line >= 1 && line <= Array.length ctx.lines then ctx.lines.(line - 1)
-  else ""
+let allow_marker = "locald-lint: allow"
+
+let line_at lines n =
+  if n >= 1 && n <= Array.length lines then lines.(n - 1) else ""
+
+let finding ~file ~lines rule (pos : Lexing.position) =
+  {
+    a_file = file;
+    a_line = pos.pos_lnum;
+    a_col = pos.pos_cnum - pos.pos_bol;
+    a_rule = rule;
+    a_excerpt = String.trim (line_at lines pos.pos_lnum);
+  }
 
 let report ctx rule (loc : Location.t) =
-  let line = loc.loc_start.pos_lnum in
-  let col = loc.loc_start.pos_cnum - loc.loc_start.pos_bol in
-  if enabled ctx rule && not (contains (raw_line ctx line) Lint.allow_marker)
-  then
-    ctx.out <-
-      {
-        a_file = ctx.file;
-        a_line = line;
-        a_col = col;
-        a_rule = rule;
-        a_excerpt = String.trim (raw_line ctx line);
-        a_engine = Ast;
-      }
-      :: ctx.out
+  let pos = loc.loc_start in
+  if
+    enabled ctx rule
+    && not (contains (line_at ctx.lines pos.pos_lnum) allow_marker)
+  then ctx.out <- finding ~file:ctx.file ~lines:ctx.lines rule pos :: ctx.out
 
 (* ------------------------------------------------------------------ *)
 (* Deep sub-expression queries                                         *)
@@ -253,9 +259,8 @@ let last_component lid =
 
 (* Payload projections, per rule. Structural [=] on an [ids] array is
    representation equality and that is the intended notion, so the
-   comparison rule covers only [graph]/[labels] (same as the lexical
-   rule); [Hashtbl.hash] is not isomorphism-invariant on any of the
-   three. *)
+   comparison rule covers only [graph]/[labels]; [Hashtbl.hash] is
+   not isomorphism-invariant on any of the three. *)
 let compared_projection (e : Parsetree.expression) =
   match e.pexp_desc with
   | Pexp_field (_, { txt; _ }) -> (
@@ -555,22 +560,6 @@ let make_iterator ctx =
 (* Driver                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let of_lexical (f : Lint.finding) =
-  {
-    a_file = f.f_file;
-    a_line = f.f_line;
-    a_col = 0;
-    a_rule = Ast_rules.of_lexical f.f_rule;
-    a_excerpt = f.f_excerpt;
-    a_engine = Lexical;
-  }
-
-let lexical_fallback ~config ~file text =
-  Lint.scan_string ~file ~allow_decorated:config.c_allow_decorated
-    ~allow_ids:config.c_allow_ids text
-  |> List.map of_lexical
-  |> List.filter (fun f -> List.mem f.a_rule config.c_rules)
-
 let sort_findings fs =
   List.sort
     (fun a b ->
@@ -590,13 +579,26 @@ let parse_with parser ~file text =
   Location.init lexbuf file;
   parser lexbuf
 
+(* Where the parser gave up: the location of its error report, or the
+   head of the file for an exception it did not register. *)
+let error_position exn =
+  match Location.error_of_exn exn with
+  | Some (`Ok err) -> err.Location.main.loc.loc_start
+  | Some `Already_displayed | None ->
+      { Lexing.dummy_pos with pos_lnum = 1; pos_cnum = 0 }
+
 let scan_string ?(file = "<string>") ~config text =
+  let lines = Array.of_list (String.split_on_char '\n' text) in
+  (* A rejected file was analysed for no rule: one finding, whatever
+     the config selects. *)
+  let parse_error exn =
+    [ finding ~file ~lines Ast_rules.Parse_error (error_position exn) ]
+  in
   if Filename.check_suffix file ".mli" then
-    (* Interfaces carry no expressions; parsing is validation, and the
-       lexical rules still cover files the parser rejects. *)
+    (* Interfaces carry no expressions; parsing is the whole check. *)
     match parse_with Parse.interface ~file text with
     | _ -> []
-    | exception _ -> lexical_fallback ~config ~file text
+    | exception exn -> parse_error exn
   else
     match parse_with Parse.implementation ~file text with
     | str ->
@@ -604,7 +606,7 @@ let scan_string ?(file = "<string>") ~config text =
           {
             file;
             conf = config;
-            lines = Array.of_list (String.split_on_char '\n' text);
+            lines;
             scope = Ast_scope.initial;
             mutables = collect_mutables str;
             out = [];
@@ -613,14 +615,35 @@ let scan_string ?(file = "<string>") ~config text =
         let it = make_iterator ctx in
         it.structure it str;
         sort_findings ctx.out
-    | exception _ -> lexical_fallback ~config ~file text
+    | exception exn -> parse_error exn
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let source_file path =
+  Filename.check_suffix path ".ml" || Filename.check_suffix path ".mli"
+
+let skip_dir name =
+  name = "_build" || name = ".git" || name = "_opam" || name = "node_modules"
+
+let rec collect acc path =
+  if Sys.is_directory path then
+    Sys.readdir path |> Array.to_list |> List.sort String.compare
+    |> List.fold_left
+         (fun acc entry ->
+           if skip_dir entry then acc
+           else collect acc (Filename.concat path entry))
+         acc
+  else if source_file path then path :: acc
+  else acc
 
 let scan_file ?rules ?test_allow path =
   let config = config_for ?rules ?test_allow path in
-  scan_string ~file:path ~config (Lint.read_file path)
+  scan_string ~file:path ~config (read_file path)
 
 let scan_tree ?rules ?test_allow roots =
-  List.concat_map (scan_file ?rules ?test_allow) (Lint.source_files ~roots)
+  List.fold_left collect [] roots
+  |> List.rev
+  |> List.concat_map (scan_file ?rules ?test_allow)
 
 let pp_finding ppf f =
   Format.fprintf ppf "%s:%d: [%s] %s" f.a_file f.a_line
@@ -639,9 +662,6 @@ let finding_json f =
       ("rule", Json.String (Ast_rules.name f.a_rule));
       ( "severity",
         Json.String (Ast_rules.severity_name (Ast_rules.severity f.a_rule)) );
-      ( "engine",
-        Json.String (match f.a_engine with Ast -> "ast" | Lexical -> "lexical")
-      );
       ("excerpt", Json.String f.a_excerpt);
       ("help", Json.String (Ast_rules.help f.a_rule));
     ]
@@ -735,7 +755,7 @@ module Baseline = struct
     { b_file = str "file"; b_rule = str "rule"; b_excerpt = str "excerpt" }
 
   let load path =
-    Lint.read_file path |> String.split_on_char '\n'
+    read_file path |> String.split_on_char '\n'
     |> List.mapi (fun i l -> (i + 1, String.trim l))
     |> List.filter (fun (_, l) -> l <> "" && l.[0] <> '#')
     |> List.map (fun (i, l) ->

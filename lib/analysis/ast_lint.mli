@@ -1,25 +1,22 @@
-(** The AST-grounded static analysis engine behind [locald analyze].
+(** The static analysis engine behind [locald analyze].
 
-    Where {!Lint} matches token shapes on masked lines, this engine
-    parses each source with the compiler's own parser
+    It parses each source with the compiler's own parser
     ([Parse.implementation]/[Parse.interface]), walks the Parsetree
     with [Ast_iterator], and resolves identifiers through an
     open/alias-aware scope ({!Ast_scope}). Rules therefore fire on
     what a name {e denotes}, not on what it looks like: [let open
     Hashtbl in hash] is caught, a locally shadowed [Random] is not,
-    and string/comment masking is unnecessary because literals are
-    constants in the tree.
+    and a banned token in a comment or string is never a use because
+    literals are constants in the tree.
 
     Pipeline per file: read → parse → scope-threaded visit → rule
     checks at expression/pattern nodes → findings sorted by position.
-    A file that fails to parse degrades to the lexical {!Lint} scanner
-    (findings tagged {!Lexical}), so the gate never goes blind on a
-    broken tree. The rule set is {!Ast_rules.all}; path policies
+    A file the parser rejects is one {!Ast_rules.Parse_error} finding
+    at the line the parser reports, so the gate never passes a broken
+    tree. The rule set is {!Ast_rules.all}; path policies
     ([lib/graph]/[lib/analysis] own their representation,
     [lib/runtime] owns key functions, [lib/runtime/timing.ml] owns the
-    clocks) and the allow marker are shared with {!Lint}. *)
-
-type engine = Ast | Lexical
+    clocks) live in {!config_for}. *)
 
 type finding = {
   a_file : string;
@@ -27,7 +24,6 @@ type finding = {
   a_col : int;  (** 0-based, editor convention *)
   a_rule : Ast_rules.rule;
   a_excerpt : string;  (** the offending line, trimmed *)
-  a_engine : engine;  (** {!Lexical} only for parse-failure fallback *)
 }
 
 type config = {
@@ -42,10 +38,10 @@ val config_for :
   ?test_allow:Ast_rules.rule list ->
   string ->
   config
-(** The policy for a path: [c_allow_ids] from {!Lint.ids_allowed_for},
-    [c_allow_decorated] from {!Lint.decorated_allowed_for},
-    [c_allow_clock] iff the path is [lib/runtime/timing.ml]. [rules]
-    (default {!Ast_rules.all}) selects the families to run;
+(** The policy for a path: [c_allow_ids] iff it is under [lib/graph]
+    or [lib/analysis], [c_allow_decorated] iff it is under
+    [lib/runtime], [c_allow_clock] iff it is [lib/runtime/timing.ml].
+    [rules] (default {!Ast_rules.all}) selects the families to run;
     [test_allow] (default none) lists rules additionally permitted for
     paths under [test/] — the knob for deliberately-hostile test
     fixtures. *)
@@ -54,11 +50,16 @@ val under_test : string -> bool
 (** Is the path inside a [test] directory? (What [test_allow] and the
     CLI [--allow-test] knob key on.) *)
 
+val allow_marker : string
+(** A raw source line containing this marker, [locald-lint: allow],
+    is exempt from every rule but {!Ast_rules.Parse_error}. *)
+
 val scan_string : ?file:string -> config:config -> string -> finding list
 (** Analyse one source text. [.mli] files (by [file] suffix) are
     parsed as interfaces — they contain no expressions, so parsing is
-    validation. On a parse failure the text is rescanned with the
-    lexical {!Lint} rules and findings come back tagged {!Lexical}. *)
+    validation. A text the parser rejects yields exactly one
+    {!Ast_rules.Parse_error} finding at the parser's error position,
+    whatever [config] selects. *)
 
 val scan_file :
   ?rules:Ast_rules.rule list ->
@@ -71,24 +72,19 @@ val scan_tree :
   ?test_allow:Ast_rules.rule list ->
   string list ->
   finding list
-(** Analyse every source under the given roots
-    ({!Lint.source_files}), in sorted path order. *)
+(** Analyse every [.ml] and [.mli] under the given roots (skipping
+    [_build], [.git], [_opam] and [node_modules]), in sorted path
+    order. *)
 
 val pp_finding : Format.formatter -> finding -> unit
-(** Same [file:line: [rule] excerpt] shape as {!Lint.pp_finding} —
-    editor-clickable, one line. *)
-
-val of_lexical : Lint.finding -> finding
-(** Lift a lexical finding into this finding space (engine
-    {!Lexical}, column 0) — how [locald lint --json] shares one
-    output shape with [analyze]. *)
+(** [file:line: [rule] excerpt] — editor-clickable, one line. *)
 
 (** {1 Machine-readable output} *)
 
 val finding_json : finding -> Locald_runtime.Telemetry.Json.t
-(** [{"file", "line", "col", "rule", "severity", "engine", "excerpt",
-    "help"}] — one object per finding, emitted one per line by the
-    CLI's [--json]. *)
+(** [{"file", "line", "col", "rule", "severity", "excerpt", "help"}] —
+    one object per finding, emitted one per line by the CLI's
+    [--json]. *)
 
 val sarif : finding list -> Locald_runtime.Telemetry.Json.t
 (** A minimal SARIF 2.1.0 log (one run, driver [locald-analyze], rule

@@ -8,13 +8,14 @@ type rule =
   | Nondet_clock
   | Hashtbl_order
   | Checkpoint_guard
+  | Parse_error
 
 type severity = Error | Warning
 
 let all =
   [
     Poly_compare; Naked_ids_access; Self_init; Decorated_key; Domain_race;
-    Nondet_random; Nondet_clock; Hashtbl_order; Checkpoint_guard;
+    Nondet_random; Nondet_clock; Hashtbl_order; Checkpoint_guard; Parse_error;
   ]
 
 let name = function
@@ -27,27 +28,33 @@ let name = function
   | Nondet_clock -> "nondet-clock"
   | Hashtbl_order -> "hashtbl-order"
   | Checkpoint_guard -> "checkpoint-guard"
+  | Parse_error -> "parse-error"
 
 let of_name s = List.find_opt (fun r -> name r = s) all
 
 let severity = function
   | Hashtbl_order | Checkpoint_guard -> Warning
   | Poly_compare | Naked_ids_access | Self_init | Decorated_key | Domain_race
-  | Nondet_random | Nondet_clock ->
+  | Nondet_random | Nondet_clock | Parse_error ->
       Error
 
 let severity_name = function Error -> "error" | Warning -> "warning"
 
 let help = function
-  | Poly_compare | Naked_ids_access | Self_init | Decorated_key as r ->
-      (* The ported rules keep the lexical help text — same contract,
-         sturdier detection. *)
-      Lint.rule_help
-        (match r with
-        | Poly_compare -> Lint.Poly_compare
-        | Naked_ids_access -> Lint.Naked_ids_access
-        | Self_init -> Lint.Self_init
-        | _ -> Lint.Decorated_key)
+  | Poly_compare ->
+      "structural =/<>/Hashtbl.hash on a Graph.t/View.t/Labelled.t payload; \
+       use Graph.equal, Iso.views_isomorphic, Iso.view_signature or a Canon \
+       key"
+  | Naked_ids_access ->
+      ".ids field access bypasses the access monitor; use \
+       View.ids/View.id/View.center_id"
+  | Self_init ->
+      "nondeterministic RNG seeding; thread an explicit Random.State instead"
+  | Decorated_key ->
+      "raw Hashtbl.hash / polymorphic equality as a decide-once memo key \
+       function outside lib/runtime; use Memo.hash_node_ids/equal_node_ids, \
+       View.fingerprint/equal_repr or a Canon key (Memo.structural_hash / \
+       structural_equal for label components)"
   | Domain_race ->
       "module-toplevel mutable state captured in a closure passed to \
        Pool.map/Domain.spawn; mediate with Atomic, Mutex.protect or \
@@ -65,18 +72,6 @@ let help = function
   | Checkpoint_guard ->
       "work between Checkpoint open and close is not exception-safe; \
        wrap it in Fun.protect ~finally:(fun () -> Checkpoint.close w)"
-
-let lexical = function
-  | Poly_compare -> Some Lint.Poly_compare
-  | Naked_ids_access -> Some Lint.Naked_ids_access
-  | Self_init -> Some Lint.Self_init
-  | Decorated_key -> Some Lint.Decorated_key
-  | Domain_race | Nondet_random | Nondet_clock | Hashtbl_order
-  | Checkpoint_guard ->
-      None
-
-let of_lexical = function
-  | Lint.Poly_compare -> Poly_compare
-  | Lint.Naked_ids_access -> Naked_ids_access
-  | Lint.Self_init -> Self_init
-  | Lint.Decorated_key -> Decorated_key
+  | Parse_error ->
+      "the compiler's parser rejected this file, so no rule ran on it; fix \
+       the syntax error"

@@ -1,10 +1,20 @@
-(** The rule families of the AST analysis engine ([locald analyze]).
+(** The rule families of the static analysis engine ([locald analyze]).
 
-    The first four are AST ports of the lexical {!Lint} rules — same
-    names, same semantics, but grounded in the Parsetree: string and
-    comment masking become unnecessary (constants are constants), and
-    resolution is scope-aware ({!Ast_scope}) instead of substring
-    matching. The remaining families are only expressible with an AST:
+    The first four guard the repo's banned idioms, grounded in the
+    Parsetree: literals are constants, so a banned token in a comment
+    or string is prose, and resolution is scope-aware ({!Ast_scope}):
+
+    - {!Poly_compare} — structural [=]/[<>] on a [.graph]/[.labels]
+      projection, or [Hashtbl.hash] of a [.graph]/[.labels]/[.ids]
+      projection: representation equality is not isomorphism.
+    - {!Naked_ids_access} — a [.ids] field read (or record pattern)
+      outside [lib/graph] and [lib/analysis]; it bypasses the access
+      monitor behind {!Analysis.certify}.
+    - {!Self_init} — [Random.self_init].
+    - {!Decorated_key} — [Memo.create] fed [Hashtbl.hash], [( = )] or
+      [compare] as a key function outside [lib/runtime].
+
+    The next five are the families that need binding structure:
 
     - {!Domain_race} — module-toplevel mutable state (a [ref],
       [Hashtbl.create], [Queue]/[Buffer]/[Stack], an [Array.make], or
@@ -30,7 +40,12 @@
     - {!Checkpoint_guard} — a [let w = Checkpoint.create/resume ... in
       body] whose body reaches [Checkpoint.close] with no [Fun.protect],
       [try], or exception-matching [match] guarding the work between:
-      an exception mid-body leaks the writer and loses its tail. *)
+      an exception mid-body leaks the writer and loses its tail.
+
+    {!Parse_error} is not a rule a file can break in part: a source
+    the compiler's parser rejects is analysed for no rule, and is
+    reported as exactly one such finding, whatever rules are
+    selected. *)
 
 type rule =
   | Poly_compare
@@ -42,31 +57,24 @@ type rule =
   | Nondet_clock
   | Hashtbl_order
   | Checkpoint_guard
+  | Parse_error
 
 type severity = Error | Warning
 
 val all : rule list
 
 val name : rule -> string
-(** Kebab-case rule id, e.g. ["domain-race"]. The four ported rules
-    keep their lexical names. *)
+(** Kebab-case rule id, e.g. ["domain-race"]. *)
 
 val of_name : string -> rule option
 
 val severity : rule -> severity
 (** [Hashtbl_order] and [Checkpoint_guard] are [Warning] (they flag a
-    structural risk, not a certain defect); every other rule is
-    [Error]. Both severities fail the [analyze] gate; severity is
-    reporting metadata (text/JSON/SARIF level). *)
+    structural risk, not a certain defect); every other rule, including
+    [Parse_error], is [Error]. Both severities fail the [analyze] gate;
+    severity is reporting metadata (text/JSON/SARIF level). *)
 
 val severity_name : severity -> string
 
 val help : rule -> string
 (** One-line rationale and the mediated alternative. *)
-
-val lexical : rule -> Lint.rule option
-(** The lexical counterpart for the ported rules — how fallback
-    findings from {!Lint} map into this rule space, and what the
-    superset property quantifies over. *)
-
-val of_lexical : Lint.rule -> rule

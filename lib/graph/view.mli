@@ -16,7 +16,7 @@
     came from the run's input assignment or was synthesised locally,
     e.g. by the simulation [A*] re-assigning ids before re-deciding).
     Reads through the raw record fields bypass the monitor; the
-    [locald lint] rule [naked-ids-access] therefore bans [.ids] field
+    [locald analyze] rule [naked-ids-access] therefore bans [.ids] field
     access outside [lib/graph] and [lib/analysis], making identifier
     reads exhaustively mediated. *)
 

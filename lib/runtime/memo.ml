@@ -8,7 +8,7 @@
    selected by key hash; each shard is a mutex plus an association
    bucket table keyed by the caller's hash (collisions resolved by the
    caller's equality — the polymorphic primitives are never applied to
-   keys, which is also what the [decorated-key] lint rule enforces
+   keys, which is also what the [decorated-key] analyze rule enforces
    outside this library).
 
    Semantic transparency contract: [find_or_compute t k f] returns a
@@ -262,7 +262,7 @@ let find_or_compute t key compute =
    decorated keys outside lib/runtime hash and compare through these
    (mediated by View.fingerprint / View.equal_repr for the view part)
    rather than through raw Hashtbl.hash / polymorphic compare, which
-   the decorated-key lint rule flags. *)
+   the decorated-key analyze rule flags. *)
 let structural_hash x = Hashtbl.hash x
 let structural_equal a b = a = b
 

@@ -18,7 +18,7 @@
     functions — never with the polymorphic primitives. Outside
     [lib/runtime], constructing memo tables over decorated keys with
     [Hashtbl.hash] or structural compare is flagged by the
-    [decorated-key] lint rule. *)
+    [decorated-key] rule of [locald analyze]. *)
 
 (** How id decorations are canonicalised into memo keys. *)
 type mode =
@@ -130,7 +130,8 @@ val note_distincts : int -> unit
     primitives, re-exported so that every use is mediated by this
     module (and by [View.fingerprint] / [View.equal_repr] for the view
     part) — raw [Hashtbl.hash] or polymorphic compare on decorated keys
-    elsewhere is flagged by the [decorated-key] lint rule. *)
+    elsewhere is flagged by the [decorated-key] rule of
+    [locald analyze]. *)
 
 val structural_hash : 'a -> int
 val structural_equal : 'a -> 'a -> bool

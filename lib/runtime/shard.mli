@@ -162,12 +162,12 @@ module Exit : sig
 
   val incomplete : int
   (** 2 — degraded or incomplete: fault-degraded runs, missing shards,
-      retries exhausted. *)
+      retries exhausted; also [analyze] findings. *)
 
   val mismatch : int
   (** 3 — verdict mismatch: a certification contradicting a declared
-      classification, lint findings, a merged digest differing from
-      the expected one, or inconsistent shard summaries. *)
+      classification, a merged digest differing from the expected one,
+      or inconsistent shard summaries. *)
 
   val usage : int
   (** 124 — usage error (cmdliner's own CLI-error code). *)

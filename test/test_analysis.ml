@@ -1,9 +1,8 @@
 (* Tests for the obliviousness certifier: the trace monitor and its
    input/synthetic provenance split, the certify verdict lattice
    (certified-oblivious, id-dependent with a confirmed witness,
-   inconclusive on budget exhaustion or fault-degraded coverage), the
-   orthogonal flags (radius violation, nondeterminism), and the lint
-   rules with their comment/string masking. *)
+   inconclusive on budget exhaustion or fault-degraded coverage), and
+   the orthogonal flags (radius violation, nondeterminism). *)
 
 open Locald_graph
 open Locald_local
@@ -218,125 +217,6 @@ let test_certify_radius_violation () =
        report.Analysis.rep_flags);
   check int "max depth over traces" 1 report.Analysis.rep_max_depth
 
-(* ------------------------------------------------------------------ *)
-(* Lint                                                                *)
-(* ------------------------------------------------------------------ *)
-
-let rule =
-  Alcotest.testable
-    (fun ppf r -> Format.pp_print_string ppf (Lint.rule_name r))
-    ( = )
-
-let rules = Alcotest.list rule
-let scan = Lint.scan_line ~allow_ids:false
-
-let test_lint_positives () =
-  check rules "naked ids field access" [ Lint.Naked_ids_access ]
-    (scan "let a = view.View.ids in");
-  check rules "structural graph compare" [ Lint.Poly_compare ]
-    (scan "if a.View.graph = b.View.graph then x else y");
-  check rules "structural labels compare" [ Lint.Poly_compare ]
-    (scan "assert (u.View.labels <> w.View.labels);");
-  check rules "polymorphic hash of payload" [ Lint.Poly_compare ]
-    (scan "Hashtbl.hash view.View.labels");
-  check rules "nondeterministic seeding" [ Lint.Self_init ]
-    (scan "let () = Random.self_init ()")
-
-let test_lint_negatives () =
-  check rules "accessor call" []
-    (scan "let ids = match View.ids view with Some a -> a | None -> [||] in");
-  check rules "qualified accessor" [] (scan "Locald_graph.View.ids view");
-  check rules "hash as a hash function" []
-    (scan "Iso.view_signature Hashtbl.hash v");
-  check rules "hash of scalar projection" []
-    (scan "Hashtbl.hash (v.View.center, n)");
-  check rules "record-literal binding" []
-    (scan "let r = { g = view.View.graph; n = k } in");
-  check rules "physical equality" [] (scan "a.View.graph == b");
-  check rules "allowed inside lib/graph" []
-    (Lint.scan_line ~allow_ids:true "let a = view.View.ids in")
-
-let test_lint_masking () =
-  check rules "comment is prose" []
-    (scan "(* Hashtbl.hash view.View.labels is banned *)");
-  check rules "string is prose" []
-    (scan "let doc = \"never call Random.self_init here\"");
-  check rules "code after a comment still scans" [ Lint.Naked_ids_access ]
-    (scan "let a = (* see note *) view.View.ids");
-  check rules "allow marker suppresses" []
-    (scan "let a = view.View.ids (* locald-lint: allow *)")
-
-let test_lint_multiline_state () =
-  let text =
-    String.concat "\n"
-      [
-        "(* documentation:";
-        "   Hashtbl.hash view.View.labels would be flagged in code";
-        "*)";
-        "let a = view.View.ids";
-      ]
-  in
-  let fs = Lint.scan_string ~file:"snippet.ml" ~allow_ids:false text in
-  check int "one finding" 1 (List.length fs);
-  let f = List.hd fs in
-  check int "on the code line" 4 f.Lint.f_line;
-  check rules "the ids rule" [ Lint.Naked_ids_access ] [ f.Lint.f_rule ];
-  let continued =
-    String.concat "\n"
-      [
-        "let doc = \"backslash-continued string \\";
-        "   mentioning Random.self_init inside it\"";
-        "let b = Random.self_init";
-      ]
-  in
-  let fs = Lint.scan_string ~file:"snippet.ml" ~allow_ids:false continued in
-  check int "string spans lines" 1 (List.length fs);
-  check int "finding on the real call" 3 (List.hd fs).Lint.f_line
-
-let test_lint_decorated_key () =
-  check rules "polymorphic hash on a memo key" [ Lint.Decorated_key ]
-    (scan "let t = Memo.create ~hash:Hashtbl.hash ~equal:Memo.equal_node_ids ()");
-  check rules "qualified polymorphic hash" [ Lint.Decorated_key ]
-    (scan "Memo.create ~hash:(Stdlib.Hashtbl.hash) ()");
-  check rules "structural equality on a memo key" [ Lint.Decorated_key ]
-    (scan "let t = Memo.create ~equal:( = ) ()");
-  check rules "polymorphic compare on a memo key" [ Lint.Decorated_key ]
-    (scan "Memo.create ~equal:compare ()");
-  check rules "mediated key functions" []
-    (scan
-       "Memo.create ~hash:(View.fingerprint Memo.structural_hash) \
-        ~equal:(View.equal_repr Memo.structural_equal) ()");
-  check rules "designated constructor" [] (scan "Memo.create_node_ids ()");
-  check rules "poly hash away from a memo" []
-    (scan "let h = Hashtbl.hash (name, radius) in");
-  check rules "allowed inside lib/runtime" []
-    (Lint.scan_line ~allow_decorated:true ~allow_ids:false
-       "let t = Memo.create ~hash:Hashtbl.hash ~equal:( = ) ()");
-  check rules "comment is prose" []
-    (scan "(* never Memo.create ~equal:( = ) on decorated keys *)")
-
-let test_lint_lib_self_scan () =
-  (* The repo's own gate: lib/ must be lint-clean. The sources sit one
-     level up from the test runner's working directory inside _build;
-     skip silently if the layout ever changes (CI runs the real
-     [locald lint lib] gate from the repo root regardless). *)
-  let candidates = [ Filename.concat ".." "lib"; "lib" ] in
-  let root =
-    List.find_opt
-      (fun r -> Sys.file_exists r && Sys.is_directory r)
-      candidates
-  in
-  match root with
-  | None -> ()
-  | Some root ->
-      let fs = Lint.scan_tree ~roots:[ root ] in
-      List.iter
-        (fun f ->
-          Printf.printf "unexpected finding: %s\n"
-            (Format.asprintf "%a" Lint.pp_finding f))
-        fs;
-      check int "lib is lint-clean" 0 (List.length fs)
-
 let () =
   Alcotest.run "analysis"
     [
@@ -362,15 +242,5 @@ let () =
             test_certify_nondeterminism_flag;
           Alcotest.test_case "radius violation flag" `Quick
             test_certify_radius_violation;
-        ] );
-      ( "lint",
-        [
-          Alcotest.test_case "positives" `Quick test_lint_positives;
-          Alcotest.test_case "negatives" `Quick test_lint_negatives;
-          Alcotest.test_case "masking" `Quick test_lint_masking;
-          Alcotest.test_case "multiline state" `Quick
-            test_lint_multiline_state;
-          Alcotest.test_case "decorated keys" `Quick test_lint_decorated_key;
-          Alcotest.test_case "lib self-scan" `Quick test_lint_lib_self_scan;
         ] );
     ]

@@ -1,13 +1,12 @@
-(* The AST analysis engine: per-rule positive/negative fixtures,
-   scope awareness (opens, aliases, shadowing), the rule families a
-   lexical scanner provably cannot express, the superset property over
-   the ported rules, the parse-failure fallback, baselines, and the
-   repo's own analyze-clean gate.
+(* The static analysis engine: per-rule positive/negative fixtures,
+   scope awareness (opens, aliases, shadowing), parse errors,
+   baselines, the repo's own analyze-clean gate, and the inputs of the
+   original lint suite (banned tokens in comments and strings among
+   them).
 
-   Fixtures are ordinary string literals (the lexical scanner masks
-   them when this file itself is linted; the AST engine sees them as
-   constants), assembled with [String.concat "\n"] where a fixture
-   needs several lines. *)
+   Fixtures are ordinary string literals (the engine sees them as
+   constants when it scans this file), assembled with
+   [String.concat "\n"] where a fixture needs several lines. *)
 
 open Locald_analysis
 
@@ -30,8 +29,8 @@ let scan ?(config = strict) text =
 let rules_of ?config text =
   List.map (fun f -> f.Ast_lint.a_rule) (scan ?config text)
 
-let lexical text =
-  Lint.scan_string ~file:"lib/core/fixture.ml" ~allow_ids:false text
+let positions text =
+  List.map (fun f -> (f.Ast_lint.a_line, f.Ast_lint.a_rule)) (scan text)
 
 (* ------------------------------------------------------------------ *)
 (* Ported rules                                                        *)
@@ -92,24 +91,15 @@ let test_decorated_key () =
     |> List.map (fun f -> f.Ast_lint.a_rule))
 
 (* What denotation-grounding buys over token matching: the banned
-   function reached through a local open. The lexical scanner misses
-   it; the AST engine resolves [hash] under [open Hashtbl]. *)
+   function reached through a local open, resolved as [hash] under
+   [open Hashtbl]. *)
 let test_decorated_key_through_open () =
-  let fixture = "let t = Memo.create ~hash:(let open Hashtbl in hash) ()" in
-  check rules "lexical scanner misses the open" []
-    (List.map (fun f -> Ast_rules.of_lexical f.Lint.f_rule) (lexical fixture));
-  check rules "AST engine resolves it" [ Ast_rules.Decorated_key ]
-    (rules_of fixture)
+  check rules "resolved through the open" [ Ast_rules.Decorated_key ]
+    (rules_of "let t = Memo.create ~hash:(let open Hashtbl in hash) ()")
 
 (* ------------------------------------------------------------------ *)
-(* New families — with the lexical miss asserted alongside each        *)
+(* Families that need binding structure                                *)
 (* ------------------------------------------------------------------ *)
-
-let lexically_invisible name fixture =
-  check (Alcotest.list rule)
-    (name ^ ": lexical scanner sees nothing")
-    []
-    (List.map (fun f -> Ast_rules.of_lexical f.Lint.f_rule) (lexical fixture))
 
 let test_domain_race () =
   let racy =
@@ -121,7 +111,6 @@ let test_domain_race () =
   in
   check rules "toplevel ref captured in Pool.map" [ Ast_rules.Domain_race ]
     (rules_of racy);
-  lexically_invisible "domain-race" racy;
   check rules "mutated toplevel record captured"
     [ Ast_rules.Domain_race ]
     (rules_of
@@ -159,7 +148,6 @@ let test_domain_race () =
 let test_nondet_random () =
   check rules "global Random op" [ Ast_rules.Nondet_random ]
     (rules_of "let roll () = Random.int 6");
-  lexically_invisible "nondet-random" "let roll () = Random.int 6";
   check rules "seeded state is fine" []
     (rules_of "let roll st = Random.State.int st 6");
   check rules "shadowed module is silent" []
@@ -172,7 +160,6 @@ let test_nondet_clock () =
     (rules_of "let t0 () = Unix.gettimeofday ()");
   check rules "Sys.time" [ Ast_rules.Nondet_clock ]
     (rules_of "let t1 () = Sys.time ()");
-  lexically_invisible "nondet-clock" "let t0 () = Unix.gettimeofday ()";
   check rules "mediated clock" [] (rules_of "let t () = Timing.now ()");
   check rules "the clock owner is exempt" []
     (Ast_lint.scan_string ~file:"lib/runtime/timing.ml"
@@ -186,7 +173,6 @@ let test_hashtbl_order () =
   in
   check rules "fold feeding a digest" [ Ast_rules.Hashtbl_order ]
     (rules_of leaky);
-  lexically_invisible "hashtbl-order" leaky;
   check rules "fold feeding a checkpoint"
     [ Ast_rules.Hashtbl_order ]
     (rules_of
@@ -208,7 +194,6 @@ let test_checkpoint_guard () =
   in
   check rules "unguarded writer" [ Ast_rules.Checkpoint_guard ]
     (rules_of unguarded);
-  lexically_invisible "checkpoint-guard" unguarded;
   check rules "Fun.protect guard" []
     (rules_of
        (String.concat "\n"
@@ -244,7 +229,7 @@ let test_checkpoint_guard () =
 
 let test_allow_marker () =
   check rules "marker suppresses on its line" []
-    (rules_of ("let a v = v.View.ids (* " ^ Lint.allow_marker ^ " *)"))
+    (rules_of ("let a v = v.View.ids (* " ^ Ast_lint.allow_marker ^ " *)"))
 
 let test_severities () =
   check Alcotest.string "hashtbl-order is a warning" "warning"
@@ -253,6 +238,8 @@ let test_severities () =
     (Ast_rules.severity_name (Ast_rules.severity Ast_rules.Checkpoint_guard));
   check Alcotest.string "domain-race is an error" "error"
     (Ast_rules.severity_name (Ast_rules.severity Ast_rules.Domain_race));
+  check Alcotest.string "parse-error is an error" "error"
+    (Ast_rules.severity_name (Ast_rules.severity Ast_rules.Parse_error));
   List.iter
     (fun r ->
       check
@@ -281,50 +268,45 @@ let test_test_allow_knob () =
     [ Ast_rules.Nondet_random ]
     (under "lib/core/fixture.ml" ~test_allow:[ Ast_rules.Nondet_random ] ())
 
-(* Every true positive the lexical scanner reports on parseable code,
-   the AST engine also reports — same line, same rule. (The converse
-   is false by design; that gap is what the new families measure.) *)
-let test_superset_of_lexical () =
-  let fixture =
-    String.concat "\n"
-      [
-        "let f view = view.View.ids";
-        "let g a b x y = if a.View.graph = b.View.graph then x else y";
-        "let h view = Hashtbl.hash view.View.labels";
-        "let i () = Random.self_init ()";
-        "let j () = Memo.create ~hash:Hashtbl.hash ~equal:Memo.equal_node_ids ()";
-      ]
-  in
-  let ast =
-    List.map (fun f -> (f.Ast_lint.a_line, f.Ast_lint.a_rule)) (scan fixture)
-  in
-  let lex = lexical fixture in
-  check Alcotest.bool "lexical scanner finds the seeded positives" true
-    (List.length lex >= 5);
-  List.iter
-    (fun (f : Lint.finding) ->
-      let want = (f.f_line, Ast_rules.of_lexical f.f_rule) in
-      if not (List.mem want ast) then
-        Alcotest.failf "lexical finding not reproduced: line %d [%s]" f.f_line
-          (Lint.rule_name f.f_rule))
-    lex
+(* A file the parser rejects was analysed for no rule: exactly one
+   parse-error finding at the parser's error position, even when the
+   config selects no rule it could break and waives every rule for
+   test/. *)
+let parse_errors ?(config = strict) ~file text =
+  let fs = Ast_lint.scan_string ~file ~config text in
+  check rules "one parse-error finding" [ Ast_rules.Parse_error ]
+    (List.map (fun f -> f.Ast_lint.a_rule) fs);
+  List.hd fs
 
-let test_lexical_fallback () =
+let test_parse_error_ml () =
   let broken =
     String.concat "\n"
       [ "let a view = view.View.ids"; "let oops = ) mismatched" ]
   in
-  let fs = scan broken in
-  check Alcotest.int "fallback still reports" 1 (List.length fs);
-  let f = List.hd fs in
-  check rule "the ids rule survives" Ast_rules.Naked_ids_access
-    f.Ast_lint.a_rule;
-  check Alcotest.bool "tagged as lexical" true
-    (f.Ast_lint.a_engine = Ast_lint.Lexical);
-  (* The same text minus the syntax error analyses natively. *)
-  let fs = scan "let a view = view.View.ids" in
-  check Alcotest.bool "AST engine on parseable text" true
-    ((List.hd fs).Ast_lint.a_engine = Ast_lint.Ast)
+  let f = parse_errors ~file:"lib/core/fixture.ml" broken in
+  check Alcotest.int "on the error line" 2 f.Ast_lint.a_line;
+  check Alcotest.string "excerpt is that line" "let oops = ) mismatched"
+    f.Ast_lint.a_excerpt;
+  let narrow =
+    Ast_lint.config_for ~rules:[ Ast_rules.Domain_race ]
+      ~test_allow:Ast_rules.all "test/fixture.ml"
+  in
+  ignore (parse_errors ~config:narrow ~file:"test/fixture.ml" broken)
+
+let test_parse_error_no_banned_token () =
+  let f = parse_errors ~file:"lib/core/fixture.ml" "val x : int ->" in
+  check Alcotest.int "on the only line" 1 f.Ast_lint.a_line
+
+let test_parse_error_mli () =
+  let f =
+    parse_errors ~file:"lib/core/fixture.mli"
+      (String.concat "\n" [ "val ok : int"; "val x : int -> ) "; "" ])
+  in
+  check Alcotest.int "on the error line" 2 f.Ast_lint.a_line;
+  check rules "a valid interface is clean" []
+    (Ast_lint.scan_string ~file:"lib/core/fixture.mli" ~config:strict
+       "val ok : int"
+    |> List.map (fun f -> f.Ast_lint.a_rule))
 
 let test_finding_json_shape () =
   let module Json = Locald_runtime.Telemetry.Json in
@@ -337,16 +319,12 @@ let test_finding_json_shape () =
     Ast_lint.finding_json (List.hd (scan "let roll () = Random.int 6"))
   in
   check Alcotest.string "rule field" "nondet-random" (str "rule" j);
-  check Alcotest.string "engine field" "ast" (str "engine" j);
   check Alcotest.string "severity field" "error" (str "severity" j);
-  (* A lifted lexical finding shares the shape, tagged lexical. *)
-  let lifted =
-    Ast_lint.of_lexical (List.hd (lexical "let x = Random.self_init ()"))
-  in
-  check Alcotest.string "lifted rule" "self-init"
-    (str "rule" (Ast_lint.finding_json lifted));
-  check Alcotest.string "lifted engine" "lexical"
-    (str "engine" (Ast_lint.finding_json lifted))
+  check Alcotest.bool "no engine field" true (Json.member "engine" j = None);
+  let broken = Ast_lint.finding_json (List.hd (scan "let oops = )")) in
+  check Alcotest.string "parse-error rule" "parse-error" (str "rule" broken);
+  check Alcotest.string "parse-error severity" "error"
+    (str "severity" broken)
 
 let test_baseline_roundtrip () =
   let findings =
@@ -408,23 +386,124 @@ let test_scope () =
 (* The repo gate                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let test_analyze_lib_self_scan () =
-  (* Mirror of the lexical self-scan: the AST engine must also find
-     lib/ clean. Skip silently if the layout changes (CI runs the real
-     [locald analyze] gate from the repo root regardless). *)
+(* The repo's own gate: lib/ must be clean. The sources sit one level
+   up from the test runner's working directory inside _build; skip
+   silently if the layout changes (CI runs the real [locald analyze]
+   gate from the repo root regardless). *)
+let check_lib_clean ?rules what =
   let candidates = [ Filename.concat ".." "lib"; "lib" ] in
   match
     List.find_opt (fun r -> Sys.file_exists r && Sys.is_directory r) candidates
   with
   | None -> ()
   | Some root ->
-      let fs = Ast_lint.scan_tree [ root ] in
+      let fs = Ast_lint.scan_tree ?rules [ root ] in
       List.iter
         (fun f ->
           Printf.printf "unexpected finding: %s\n"
             (Format.asprintf "%a" Ast_lint.pp_finding f))
         fs;
-      check Alcotest.int "lib is analyze-clean" 0 (List.length fs)
+      check Alcotest.int what 0 (List.length fs)
+
+let test_analyze_lib_self_scan () = check_lib_clean "lib is analyze-clean"
+
+(* ------------------------------------------------------------------ *)
+(* The original lint suite's inputs                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* The four ported rules were first enforced token by token as
+   "lint" (the allow marker keeps the name). These cases keep that
+   suite's inputs that the ported cases above do not already hold:
+   the positives as one file, the negatives a token matcher had to
+   special-case, banned tokens in prose across lines, and the lib
+   gate restricted to the four rules. *)
+
+let lint_rules =
+  Ast_rules.[ Poly_compare; Naked_ids_access; Self_init; Decorated_key ]
+
+let at = Alcotest.(list (pair int rule))
+
+let test_lint_positives () =
+  check at "one finding per line, in order"
+    Ast_rules.
+      [
+        (1, Naked_ids_access);
+        (2, Poly_compare);
+        (3, Poly_compare);
+        (4, Poly_compare);
+        (5, Self_init);
+      ]
+    (positions
+       (String.concat "\n"
+          [
+            "let a view = view.View.ids";
+            "let g a b x y = if a.View.graph = b.View.graph then x else y";
+            "let l u w = assert (u.View.labels <> w.View.labels)";
+            "let h view = Hashtbl.hash view.View.labels";
+            "let () = Random.self_init ()";
+          ]))
+
+let test_lint_negatives () =
+  List.iter
+    (fun (what, text) -> check rules what [] (rules_of text))
+    [
+      ( "accessor in a match",
+        "let a view = match View.ids view with Some a -> a | None -> [||]" );
+      ("qualified accessor", "let a view = Locald_graph.View.ids view");
+      ( "hash as a hash function",
+        "let s v = Iso.view_signature Hashtbl.hash v" );
+      ( "hash of scalar projection",
+        "let h v n = Hashtbl.hash (v.View.center, n)" );
+      ( "record-literal binding",
+        "let r view k = { g = view.View.graph; n = k }" );
+    ]
+
+let test_lint_masking () =
+  check rules "comment is prose" []
+    (rules_of "(* Hashtbl.hash view.View.labels is banned *)");
+  check rules "string is prose" []
+    (rules_of "let doc = \"never call Random.self_init here\"");
+  check rules "code after a comment still scans"
+    [ Ast_rules.Naked_ids_access ]
+    (rules_of "let a view = (* see note *) view.View.ids")
+
+let test_lint_multiline_state () =
+  check at "multi-line comment is prose"
+    [ (4, Ast_rules.Naked_ids_access) ]
+    (positions
+       (String.concat "\n"
+          [
+            "(* documentation:";
+            "   Hashtbl.hash view.View.labels would be flagged in code";
+            "*)";
+            "let a view = view.View.ids";
+          ]));
+  check at "backslash-continued string is prose"
+    [ (3, Ast_rules.Self_init) ]
+    (positions
+       (String.concat "\n"
+          [
+            "let doc = \"backslash-continued string \\";
+            "   mentioning Random.self_init inside it\"";
+            "let b = Random.self_init";
+          ]))
+
+let test_lint_decorated_keys () =
+  check rules "qualified polymorphic hash" [ Ast_rules.Decorated_key ]
+    (rules_of "let t = Memo.create ~hash:(Stdlib.Hashtbl.hash) ()");
+  check rules "mediated hash and equality" []
+    (rules_of
+       "let t = Memo.create ~hash:(View.fingerprint Memo.structural_hash) \
+        ~equal:(View.equal_repr Memo.structural_equal) ()");
+  check rules "designated constructor" []
+    (rules_of "let t = Memo.create_node_ids ()");
+  check rules "poly hash away from a memo" []
+    (rules_of "let h name radius = Hashtbl.hash (name, radius)");
+  check rules "comment is prose" []
+    (rules_of "(* never Memo.create ~equal:( = ) on decorated keys *)")
+
+let test_lint_lib_self_scan () =
+  check_lib_clean ~rules:lint_rules "lib is lint-clean"
 
 let () =
   Alcotest.run "ast-lint"
@@ -452,10 +531,12 @@ let () =
           Alcotest.test_case "severities and rule names" `Quick
             test_severities;
           Alcotest.test_case "test_allow knob" `Quick test_test_allow_knob;
-          Alcotest.test_case "superset of lexical positives" `Quick
-            test_superset_of_lexical;
-          Alcotest.test_case "lexical fallback on parse failure" `Quick
-            test_lexical_fallback;
+          Alcotest.test_case "parse error in an implementation" `Quick
+            test_parse_error_ml;
+          Alcotest.test_case "parse error without a banned token" `Quick
+            test_parse_error_no_banned_token;
+          Alcotest.test_case "parse error in an interface" `Quick
+            test_parse_error_mli;
           Alcotest.test_case "finding JSON shape" `Quick
             test_finding_json_shape;
           Alcotest.test_case "baseline round-trip" `Quick
@@ -467,5 +548,15 @@ let () =
         [
           Alcotest.test_case "lib analyze-clean" `Slow
             test_analyze_lib_self_scan;
+        ] );
+      ( "lint",
+        [
+          Alcotest.test_case "positives" `Quick test_lint_positives;
+          Alcotest.test_case "negatives" `Quick test_lint_negatives;
+          Alcotest.test_case "masking" `Quick test_lint_masking;
+          Alcotest.test_case "multiline state" `Quick
+            test_lint_multiline_state;
+          Alcotest.test_case "decorated keys" `Quick test_lint_decorated_keys;
+          Alcotest.test_case "lib self-scan" `Quick test_lint_lib_self_scan;
         ] );
     ]
