@@ -1,8 +1,8 @@
 (* The benchmark harness.
 
-   Part 1 regenerates every table and figure of the paper (the same
-   records as the [locald] CLI — one experiment per paper artefact:
-   T1, F1, F2, F3, C1, W2/W3) and prints them.
+   Part 1 regenerates every table and figure of the paper — every
+   [Registry] experiment, the same runs as the [locald] subcommands of
+   the same names — and prints them.
 
    Part 2 runs bechamel micro-benchmarks over the library's hot paths:
    view extraction, rooted isomorphism, Turing-machine execution,
@@ -24,19 +24,11 @@ let regenerate_paper_artefacts () =
   print_endline "=================================================================";
   print_endline " PART 1: regenerated paper artefacts";
   print_endline "=================================================================";
-  Report.print_table1 (Experiments.table1 ());
-  Report.print_fig1 (Experiments.fig1 ());
-  Report.print_fig2 (Experiments.fig2 ());
-  Report.print_fig3 (Experiments.fig3 ());
-  Report.print_corollary1 (Experiments.corollary1 ());
-  Report.print_p3 (Experiments.p3 ());
-  Report.print_fuel_diagonal (Experiments.fuel_diagonal ());
-  Report.print_construction (Experiments.construction ());
-  Report.print_oi (Experiments.order_invariance ());
-  Report.print_hereditary (Experiments.hereditary ());
-  Report.print_warmups (Experiments.warmups ());
-  (* quick: the full fault sweep is minutes-long and belongs to the CLI *)
-  Report.print_faults (Experiments.faults ~quick:true ())
+  (* Heavy experiments run quick: their full sweeps belong to the CLI. *)
+  List.iter
+    (fun (x : Registry.experiment) ->
+      fst (x.e_run ~quick:x.e_heavy ~seed:None) ())
+    Registry.experiments
 
 (* ------------------------------------------------------------------ *)
 (* Part 2: micro-benchmarks                                            *)
@@ -387,192 +379,17 @@ let run_ablations () =
 (* Part 4: the machine-readable quick bench (BENCH_quick.json)         *)
 (* ------------------------------------------------------------------ *)
 
-(* Each workload runs at --jobs 1 and --jobs 4 and reports wall-clock,
-   problem size and a digest of the full result; equal digests across
-   job counts are the pool's determinism contract, checked here on
-   every bench run. *)
-
-let digest_of x = Digest.to_hex (Digest.string (Marshal.to_string x []))
-
-(* Certification workloads report the trace-event count as their
-   problem size: wall-clock per traced event is the figure of merit
-   for the provenance monitor. *)
-let certify_summary (report : Locald_analysis.Analysis.report) =
-  let open Locald_analysis.Analysis in
-  ( report.rep_events,
-    digest_of
-      ( verdict_name report.rep_verdict,
-        report.rep_views,
-        report.rep_events,
-        report.rep_max_depth ) )
-
-let quick_workloads =
-  [
-    ( "f1-coverage",
-      fun () ->
-        let p = { Tree_instances.regime; arity = 2; r = 2 } in
-        let c = Tree_deciders.coverage p ~t:2 in
-        ( Locald_core.Bound.tree_size ~arity:2 ~depth:(Tree_instances.depth p),
-          digest_of
-            ( c.Tree_deciders.covered,
-              c.Tree_deciders.total_views,
-              c.Tree_deciders.uncovered_node ) ) );
-    ( "exhaustive-decider",
-      fun () ->
-        let p = { Tree_instances.regime; arity = 2; r = 2 } in
-        let lg = Tree_instances.small_instance p ~apex:(0, 1) in
-        let n = Labelled.order lg in
-        let e =
-          Locald_decision.Decider.evaluate_exhaustive ~bound:n
-            (Tree_deciders.p_decider p) ~expected:true ~instance:"H+" lg
-        in
-        ( e.Locald_decision.Decider.assignments,
-          digest_of
-            ( e.Locald_decision.Decider.correct,
-              e.Locald_decision.Decider.wrong,
-              e.Locald_decision.Decider.assignments ) ) );
-    ( "p3-coverage",
-      fun () ->
-        let rows = Experiments.p3 ~quick:true () in
-        ( List.fold_left
-            (fun acc (r : Experiments.p3_row) ->
-              acc + r.Experiments.g_classes + r.Experiments.b_classes)
-            0 rows,
-          digest_of rows ) );
-    ( "corollary1",
-      fun () ->
-        let rows = Experiments.corollary1 () in
-        ( List.fold_left
-            (fun acc (r : Experiments.corollary1_row) ->
-              max acc r.Experiments.n)
-            0 rows,
-          digest_of rows ) );
-    ( "certify-tree",
-      fun () ->
-        certify_summary
-          (Locald_analysis.Analysis.certify
-             (Tree_deciders.p_decider tree_params)
-             ~instances:[ ("T_r", Lazy.force big_tree) ]) );
-    ( "certify-gmr",
-      fun () ->
-        let t = Lazy.force gmr_instance in
-        certify_summary
-          (Locald_analysis.Analysis.certify
-             (Gmr_deciders.ld_decider ())
-             ~instances:[ ("G(M,1)", t.Gmr.lg) ]) );
-  ]
-
-(* ------------------------------------------------------------------ *)
-(* Part 5: the scale tier (BENCH_scale.json)                           *)
-(* ------------------------------------------------------------------ *)
-
-(* Same contract as the quick tier, one to two orders of magnitude up:
-   deeper trees (regime constant 5 instead of 1), a 45x assignment
-   space, G(M,r) instances built from longer machines, and a certify
-   sweep over six instances at once. Each workload additionally runs
-   under both engine backends — the async rows pin the adversarial
-   scheduler to the same digests as the synchronous simulator. *)
-
-let scale_regime = Ids.f_linear_plus 5
-
-let scale_gmr_machines =
-  [
-    ("two_faced-s3", Zoo.two_faced ~steps:3 ~real:0 ~fake:1);
-    ("two_faced-s4", Zoo.two_faced ~steps:4 ~real:0 ~fake:1);
-    ("two_faced-s5", Zoo.two_faced ~steps:5 ~real:0 ~fake:1);
-    ("walk-s20", Zoo.walk ~steps:20 ~output:0);
-    ("walk-s50", Zoo.walk ~steps:50 ~output:0);
-    ("zigzag-h10", Zoo.zigzag ~half:10 ~output:0);
-  ]
-
-let scale_gmr_instances =
-  lazy
-    (List.map
-       (fun (name, m) ->
-         match
-           Gmr.build
-             ~config:{ (Gmr.default_config ~r:1) with Gmr.fragment_cap = 100 }
-             ~r:1 m
-         with
-         | Ok t -> (name, t.Gmr.lg)
-         | Error _ -> assert false)
-       scale_gmr_machines)
-
-let scale_workloads =
-  [
-    ( "f1-coverage-scale",
-      fun () ->
-        let p = { Tree_instances.regime = scale_regime; arity = 2; r = 2 } in
-        let c = Tree_deciders.coverage p ~t:3 in
-        ( Locald_core.Bound.tree_size ~arity:2 ~depth:(Tree_instances.depth p),
-          digest_of
-            ( c.Tree_deciders.covered,
-              c.Tree_deciders.total_views,
-              c.Tree_deciders.uncovered_node ) ) );
-    ( "exhaustive-decider-scale",
-      fun () ->
-        (* Same H+ instance as the quick tier, quantified over every
-           injective assignment into [0..9] instead of [0..7]: 45x the
-           assignment space over the identical decider, and — through
-           [Runner.prepare] — sensitive to the ambient backend. *)
-        let p = { Tree_instances.regime; arity = 2; r = 2 } in
-        let lg = Tree_instances.small_instance p ~apex:(0, 1) in
-        let e =
-          Locald_decision.Decider.evaluate_exhaustive ~bound:10
-            (Tree_deciders.p_decider p) ~expected:true ~instance:"H+" lg
-        in
-        ( e.Locald_decision.Decider.assignments,
-          digest_of
-            ( e.Locald_decision.Decider.correct,
-              e.Locald_decision.Decider.wrong,
-              e.Locald_decision.Decider.assignments ) ) );
-    ( "corollary1-scale",
-      fun () ->
-        (* The Corollary 1 Monte-Carlo estimate on a G(M,1) an order of
-           magnitude past the paper tables: two_faced with 5 steps at
-           fragment cap 4400. Per-run coin streams are seeded before
-           the fan-out, so the digest is independent of --jobs. *)
-        let t =
-          match
-            Gmr.build
-              ~config:
-                { (Gmr.default_config ~r:1) with Gmr.fragment_cap = 4400 }
-              ~r:1
-              (Zoo.two_faced ~steps:5 ~real:0 ~fake:1)
-          with
-          | Ok t -> t
-          | Error _ -> assert false
-        in
-        let fast = Gmr_deciders.Fast.prepare t.Gmr.lg in
-        let rng = Random.State.make [| 11 |] in
-        let runs = 100 in
-        let seeds = Locald_runtime.Pool.split_seeds rng runs in
-        let outcomes =
-          Locald_runtime.Pool.map
-            (fun s ->
-              let run_rng = Random.State.make [| s |] in
-              Locald_decision.Verdict.accepts
-                (Gmr_deciders.Fast.corollary1 fast run_rng))
-            seeds
-        in
-        let successes =
-          Array.fold_left (fun acc ok -> if ok then acc + 1 else acc) 0 outcomes
-        in
-        (Gmr.order t, digest_of (successes, runs, Gmr.order t)) );
-    ( "certify-gmr-scale",
-      fun () ->
-        (* One provenance sweep over six instances — 35k traced views,
-           12x the quick tier's event volume. The ld decider's
-           simulation memo answers the second (nondeterminism-check)
-           run of every view from the table. *)
-        certify_summary
-          (Locald_analysis.Analysis.certify ~budget:50_000
-             (Gmr_deciders.ld_decider ())
-             ~instances:(Lazy.force scale_gmr_instances)) );
-  ]
+(* Each registry workload runs at --jobs 1 and --jobs 4 and reports
+   wall-clock, problem size and a digest of the full result; equal
+   digests across job counts are the pool's determinism contract,
+   checked here on every bench run. The scale tier (BENCH_scale.json)
+   is one to two orders of magnitude up and additionally runs each
+   workload under both engine backends — the async rows pin the
+   adversarial scheduler to the same digests as the synchronous
+   simulator. *)
 
 type quick_entry = {
-  qe_id : string;
+  qe_w : Registry.pinned;
   qe_jobs : int;
   qe_backend : Locald_local.Backend.t option;
       (* None on quick rows (ambient default); scale rows carry the
@@ -585,77 +402,92 @@ type quick_entry = {
   qe_orbit_classes : int;  (* distinct decorated-ball classes decided *)
 }
 
+let tier_backends = function
+  | Registry.Quick -> [ None ]
+  | Registry.Scale ->
+      [
+        Some Locald_local.Backend.Sync;
+        Some
+          (Locald_local.Backend.Async
+             { Async_runner.sched_seed = 7; fifo = false });
+      ]
+
 let backend_suffix = function
   | None | Some Locald_local.Backend.Sync -> ""
   | Some (Locald_local.Backend.Async _) -> "+async"
 
 let entry_key e =
-  Printf.sprintf "%s@j%d%s" e.qe_id e.qe_jobs (backend_suffix e.qe_backend)
+  Printf.sprintf "%s@j%d%s" e.qe_w.p_name e.qe_jobs (backend_suffix e.qe_backend)
 
-let collect_entries ~backends workloads =
-  let job_counts = [ 1; 4 ] in
-  List.concat_map
-    (fun (id, work) ->
-      let runs =
+let collect_entries tier workloads =
+  let row (w : Registry.pinned) jobs backend =
+    Locald_runtime.Pool.set_default_jobs jobs;
+    (* Per-row cache accounting: a fresh telemetry run scopes every
+       counter to this workload, so back-to-back rows report
+       independent (not cumulative) counts. *)
+    Locald_runtime.Telemetry.new_run ();
+    let run_work () =
+      match backend with
+      | None -> w.p_run ()
+      | Some b -> Locald_local.Backend.with_default b w.p_run
+    in
+    let (n, digest), wall = Locald_runtime.Timing.time run_work in
+    let ms = Locald_runtime.Memo.run_stats () in
+    Printf.printf "%-32s jobs=%d%s n=%-8d %8.3fs  %s\n%!" w.p_name jobs
+      (backend_suffix backend) n wall digest;
+    {
+      qe_w = w;
+      qe_jobs = jobs;
+      qe_backend = backend;
+      qe_wall = wall;
+      qe_n = n;
+      qe_digest = digest;
+      qe_hits = ms.Locald_runtime.Memo.hits;
+      qe_misses = ms.Locald_runtime.Memo.misses;
+      qe_orbit_classes = ms.Locald_runtime.Memo.distinct;
+    }
+  in
+  let entries =
+    List.concat_map
+      (fun w ->
         List.concat_map
-          (fun jobs ->
-            List.map
-              (fun backend ->
-                Locald_runtime.Pool.set_default_jobs jobs;
-                (* Per-row cache accounting: a fresh telemetry run scopes
-                   every counter to this workload, so back-to-back rows
-                   report independent (not cumulative) counts. *)
-                Locald_runtime.Telemetry.new_run ();
-                let run_work () =
-                  match backend with
-                  | None -> work ()
-                  | Some b -> Locald_local.Backend.with_default b work
-                in
-                let (n, digest), wall = Locald_runtime.Timing.time run_work in
-                let ms = Locald_runtime.Memo.run_stats () in
-                let e =
-                  {
-                    qe_id = id;
-                    qe_jobs = jobs;
-                    qe_backend = backend;
-                    qe_wall = wall;
-                    qe_n = n;
-                    qe_digest = digest;
-                    qe_hits = ms.Locald_runtime.Memo.hits;
-                    qe_misses = ms.Locald_runtime.Memo.misses;
-                    qe_orbit_classes = ms.Locald_runtime.Memo.distinct;
-                  }
-                in
-                Printf.printf "%-32s jobs=%d%s n=%-8d %8.3fs  %s\n%!" id jobs
-                  (backend_suffix backend) n wall digest;
-                e)
-              backends)
-          job_counts
-      in
-      (* Every row of a workload — across job counts AND backends —
-         must produce the same digest: the pool's determinism contract
-         and the async backend's pin to the synchronous simulator. *)
-      (match runs with
-      | first :: rest ->
-          List.iter
-            (fun e ->
-              if e.qe_digest <> first.qe_digest then
-                Printf.printf
-                  "  WARNING: %s digest differs from %s — determinism \
-                   contract violated\n"
-                  (entry_key e) (entry_key first))
-            rest
-      | [] -> ());
-      runs)
-    workloads
+          (fun jobs -> List.map (row w jobs) (tier_backends tier))
+          [ 1; 4 ])
+      workloads
+  in
+  Locald_runtime.Pool.set_default_jobs 1;
+  entries
 
-let scale_backends =
-  [
-    Some Locald_local.Backend.Sync;
-    Some (Locald_local.Backend.Async { Async_runner.sched_seed = 7; fifo = false });
-  ]
+(* Every row of a workload — across job counts AND backends — must
+   produce the same digest: the pool's determinism contract and the
+   async backend's pin to the synchronous simulator. *)
+let disagreements entries =
+  List.filter_map
+    (fun e ->
+      let first = List.find (fun f -> f.qe_w.p_name = e.qe_w.p_name) entries in
+      if e.qe_digest = first.qe_digest then None
+      else
+        Some
+          (Printf.sprintf
+             "%s digest differs from %s — determinism contract violated"
+             (entry_key e) (entry_key first)))
+    entries
 
-let collect_quick_entries () = collect_entries ~backends:[ None ] quick_workloads
+(* [--only] filters (the CI smoke job runs the cheap scale workloads
+   only; pins for filtered-out rows are ignored). *)
+let tier_workloads ~only tier =
+  let workloads = Registry.tier_workloads tier in
+  List.iter
+    (fun id ->
+      if not (List.exists (fun w -> w.Registry.p_name = id) workloads) then begin
+        Printf.eprintf "bench: --only %s names no workload in this tier\n" id;
+        exit Locald_runtime.Shard.Exit.usage
+      end)
+    only;
+  if only = [] then workloads
+  else List.filter (fun w -> List.mem w.Registry.p_name only) workloads
+
+let tier_name = function Registry.Quick -> "quick" | Registry.Scale -> "scale"
 
 (* The bench JSON writer and a live checkpoint writer must never
    interleave output: a shard checkpoint flushes mid-line-accurate
@@ -673,7 +505,16 @@ let refuse_if_checkpointing () =
       List.iter (Printf.eprintf "bench:   open writer: %s\n") paths;
       exit Locald_runtime.Shard.Exit.usage
 
+(* A workload whose rows disagree fails the bench (exit 1) and the file
+   is not written: a pin file must never record a contract
+   violation. *)
 let write_entries path entries =
+  (match disagreements entries with
+  | [] -> ()
+  | ds ->
+      List.iter (Printf.printf "FAIL: %s\n") ds;
+      Printf.printf "bench: %s not written\n" path;
+      exit 1);
   (* One JSON object keyed by entry ([parse_pins] reads it back), one
      entry per line, each emitted through the telemetry JSON module so
      hostile workload ids — quotes, backslashes — stay valid JSON. Wall
@@ -712,41 +553,17 @@ let write_entries path entries =
   close_out oc;
   Printf.printf "wrote %s\n" path
 
-let run_quick_bench path =
+(* Part 4 writes the quick tier (BENCH_quick.json), Part 5 the scale
+   tier (BENCH_scale.json). *)
+let run_tier_bench ~only tier path =
   refuse_if_checkpointing ();
   print_endline "";
   print_endline "=================================================================";
-  print_endline " PART 4: quick bench (machine-readable)";
+  Printf.printf " PART %d: %s bench (machine-readable)\n"
+    (match tier with Registry.Quick -> 4 | Registry.Scale -> 5)
+    (tier_name tier);
   print_endline "=================================================================";
-  let entries = collect_quick_entries () in
-  Locald_runtime.Pool.set_default_jobs 1;
-  write_entries path entries
-
-let filter_workloads only workloads =
-  match only with
-  | [] -> workloads
-  | only ->
-      List.iter
-        (fun id ->
-          if not (List.mem_assoc id workloads) then begin
-            Printf.eprintf "bench: --only %s names no workload in this tier\n"
-              id;
-            exit Locald_runtime.Shard.Exit.usage
-          end)
-        only;
-      List.filter (fun (id, _) -> List.mem id only) workloads
-
-let run_scale_bench ~only path =
-  refuse_if_checkpointing ();
-  print_endline "";
-  print_endline "=================================================================";
-  print_endline " PART 5: scale bench (machine-readable)";
-  print_endline "=================================================================";
-  let entries =
-    collect_entries ~backends:scale_backends (filter_workloads only scale_workloads)
-  in
-  Locald_runtime.Pool.set_default_jobs 1;
-  write_entries path entries
+  write_entries path (collect_entries tier (tier_workloads ~only tier))
 
 (* ------------------------------------------------------------------ *)
 (* --check: CI smoke gate against the committed pins                   *)
@@ -785,30 +602,29 @@ let parse_pins path =
       | _ -> fail "entry %s has no result_digest" key)
     entries
 
-(* Workloads whose decide-once caches must actually fire: a refactor
-   that silently stops threading the memo through these cold paths
-   keeps the digests intact but zeroes the hit columns, and this gate
-   is what catches it. *)
-let hits_gated_quick = [ "f1-coverage"; "corollary1"; "certify-gmr" ]
-let hits_gated_scale =
-  [ "f1-coverage-scale"; "corollary1-scale"; "certify-gmr-scale" ]
-
-(* Wall-clock regression gates on the tentpole workloads only —
-   micro-workloads are too noisy for a CI timing assertion. *)
-let wall_gated_quick = [ "exhaustive-decider@j1"; "certify-gmr@j1" ]
-
-let run_check_tier ~tier ~collect ~hits_gated ~wall_gated path =
+(* A hits-gated workload's decide-once cache must actually fire: a
+   refactor that silently stops threading the memo through its cold
+   path keeps the digests intact but zeroes the hit columns, and this
+   gate is what catches it. Wall-clock regression gates sit on the
+   tentpole workloads' @j1 rows only — micro-workloads are too noisy
+   for a CI timing assertion. *)
+let run_check ~only tier path =
   let pins = parse_pins path in
   if pins = [] then begin
     Printf.printf "CHECK: no pins parsed from %s\n" path;
     exit 1
   end;
   print_endline "=================================================================";
-  Printf.printf " CHECK: %s bench vs pins in %s\n" tier path;
+  Printf.printf " CHECK: %s bench vs pins in %s\n" (tier_name tier) path;
   print_endline "=================================================================";
-  let entries = collect () in
-  Locald_runtime.Pool.set_default_jobs 1;
+  let entries = collect_entries tier (tier_workloads ~only tier) in
+  let wall_gated e = e.qe_w.p_wall_gated && e.qe_jobs = 1 in
   let fail = ref false in
+  List.iter
+    (fun d ->
+      Printf.printf "CHECK FAIL: %s\n" d;
+      fail := true)
+    (disagreements entries);
   List.iter
     (fun e ->
       let key = entry_key e in
@@ -826,17 +642,14 @@ let run_check_tier ~tier ~collect ~hits_gated ~wall_gated path =
              is the regression signal, the absolute term keeps
              scheduler jitter on millisecond workloads from tripping
              it. *)
-          if
-            List.mem key wall_gated
-            && e.qe_wall > (2.0 *. pinned_wall) +. 0.05
-          then begin
+          if wall_gated e && e.qe_wall > (2.0 *. pinned_wall) +. 0.05 then begin
             Printf.printf
               "CHECK FAIL: %s wall %.6fs regressed more than 2x over pinned \
                %.6fs\n"
               key e.qe_wall pinned_wall;
             fail := true
           end);
-      if List.mem e.qe_id hits_gated && e.qe_hits <= 0 then begin
+      if e.qe_w.p_hits_gated && e.qe_hits <= 0 then begin
         Printf.printf
           "CHECK FAIL: %s reports no memo hits — the decide-once cache no \
            longer fires on this path\n"
@@ -845,22 +658,13 @@ let run_check_tier ~tier ~collect ~hits_gated ~wall_gated path =
       end)
     entries;
   if !fail then exit 1;
+  let walls = List.map entry_key (List.filter wall_gated entries) in
   Printf.printf
     "CHECK: %d entries match their pinned digests%s%s\n" (List.length entries)
-    (if wall_gated = [] then ""
-     else "; " ^ String.concat ", " wall_gated ^ " within 2x")
-    (if hits_gated = [] then "" else "; memo hits nonzero where gated")
-
-let run_check path =
-  run_check_tier ~tier:"quick" ~collect:collect_quick_entries
-    ~hits_gated:hits_gated_quick ~wall_gated:wall_gated_quick path
-
-let run_check_scale ~only path =
-  run_check_tier ~tier:"scale"
-    ~collect:(fun () ->
-      collect_entries ~backends:scale_backends
-        (filter_workloads only scale_workloads))
-    ~hits_gated:hits_gated_scale ~wall_gated:[] path
+    (if walls = [] then "" else "; " ^ String.concat ", " walls ^ " within 2x")
+    (if List.exists (fun e -> e.qe_w.p_hits_gated) entries then
+       "; memo hits nonzero where gated"
+     else "")
 
 (* ------------------------------------------------------------------ *)
 (* Part 6: the serve tier (BENCH_serve.json)                           *)
@@ -1001,7 +805,7 @@ let write_serve_entry path e =
           ("mean_ms", Float (Float.round (e.se_mean_ms *. 1e3) /. 1e3));
           ("max_ms", Float (Float.round (e.se_max_ms *. 1e3) /. 1e3));
           ("memo_hits", Int e.se_memo_hits);
-          ("result_digest", String (digest_of e.se_digests));
+          ("result_digest", String (Locald_runtime.Shard.digest e.se_digests));
         ])
   in
   let oc = open_out path in
@@ -1017,7 +821,7 @@ let print_serve_entry e =
      memo hits %d\n  response digest %s\n%!"
     serve_entry_key serve_connections e.se_requests e.se_wall
     (float_of_int e.se_requests /. e.se_wall)
-    e.se_mean_ms e.se_max_ms e.se_memo_hits (digest_of e.se_digests)
+    e.se_mean_ms e.se_max_ms e.se_memo_hits (Locald_runtime.Shard.digest e.se_digests)
 
 let run_serve_bench ~socket path =
   print_endline "=================================================================";
@@ -1041,10 +845,10 @@ let run_check_serve ~socket path =
         serve_entry_key path;
       fail := true
   | Some (_, pinned_digest) ->
-      if digest_of e.se_digests <> pinned_digest then begin
+      if Locald_runtime.Shard.digest e.se_digests <> pinned_digest then begin
         Printf.printf
           "CHECK FAIL: %s response digest %s differs from pinned %s\n"
-          serve_entry_key (digest_of e.se_digests) pinned_digest;
+          serve_entry_key (Locald_runtime.Shard.digest e.se_digests) pinned_digest;
         fail := true
       end);
   (* Cross-tier pin: the mix's first request is the full-range
@@ -1086,8 +890,7 @@ let run_check_serve ~socket path =
     e.se_memo_hits
 
 (* [--scale]/[--check-scale] accept an optional pin path plus any
-   number of [--only WORKLOAD] filters (the CI smoke job runs the cheap
-   scale workloads only; pins for filtered-out rows are ignored). *)
+   number of [--only WORKLOAD] filters. *)
 let parse_path_and_only ~default rest =
   let rec go path only = function
     | [] -> (Option.value path ~default, List.rev only)
@@ -1109,16 +912,16 @@ let () =
   | _ :: "--json" :: rest ->
       (* Quick mode: only the machine-readable bench. *)
       let path = match rest with p :: _ -> p | [] -> "BENCH_quick.json" in
-      run_quick_bench path
+      run_tier_bench ~only:[] Registry.Quick path
   | _ :: "--check" :: rest ->
       let path = match rest with p :: _ -> p | [] -> "BENCH_quick.json" in
-      run_check path
+      run_check ~only:[] Registry.Quick path
   | _ :: "--scale" :: rest ->
       let path, only = parse_path_and_only ~default:"BENCH_scale.json" rest in
-      run_scale_bench ~only path
+      run_tier_bench ~only Registry.Scale path
   | _ :: "--check-scale" :: rest ->
       let path, only = parse_path_and_only ~default:"BENCH_scale.json" rest in
-      run_check_scale ~only path
+      run_check ~only Registry.Scale path
   | _ :: "--serve" :: socket :: rest ->
       let path = match rest with p :: _ -> p | [] -> "BENCH_serve.json" in
       run_serve_bench ~socket path
@@ -1132,4 +935,4 @@ let () =
       regenerate_paper_artefacts ();
       run_ablations ();
       run_benchmarks ();
-      run_quick_bench "BENCH_quick.json"
+      run_tier_bench ~only:[] Registry.Quick "BENCH_quick.json"

@@ -5,8 +5,6 @@ open Cmdliner
 open Locald_core
 open Locald_runtime
 
-open Locald_core.Report
-
 let quick_flag =
   Arg.(value & flag & info [ "quick" ] ~doc:"Smaller parameter sets (faster).")
 
@@ -19,44 +17,6 @@ let seed_opt =
     & info [ "seed" ] ~docv:"SEED"
         ~doc:"Seed for the experiment's random state (reproducible runs).")
 
-(* Global parallelism knob: sizes the shared worker pool the experiment
-   hot paths fan out on. Every experiment is byte-identical at any
-   value — parallelism only changes who computes each slot. *)
-let jobs_opt =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:
-          "Worker domains for the parallel experiment stages (default: \
-           $(b,LOCALD_JOBS), else the recommended domain count). Results \
-           do not depend on this value.")
-
-let apply_jobs jobs = Option.iter Pool.set_default_jobs jobs
-
-(* Decide-once memoisation knob: results are identical at any mode that
-   is sound for the decider (exact always is); only the work differs. *)
-let memo_opt =
-  let mode_conv =
-    let parse s =
-      match Memo.mode_of_string (String.lowercase_ascii (String.trim s)) with
-      | Some m -> Ok m
-      | None -> Error (`Msg "memo mode must be off | exact | order")
-    in
-    Arg.conv (parse, fun ppf m -> Fmt.string ppf (Memo.mode_to_string m))
-  in
-  Arg.(
-    value
-    & opt (some mode_conv) None
-    & info [ "memo" ] ~docv:"MODE"
-        ~doc:
-          "Decide-once memoisation: $(b,off), $(b,exact) (the safe \
-           default — keys carry the exact ball-restricted ids), or \
-           $(b,order) (order-type keys; sound only for order-invariant \
-           deciders). Defaults to $(b,LOCALD_MEMO), else exact.")
-
-let apply_memo memo = Option.iter Memo.set_default_mode memo
-
 let stats_flag =
   Arg.(
     value & flag
@@ -68,7 +28,8 @@ let stats_flag =
 
 (* Tracing knob: a JSONL sink recording spans, events and injected
    faults. Observation only — results and digests are identical with or
-   without it (property-tested). *)
+   without it (property-tested). Not an engine flag: [client] has no
+   sink to open. *)
 let trace_opt =
   Arg.(
     value
@@ -81,50 +42,109 @@ let trace_opt =
 
 let apply_trace trace = Option.iter Telemetry.open_sink trace
 
-(* Simulator backend knob: direct synchronous view extraction, or the
-   asynchronous message-passing engine under a seeded adversarial
-   scheduler. Results are byte-identical either way (pinned by the
-   cross-backend battery); only the execution model differs. *)
-let backend_opt =
-  let backend_conv =
-    let parse s =
-      match Locald_local.Backend.of_string s with
-      | Some b -> Ok b
-      | None -> Error (`Msg "backend must be sync | async")
-    in
-    Arg.conv (parse, Locald_local.Backend.pp)
+(* ------------------------------------------------------------------ *)
+(* Engine flags                                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* The five engine flags, declared once: pool width, decide-once
+   memoisation and the simulator backend. Results are byte-identical
+   under every setting (pinned by the determinism and cross-backend
+   batteries); only who computes what, and how often, changes. A
+   subcommand takes them as one [engine] value, applied in process,
+   forwarded to shard children, or sent as a request's config. *)
+type engine = {
+  jobs : int option;
+  memo : Memo.mode option;
+  backend : Locald_local.Backend.t option;
+  sched_seed : int option;
+  fifo : bool;
+}
+
+(* [~memo:false] / [~backend:false] leave those flags off a subcommand
+   that has no use for them; their fields then stay unset. *)
+let engine_term ?(memo = true) ?(backend = true) () =
+  let jobs_opt =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "j"; "jobs" ] ~docv:"N"
+          ~doc:
+            "Worker domains for the parallel experiment stages (default: \
+             $(b,LOCALD_JOBS), else the recommended domain count). \
+             Results do not depend on this value.")
   in
-  Arg.(
-    value
-    & opt (some backend_conv) None
-    & info [ "backend" ] ~docv:"BACKEND"
-        ~doc:
-          "Simulator backend: $(b,sync) (direct view extraction) or \
-           $(b,async) (message passing under a seeded adversarial \
-           scheduler). Results are byte-identical either way. Defaults \
-           to $(b,LOCALD_BACKEND), else sync.")
+  let memo_opt =
+    let mode_conv =
+      let parse s =
+        match Memo.mode_of_string (String.lowercase_ascii (String.trim s)) with
+        | Some m -> Ok m
+        | None -> Error (`Msg "memo mode must be off | exact | order")
+      in
+      Arg.conv (parse, fun ppf m -> Fmt.string ppf (Memo.mode_to_string m))
+    in
+    Arg.(
+      value
+      & opt (some mode_conv) None
+      & info [ "memo" ] ~docv:"MODE"
+          ~doc:
+            "Decide-once memoisation: $(b,off), $(b,exact) (the safe \
+             default — keys carry the exact ball-restricted ids), or \
+             $(b,order) (order-type keys; sound only for order-invariant \
+             deciders). Defaults to $(b,LOCALD_MEMO), else exact.")
+  in
+  let backend_opt =
+    let backend_conv =
+      let parse s =
+        match Locald_local.Backend.of_string s with
+        | Some b -> Ok b
+        | None -> Error (`Msg "backend must be sync | async")
+      in
+      Arg.conv (parse, Locald_local.Backend.pp)
+    in
+    Arg.(
+      value
+      & opt (some backend_conv) None
+      & info [ "backend" ] ~docv:"BACKEND"
+          ~doc:
+            "Simulator backend: $(b,sync) (direct view extraction) or \
+             $(b,async) (message passing under a seeded adversarial \
+             scheduler). Results are byte-identical either way. Defaults \
+             to $(b,LOCALD_BACKEND), else sync.")
+  in
+  let sched_seed_opt =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "sched-seed" ] ~docv:"SEED"
+          ~doc:
+            "Adversarial scheduler seed for the async backend (implies \
+             $(b,--backend async); default $(b,LOCALD_SCHED_SEED), else \
+             0). Results do not depend on this value.")
+  in
+  let fifo_flag =
+    Arg.(
+      value & flag
+      & info [ "fifo" ]
+          ~doc:
+            "Per-link FIFO delivery for the async backend (implies \
+             $(b,--backend async)): the adversary interleaves across \
+             links but preserves each link's send order.")
+  in
+  let unset v = Term.const v in
+  Term.(
+    const (fun jobs memo backend sched_seed fifo ->
+        { jobs; memo; backend; sched_seed; fifo })
+    $ jobs_opt
+    $ (if memo then memo_opt else unset None)
+    $ (if backend then backend_opt else unset None)
+    $ (if backend then sched_seed_opt else unset None)
+    $ if backend then fifo_flag else unset false)
 
-let sched_seed_opt =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "sched-seed" ] ~docv:"SEED"
-        ~doc:
-          "Adversarial scheduler seed for the async backend (implies \
-           $(b,--backend async); default $(b,LOCALD_SCHED_SEED), else \
-           0). Results do not depend on this value.")
-
-let fifo_flag =
-  Arg.(
-    value & flag
-    & info [ "fifo" ]
-        ~doc:
-          "Per-link FIFO delivery for the async backend (implies \
-           $(b,--backend async)): the adversary interleaves across \
-           links but preserves each link's send order.")
-
-let apply_backend backend sched_seed fifo =
+(* Install the flags as the session defaults of this process. *)
+let apply_engine e =
   let open Locald_local in
+  Option.iter Pool.set_default_jobs e.jobs;
+  Option.iter Memo.set_default_mode e.memo;
   let config =
     let base =
       match Backend.default () with
@@ -132,20 +152,40 @@ let apply_backend backend sched_seed fifo =
       | Backend.Sync -> Async_runner.default_config
     in
     let base =
-      match sched_seed with
+      match e.sched_seed with
       | Some sched_seed -> { base with Async_runner.sched_seed }
       | None -> base
     in
-    if fifo then { base with Async_runner.fifo = true } else base
+    if e.fifo then { base with Async_runner.fifo = true } else base
   in
-  match backend with
+  match e.backend with
   | Some Backend.Sync -> Backend.set_default Backend.Sync
   | Some (Backend.Async _) -> Backend.set_default (Backend.Async config)
   | None ->
       (* --sched-seed / --fifo alone opt into the async backend; with
          nothing given the ambient (env) default stands. *)
-      if sched_seed <> None || fifo then
+      if e.sched_seed <> None || e.fifo then
         Backend.set_default (Backend.Async config)
+
+(* The same flags on a child's command line: a [sweep] supervisor's
+   shard children evaluate under the engine it was asked for. *)
+let engine_argv e =
+  let opt flag show = function Some v -> [ flag; show v ] | None -> [] in
+  opt "--jobs" string_of_int e.jobs
+  @ opt "--memo" Memo.mode_to_string e.memo
+  @ opt "--backend" Locald_local.Backend.to_string e.backend
+  @ opt "--sched-seed" string_of_int e.sched_seed
+  @ if e.fifo then [ "--fifo" ] else []
+
+(* The same flags as one request's configuration for [client]. *)
+let engine_config e =
+  {
+    Proto.c_backend = Option.map Locald_local.Backend.to_string e.backend;
+    c_sched_seed = e.sched_seed;
+    c_fifo = (if e.fifo then Some true else None);
+    c_memo = Option.map Memo.mode_to_string e.memo;
+    c_jobs = e.jobs;
+  }
 
 let print_runtime_stats () =
   let m = Memo.run_stats () in
@@ -161,18 +201,20 @@ let print_runtime_stats () =
 
 let maybe_stats stats = if stats then print_runtime_stats ()
 
-let run_cmd name doc print driver =
-  let run quick seed jobs memo stats trace backend sched_seed fifo =
-    apply_jobs jobs;
-    apply_memo memo;
+(* ------------------------------------------------------------------ *)
+(* The paper's experiments                                             *)
+(* ------------------------------------------------------------------ *)
+
+let run_cmd (x : Registry.experiment) =
+  let run quick seed engine stats trace =
+    apply_engine engine;
     apply_trace trace;
-    apply_backend backend sched_seed fifo;
-    let rows, wall = Timing.time (fun () -> driver ~quick ?seed ()) in
-    print rows;
+    let (print, _), wall = Timing.time (fun () -> x.e_run ~quick ~seed) in
+    print ();
     Report.print_timings
       [
         {
-          Report.t_experiment = name;
+          Report.t_experiment = x.e_name;
           t_wall = wall;
           t_jobs = Pool.default_jobs ();
           t_speedup = None;
@@ -180,72 +222,24 @@ let run_cmd name doc print driver =
       ];
     maybe_stats stats
   in
-  Cmd.v (Cmd.info name ~doc)
+  Cmd.v (Cmd.info x.e_name ~doc:x.e_doc)
     Term.(
-      const run $ quick_flag $ seed_opt $ jobs_opt $ memo_opt $ stats_flag
-      $ trace_opt $ backend_opt $ sched_seed_opt $ fifo_flag)
+      const run $ quick_flag $ seed_opt $ engine_term () $ stats_flag
+      $ trace_opt)
 
-let table1_cmd =
-  run_cmd "table1" "Regenerate the Section 1.1 results table." print_table1
-    (fun ~quick ?seed () -> Experiments.table1 ~quick ?seed ())
-
-let fig1_cmd =
-  run_cmd "fig1" "Regenerate Figure 1 (layered trees and view coverage)."
-    print_fig1
-    (fun ~quick ?seed:_ () -> Experiments.fig1 ~quick ())
-
-let fig2_cmd =
-  run_cmd "fig2" "Regenerate Figure 2 (the G(M,r) construction)." print_fig2
-    (fun ~quick ?seed:_ () -> Experiments.fig2 ~quick ())
-
-let fig3_cmd =
-  run_cmd "fig3" "Regenerate Figure 3 (the pyramid)." print_fig3
-    (fun ~quick ?seed:_ () -> Experiments.fig3 ~quick ())
-
-let corollary1_cmd =
-  run_cmd "corollary1" "Regenerate the Corollary 1 experiment."
-    print_corollary1
-    (fun ~quick ?seed () -> Experiments.corollary1 ~quick ?seed ())
-
-let p3_cmd =
-  run_cmd "p3" "Measure the neighbourhood generator's (P3) coverage." print_p3
-    (fun ~quick ?seed:_ () -> Experiments.p3 ~quick ())
-
-let diagonal_cmd =
-  run_cmd "diagonal" "Run the fuel diagonalisation against Id-oblivious candidates."
-    print_fuel_diagonal
-    (fun ~quick ?seed:_ () -> Experiments.fuel_diagonal ~quick ())
-
-let construction_cmd =
-  run_cmd "construction" "Run the constructive-side experiments (CV, Luby, gossip)."
-    print_construction
-    (fun ~quick ?seed () -> Experiments.construction ~quick ?seed ())
-
-let oi_cmd =
-  run_cmd "oi" "Show that order-invariant algorithms also fail under (B)."
-    print_oi
-    (fun ~quick ?seed () -> Experiments.order_invariance ~quick ?seed ())
-
-let hereditary_cmd =
-  run_cmd "hereditary" "Check hereditariness of the witness properties."
-    print_hereditary
-    (fun ~quick ?seed () -> Experiments.hereditary ~quick ?seed ())
-
-let warmups_cmd =
-  run_cmd "warmups" "Run the warm-up promise-problem experiments."
-    print_warmups
-    (fun ~quick ?seed () -> Experiments.warmups ~quick ?seed ())
-
-let faults_cmd =
-  let run quick seed jobs trace drop crashes fuel retries runs =
-    apply_jobs jobs;
+(* The one experiment with knobs of its own: the fault axes override
+   its scenario grid, so it runs [Experiments.faults] directly under
+   the registry entry's name and doc. *)
+let faults_cmd (x : Registry.experiment) =
+  let run quick seed engine trace drop crashes fuel retries runs =
+    apply_engine engine;
     apply_trace trace;
     (* Plan validation raises Invalid_argument; turn it into a usage
        error instead of an "internal error" backtrace. *)
     match
       Experiments.faults ~quick ?seed ?drop ?crashes ?fuel ?retries ?runs ()
     with
-    | rows -> print_faults rows
+    | rows -> Report.print_faults rows
     | exception Invalid_argument msg ->
         prerr_endline ("locald: " ^ msg);
         exit Shard.Exit.usage
@@ -284,14 +278,17 @@ let faults_cmd =
       & opt (some int) None
       & info [ "runs" ] ~docv:"N" ~doc:"Faulted runs per scenario.")
   in
-  Cmd.v
-    (Cmd.info "faults"
-       ~doc:
-         "Measure decider accuracy and degradation under seeded fault \
-          injection (message drops, crash-stop failures, fuel budgets).")
+  Cmd.v (Cmd.info x.e_name ~doc:x.e_doc)
     Term.(
-      const run $ quick_flag $ seed_opt $ jobs_opt $ trace_opt $ drop $ crashes
-      $ fuel $ retries $ runs)
+      const run $ quick_flag $ seed_opt
+      $ engine_term ~memo:false ~backend:false ()
+      $ trace_opt $ drop $ crashes $ fuel $ retries $ runs)
+
+let experiment_cmds =
+  List.map
+    (fun (x : Registry.experiment) ->
+      if x.e_name = "faults" then faults_cmd x else run_cmd x)
+    Registry.experiments
 
 (* ------------------------------------------------------------------ *)
 (* Certification and static analysis                                  *)
@@ -300,9 +297,8 @@ let faults_cmd =
 let certify_cmd =
   (* No timing output here, deliberately: CI asserts the certification
      run is byte-identical at --jobs 1 and --jobs 4. *)
-  let run _all quick jobs memo stats trace =
-    apply_jobs jobs;
-    apply_memo memo;
+  let run _all quick engine stats trace =
+    apply_engine engine;
     apply_trace trace;
     let rows = Locald_core.Certify.run ~quick () in
     Report.print_certify rows;
@@ -326,8 +322,8 @@ let certify_cmd =
           access-trace provenance analysis; non-zero exit on any verdict \
           that contradicts a decider's declared classification.")
     Term.(
-      const run $ all_flag $ quick_flag $ jobs_opt $ memo_opt $ stats_flag
-      $ trace_opt)
+      const run $ all_flag $ quick_flag $ engine_term ~backend:false ()
+      $ stats_flag $ trace_opt)
 
 (* The analyser covers the whole tree by default: library, bench, CLI
    and example code plus the tests (test-only idioms go through
@@ -561,8 +557,8 @@ let gmr_cmd =
     Term.(const run $ kind $ steps $ output $ r $ cap $ dot)
 
 let coverage_cmd =
-  let run arity r t jobs =
-    apply_jobs jobs;
+  let run arity r t engine =
+    apply_engine engine;
     let regime = Locald_local.Ids.f_linear_plus 1 in
     let p = { Tree_instances.regime; arity; r } in
     let c = Tree_deciders.coverage p ~t in
@@ -581,57 +577,36 @@ let coverage_cmd =
   Cmd.v
     (Cmd.info "coverage"
        ~doc:"Measure Figure 1's view coverage for chosen parameters.")
-    Term.(const run $ arity $ r $ t $ jobs_opt)
+    Term.(
+      const run $ arity $ r $ t $ engine_term ~memo:false ~backend:false ())
 
 let all_cmd =
-  let run quick seed jobs memo stats trace backend sched_seed fifo speedup =
-    apply_jobs jobs;
-    apply_memo memo;
+  let run quick seed engine stats trace speedup =
+    apply_engine engine;
     apply_trace trace;
-    apply_backend backend sched_seed fifo;
-    let timings = ref [] in
-    let exp : 'r. string -> ('r -> unit) -> (unit -> 'r) -> unit =
-     fun name print driver ->
-      let rows, wall = Timing.time driver in
-      print rows;
+    let timing (x : Registry.experiment) =
+      let (print, _), wall = Timing.time (fun () -> x.e_run ~quick ~seed) in
+      print ();
       let t_speedup =
         (* Optional honest baseline: rerun the experiment on a
            single-domain pool and report the ratio. *)
         if speedup && Pool.default_jobs () > 1 then begin
           let jn = Pool.default_jobs () in
           Pool.set_default_jobs 1;
-          let _, wall1 = Timing.time driver in
+          let _, wall1 = Timing.time (fun () -> x.e_run ~quick ~seed) in
           Pool.set_default_jobs jn;
           Some (wall1 /. wall)
         end
         else None
       in
-      timings :=
-        {
-          Report.t_experiment = name;
-          t_wall = wall;
-          t_jobs = Pool.default_jobs ();
-          t_speedup;
-        }
-        :: !timings
+      {
+        Report.t_experiment = x.e_name;
+        t_wall = wall;
+        t_jobs = Pool.default_jobs ();
+        t_speedup;
+      }
     in
-    exp "table1" print_table1 (fun () -> Experiments.table1 ~quick ?seed ());
-    exp "fig1" print_fig1 (fun () -> Experiments.fig1 ~quick ());
-    exp "fig2" print_fig2 (fun () -> Experiments.fig2 ~quick ());
-    exp "fig3" print_fig3 (fun () -> Experiments.fig3 ~quick ());
-    exp "corollary1" print_corollary1 (fun () ->
-        Experiments.corollary1 ~quick ?seed ());
-    exp "p3" print_p3 (fun () -> Experiments.p3 ~quick ());
-    exp "diagonal" print_fuel_diagonal (fun () ->
-        Experiments.fuel_diagonal ~quick ());
-    exp "construction" print_construction (fun () ->
-        Experiments.construction ~quick ?seed ());
-    exp "oi" print_oi (fun () -> Experiments.order_invariance ~quick ?seed ());
-    exp "hereditary" print_hereditary (fun () ->
-        Experiments.hereditary ~quick ?seed ());
-    exp "warmups" print_warmups (fun () -> Experiments.warmups ~quick ?seed ());
-    exp "faults" print_faults (fun () -> Experiments.faults ~quick ?seed ());
-    Report.print_timings (List.rev !timings);
+    Report.print_timings (List.map timing Registry.experiments);
     maybe_stats stats
   in
   let speedup_flag =
@@ -644,56 +619,49 @@ let all_cmd =
   in
   Cmd.v (Cmd.info "all" ~doc:"Run every experiment.")
     Term.(
-      const run $ quick_flag $ seed_opt $ jobs_opt $ memo_opt $ stats_flag
-      $ trace_opt $ backend_opt $ sched_seed_opt $ fifo_flag $ speedup_flag)
+      const run $ quick_flag $ seed_opt $ engine_term () $ stats_flag
+      $ trace_opt $ speedup_flag)
 
 (* ------------------------------------------------------------------ *)
 (* Metrics                                                             *)
 (* ------------------------------------------------------------------ *)
 
 let metrics_cmd =
-  let experiments : (string * (quick:bool -> seed:int option -> unit)) list =
-    [
-      ( "table1",
-        fun ~quick ~seed -> print_table1 (Experiments.table1 ~quick ?seed ()) );
-      ("fig1", fun ~quick ~seed:_ -> print_fig1 (Experiments.fig1 ~quick ()));
-      ( "corollary1",
-        fun ~quick ~seed ->
-          print_corollary1 (Experiments.corollary1 ~quick ?seed ()) );
-      ( "certify",
-        fun ~quick ~seed:_ ->
-          Report.print_certify (Locald_core.Certify.run ~quick ()) );
-      ( "faults",
-        fun ~quick ~seed -> print_faults (Experiments.faults ~quick ?seed ()) );
-    ]
+  (* Every registered experiment, plus the certification run. *)
+  let names =
+    List.map (fun (x : Registry.experiment) -> x.e_name) Registry.experiments
+    @ [ "certify" ]
   in
-  let run name quick seed jobs memo trace backend sched_seed fifo =
-    match List.assoc_opt name experiments with
-    | None ->
-        prerr_endline
-          ("locald metrics: unknown experiment " ^ name ^ " (try: "
-          ^ String.concat " | " (List.map fst experiments)
-          ^ ")");
-        exit Shard.Exit.usage
-    | Some driver ->
-        apply_jobs jobs;
-        apply_memo memo;
-        apply_trace trace;
-        apply_backend backend sched_seed fifo;
-        Telemetry.set_metrics true;
-        Telemetry.new_run ();
-        driver ~quick ~seed;
-        print_endline "";
-        print_endline "runtime metrics (this run):";
-        Format.printf "%a@." Telemetry.pp_metrics ()
+  let run name quick seed engine trace =
+    let driver =
+      match Registry.find_experiment name with
+      | Some x -> fun () -> fst (x.e_run ~quick ~seed) ()
+      | None when name = "certify" ->
+          fun () -> Report.print_certify (Locald_core.Certify.run ~quick ())
+      | None ->
+          prerr_endline
+            ("locald metrics: unknown experiment " ^ name ^ " (try: "
+            ^ String.concat " | " names ^ ")");
+          exit Shard.Exit.usage
+    in
+    apply_engine engine;
+    apply_trace trace;
+    Telemetry.set_metrics true;
+    Telemetry.new_run ();
+    driver ();
+    print_endline "";
+    print_endline "runtime metrics (this run):";
+    Format.printf "%a@." Telemetry.pp_metrics ()
   in
   let experiment_arg =
     Arg.(
       value & pos 0 string "table1"
       & info [] ~docv:"EXPERIMENT"
           ~doc:
-            "Experiment to run under metric collection: table1 | fig1 | \
-             corollary1 | certify | faults (default table1).")
+            (Printf.sprintf
+               "Experiment to run under metric collection: %s (default \
+                table1)."
+               (String.concat " | " names)))
   in
   Cmd.v
     (Cmd.info "metrics"
@@ -702,8 +670,8 @@ let metrics_cmd =
           enabled and print the run's metrics (counters, gauges, span \
           timings). Combine with $(b,--trace) for the full event log.")
     Term.(
-      const run $ experiment_arg $ quick_flag $ seed_opt $ jobs_opt $ memo_opt
-      $ trace_opt $ backend_opt $ sched_seed_opt $ fifo_flag)
+      const run $ experiment_arg $ quick_flag $ seed_opt $ engine_term ()
+      $ trace_opt)
 
 (* ------------------------------------------------------------------ *)
 (* Sharded exhaustive runs                                             *)
@@ -767,11 +735,9 @@ let plan_of ~w ~chunk ~shards =
 
 let shard_cmd =
   let run workload index shards checkpoint resume chunk fsync_every throttle
-      jobs memo stats trace backend sched_seed fifo =
-    apply_jobs jobs;
-    apply_memo memo;
+      engine stats trace =
+    apply_engine engine;
     apply_trace trace;
-    apply_backend backend sched_seed fifo;
     let w = lookup_workload workload in
     if shards <= 0 then usage_error "--of must be positive";
     if index < 0 || index >= shards then
@@ -833,8 +799,8 @@ let shard_cmd =
           $(b,--of)-way partition, checkpointing each completed chunk.")
     Term.(
       const run $ workload_opt $ index $ shards $ checkpoint $ resume
-      $ chunk_opt $ fsync_opt $ throttle_opt $ jobs_opt $ memo_opt $ stats_flag
-      $ trace_opt $ backend_opt $ sched_seed_opt $ fifo_flag)
+      $ chunk_opt $ fsync_opt $ throttle_opt $ engine_term () $ stats_flag
+      $ trace_opt)
 
 (* Merge reporting shared by [merge] and [sweep]: print the folded
    result, return the process exit code per the README convention. *)
@@ -996,54 +962,32 @@ let describe_status = function
 
 let sweep_cmd =
   let run workload shards procs dir chunk fsync_every timeout max_retries
-      retry_seed throttle expect_digest json jobs memo trace backend sched_seed
-      fifo =
-    apply_jobs jobs;
-    apply_memo memo;
+      retry_seed throttle expect_digest json engine trace =
+    apply_engine engine;
     apply_trace trace;
-    apply_backend backend sched_seed fifo;
     let w = lookup_workload workload in
     if shards <= 0 then usage_error "--of must be positive";
     if procs <= 0 then usage_error "--procs must be positive";
     if max_retries < 0 then usage_error "--max-retries must be >= 0";
     let plan = plan_of ~w ~chunk ~shards in
+    (* Children get the engine flags but not --trace: each would
+       truncate the supervisor's sink. *)
     let child_argv i =
-      let base =
-        [
-          Sys.executable_name; "shard";
-          "--workload"; w.Sweeps.w_name;
-          "--index"; string_of_int i;
-          "--of"; string_of_int shards;
-          "--checkpoint"; dir;
-          "--resume";
-          "--chunk"; string_of_int plan.Shard.p_chunk;
-          "--fsync-every"; string_of_int fsync_every;
-        ]
-      in
-      let base =
-        if throttle > 0. then
-          base @ [ "--throttle-ms"; Printf.sprintf "%g" throttle ]
-        else base
-      in
-      let base =
-        match jobs with
-        | Some j -> base @ [ "--jobs"; string_of_int j ]
-        | None -> base
-      in
-      (* Forward the backend selection: shard children must evaluate
-         under the same engine the supervisor was asked for. *)
-      let base =
-        match backend with
-        | Some b -> base @ [ "--backend"; Locald_local.Backend.to_string b ]
-        | None -> base
-      in
-      let base =
-        match sched_seed with
-        | Some s -> base @ [ "--sched-seed"; string_of_int s ]
-        | None -> base
-      in
-      let base = if fifo then base @ [ "--fifo" ] else base in
-      Array.of_list base
+      Array.of_list
+        ([
+           Sys.executable_name; "shard";
+           "--workload"; w.Sweeps.w_name;
+           "--index"; string_of_int i;
+           "--of"; string_of_int shards;
+           "--checkpoint"; dir;
+           "--resume";
+           "--chunk"; string_of_int plan.Shard.p_chunk;
+           "--fsync-every"; string_of_int fsync_every;
+         ]
+        @ (if throttle > 0. then
+             [ "--throttle-ms"; Printf.sprintf "%g" throttle ]
+           else [])
+        @ engine_argv engine)
     in
     let spawn i =
       let argv = child_argv i in
@@ -1219,8 +1163,7 @@ let sweep_cmd =
     Term.(
       const run $ workload_opt $ shards $ procs $ dir $ chunk_opt $ fsync_opt
       $ timeout $ max_retries $ retry_seed $ throttle_opt $ expect_digest_opt
-      $ json_flag $ jobs_opt $ memo_opt $ trace_opt $ backend_opt
-      $ sched_seed_opt $ fifo_flag)
+      $ json_flag $ engine_term () $ trace_opt)
 
 (* ------------------------------------------------------------------ *)
 (* The decision service                                                *)
@@ -1241,8 +1184,8 @@ let tcp_port_opt =
               $(docv).")
 
 let serve_cmd =
-  let run socket tcp_port max_inflight max_engines memo_capacity jobs memo
-      trace backend sched_seed fifo =
+  let run socket tcp_port max_inflight max_engines memo_capacity engine trace
+      =
     (* Where the one-shot CLI warns and falls back on a typo'd
        environment, the daemon refuses to start: a silently coerced
        backend would corrupt every pinned digest it serves. *)
@@ -1254,10 +1197,8 @@ let serve_cmd =
     if max_inflight < 1 then usage_error "--max-inflight must be positive";
     if max_engines < 1 then usage_error "--max-engines must be positive";
     if memo_capacity < 1 then usage_error "--memo-capacity must be positive";
-    apply_jobs jobs;
-    apply_memo memo;
+    apply_engine engine;
     apply_trace trace;
-    apply_backend backend sched_seed fifo;
     (* Metrics on: the serve.request span then feeds the latency
        histograms a metrics request reports. *)
     Telemetry.set_metrics true;
@@ -1336,23 +1277,13 @@ let serve_cmd =
           then the daemon exits 0.")
     Term.(
       const run $ socket_opt $ tcp_port_opt $ max_inflight $ max_engines
-      $ memo_capacity $ jobs_opt $ memo_opt $ trace_opt $ backend_opt
-      $ sched_seed_opt $ fifo_flag)
+      $ memo_capacity $ engine_term () $ trace_opt)
 
 let client_cmd =
-  let run op socket tcp_port workload lo hi backend sched_seed fifo memo jobs
-      id =
-    let config =
-      {
-        Proto.c_backend =
-          Option.map Locald_local.Backend.to_string backend;
-        c_sched_seed = sched_seed;
-        c_fifo = (if fifo then Some true else None);
-        c_memo = Option.map Memo.mode_to_string memo;
-        c_jobs = jobs;
-      }
+  let run op socket tcp_port workload lo hi engine id =
+    let req =
+      Proto.request ?workload ?lo ?hi ~config:(engine_config engine) ~id op
     in
-    let req = Proto.request ?workload ?lo ?hi ~config ~id op in
     let fd =
       match tcp_port with
       | Some port -> Proto.connect_tcp ~port ()
@@ -1421,7 +1352,7 @@ let client_cmd =
           travel as per-request configuration.")
     Term.(
       const run $ op $ socket_opt $ tcp_port_opt $ workload $ lo $ hi
-      $ backend_opt $ sched_seed_opt $ fifo_flag $ memo_opt $ jobs_opt $ id)
+      $ engine_term () $ id)
 
 let main =
   let doc =
@@ -1430,13 +1361,11 @@ let main =
   in
   Cmd.group
     (Cmd.info "locald" ~version:"1.0.0" ~doc)
-    [
-      table1_cmd; fig1_cmd; fig2_cmd; fig3_cmd; corollary1_cmd; p3_cmd;
-      diagonal_cmd; oi_cmd; hereditary_cmd; construction_cmd; warmups_cmd;
-      faults_cmd; certify_cmd; analyze_cmd; gmr_cmd; coverage_cmd;
-      metrics_cmd;
-      shard_cmd; merge_cmd; sweep_cmd; serve_cmd; client_cmd; all_cmd;
-    ]
+    (experiment_cmds
+    @ [
+        certify_cmd; analyze_cmd; gmr_cmd; coverage_cmd; metrics_cmd;
+        shard_cmd; merge_cmd; sweep_cmd; serve_cmd; client_cmd; all_cmd;
+      ])
 
 let () =
   (* SIGINT/SIGTERM flush the trace sink and any open checkpoint

@@ -76,6 +76,7 @@ let digest_sinks =
     [ "Digest"; "string" ];
     [ "Digest"; "bytes" ];
     [ "Digest"; "substring" ];
+    [ "Shard"; "digest" ];
     [ "Shard"; "result_digest" ];
     [ "Checkpoint"; "append" ];
   ]

@@ -1,0 +1,51 @@
+(** Every run the reproduction declares, each exactly once.
+
+    {b Experiments} are the paper's artefacts (Table 1's cells, Figures
+    1–3, Corollary 1, ...; arXiv 1302.2570): the [locald] subcommands
+    of the same names, [locald all], [locald metrics], bench Part 1 and
+    the determinism batteries all iterate {!experiments}.
+
+    {b Pinned workloads} are the bench rows BENCH_quick.json and
+    BENCH_scale.json pin by digest: [bench --json / --check] run the
+    {!Quick} tier, [bench --scale / --check-scale] the {!Scale} tier,
+    and the telemetry and cross-backend batteries rerun the quick tier.
+    The exhaustive-decider rows evaluate {!Sweeps.exhaustive_decider},
+    so the sweep of that name merges to their pin by construction.
+
+    Nothing is built when the module loads: instances and machines sit
+    behind [lazy] or inside the run thunks. *)
+
+type experiment = {
+  e_name : string;  (** the CLI subcommand *)
+  e_doc : string;   (** its one-line help *)
+  e_heavy : bool;
+      (** the full-size run takes minutes: batch runs of every
+          experiment (bench Part 1) use the quick parameters *)
+  e_run : quick:bool -> seed:int option -> (unit -> unit) * string;
+      (** Run the experiment: a printer for its rows and
+          {!Locald_runtime.Shard.digest} of them. Experiments without a
+          random state ignore [seed]. *)
+}
+
+val experiments : experiment list
+(** In paper order; [faults] last. *)
+
+val find_experiment : string -> experiment option
+
+type tier = Quick | Scale
+
+type pinned = {
+  p_name : string;  (** the pin key without [@jN] and backend suffix *)
+  p_tier : tier;
+  p_hits_gated : bool;  (** [--check] requires nonzero memo hits *)
+  p_wall_gated : bool;
+      (** [--check] requires the [@j1] row within 2x (+50ms) of its
+          pinned wall time *)
+  p_run : unit -> int * string;
+      (** Run under the session defaults (pool width, backend, memo
+          mode): the problem size and the result digest. *)
+}
+
+val workloads : pinned list
+
+val tier_workloads : tier -> pinned list

@@ -69,7 +69,7 @@ let env_problems () = Backend.env_problems () @ Memo.env_problems ()
 
 let ( let* ) = Result.bind
 
-(* Mirrors the CLI's [apply_backend]: an explicit seed or fifo flag
+(* Mirrors the CLI's [apply_engine]: an explicit seed or fifo flag
    implies the async backend; naming "sync" alongside them is a
    contradiction and is rejected rather than silently dropped. *)
 let resolve_backend t (c : Proto.config) =
@@ -172,8 +172,6 @@ let engine_for t (w : Sweeps.workload) backend memo =
 (* Operations                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let digest_of x = Digest.to_hex (Digest.string (Marshal.to_string x []))
-
 let handle_decide t (req : Proto.request) =
   let name = Option.value req.Proto.r_workload ~default:Sweeps.default_name in
   let* w =
@@ -247,7 +245,7 @@ let handle_certify () =
        [
          ("rows", Json.List (List.map row_json rows));
          ("all_ok", Json.Bool (Certify.all_ok rows));
-         ("digest", Json.String (digest_of (List.map summary rows)));
+         ("digest", Json.String (Shard.digest (List.map summary rows)));
        ])
 
 (* ------------------------------------------------------------------ *)

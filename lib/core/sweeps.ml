@@ -34,16 +34,30 @@ type workload = {
 
 let regime = Ids.f_linear_plus 1
 
-(* A tree-instance workload: [p_decider params] quantified over every
-   injective assignment of the instance's nodes into [0 .. n-1]. The
-   instance is built lazily (the registry itself must stay cheap to
-   construct) and shared between geometry, eval and the reference
-   run. *)
-let tree_workload ?backend ~name ~description ~arity ~r ~apex ~expected ~chunk
-    () =
+(* A tree instance under the P decider. The instance is built lazily
+   (the registry itself must stay cheap to construct) and shared by
+   every workload and pin over it. *)
+let tree_instance ~arity ~r ~apex =
   let params = { Tree_instances.regime; arity; r } in
-  let lg = lazy (Tree_instances.small_instance params ~apex) in
-  let alg = Tree_deciders.p_decider params in
+  (lazy (Tree_instances.small_instance params ~apex), Tree_deciders.p_decider params)
+
+(* H+ (arity 2, r = 2, apex (0,1)), expected accepted: 8 nodes, 40320
+   assignments. [exhaustive-decider], [async-exhaustive] and both
+   BENCH exhaustive-decider pins run it. *)
+let h_plus = tree_instance ~arity:2 ~r:2 ~apex:(0, 1)
+
+(* The reference unsharded run: every injective assignment into
+   [0 .. bound-1] (default: the instance's own order). *)
+let evaluate_tree ?backend ?memo ?bound ~name ~expected (lg, alg) =
+  let lg = Lazy.force lg in
+  let bound = Option.value bound ~default:(Labelled.order lg) in
+  Decider.evaluate_exhaustive ?backend ?memo ~bound alg ~expected
+    ~instance:name lg
+
+(* A tree-instance workload: the P decider quantified over every
+   injective assignment of the instance's nodes into [0 .. n-1]. *)
+let tree_workload ?backend ~name ~description ~instance ~expected ~chunk () =
+  let lg, alg = instance in
   let geometry () =
     let lg = Lazy.force lg in
     let n = Labelled.order lg in
@@ -76,13 +90,10 @@ let tree_workload ?backend ~name ~description ~arity ~r ~apex ~expected ~chunk
       }
   in
   let unsharded ?backend:req_backend ?memo () =
-    let lg = Lazy.force lg in
-    let n = Labelled.order lg in
     let backend =
       match req_backend with Some _ -> req_backend | None -> backend
     in
-    Decider.evaluate_exhaustive ?backend ?memo ~bound:n alg ~expected
-      ~instance:name lg
+    evaluate_tree ?backend ?memo ~name ~expected instance
   in
   {
     w_name = name;
@@ -253,22 +264,22 @@ let certify_gmr_workload ~name ~description ~machine ~chunk () =
 
 let all =
   [
-    (* The bench workload of the same name: H+ (arity 2, r = 2, apex
-       (0,1)) under the P decider, expected accepted — 8 nodes,
-       40320 assignments. Its merged digest pins against
-       BENCH_quick.json's exhaustive-decider entry. *)
+    (* Its merged digest pins against BENCH_quick.json's
+       exhaustive-decider entry, which {!exhaustive_decider} computes
+       over the same instance and decider. *)
     tree_workload ~name:"exhaustive-decider"
       ~description:
         "P decider over every assignment of H+ (arity 2, r = 2) — the \
          BENCH_quick workload"
-      ~arity:2 ~r:2 ~apex:(0, 1) ~expected:true ~chunk:512 ();
+      ~instance:h_plus ~expected:true ~chunk:512 ();
     (* A second size for quick sharded smoke runs: the linear (arity
        1) cone, small enough that every shard finishes in
        milliseconds. *)
     tree_workload ~name:"exhaustive-decider-a1"
       ~description:
         "P decider over every assignment of the arity-1, r = 4 cone"
-      ~arity:1 ~r:4 ~apex:(0, 1) ~expected:true ~chunk:64 ();
+      ~instance:(tree_instance ~arity:1 ~r:4 ~apex:(0, 1))
+      ~expected:true ~chunk:64 ();
     (* The same instance and rank space as exhaustive-decider, but the
        views come from the asynchronous message-passing backend — the
        merged digest must still equal the committed BENCH_quick pin
@@ -279,7 +290,7 @@ let all =
       ~description:
         "exhaustive-decider with views assembled by the async \
          message-passing backend — pinned to the same digest"
-      ~arity:2 ~r:2 ~apex:(0, 1) ~expected:true ~chunk:512 ();
+      ~instance:h_plus ~expected:true ~chunk:512 ();
     (* ROADMAP item 4 remainder: sweeps beyond exhaustive-decider. The
        Corollary 1 curve shards the seed space of the randomised
        decider on a no-instance (wrong = its one-sided error); the
@@ -307,6 +318,9 @@ let names = List.map (fun w -> w.w_name) all
 let find name = List.find_opt (fun w -> w.w_name = name) all
 
 let default_name = "exhaustive-decider"
+
+let exhaustive_decider ?bound () =
+  evaluate_tree ?bound ~name:default_name ~expected:true h_plus
 
 let digest (e : Decider.evaluation) =
   Shard.result_digest ~correct:e.Decider.correct ~wrong:e.Decider.wrong

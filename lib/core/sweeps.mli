@@ -1,15 +1,21 @@
-(** The registry of shardable exhaustive workloads.
+(** The shardable exhaustive workloads.
 
     A sweep workload is an exhaustive evaluation whose search space is
     addressed by lexicographic assignment rank
     ({!Locald_local.Ids.injection_at}), so it can be partitioned by
     {!Locald_runtime.Shard} across OS processes and merged exactly.
-    The registry names the workloads the [locald shard] / [merge] /
-    [sweep] subcommands (and the CI kill-resume smoke test) operate
-    on; ["exhaustive-decider"] is the same instance, decider and
-    expectation as the BENCH_quick.json workload of that name, so a
-    merged sweep digest is directly comparable against the committed
-    bench pin. *)
+    These are the workloads the [locald shard] / [merge] / [sweep]
+    subcommands, the serve daemon and the CI kill-resume smoke test
+    operate on. They keep their own type, apart from {!Registry}'s
+    pinned bench workloads: sharding and serving need a rank geometry
+    and range evaluation, which a coverage or certify run has not.
+
+    The BENCH exhaustive-decider pins are {!exhaustive_decider} runs,
+    over the instance and decider of the ["exhaustive-decider"] sweep,
+    so that sweep merges to the committed pin by construction. The
+    sweep ["certify-gmr"] is unrelated to the BENCH_quick row of the
+    same name (a different instance and digest); both names are pin
+    keys. *)
 
 type geometry = {
   g_n : int;      (** nodes of the instance *)
@@ -62,7 +68,13 @@ val find : string -> workload option
 val default_name : string
 (** ["exhaustive-decider"]. *)
 
+val exhaustive_decider : ?bound:int -> unit -> Locald_decision.Decider.evaluation
+(** The instance and decider of ["exhaustive-decider"] quantified over
+    every injective assignment into [0 .. bound - 1], under the session
+    defaults. At the default bound (the instance's order, 8) this is
+    the workload's [w_unsharded] run and the BENCH_quick pin; at
+    [bound = 10] it is the BENCH_scale pin. *)
+
 val digest : Locald_decision.Decider.evaluation -> string
 (** The pinned digest of an evaluation:
-    {!Locald_runtime.Shard.result_digest} over its counts — equal to
-    the bench's [digest_of (correct, wrong, assignments)]. *)
+    {!Locald_runtime.Shard.result_digest} over its counts. *)

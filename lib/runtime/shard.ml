@@ -67,11 +67,13 @@ let digest_fold prev ~chunk r =
        (Printf.sprintf "%s|%d|%d|%d|%s" prev chunk r.r_correct r.r_wrong
           (match r.r_fail with None -> "-" | Some rk -> string_of_int rk)))
 
-(* The bench's [digest_of (correct, wrong, assignments)], verbatim —
-   the whole point is that a merged sweep pins against the committed
-   BENCH_quick.json entry. *)
+(* The one Marshal+MD5 digest every pinned result goes through. *)
+let digest x = Digest.to_hex (Digest.string (Marshal.to_string x []))
+
+(* The whole point is that a merged sweep pins against the committed
+   BENCH_quick.json entry of the same workload. *)
 let result_digest ~correct ~wrong ~assignments =
-  Digest.to_hex (Digest.string (Marshal.to_string (correct, wrong, assignments) []))
+  digest (correct, wrong, assignments)
 
 (* ------------------------------------------------------------------ *)
 (* Per-shard execution                                                 *)

@@ -64,10 +64,14 @@ val digest_fold : string -> chunk:int -> chunk_result -> string
     (but still parse) breaks the chain and is recomputed instead of
     trusted. *)
 
+val digest : 'a -> string
+(** The hex MD5 of [x]'s marshalled bytes: the digest of every pinned
+    result — bench rows, experiment rows, serve responses. [x] must
+    hold no closures. *)
+
 val result_digest : correct:int -> wrong:int -> assignments:int -> string
-(** The merged-result digest: the same
-    [Digest.to_hex (Digest.string (Marshal.to_string (correct, wrong,
-    assignments) []))] formula the bench workloads pin in
+(** The merged-result digest, {!digest} of [(correct, wrong,
+    assignments)]: the formula the exhaustive workloads pin in
     BENCH_quick.json, so a sweep's merged digest is directly
     comparable against the committed pin. *)
 

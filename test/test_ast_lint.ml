@@ -177,6 +177,8 @@ let test_hashtbl_order () =
     [ Ast_rules.Hashtbl_order ]
     (rules_of
        "let save w t = Checkpoint.append w (Hashtbl.fold (fun k _ a -> k :: a) t [])");
+  check rules "fold feeding the pin digest" [ Ast_rules.Hashtbl_order ]
+    (rules_of "let pin t = Shard.digest (Hashtbl.fold (fun k _ a -> k :: a) t [])");
   check rules "fold away from any sink" []
     (rules_of "let keys t = Hashtbl.fold (fun k _ a -> k :: a) t []");
   check rules "digest of a plain string" []

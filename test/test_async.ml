@@ -10,7 +10,6 @@ open Locald_graph
 open Locald_runtime
 open Locald_local
 open Locald_decision
-open Locald_turing
 open Locald_core
 
 let check = Alcotest.check
@@ -111,82 +110,26 @@ let test_backend_parsing () =
 (* Digest battery: every quick-bench workload, sync vs async            *)
 (* ------------------------------------------------------------------ *)
 
-let digest x = Digest.to_hex (Digest.string (Marshal.to_string x []))
-let seed = 42
-
 let with_jobs jobs f =
   Pool.set_default_jobs jobs;
   Fun.protect ~finally:(fun () -> Pool.set_default_jobs 1) f
 
 let regime = Ids.f_linear_plus 1
-let tree_params = { Tree_instances.regime; arity = 2; r = 1 }
-let big_tree = lazy (Tree_instances.big_tree tree_params)
-let gmr_config = { (Gmr.default_config ~r:1) with Gmr.fragment_cap = 100 }
-
-let gmr_instance =
-  lazy
-    (match
-       Gmr.build ~config:gmr_config ~r:1 (Zoo.two_faced ~steps:3 ~real:0 ~fake:1)
-     with
-    | Ok t -> t
-    | Error _ -> assert false)
-
-let certify_summary (report : Locald_analysis.Analysis.report) =
-  let open Locald_analysis.Analysis in
-  digest
-    ( verdict_name report.rep_verdict,
-      report.rep_views,
-      report.rep_events,
-      report.rep_max_depth )
-
-(* The same workloads [bench/main.ml] pins in BENCH_quick.json — the
-   committed sync digests stay authoritative; here each workload only
-   has to agree with itself across backends, seeds and job counts. *)
-let workloads =
-  [
-    ( "f1-coverage",
-      fun () ->
-        let p = { Tree_instances.regime; arity = 2; r = 2 } in
-        let c = Tree_deciders.coverage p ~t:2 in
-        digest
-          ( c.Tree_deciders.covered,
-            c.Tree_deciders.total_views,
-            c.Tree_deciders.uncovered_node ) );
-    ( "exhaustive-decider",
-      fun () ->
-        let p = { Tree_instances.regime; arity = 2; r = 2 } in
-        let lg = Tree_instances.small_instance p ~apex:(0, 1) in
-        let n = Labelled.order lg in
-        let e =
-          Decider.evaluate_exhaustive ~bound:n (Tree_deciders.p_decider p)
-            ~expected:true ~instance:"H+" lg
-        in
-        digest (e.Decider.correct, e.Decider.wrong, e.Decider.assignments) );
-    ("p3-coverage", fun () -> digest (Experiments.p3 ~quick:true ()));
-    ("corollary1", fun () -> digest (Experiments.corollary1 ()));
-    ( "certify-tree",
-      fun () ->
-        certify_summary
-          (Locald_analysis.Analysis.certify
-             (Tree_deciders.p_decider tree_params)
-             ~instances:[ ("T_r", Lazy.force big_tree) ]) );
-    ( "certify-gmr",
-      fun () ->
-        let t = Lazy.force gmr_instance in
-        certify_summary
-          (Locald_analysis.Analysis.certify (Gmr_deciders.ld_decider ())
-             ~instances:[ ("G(M,1)", t.Gmr.lg) ]) );
-  ]
 
 (* >= 8 scheduler seeds per workload, alternating job counts and FIFO
    modes: the backend, the adversary and the pool must all be
    observationally inert, separately and combined. *)
 let async_seeds = [ 0; 1; 2; 3; 4; 5; 6; 7 ]
 
-let test_workload_cross_backend (name, work) () =
+(* Over the quick-tier workloads BENCH_quick.json pins: the committed
+   sync digests stay authoritative (test_registry); here each workload
+   only has to agree with itself across backends, seeds and job
+   counts. *)
+let test_workload_cross_backend (w : Registry.pinned) () =
+  let work () = snd (w.p_run ()) in
   let baseline = Backend.with_default Backend.Sync (fun () -> with_jobs 1 work) in
   let sync4 = Backend.with_default Backend.Sync (fun () -> with_jobs 4 work) in
-  check string (name ^ ": sync jobs=4 = sync jobs=1") baseline sync4;
+  check string (w.p_name ^ ": sync jobs=4 = sync jobs=1") baseline sync4;
   List.iter
     (fun s ->
       let jobs = if s mod 2 = 0 then 1 else 4 in
@@ -195,7 +138,7 @@ let test_workload_cross_backend (name, work) () =
         Backend.with_default (Backend.Async cfg) (fun () -> with_jobs jobs work)
       in
       check string
-        (Printf.sprintf "%s: async seed=%d%s jobs=%d = sync" name s
+        (Printf.sprintf "%s: async seed=%d%s jobs=%d = sync" w.p_name s
            (if cfg.Async_runner.fifo then " fifo" else "")
            jobs)
         baseline d)
@@ -205,26 +148,10 @@ let test_workload_cross_backend (name, work) () =
 (* Digest battery: every experiment driver, sync vs async               *)
 (* ------------------------------------------------------------------ *)
 
-let drivers : (string * (unit -> string)) list =
-  [
-    ("table1", fun () -> digest (Experiments.table1 ~quick:true ~seed ()));
-    ("fig1", fun () -> digest (Experiments.fig1 ~quick:true ()));
-    ("fig2", fun () -> digest (Experiments.fig2 ~quick:true ()));
-    ("fig3", fun () -> digest (Experiments.fig3 ~quick:true ()));
-    ("corollary1", fun () -> digest (Experiments.corollary1 ~quick:true ~seed ()));
-    ("p3", fun () -> digest (Experiments.p3 ~quick:true ()));
-    ("fuel_diagonal", fun () -> digest (Experiments.fuel_diagonal ~quick:true ()));
-    ("construction", fun () -> digest (Experiments.construction ~quick:true ~seed ()));
-    ( "order_invariance",
-      fun () -> digest (Experiments.order_invariance ~quick:true ~seed ()) );
-    ("hereditary", fun () -> digest (Experiments.hereditary ~quick:true ~seed ()));
-    ("warmups", fun () -> digest (Experiments.warmups ~quick:true ~seed ()));
-    (* The fault grid always runs on the synchronous fault engine; under
-       an ambient async backend its digest must be untouched. *)
-    ("faults", fun () -> digest (Experiments.faults ~quick:true ~seed ()));
-  ]
-
-let test_driver_cross_backend (name, run) () =
+(* The fault grid always runs on the synchronous fault engine; under an
+   ambient async backend its digest must be untouched too. *)
+let test_driver_cross_backend (x : Registry.experiment) () =
+  let run () = snd (x.e_run ~quick:true ~seed:(Some 42)) in
   let baseline = Backend.with_default Backend.Sync (fun () -> with_jobs 1 run) in
   List.iter
     (fun (s, jobs) ->
@@ -234,7 +161,7 @@ let test_driver_cross_backend (name, run) () =
           (fun () -> with_jobs jobs run)
       in
       check string
-        (Printf.sprintf "%s: async seed=%d jobs=%d = sync" name s jobs)
+        (Printf.sprintf "%s: async seed=%d jobs=%d = sync" x.e_name s jobs)
         baseline d)
     [ (3, 1); (11, 4) ]
 
@@ -485,7 +412,7 @@ let prop_async_decided_outputs_sound =
    tracing off it must be a no-op (same digest), with tracing on it
    must actually appear in the sink. *)
 let test_trace_transparent () =
-  let _, work = List.nth workloads 1 (* exhaustive-decider *) in
+  let work () = Sweeps.digest (Sweeps.exhaustive_decider ()) in
   let backend = Backend.Async (config 5) in
   let plain = Backend.with_default backend work in
   let path = Filename.temp_file "locald_async_trace" ".jsonl" in
@@ -554,18 +481,18 @@ let () =
         ] );
       ( "battery-workloads",
         List.map
-          (fun ((name, _) as w) ->
+          (fun (w : Registry.pinned) ->
             Alcotest.test_case
-              (Printf.sprintf "%s byte-identical across backends" name)
+              (Printf.sprintf "%s byte-identical across backends" w.p_name)
               `Quick (test_workload_cross_backend w))
-          workloads );
+          (Registry.tier_workloads Registry.Quick) );
       ( "battery-drivers",
         List.map
-          (fun ((name, _) as d) ->
+          (fun (x : Registry.experiment) ->
             Alcotest.test_case
-              (Printf.sprintf "%s byte-identical across backends" name)
-              `Quick (test_driver_cross_backend d))
-          drivers );
+              (Printf.sprintf "%s byte-identical across backends" x.e_name)
+              `Quick (test_driver_cross_backend x))
+          Registry.experiments );
       ( "scheduler",
         [
           QCheck_alcotest.to_alcotest prop_replay_deterministic;

@@ -455,15 +455,13 @@ let with_mode mode f =
   Memo.set_default_mode mode;
   Fun.protect ~finally:(fun () -> Memo.set_default_mode saved) f
 
-let digest x = Digest.to_hex (Digest.string (Marshal.to_string x []))
-
 let prop_memo_transparent =
   QCheck2.Test.make ~name:"memoised = unmemoised exhaustive evaluation"
     ~count:25 gen_labelled (fun lg ->
       let bound = Labelled.order lg + 1 in
       let eval alg expected mode quotient =
         with_mode mode (fun () ->
-            digest
+            Locald_runtime.Shard.digest
               (Decider.evaluate_exhaustive ~quotient ~bound alg ~expected
                  ~instance:"prop" lg))
       in

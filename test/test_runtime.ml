@@ -341,44 +341,22 @@ let test_prepared_runner_no_extraction () =
 (* Determinism battery: every driver, jobs in {1, 2, 4}, repeated      *)
 (* ------------------------------------------------------------------ *)
 
-let digest x = Digest.to_hex (Digest.string (Marshal.to_string x []))
-let seed = 42
-
-let drivers : (string * (unit -> string)) list =
-  [
-    ("table1", fun () -> digest (Experiments.table1 ~quick:true ~seed ()));
-    ("fig1", fun () -> digest (Experiments.fig1 ~quick:true ()));
-    ("fig2", fun () -> digest (Experiments.fig2 ~quick:true ()));
-    ("fig3", fun () -> digest (Experiments.fig3 ~quick:true ()));
-    ( "corollary1",
-      fun () -> digest (Experiments.corollary1 ~quick:true ~seed ()) );
-    ("p3", fun () -> digest (Experiments.p3 ~quick:true ()));
-    ("fuel_diagonal", fun () -> digest (Experiments.fuel_diagonal ~quick:true ()));
-    ( "construction",
-      fun () -> digest (Experiments.construction ~quick:true ~seed ()) );
-    ( "order_invariance",
-      fun () -> digest (Experiments.order_invariance ~quick:true ~seed ()) );
-    ( "hereditary",
-      fun () -> digest (Experiments.hereditary ~quick:true ~seed ()) );
-    ("warmups", fun () -> digest (Experiments.warmups ~quick:true ~seed ()));
-    (* Fault injection under a fixed plan seed: the whole scenario grid
-       (drops, crashes, fuel budgets, retries) must replay exactly —
-       the rows embed the plans, so the digest pins those too. *)
-    ("faults", fun () -> digest (Experiments.faults ~quick:true ~seed ()));
-  ]
-
 let with_jobs jobs f =
   Pool.set_default_jobs jobs;
   Fun.protect ~finally:(fun () -> Pool.set_default_jobs 1) f
 
-let test_driver_determinism (name, run) () =
+(* Every registered experiment at its quick parameters and seed 42:
+   the fault grid replays exactly too — its rows embed the plans, so
+   the digest pins those. *)
+let test_driver_determinism (x : Registry.experiment) () =
+  let run () = snd (x.e_run ~quick:true ~seed:(Some 42)) in
   let d1 = with_jobs 1 run in
   let d2 = with_jobs 2 run in
   let d4 = with_jobs 4 run in
   let d4' = with_jobs 4 run in
-  check Alcotest.string (name ^ ": jobs=2 = jobs=1") d1 d2;
-  check Alcotest.string (name ^ ": jobs=4 = jobs=1") d1 d4;
-  check Alcotest.string (name ^ ": repeated run identical") d4 d4'
+  check Alcotest.string (x.e_name ^ ": jobs=2 = jobs=1") d1 d2;
+  check Alcotest.string (x.e_name ^ ": jobs=4 = jobs=1") d1 d4;
+  check Alcotest.string (x.e_name ^ ": repeated run identical") d4 d4'
 
 (* ------------------------------------------------------------------ *)
 (* Golden regression: results pinned at the seed parameters            *)
@@ -470,11 +448,11 @@ let () =
         ] );
       ( "determinism",
         List.map
-          (fun ((name, _) as d) ->
+          (fun (x : Registry.experiment) ->
             Alcotest.test_case
-              (Printf.sprintf "%s identical at jobs 1/2/4" name)
-              `Quick (test_driver_determinism d))
-          drivers );
+              (Printf.sprintf "%s identical at jobs 1/2/4" x.e_name)
+              `Quick (test_driver_determinism x))
+          Registry.experiments );
       ( "golden",
         [
           Alcotest.test_case "Table 1 separation pattern" `Quick

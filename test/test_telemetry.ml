@@ -175,13 +175,7 @@ let test_require_all () =
 (* A workload with nontrivial memo traffic: the exhaustive decider's
    quotient scan notes a hit per reused trie lookup and a miss per
    fresh decide. *)
-let memo_workload () =
-  let regime = Ids.f_linear_plus 1 in
-  let p = { Tree_instances.regime; arity = 2; r = 2 } in
-  let lg = Tree_instances.small_instance p ~apex:(0, 1) in
-  let n = Labelled.order lg in
-  Locald_decision.Decider.evaluate_exhaustive ~bound:n
-    (Tree_deciders.p_decider p) ~expected:true ~instance:"H+" lg
+let memo_workload () = Sweeps.exhaustive_decider ()
 
 let test_per_run_memo_counts () =
   (* The regression this pins: the old process-global counters were
@@ -214,67 +208,6 @@ let test_per_run_memo_counts () =
 (* Observation contract: telemetry cannot change results               *)
 (* ------------------------------------------------------------------ *)
 
-let digest_of x = Digest.to_hex (Digest.string (Marshal.to_string x []))
-
-let regime = Ids.f_linear_plus 1
-let tree_params = { Tree_instances.regime; arity = 2; r = 1 }
-let big_tree = lazy (Tree_instances.big_tree tree_params)
-let gmr_config = { (Gmr.default_config ~r:1) with Gmr.fragment_cap = 100 }
-
-let gmr_instance =
-  lazy
-    (match
-       Gmr.build ~config:gmr_config ~r:1
-         (Locald_turing.Zoo.two_faced ~steps:3 ~real:0 ~fake:1)
-     with
-    | Ok t -> t
-    | Error _ -> assert false)
-
-let certify_digest (report : Locald_analysis.Analysis.report) =
-  let open Locald_analysis.Analysis in
-  digest_of
-    ( verdict_name report.rep_verdict,
-      report.rep_views,
-      report.rep_events,
-      report.rep_max_depth )
-
-(* The six BENCH_quick.json workloads, digested exactly as the bench
-   harness digests them. *)
-let quick_workloads : (string * (unit -> string)) list =
-  [
-    ( "f1-coverage",
-      fun () ->
-        let p = { Tree_instances.regime; arity = 2; r = 2 } in
-        let c = Tree_deciders.coverage p ~t:2 in
-        digest_of
-          ( c.Tree_deciders.covered,
-            c.Tree_deciders.total_views,
-            c.Tree_deciders.uncovered_node ) );
-    ( "exhaustive-decider",
-      fun () ->
-        let e = memo_workload () in
-        digest_of
-          ( e.Locald_decision.Decider.correct,
-            e.Locald_decision.Decider.wrong,
-            e.Locald_decision.Decider.assignments ) );
-    ( "p3-coverage",
-      fun () -> digest_of (Experiments.p3 ~quick:true ()) );
-    ( "corollary1", fun () -> digest_of (Experiments.corollary1 ()) );
-    ( "certify-tree",
-      fun () ->
-        certify_digest
-          (Locald_analysis.Analysis.certify
-             (Tree_deciders.p_decider tree_params)
-             ~instances:[ ("T_r", Lazy.force big_tree) ]) );
-    ( "certify-gmr",
-      fun () ->
-        let t = Lazy.force gmr_instance in
-        certify_digest
-          (Locald_analysis.Analysis.certify
-             (Gmr_deciders.ld_decider ())
-             ~instances:[ ("G(M,1)", t.Gmr.lg) ]) );
-  ]
-
 let with_jobs jobs f =
   Pool.set_default_jobs jobs;
   Fun.protect ~finally:(fun () -> Pool.set_default_jobs 1) f
@@ -290,9 +223,11 @@ let with_full_telemetry f =
       Sys.remove path)
     f
 
+(* Over the quick-tier workloads BENCH_quick.json pins. *)
 let test_telemetry_preserves_digests () =
   List.iter
-    (fun (name, work) ->
+    (fun (w : Registry.pinned) ->
+      let name = w.p_name and work () = snd (w.p_run ()) in
       let baseline = with_jobs 1 work in
       check bool (name ^ ": telemetry was off for the baseline") false
         (Telemetry.active ());
@@ -302,7 +237,7 @@ let test_telemetry_preserves_digests () =
         on1;
       check Alcotest.string (name ^ ": traced jobs=4 digest unchanged") baseline
         on4)
-    quick_workloads
+    (Registry.tier_workloads Registry.Quick)
 
 (* ------------------------------------------------------------------ *)
 (* Trace files: schema validity and phase coverage                     *)
@@ -364,14 +299,10 @@ let span_names records =
     records
 
 let test_trace_certify_gmr_schema () =
-  let lines =
-    trace_run (fun () ->
-        let t = Lazy.force gmr_instance in
-        ignore
-          (Locald_analysis.Analysis.certify
-             (Gmr_deciders.ld_decider ())
-             ~instances:[ ("G(M,1)", t.Gmr.lg) ]))
+  let w =
+    List.find (fun w -> w.Registry.p_name = "certify-gmr") Registry.workloads
   in
+  let lines = trace_run (fun () -> ignore (w.Registry.p_run ())) in
   let records = validate_schema lines in
   check bool "certify run recorded an analysis.certify span" true
     (List.mem "analysis.certify" (span_names records))
