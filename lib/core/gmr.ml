@@ -239,86 +239,45 @@ let build ?config ~r machine =
 let order t = Labelled.order t.lg
 let size t = Graph.size (Labelled.graph t.lg)
 
-(* Deduplicate views up to rooted isomorphism, bucketing by signature.
-   Exact isomorphism is only attempted on small views; the huge views
-   around the pivot (one per glued border cell) are deduplicated by
-   signature and size alone — backtracking over thousands of
-   near-symmetric nodes is not worth the certainty there, and keeping
-   a spurious duplicate is harmless for every consumer of these
-   lists. *)
+(* Deduplicate views up to rooted isomorphism. Exact isomorphism is
+   only attempted on small views; the huge views around the pivot (one
+   per glued border cell) are deduplicated by signature and size alone
+   — backtracking over thousands of near-symmetric nodes is not worth
+   the certainty there, and keeping a spurious duplicate is harmless
+   for every consumer of these lists. *)
 let iso_dedupe_threshold = 400
 
-(* Canonical keys are computed for all views in parallel; the bucketing
+(* Canonical keys are computed for all views in parallel; deduplication
    itself stays sequential in input order so class representatives come
-   out identical at any job count. The bucket key reproduces the
-   historical [(signature, order, size)] triple exactly ([Canon]'s
-   fingerprint is [Iso.view_signature] by construction). *)
-let keyed_views views =
+   out identical at any job count. [Canon.classes] decides membership
+   under the threshold; the [(signature, order, size)] table ([Canon]'s
+   fingerprint is [Iso.view_signature] by construction) only fixes the
+   historical output order. *)
+let dedupe_views views =
   let canon = Canon.create ~equal:equal_label () in
   let views = Array.of_list views in
   let keys = Pool.map (Canon.key canon) views in
-  (canon, Array.map2 (fun view key -> (view, key)) views keys)
-
-let bucket_key key view =
-  (Canon.fingerprint key, View.order view, Graph.size view.View.graph)
-
-let dedupe_views views =
-  let canon, keyed = keyed_views views in
+  let seen = Canon.classes ~exact_threshold:iso_dedupe_threshold canon in
   let classes = Hashtbl.create 256 in
-  Array.iter
-    (fun (view, key) ->
-      let s = bucket_key key view in
-      let bucket =
+  Array.iteri
+    (fun i view ->
+      let key = keys.(i) in
+      if Canon.add seen key then
+        let s =
+          (Canon.fingerprint key, View.order view, Graph.size view.View.graph)
+        in
         match Hashtbl.find_opt classes s with
-        | Some b -> b
-        | None ->
-            let b = ref [] in
-            Hashtbl.replace classes s b;
-            b
-      in
-      (* Members of a bucket agree on fingerprint, order and size, so
-         [~exact_threshold] reproduces the historical big-view regime:
-         above the threshold any bucket member counts as a duplicate. *)
-      let duplicate =
-        List.exists
-          (fun (_, k) ->
-            Canon.equivalent ~exact_threshold:iso_dedupe_threshold canon key k)
-          !bucket
-      in
-      if not duplicate then bucket := (view, key) :: !bucket)
-    keyed;
-  Hashtbl.fold (fun _ b acc -> List.map fst !b @ acc) classes []
+        | Some b -> b := view :: !b
+        | None -> Hashtbl.replace classes s (ref [ view ]))
+    views;
+  Hashtbl.fold (fun _ b acc -> !b @ acc) classes []
 
 let views_covered views ~by =
-  let canon, keyed_by = keyed_views by in
-  let buckets = Hashtbl.create 256 in
-  Array.iter
-    (fun (view, key) ->
-      let s = bucket_key key view in
-      let bucket =
-        match Hashtbl.find_opt buckets s with
-        | Some b -> b
-        | None ->
-            let b = ref [] in
-            Hashtbl.replace buckets s b;
-            b
-      in
-      bucket := key :: !bucket)
-    keyed_by;
-  let _, keyed = keyed_views views in
-  let flags =
-    Pool.map
-      (fun (view, key) ->
-        match Hashtbl.find_opt buckets (bucket_key key view) with
-        | None -> false
-        | Some b ->
-            List.exists
-              (fun k ->
-                Canon.equivalent ~exact_threshold:iso_dedupe_threshold canon key
-                  k)
-              !b)
-      keyed
-  in
+  let canon = Canon.create ~equal:equal_label () in
+  let keys vs = Pool.map (Canon.key canon) (Array.of_list vs) in
+  let known = Canon.classes ~exact_threshold:iso_dedupe_threshold canon in
+  Array.iter (fun key -> ignore (Canon.add known key)) (keys by);
+  let flags = Pool.map (Canon.mem known) (keys views) in
   let covered = Array.fold_left (fun acc ok -> if ok then acc + 1 else acc) 0 flags in
   let total = Array.length flags in
   (covered = total, covered, total)

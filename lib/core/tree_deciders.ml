@@ -95,36 +95,34 @@ let coverage p ~t =
   let d = Ti.depth p in
   let arity = p.Ti.arity in
   let n = Labelled.order tr in
-  let canon = Canon.create ~equal:( = ) () in
+  (* Each view is keyed once, so a memo table would never hit. *)
+  let canon = Canon.create ~cache:false ~equal:( = ) () in
   (* Extract and canonically key every view of T_r in parallel, then
-     deduplicate sequentially in ascending node order — the class
-     representatives (and hence the uncovered witness) are the same at
-     any job count. The canonical fingerprint equals the historical
-     [Iso.view_signature] bucketing, and within a bucket [equivalent]
-     decides exactly what the backtracking iso test decided. *)
+     deduplicate sequentially in ascending node order, so the class
+     representatives are the same at any job count. [seen] decides
+     membership; [classes] only records the representatives. The
+     uncovered witness is the first uncovered representative in
+     [Hashtbl.fold] order over [classes], so that table's key type (the
+     fingerprint, the historical [Iso.view_signature] bucket) and its
+     initial size are part of the pinned output. *)
   let keyed =
     Pool.map
       (fun v -> (View.extract tr ~center:v ~radius:t, v))
       (Pool.init_in_order n Fun.id)
   in
   let keys = Pool.map (fun (view, _) -> Canon.key canon view) keyed in
+  let seen = Canon.classes canon in
   let classes : (int, (Ti.label Canon.key * int) list ref) Hashtbl.t =
     Hashtbl.create 256
   in
   Array.iteri
     (fun i (_, v) ->
       let key = keys.(i) in
-      let s = Canon.fingerprint key in
-      let bucket =
+      if Canon.add seen key then
+        let s = Canon.fingerprint key in
         match Hashtbl.find_opt classes s with
-        | Some b -> b
-        | None ->
-            let b = ref [] in
-            Hashtbl.replace classes s b;
-            b
-      in
-      if not (List.exists (fun (k, _) -> Canon.equivalent canon key k) !bucket)
-      then bucket := (key, v) :: !bucket)
+        | Some b -> b := (key, v) :: !b
+        | None -> Hashtbl.replace classes s (ref [ (key, v) ]))
     keyed;
   let representatives = Hashtbl.fold (fun _ b acc -> !b @ acc) classes [] in
   (* Decide-once cache of the small instances and the big-index ->
@@ -170,8 +168,14 @@ let coverage p ~t =
         match Hashtbl.find_opt local v with
         | None -> false
         | Some i ->
+            (* [equivalent] rejects an order or size mismatch anyway;
+               checking first skips keying such a candidate. *)
             let candidate = View.extract inst ~center:i ~radius:t in
-            Canon.equivalent canon key (Canon.key canon candidate))
+            let g = candidate.View.graph in
+            let target = (Canon.view key).View.graph in
+            Graph.order g = Graph.order target
+            && Graph.size g = Graph.size target
+            && Canon.equivalent canon key (Canon.key canon candidate))
       (List.init (p.Ti.r + 1) Fun.id)
   in
   let flags = Pool.map node_covered (Array.of_list representatives) in

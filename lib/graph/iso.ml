@@ -56,10 +56,24 @@ let refine_joint (pairs : (Graph.t * int array) list) : int array list =
   in
   go 0 init
 
+(* [refine_joint] on one graph, stopping as soon as the colouring is
+   discrete: a discrete colouring is numbered 0..n-1 and its round keys
+   have distinct first components, so the next round would renumber
+   every vertex to its own colour and stop there anyway. *)
 let refine_colors g colors =
-  match refine_joint [ (g, colors) ] with
-  | [ c ] -> c
-  | _ -> assert false
+  let n = Graph.order g in
+  let renumber keys =
+    match canonical_renumber [ keys ] with [ c ] -> c | _ -> assert false
+  in
+  let rec go rounds colors distinct =
+    if rounds >= max_refinement_rounds || distinct = n then colors
+    else
+      let colors' = renumber (round_keys g colors) in
+      let distinct' = count_distinct colors' in
+      if distinct' = distinct then colors' else go (rounds + 1) colors' distinct'
+  in
+  let init = renumber (Array.map (fun x -> (x, [])) colors) in
+  go 0 init (count_distinct init)
 
 let sorted_copy a =
   let b = Array.copy a in

@@ -12,13 +12,23 @@
    cache and canonicalisation can never change an answer, only the
    route to it.
 
+   The fingerprint is a weak bucket key exactly where the exact route
+   applies: a discrete refinement is renumbered 0..n-1, so its colour
+   multiset is the same for every view of that order, and the
+   fingerprint carries only (centre rank, order, size). Bucketing
+   thousands of distinct discrete views by fingerprint therefore makes
+   deduplication quadratic. [classes] is the set that keeps it linear:
+   exact keys are bucketed by a hash of their canonical form, every
+   other key by (fingerprint, order, size).
+
    The memo table keys computed keys by a structural digest of the raw
-   view (collisions resolved by [View.equal_repr]), so repeated
-   canonicalisation of equal extractions — the common case in coverage
-   enumeration, where the same candidate views recur across cone
-   levels — becomes a hash lookup. All entry points are thread-safe:
-   the table is mutex-guarded and the counters are atomics, because
-   keys are typically computed under [Pool.map]. *)
+   view (collisions resolved by [View.equal_repr]), so canonicalising
+   an equal extraction twice is a hash lookup. It only pays when a
+   caller really re-extracts equal views; a caller that keys each view
+   once should create the table with [~cache:false], or the memo just
+   retains every view. All [t] entry points are thread-safe: the table
+   is mutex-guarded and the counters are atomics, because keys are
+   typically computed under [Pool.map]. *)
 
 open Locald_graph
 
@@ -56,6 +66,7 @@ type 'a form = {
   f_center : int;
   f_labels : 'a array;
   f_edges : (int * int) list;
+  f_hash : int;  (* of the three fields above, labels through [label_hash] *)
 }
 
 type 'a key = {
@@ -150,12 +161,13 @@ let compute t (view : 'a View.t) =
           (Graph.edges g)
         |> List.sort compare
       in
-      Some
-        {
-          f_center = rank.(view.View.center);
-          f_labels = Array.map (fun v -> view.View.labels.(v)) order;
-          f_edges = edges;
-        }
+      let f_center = rank.(view.View.center) in
+      let f_labels = Array.map (fun v -> view.View.labels.(v)) order in
+      let h = ref f_center in
+      let mix x = h := (!h lxor x) * 0x100000001b3 in
+      Array.iter (fun x -> mix (t.label_hash x)) f_labels;
+      List.iter (fun (a, b) -> mix ((a * n) + b)) edges;
+      Some { f_center; f_labels; f_edges = edges; f_hash = !h land max_int }
     end
   in
   {
@@ -166,8 +178,15 @@ let compute t (view : 'a View.t) =
     k_view = view;
   }
 
+let count_miss t =
+  Atomic.incr t.s_misses;
+  Telemetry.Counter.incr g_misses
+
 let key t view =
-  if not t.use_cache then compute t view
+  if not t.use_cache then begin
+    count_miss t;
+    compute t view
+  end
   else begin
     let dg = raw_digest t view in
     Mutex.lock t.lock;
@@ -184,8 +203,7 @@ let key t view =
         Telemetry.Counter.incr g_hits;
         k
     | None ->
-        Atomic.incr t.s_misses;
-        Telemetry.Counter.incr g_misses;
+        count_miss t;
         let k = compute t view in
         Mutex.lock t.lock;
         (match Hashtbl.find_opt t.memo dg with
@@ -227,6 +245,45 @@ let equivalent ?(exact_threshold = max_int) t ka kb =
         Iso.views_isomorphic t.label_equal ka.k_view kb.k_view
 
 let isomorphic t a b = equivalent t (key t a) (key t b)
+
+(* A set of keys up to [equivalent ?exact_threshold]. Equivalent keys
+   always share a bucket: equivalent keys have equal order, so both sit
+   on the same side of the threshold; within it, discreteness is an iso
+   invariant, so both are exact (and then have equal forms) or neither
+   is; every other equivalent pair agrees on (fingerprint, order, size).
+   Single writer ([add]); concurrent [mem] only reads the table. *)
+type 'a classes = {
+  c_canon : 'a t;
+  c_threshold : int;
+  c_buckets : (int, 'a key list ref) Hashtbl.t;
+}
+
+let classes ?(exact_threshold = max_int) t =
+  { c_canon = t; c_threshold = exact_threshold; c_buckets = Hashtbl.create 256 }
+
+let class_hash s k =
+  match k.k_form with
+  | Some f when k.k_order <= s.c_threshold -> f.f_hash
+  | Some _ | None -> Hashtbl.hash (k.k_fingerprint, k.k_order, k.k_size)
+
+let in_bucket s k b =
+  List.exists (equivalent ~exact_threshold:s.c_threshold s.c_canon k) !b
+
+let mem s k =
+  match Hashtbl.find_opt s.c_buckets (class_hash s k) with
+  | None -> false
+  | Some b -> in_bucket s k b
+
+let add s k =
+  let h = class_hash s k in
+  match Hashtbl.find_opt s.c_buckets h with
+  | None ->
+      Hashtbl.replace s.c_buckets h (ref [ k ]);
+      true
+  | Some b when in_bucket s k b -> false
+  | Some b ->
+      b := k :: !b;
+      true
 
 (* Derived canoniser over decorated views: labels paired with an int
    decoration (the id restriction folded in via [View.mapi_labels]).

@@ -1,4 +1,4 @@
-(** Canonical keys for rooted labelled views, memoised.
+(** Canonical keys for rooted labelled views, optionally memoised.
 
     Coverage enumeration asks the same question millions of times: are
     these two stripped views isomorphic as rooted labelled graphs?
@@ -6,15 +6,23 @@
     {!Locald_graph.Iso.view_signature} by construction, pinned by a
     test) plus, when the refinement is discrete, an exact canonical
     form — after which {!equivalent} is a linear comparison instead of
-    a backtracking search, and repeated canonicalisations of equal
-    extractions are hash lookups in the memo table.
+    a backtracking search. With the cache on, canonicalising an equal
+    extraction again is a hash lookup in the memo table.
+
+    The fingerprint alone is a poor bucket key for discrete views: their
+    refinement is renumbered [0..n-1], so the fingerprint carries only
+    (centre rank, order, size) and thousands of distinct views share a
+    few hundred buckets. {!classes} is the set to deduplicate with: it
+    buckets exact keys by their canonical form, so each insertion costs
+    about one comparison.
 
     Transparent-fallback contract: whenever the canonical route cannot
     decide exactly (non-discrete refinement), [equivalent] falls back
     to {!Locald_graph.Iso.views_isomorphic}; with the cache on or off
     the answers are identical (property-tested). [hash] must respect
     [equal] (equal labels hash equally), the same contract as
-    [Iso.view_signature]. All entry points are thread-safe. *)
+    [Iso.view_signature]. All entry points on ['a t] are thread-safe;
+    a {!classes} set has a single writer. *)
 
 open Locald_graph
 
@@ -32,8 +40,9 @@ type stats = {
 val create :
   ?cache:bool -> ?hash:('a -> int) -> equal:('a -> 'a -> bool) -> unit -> 'a t
 (** [cache:false] disables the memo table (every [key] recanonicalises)
-    without changing any answer — the toggle used by the agreement
-    tests. [hash] defaults to [Hashtbl.hash]. *)
+    without changing any answer. Use it when each view is keyed once:
+    the memo then never hits and only retains views. [hash] defaults to
+    [Hashtbl.hash]. *)
 
 val key : 'a t -> 'a View.t -> 'a key
 
@@ -58,6 +67,27 @@ val isomorphic : 'a t -> 'a View.t -> 'a View.t -> bool
 (** [equivalent] over freshly computed keys; agrees with
     [Iso.views_isomorphic equal] whenever [exact_threshold] is not in
     play. *)
+
+(** {1 Sets of keys up to equivalence} *)
+
+type 'a classes
+
+val classes : ?exact_threshold:int -> 'a t -> 'a classes
+(** An empty set of keys of [t], compared with
+    [equivalent ?exact_threshold t]. An exact key within the threshold
+    is bucketed by a hash of its canonical form (centre rank, label
+    hashes in rank order, rank-space edges); any other key by
+    (fingerprint, order, size). Equivalent keys always share a bucket.
+    Single writer: {!add} must not run concurrently with anything else
+    on the set; concurrent {!mem} calls are safe. *)
+
+val add : 'a classes -> 'a key -> bool
+(** [add s k] inserts [k] and returns [true] when no key already in [s]
+    is equivalent to it; otherwise it leaves [s] unchanged and returns
+    [false]. *)
+
+val mem : 'a classes -> 'a key -> bool
+(** Is some key of the set equivalent to this one? Read-only. *)
 
 val stats : 'a t -> stats
 

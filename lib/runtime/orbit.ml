@@ -179,36 +179,19 @@ let extend ~n ~bound ~back r =
 (* Orbit-class grouping via decorated canonical keys                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Group id-restriction decorations of one view by decorated-view orbit:
+(* Count id-restriction decorations of one view by decorated-view orbit:
    fold each decoration into the labels, canonicalise with the derived
-   (decorated) canoniser, and bucket by fingerprint with
-   [Canon.equivalent] resolving collisions. Intended for reporting and
-   property tests — the hot quotient scans count classes arithmetically
-   instead of canonising every restriction. *)
+   (decorated) canoniser, and count the keys a [Canon.classes] set
+   accepts as new. Intended for reporting and property tests — the hot
+   quotient scans count classes arithmetically instead of canonising
+   every restriction. *)
 let distinct_classes dc view decos =
-  let buckets : (int, ('a * int) Canon.key list ref) Hashtbl.t =
-    Hashtbl.create 64
-  in
-  let classes = ref 0 in
-  Seq.iter
-    (fun (deco : int array) ->
+  let seen = Canon.classes dc in
+  Seq.fold_left
+    (fun classes (deco : int array) ->
       let dv = View.mapi_labels (fun i x -> (x, deco.(i))) view in
-      let key = Canon.key dc dv in
-      let fp = Canon.fingerprint key in
-      let bucket =
-        match Hashtbl.find_opt buckets fp with
-        | Some b -> b
-        | None ->
-            let b = ref [] in
-            Hashtbl.replace buckets fp b;
-            b
-      in
-      if not (List.exists (fun k -> Canon.equivalent dc k key) !bucket) then begin
-        bucket := key :: !bucket;
-        incr classes
-      end)
-    decos;
-  !classes
+      if Canon.add seen (Canon.key dc dv) then classes + 1 else classes)
+    0 decos
 
 (* ------------------------------------------------------------------ *)
 (* Run-scoped scan accounting                                           *)

@@ -79,10 +79,9 @@ val distinct_classes :
 (** [distinct_classes dc view decos] is the number of decorated-view
     orbits among the id-decorations [decos] of [view]: each decoration
     is folded into the labels ({!Locald_graph.View.mapi_labels}) and
-    grouped by the derived canoniser's keys (fingerprint buckets,
-    collisions resolved by [Canon.equivalent]). Reporting and
-    property-test grade — the hot quotient scans count classes
-    arithmetically. *)
+    the derived canoniser's keys are collected into a {!Canon.classes}
+    set. Reporting and property-test grade — the hot quotient scans
+    count classes arithmetically. *)
 
 (** {1 Run-scoped scan accounting}
 

@@ -189,6 +189,105 @@ let prop_cache_transparent =
             views)
         views)
 
+(* Views for the class-set property: random labelled views, isomorphic
+   relabellings of them (duplicates the set must reject), and views of
+   uniformly labelled symmetric graphs, whose refinement is not
+   discrete (keys without an exact form). *)
+let arbitrary_view_family =
+  QCheck2.Gen.(
+    let* lg, seed = arbitrary_labelled in
+    let* radius = int_range 1 2 in
+    let rng = Random.State.make [| seed + 5 |] in
+    let n = Labelled.order lg in
+    let perm = random_perm rng n in
+    let lh = Labelled.relabel_nodes lg perm in
+    let random =
+      List.concat_map
+        (fun v ->
+          [
+            View.extract lg ~center:v ~radius;
+            View.extract lh ~center:perm.(v) ~radius;
+          ])
+        (List.init 5 (fun _ -> Random.State.int rng n))
+    in
+    let symmetric =
+      List.map
+        (fun g -> View.extract (Labelled.init g (fun _ -> 0)) ~center:0 ~radius)
+        [ Gen.cycle 6; Gen.cycle 7; Gen.complete 4; Gen.grid 3 3; Gen.torus 3 3 ]
+    in
+    return (Array.to_list (shuffle rng (Array.of_list (random @ symmetric)))))
+
+let prop_classes_match_pairwise =
+  QCheck2.Test.make
+    ~name:"classes: add = no earlier equivalent key, mem agrees" ~count:60
+    arbitrary_view_family (fun views ->
+      List.for_all
+        (fun exact_threshold ->
+          let canon = Canon.create ~equal:( = ) () in
+          let set = Canon.classes ?exact_threshold canon in
+          let added = ref [] in
+          List.for_all
+            (fun view ->
+              let key = Canon.key canon view in
+              let fresh =
+                not
+                  (List.exists (Canon.equivalent ?exact_threshold canon key) !added)
+              in
+              let before = Canon.mem set key in
+              let accepted = Canon.add set key in
+              added := key :: !added;
+              accepted = fresh && before = not fresh && Canon.mem set key)
+            views)
+        [ None; Some 5 ])
+
+(* The refinement without the discrete shortcut: rounds of (colour,
+   sorted neighbour colours) renumbered in key order, at most six, until
+   the number of colours stops growing. *)
+let naive_refine g colors =
+  let renumber keys =
+    let distinct = List.sort_uniq compare (Array.to_list keys) in
+    Array.map
+      (fun k ->
+        let rec index i = function
+          | [] -> assert false
+          | x :: rest -> if x = k then i else index (i + 1) rest
+        in
+        index 0 distinct)
+      keys
+  in
+  let count c = List.length (List.sort_uniq compare (Array.to_list c)) in
+  let round c =
+    renumber
+      (Array.mapi
+         (fun v x ->
+           let nbr = Array.map (fun u -> c.(u)) (Graph.neighbours g v) in
+           Array.sort compare nbr;
+           (x, Array.to_list nbr))
+         c)
+  in
+  let rec go rounds c =
+    if rounds >= 6 then c
+    else
+      let c' = round c in
+      if count c' = count c then c' else go (rounds + 1) c'
+  in
+  go 0 (renumber (Array.map (fun x -> (x, [])) colors))
+
+let prop_refine_colors_naive =
+  QCheck2.Test.make ~name:"Iso.refine_colors = naive six-round refinement"
+    ~count:100
+    QCheck2.Gen.(triple (int_range 1 16) (int_bound 1_000_000) (int_bound 3))
+    (fun (n, seed, palette) ->
+      let rng = Random.State.make [| seed |] in
+      let g = Gen.random_connected rng ~n ~p:0.2 in
+      (* Palette 0 is a discrete initial colouring (distinct hashes);
+         the others draw from 1 to 3 colours, uniform included. *)
+      let colors =
+        if palette = 0 then Array.map Hashtbl.hash (random_perm rng n)
+        else Array.init n (fun _ -> Random.State.int rng palette)
+      in
+      Iso.refine_colors g colors = naive_refine g colors)
+
 (* ------------------------------------------------------------------ *)
 (* Orbit enumeration and decide-once keys                              *)
 (* ------------------------------------------------------------------ *)
@@ -299,15 +398,24 @@ let prop_decorated_view_keys =
       let ka = Canon.key dc da and kb = Canon.key dc db in
       Canon.fingerprint ka = Canon.fingerprint kb && Canon.equivalent dc ka kb)
 
-let test_canon_memo_hits () =
-  let canon = Canon.create ~equal:( = ) () in
+(* Key equal extractions of one view three times; the table's counters. *)
+let stats_after_three_keys ~cache =
+  let canon = Canon.create ~cache ~equal:( = ) () in
   let lg = Labelled.init (Gen.grid 4 4) (fun v -> v mod 2) in
   for _ = 1 to 3 do
     ignore (Canon.key canon (View.extract lg ~center:5 ~radius:2))
   done;
-  let s = Canon.stats canon in
+  Canon.stats canon
+
+let test_canon_memo_hits () =
+  let s = stats_after_three_keys ~cache:true in
   check int "memo hits recorded" 2 s.Canon.hits;
   check int "single canonicalisation" 1 s.Canon.misses
+
+let test_canon_uncached_misses () =
+  let s = stats_after_three_keys ~cache:false in
+  check int "no memo hits" 0 s.Canon.hits;
+  check int "every key canonicalised" 3 s.Canon.misses
 
 (* ------------------------------------------------------------------ *)
 (* The decider hoist: per-assignment work extracts no views            *)
@@ -415,6 +523,8 @@ let qcheck_cases =
       prop_relabelling_invariance;
       prop_agrees_with_backtracking;
       prop_cache_transparent;
+      prop_classes_match_pairwise;
+      prop_refine_colors_naive;
     ]
 
 let orbit_cases =
@@ -439,6 +549,7 @@ let () =
         ] );
       ( "canon",
         Alcotest.test_case "memo hits" `Quick test_canon_memo_hits
+        :: Alcotest.test_case "uncached misses" `Quick test_canon_uncached_misses
         :: qcheck_cases );
       ("orbit", orbit_cases);
       ( "hoist",
