@@ -27,7 +27,7 @@ let regenerate_paper_artefacts () =
   (* Heavy experiments run quick: their full sweeps belong to the CLI. *)
   List.iter
     (fun (x : Registry.experiment) ->
-      fst (x.e_run ~quick:x.e_heavy ~seed:None) ())
+      fst (x.e_run ~quick:x.e_heavy ~seed:None ()) ())
     Registry.experiments
 
 (* ------------------------------------------------------------------ *)
@@ -392,7 +392,7 @@ type quick_entry = {
   qe_w : Registry.pinned;
   qe_jobs : int;
   qe_backend : Locald_local.Backend.t option;
-      (* None on quick rows (ambient default); scale rows carry the
+      (* None on quick rows (the engine default); scale rows carry the
          explicit backend dimension *)
   qe_wall : float;
   qe_n : int;
@@ -426,12 +426,7 @@ let collect_entries tier workloads =
        counter to this workload, so back-to-back rows report
        independent (not cumulative) counts. *)
     Locald_runtime.Telemetry.new_run ();
-    let run_work () =
-      match backend with
-      | None -> w.p_run ()
-      | Some b -> Locald_local.Backend.with_default b w.p_run
-    in
-    let (n, digest), wall = Locald_runtime.Timing.time run_work in
+    let (n, digest), wall = Locald_runtime.Timing.time (w.p_run ?backend) in
     let ms = Locald_runtime.Memo.run_stats () in
     Printf.printf "%-32s jobs=%d%s n=%-8d %8.3fs  %s\n%!" w.p_name jobs
       (backend_suffix backend) n wall digest;

@@ -50,12 +50,12 @@ let apply_trace trace = Option.iter Telemetry.open_sink trace
    memoisation and the simulator backend. Results are byte-identical
    under every setting (pinned by the determinism and cross-backend
    batteries); only who computes what, and how often, changes. A
-   subcommand takes them as one [engine] value, applied in process,
+   subcommand takes them as one [engine] value, resolved in process,
    forwarded to shard children, or sent as a request's config. *)
 type engine = {
   jobs : int option;
   memo : Memo.mode option;
-  backend : Locald_local.Backend.t option;
+  backend : string option;
   sched_seed : int option;
   fifo : bool;
 }
@@ -76,7 +76,7 @@ let engine_term ?(memo = true) ?(backend = true) () =
   let memo_opt =
     let mode_conv =
       let parse s =
-        match Memo.mode_of_string (String.lowercase_ascii (String.trim s)) with
+        match Memo.mode_of_string s with
         | Some m -> Ok m
         | None -> Error (`Msg "memo mode must be off | exact | order")
       in
@@ -90,26 +90,18 @@ let engine_term ?(memo = true) ?(backend = true) () =
             "Decide-once memoisation: $(b,off), $(b,exact) (the safe \
              default — keys carry the exact ball-restricted ids), or \
              $(b,order) (order-type keys; sound only for order-invariant \
-             deciders). Defaults to $(b,LOCALD_MEMO), else exact.")
+             deciders). Default exact.")
   in
   let backend_opt =
-    let backend_conv =
-      let parse s =
-        match Locald_local.Backend.of_string s with
-        | Some b -> Ok b
-        | None -> Error (`Msg "backend must be sync | async")
-      in
-      Arg.conv (parse, Locald_local.Backend.pp)
-    in
     Arg.(
       value
-      & opt (some backend_conv) None
+      & opt (some string) None
       & info [ "backend" ] ~docv:"BACKEND"
           ~doc:
             "Simulator backend: $(b,sync) (direct view extraction) or \
              $(b,async) (message passing under a seeded adversarial \
-             scheduler). Results are byte-identical either way. Defaults \
-             to $(b,LOCALD_BACKEND), else sync.")
+             scheduler). Results are byte-identical either way. Default \
+             sync.")
   in
   let sched_seed_opt =
     Arg.(
@@ -118,8 +110,8 @@ let engine_term ?(memo = true) ?(backend = true) () =
       & info [ "sched-seed" ] ~docv:"SEED"
           ~doc:
             "Adversarial scheduler seed for the async backend (implies \
-             $(b,--backend async); default $(b,LOCALD_SCHED_SEED), else \
-             0). Results do not depend on this value.")
+             $(b,--backend async); default 0). Results do not depend on \
+             this value.")
   in
   let fifo_flag =
     Arg.(
@@ -140,32 +132,24 @@ let engine_term ?(memo = true) ?(backend = true) () =
     $ (if backend then sched_seed_opt else unset None)
     $ if backend then fifo_flag else unset false)
 
-(* Install the flags as the session defaults of this process. *)
-let apply_engine e =
-  let open Locald_local in
+let usage_error fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline ("locald: " ^ msg);
+      exit Shard.Exit.usage)
+    fmt
+
+(* Size the pool and read the backend flags, as [serve] reads a
+   request's: the backend to pass on ([None] when no backend flag was
+   given) or a usage error. *)
+let resolve_engine e =
   Option.iter Pool.set_default_jobs e.jobs;
-  Option.iter Memo.set_default_mode e.memo;
-  let config =
-    let base =
-      match Backend.default () with
-      | Backend.Async c -> c
-      | Backend.Sync -> Async_runner.default_config
-    in
-    let base =
-      match e.sched_seed with
-      | Some sched_seed -> { base with Async_runner.sched_seed }
-      | None -> base
-    in
-    if e.fifo then { base with Async_runner.fifo = true } else base
-  in
-  match e.backend with
-  | Some Backend.Sync -> Backend.set_default Backend.Sync
-  | Some (Backend.Async _) -> Backend.set_default (Backend.Async config)
-  | None ->
-      (* --sched-seed / --fifo alone opt into the async backend; with
-         nothing given the ambient (env) default stands. *)
-      if e.sched_seed <> None || e.fifo then
-        Backend.set_default (Backend.Async config)
+  match
+    Locald_local.Backend.resolve e.backend ~sched_seed:e.sched_seed
+      ~fifo:(if e.fifo then Some true else None)
+  with
+  | Ok backend -> backend
+  | Error msg -> usage_error "%s" msg
 
 (* The same flags on a child's command line: a [sweep] supervisor's
    shard children evaluate under the engine it was asked for. *)
@@ -173,33 +157,34 @@ let engine_argv e =
   let opt flag show = function Some v -> [ flag; show v ] | None -> [] in
   opt "--jobs" string_of_int e.jobs
   @ opt "--memo" Memo.mode_to_string e.memo
-  @ opt "--backend" Locald_local.Backend.to_string e.backend
+  @ opt "--backend" Fun.id e.backend
   @ opt "--sched-seed" string_of_int e.sched_seed
   @ if e.fifo then [ "--fifo" ] else []
 
 (* The same flags as one request's configuration for [client]. *)
 let engine_config e =
   {
-    Proto.c_backend = Option.map Locald_local.Backend.to_string e.backend;
+    Proto.c_backend = e.backend;
     c_sched_seed = e.sched_seed;
     c_fifo = (if e.fifo then Some true else None);
     c_memo = Option.map Memo.mode_to_string e.memo;
     c_jobs = e.jobs;
   }
 
-let print_runtime_stats () =
+(* [memo] is the [--memo] flag; unset, the engine default (exact). *)
+let print_runtime_stats memo =
   let m = Memo.run_stats () in
   let c = Canon.run_stats () in
   Printf.printf
     "memo (%s): %d hits, %d misses, %d distinct keys; %d orbit \
      restrictions scanned\n"
-    (Memo.mode_to_string (Memo.default_mode ()))
+    (Memo.mode_to_string (Option.value memo ~default:Memo.Exact_ids))
     m.Memo.hits m.Memo.misses m.Memo.distinct (Orbit.scanned ());
   Printf.printf
     "canon: %d hits, %d misses, %d exact, %d fallback\n"
     c.Canon.hits c.Canon.misses c.Canon.exact c.Canon.fallback
 
-let maybe_stats stats = if stats then print_runtime_stats ()
+let maybe_stats stats memo = if stats then print_runtime_stats memo
 
 (* ------------------------------------------------------------------ *)
 (* The paper's experiments                                             *)
@@ -207,9 +192,11 @@ let maybe_stats stats = if stats then print_runtime_stats ()
 
 let run_cmd (x : Registry.experiment) =
   let run quick seed engine stats trace =
-    apply_engine engine;
+    let backend = resolve_engine engine in
     apply_trace trace;
-    let (print, _), wall = Timing.time (fun () -> x.e_run ~quick ~seed) in
+    let (print, _), wall =
+      Timing.time (x.e_run ?backend ?memo:engine.memo ~quick ~seed)
+    in
     print ();
     Report.print_timings
       [
@@ -220,7 +207,7 @@ let run_cmd (x : Registry.experiment) =
           t_speedup = None;
         };
       ];
-    maybe_stats stats
+    maybe_stats stats engine.memo
   in
   Cmd.v (Cmd.info x.e_name ~doc:x.e_doc)
     Term.(
@@ -232,7 +219,7 @@ let run_cmd (x : Registry.experiment) =
    the registry entry's name and doc. *)
 let faults_cmd (x : Registry.experiment) =
   let run quick seed engine trace drop crashes fuel retries runs =
-    apply_engine engine;
+    ignore (resolve_engine engine : Locald_local.Backend.t option);
     apply_trace trace;
     (* Plan validation raises Invalid_argument; turn it into a usage
        error instead of an "internal error" backtrace. *)
@@ -298,11 +285,13 @@ let certify_cmd =
   (* No timing output here, deliberately: CI asserts the certification
      run is byte-identical at --jobs 1 and --jobs 4. *)
   let run _all quick engine stats trace =
-    apply_engine engine;
+    let backend = resolve_engine engine in
     apply_trace trace;
-    let rows = Locald_core.Certify.run ~quick () in
+    let rows =
+      Locald_core.Certify.run ~quick ?backend ?memo:engine.memo ()
+    in
     Report.print_certify rows;
-    maybe_stats stats;
+    maybe_stats stats engine.memo;
     (* Exit 3 (verdict mismatch), per the README's exit-code
        convention shared with [merge --expect-digest]. *)
     if not (Locald_core.Certify.all_ok rows) then exit Shard.Exit.mismatch
@@ -558,7 +547,7 @@ let gmr_cmd =
 
 let coverage_cmd =
   let run arity r t engine =
-    apply_engine engine;
+    ignore (resolve_engine engine : Locald_local.Backend.t option);
     let regime = Locald_local.Ids.f_linear_plus 1 in
     let p = { Tree_instances.regime; arity; r } in
     let c = Tree_deciders.coverage p ~t in
@@ -582,10 +571,11 @@ let coverage_cmd =
 
 let all_cmd =
   let run quick seed engine stats trace speedup =
-    apply_engine engine;
+    let backend = resolve_engine engine in
     apply_trace trace;
     let timing (x : Registry.experiment) =
-      let (print, _), wall = Timing.time (fun () -> x.e_run ~quick ~seed) in
+      let run = x.e_run ?backend ?memo:engine.memo ~quick ~seed in
+      let (print, _), wall = Timing.time run in
       print ();
       let t_speedup =
         (* Optional honest baseline: rerun the experiment on a
@@ -593,7 +583,7 @@ let all_cmd =
         if speedup && Pool.default_jobs () > 1 then begin
           let jn = Pool.default_jobs () in
           Pool.set_default_jobs 1;
-          let _, wall1 = Timing.time (fun () -> x.e_run ~quick ~seed) in
+          let _, wall1 = Timing.time run in
           Pool.set_default_jobs jn;
           Some (wall1 /. wall)
         end
@@ -607,7 +597,7 @@ let all_cmd =
       }
     in
     Report.print_timings (List.map timing Registry.experiments);
-    maybe_stats stats
+    maybe_stats stats engine.memo
   in
   let speedup_flag =
     Arg.(
@@ -633,22 +623,25 @@ let metrics_cmd =
     @ [ "certify" ]
   in
   let run name quick seed engine trace =
+    let memo = engine.memo in
     let driver =
       match Registry.find_experiment name with
-      | Some x -> fun () -> fst (x.e_run ~quick ~seed) ()
+      | Some x -> fun backend -> fst (x.e_run ?backend ?memo ~quick ~seed ()) ()
       | None when name = "certify" ->
-          fun () -> Report.print_certify (Locald_core.Certify.run ~quick ())
+          fun backend ->
+            Report.print_certify
+              (Locald_core.Certify.run ~quick ?backend ?memo ())
       | None ->
           prerr_endline
             ("locald metrics: unknown experiment " ^ name ^ " (try: "
             ^ String.concat " | " names ^ ")");
           exit Shard.Exit.usage
     in
-    apply_engine engine;
+    let backend = resolve_engine engine in
     apply_trace trace;
     Telemetry.set_metrics true;
     Telemetry.new_run ();
-    driver ();
+    driver backend;
     print_endline "";
     print_endline "runtime metrics (this run):";
     Format.printf "%a@." Telemetry.pp_metrics ()
@@ -676,13 +669,6 @@ let metrics_cmd =
 (* ------------------------------------------------------------------ *)
 (* Sharded exhaustive runs                                             *)
 (* ------------------------------------------------------------------ *)
-
-let usage_error fmt =
-  Printf.ksprintf
-    (fun msg ->
-      prerr_endline ("locald: " ^ msg);
-      exit Shard.Exit.usage)
-    fmt
 
 let workload_opt =
   Arg.(
@@ -736,14 +722,14 @@ let plan_of ~w ~chunk ~shards =
 let shard_cmd =
   let run workload index shards checkpoint resume chunk fsync_every throttle
       engine stats trace =
-    apply_engine engine;
+    let backend = resolve_engine engine in
     apply_trace trace;
     let w = lookup_workload workload in
     if shards <= 0 then usage_error "--of must be positive";
     if index < 0 || index >= shards then
       usage_error "--index %d outside [0, %d)" index shards;
     let plan = plan_of ~w ~chunk ~shards in
-    let eval0 = w.Sweeps.w_eval () in
+    let eval0 = w.Sweeps.w_eval ?backend ?memo:engine.memo () in
     let eval ~lo ~hi =
       if throttle > 0. then Unix.sleepf (throttle /. 1000.);
       eval0 ~lo ~hi
@@ -759,7 +745,7 @@ let shard_cmd =
       s.Shard.s_index s.Shard.s_of w.Sweeps.w_name s.Shard.s_chunks evaluated
       (s.Shard.s_chunks - evaluated)
       s.Shard.s_correct s.Shard.s_wrong s.Shard.s_digest wall;
-    maybe_stats stats
+    maybe_stats stats engine.memo
   in
   let index =
     Arg.(
@@ -963,7 +949,8 @@ let describe_status = function
 let sweep_cmd =
   let run workload shards procs dir chunk fsync_every timeout max_retries
       retry_seed throttle expect_digest json engine trace =
-    apply_engine engine;
+    (* Flag errors end here, before any child is spawned. *)
+    ignore (resolve_engine engine : Locald_local.Backend.t option);
     apply_trace trace;
     let w = lookup_workload workload in
     if shards <= 0 then usage_error "--of must be positive";
@@ -1186,18 +1173,10 @@ let tcp_port_opt =
 let serve_cmd =
   let run socket tcp_port max_inflight max_engines memo_capacity engine trace
       =
-    (* Where the one-shot CLI warns and falls back on a typo'd
-       environment, the daemon refuses to start: a silently coerced
-       backend would corrupt every pinned digest it serves. *)
-    (match Service.env_problems () with
-    | [] -> ()
-    | problems ->
-        List.iter (fun p -> prerr_endline ("locald serve: " ^ p)) problems;
-        exit Shard.Exit.usage);
     if max_inflight < 1 then usage_error "--max-inflight must be positive";
     if max_engines < 1 then usage_error "--max-engines must be positive";
     if memo_capacity < 1 then usage_error "--memo-capacity must be positive";
-    apply_engine engine;
+    let backend = resolve_engine engine in
     apply_trace trace;
     (* Metrics on: the serve.request span then feeds the latency
        histograms a metrics request reports. *)
@@ -1211,7 +1190,9 @@ let serve_cmd =
     let graceful = Sys.Signal_handle (fun _ -> Atomic.set drain true) in
     Sys.set_signal Sys.sigterm graceful;
     Sys.set_signal Sys.sigint graceful;
-    let svc = Service.create ~max_engines ~memo_capacity () in
+    let svc =
+      Service.create ?backend ?memo:engine.memo ~max_engines ~memo_capacity ()
+    in
     let listeners =
       Serve.listener_unix socket
       ::

@@ -68,7 +68,7 @@ let c_probes = Telemetry.Counter.make "certify.probes"
 let c_flags = Telemetry.Counter.make "certify.flags"
 
 let certify ?pool ?(budget = 20_000) ?(slack = 0) ?plan ?confirm ?confirm_on
-    ?memo (alg : ('a, bool) Algorithm.t) ~instances =
+    ?backend ?confirm_memo ?memo (alg : ('a, bool) Algorithm.t) ~instances =
   if budget < 1 then invalid_arg "Analysis.certify: budget must be positive";
   if slack < 0 then invalid_arg "Analysis.certify: negative slack";
   Telemetry.span "analysis.certify" @@ fun () ->
@@ -215,10 +215,11 @@ let certify ?pool ?(budget = 20_000) ?(slack = 0) ?plan ?confirm ?confirm_on
                 match m with
                 | Confirm_exhaustive bound ->
                     ( Printf.sprintf "exhaustive<%d" bound,
-                      Oblivious.find_variance_exhaustive ~bound alg clg )
+                      Oblivious.find_variance_exhaustive ?backend
+                        ?memo:confirm_memo ~bound alg clg )
                 | Confirm_sampled { regime; trials; seed } ->
                     ( Printf.sprintf "sampled %dx" trials,
-                      Oblivious.find_variance_sampled
+                      Oblivious.find_variance_sampled ?backend
                         ~rng:(Random.State.make [| seed |])
                         ~trials ~regime alg clg )
               in

@@ -91,6 +91,8 @@ val certify :
   ?plan:Faults.plan ->
   ?confirm:confirm_method ->
   ?confirm_on:string * 'a Labelled.t ->
+  ?backend:Backend.t ->
+  ?confirm_memo:Memo.mode ->
   ?memo:Memo.mode ->
   ('a, bool) Algorithm.t ->
   instances:(string * 'a Labelled.t) list ->
@@ -116,7 +118,12 @@ val certify :
     answered [Unknown] from the coverage (degraded coverage is reported
     as {!Inconclusive}, never as a false certificate). [confirm]
     cross-checks an {!Id_dependent} verdict by searching for semantic
-    output variance on [confirm_on] (default: the witness instance). *)
+    output variance on [confirm_on] (default: the witness instance),
+    running the search under [backend] (default [Sync]) and, for
+    {!Confirm_exhaustive}, with its decide-once table in [confirm_memo]
+    mode (default [Exact_ids]) — the engine settings of
+    {!Oblivious.find_variance_exhaustive}, separate from the probe
+    table's [memo]. *)
 
 val certified : report -> bool
 val id_dependent : report -> bool

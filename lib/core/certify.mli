@@ -58,11 +58,26 @@ val claim_name : claim -> string
 val subjects : ?quick:bool -> unit -> subject list
 (** The registry. [quick] prunes to one subject per verdict kind. *)
 
-val certify_subject : ?pool:Pool.t -> ?plan:Faults.plan -> subject -> row
+val certify_subject :
+  ?pool:Pool.t ->
+  ?plan:Faults.plan ->
+  ?backend:Backend.t ->
+  ?memo:Memo.mode ->
+  subject ->
+  row
+(** [backend] and [memo] configure the confirm step's variance search
+    (the [backend] / [confirm_memo] of
+    {!Locald_analysis.Analysis.certify}); the probe table stays off. *)
 
-val run : ?quick:bool -> ?pool:Pool.t -> unit -> row list
+val run :
+  ?quick:bool ->
+  ?pool:Pool.t ->
+  ?backend:Backend.t ->
+  ?memo:Memo.mode ->
+  unit ->
+  row list
 (** Certify every registered subject (instance sets are built
     sequentially; each certification fans out on the pool). Output is
-    byte-identical at any job count. *)
+    byte-identical at any job count, backend and memo mode. *)
 
 val all_ok : row list -> bool

@@ -20,7 +20,7 @@ type cell_result = {
 
 (* (B, C) and (B, notC): the Section 2 construction separates, for any
    bound function — computable or oracle. *)
-let cell_bc ?seed ~regime ~quick ~name () =
+let cell_bc ?backend ?memo ?seed ~regime ~quick ~name () =
   let p2 = { Ti.regime; arity = 2; r = (if quick then 1 else 2) } in
   let rng = rng ?seed () in
   let verifier = Tree_deciders.pprime_verifier p2 in
@@ -38,7 +38,8 @@ let cell_bc ?seed ~regime ~quick ~name () =
   let assignments = if quick then 10 else 40 in
   let eval expected lg =
     Decider.all_correct
-      (Decider.evaluate ~rng ~regime ~assignments decider ~expected ~instance:"" lg)
+      (Decider.evaluate ?backend ?memo ~rng ~regime ~assignments decider
+         ~expected ~instance:"" lg)
   in
   let coverage_params = { Ti.regime; arity = 1; r = (if quick then 4 else 6) } in
   let cov = Tree_deciders.coverage coverage_params ~t:1 in
@@ -158,7 +159,7 @@ let two_colouring_blaming_decider () =
              instrumented accessor so the certifier can witness them. *)
           not (List.exists (fun u -> View.id view c < View.id view u) us))
 
-let cell_nbnc ?seed ~quick () =
+let cell_nbnc ?backend ?memo ?seed ~quick () =
   let rng = rng ?seed () in
   let alg = two_colouring_blaming_decider () in
   let property = Property.proper_colouring ~k:2 in
@@ -183,7 +184,7 @@ let cell_nbnc ?seed ~quick () =
       (fun lg ->
         (not (property.Property.mem lg))
         && Option.is_some
-             (Oblivious.find_variance_sampled ~rng ~trials:60
+             (Oblivious.find_variance_sampled ?backend ~rng ~trials:60
                 ~regime:Ids.Unbounded alg lg))
       instances
   in
@@ -191,7 +192,7 @@ let cell_nbnc ?seed ~quick () =
     List.for_all
       (fun lg ->
         let e =
-          Decider.evaluate ~rng ~regime:Ids.Unbounded
+          Decider.evaluate ?backend ?memo ~rng ~regime:Ids.Unbounded
             ~assignments:(if quick then 8 else 25)
             alg
             ~expected:(property.Property.mem lg)
@@ -211,12 +212,14 @@ let cell_nbnc ?seed ~quick () =
       ];
   }
 
-let table1 ?(quick = false) ?seed () =
+let table1 ?backend ?memo ?(quick = false) ?seed () =
   [
-    cell_bc ?seed ~regime:(Ids.f_linear_plus 1) ~quick ~name:"(B, C)" ();
-    cell_bc ?seed ~regime:(Ids.f_oracle ~seed:7) ~quick ~name:"(B, notC)" ();
+    cell_bc ?backend ?memo ?seed ~regime:(Ids.f_linear_plus 1) ~quick
+      ~name:"(B, C)" ();
+    cell_bc ?backend ?memo ?seed ~regime:(Ids.f_oracle ~seed:7) ~quick
+      ~name:"(B, notC)" ();
     cell_nbc ?seed ~quick ();
-    cell_nbnc ?seed ~quick ();
+    cell_nbnc ?backend ?memo ?seed ~quick ();
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -634,7 +637,7 @@ type oi_row = { check : string; ok : bool }
    relative order — and with it the separation collapses back to the
    Id-oblivious situation: within a view, ranks are always
    0..k-1-shaped, so the coverage obstruction applies verbatim. *)
-let order_invariance ?(quick = false) ?seed () =
+let order_invariance ?backend ?(quick = false) ?seed () =
   let rng = rng ?seed () in
   let regime = Ids.f_linear_plus 1 in
   let p = { Ti.regime; arity = 2; r = (if quick then 1 else 1) } in
@@ -644,7 +647,8 @@ let order_invariance ?(quick = false) ?seed () =
      flip outputs on T_r (the threshold reads magnitude). *)
   let not_oi =
     Option.is_some
-      (Locald_local.Models.find_order_variance ~rng ~trials:80 decider tr)
+      (Locald_local.Models.find_order_variance ?backend ~rng ~trials:80
+         decider tr)
   in
   (* 2. The rank-normalised (OI) version of the same decider accepts
      T_r — wrongly — because ranks within a view are tiny. *)
@@ -654,15 +658,15 @@ let order_invariance ?(quick = false) ?seed () =
   in
   let ids = Ids.sample rng regime ~n:(Labelled.order tr) in
   let accepts_tr =
-    Verdict.accepts (Decider.decide decider tr ~ids) = false
-    && Verdict.accepts (Decider.decide oi_candidate tr ~ids)
+    Verdict.accepts (Decider.decide ?backend decider tr ~ids) = false
+    && Verdict.accepts (Decider.decide ?backend oi_candidate tr ~ids)
   in
   (* ... while still accepting the small instances (so it is not just
      broken). *)
   let ok_on_small =
     let h = Ti.small_instance p ~apex:(0, 1) in
     let ids = Ids.sample rng regime ~n:(Labelled.order h) in
-    Verdict.accepts (Decider.decide oi_candidate h ~ids)
+    Verdict.accepts (Decider.decide ?backend oi_candidate h ~ids)
   in
   [
     { check = "LD decider reads magnitude (not order-invariant)"; ok = not_oi };
@@ -738,7 +742,7 @@ type warmup_row = {
   ok : bool;
 }
 
-let cycle_warmup ?seed ~regime ~name ~quick () =
+let cycle_warmup ?backend ?memo ?seed ~regime ~name ~quick () =
   let rng = rng ?seed () in
   let rs = if quick then [ 4 ] else [ 4; 8; 16 ] in
   List.concat_map
@@ -749,8 +753,8 @@ let cycle_warmup ?seed ~regime ~name ~quick () =
       let assignments = if quick then 15 else 60 in
       let eval expected lg =
         Decider.all_correct
-          (Decider.evaluate ~rng ~regime ~assignments decider ~expected
-             ~instance:"" lg)
+          (Decider.evaluate ?backend ?memo ~rng ~regime ~assignments decider
+             ~expected ~instance:"" lg)
       in
       [
         {
@@ -768,7 +772,7 @@ let cycle_warmup ?seed ~regime ~name ~quick () =
       ])
     rs
 
-let tm_warmup ?seed ~quick () =
+let tm_warmup ?backend ?memo ?seed ~quick () =
   let rng = rng ?seed () in
   let fuel = 32 in
   let decider = Tm_promise.ld_decider () in
@@ -793,7 +797,7 @@ let tm_warmup ?seed ~quick () =
         let n = max 3 (s + 1) in
         let lg = Tm_promise.instance ~machine:m ~n in
         let e =
-          Decider.evaluate ~rng ~regime:Ids.Unbounded
+          Decider.evaluate ?backend ?memo ~rng ~regime:Ids.Unbounded
             ~assignments:(if quick then 10 else 30)
             decider ~expected ~instance:"" lg
         in
@@ -823,11 +827,14 @@ let tm_warmup ?seed ~quick () =
   in
   rows @ [ fooled ]
 
-let warmups ?(quick = false) ?seed () =
-  cycle_warmup ?seed ~regime:(Ids.f_linear_plus 1) ~name:"f=n+1" ~quick ()
+let warmups ?backend ?memo ?(quick = false) ?seed () =
+  cycle_warmup ?backend ?memo ?seed ~regime:(Ids.f_linear_plus 1)
+    ~name:"f=n+1" ~quick ()
   @ (if quick then []
-     else cycle_warmup ?seed ~regime:Ids.f_square ~name:"f=n^2+1" ~quick ())
-  @ tm_warmup ?seed ~quick ()
+     else
+       cycle_warmup ?backend ?memo ?seed ~regime:Ids.f_square
+         ~name:"f=n^2+1" ~quick ())
+  @ tm_warmup ?backend ?memo ?seed ~quick ()
 
 (* ------------------------------------------------------------------ *)
 (* FT: fault injection and graceful degradation                        *)

@@ -16,12 +16,23 @@ type cell_result = {
       (** named checks; all must hold for the cell's claim *)
 }
 
-val table1 : ?quick:bool -> ?seed:int -> unit -> cell_result list
+val table1 :
+  ?backend:Backend.t ->
+  ?memo:Locald_runtime.Memo.mode ->
+  ?quick:bool ->
+  ?seed:int ->
+  unit ->
+  cell_result list
 (** [seed] (here and below) reseeds the experiment's random state —
     threaded from the CLI's global [--seed] option; defaults to the
-    historical constant. *)
+    historical constant. [backend] and [memo] (here and below) are the
+    engine settings of the decider evaluations
+    ({!Locald_decision.Decider.evaluate}, whose defaults apply); the
+    rows do not depend on them. *)
 
 val cell_bc :
+  ?backend:Backend.t ->
+  ?memo:Locald_runtime.Memo.mode ->
   ?seed:int -> regime:Ids.regime -> quick:bool -> name:string -> unit ->
   cell_result
 (** The two (B, -) separations, parametric in the bound function — pass a
@@ -30,7 +41,10 @@ val cell_bc :
 val cell_nbc : ?seed:int -> quick:bool -> unit -> cell_result
 (** The (notB, C) separation via the Section 3 construction. *)
 
-val cell_nbnc : ?seed:int -> quick:bool -> unit -> cell_result
+val cell_nbnc :
+  ?backend:Backend.t ->
+  ?memo:Locald_runtime.Memo.mode ->
+  ?seed:int -> quick:bool -> unit -> cell_result
 (** The (notB, notC) equality via the Id-oblivious simulation [A*]. *)
 
 val two_colouring_blaming_decider : unit -> (int, bool) Algorithm.t
@@ -152,7 +166,8 @@ val construction : ?quick:bool -> ?seed:int -> unit -> construction_row list
 
 type oi_row = { check : string; ok : bool }
 
-val order_invariance : ?quick:bool -> ?seed:int -> unit -> oi_row list
+val order_invariance :
+  ?backend:Backend.t -> ?quick:bool -> ?seed:int -> unit -> oi_row list
 (** Identifiers help the Section 2 decider only through magnitude:
     the decider is demonstrably not order-invariant, and its
     rank-normalised OI version wrongly accepts [T_r] — so the
@@ -181,7 +196,13 @@ type warmup_row = {
   ok : bool;
 }
 
-val warmups : ?quick:bool -> ?seed:int -> unit -> warmup_row list
+val warmups :
+  ?backend:Backend.t ->
+  ?memo:Locald_runtime.Memo.mode ->
+  ?quick:bool ->
+  ?seed:int ->
+  unit ->
+  warmup_row list
 
 (** {1 FT — fault injection (robustness of the deciders)}
 

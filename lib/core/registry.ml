@@ -15,12 +15,18 @@ type experiment = {
   e_name : string;
   e_doc : string;
   e_heavy : bool;
-  e_run : quick:bool -> seed:int option -> (unit -> unit) * string;
+  e_run :
+    ?backend:Backend.t ->
+    ?memo:Memo.mode ->
+    quick:bool ->
+    seed:int option ->
+    unit ->
+    (unit -> unit) * string;
 }
 
 let experiment ?(heavy = false) name doc print driver =
-  let run ~quick ~seed =
-    let rows = driver ~quick ~seed in
+  let run ?backend ?memo ~quick ~seed () =
+    let rows = driver ?backend ?memo ~quick ~seed () in
     ((fun () -> print rows), Shard.digest rows)
   in
   { e_name = name; e_doc = doc; e_heavy = heavy; e_run = run }
@@ -28,42 +34,45 @@ let experiment ?(heavy = false) name doc print driver =
 let experiments =
   [
     experiment "table1" "Regenerate the Section 1.1 results table."
-      Report.print_table1 (fun ~quick ~seed ->
-        Experiments.table1 ~quick ?seed ());
+      Report.print_table1 (fun ?backend ?memo ~quick ~seed () ->
+        Experiments.table1 ?backend ?memo ~quick ?seed ());
     experiment "fig1" "Regenerate Figure 1 (layered trees and view coverage)."
-      Report.print_fig1 (fun ~quick ~seed:_ -> Experiments.fig1 ~quick ());
+      Report.print_fig1 (fun ?backend:_ ?memo:_ ~quick ~seed:_ () ->
+        Experiments.fig1 ~quick ());
     experiment "fig2" "Regenerate Figure 2 (the G(M,r) construction)."
-      Report.print_fig2 (fun ~quick ~seed:_ -> Experiments.fig2 ~quick ());
+      Report.print_fig2 (fun ?backend:_ ?memo:_ ~quick ~seed:_ () ->
+        Experiments.fig2 ~quick ());
     experiment "fig3" "Regenerate Figure 3 (the pyramid)." Report.print_fig3
-      (fun ~quick ~seed:_ -> Experiments.fig3 ~quick ());
+      (fun ?backend:_ ?memo:_ ~quick ~seed:_ () -> Experiments.fig3 ~quick ());
     experiment "corollary1" "Regenerate the Corollary 1 experiment."
-      Report.print_corollary1 (fun ~quick ~seed ->
+      Report.print_corollary1 (fun ?backend:_ ?memo:_ ~quick ~seed () ->
         Experiments.corollary1 ~quick ?seed ());
     experiment "p3" "Measure the neighbourhood generator's (P3) coverage."
-      Report.print_p3 (fun ~quick ~seed:_ -> Experiments.p3 ~quick ());
+      Report.print_p3 (fun ?backend:_ ?memo:_ ~quick ~seed:_ () ->
+        Experiments.p3 ~quick ());
     experiment "diagonal"
       "Run the fuel diagonalisation against Id-oblivious candidates."
-      Report.print_fuel_diagonal (fun ~quick ~seed:_ ->
+      Report.print_fuel_diagonal (fun ?backend:_ ?memo:_ ~quick ~seed:_ () ->
         Experiments.fuel_diagonal ~quick ());
     experiment "construction"
       "Run the constructive-side experiments (CV, Luby, gossip)."
-      Report.print_construction (fun ~quick ~seed ->
+      Report.print_construction (fun ?backend:_ ?memo:_ ~quick ~seed () ->
         Experiments.construction ~quick ?seed ());
     experiment "oi" "Show that order-invariant algorithms also fail under (B)."
-      Report.print_oi (fun ~quick ~seed ->
-        Experiments.order_invariance ~quick ?seed ());
+      Report.print_oi (fun ?backend ?memo:_ ~quick ~seed () ->
+        Experiments.order_invariance ?backend ~quick ?seed ());
     experiment "hereditary" "Check hereditariness of the witness properties."
-      Report.print_hereditary (fun ~quick ~seed ->
+      Report.print_hereditary (fun ?backend:_ ?memo:_ ~quick ~seed () ->
         Experiments.hereditary ~quick ?seed ());
     experiment "warmups" "Run the warm-up promise-problem experiments."
-      Report.print_warmups (fun ~quick ~seed ->
-        Experiments.warmups ~quick ?seed ());
+      Report.print_warmups (fun ?backend ?memo ~quick ~seed () ->
+        Experiments.warmups ?backend ?memo ~quick ?seed ());
     (* Under fault injection the rows embed the seeded plans, so the
        digest pins those too. *)
     experiment ~heavy:true "faults"
       "Measure decider accuracy and degradation under seeded fault \
        injection (message drops, crash-stop failures, fuel budgets)."
-      Report.print_faults (fun ~quick ~seed ->
+      Report.print_faults (fun ?backend:_ ?memo:_ ~quick ~seed () ->
         Experiments.faults ~quick ?seed ());
   ]
 
@@ -80,7 +89,7 @@ type pinned = {
   p_tier : tier;
   p_hits_gated : bool;
   p_wall_gated : bool;
-  p_run : unit -> int * string;
+  p_run : ?backend:Backend.t -> ?memo:Memo.mode -> unit -> int * string;
 }
 
 let pinned ?(hits_gated = false) ?(wall_gated = false) p_tier p_name p_run =
@@ -95,8 +104,8 @@ let coverage ~regime ~t () =
         c.Tree_deciders.total_views,
         c.Tree_deciders.uncovered_node ) )
 
-let exhaustive ?bound () =
-  let e = Sweeps.exhaustive_decider ?bound () in
+let exhaustive ?backend ?memo ?bound () =
+  let e = Sweeps.exhaustive_decider ?backend ?memo ?bound () in
   (e.Locald_decision.Decider.assignments, Sweeps.digest e)
 
 (* Certification workloads report the trace-event count as their
@@ -167,33 +176,40 @@ let corollary1_scale () =
 
 let workloads =
   [
-    pinned Quick "f1-coverage" ~hits_gated:true (coverage ~regime ~t:2);
-    pinned Quick "exhaustive-decider" ~wall_gated:true (fun () -> exhaustive ());
-    pinned Quick "p3-coverage" (fun () ->
+    pinned Quick "f1-coverage" ~hits_gated:true (fun ?backend:_ ?memo:_ () ->
+        coverage ~regime ~t:2 ());
+    pinned Quick "exhaustive-decider" ~wall_gated:true (fun ?backend ?memo () ->
+        exhaustive ?backend ?memo ());
+    pinned Quick "p3-coverage" (fun ?backend:_ ?memo:_ () ->
         let rows = Experiments.p3 ~quick:true () in
         ( List.fold_left
             (fun acc (r : Experiments.p3_row) ->
               acc + r.Experiments.g_classes + r.Experiments.b_classes)
             0 rows,
           Shard.digest rows ));
-    pinned Quick "corollary1" ~hits_gated:true (fun () ->
+    pinned Quick "corollary1" ~hits_gated:true (fun ?backend:_ ?memo:_ () ->
         let rows = Experiments.corollary1 () in
         ( List.fold_left
             (fun acc (r : Experiments.corollary1_row) -> max acc r.Experiments.n)
             0 rows,
           Shard.digest rows ));
-    pinned Quick "certify-tree" (fun () ->
+    pinned Quick "certify-tree" (fun ?backend:_ ?memo:_ () ->
         certify (Tree_deciders.p_decider t_r1) tree_r1 ());
-    pinned Quick "certify-gmr" ~hits_gated:true ~wall_gated:true (fun () ->
+    pinned Quick "certify-gmr" ~hits_gated:true ~wall_gated:true
+      (fun ?backend:_ ?memo:_ () ->
         certify (Gmr_deciders.ld_decider ()) gmr_quick ());
     (* Regime constant 5 instead of 1: deeper trees, one radius up. *)
     pinned Scale "f1-coverage-scale" ~hits_gated:true
-      (coverage ~regime:(Ids.f_linear_plus 5) ~t:3);
+      (fun ?backend:_ ?memo:_ () ->
+        coverage ~regime:(Ids.f_linear_plus 5) ~t:3 ());
     (* The quick tier's H+ into [0..9] instead of [0..7]: 45x the
        assignment space over the identical decider. *)
-    pinned Scale "exhaustive-decider-scale" (fun () -> exhaustive ~bound:10 ());
-    pinned Scale "corollary1-scale" ~hits_gated:true corollary1_scale;
-    pinned Scale "certify-gmr-scale" ~hits_gated:true (fun () ->
+    pinned Scale "exhaustive-decider-scale" (fun ?backend ?memo () ->
+        exhaustive ?backend ?memo ~bound:10 ());
+    pinned Scale "corollary1-scale" ~hits_gated:true
+      (fun ?backend:_ ?memo:_ () -> corollary1_scale ());
+    pinned Scale "certify-gmr-scale" ~hits_gated:true
+      (fun ?backend:_ ?memo:_ () ->
         certify ~budget:50_000 (Gmr_deciders.ld_decider ()) gmr_scale ());
   ]
 

@@ -21,10 +21,19 @@ type experiment = {
   e_heavy : bool;
       (** the full-size run takes minutes: batch runs of every
           experiment (bench Part 1) use the quick parameters *)
-  e_run : quick:bool -> seed:int option -> (unit -> unit) * string;
+  e_run :
+    ?backend:Locald_local.Backend.t ->
+    ?memo:Locald_runtime.Memo.mode ->
+    quick:bool ->
+    seed:int option ->
+    unit ->
+    (unit -> unit) * string;
       (** Run the experiment: a printer for its rows and
           {!Locald_runtime.Shard.digest} of them. Experiments without a
-          random state ignore [seed]. *)
+          random state ignore [seed]; [backend] and [memo] reach the
+          drivers that run deciders through the simulator (table1, oi,
+          warmups; the engine defaults apply when omitted), and the
+          others ignore them. *)
 }
 
 val experiments : experiment list
@@ -41,9 +50,15 @@ type pinned = {
   p_wall_gated : bool;
       (** [--check] requires the [@j1] row within 2x (+50ms) of its
           pinned wall time *)
-  p_run : unit -> int * string;
-      (** Run under the session defaults (pool width, backend, memo
-          mode): the problem size and the result digest. *)
+  p_run :
+    ?backend:Locald_local.Backend.t ->
+    ?memo:Locald_runtime.Memo.mode ->
+    unit ->
+    int * string;
+      (** Run on the default pool: the problem size and the result
+          digest. [backend] and [memo] reach the exhaustive-decider
+          evaluations (the engine defaults apply when omitted); the
+          other workloads ignore them. *)
 }
 
 val workloads : pinned list

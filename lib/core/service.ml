@@ -15,12 +15,9 @@
    one knew.
 
    Per-request configuration is {e threaded}, never ambient: the
-   daemon's startup defaults are captured once at [create], and a
-   request's backend/memo/jobs override them for that request only by
-   flowing through [w_eval]'s explicit parameters. Nothing here calls
-   [Backend.set_default] / [Memo.set_default_mode] — the concurrency
-   bug this PR fixes was exactly those process-global mutations leaking
-   one request's config into another. *)
+   daemon's startup backend and memo mode are given once at [create],
+   and a request's backend/memo override them for that request only by
+   flowing through [w_eval]'s explicit parameters. *)
 
 open Locald_runtime
 module Backend = Locald_local.Backend
@@ -43,25 +40,22 @@ type t = {
   sv_max_engines : int;
   sv_engines : (string, engine) Hashtbl.t;
   mutable sv_tick : int;
-  mutable sv_jobs : int;   (* last pool width applied *)
 }
 
 let default_max_engines = 8
 let default_memo_capacity = 1 lsl 16
 
-let create ?(max_engines = default_max_engines)
+let create ?(backend = Backend.Sync) ?(memo = Memo.Exact_ids)
+    ?(max_engines = default_max_engines)
     ?(memo_capacity = default_memo_capacity) () =
   {
-    sv_backend = Backend.default ();
-    sv_memo = Memo.default_mode ();
+    sv_backend = backend;
+    sv_memo = memo;
     sv_memo_capacity = memo_capacity;
     sv_max_engines = max 1 max_engines;
     sv_engines = Hashtbl.create 16;
     sv_tick = 0;
-    sv_jobs = Pool.default_jobs ();
   }
-
-let env_problems () = Backend.env_problems () @ Memo.env_problems ()
 
 (* ------------------------------------------------------------------ *)
 (* Per-request configuration                                           *)
@@ -69,28 +63,9 @@ let env_problems () = Backend.env_problems () @ Memo.env_problems ()
 
 let ( let* ) = Result.bind
 
-(* Mirrors the CLI's [apply_engine]: an explicit seed or fifo flag
-   implies the async backend; naming "sync" alongside them is a
-   contradiction and is rejected rather than silently dropped. *)
 let resolve_backend t (c : Proto.config) =
-  let async () =
-    Backend.Async
-      {
-        Async_runner.sched_seed = Option.value c.c_sched_seed ~default:0;
-        fifo = Option.value c.c_fifo ~default:false;
-      }
-  in
-  match c.c_backend with
-  | None ->
-      if c.c_sched_seed = None && c.c_fifo = None then Ok t.sv_backend
-      else Ok (async ())
-  | Some "sync" ->
-      if c.c_sched_seed <> None || c.c_fifo <> None then
-        Error "sched_seed/fifo apply to the async backend only"
-      else Ok Backend.Sync
-  | Some "async" -> Ok (async ())
-  | Some other ->
-      Error (Printf.sprintf "unknown backend %S (expected sync | async)" other)
+  Backend.resolve c.c_backend ~sched_seed:c.c_sched_seed ~fifo:c.c_fifo
+  |> Result.map (Option.value ~default:t.sv_backend)
 
 let resolve_memo t (c : Proto.config) =
   match c.c_memo with
@@ -105,18 +80,13 @@ let resolve_memo t (c : Proto.config) =
 
 (* Per-request pool width. Resizing the shared pool is safe between
    requests (the loop executes them sequentially) and digest-neutral
-   (every engine entry point is deterministic at any width); skipping
-   the no-op case avoids tearing the domain pool down per request. *)
-let apply_jobs t (c : Proto.config) =
+   (every engine entry point is deterministic at any width); a request
+   for the live pool's width keeps it. *)
+let apply_jobs (c : Proto.config) =
   match c.c_jobs with
   | None -> Ok ()
   | Some j when j < 1 || j > 64 -> Error "jobs must be within [1, 64]"
-  | Some j ->
-      if j <> t.sv_jobs then begin
-        Pool.set_default_jobs j;
-        t.sv_jobs <- j
-      end;
-      Ok ()
+  | Some j -> Ok (Pool.set_default_jobs j)
 
 let backend_key = function
   | Backend.Sync -> "sync"
@@ -184,7 +154,7 @@ let handle_decide t (req : Proto.request) =
   in
   let* backend = resolve_backend t req.Proto.r_config in
   let* memo = resolve_memo t req.Proto.r_config in
-  let* () = apply_jobs t req.Proto.r_config in
+  let* () = apply_jobs req.Proto.r_config in
   let geom = w.Sweeps.w_geometry () in
   let total = geom.Sweeps.g_total in
   let lo = Option.value req.Proto.r_lo ~default:0 in
@@ -219,8 +189,8 @@ let handle_decide t (req : Proto.request) =
                 ~wrong:r.Shard.r_wrong ~assignments:(hi - lo)) );
        ])
 
-let handle_certify () =
-  let rows = Certify.run () in
+let handle_certify t =
+  let rows = Certify.run ~backend:t.sv_backend ~memo:t.sv_memo () in
   let row_json r =
     Json.Obj
       [
@@ -279,7 +249,7 @@ let handlers t =
             | exception e ->
                 Serve.Reply (Proto.error_response ~id (Printexc.to_string e)))
         | Proto.Certify -> (
-            match handle_certify () with
+            match handle_certify t with
             | r -> reply r
             | exception e ->
                 Serve.Reply (Proto.error_response ~id (Printexc.to_string e))))

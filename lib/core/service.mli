@@ -14,13 +14,15 @@
     the point of the daemon). Both eviction levels are
     digest-transparent.
 
-    {b Per-request config, never ambient.} The daemon's defaults are
-    captured once at {!create}; a request's [backend] / [sched_seed] /
-    [fifo] / [memo] / [jobs] override them for that request only, by
-    explicit threading. This module never touches
-    [Backend.set_default] or [Memo.set_default_mode]. Unknown backend
-    or memo names, and out-of-range ranks or job counts, are rejected
-    with an error response — never coerced.
+    {b Per-request config, never ambient.} The daemon's backend and
+    memo mode are given once to {!create}; a request's [backend] /
+    [sched_seed] / [fifo] / [memo] override them for that request
+    only, by explicit threading, with the backend options read by
+    {!Locald_local.Backend.resolve} as on the CLI. A request's [jobs]
+    resizes the process-wide {!Locald_runtime.Pool} (kept when the
+    width is unchanged). Unknown backend or memo names, contradictory
+    backend options, and out-of-range ranks or job counts, are
+    rejected with an error response — never coerced.
 
     {b Determinism.} Decide results carry counts and the
     {!Locald_runtime.Shard.result_digest} only — no wall times, no
@@ -36,15 +38,16 @@ val default_max_engines : int
 val default_memo_capacity : int
 (** 65536 entries per engine. *)
 
-val create : ?max_engines:int -> ?memo_capacity:int -> unit -> t
-(** Capture the session defaults (backend, memo mode, pool width) and
-    start with an empty engine cache. *)
-
-val env_problems : unit -> string list
-(** The union of {!Locald_local.Backend.env_problems} and
-    {!Locald_runtime.Memo.env_problems} — what [locald serve] refuses
-    to start on (a silently coerced config would corrupt pinned
-    digests). *)
+val create :
+  ?backend:Locald_local.Backend.t ->
+  ?memo:Locald_runtime.Memo.mode ->
+  ?max_engines:int ->
+  ?memo_capacity:int ->
+  unit ->
+  t
+(** A service with an empty engine cache, answering requests that name
+    no backend or memo mode with [backend] (default [Sync]) and [memo]
+    (default [Exact_ids]). *)
 
 val handlers : t -> Locald_runtime.Serve.handlers
 (** The dispatcher: decide / certify / metrics / ping answer with

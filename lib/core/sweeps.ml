@@ -63,19 +63,13 @@ let tree_workload ?backend ~name ~description ~instance ~expected ~chunk () =
     let n = Labelled.order lg in
     { g_n = n; g_bound = n; g_total = Orbit.perm ~bound:n ~k:n }
   in
-  (* Per-request configuration: an explicit [?backend] / [?memo]
-     overrides the workload's construction-time backend and then the
-     ambient session defaults — the serve daemon always passes them, so
-     its requests never read (let alone mutate) the process-global
-     defaults. The CLI paths pass nothing and behave as before. *)
-  let eval ?backend:req_backend ?memo ?memo_capacity () =
+  (* Per-request configuration: an explicit [?backend] overrides the
+     workload's construction-time backend. *)
+  let eval ?backend:req_backend ?(memo = Memo.Exact_ids) ?memo_capacity () =
     let lg = Lazy.force lg in
     let n = Labelled.order lg in
     let backend =
       match req_backend with Some _ -> req_backend | None -> backend
-    in
-    let memo =
-      match memo with Some m -> m | None -> Memo.default_mode ()
     in
     let prep = Runner.prepare ~memo ?memo_capacity ?backend alg lg in
     fun ~lo ~hi ->
@@ -319,8 +313,8 @@ let find name = List.find_opt (fun w -> w.w_name = name) all
 
 let default_name = "exhaustive-decider"
 
-let exhaustive_decider ?bound () =
-  evaluate_tree ?bound ~name:default_name ~expected:true h_plus
+let exhaustive_decider ?backend ?memo ?bound () =
+  evaluate_tree ?backend ?memo ?bound ~name:default_name ~expected:true h_plus
 
 let digest (e : Decider.evaluation) =
   Shard.result_digest ~correct:e.Decider.correct ~wrong:e.Decider.wrong

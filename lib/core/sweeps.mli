@@ -42,13 +42,12 @@ type workload = {
           requests — the memo table is the cross-request cache, so
           long-lived holders should pass [memo_capacity]).
 
-          The optional config is {e per-request}: it overrides first
-          the workload's construction-time backend and then the
-          ambient session defaults, without reading or mutating the
-          process-global [Backend.default] / [Memo.default_mode] when
-          given. Workloads without a backend/memo axis (the
-          seed-ranked curve, the certify sweep) accept and ignore it;
-          every configuration is digest-transparent. *)
+          The optional config is {e per-request}: [backend]
+          overrides the workload's construction-time backend (else
+          [Sync]) and [memo] defaults to [Exact_ids]. Workloads
+          without a backend/memo axis (the seed-ranked curve, the
+          certify sweep) accept and ignore it; every configuration is
+          digest-transparent. *)
   w_unsharded :
     ?backend:Locald_local.Backend.t ->
     ?memo:Locald_runtime.Memo.mode ->
@@ -68,12 +67,18 @@ val find : string -> workload option
 val default_name : string
 (** ["exhaustive-decider"]. *)
 
-val exhaustive_decider : ?bound:int -> unit -> Locald_decision.Decider.evaluation
+val exhaustive_decider :
+  ?backend:Locald_local.Backend.t ->
+  ?memo:Locald_runtime.Memo.mode ->
+  ?bound:int ->
+  unit ->
+  Locald_decision.Decider.evaluation
 (** The instance and decider of ["exhaustive-decider"] quantified over
-    every injective assignment into [0 .. bound - 1], under the session
-    defaults. At the default bound (the instance's order, 8) this is
-    the workload's [w_unsharded] run and the BENCH_quick pin; at
-    [bound = 10] it is the BENCH_scale pin. *)
+    every injective assignment into [0 .. bound - 1]
+    ({!Locald_decision.Decider.evaluate_exhaustive}, whose [backend]
+    and [memo] defaults apply). At the default bound (the instance's
+    order, 8) this is the workload's [w_unsharded] run and the
+    BENCH_quick pin; at [bound = 10] it is the BENCH_scale pin. *)
 
 val digest : Locald_decision.Decider.evaluation -> string
 (** The pinned digest of an evaluation:

@@ -21,16 +21,16 @@ type evaluation = {
    deciding the whole id space. *)
 let tally_chunk = 512
 
-let tally ?prep ?backend ~expected ~instance ~n assignments_seq alg lg =
+let tally ?prep ?backend ?(memo = Memo.Exact_ids) ~expected ~instance ~n
+    assignments_seq alg lg =
   (* The ball structure is id-independent: extract every view once and
      only re-decorate per assignment (see Runner.prepare). The decide
-     itself is memoised per (node, ball restriction) under the session's
-     memo mode — transparent for the pure deciders this module is
-     specified for. *)
+     itself is memoised per (node, ball restriction) — transparent for
+     the pure deciders this module is specified for. *)
   let prep =
     match prep with
     | Some p -> p
-    | None -> Runner.prepare ~memo:(Memo.default_mode ()) ?backend alg lg
+    | None -> Runner.prepare ~memo ?backend alg lg
   in
   Telemetry.span "decider.tally" @@ fun () ->
   let verdict_of ids = Verdict.of_outputs (Runner.run_prepared prep ~ids) in
@@ -75,13 +75,14 @@ let tally ?prep ?backend ~expected ~instance ~n assignments_seq alg lg =
     failure = !failure;
   }
 
-let evaluate ?backend ~rng ~regime ~assignments alg ~expected ~instance lg =
+let evaluate ?backend ?memo ~rng ~regime ~assignments alg ~expected ~instance
+    lg =
   Telemetry.span "decider.evaluate" @@ fun () ->
   let n = Locald_graph.Labelled.order lg in
   let seq =
     Seq.init assignments (fun _ -> Ids.sample rng regime ~n)
   in
-  tally ?backend ~expected ~instance ~n seq alg lg
+  tally ?backend ?memo ~expected ~instance ~n seq alg lg
 
 (* Exhaustive evaluation through the ball-local quotient. By the
    locality correspondence a node's output under an assignment depends
@@ -98,13 +99,10 @@ let evaluate ?backend ~rng ~regime ~assignments alg ~expected ~instance lg =
    the tallies follow by arithmetic and are byte-identical to the naive
    loop's; any rejection instead falls back transparently to the naive
    loop, whose memo table the scan has already partly warmed. *)
-let evaluate_exhaustive ?(quotient = true) ?backend ?memo ?memo_capacity
-    ~bound alg ~expected ~instance lg =
+let evaluate_exhaustive ?(quotient = true) ?backend ?(memo = Memo.Exact_ids)
+    ?memo_capacity ~bound alg ~expected ~instance lg =
   Telemetry.span "decider.evaluate_exhaustive" @@ fun () ->
   let n = Locald_graph.Labelled.order lg in
-  let memo =
-    match memo with Some m -> m | None -> Memo.default_mode ()
-  in
   let prep = Runner.prepare ~memo ?memo_capacity ?backend alg lg in
   let naive () =
     tally ~prep ~expected ~instance ~n
@@ -181,8 +179,8 @@ type range_evaluation = {
   rv_failure : (int * Ids.t * Verdict.t) option;
 }
 
-let evaluate_exhaustive_range ?prep ?backend ?memo ?memo_capacity ~bound ~lo
-    ~hi alg ~expected lg =
+let evaluate_exhaustive_range ?prep ?backend ?(memo = Memo.Exact_ids)
+    ?memo_capacity ~bound ~lo ~hi alg ~expected lg =
   Telemetry.span "decider.evaluate_range" @@ fun () ->
   let n = Locald_graph.Labelled.order lg in
   let total = Orbit.perm ~bound ~k:n in
@@ -194,11 +192,7 @@ let evaluate_exhaustive_range ?prep ?backend ?memo ?memo_capacity ~bound ~lo
   let prep =
     match prep with
     | Some p -> p
-    | None ->
-        let memo =
-          match memo with Some m -> m | None -> Memo.default_mode ()
-        in
-        Runner.prepare ~memo ?memo_capacity ?backend alg lg
+    | None -> Runner.prepare ~memo ?memo_capacity ?backend alg lg
   in
   let verdict_of ids = Verdict.of_outputs (Runner.run_prepared prep ~ids) in
   let correct = ref 0 and wrong = ref 0 and failure = ref None in

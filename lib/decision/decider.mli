@@ -15,10 +15,11 @@
     pre-extracted once per instance ({!Locald_local.Runner.prepare}),
     so results — including the [failure] witness, which is the first
     wrong assignment in stream order — are identical at any job
-    count, and at any simulator backend (the [?backend] of each entry
-    point, defaulting to the ambient {!Locald_local.Backend.default};
-    the fault-injected entry points below always use the engine their
-    plan semantics are defined over). *)
+    count, at any simulator backend (the [?backend] of each entry
+    point, default [Sync]; the fault-injected entry points below
+    always use the engine their plan semantics are defined over) and
+    in any decide-once memo mode (the [?memo] of each entry point,
+    default [Exact_ids]; see {!Locald_local.Runner.prepare}). *)
 
 open Locald_graph
 open Locald_local
@@ -26,9 +27,8 @@ open Locald_local
 val decide :
   ?backend:Backend.t ->
   ('a, bool) Algorithm.t -> 'a Labelled.t -> ids:Ids.t -> Verdict.t
-(** One assignment. [backend] (default {!Backend.default}) selects the
-    simulator — verdicts are backend-independent by the cross-backend
-    pin. *)
+(** One assignment. [backend] (default [Sync]) selects the simulator —
+    verdicts are backend-independent by the cross-backend pin. *)
 
 val decide_oblivious : ('a, bool) Algorithm.oblivious -> 'a Labelled.t -> Verdict.t
 
@@ -44,6 +44,7 @@ type evaluation = {
 
 val evaluate :
   ?backend:Backend.t ->
+  ?memo:Locald_runtime.Memo.mode ->
   rng:Random.State.t ->
   regime:Ids.regime ->
   assignments:int ->
@@ -76,10 +77,8 @@ val evaluate_exhaustive :
     memo already warm), so the result — counts, and the first-failure
     witness — is byte-identical to [quotient:false] in every case.
     [memo] / [memo_capacity] configure the implicit preparation's
-    decide-once table explicitly (default:
-    {!Locald_runtime.Memo.default_mode}, unbounded) — the per-request
-    form long-lived services use instead of mutating the session
-    default. All memo configurations are digest-transparent. *)
+    decide-once table (default [Exact_ids], unbounded). All memo
+    configurations are digest-transparent. *)
 
 type range_evaluation = {
   rv_lo : int;

@@ -39,7 +39,7 @@ let accepts_proved scheme lg =
    one node says no, which cannot change the boolean (running the full
    verdict computes all node outputs, but [Verdict.rejects] only asks
    whether one is false). *)
-let refuted ~candidates verifier lg =
+let refuted ?(memo = Locald_runtime.Memo.Exact_ids) ~candidates verifier lg =
   let n = Labelled.order lg in
   let cands = Array.of_list candidates in
   let m = Array.length cands in
@@ -48,7 +48,7 @@ let refuted ~candidates verifier lg =
         View.extract_mapped lg ~center:v ~radius:verifier.nv_radius)
   in
   let memo =
-    match Locald_runtime.Memo.default_mode () with
+    match memo with
     | Locald_runtime.Memo.Off -> None
     | Exact_ids | Order_type ->
         (* Certificate indices are not identifiers: order-type

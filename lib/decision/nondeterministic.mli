@@ -45,6 +45,7 @@ val accepts_proved : ('a, 'c) t -> 'a Labelled.t -> Verdict.t
     yes-instances for the scheme to witness NLD membership. *)
 
 val refuted :
+  ?memo:Locald_runtime.Memo.mode ->
   candidates:'c list ->
   ('a, 'c) verifier ->
   'a Labelled.t ->
@@ -52,7 +53,9 @@ val refuted :
 (** Exhaustive soundness check over all certificate assignments drawn
     from the finite candidate set: [true] when {e every} assignment is
     rejected (the instance cannot be certified). Exponential in the
-    instance size — use on small no-instances only. *)
+    instance size — use on small no-instances only. Unless [memo] is
+    [Off] (default [Exact_ids]), each node decides every distinct
+    certificate restriction of its ball once. *)
 
 val refuted_sampled :
   rng:Random.State.t ->

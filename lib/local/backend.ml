@@ -1,107 +1,32 @@
 type t = Sync | Async of Async_runner.config
 
-let to_string = function Sync -> "sync" | Async _ -> "async"
-
-let of_string ?(config = Async_runner.default_config) s =
+let of_string s =
   match String.trim (String.lowercase_ascii s) with
   | "sync" -> Some Sync
-  | "async" -> Some (Async config)
+  | "async" -> Some (Async Async_runner.default_config)
   | _ -> None
 
-let truthy s =
-  match String.trim (String.lowercase_ascii s) with
-  | "1" | "true" | "yes" | "on" -> true
-  | _ -> false
-
-let falsy s =
-  match String.trim (String.lowercase_ascii s) with
-  | "0" | "false" | "no" | "off" -> true
-  | _ -> false
-
-let env_config () =
-  let sched_seed =
-    match Sys.getenv_opt "LOCALD_SCHED_SEED" with
-    | Some s -> ( try int_of_string (String.trim s) with _ -> 0)
-    | None -> 0
+(* A seed or fifo flag implies the async backend; naming "sync"
+   alongside them is a contradiction and is rejected rather than
+   silently dropped. *)
+let resolve name ~sched_seed ~fifo =
+  let scheduled = sched_seed <> None || fifo <> None in
+  let async () =
+    Ok
+      (Some
+         (Async
+            {
+              Async_runner.sched_seed = Option.value sched_seed ~default:0;
+              fifo = Option.value fifo ~default:false;
+            }))
   in
-  let fifo =
-    match Sys.getenv_opt "LOCALD_SCHED_FIFO" with
-    | Some s -> truthy s
-    | None -> false
-  in
-  { Async_runner.sched_seed; fifo }
-
-(* What [env_config]/[initial] would silently coerce: a typo'd backend
-   falls back to [Sync], a typo'd seed to [0], a typo'd fifo flag to
-   [false]. For a one-shot run that only misreports what was measured;
-   for the serve daemon it corrupts pinned digests, so the problems are
-   surfaced — warned at module init here, rejected outright by serve.
-   The empty string counts as unset. *)
-let env_problems () =
-  let set name =
-    match Sys.getenv_opt name with
-    | Some s when String.trim s <> "" -> Some s
-    | _ -> None
-  in
-  List.concat
-    [
-      (match set "LOCALD_BACKEND" with
-      | Some s when of_string s = None ->
-          [
-            Printf.sprintf "invalid LOCALD_BACKEND=%S (expected sync | async)"
-              s;
-          ]
-      | _ -> []);
-      (match set "LOCALD_SCHED_SEED" with
-      | Some s when int_of_string_opt (String.trim s) = None ->
-          [
-            Printf.sprintf "invalid LOCALD_SCHED_SEED=%S (expected an integer)"
-              s;
-          ]
-      | _ -> []);
-      (match set "LOCALD_SCHED_FIFO" with
-      | Some s when (not (truthy s)) && not (falsy s) ->
-          [
-            Printf.sprintf
-              "invalid LOCALD_SCHED_FIFO=%S (expected 1/true/yes/on or \
-               0/false/no/off)"
-              s;
-          ]
-      | _ -> []);
-    ]
-
-(* The session default: LOCALD_BACKEND (with LOCALD_SCHED_SEED and
-   LOCALD_SCHED_FIFO refining the async config), then the synchronous
-   engine. Same idiom as Memo's LOCALD_MEMO default. *)
-let initial () =
-  List.iter
-    (fun p -> Printf.eprintf "locald: warning: %s\n%!" p)
-    (env_problems ());
-  match Sys.getenv_opt "LOCALD_BACKEND" with
+  match name with
+  | None -> if scheduled then async () else Ok None
   | Some s -> (
-      match of_string ~config:(env_config ()) s with
-      | Some b -> b
-      | None -> Sync)
-  | None -> Sync
-
-(* An [Atomic.t], not a [ref]: the serve daemon's event loop reads the
-   session default while pool domains may still be running work that
-   reads it too; per-request backends are threaded explicitly through
-   [Sweeps.w_eval] and never mutate this. *)
-let default_backend = Atomic.make (initial ())
-
-let default () = Atomic.get default_backend
-
-let set_default b = Atomic.set default_backend b
-
-let with_default b f =
-  let saved = Atomic.get default_backend in
-  Atomic.set default_backend b;
-  Fun.protect ~finally:(fun () -> Atomic.set default_backend saved) f
-
-let pp ppf b =
-  match b with
-  | Sync -> Format.pp_print_string ppf "sync"
-  | Async { Async_runner.sched_seed; fifo } ->
-      Format.fprintf ppf "async(seed=%d%s)" sched_seed
-        (if fifo then ",fifo" else "")
+      match of_string s with
+      | Some Sync when scheduled ->
+          Error "sched_seed/fifo apply to the async backend only"
+      | Some Sync -> Ok (Some Sync)
+      | Some (Async _) -> async ()
+      | None ->
+          Error (Printf.sprintf "unknown backend %S (expected sync | async)" s))

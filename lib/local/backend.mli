@@ -2,50 +2,25 @@
 
     Every engine entry point that has both a synchronous and an
     asynchronous implementation ({!Runner.run}, {!Runner.prepare}, and
-    everything layered on them) dispatches on a value of this type.
-    The two backends are pinned byte-identical on fault-free inputs
-    (see {!Async_runner} and [test/test_async.ml]), so flipping the
-    backend — per call, per session, or via the environment — must
-    never change a digest.
-
-    The ambient default is read once from the environment
-    ([LOCALD_BACKEND=sync|async], with [LOCALD_SCHED_SEED] and
-    [LOCALD_SCHED_FIFO=1] refining the async scheduler config) and can
-    be overridden programmatically — the [--backend] flag of
-    [bin/locald] does exactly that. *)
+    everything layered on them) takes a value of this type as its
+    [?backend] argument, defaulting to [Sync]. The two backends are
+    pinned byte-identical on fault-free inputs (see {!Async_runner} and
+    [test/test_async.ml]), so the backend never changes a digest. *)
 
 type t = Sync | Async of Async_runner.config
 
-val to_string : t -> string
-(** ["sync"] or ["async"] (the config is not serialised). *)
+val of_string : string -> t option
+(** Case- and whitespace-insensitive; ["async"] selects
+    {!Async_runner.default_config}. *)
 
-val of_string : ?config:Async_runner.config -> string -> t option
-(** Case- and whitespace-insensitive; [config] (default
-    {!Async_runner.default_config}) fills in the scheduler config when
-    the string selects the async backend. *)
-
-val default : unit -> t
-(** The ambient backend: the last {!set_default}, initially from the
-    environment, else [Sync]. Stored in an [Atomic.t], so reads are
-    safe across domains — but long-lived services must thread
-    per-request backends explicitly (the [?backend] parameters
-    downstream) instead of mutating the ambient default. *)
-
-val set_default : t -> unit
-
-val with_default : t -> (unit -> 'a) -> 'a
-(** Run a thunk under a temporary ambient backend, restoring the
-    previous one even on exceptions — what the cross-backend test
-    battery uses. Process-global: not for concurrent per-request
-    configuration. *)
-
-val env_problems : unit -> string list
-(** Human-readable complaints about the backend environment: an
-    unrecognised [LOCALD_BACKEND], a non-integer [LOCALD_SCHED_SEED],
-    or an unrecognised [LOCALD_SCHED_FIFO] (the empty string counts as
-    unset). Module initialisation warns about these on stderr once and
-    then falls back to [Sync]/[0]/[false]; the serve daemon refuses to
-    start instead, because a silently coerced backend corrupts pinned
-    digests. *)
-
-val pp : Format.formatter -> t -> unit
+val resolve :
+  string option -> sched_seed:int option -> fifo:bool option ->
+  (t option, string) result
+(** The one reading of the backend options, shared by the CLI's
+    [--backend] / [--sched-seed] / [--fifo] and a serve request's
+    [backend] / [sched_seed] / [fifo]. The name goes through
+    {!of_string}; a scheduler seed (default 0) or FIFO flag (default
+    off) refines the async config, and either alone selects the async
+    backend. [Ok None] means nothing was chosen, so the caller's own
+    default applies. An unknown name, or a seed or FIFO flag given
+    with ["sync"], is an [Error] message. *)

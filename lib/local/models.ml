@@ -31,15 +31,15 @@ let monotone_reembedding rng ids =
   Array.iteri (fun i id -> Hashtbl.replace image id fresh.(i)) sorted;
   Ids.of_array (Array.map (fun id -> Hashtbl.find image id) a)
 
-let find_order_variance ~rng ~trials alg lg =
+let find_order_variance ?backend ~rng ~trials alg lg =
   let n = Labelled.order lg in
   let rec go k =
     if k >= trials then None
     else
       let ids_a = Ids.shuffled rng n in
       let ids_b = monotone_reembedding rng ids_a in
-      let out_a = Runner.run alg lg ~ids:ids_a in
-      let out_b = Runner.run alg lg ~ids:ids_b in
+      let out_a = Runner.run ?backend alg lg ~ids:ids_a in
+      let out_b = Runner.run ?backend alg lg ~ids:ids_b in
       let rec diff v =
         if v >= n then None else if out_a.(v) <> out_b.(v) then Some v else diff (v + 1)
       in

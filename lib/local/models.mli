@@ -18,6 +18,7 @@ val order_invariant :
     output can depend only on the relative order of identifiers. *)
 
 val find_order_variance :
+  ?backend:Backend.t ->
   rng:Random.State.t ->
   trials:int ->
   ('a, 'o) Algorithm.t ->
@@ -25,7 +26,8 @@ val find_order_variance :
   Oblivious.witness option
 (** Look for two order-isomorphic assignments (one is a monotone
     re-embedding of the other) under which some output differs — a
-    witness that the algorithm is not order-invariant. *)
+    witness that the algorithm is not order-invariant. [backend]
+    (default [Sync]) runs each assignment, as in {!Runner.run}. *)
 
 (** {1 PO: port numbering and orientation} *)
 

@@ -15,24 +15,25 @@ let differing_node outputs_a outputs_b =
   in
   go 0
 
-let find_variance_sampled ~rng ~trials ~regime alg lg =
+let find_variance_sampled ?backend ~rng ~trials ~regime alg lg =
   let n = Labelled.order lg in
   let reference_ids = Ids.sample rng regime ~n in
-  let reference = Runner.run alg lg ~ids:reference_ids in
+  let reference = Runner.run ?backend alg lg ~ids:reference_ids in
   let rec go k =
     if k >= trials then None
     else
       let ids = Ids.sample rng regime ~n in
-      let outputs = Runner.run alg lg ~ids in
+      let outputs = Runner.run ?backend alg lg ~ids in
       match differing_node reference outputs with
       | Some node -> Some { node; ids_a = reference_ids; ids_b = ids }
       | None -> go (k + 1)
   in
   go 0
 
-let find_variance_exhaustive ?(quotient = false) ~bound alg lg =
+let find_variance_exhaustive ?(quotient = false) ?backend
+    ?(memo = Locald_runtime.Memo.Exact_ids) ~bound alg lg =
   let n = Labelled.order lg in
-  let prep = Runner.prepare ~memo:(Locald_runtime.Memo.default_mode ()) alg lg in
+  let prep = Runner.prepare ~memo ?backend alg lg in
   (* The naive loop: every assignment against the first, views
      extracted once and decides memoised — the witness (first differing
      node of the first differing assignment, in enumeration order) is

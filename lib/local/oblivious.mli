@@ -17,6 +17,7 @@ type witness = {
 (** A node whose output differs under two assignments. *)
 
 val find_variance_sampled :
+  ?backend:Backend.t ->
   rng:Random.State.t ->
   trials:int ->
   regime:Ids.regime ->
@@ -25,10 +26,13 @@ val find_variance_sampled :
   witness option
 (** Sample assignment pairs valid under the regime and look for an
     output that changes. [None] means no variance was observed (the
-    algorithm behaved obliviously on this instance). *)
+    algorithm behaved obliviously on this instance). [backend]
+    (default [Sync]) runs each assignment, as in {!Runner.run}. *)
 
 val find_variance_exhaustive :
   ?quotient:bool ->
+  ?backend:Backend.t ->
+  ?memo:Locald_runtime.Memo.mode ->
   bound:int ->
   ('a, 'o) Algorithm.t ->
   'a Labelled.t ->
@@ -45,4 +49,8 @@ val find_variance_exhaustive :
     witness pair is concretely re-run before being reported, but it is
     generally a {e different} pair than the naive scan's first
     disagreement, which is why the quotient is opt-in
-    (default [false]). *)
+    (default [false]).
+
+    Views are prepared once with [backend] (default [Sync]) and decides
+    go through a decide-once table in [memo] mode (default
+    [Exact_ids]; see {!Runner.prepare}). Neither changes the witness. *)

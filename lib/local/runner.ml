@@ -14,10 +14,8 @@ let named_decide (alg : ('a, 'o) Algorithm.t) view =
   with View.No_ids msg ->
     raise (View.No_ids (alg.Algorithm.name ^ ": " ^ msg))
 
-let run ?backend alg lg ~ids =
-  match
-    match backend with Some b -> b | None -> Backend.default ()
-  with
+let run ?(backend = Backend.Sync) alg lg ~ids =
+  match backend with
   | Backend.Async config -> Async_runner.run ~config alg lg ~ids
   | Backend.Sync ->
       check_size lg ids;
@@ -63,7 +61,8 @@ let sync_scratch_gauges () =
   let delta = cur - Atomic.exchange last_scratch_allocs cur in
   Locald_runtime.Telemetry.Gauge.add g_scratch_allocs (float_of_int delta)
 
-let prepare ?(memo = Locald_runtime.Memo.Off) ?memo_capacity ?backend alg lg =
+let prepare ?(memo = Locald_runtime.Memo.Off) ?memo_capacity
+    ?(backend = Backend.Sync) alg lg =
   Locald_runtime.Telemetry.span "runner.prepare" @@ fun () ->
   Fun.protect ~finally:sync_scratch_gauges @@ fun () ->
   {
@@ -73,9 +72,7 @@ let prepare ?(memo = Locald_runtime.Memo.Off) ?memo_capacity ?backend alg lg =
       (* Both backends produce representation-identical (view, back)
          pairs (pinned by test_async), so everything downstream —
          re-decoration, memo keys, quotient scans — is agnostic. *)
-      (match
-         match backend with Some b -> b | None -> Backend.default ()
-       with
+      (match backend with
       | Backend.Sync ->
           Array.init (Labelled.order lg) (fun v ->
               View.extract_mapped lg ~center:v ~radius:alg.Algorithm.radius)

@@ -18,11 +18,10 @@ val check_size : 'a Labelled.t -> Ids.t -> unit
 val run :
   ?backend:Backend.t ->
   ('a, 'o) Algorithm.t -> 'a Labelled.t -> ids:Ids.t -> 'o array
-(** Direct view-evaluation engine. [backend] (default
-    {!Backend.default}) selects the simulator: [Sync] extracts views
-    directly, [Async] runs the message-passing protocol of
-    {!Async_runner} — same outputs, pinned by the cross-backend
-    battery.
+(** Direct view-evaluation engine. [backend] (default [Sync]) selects
+    the simulator: [Sync] extracts views directly, [Async] runs the
+    message-passing protocol of {!Async_runner} — same outputs, pinned
+    by the cross-backend battery.
     @raise Ids.Invalid_ids if the assignment has the wrong size.
     @raise View.No_ids (here and in the other engines), prefixed with
     the algorithm's name, if the decide function applies an identifier
@@ -41,9 +40,9 @@ val prepare :
   ?backend:Backend.t ->
   ('a, 'o) Algorithm.t -> 'a Labelled.t -> ('a, 'o) prepared
 (** Extract all views once ([Labelled.order lg] extractions —
-    [backend] (default {!Backend.default}) chooses whether they come
-    from direct extraction or from an asynchronous protocol run under
-    identity identifiers; the resulting (view, ball map) pairs are
+    [backend] (default [Sync]) chooses whether they come from direct
+    extraction or from an asynchronous protocol run under identity
+    identifiers; the resulting (view, ball map) pairs are
     representation-identical either way).
 
     [memo] (default [Off]) attaches a decide-once table: every decide

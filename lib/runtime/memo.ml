@@ -26,53 +26,12 @@ let mode_to_string = function
   | Exact_ids -> "exact"
   | Order_type -> "order"
 
-let mode_of_string = function
+let mode_of_string s =
+  match String.trim (String.lowercase_ascii s) with
   | "off" -> Some Off
   | "exact" | "exact-ids" -> Some Exact_ids
   | "order" | "order-type" -> Some Order_type
   | _ -> None
-
-(* An unrecognised LOCALD_MEMO used to coerce silently to the default
-   mode; a typo'd mode is harmless for digests (every mode is
-   transparent) but lies about what was measured, so it is reported.
-   The empty string counts as unset — the conventional way to disable a
-   variable without unsetting it. *)
-let env_problems () =
-  match Sys.getenv_opt "LOCALD_MEMO" with
-  | Some s when String.trim s <> "" -> (
-      match mode_of_string (String.trim (String.lowercase_ascii s)) with
-      | Some _ -> []
-      | None ->
-          [
-            Printf.sprintf
-              "invalid LOCALD_MEMO=%S (expected off | exact | order)" s;
-          ])
-  | _ -> []
-
-(* The session default: LOCALD_MEMO, then exact-ids (the safe default —
-   order-type canonicalisation assumes order-invariance of the decider
-   and must be requested explicitly). *)
-let initial_mode () =
-  List.iter
-    (fun p -> Printf.eprintf "locald: warning: %s\n%!" p)
-    (env_problems ());
-  match Sys.getenv_opt "LOCALD_MEMO" with
-  | Some s -> (
-      match mode_of_string (String.trim (String.lowercase_ascii s)) with
-      | Some m -> m
-      | None -> Exact_ids)
-  | None -> Exact_ids
-
-(* An [Atomic.t], not a [ref]: the serve daemon reads the session
-   default from its event-loop thread while nothing forbids another
-   domain from calling [set_default_mode]; per-request modes are
-   threaded explicitly (see {!Locald_core.Service}) and never pass
-   through here. *)
-let default = Atomic.make (initial_mode ())
-
-let default_mode () = Atomic.get default
-
-let set_default_mode m = Atomic.set default m
 
 type stats = { hits : int; misses : int; distinct : int }
 

@@ -35,24 +35,8 @@ type mode =
 val mode_to_string : mode -> string
 
 val mode_of_string : string -> mode option
-(** Accepts ["off"], ["exact"]/["exact-ids"], ["order"]/["order-type"]. *)
-
-val default_mode : unit -> mode
-(** The session default: the last {!set_default_mode} (the CLI's
-    [--memo]), else [LOCALD_MEMO], else [Exact_ids]. Stored in an
-    [Atomic.t], so reading it from one domain while another calls
-    {!set_default_mode} is safe — but long-lived services should
-    thread per-request modes explicitly instead of mutating this. *)
-
-val set_default_mode : mode -> unit
-
-val env_problems : unit -> string list
-(** Human-readable complaints about the memo environment — currently
-    an unrecognised [LOCALD_MEMO] (the empty string counts as unset).
-    Module initialisation warns about these on stderr once and then
-    falls back to [Exact_ids]; the serve daemon refuses to start
-    instead, because a silently coerced mode misreports what a pinned
-    run measured. *)
+(** Accepts ["off"], ["exact"]/["exact-ids"], ["order"]/["order-type"],
+    case- and whitespace-insensitively. *)
 
 (** {1 Tables} *)
 

@@ -38,16 +38,8 @@ let recommended_jobs () =
   | None -> effective_jobs (Domain.recommended_domain_count ())
 
 (* Fan-outs below this many items run on the exact sequential path:
-   domain wake-up and completion signalling cost more than the work.
-   Env-overridable escape hatch for machines where the break-even
-   differs. *)
-let seq_threshold =
-  match Sys.getenv_opt "LOCALD_SEQ_THRESHOLD" with
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some t when t >= 0 -> t
-      | _ -> 32)
-  | None -> 32
+   domain wake-up and completion signalling cost more than the work. *)
+let seq_threshold = 32
 
 exception Lost_task of { index : int; total : int }
 
@@ -181,8 +173,13 @@ let default_jobs () = !default_size
 let set_default_jobs j =
   let j = effective_jobs j in
   Mutex.lock default_lock;
-  let old = !default_pool in
-  default_pool := None;
+  let old =
+    match !default_pool with
+    | Some p when p.jobs <> j ->
+        default_pool := None;
+        Some p
+    | Some _ | None -> None
+  in
   default_size := j;
   Mutex.unlock default_lock;
   Option.iter shutdown old

@@ -40,8 +40,9 @@ val default : unit -> t
 val default_jobs : unit -> int
 
 val set_default_jobs : int -> unit
-(** Resize the default pool (shutting down the previous one). The size
-    is capped at [Domain.recommended_domain_count]. *)
+(** Resize the default pool. The size is capped at
+    [Domain.recommended_domain_count]; a live pool of the capped size
+    is kept, any other is shut down. *)
 
 (** {1 Deterministic fan-out} *)
 
@@ -63,9 +64,9 @@ val map : ?pool:t -> ('a -> 'b) -> 'a array -> 'b array
     exception (in claim order) is re-raised on the caller after the
     fan-out drains, and the pool remains usable; a slot left empty with
     no recorded exception raises {!Lost_task}. Fan-outs smaller than
-    [LOCALD_SEQ_THRESHOLD] items (default 32) take the exact sequential
-    path — below that the domain wake-up costs more than the work, and
-    by the determinism contract the results are identical.
+    32 items take the exact sequential path — below that the domain
+    wake-up costs more than the work, and by the determinism contract
+    the results are identical.
 
     Telemetry: every call counts into [pool.maps]; when telemetry is
     active the whole fan-out runs under a [pool.map] span and each

@@ -137,9 +137,8 @@ let prop_engines_match_reference =
             Pool.set_default_jobs jobs;
             List.for_all
               (fun backend ->
-                Backend.with_default backend (fun () ->
-                    let prep = Runner.prepare alg lg in
-                    Runner.run_prepared prep ~ids = expected))
+                let prep = Runner.prepare ~backend alg lg in
+                Runner.run_prepared prep ~ids = expected)
               backends)
           [ 1; 4 ]
       in

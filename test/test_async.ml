@@ -94,17 +94,19 @@ let test_backend_parsing () =
   check bool "async parses" true
     (Backend.of_string " Async " = Some (Backend.Async Async_runner.default_config));
   check bool "garbage rejected" true (Backend.of_string "quantum" = None);
-  let saved = Backend.default () in
-  let inside =
-    Backend.with_default (Backend.Async (config 9)) (fun () -> Backend.default ())
+  let resolve name ?sched_seed ?fifo () =
+    Backend.resolve name ~sched_seed ~fifo
   in
-  check bool "with_default installs" true (inside = Backend.Async (config 9));
-  check bool "with_default restores" true (Backend.default () = saved);
-  (try
-     ignore
-       (Backend.with_default (Backend.Async (config 9)) (fun () -> failwith "x"))
-   with Failure _ -> ());
-  check bool "with_default restores on raise" true (Backend.default () = saved)
+  check bool "nothing chosen" true (resolve None () = Ok None);
+  check bool "named sync" true (resolve (Some " SYNC") () = Ok (Some Backend.Sync));
+  check bool "seed implies async" true
+    (resolve None ~sched_seed:9 () = Ok (Some (Backend.Async (config 9))));
+  check bool "fifo implies async" true
+    (resolve None ~fifo:true ()
+    = Ok (Some (Backend.Async (config ~fifo:true 0))));
+  check bool "named async, refined" true
+    (resolve (Some "async") ~sched_seed:9 ~fifo:true ()
+    = Ok (Some (Backend.Async (config ~fifo:true 9))))
 
 (* ------------------------------------------------------------------ *)
 (* Digest battery: every quick-bench workload, sync vs async            *)
@@ -126,17 +128,15 @@ let async_seeds = [ 0; 1; 2; 3; 4; 5; 6; 7 ]
    only has to agree with itself across backends, seeds and job
    counts. *)
 let test_workload_cross_backend (w : Registry.pinned) () =
-  let work () = snd (w.p_run ()) in
-  let baseline = Backend.with_default Backend.Sync (fun () -> with_jobs 1 work) in
-  let sync4 = Backend.with_default Backend.Sync (fun () -> with_jobs 4 work) in
+  let work backend () = snd (w.p_run ~backend ()) in
+  let baseline = with_jobs 1 (work Backend.Sync) in
+  let sync4 = with_jobs 4 (work Backend.Sync) in
   check string (w.p_name ^ ": sync jobs=4 = sync jobs=1") baseline sync4;
   List.iter
     (fun s ->
       let jobs = if s mod 2 = 0 then 1 else 4 in
       let cfg = config ~fifo:(s mod 3 = 0) s in
-      let d =
-        Backend.with_default (Backend.Async cfg) (fun () -> with_jobs jobs work)
-      in
+      let d = with_jobs jobs (work (Backend.Async cfg)) in
       check string
         (Printf.sprintf "%s: async seed=%d%s jobs=%d = sync" w.p_name s
            (if cfg.Async_runner.fifo then " fifo" else "")
@@ -148,17 +148,15 @@ let test_workload_cross_backend (w : Registry.pinned) () =
 (* Digest battery: every experiment driver, sync vs async               *)
 (* ------------------------------------------------------------------ *)
 
-(* The fault grid always runs on the synchronous fault engine; under an
-   ambient async backend its digest must be untouched too. *)
+(* Drivers that run no simulator ignore the backend; the fault grid
+   always runs on the synchronous fault engine. *)
 let test_driver_cross_backend (x : Registry.experiment) () =
-  let run () = snd (x.e_run ~quick:true ~seed:(Some 42)) in
-  let baseline = Backend.with_default Backend.Sync (fun () -> with_jobs 1 run) in
+  let run backend () = snd (x.e_run ~backend ~quick:true ~seed:(Some 42) ()) in
+  let baseline = with_jobs 1 (run Backend.Sync) in
   List.iter
     (fun (s, jobs) ->
       let d =
-        Backend.with_default
-          (Backend.Async (config ~fifo:(s mod 2 = 1) s))
-          (fun () -> with_jobs jobs run)
+        with_jobs jobs (run (Backend.Async (config ~fifo:(s mod 2 = 1) s)))
       in
       check string
         (Printf.sprintf "%s: async seed=%d jobs=%d = sync" x.e_name s jobs)
@@ -412,14 +410,15 @@ let prop_async_decided_outputs_sound =
    tracing off it must be a no-op (same digest), with tracing on it
    must actually appear in the sink. *)
 let test_trace_transparent () =
-  let work () = Sweeps.digest (Sweeps.exhaustive_decider ()) in
-  let backend = Backend.Async (config 5) in
-  let plain = Backend.with_default backend work in
+  let work () =
+    Sweeps.digest
+      (Sweeps.exhaustive_decider ~backend:(Backend.Async (config 5)) ())
+  in
+  let plain = work () in
   let path = Filename.temp_file "locald_async_trace" ".jsonl" in
   let traced =
-    Backend.with_default backend (fun () ->
-        Telemetry.open_sink path;
-        Fun.protect ~finally:(fun () -> Telemetry.close_sink ()) work)
+    Telemetry.open_sink path;
+    Fun.protect ~finally:(fun () -> Telemetry.close_sink ()) work
   in
   let ic = open_in path in
   let saw_sched = ref false in
@@ -474,7 +473,7 @@ let () =
             test_assembled_views_identical;
           Alcotest.test_case "run outputs = sync outputs" `Quick
             test_run_outputs_identical;
-          Alcotest.test_case "backend parsing and scoping" `Quick
+          Alcotest.test_case "backend parsing and resolution" `Quick
             test_backend_parsing;
           Alcotest.test_case "prepare hoist pins" `Quick
             test_async_prepare_extraction_pin;

@@ -450,26 +450,29 @@ let gen_labelled =
         Labelled.init g (fun _ -> Random.State.int st 3))
       (int_bound 3) (int_bound 1000))
 
-let with_mode mode f =
-  let saved = Memo.default_mode () in
-  Memo.set_default_mode mode;
-  Fun.protect ~finally:(fun () -> Memo.set_default_mode saved) f
-
+(* Over both simulator backends: every (backend, memo, quotient)
+   configuration against the plain synchronous loop. *)
 let prop_memo_transparent =
   QCheck2.Test.make ~name:"memoised = unmemoised exhaustive evaluation"
     ~count:25 gen_labelled (fun lg ->
       let bound = Labelled.order lg + 1 in
-      let eval alg expected mode quotient =
-        with_mode mode (fun () ->
-            Locald_runtime.Shard.digest
-              (Decider.evaluate_exhaustive ~quotient ~bound alg ~expected
-                 ~instance:"prop" lg))
+      let eval alg expected backend memo quotient =
+        Locald_runtime.Shard.digest
+          (Decider.evaluate_exhaustive ~quotient ~backend ~memo ~bound alg
+             ~expected ~instance:"prop" lg)
       in
       let transparent alg expected =
-        let reference = eval alg expected Memo.Off false in
+        let reference = eval alg expected Backend.Sync Memo.Off false in
         List.for_all
-          (fun (mode, quotient) -> eval alg expected mode quotient = reference)
-          [ (Memo.Off, true); (Memo.Exact_ids, false); (Memo.Exact_ids, true) ]
+          (fun backend ->
+            List.for_all
+              (fun (memo, quotient) ->
+                eval alg expected backend memo quotient = reference)
+              [
+                (Memo.Off, false); (Memo.Off, true); (Memo.Exact_ids, false);
+                (Memo.Exact_ids, true);
+              ])
+          [ Backend.Sync; Backend.Async Async_runner.default_config ]
       in
       (* An id-reading decide with failures (exercises the quotient's
          naive fallback) and an all-accepting one (the pure quotient
@@ -501,15 +504,15 @@ let prop_quotient_variance =
       && agree (Algorithm.make ~name:"const" ~radius:1 (fun _ -> true)))
 
 let test_refuted_memo_transparent () =
-  let refuted_on g =
-    Nondeterministic.refuted ~candidates:[ 0; 1 ]
+  let refuted_on memo g =
+    Nondeterministic.refuted ~memo ~candidates:[ 0; 1 ]
       Nondeterministic.bipartite_scheme.Nondeterministic.verifier
       (Labelled.const g ())
   in
   List.iter
     (fun (name, g, expected) ->
-      let off = with_mode Memo.Off (fun () -> refuted_on g) in
-      let exact = with_mode Memo.Exact_ids (fun () -> refuted_on g) in
+      let off = refuted_on Memo.Off g in
+      let exact = refuted_on Memo.Exact_ids g in
       check bool (name ^ " (memo off)") expected off;
       check bool (name ^ " (memo exact)") expected exact)
     [ ("C5 refuted", Gen.cycle 5, true); ("C6 certified", Gen.cycle 6, false) ]

@@ -120,7 +120,7 @@ let test_report_printers () =
      heavy fault grid is left to the determinism batteries. *)
   List.iter
     (fun (x : Registry.experiment) ->
-      if not x.e_heavy then fst (x.e_run ~quick:true ~seed:None) ())
+      if not x.e_heavy then fst (x.e_run ~quick:true ~seed:None ()) ())
     Registry.experiments;
   (* Empty inputs too. *)
   Report.print_table1 [];

@@ -1,12 +1,18 @@
 (* The run registry against the committed pins: every quick-tier
    workload reproduces the problem size and digest of its
    BENCH_quick.json @j1 row, and the quick tier names exactly the
-   pinned workloads. The suite runs under whatever session defaults it
-   is launched with (LOCALD_JOBS, LOCALD_BACKEND); the pins depend on
-   neither. *)
+   pinned workloads. The suite runs at whatever pool width it is
+   launched with (LOCALD_JOBS); the pins do not depend on it.
+
+   The engine settings the CLI forwards reach the engine: the digests
+   are the same under every backend and memo mode, so only the
+   counters can show a dropped setting. *)
 
 open Locald_core
 module Json = Locald_runtime.Telemetry.Json
+module Telemetry = Locald_runtime.Telemetry
+module Memo = Locald_runtime.Memo
+module Backend = Locald_local.Backend
 
 let pins =
   lazy
@@ -49,6 +55,58 @@ let test_row (w : Registry.pinned) () =
       Alcotest.(check string) (key ^ " result_digest") pinned digest
   | _ -> Alcotest.failf "%s has no result_digest" key
 
+(* Counters of one run, in a fresh telemetry scope. *)
+let counted run =
+  let deliveries = Telemetry.Counter.make "async.deliveries" in
+  Telemetry.new_run ();
+  run ();
+  (Telemetry.Counter.get deliveries, (Memo.run_stats ()).Memo.distinct)
+
+let async = Backend.Async Locald_local.Async_runner.default_config
+
+let experiment name ?backend ?memo () =
+  let x = Option.get (Registry.find_experiment name) in
+  ignore (x.Registry.e_run ?backend ?memo ~quick:true ~seed:None ())
+
+let certify ?backend ?memo () =
+  ignore (Certify.run ~quick:true ?backend ?memo ())
+
+let test_backend_reaches name run () =
+  let async_deliveries, _ = counted (run async) in
+  let sync_deliveries, _ = counted (run Backend.Sync) in
+  Alcotest.(check bool) (name ^ ": async delivers") true (async_deliveries > 0);
+  Alcotest.(check int) (name ^ ": sync delivers nothing") 0 sync_deliveries
+
+let test_table1_memo_reaches () =
+  let _, off = counted (fun () -> experiment "table1" ~memo:Memo.Off ()) in
+  let _, exact =
+    counted (fun () -> experiment "table1" ~memo:Memo.Exact_ids ())
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "distinct keys: off %d < exact %d" off exact)
+    true (off < exact)
+
+let test_certify_memo_reaches () =
+  let _, off = counted (fun () -> certify ~memo:Memo.Off ()) in
+  let _, exact = counted (fun () -> certify ~memo:Memo.Exact_ids ()) in
+  Alcotest.(check int) "no keys with the memo off" 0 off;
+  Alcotest.(check bool) "keys with the memo exact" true (exact > 0)
+
+let forwarding =
+  List.map
+    (fun name ->
+      Alcotest.test_case (name ^ " --backend reaches the engine") `Quick
+        (test_backend_reaches name (fun backend () -> experiment name ~backend ())))
+    [ "table1"; "oi"; "warmups" ]
+  @ [
+      Alcotest.test_case "certify --backend reaches the engine" `Quick
+        (test_backend_reaches "certify" (fun backend () -> certify ~backend ()));
+      Alcotest.test_case "table1 --memo reaches the engine" `Quick
+        test_table1_memo_reaches;
+      Alcotest.test_case "certify --memo reaches the engine" `Quick
+        test_certify_memo_reaches;
+    ]
+
 let () =
   Alcotest.run "registry"
     [
@@ -61,4 +119,5 @@ let () =
                  (w.Registry.p_name ^ "@j1 n and digest")
                  `Quick (test_row w))
              quick );
+      ("forwarding", forwarding);
     ]

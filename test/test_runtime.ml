@@ -102,6 +102,18 @@ let test_split_seeds () =
   check (Alcotest.array int) "split_seeds = sequential bits draws" expected
     (Pool.split_seeds rng 32)
 
+(* Resizing the default pool to the width it already has (after the
+   core-count cap) keeps the live pool instead of respawning it. *)
+let test_resize_keeps_same_width () =
+  let p0 = Pool.default () in
+  Pool.set_default_jobs (Pool.default_jobs ());
+  check bool "same width keeps the pool" true (Pool.default () == p0);
+  Pool.set_default_jobs 64;
+  let p1 = Pool.default () in
+  Pool.set_default_jobs 64;
+  check bool "capped width kept on repeat" true (Pool.default () == p1);
+  Pool.set_default_jobs 1
+
 (* ------------------------------------------------------------------ *)
 (* Canonical view keys                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -457,7 +469,7 @@ let with_jobs jobs f =
    the fault grid replays exactly too — its rows embed the plans, so
    the digest pins those. *)
 let test_driver_determinism (x : Registry.experiment) () =
-  let run () = snd (x.e_run ~quick:true ~seed:(Some 42)) in
+  let run () = snd (x.e_run ~quick:true ~seed:(Some 42) ()) in
   let d1 = with_jobs 1 run in
   let d2 = with_jobs 2 run in
   let d4 = with_jobs 4 run in
@@ -546,6 +558,8 @@ let () =
           Alcotest.test_case "nested maps" `Quick test_nested_map;
           Alcotest.test_case "init_in_order" `Quick test_init_in_order;
           Alcotest.test_case "split_seeds" `Quick test_split_seeds;
+          Alcotest.test_case "resize to the same width keeps the pool" `Quick
+            test_resize_keeps_same_width;
         ] );
       ( "canon",
         Alcotest.test_case "memo hits" `Quick test_canon_memo_hits

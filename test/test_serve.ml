@@ -1,10 +1,10 @@
 (* The decision service: wire protocol round-trips, incremental frame
    decoding and its two-tier failure taxonomy, the JSON parser's depth
-   bound, capacity-bounded memo eviction, environment validation, and
-   end-to-end daemon behaviour — concurrent clients with distinct
-   per-request configs answered byte-identically to one-shot runs,
-   cross-request memo hits, busy backpressure, malformed-frame
-   survival and graceful drain. *)
+   bound, capacity-bounded memo eviction, and end-to-end daemon
+   behaviour — concurrent clients with distinct per-request configs
+   answered byte-identically to one-shot runs, per-request configs read
+   as the CLI reads its flags, cross-request memo hits, busy
+   backpressure, malformed-frame survival and graceful drain. *)
 
 open Locald_runtime
 open Locald_core
@@ -206,33 +206,6 @@ let test_memo_unbounded_without_capacity () =
   check int "no evictions" 0 (Memo.evictions m)
 
 (* ------------------------------------------------------------------ *)
-(* Environment validation                                               *)
-(* ------------------------------------------------------------------ *)
-
-(* The empty string counts as unset, so putenv "" restores the
-   pristine state without needing unsetenv. *)
-let with_env var value f =
-  let old = Option.value (Sys.getenv_opt var) ~default:"" in
-  Unix.putenv var value;
-  Fun.protect ~finally:(fun () -> Unix.putenv var old) f
-
-let test_env_problems_reject_typos () =
-  with_env "LOCALD_BACKEND" "asink" (fun () ->
-      match Backend.env_problems () with
-      | [] -> Alcotest.fail "typo'd LOCALD_BACKEND should be a problem"
-      | _ -> ());
-  with_env "LOCALD_SCHED_SEED" "seven" (fun () ->
-      match Backend.env_problems () with
-      | [] -> Alcotest.fail "non-numeric LOCALD_SCHED_SEED should be a problem"
-      | _ -> ());
-  with_env "LOCALD_MEMO" "sometimes" (fun () ->
-      match Memo.env_problems () with
-      | [] -> Alcotest.fail "unknown LOCALD_MEMO should be a problem"
-      | _ -> ());
-  check bool "clean environment has no problems" true
-    (Service.env_problems () = [])
-
-(* ------------------------------------------------------------------ *)
 (* The daemon, end to end                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -381,9 +354,7 @@ let test_concurrent_clients_distinct_configs () =
   List.iter (fun d -> check string "sync client" sync_expect d) sync_ds;
   List.iter (fun d -> check string "async client" async_expect d) async_ds;
   check int "all requests served" 6 stats.Serve.served;
-  check int "two connections" 2 stats.Serve.connections;
-  (* The globals were never touched. *)
-  check bool "default backend untouched" true (Backend.default () = Backend.Sync)
+  check int "two connections" 2 stats.Serve.connections
 
 let test_per_request_config_rejected_not_coerced () =
   let (), _stats =
@@ -427,6 +398,71 @@ let test_per_request_config_rejected_not_coerced () =
               "a sync backend with an async seed"))
   in
   ()
+
+(* The CLI, run as a child process: its exit status and stderr. *)
+let run_cli args =
+  let cli =
+    Filename.concat (Filename.dirname Sys.executable_name) "../bin/locald.exe"
+  in
+  let err = Filename.temp_file "locald_cli" ".err" in
+  let err_fd = Unix.openfile err [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  let pid =
+    Unix.create_process cli (Array.of_list (cli :: args)) Unix.stdin null err_fd
+  in
+  Unix.close err_fd;
+  Unix.close null;
+  let _, status = Unix.waitpid [] pid in
+  let msg = In_channel.with_open_bin err In_channel.input_all in
+  Sys.remove err;
+  (status, String.trim msg)
+
+(* One reader for the backend options: on a contradiction the daemon's
+   error response and the CLI's usage error carry the message of
+   [Backend.resolve]. The daemon reads names in any case, as the CLI
+   always has. *)
+let test_cli_and_serve_share_readers () =
+  let cases =
+    [
+      ([ "--backend"; "sync"; "--sched-seed"; "3" ], Some "sync", Some 3, None);
+      ([ "--backend"; "sync"; "--fifo" ], Some "sync", None, Some true);
+      ([ "--backend"; "asink" ], Some "asink", None, None);
+    ]
+  in
+  let request c_backend c_sched_seed c_fifo c_memo =
+    let config =
+      { Proto.no_config with Proto.c_backend; c_sched_seed; c_fifo; c_memo }
+    in
+    Proto.request ~workload:"exhaustive-decider" ~lo:0 ~hi:64 ~config ~id:1
+      Proto.Decide
+  in
+  let (errors, mixed_case), _stats =
+    with_server (fun path _drain ->
+        let fd = Proto.connect_unix path in
+        Fun.protect
+          ~finally:(fun () -> Unix.close fd)
+          (fun () ->
+            let view req = Proto.response_view (rpc fd req) in
+            ( List.map
+                (fun (_, b, s, f) -> (view (request b s f None)).Proto.v_error)
+                cases,
+              view (request (Some " Async ") None None (Some "EXACT")) )))
+  in
+  check bool "serve reads names in any case" true mixed_case.Proto.v_ok;
+  List.iter2
+    (fun (flags, backend, sched_seed, fifo) served ->
+      let expected =
+        match Backend.resolve backend ~sched_seed ~fifo with
+        | Error msg -> msg
+        | Ok _ -> Alcotest.fail "the resolver accepted a contradiction"
+      in
+      check (Alcotest.option string) "serve replies with the resolver's message"
+        (Some expected) served;
+      let status, stderr = run_cli ("table1" :: "--quick" :: flags) in
+      check bool "CLI exits 124" true (status = Unix.WEXITED Shard.Exit.usage);
+      check string "CLI prints the resolver's message" ("locald: " ^ expected)
+        stderr)
+    cases errors
 
 let test_busy_backpressure () =
   let replies, stats =
@@ -627,11 +663,6 @@ let () =
           Alcotest.test_case "unbounded without capacity" `Quick
             test_memo_unbounded_without_capacity;
         ] );
-      ( "env",
-        [
-          Alcotest.test_case "typo'd variables are problems" `Quick
-            test_env_problems_reject_typos;
-        ] );
       ( "daemon",
         [
           Alcotest.test_case "decide matches one-shot, memoises" `Slow
@@ -640,6 +671,8 @@ let () =
             test_concurrent_clients_distinct_configs;
           Alcotest.test_case "bad per-request config rejected" `Quick
             test_per_request_config_rejected_not_coerced;
+          Alcotest.test_case "CLI and serve share the config readers" `Quick
+            test_cli_and_serve_share_readers;
           Alcotest.test_case "inflight bound bounces busy" `Quick
             test_busy_backpressure;
           Alcotest.test_case "malformed frame survival" `Quick
