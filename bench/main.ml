@@ -136,22 +136,9 @@ let bench_a_star =
            (Locald_decision.Decider.decide_oblivious simulated
               (Lazy.force instance))))
 
-let bench_gossip_engine =
-  let lg = lazy (Labelled.init (Gen.grid 6 6) (fun v -> v mod 4)) in
-  let alg =
-    Algorithm.make ~name:"fingerprint" ~radius:2 (fun view ->
-        Iso.view_signature Hashtbl.hash view)
-  in
-  let rng = Random.State.make [| 22 |] in
-  Test.make ~name:"message-passing engine (6x6 grid, t=2)"
-    (Staged.stage (fun () ->
-         let lg = Lazy.force lg in
-         let ids = Ids.shuffled rng (Labelled.order lg) in
-         ignore (Runner.run_message_passing alg lg ~ids)))
-
-(* The fault-injected engine on the same instance as the fault-free
-   benchmark above: the empty plan measures the pure bookkeeping
-   overhead, the lossy plan the cost of re-gossip plus coin flips. *)
+(* The synchronous gossip engine on a 6x6 grid at t=2: the empty plan
+   times fault-free gossip, the lossy plan adds re-gossip plus coin
+   flips. *)
 let bench_fault_engine_empty =
   let lg = lazy (Labelled.init (Gen.grid 6 6) (fun v -> v mod 4)) in
   let alg =
@@ -180,7 +167,7 @@ let bench_fault_engine_lossy =
          ignore (Fault_runner.run ~plan alg lg ~ids)))
 
 (* The asynchronous engine on the same instance as the gossip
-   benchmark: heap mode measures the adversarial scheduler's cost,
+   benchmarks: heap mode measures the adversarial scheduler's cost,
    FIFO mode the per-link queue discipline. *)
 let bench_async_engine =
   let lg = lazy (Labelled.init (Gen.grid 6 6) (fun v -> v mod 4)) in
@@ -236,7 +223,6 @@ let tests =
     bench_tree_verifier;
     bench_coverage;
     bench_a_star;
-    bench_gossip_engine;
     bench_async_engine;
     bench_async_engine_fifo;
     bench_fault_engine_empty;

@@ -1,6 +1,6 @@
 (* Quickstart: define a labelled-graph property, write a radius-1
-   local decider for it, and run it in the LOCAL model — directly and
-   through the synchronous message-passing engine.
+   local decider for it, and run it in the LOCAL model — by direct view
+   extraction and through the asynchronous message-passing backend.
 
    Run with: dune exec examples/quickstart.exe *)
 
@@ -35,13 +35,15 @@ let () =
   let bad = Labelled.init (Gen.cycle 10) (fun v -> v mod 3) in
   show "10-cycle, colours v mod 3" bad;
   (* The same algorithm as a full (identifier-carrying) algorithm: the
-     two engines must agree. *)
+     two backends must agree. *)
   let alg = Algorithm.of_oblivious decider in
   let rng = Random.State.make [| 42 |] in
   let ids = Ids.shuffled rng (Labelled.order good) in
   let direct = Runner.run alg good ~ids in
-  let gossip = Runner.run_message_passing alg good ~ids in
-  Format.printf "direct engine = message-passing engine: %b@." (direct = gossip);
+  let async =
+    Runner.run ~backend:(Backend.Async Async_runner.default_config) alg good ~ids
+  in
+  Format.printf "direct engine = message-passing engine: %b@." (direct = async);
   (* Membership is isomorphism-invariant, as every property must be. *)
   Format.printf "property is isomorphism-invariant on these instances: %b@."
     (Property.check_invariance ~rng ~trials:20 property good

@@ -614,13 +614,13 @@ let construction ?(quick = false) ?seed () =
           Locald_local.Algorithm.make ~name:"fingerprint" ~radius:2 (fun view ->
               Iso.view_signature Hashtbl.hash view)
         in
-        let _, stats = Locald_local.Runner.run_message_passing_stats alg lg ~ids in
+        let _, stats = Fault_runner.run ~plan:Faults.empty alg lg ~ids in
         {
           task = "full-information gossip (grid, t=2)";
           n;
           ok = true;
-          rounds = stats.Locald_local.Runner.rounds;
-          messages = stats.Locald_local.Runner.messages;
+          rounds = stats.Fault_runner.rounds;
+          messages = stats.Fault_runner.messages;
         })
       (if quick then [ 4; 6 ] else [ 4; 8; 12 ])
   in

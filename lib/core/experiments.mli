@@ -160,7 +160,8 @@ type construction_row = {
 val construction : ?quick:bool -> ?seed:int -> unit -> construction_row list
 (** Identifiers/coins as symmetry breakers: Cole-Vishkin iteration
     counts stay log*-flat as n grows, Luby's MIS terminates in few
-    rounds, and the gossip engine's message count is metered. *)
+    rounds, and the synchronous gossip engine's message count is
+    metered ({!Locald_local.Fault_runner.run} under the empty plan). *)
 
 (** {1 OI — order-invariant algorithms (the Section 1.3 middle model)} *)
 

@@ -1,8 +1,9 @@
 (** Asynchronous message-passing backend: real typed messages under a
     deterministic adversarial scheduler.
 
-    The synchronous engines ({!Runner}, {!Fault_runner}) simulate the
-    LOCAL model by lock-step rounds. This backend drops the round
+    The synchronous gossip engine ({!Fault_runner}) simulates the
+    LOCAL model by lock-step rounds, and {!Runner}'s [Sync] backend
+    extracts each view directly. This backend drops the round
     structure entirely: every node runs an event-driven {e
     budget-annotated flooding} protocol, and a seeded adversary picks
     which in-flight message is delivered next. The paper's deciders

@@ -31,8 +31,11 @@ let degraded_nodes s = s.crashed + s.incomplete + s.fuel_exhausted
 
 let default_cost view = View.order view
 
-(* The synchronous gossip loop of [Runner.run_message_passing_general]
-   replayed under a fault plan. Structure per round: snapshot all
+(* Synchronous full-information gossip (see Knowledge) under a fault
+   plan. Every node accumulates (id -> label) bindings and id-keyed
+   edges. One round is run beyond the horizon so that edges between two
+   exactly-distance-t nodes are also learned — the "t +- 1"
+   correspondence of Section 1.2. Structure per round: snapshot all
    knowledge, then for every live receiver and live neighbour, flip
    the plan's coins for that directed link. Lost messages transfer
    nothing — in particular the receiver does not even learn the

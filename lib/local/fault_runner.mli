@@ -3,9 +3,9 @@
     budgets — with graceful degradation instead of exceptions.
 
     Two invariants are enforced by the test suite:
-    - {b empty-plan identity}: under {!Faults.empty} the outputs are
-      identical to [Runner.run_message_passing] (both engines share
-      {!Knowledge} and reconstruct views through the same code), and
+    - {b empty-plan identity}: under {!Faults.empty} every node
+      decides, with the output {!Runner.run} computes by direct view
+      extraction (message passing against extraction), and
     - {b seeded determinism}: a fixed plan reproduces the same faulted
       outputs and stats byte-for-byte, run after run.
 

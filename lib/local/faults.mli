@@ -27,8 +27,8 @@ type plan = {
 }
 
 val empty : plan
-(** No faults, no retries: the plan under which {!Fault_runner.run} is
-    output-identical to [Runner.run_message_passing]. *)
+(** No faults, no retries: the plan under which {!Fault_runner.run}
+    decides every node with {!Runner.run}'s output. *)
 
 val make :
   ?seed:int ->

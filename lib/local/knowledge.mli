@@ -1,8 +1,8 @@
 (** Gossip knowledge: the (id -> label) bindings and id-keyed edges a
-    node accumulates while running the full-information message-passing
-    engine. Shared by the fault-free {!Runner} and the fault-injecting
-    {!Fault_runner}, so that the two engines reconstruct views through
-    the very same code path (the empty-plan identity rests on this).
+    node accumulates while running a full-information message-passing
+    engine. Shared by the synchronous {!Fault_runner} and the
+    asynchronous {!Async_runner}, so that both reconstruct views
+    through the very same code path.
 
     The knowledge sets are label-closed by construction: an edge is
     only ever learned from a snapshot (or alongside the sender's own

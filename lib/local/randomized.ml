@@ -1,5 +1,4 @@
 open Locald_graph
-open Locald_runtime
 
 type ('a, 'o) t = {
   name : string;
@@ -10,77 +9,6 @@ type ('a, 'o) t = {
 let make ~name ~radius decide =
   if radius < 0 then invalid_arg "Randomized.make: negative radius";
   { name; radius; decide }
-
-let run ~rng ~oblivious t lg ~ids =
-  let n = Labelled.order lg in
-  let ids =
-    match ids with
-    | Some ids -> Some (Ids.to_array ids)
-    | None ->
-        if oblivious then None
-        else invalid_arg "Randomized.run: non-oblivious run needs ids"
-  in
-  (* Coin streams are split per node {e before} the parallel fan-out,
-     in ascending node order, so the bits drawn from [rng] — and hence
-     every node's stream — are independent of [--jobs]. *)
-  let seeds = Pool.split_seeds rng n in
-  Pool.map
-    (fun v ->
-      let node_rng = Random.State.make [| seeds.(v); v |] in
-      let view = View.extract ?ids lg ~center:v ~radius:t.radius in
-      let view = if oblivious then View.strip_ids view else view in
-      t.decide node_rng view)
-    (Pool.init_in_order n Fun.id)
-
-type ('a, 'o) prepared = {
-  rp_alg : ('a, 'o) t;
-  rp_views : ('a View.t * int array) array;
-      (* per node: its id-free ball and the view-local-to-global map *)
-}
-
-let prepare t lg =
-  let prep =
-    {
-      rp_alg = t;
-      rp_views =
-        Array.init (Labelled.order lg) (fun v ->
-            View.extract_mapped lg ~center:v ~radius:t.radius);
-    }
-  in
-  Runner.sync_scratch_gauges ();
-  prep
-
-(* Identical to [run] — same seed split, same per-node streams — with
-   the ball extraction hoisted into [prepare]. Decides are NOT
-   memoisable here: the output depends on the private coin stream, not
-   only on the decorated view, so the decide-once contract does not
-   apply. What IS memoisable is any deterministic function {e of} the
-   draw inside a decider — the draw must still be consumed per node,
-   but its consequence (e.g. "does fuel level l find a bad halt") can
-   answer from a decide-once cache, reported through [Memo.note_*]
-   (see [Gmr_deciders.Fast.corollary1]). *)
-let run_prepared ~rng ~oblivious prep ~ids =
-  let n = Array.length prep.rp_views in
-  let ids =
-    match ids with
-    | Some ids -> Some (Ids.to_array ids)
-    | None ->
-        if oblivious then None
-        else invalid_arg "Randomized.run: non-oblivious run needs ids"
-  in
-  let seeds = Pool.split_seeds rng n in
-  Pool.map
-    (fun v ->
-      let node_rng = Random.State.make [| seeds.(v); v |] in
-      let view, back = prep.rp_views.(v) in
-      let view =
-        match ids with
-        | Some ids when not oblivious ->
-            View.reassign_ids view (Array.map (fun u -> ids.(u)) back)
-        | _ -> view
-      in
-      prep.rp_alg.decide node_rng view)
-    (Pool.init_in_order n Fun.id)
 
 let geometric rng =
   let rec go l = if Random.State.bool rng then l else go (l + 1) in

@@ -2,9 +2,11 @@
 
     Every node holds an unbounded stream of private random bits; an
     Id-oblivious randomised algorithm is a function of the
-    identifier-free view and its own coin stream. The [(p,q)]-decider
-    semantics is evaluated by Monte-Carlo estimation in
-    {!Locald_decision}. *)
+    identifier-free view and its own coin stream. The one instance is
+    Corollary 1's [(1, 1-o(1))]-decider
+    ([Gmr_deciders.corollary1_decider]): the [corollary1] experiment
+    estimates its success rate through [Gmr_deciders.Fast.corollary1],
+    and the [faults] experiment runs it under the fault engine. *)
 
 open Locald_graph
 
@@ -17,29 +19,6 @@ type ('a, 'o) t = {
 
 val make :
   name:string -> radius:int -> (Random.State.t -> 'a View.t -> 'o) -> ('a, 'o) t
-
-val run :
-  rng:Random.State.t -> oblivious:bool -> ('a, 'o) t ->
-  'a Labelled.t -> ids:Ids.t option -> 'o array
-(** One execution: each node gets an independent coin stream derived
-    from [rng]. With [oblivious], views are stripped of identifiers
-    ([ids] may then be [None]). *)
-
-type ('a, 'o) prepared
-(** A labelled graph with every node's ball pre-extracted (id-free),
-    mirroring {!Locald_local.Runner.prepare} for randomised
-    algorithms. *)
-
-val prepare : ('a, 'o) t -> 'a Labelled.t -> ('a, 'o) prepared
-
-val run_prepared :
-  rng:Random.State.t -> oblivious:bool -> ('a, 'o) prepared ->
-  ids:Ids.t option -> 'o array
-(** Exactly {!run} — same per-node coin streams for the same [rng] —
-    with the per-run view extraction hoisted out. Randomised decides
-    are deliberately {e not} routed through the decide-once memo: the
-    output is a function of (view, coin stream), not of the decorated
-    view alone, so memoisation would be unsound. *)
 
 val geometric : Random.State.t -> int
 (** Number of tosses until the first head (at least 1): the [l_v] of

@@ -1,18 +1,20 @@
 open Locald_graph
 
-let check_size lg ids =
-  if Ids.size ids <> Labelled.order lg then
+let check_order order ids =
+  if Ids.size ids <> order then
     raise
       (Ids.Invalid_ids
-         (Printf.sprintf "%d ids for a %d-node graph" (Ids.size ids)
-            (Labelled.order lg)))
+         (Printf.sprintf "%d ids for a %d-node graph" (Ids.size ids) order))
+
+let check_size lg ids = check_order (Labelled.order lg) ids
 
 (* Attribute a [View.No_ids] escape to the algorithm that raised it:
    the accessor alone cannot know which algorithm was running. *)
+let named name decide view =
+  try decide view with View.No_ids msg -> raise (View.No_ids (name ^ ": " ^ msg))
+
 let named_decide (alg : ('a, 'o) Algorithm.t) view =
-  try alg.Algorithm.decide view
-  with View.No_ids msg ->
-    raise (View.No_ids (alg.Algorithm.name ^ ": " ^ msg))
+  named alg.Algorithm.name alg.Algorithm.decide view
 
 let run ?(backend = Backend.Sync) alg lg ~ids =
   match backend with
@@ -45,8 +47,8 @@ let c_decides = Locald_runtime.Telemetry.Counter.make "runner.decides"
    process-wide counters into the current telemetry run: after the
    first extraction on a worker, every further ball should reuse that
    worker's BFS scratch rather than reallocate. The bridge runs once
-   per batch-extraction site (not per ball), so the run-lock cost of
-   the gauges stays off the hot path. *)
+   per [prepare] (not per ball), so the run-lock cost of the gauges
+   stays off the hot path. *)
 let g_scratch_reuses = Locald_runtime.Telemetry.Gauge.make "view.scratch_reuses"
 let g_scratch_allocs = Locald_runtime.Telemetry.Gauge.make "view.scratch_allocs"
 
@@ -224,11 +226,7 @@ let restriction_scanner prep v =
           o
 
 let run_prepared prep ~ids =
-  if Ids.size ids <> prep.p_order then
-    raise
-      (Ids.Invalid_ids
-         (Printf.sprintf "%d ids for a %d-node graph" (Ids.size ids)
-            prep.p_order));
+  check_order prep.p_order ids;
   let ids = Ids.to_array ids in
   Locald_runtime.Telemetry.span "runner.run_prepared" @@ fun () ->
   Array.mapi
@@ -238,64 +236,5 @@ let run_prepared prep ~ids =
 
 let run_oblivious ob lg =
   Array.init (Labelled.order lg) (fun v ->
-      ob.Algorithm.ob_decide
+      named ob.Algorithm.ob_name ob.Algorithm.ob_decide
         (View.extract lg ~center:v ~radius:ob.Algorithm.ob_radius))
-
-(* Gossip knowledge (see Knowledge): every node accumulates
-   (id -> label) bindings and id-keyed edges. One extra round is run
-   beyond the horizon so that edges between two exactly-distance-t
-   nodes are also learned — the "t +- 1" correspondence of
-   Section 1.2. *)
-
-type stats = {
-  rounds : int;
-  messages : int;
-  payload_items : int;
-  new_items : int;
-}
-
-let run_message_passing_general alg lg ~ids =
-  check_size lg ids;
-  let g = Labelled.graph lg in
-  let n = Graph.order g in
-  let id = Ids.to_array ids in
-  let messages = ref 0 and payload_items = ref 0 and new_items = ref 0 in
-  let state =
-    Array.init n (fun v ->
-        let k = Knowledge.create () in
-        Knowledge.add_node k id.(v) (Labelled.label lg v);
-        k)
-  in
-  let rounds = alg.Algorithm.radius + 1 in
-  for _round = 1 to rounds do
-    (* Synchronous round: everyone reads the previous snapshots. *)
-    let snapshot = Array.map Knowledge.copy state in
-    for v = 0 to n - 1 do
-      Array.iter
-        (fun u ->
-          incr messages;
-          payload_items := !payload_items + Knowledge.items snapshot.(u);
-          new_items := !new_items + Knowledge.merge ~into:state.(v) snapshot.(u);
-          Knowledge.add_edge state.(v) id.(v) id.(u))
-        (Graph.neighbours g v)
-    done
-  done;
-  let outputs =
-    Array.init n (fun v ->
-        let view =
-          Knowledge.reconstruct state.(v) ~center_id:id.(v)
-            ~radius:alg.Algorithm.radius
-        in
-        named_decide alg view)
-  in
-  ( outputs,
-    {
-      rounds;
-      messages = !messages;
-      payload_items = !payload_items;
-      new_items = !new_items;
-    } )
-
-let run_message_passing alg lg ~ids = fst (run_message_passing_general alg lg ~ids)
-
-let run_message_passing_stats = run_message_passing_general

@@ -1,12 +1,15 @@
-(** Execution engines for local algorithms.
+(** Execution engine for local algorithms.
 
-    Two engines are provided and must agree (this is tested): the
-    direct engine extracts each node's radius-[t] view from the global
-    input, while the message-passing engine actually simulates [t]
-    synchronous rounds of full-information gossip in the LOCAL model
-    and lets each node reconstruct its view from what it heard. The
-    equivalence is the textbook "local horizon = round count"
-    correspondence of Section 1.2. *)
+    Each node's output is its decide function applied to its radius-[t]
+    view. The [Sync] backend extracts that view directly from the
+    global input; the [Async] backend assembles it by running the
+    message-passing protocol of {!Async_runner}. {!Fault_runner} is the
+    synchronous counterpart: [t + 1] lock-step rounds of
+    full-information gossip, after which each node reconstructs its
+    view from what it heard. All three give the same outputs on every
+    input (pinned by test_async's cross-backend battery and
+    test_faults' empty-plan identity) — the textbook "local horizon =
+    round count" correspondence of Section 1.2. *)
 
 open Locald_graph
 
@@ -64,15 +67,6 @@ val prepare :
 val prepared_size : ('a, 'o) prepared -> int
 (** Order of the underlying graph. *)
 
-val sync_scratch_gauges : unit -> unit
-(** Flush the arena's cumulative scratch-pool counters
-    ({!Locald_graph.Arena.scratch_reuses}/[scratch_allocs]) into the
-    current telemetry run as the [view.scratch_reuses] /
-    [view.scratch_allocs] gauges. Called by the batch-extraction sites
-    ({!prepare}, [Randomized.prepare]) so each run's gauges report that
-    run's reuse; deltas land in whichever run is current at flush
-    time. *)
-
 val ball_of : ('a, 'o) prepared -> int -> int array
 (** The sorted array mapping node [v]'s view-local indices back to
     global node numbers (so its length is [v]'s ball size). Must not be
@@ -117,27 +111,3 @@ val run_prepared : ('a, 'o) prepared -> ids:Ids.t -> 'o array
 
 val run_oblivious : ('a, 'o) Algorithm.oblivious -> 'a Labelled.t -> 'o array
 (** Id-oblivious algorithms need no identifier assignment at all. *)
-
-val run_message_passing :
-  ('a, 'o) Algorithm.t -> 'a Labelled.t -> ids:Ids.t -> 'o array
-(** Round-based gossip engine: in each of [radius + 1] rounds every
-    node sends everything it knows to its neighbours; afterwards each
-    node reconstructs the induced ball around itself and decides. *)
-
-type stats = {
-  rounds : int;         (** synchronous rounds executed ([radius + 1]) *)
-  messages : int;       (** directed node-to-neighbour sends *)
-  payload_items : int;  (** gross bandwidth: (id, label) and edge
-                            entries shipped, counting the sender's
-                            {e entire} snapshot on every edge every
-                            round (bindings the receiver already knows
-                            included) *)
-  new_items : int;      (** net bandwidth: shipped entries that were
-                            genuinely new to their receiver — the
-                            meaningful congestion number; always
-                            [<= payload_items] *)
-}
-
-val run_message_passing_stats :
-  ('a, 'o) Algorithm.t -> 'a Labelled.t -> ids:Ids.t -> 'o array * stats
-(** The gossip engine with communication accounting. *)

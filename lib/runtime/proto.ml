@@ -214,7 +214,7 @@ let request_to_json r =
 
 (* Lenient on unknown fields (forward compatibility), strict on the
    types of known ones — a request with ["lo": "7"] is rejected, not
-   coerced, mirroring the env-variable policy. *)
+   coerced. *)
 let request_of_json json =
   let ( let* ) = Result.bind in
   match json with

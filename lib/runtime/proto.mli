@@ -106,8 +106,8 @@ val request_to_json : request -> Json.t
 
 val request_of_json : Json.t -> (request, string) result
 (** Strict on the types of known fields (a string where an integer
-    belongs is an error, never a coercion — the same policy as the
-    environment-variable validation), lenient on unknown fields. *)
+    belongs is an error, never a coercion), lenient on unknown
+    fields. *)
 
 (** {1 Responses} *)
 

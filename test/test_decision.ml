@@ -1,6 +1,6 @@
 (* Tests for the decision layer: verdicts, properties, deciders, the
-   Id-oblivious simulation A*, promise problems and randomised
-   deciders. *)
+   Id-oblivious simulation A*, promise problems, hereditariness, LCL
+   specs and the decide-once memo. *)
 
 open Locald_graph
 open Locald_local
@@ -166,28 +166,6 @@ let test_promise_to_property () =
   check bool "outside promise" false (total.Property.mem (Labelled.const (Gen.path 6) ()))
 
 (* ------------------------------------------------------------------ *)
-(* Randomised deciders                                                 *)
-(* ------------------------------------------------------------------ *)
-
-let test_randomized_estimate () =
-  let rng = rng () in
-  (* A per-node biased coin: accepting requires all nodes to say yes. *)
-  let alg =
-    Randomized.make ~name:"biased" ~radius:0 (fun node_rng _ ->
-        Random.State.float node_rng 1.0 < 0.9)
-  in
-  let lg = Labelled.const (Gen.cycle 4) () in
-  let est =
-    Randomized_decider.estimate ~rng ~runs:300 ~oblivious:true alg ~ids:None
-      ~expected:true ~instance:"cycle4" lg
-  in
-  let rate = Randomized_decider.accept_rate est in
-  (* Expected acceptance 0.9^4 ~ 0.656. *)
-  check bool "rate in plausible band" true (rate > 0.5 && rate < 0.8);
-  check bool "success = accept for yes" true
-    (Float.equal (Randomized_decider.success_rate est) rate)
-
-(* ------------------------------------------------------------------ *)
 (* Hereditariness                                                      *)
 (* ------------------------------------------------------------------ *)
 
@@ -220,59 +198,20 @@ let test_hereditary_negative () =
     = None)
 
 (* ------------------------------------------------------------------ *)
-(* Nondeterministic local decision (NLD)                               *)
+(* NLD context: nondeterministic local decision                       *)
 (* ------------------------------------------------------------------ *)
-
-let test_nld_bipartite_completeness () =
-  (* The prover certifies every bipartite instance. *)
-  List.iter
-    (fun g ->
-      check bool "proved and accepted" true
-        (Verdict.accepts
-           (Nondeterministic.accepts_proved Nondeterministic.bipartite_scheme
-              (Labelled.const g ()))))
-    [ Gen.cycle 6; Gen.path 7; Gen.grid 3 4; Gen.complete_binary_tree 3;
-      Gen.cycle 10 ]
-
-let test_nld_bipartite_soundness () =
-  (* No certificate assignment makes the verifier accept an odd
-     cycle: exhaustively for C5, sampled for C9. *)
-  let rng = rng () in
-  check bool "C5 refuted exhaustively" true
-    (Nondeterministic.refuted ~candidates:[ 0; 1 ]
-       Nondeterministic.bipartite_scheme.Nondeterministic.verifier
-       (Labelled.const (Gen.cycle 5) ()));
-  check bool "C9 refuted (sampled)" true
-    (Nondeterministic.refuted_sampled ~rng ~trials:300 ~candidates:[ 0; 1 ]
-       Nondeterministic.bipartite_scheme.Nondeterministic.verifier
-       (Labelled.const (Gen.cycle 9) ()))
 
 let test_nld_beats_ld_here () =
   (* Even-vs-odd long cycles are locally indistinguishable — their
      views are pairwise isomorphic — so no local decider (with or
-     without ids) exists for bipartiteness; the certificates above
-     are doing real work. *)
+     without ids) exists for bipartiteness, which NLD certifies with
+     one bit per node (a 2-colouring). *)
   let even = Labelled.const (Gen.cycle 8) () in
   let odd = Labelled.const (Gen.cycle 9) () in
   let v_even = View.extract even ~center:0 ~radius:2 in
   let v_odd = View.extract odd ~center:0 ~radius:2 in
   check bool "views of C8 and C9 isomorphic" true
     (Iso.views_isomorphic ( = ) v_even v_odd)
-
-let test_nld_even_cycle_scheme () =
-  check bool "even cycle certified" true
-    (Verdict.accepts
-       (Nondeterministic.accepts_proved Nondeterministic.even_cycle_scheme
-          (Labelled.const (Gen.cycle 6) ())));
-  check bool "odd cycle refuted" true
-    (Nondeterministic.refuted ~candidates:[ 0; 1 ]
-       Nondeterministic.even_cycle_scheme.Nondeterministic.verifier
-       (Labelled.const (Gen.cycle 7) ()));
-  (* The scheme also rejects non-cycles through the degree check. *)
-  check bool "path rejected under the prover" true
-    (Verdict.rejects
-       (Nondeterministic.accepts_proved Nondeterministic.even_cycle_scheme
-          (Labelled.const (Gen.path 6) ())))
 
 (* ------------------------------------------------------------------ *)
 (* LCL specs                                                           *)
@@ -366,58 +305,6 @@ let test_lcl_deciders_are_oblivious () =
     = None)
 
 (* ------------------------------------------------------------------ *)
-(* Proof-labelling schemes                                             *)
-(* ------------------------------------------------------------------ *)
-
-let leader_instance g leader =
-  Labelled.init g (fun v -> v = leader)
-
-let test_pls_completeness () =
-  let rng = rng () in
-  List.iter
-    (fun g ->
-      let n = Graph.order g in
-      let ids = Ids.shuffled rng n in
-      let lg = leader_instance g (n / 2) in
-      check bool "proved and accepted" true
-        (Verdict.accepts (Pls.accepts_proved Pls.unique_leader lg ~ids)))
-    [ Gen.cycle 8; Gen.grid 3 4; Gen.complete_binary_tree 3; Gen.path 9 ]
-
-let test_pls_soundness_two_leaders () =
-  let rng = rng () in
-  let g = Gen.path 8 in
-  let ids = Ids.shuffled rng 8 in
-  let two = Labelled.init g (fun v -> v = 0 || v = 7) in
-  (* Even the honest prover cannot certify two leaders... *)
-  check bool "prover fails on two leaders" true
-    (Verdict.rejects (Pls.accepts_proved Pls.unique_leader two ~ids));
-  (* ... and random certificates do not help. *)
-  let gen_certificate rng =
-    {
-      Pls.root_id = Random.State.int rng 16;
-      level = Random.State.int rng 8;
-      parent_id = Random.State.int rng 16;
-    }
-  in
-  check bool "sampled certificates rejected (two leaders)" true
-    (Pls.refuted_sampled ~rng ~trials:400 ~gen_certificate Pls.unique_leader two
-       ~ids);
-  let zero = Labelled.const g false in
-  check bool "sampled certificates rejected (no leader)" true
-    (Pls.refuted_sampled ~rng ~trials:400 ~gen_certificate Pls.unique_leader zero
-       ~ids)
-
-let test_pls_proof_size () =
-  let rng = rng () in
-  let g = Gen.cycle 16 in
-  let ids = Ids.shuffled rng 16 in
-  let lg = leader_instance g 3 in
-  let certs = Pls.unique_leader.Pls.prover lg ~ids in
-  let bits = Pls.proof_bits Pls.leader_cert_bits certs in
-  (* Three identifiers/levels below n: O(log n) bits. *)
-  check bool "logarithmic certificates" true (bits <= 3 * 5)
-
-(* ------------------------------------------------------------------ *)
 (* Decide-once memoisation and the assignment quotient                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -503,25 +390,9 @@ let prop_quotient_variance =
       agree (weighed_alg 3)
       && agree (Algorithm.make ~name:"const" ~radius:1 (fun _ -> true)))
 
-let test_refuted_memo_transparent () =
-  let refuted_on memo g =
-    Nondeterministic.refuted ~memo ~candidates:[ 0; 1 ]
-      Nondeterministic.bipartite_scheme.Nondeterministic.verifier
-      (Labelled.const g ())
-  in
-  List.iter
-    (fun (name, g, expected) ->
-      let off = refuted_on Memo.Off g in
-      let exact = refuted_on Memo.Exact_ids g in
-      check bool (name ^ " (memo off)") expected off;
-      check bool (name ^ " (memo exact)") expected exact)
-    [ ("C5 refuted", Gen.cycle 5, true); ("C6 certified", Gen.cycle 6, false) ]
-
 let quotient_cases =
-  Alcotest.test_case "refuted transparent under memo" `Quick
-    test_refuted_memo_transparent
-  :: List.map QCheck_alcotest.to_alcotest
-       [ prop_memo_transparent; prop_quotient_variance ]
+  List.map QCheck_alcotest.to_alcotest
+    [ prop_memo_transparent; prop_quotient_variance ]
 
 let () =
   Alcotest.run "decision"
@@ -544,8 +415,6 @@ let () =
           Alcotest.test_case "budget streams" `Quick test_assignments_of_budget;
         ] );
       ("promise", [ Alcotest.test_case "to_property" `Quick test_promise_to_property ]);
-      ( "randomised",
-        [ Alcotest.test_case "estimate" `Quick test_randomized_estimate ] );
       ( "hereditary",
         [
           Alcotest.test_case "positive" `Quick test_hereditary_positive;
@@ -553,13 +422,7 @@ let () =
         ] );
       ("quotient", quotient_cases);
       ( "nondeterministic",
-        [
-          Alcotest.test_case "bipartite completeness" `Quick
-            test_nld_bipartite_completeness;
-          Alcotest.test_case "bipartite soundness" `Quick test_nld_bipartite_soundness;
-          Alcotest.test_case "beyond LD" `Quick test_nld_beats_ld_here;
-          Alcotest.test_case "even-cycle scheme" `Quick test_nld_even_cycle_scheme;
-        ] );
+        [ Alcotest.test_case "beyond LD" `Quick test_nld_beats_ld_here ] );
       ( "lcl",
         [
           Alcotest.test_case "colouring" `Quick test_lcl_colouring;
@@ -567,11 +430,5 @@ let () =
           Alcotest.test_case "matching" `Quick test_lcl_matching;
           Alcotest.test_case "sinkless orientation" `Quick test_lcl_sinkless;
           Alcotest.test_case "deciders oblivious" `Quick test_lcl_deciders_are_oblivious;
-        ] );
-      ( "proof-labelling",
-        [
-          Alcotest.test_case "completeness" `Quick test_pls_completeness;
-          Alcotest.test_case "soundness" `Quick test_pls_soundness_two_leaders;
-          Alcotest.test_case "proof size" `Quick test_pls_proof_size;
         ] );
     ]

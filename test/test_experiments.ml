@@ -89,10 +89,30 @@ let test_fuel_diagonal () =
     rows
 
 let test_construction () =
+  let rows = Experiments.construction ~quick:true () in
   List.iter
     (fun (x : Experiments.construction_row) ->
       check bool (Printf.sprintf "%s n=%d" x.task x.n) true x.ok)
-    (Experiments.construction ~quick:true ())
+    rows;
+  (* The gossip meter on the s x s grid at t = 2: t + 1 = 3 rounds,
+     each sending over both directions of its 2s(s-1) edges — 144 and
+     360 messages at s = 4 and 6. *)
+  let gossip =
+    List.filter
+      (fun (x : Experiments.construction_row) ->
+        String.starts_with ~prefix:"full-information gossip" x.task)
+      rows
+  in
+  check (Alcotest.list Alcotest.int) "gossip grid orders" [ 16; 36 ]
+    (List.map (fun (x : Experiments.construction_row) -> x.n) gossip);
+  List.iter2
+    (fun s (x : Experiments.construction_row) ->
+      check Alcotest.int (Printf.sprintf "gossip rounds n=%d" x.n) 3 x.rounds;
+      check Alcotest.int
+        (Printf.sprintf "gossip messages n=%d" x.n)
+        (3 * 2 * 2 * s * (s - 1))
+        x.messages)
+    [ 4; 6 ] gossip
 
 let test_order_invariance () =
   List.iter

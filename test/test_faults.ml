@@ -1,8 +1,9 @@
 (* Tests for the fault-injection layer: plan validation and coin
    determinism, the two invariants of the faulted gossip engine
-   (empty-plan identity, seeded determinism), graceful degradation
-   (crashes, incomplete views, fuel budgets, raising deciders), and
-   the three-valued verdict aggregation. *)
+   (empty-plan identity, seeded determinism), its bandwidth
+   accounting, graceful degradation (crashes, incomplete views, fuel
+   budgets, raising deciders), and the three-valued verdict
+   aggregation. *)
 
 open Locald_graph
 open Locald_local
@@ -14,7 +15,8 @@ let int = Alcotest.int
 
 let rng () = Random.State.make [| 0xfa17 |]
 
-(* The same everything-sensitive algorithm the runner tests use. *)
+(* An algorithm whose output depends on everything in the view:
+   a hash of the sorted (id, label) pairs and the edge count. *)
 let fingerprint_algorithm ~radius =
   Algorithm.make ~name:"fingerprint" ~radius (fun view ->
       let ids = match View.ids view with Some ids -> ids | None -> [||] in
@@ -91,6 +93,9 @@ let test_coins_deterministic () =
 (* Invariant 1: empty-plan identity                                    *)
 (* ------------------------------------------------------------------ *)
 
+(* Message passing against direct extraction: under the empty plan
+   every node decides, with the output [Runner.run] computes from the
+   node's extracted view. *)
 let test_empty_plan_identity () =
   let rng = rng () in
   List.iter
@@ -100,7 +105,7 @@ let test_empty_plan_identity () =
       List.iter
         (fun radius ->
           let alg = fingerprint_algorithm ~radius in
-          let expected = Runner.run_message_passing alg lg ~ids in
+          let expected = Runner.run alg lg ~ids in
           let outcomes = Fault_runner.run_outputs ~plan:Faults.empty alg lg ~ids in
           Array.iteri
             (fun v outcome ->
@@ -118,22 +123,57 @@ let test_empty_plan_identity () =
     test_graphs
 
 let test_empty_plan_stats () =
-  (* Under the empty plan the bandwidth accounting must coincide with
-     the fault-free engine's. *)
+  (* Under the empty plan every message is delivered exactly once and
+     no node degrades. *)
   let lg = Labelled.init (Gen.grid 3 4) (fun v -> v mod 2) in
   let ids = Ids.sequential 12 in
   let alg = fingerprint_algorithm ~radius:2 in
-  let _, base = Runner.run_message_passing_stats alg lg ~ids in
   let _, faulted = Fault_runner.run ~plan:Faults.empty alg lg ~ids in
-  check int "rounds" base.Runner.rounds faulted.Fault_runner.rounds;
-  check int "messages" base.Runner.messages faulted.Fault_runner.messages;
   check int "delivered = messages" faulted.Fault_runner.messages
     faulted.Fault_runner.delivered;
-  check int "gross payload" base.Runner.payload_items
-    faulted.Fault_runner.payload_items;
-  check int "net payload" base.Runner.new_items faulted.Fault_runner.new_items;
   check int "nothing dropped" 0 faulted.Fault_runner.dropped;
   check int "nothing degraded" 0 (Fault_runner.degraded_nodes faulted)
+
+(* ------------------------------------------------------------------ *)
+(* Bandwidth accounting                                                *)
+(* ------------------------------------------------------------------ *)
+
+let test_stats_exact_accounting () =
+  (* The 2-path at radius 1, worked by hand. Two rounds over one edge:
+     4 messages. Round 1 carries each node's initial self-knowledge
+     (1 item each, both new); by round 2 both nodes know everything
+     (2 nodes + 1 edge = 3 items each), all redundant. *)
+  let lg = Labelled.init (Gen.path 2) (fun v -> v) in
+  let alg = fingerprint_algorithm ~radius:1 in
+  let _, stats =
+    Fault_runner.run ~plan:Faults.empty alg lg ~ids:(Ids.sequential 2)
+  in
+  check int "rounds" 2 stats.Fault_runner.rounds;
+  check int "messages" 4 stats.Fault_runner.messages;
+  check int "gross payload" (2 + 6) stats.Fault_runner.payload_items;
+  check int "net payload" 2 stats.Fault_runner.new_items
+
+(* Rings of 3-14 nodes (test_local runs the same formulae on random
+   connected graphs): the round and message counts follow from the
+   radius and the edge count, net bandwidth never exceeds gross, and
+   every node decides with [Runner.run]'s output. *)
+let prop_gossip_stats =
+  QCheck2.Test.make ~name:"gossip stats formulae on rings" ~count:40
+    QCheck2.Gen.(pair (int_range 3 14) (int_bound 1_000_000))
+    (fun (n, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let g = Gen.cycle n in
+      let lg = Labelled.init g (fun v -> (v * 7) mod 5) in
+      let ids = Ids.shuffled rng n in
+      let radius = Random.State.int rng 3 in
+      let alg = fingerprint_algorithm ~radius in
+      let outcomes, stats = Fault_runner.run ~plan:Faults.empty alg lg ~ids in
+      stats.Fault_runner.rounds = radius + 1
+      && stats.Fault_runner.messages = stats.Fault_runner.rounds * 2 * Graph.size g
+      && stats.Fault_runner.payload_items > 0
+      && stats.Fault_runner.new_items <= stats.Fault_runner.payload_items
+      && outcomes
+         = Array.map (fun o -> Fault_runner.Decided o) (Runner.run alg lg ~ids))
 
 (* ------------------------------------------------------------------ *)
 (* Invariant 2: seeded determinism                                     *)
@@ -262,7 +302,7 @@ let test_duplicates_invisible () =
   let alg = fingerprint_algorithm ~radius:2 in
   let plan = Faults.make ~seed:5 ~duplicate:1.0 () in
   let outcomes, stats = Fault_runner.run ~plan alg lg ~ids in
-  let expected = Runner.run_message_passing alg lg ~ids in
+  let expected = Runner.run alg lg ~ids in
   Array.iteri
     (fun v o ->
       match o with
@@ -389,6 +429,11 @@ let () =
           Alcotest.test_case "empty-plan identity" `Quick test_empty_plan_identity;
           Alcotest.test_case "empty-plan stats" `Quick test_empty_plan_stats;
           Alcotest.test_case "seeded determinism" `Quick test_seeded_determinism;
+        ] );
+      ( "runner",
+        [
+          Alcotest.test_case "exact accounting" `Quick test_stats_exact_accounting;
+          QCheck_alcotest.to_alcotest prop_gossip_stats;
         ] );
       ( "degradation",
         [

@@ -196,34 +196,6 @@ let test_random_generators () =
   check int "p=1 gives complete" 45 (Graph.size dense)
 
 (* ------------------------------------------------------------------ *)
-(* Spanning trees                                                      *)
-(* ------------------------------------------------------------------ *)
-
-let test_spanning_tree_basics () =
-  let g = Gen.grid 3 3 in
-  let t = Spanning_tree.bfs g ~root:4 in
-  check bool "valid" true (Spanning_tree.validate g t);
-  check bool "root is root" true (Spanning_tree.is_root t 4);
-  check int "root distance" 0 (Spanning_tree.dist t 4);
-  check int "corner distance" 2 (Spanning_tree.dist t 0);
-  check int "tree edge count" 8 (List.length (Spanning_tree.tree_edges t));
-  let sizes = Spanning_tree.subtree_sizes t in
-  check int "root subtree = n" 9 sizes.(4);
-  (* Children partition: subtree sizes of children sum to n - 1. *)
-  let child_sum =
-    List.fold_left (fun acc c -> acc + sizes.(c)) 0 (Spanning_tree.children t 4)
-  in
-  check int "children cover the rest" 8 child_sum
-
-let test_spanning_tree_disconnected () =
-  let g = Graph.of_edges ~n:4 [ (0, 1) ] in
-  let raised =
-    try ignore (Spanning_tree.bfs g ~root:0); false
-    with Graph.Invalid_graph _ -> true
-  in
-  check bool "disconnected rejected" true raised
-
-(* ------------------------------------------------------------------ *)
 (* qcheck properties                                                   *)
 (* ------------------------------------------------------------------ *)
 
@@ -322,11 +294,6 @@ let () =
           Alcotest.test_case "generator shapes" `Quick test_generators_shapes;
           Alcotest.test_case "random generators" `Quick test_random_generators;
           Alcotest.test_case "dot export" `Quick test_dot_export;
-        ] );
-      ( "spanning-trees",
-        [
-          Alcotest.test_case "bfs tree" `Quick test_spanning_tree_basics;
-          Alcotest.test_case "disconnected" `Quick test_spanning_tree_disconnected;
         ] );
       ("properties", qcheck_cases);
     ]

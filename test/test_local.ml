@@ -1,6 +1,7 @@
 (* Tests for the LOCAL-model simulator: identifier assignments and
-   regimes, the two execution engines, obliviousness checking, and the
-   OI/PO comparison models. *)
+   regimes, the execution engines (direct extraction, the asynchronous
+   protocol and empty-plan gossip), obliviousness checking, the OI/PO
+   comparison models and the round-based protocols. *)
 
 open Locald_graph
 open Locald_local
@@ -81,6 +82,11 @@ let fingerprint_algorithm ~radius =
       in
       Hashtbl.hash (List.sort compare pairs, Graph.size view.View.graph))
 
+(* The message-passing engine: [t + 1] rounds of full-information
+   gossip, run on the fault engine under the empty plan. *)
+let gossip alg lg ~ids = Fault_runner.run ~plan:Faults.empty alg lg ~ids
+let decided out = Array.map (fun o -> Fault_runner.Decided o) out
+
 let test_engines_agree () =
   let rng = rng () in
   List.iter
@@ -90,10 +96,13 @@ let test_engines_agree () =
       List.iter
         (fun radius ->
           let alg = fingerprint_algorithm ~radius in
-          check (Alcotest.array int)
-            (Printf.sprintf "engines agree (n=%d, t=%d)" (Graph.order g) radius)
-            (Runner.run alg lg ~ids)
-            (Runner.run_message_passing alg lg ~ids))
+          let case = Printf.sprintf "(n=%d, t=%d)" (Graph.order g) radius in
+          let direct = Runner.run alg lg ~ids in
+          check (Alcotest.array int) ("async engine agrees " ^ case) direct
+            (Runner.run ~backend:(Backend.Async Async_runner.default_config)
+               alg lg ~ids);
+          check bool ("gossip engine agrees " ^ case) true
+            (fst (gossip alg lg ~ids) = decided direct))
         [ 0; 1; 2; 3 ])
     [ Gen.cycle 7; Gen.grid 3 4; Gen.complete_binary_tree 3; Gen.star 6 ]
 
@@ -112,31 +121,16 @@ let test_message_passing_stats () =
   let rng = rng () in
   let ids = Ids.shuffled rng 6 in
   let alg = fingerprint_algorithm ~radius:2 in
-  let out, stats = Runner.run_message_passing_stats alg lg ~ids in
-  check (Alcotest.array int) "outputs agree with the plain engine"
-    (Runner.run_message_passing alg lg ~ids)
-    out;
-  check int "rounds = radius + 1" 3 stats.Runner.rounds;
+  let out, stats = gossip alg lg ~ids in
+  check bool "outputs agree with the direct engine" true
+    (out = decided (Runner.run alg lg ~ids));
+  check int "rounds = radius + 1" 3 stats.Fault_runner.rounds;
   (* Each round sends over both directions of every edge. *)
-  check int "messages = rounds * 2m" (3 * 2 * 6) stats.Runner.messages;
-  check bool "payload grows with knowledge" true (stats.Runner.payload_items > 0);
+  check int "messages = rounds * 2m" (3 * 2 * 6) stats.Fault_runner.messages;
+  check bool "payload grows with knowledge" true
+    (stats.Fault_runner.payload_items > 0);
   check bool "net never exceeds gross" true
-    (stats.Runner.new_items <= stats.Runner.payload_items)
-
-let test_stats_exact_accounting () =
-  (* The 2-path at radius 1, worked by hand. Two rounds over one edge:
-     4 messages. Round 1 carries each node's initial self-knowledge
-     (1 item each, both new); by round 2 both nodes know everything
-     (2 nodes + 1 edge = 3 items each), all redundant. *)
-  let lg = Labelled.init (Gen.path 2) (fun v -> v) in
-  let alg = fingerprint_algorithm ~radius:1 in
-  let _, stats =
-    Runner.run_message_passing_stats alg lg ~ids:(Ids.sequential 2)
-  in
-  check int "rounds" 2 stats.Runner.rounds;
-  check int "messages" 4 stats.Runner.messages;
-  check int "gross payload" (2 + 6) stats.Runner.payload_items;
-  check int "net payload" 2 stats.Runner.new_items
+    (stats.Fault_runner.new_items <= stats.Fault_runner.payload_items)
 
 let prop_stats_formulae =
   QCheck2.Test.make ~name:"gossip stats formulae on random graphs" ~count:40
@@ -148,11 +142,12 @@ let prop_stats_formulae =
       let ids = Ids.shuffled rng n in
       let radius = Random.State.int rng 3 in
       let alg = fingerprint_algorithm ~radius in
-      let out, stats = Runner.run_message_passing_stats alg lg ~ids in
-      stats.Runner.rounds = radius + 1
-      && stats.Runner.messages = stats.Runner.rounds * 2 * Graph.size g
-      && stats.Runner.new_items <= stats.Runner.payload_items
-      && out = Runner.run alg lg ~ids)
+      let out, stats = gossip alg lg ~ids in
+      stats.Fault_runner.rounds = radius + 1
+      && stats.Fault_runner.messages = stats.Fault_runner.rounds * 2 * Graph.size g
+      && stats.Fault_runner.payload_items > 0
+      && stats.Fault_runner.new_items <= stats.Fault_runner.payload_items
+      && out = decided (Runner.run alg lg ~ids))
 
 let test_runner_size_mismatch () =
   let lg = Labelled.const (Gen.cycle 4) () in
@@ -200,16 +195,6 @@ let test_variance_exhaustive () =
 (* ------------------------------------------------------------------ *)
 (* Randomised algorithms                                               *)
 (* ------------------------------------------------------------------ *)
-
-let test_randomized_run () =
-  let rng = rng () in
-  let lg = Labelled.const (Gen.cycle 5) () in
-  let alg =
-    Randomized.make ~name:"coin" ~radius:0 (fun node_rng _ ->
-        Random.State.bool node_rng)
-  in
-  let out = Randomized.run ~rng ~oblivious:true alg lg ~ids:None in
-  check int "one output per node" 5 (Array.length out)
 
 let test_geometric_and_fuel () =
   let rng = rng () in
@@ -363,75 +348,6 @@ let prop_luby_mis_random =
            (Labelled.make g labels))
 
 (* ------------------------------------------------------------------ *)
-(* View trees (universal covers)                                       *)
-(* ------------------------------------------------------------------ *)
-
-let test_view_tree_shape () =
-  let lg = Labelled.init (Gen.path 3) (fun v -> v) in
-  let t = Cover.view_tree lg ~node:1 ~depth:1 in
-  check int "root label" 1 (Cover.label t);
-  check int "two children" 2 (List.length (Cover.children t));
-  check int "depth" 1 (Cover.depth t);
-  (* Depth 2 from an endpoint: 0 -> 1 -> {0, 2} (walks backtrack). *)
-  let t = Cover.view_tree lg ~node:0 ~depth:2 in
-  check int "size of depth-2 endpoint tree" 4 (Cover.size t)
-
-let test_view_tree_cycle_symmetry () =
-  (* All nodes of an unlabelled cycle are view-equivalent at every
-     depth — the classic anonymous-network obstruction. *)
-  let lg = Labelled.const (Gen.cycle 7) () in
-  check int "one class" 1 (Cover.count_classes lg ~depth:4);
-  check bool "witness pair exists" true
-    (Cover.indistinguishable_nodes lg ~depth:4 <> None)
-
-let test_view_tree_path_classes () =
-  (* On a path, nodes at mirrored positions share view trees; depth
-     must be large enough to feel the ends. *)
-  let lg = Labelled.const (Gen.path 5) () in
-  let cls = Cover.classes lg ~depth:4 in
-  check int "mirror symmetry" cls.(0) cls.(4);
-  check int "mirror symmetry inner" cls.(1) cls.(3);
-  check bool "middle distinct from ends" true (cls.(2) <> cls.(0));
-  check int "three classes" 3 (Cover.count_classes lg ~depth:4)
-
-let test_stable_depth () =
-  let lg = Labelled.const (Gen.path 5) () in
-  let d = Cover.stable_depth lg in
-  check bool "stabilises within n-1" true (d <= 4);
-  check int "stable partition"
-    (Cover.count_classes lg ~depth:d)
-    (Cover.count_classes lg ~depth:(d + 1));
-  check int "cycle stabilises immediately" 0
-    (Cover.stable_depth (Labelled.const (Gen.cycle 6) ()))
-
-let prop_ball_iso_implies_view_tree_equal =
-  (* Classical fact made executable: the depth-d view tree unfolds
-     from the radius-d ball, so ball isomorphism implies view-tree
-     equality (the converse fails — covers identify more). *)
-  QCheck2.Test.make ~name:"ball isomorphism implies view-tree equality" ~count:60
-    QCheck2.Gen.(pair (int_range 3 14) (int_bound 1_000_000))
-    (fun (n, seed) ->
-      let rng = Random.State.make [| seed |] in
-      let g = Gen.random_connected rng ~n ~p:0.25 in
-      let lg = Labelled.init g (fun v -> v mod 2) in
-      let u = Random.State.int rng n and v = Random.State.int rng n in
-      let d = 1 + Random.State.int rng 2 in
-      let balls_iso =
-        Iso.views_isomorphic ( = )
-          (View.extract lg ~center:u ~radius:d)
-          (View.extract lg ~center:v ~radius:d)
-      in
-      (not balls_iso)
-      || Cover.equal (Cover.view_tree lg ~node:u ~depth:d)
-           (Cover.view_tree lg ~node:v ~depth:d))
-
-let test_view_tree_labels_matter () =
-  let a = Labelled.init (Gen.cycle 4) (fun v -> v mod 2) in
-  let cls = Cover.classes a ~depth:2 in
-  check bool "labels split the cycle" true (cls.(0) <> cls.(1));
-  check int "two classes" 2 (Cover.count_classes a ~depth:2)
-
-(* ------------------------------------------------------------------ *)
 (* qcheck: engine agreement on random graphs                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -445,7 +361,7 @@ let prop_engines_agree =
       let ids = Ids.shuffled rng n in
       let radius = Random.State.int rng 3 in
       let alg = fingerprint_algorithm ~radius in
-      Runner.run alg lg ~ids = Runner.run_message_passing alg lg ~ids)
+      decided (Runner.run alg lg ~ids) = fst (gossip alg lg ~ids))
 
 let () =
   Alcotest.run "local"
@@ -462,7 +378,6 @@ let () =
           Alcotest.test_case "engines agree" `Quick test_engines_agree;
           Alcotest.test_case "oblivious runs" `Quick test_run_oblivious;
           Alcotest.test_case "communication stats" `Quick test_message_passing_stats;
-          Alcotest.test_case "exact accounting" `Quick test_stats_exact_accounting;
           Alcotest.test_case "size mismatch" `Quick test_runner_size_mismatch;
           QCheck_alcotest.to_alcotest prop_stats_formulae;
         ] );
@@ -472,10 +387,7 @@ let () =
           Alcotest.test_case "exhaustive variance" `Quick test_variance_exhaustive;
         ] );
       ( "randomised",
-        [
-          Alcotest.test_case "run" `Quick test_randomized_run;
-          Alcotest.test_case "geometric fuel" `Quick test_geometric_and_fuel;
-        ] );
+        [ Alcotest.test_case "geometric fuel" `Quick test_geometric_and_fuel ] );
       ( "models",
         [
           Alcotest.test_case "order invariance" `Quick test_order_invariant_wrapping;
@@ -489,15 +401,6 @@ let () =
           Alcotest.test_case "log* flatness" `Quick test_cole_vishkin_log_star_flat;
           Alcotest.test_case "Luby MIS" `Quick test_luby_mis;
           QCheck_alcotest.to_alcotest prop_luby_mis_random;
-        ] );
-      ( "view-trees",
-        [
-          Alcotest.test_case "shape" `Quick test_view_tree_shape;
-          Alcotest.test_case "cycle symmetry" `Quick test_view_tree_cycle_symmetry;
-          Alcotest.test_case "path classes" `Quick test_view_tree_path_classes;
-          Alcotest.test_case "stable depth" `Quick test_stable_depth;
-          Alcotest.test_case "labels matter" `Quick test_view_tree_labels_matter;
-          QCheck_alcotest.to_alcotest prop_ball_iso_implies_view_tree_equal;
         ] );
       ("properties", [ QCheck_alcotest.to_alcotest prop_engines_agree ]);
     ]

@@ -67,25 +67,32 @@ let test_extract_with_ids () =
     try ignore (View.center_id stripped); false with View.No_ids _ -> true
   in
   check bool "stripped view has no ids" true raised;
-  let named =
-    (* Through an engine the exception names the offending algorithm:
-       a supposedly oblivious decide that sneaks an id read raises as
-       soon as the engine hands it a stripped view. *)
-    let open Locald_local in
-    let alg =
-      Algorithm.of_oblivious
-        (Algorithm.make_oblivious ~name:"wants-ids" ~radius:1 View.center_id)
-    in
-    try
-      ignore (Runner.run alg lg ~ids:(Ids.sequential 3));
-      None
-    with View.No_ids msg -> Some msg
+  (* Through an engine the exception names the offending algorithm: a
+     supposedly oblivious decide that sneaks an id read raises as soon
+     as the engine hands it a stripped view. *)
+  let open Locald_local in
+  let ob =
+    Algorithm.make_oblivious ~name:"wants-ids" ~radius:1 (fun view ->
+        View.center_id view >= 0)
   in
-  match named with
-  | Some msg ->
-      check bool "message names the algorithm" true
-        (String.length msg >= 9 && String.sub msg 0 9 = "wants-ids")
-  | None -> Alcotest.fail "expected View.No_ids from an id-free prepared run"
+  List.iter
+    (fun (engine, run) ->
+      match run () with
+      | () -> Alcotest.failf "%s: expected View.No_ids from an id-free view" engine
+      | exception View.No_ids msg ->
+          check bool
+            (engine ^ ": message names the algorithm")
+            true
+            (String.length msg >= 9 && String.sub msg 0 9 = "wants-ids"))
+    [
+      ( "Runner.run",
+        fun () ->
+          ignore
+            (Runner.run (Algorithm.of_oblivious ob) lg ~ids:(Ids.sequential 3)) );
+      ("Runner.run_oblivious", fun () -> ignore (Runner.run_oblivious ob lg));
+      ( "Decider.decide_oblivious",
+        fun () -> ignore (Locald_decision.Decider.decide_oblivious ob lg) );
+    ]
 
 let test_extract_rejects_duplicate_ids_in_ball () =
   let lg = Labelled.const (Gen.path 3) () in
