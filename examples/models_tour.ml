@@ -16,19 +16,19 @@ let matching = Labelled.const (Gen.matching 4) ()
 let local_two_colouring =
   Algorithm.make ~name:"2col-by-id" ~radius:1 (fun view ->
       let ids = match View.ids view with Some ids -> ids | None -> [||] in
-      let c = view.View.center in
-      match Graph.neighbours view.View.graph c with
-      | [| u |] -> if ids.(c) < ids.(u) then 0 else 1
-      | _ -> 0)
+      let g = view.View.graph and c = view.View.center in
+      if Graph.degree g c <> 1 then 0
+      else if ids.(c) < ids.(Graph.neighbour g c 0) then 0
+      else 1)
 
 (* OI: the same algorithm is order-invariant — it only compares. *)
 let oi_two_colouring =
   Models.order_invariant ~name:"2col-by-rank" ~radius:1 (fun view ->
       let ids = match View.ids view with Some ids -> ids | None -> [||] in
-      let c = view.View.center in
-      match Graph.neighbours view.View.graph c with
-      | [| u |] -> if ids.(c) < ids.(u) then 0 else 1
-      | _ -> 0)
+      let g = view.View.graph and c = view.View.center in
+      if Graph.degree g c <> 1 then 0
+      else if ids.(c) < ids.(Graph.neighbour g c 0) then 0
+      else 1)
 
 (* PO: orient by the given edge orientation. *)
 let po_two_colouring =
@@ -46,7 +46,7 @@ let proper colours lg =
   Graph.fold_vertices
     (fun v acc ->
       acc
-      && Array.for_all (fun u -> colours.(u) <> colours.(v)) (Graph.neighbours g v))
+      && Graph.for_all_neighbours (fun u -> colours.(u) <> colours.(v)) g v)
     g true
 
 let () =

@@ -17,9 +17,9 @@ let decider =
   Algorithm.make_oblivious ~name:"3col-check" ~radius:1 (fun view ->
       let c = View.center_label view in
       c >= 0 && c < 3
-      && Array.for_all
+      && Graph.for_all_neighbours
            (fun u -> view.View.labels.(u) <> c)
-           (Graph.neighbours view.View.graph view.View.center))
+           view.View.graph view.View.center)
 
 let show name lg =
   let verdict = Decider.decide_oblivious decider lg in

@@ -138,8 +138,7 @@ let certify ?pool ?(budget = 20_000) ?(slack = 0) ?plan ?confirm ?confirm_on
   let decide = tag_no_ids alg.Algorithm.name alg.Algorithm.decide in
   let probe (iname, lg, ids_arr, v) =
     Telemetry.Counter.incr c_probes;
-    let view = View.extract ~ids:ids_arr lg ~center:v ~radius:horizon in
-    let payload () =
+    let payload view () =
       (* The extracted view owns a fresh restricted id array: that array
          — and nothing else — carries the input assignment, so input
          provenance is physical equality with it. Anything the algorithm
@@ -156,8 +155,14 @@ let certify ?pool ?(budget = 20_000) ?(slack = 0) ?plan ?confirm ?confirm_on
     in
     let first_input, trace, nondet =
       match table with
-      | None -> payload ()
-      | Some tbl -> Memo.find_or_compute tbl view payload
+      | None ->
+          (* No table keys the view and the payload holds no part of
+             it, so the ball can be borrowed rather than allocated. *)
+          View.with_extract ~ids:ids_arr lg ~center:v ~radius:horizon
+            (fun view -> payload view ())
+      | Some tbl ->
+          let view = View.extract ~ids:ids_arr lg ~center:v ~radius:horizon in
+          Memo.find_or_compute tbl view (payload view)
     in
     {
       p_instance = iname;

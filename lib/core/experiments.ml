@@ -148,16 +148,13 @@ let two_colouring_blaming_decider () =
       let c = view.View.center in
       let colour v = view.View.labels.(v) in
       let violating_with u = colour u = colour c in
-      let violators =
-        Array.to_list (Graph.neighbours g c) |> List.filter violating_with
-      in
-      match violators with
-      | [] -> true
-      | us ->
-          (* Yes unless this node carries the smaller identifier of
-             some violated edge. Identifier reads go through the
-             instrumented accessor so the certifier can witness them. *)
-          not (List.exists (fun u -> View.id view c < View.id view u) us))
+      (* Yes unless this node carries the smaller identifier of some
+         violated edge. Identifier reads go through the instrumented
+         accessor so the certifier can witness them. *)
+      not
+        (Graph.exists_neighbour
+           (fun u -> violating_with u && View.id view c < View.id view u)
+           g c))
 
 let cell_nbnc ?backend ?memo ?seed ~quick () =
   let rng = rng ?seed () in

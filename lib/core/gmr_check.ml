@@ -41,17 +41,20 @@ let cell_content (l : Gmr.label) =
   | Gmr.Cell { cell; _ } -> Some cell
   | Gmr.Pyr _ -> None
 
+(* The neighbours of [v] that satisfy [p], in increasing order. *)
+let neighbours_where ctx v p =
+  List.rev (Graph.fold_neighbours (fun w acc -> if p w then w :: acc else acc) ctx.g v [])
+
 (* The unique pyramid parent of a base cell, if any. *)
 let pyr_parent ctx v =
   match ctx.parent_memo.(v) with
   | Some cached -> cached
   | None ->
       let parents =
-        Array.to_list (Graph.neighbours ctx.g v)
-        |> List.filter (fun u ->
-               match (ctx.label u).Gmr.part with
-               | Gmr.Pyr l -> l.Quadtree.z3 = 1
-               | Gmr.Cell _ -> false)
+        neighbours_where ctx v (fun u ->
+            match (ctx.label u).Gmr.part with
+            | Gmr.Pyr l -> l.Quadtree.z3 = 1
+            | Gmr.Cell _ -> false)
       in
       let result = match parents with [ p ] -> Some p | _ -> None in
       ctx.parent_memo.(v) <- Some result;
@@ -84,10 +87,7 @@ let grid_sibling ctx v w =
 
 (* The cell-neighbour of [v] that is a grid sibling in direction [d]. *)
 let sibling_in_dir ctx v d =
-  let hits =
-    Array.to_list (Graph.neighbours ctx.g v)
-    |> List.filter (fun w -> grid_sibling ctx v w = Some d)
-  in
+  let hits = neighbours_where ctx v (fun w -> grid_sibling ctx v w = Some d) in
   match hits with [ w ] -> Some w | _ -> None
 
 (* Mod-6 neighbour for window lookups: pivot-look partners excluded
@@ -97,21 +97,19 @@ let m6_neighbour_excluding_pivot ctx v d =
   | None -> None
   | Some m6v -> (
       let hits =
-        Array.to_list (Graph.neighbours ctx.g v)
-        |> List.filter (fun w ->
-               (not (Gmr.pivot_look (ctx.label w)))
-               &&
-               match cell_m6 (ctx.label w) with
-               | Some m6w -> dir6_between m6v m6w = Some d
-               | None -> false)
+        neighbours_where ctx v (fun w ->
+            (not (Gmr.pivot_look (ctx.label w)))
+            &&
+            match cell_m6 (ctx.label w) with
+            | Some m6w -> dir6_between m6v m6w = Some d
+            | None -> false)
       in
       match hits with [ w ] -> Some w | _ -> None)
 
 let glue_partners ctx v =
   (* Cell neighbours that are not grid siblings. *)
-  Array.to_list (Graph.neighbours ctx.g v)
-  |> List.filter (fun w ->
-         Option.is_some (cell_m6 (ctx.label w)) && grid_sibling ctx v w = None)
+  neighbours_where ctx v (fun w ->
+      Option.is_some (cell_m6 (ctx.label w)) && grid_sibling ctx v w = None)
 
 let border_look ctx v =
   (* Missing some grid direction (by mod-6 adjacency, pivots excluded). *)
@@ -140,8 +138,9 @@ let cell_rules ctx v =
       | Gmr.Cell _ -> assert false));
   (* Rule 2: sibling direction uniqueness and gluing-edge shape. *)
   let sibling_dirs =
-    Array.to_list (Graph.neighbours ctx.g v)
-    |> List.filter_map (fun w -> grid_sibling ctx v w)
+    Graph.fold_neighbours
+      (fun w acc -> match grid_sibling ctx v w with Some d -> d :: acc | None -> acc)
+      ctx.g v []
   in
   if List.length (List.sort_uniq compare sibling_dirs) <> List.length sibling_dirs
   then err "cell %d has two grid siblings in one direction" v;

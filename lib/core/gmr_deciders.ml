@@ -95,7 +95,7 @@ module Fast = struct
     let out = Array.copy marked in
     for v = 0 to n - 1 do
       if not out.(v) then
-        out.(v) <- Array.exists (fun u -> marked.(u)) (Graph.neighbours g v)
+        out.(v) <- Graph.exists_neighbour (fun u -> marked.(u)) g v
     done;
     out
 

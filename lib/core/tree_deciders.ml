@@ -17,13 +17,15 @@ let pivot_rule (p : Ti.params) (view : Ti.label View.t) r =
   r = p.Ti.r
   &&
   let d = Bound.big_r ~regime:p.Ti.regime ~arity:p.Ti.arity ~r in
-  let nbrs = Graph.neighbours view.View.graph view.View.center in
+  (* In decreasing neighbour order; only the sorted coordinates matter. *)
   let coords =
-    Array.to_list nbrs
-    |> List.map (fun u ->
-           match view.View.labels.(u) with
-           | Ti.Tree l when l.Lt.r = r -> Some l
-           | Ti.Tree _ | Ti.Pivot _ -> None)
+    Graph.fold_neighbours
+      (fun u acc ->
+        (match view.View.labels.(u) with
+        | Ti.Tree l when l.Lt.r = r -> Some l
+        | Ti.Tree _ | Ti.Pivot _ -> None)
+        :: acc)
+      view.View.graph view.View.center []
   in
   List.for_all Option.is_some coords
   &&

@@ -84,11 +84,11 @@ let cone_without_pivot p ~apex =
 let two_pivots p ~apex =
   let base = small_instance p ~apex in
   let k = Labelled.order base in
-  let first_pivot_neighbours =
-    Graph.neighbours (Labelled.graph base) (k - 1) |> Array.to_list
+  let second_pivot_edges =
+    Graph.fold_neighbours (fun v acc -> (k, v) :: acc) (Labelled.graph base) (k - 1) []
   in
   let g = Graph.add_vertices (Labelled.graph base) 1 in
-  let g = Graph.add_edges g (List.map (fun v -> (k, v)) first_pivot_neighbours) in
+  let g = Graph.add_edges g second_pivot_edges in
   Labelled.make g (Array.append (Labelled.labels base) [| Pivot p.r |])
 
 let pivot_on_interior p ~apex =

@@ -15,15 +15,17 @@ let random_connected_chunk rng g ~size =
   while Hashtbl.length chosen < size && !frontier <> [] do
     let pick = Random.State.int rng (List.length !frontier) in
     let v = List.nth !frontier pick in
+    (* The smallest neighbour not yet chosen, or -1. *)
     let fresh =
-      Array.to_list (Graph.neighbours g v)
-      |> List.filter (fun u -> not (Hashtbl.mem chosen u))
+      Graph.fold_neighbours
+        (fun u acc -> if acc < 0 && not (Hashtbl.mem chosen u) then u else acc)
+        g v (-1)
     in
-    match fresh with
-    | [] -> frontier := List.filter (fun u -> u <> v) !frontier
-    | u :: _ ->
-        Hashtbl.replace chosen u ();
-        frontier := u :: !frontier
+    if fresh < 0 then frontier := List.filter (fun u -> u <> v) !frontier
+    else begin
+      Hashtbl.replace chosen fresh ();
+      frontier := fresh :: !frontier
+    end
   done;
   Hashtbl.fold (fun v () acc -> v :: acc) chosen []
   |> List.sort compare |> Array.of_list
@@ -42,9 +44,9 @@ let all_connected_subsets g =
       results := key :: !results;
       S.iter
         (fun v ->
-          Array.iter
+          Graph.iter_neighbours
             (fun u -> if not (S.mem u set) then grow (S.add u set))
-            (Graph.neighbours g v))
+            g v)
         set
     end
   in

@@ -42,9 +42,9 @@ let proper_colouring ~k =
       (fun view ->
         let c = View.center_label view in
         c >= 0 && c < k
-        && Array.for_all
+        && Graph.for_all_neighbours
              (fun u -> view.View.labels.(u) <> c)
-             (Graph.neighbours view.View.graph view.View.center));
+             view.View.graph view.View.center);
   }
 
 let maximal_independent_set =
@@ -55,11 +55,11 @@ let maximal_independent_set =
       (fun view ->
         let v = view.View.center in
         let in_set u = view.View.labels.(u) = 1 in
-        let nbrs = Graph.neighbours view.View.graph v in
+        let g = view.View.graph in
         let label = view.View.labels.(v) in
         (label = 0 || label = 1)
-        && ((not (in_set v)) || Array.for_all (fun u -> not (in_set u)) nbrs)
-        && (in_set v || Array.exists in_set nbrs));
+        && ((not (in_set v)) || Graph.for_all_neighbours (fun u -> not (in_set u)) g v)
+        && (in_set v || Graph.exists_neighbour in_set g v));
   }
 
 let dominating_set =
@@ -70,16 +70,16 @@ let dominating_set =
       (fun view ->
         let v = view.View.center in
         let in_set u = view.View.labels.(u) = 1 in
-        in_set v || Array.exists in_set (Graph.neighbours view.View.graph v));
+        in_set v || Graph.exists_neighbour in_set view.View.graph v);
   }
 
 (* The matched partner named by position within the sorted adjacency
    list; radius 2 so that the partner's full (order-preserved)
    adjacency is inside the view. *)
 let partner_of view u =
-  let nbrs = Graph.neighbours view.View.graph u in
+  let g = view.View.graph in
   match view.View.labels.(u) with
-  | Some k when k >= 0 && k < Array.length nbrs -> Some nbrs.(k)
+  | Some k when k >= 0 && k < Graph.degree g u -> Some (Graph.neighbour g u k)
   | Some _ | None -> None
 
 let maximal_matching =
@@ -89,7 +89,6 @@ let maximal_matching =
     valid =
       (fun view ->
         let v = view.View.center in
-        let nbrs = Graph.neighbours view.View.graph v in
         match view.View.labels.(v) with
         | Some _ -> (
             match partner_of view v with
@@ -97,7 +96,9 @@ let maximal_matching =
             | Some u -> partner_of view u = Some v)
         | None ->
             (* Maximality: no unmatched neighbour either. *)
-            Array.for_all (fun u -> view.View.labels.(u) <> None) nbrs);
+            Graph.for_all_neighbours
+              (fun u -> view.View.labels.(u) <> None)
+              view.View.graph v);
   }
 
 let sinkless_orientation =
@@ -106,16 +107,16 @@ let sinkless_orientation =
     lcl_radius = 2;
     valid =
       (fun view ->
+        let g = view.View.graph in
         let v = view.View.center in
-        let nbrs = Graph.neighbours view.View.graph v in
         let out u =
-          let unbrs = Graph.neighbours view.View.graph u in
           let k = view.View.labels.(u) in
-          if k >= 0 && k < Array.length unbrs then Some unbrs.(k) else None
+          if k >= 0 && k < Graph.degree g u then Some (Graph.neighbour g u k)
+          else None
         in
         match out v with
-        | None -> Array.length nbrs = 0
-        | Some u -> Array.length nbrs < 2 || out u <> Some v);
+        | None -> Graph.degree g v = 0
+        | Some u -> Graph.degree g v < 2 || out u <> Some v);
   }
 
 (* ------------------------------------------------------------------ *)
@@ -127,7 +128,7 @@ let greedy_mis lg =
   let n = Graph.order g in
   let label = Array.make n 0 in
   for v = 0 to n - 1 do
-    if Array.for_all (fun u -> label.(u) = 0) (Graph.neighbours g v) then
+    if Graph.for_all_neighbours (fun u -> label.(u) = 0) g v then
       label.(v) <- 1
   done;
   label
@@ -146,7 +147,8 @@ let greedy_matching lg =
   Array.init n (fun v ->
       if partner.(v) < 0 then None
       else begin
-        let nbrs = Graph.neighbours g v in
-        let rec find k = if nbrs.(k) = partner.(v) then k else find (k + 1) in
+        let rec find k =
+          if Graph.neighbour g v k = partner.(v) then k else find (k + 1)
+        in
         Some (find 0)
       end)

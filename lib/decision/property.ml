@@ -27,6 +27,8 @@ let check_invariance ~rng ~trials p lg =
       if p.mem (Labelled.relabel_nodes lg perm) <> reference then false
       else go (k + 1)
   in
+  (* A shortcut, not a guard: the empty graph's one relabelling is the
+     identity, and [Labelled.relabel_nodes] handles it. *)
   if n = 0 then true else go 0
 
 let proper_colouring ~k =
@@ -36,7 +38,7 @@ let proper_colouring ~k =
         (fun v acc ->
           let c = Labelled.label lg v in
           acc && c >= 0 && c < k
-          && Array.for_all (fun u -> Labelled.label lg u <> c) (Graph.neighbours g v))
+          && Graph.for_all_neighbours (fun u -> Labelled.label lg u <> c) g v)
         g true)
 
 let maximal_independent_set =
@@ -47,11 +49,9 @@ let maximal_independent_set =
         (fun v acc ->
           let independent =
             (not (in_set v))
-            || Array.for_all (fun u -> not (in_set u)) (Graph.neighbours g v)
+            || Graph.for_all_neighbours (fun u -> not (in_set u)) g v
           in
-          let dominated =
-            in_set v || Array.exists in_set (Graph.neighbours g v)
-          in
+          let dominated = in_set v || Graph.exists_neighbour in_set g v in
           acc && independent && dominated)
         g true)
 

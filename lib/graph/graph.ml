@@ -1,9 +1,16 @@
 exception Invalid_graph of string
 
+(* Compressed sparse row: the neighbours of [v] are
+   [adj.(off.(v)) .. adj.(off.(v + 1) - 1)], sorted strictly increasing,
+   and [off.(n) = 2m]. An owned graph's arrays have exactly those
+   lengths; a borrowed ball (see [with_ball]) lives in longer per-domain
+   buffers, so every loop here is bounded by [n] and [off.(n)], never by
+   [Array.length] of the arrays. *)
 type t = {
   n : int;
-  adj : int array array;
   m : int;
+  off : int array;
+  adj : int array;
 }
 
 let invalid fmt = Format.kasprintf (fun s -> raise (Invalid_graph s)) fmt
@@ -13,92 +20,133 @@ let check_endpoint n v =
 
 let int_compare (a : int) b = if a < b then -1 else if a > b then 1 else 0
 
-let normalise_adj n adj =
-  let sets = Array.make n [] in
-  Array.iteri
-    (fun u nbrs ->
-      Array.iter
-        (fun v ->
-          check_endpoint n v;
-          if u = v then invalid "self-loop at vertex %d" u;
-          sets.(u) <- v :: sets.(u);
-          sets.(v) <- u :: sets.(v))
-        nbrs)
-    adj;
-  (* Int-specialised comparison: the polymorphic [compare] walks the
-     runtime representation on every call, which shows up on graph
-     construction for the large gadget instances. *)
-  let dedup l = List.sort_uniq int_compare l in
-  Array.map (fun l -> Array.of_list (dedup l)) sets
-
-let of_adjacency adj =
-  let n = Array.length adj in
-  let adj = normalise_adj n adj in
-  let m = Array.fold_left (fun acc a -> acc + Array.length a) 0 adj / 2 in
-  { n; adj; m }
-
-let of_edges ~n edges =
-  if n < 0 then invalid "negative vertex count %d" n;
-  let sets = Array.make n [] in
-  List.iter
-    (fun (u, v) ->
+(* CSR of the [n]-vertex graph whose edges [feed] passes to its
+   argument. [feed] runs twice, to count degrees and then to fill the
+   slices in feed order. Since adjacency is symmetric, writing each [u]
+   into the slices of its neighbours, [u] increasing, then sorts every
+   slice; duplicates are dropped, compacting the array leftwards. *)
+let of_feed n feed =
+  let off = Array.make (n + 1) 0 in
+  feed (fun u v ->
       check_endpoint n u;
       check_endpoint n v;
       if u = v then invalid "self-loop at vertex %d" u;
-      sets.(u) <- v :: sets.(u);
-      sets.(v) <- u :: sets.(v))
-    edges;
-  let adj = Array.map (fun l -> Array.of_list (List.sort_uniq int_compare l)) sets in
-  let m = Array.fold_left (fun acc a -> acc + Array.length a) 0 adj / 2 in
-  { n; adj; m }
+      off.(u + 1) <- off.(u + 1) + 1;
+      off.(v + 1) <- off.(v + 1) + 1);
+  for v = 1 to n do
+    off.(v) <- off.(v) + off.(v - 1)
+  done;
+  let next = Array.sub off 0 n in
+  let put a u v =
+    a.(next.(u)) <- v;
+    next.(u) <- next.(u) + 1
+  in
+  let fed = Array.make off.(n) 0 in
+  feed (fun u v ->
+      put fed u v;
+      put fed v u);
+  Array.blit off 0 next 0 n;
+  let adj = Array.make off.(n) 0 in
+  for u = 0 to n - 1 do
+    for i = off.(u) to off.(u + 1) - 1 do
+      put adj fed.(i) u
+    done
+  done;
+  let w = ref 0 in
+  for v = 0 to n - 1 do
+    let lo = off.(v) and hi = off.(v + 1) in
+    off.(v) <- !w;
+    for i = lo to hi - 1 do
+      let x = adj.(i) in
+      if !w = off.(v) || adj.(!w - 1) <> x then begin
+        adj.(!w) <- x;
+        incr w
+      end
+    done
+  done;
+  off.(n) <- !w;
+  let adj = if !w = Array.length adj then adj else Array.sub adj 0 !w in
+  { n; m = !w / 2; off; adj }
+
+let of_adjacency adj =
+  of_feed (Array.length adj) (fun add ->
+      Array.iteri (fun u nbrs -> Array.iter (add u) nbrs) adj)
+
+let of_edges ~n edges =
+  if n < 0 then invalid "negative vertex count %d" n;
+  of_feed n (fun add -> List.iter (fun (u, v) -> add u v) edges)
 
 let empty n =
   if n < 0 then invalid "negative vertex count %d" n;
-  { n; adj = Array.make n [||]; m = 0 }
-
-(* Adoption constructor for {!Arena}: the caller guarantees the
-   adjacency is already a valid normalised representation (per-vertex
-   arrays sorted, deduplicated, symmetric, loop-free, in-range), so no
-   checks and no copies are performed. Keeping it total on malformed
-   input would cost exactly the normalisation pass the arena exists to
-   avoid. *)
-let of_sorted_adjacency_unchecked adj =
-  let n = Array.length adj in
-  let m = Array.fold_left (fun acc a -> acc + Array.length a) 0 adj / 2 in
-  { n; adj; m }
+  { n; m = 0; off = Array.make (n + 1) 0; adj = [||] }
 
 let order g = g.n
 let size g = g.m
 
-let neighbours g v =
+let degree g v =
   check_endpoint g.n v;
-  g.adj.(v)
+  g.off.(v + 1) - g.off.(v)
 
-let degree g v = Array.length (neighbours g v)
+let neighbours g v =
+  let d = degree g v in
+  Array.sub g.adj g.off.(v) d
 
-let max_degree g = Array.fold_left (fun acc a -> max acc (Array.length a)) 0 g.adj
+let neighbour g v k =
+  if k < 0 || k >= degree g v then
+    invalid "port %d out of range [0,%d) at vertex %d" k (degree g v) v;
+  g.adj.(g.off.(v) + k)
 
-(* Binary search in the sorted neighbour array. *)
+let iter_neighbours f g v =
+  check_endpoint g.n v;
+  for i = g.off.(v) to g.off.(v + 1) - 1 do
+    f g.adj.(i)
+  done
+
+let fold_neighbours f g v init =
+  check_endpoint g.n v;
+  let acc = ref init in
+  for i = g.off.(v) to g.off.(v + 1) - 1 do
+    acc := f g.adj.(i) !acc
+  done;
+  !acc
+
+let exists_neighbour p g v =
+  check_endpoint g.n v;
+  let stop = g.off.(v + 1) in
+  let rec go i = i < stop && (p g.adj.(i) || go (i + 1)) in
+  go g.off.(v)
+
+let for_all_neighbours p g v =
+  check_endpoint g.n v;
+  let stop = g.off.(v + 1) in
+  let rec go i = i >= stop || (p g.adj.(i) && go (i + 1)) in
+  go g.off.(v)
+
+let max_degree g =
+  let best = ref 0 in
+  for v = 0 to g.n - 1 do
+    best := max !best (g.off.(v + 1) - g.off.(v))
+  done;
+  !best
+
+(* Binary search in the sorted slice. *)
 let mem_edge g u v =
   check_endpoint g.n u;
   check_endpoint g.n v;
-  let a = g.adj.(u) in
   let rec search lo hi =
     if lo >= hi then false
     else
       let mid = (lo + hi) / 2 in
-      if a.(mid) = v then true
-      else if a.(mid) < v then search (mid + 1) hi
-      else search lo mid
+      let w = g.adj.(mid) in
+      if w = v then true else if w < v then search (mid + 1) hi else search lo mid
   in
-  search 0 (Array.length a)
+  search g.off.(u) g.off.(u + 1)
 
 let edges g =
   let acc = ref [] in
   for u = g.n - 1 downto 0 do
-    let nbrs = g.adj.(u) in
-    for i = Array.length nbrs - 1 downto 0 do
-      let v = nbrs.(i) in
+    for i = g.off.(u + 1) - 1 downto g.off.(u) do
+      let v = g.adj.(i) in
       if u < v then acc := (u, v) :: !acc
     done
   done;
@@ -115,10 +163,184 @@ let iter_vertices f g =
 
 let vertices g = List.init g.n Fun.id
 
-(* Forward declaration of the per-domain BFS scratch defined below; the
-   full-graph BFS only borrows its queue array. *)
+(* ------------------------------------------------------------------ *)
+(* Per-domain BFS scratch                                              *)
+(* ------------------------------------------------------------------ *)
 
-let bfs_distances_with queue g src =
+(* Bit-packed visited set: one bit per vertex. The invariant between
+   calls is all-zero; every user clears exactly the bits it set, so
+   there is no O(n) wipe on the hot path. *)
+
+let[@inline] bit_test b v =
+  Char.code (Bytes.unsafe_get b (v lsr 3)) land (1 lsl (v land 7)) <> 0
+
+let[@inline] bit_set b v =
+  let i = v lsr 3 in
+  Bytes.unsafe_set b i
+    (Char.unsafe_chr (Char.code (Bytes.unsafe_get b i) lor (1 lsl (v land 7))))
+
+let[@inline] bit_clear b v =
+  let i = v lsr 3 in
+  Bytes.unsafe_set b i
+    (Char.unsafe_chr
+       (Char.code (Bytes.unsafe_get b i) land lnot (1 lsl (v land 7))))
+
+type scratch = {
+  mutable cap : int;          (* vertex capacity of the four arrays below *)
+  mutable visited : Bytes.t;  (* bitset, all-zero between calls *)
+  mutable dist : int array;   (* BFS depth, valid only for visited *)
+  mutable queue : int array;  (* BFS queue / member list *)
+  mutable rank : int array;   (* vertex -> index in the ball, members only *)
+  mutable stage : int array;  (* an owned subgraph's adjacency before its exact-size copy *)
+  (* The borrowed ball's output (see [with_ball]): apart from the
+     arrays above, so an owned extraction inside the borrower's
+     callback cannot overwrite it. *)
+  mutable lent : bool;
+  mutable l_back : int array;
+  mutable l_off : int array;
+  mutable l_adj : int array;
+}
+
+let scratch_key =
+  Domain.DLS.new_key (fun () ->
+      {
+        cap = 0;
+        visited = Bytes.empty;
+        dist = [||];
+        queue = [||];
+        rank = [||];
+        stage = [||];
+        lent = false;
+        l_back = [||];
+        l_off = [||];
+        l_adj = [||];
+      })
+
+(* Reuse accounting of ball extractions, read by the
+   [view.scratch_reuses] telemetry gauge and the reuse-pinning test.
+   Cumulative across all domains since program start; callers diff
+   snapshots to scope a run. *)
+let reuses = Atomic.make 0
+let allocs = Atomic.make 0
+let scratch_reuses () = Atomic.get reuses
+let scratch_allocs () = Atomic.get allocs
+
+(* The calling domain's scratch, with room for [n] vertices. *)
+let scratch ?(count = false) n =
+  let s = Domain.DLS.get scratch_key in
+  if s.cap >= n then (if count then Atomic.incr reuses)
+  else begin
+    if count then Atomic.incr allocs;
+    s.visited <- Bytes.make ((n + 7) lsr 3) '\000';
+    s.dist <- Array.make n 0;
+    s.queue <- Array.make n 0;
+    s.rank <- Array.make n 0;
+    s.cap <- n
+  end;
+  s
+
+let grown a n = if Array.length a >= n then a else Array.make (max n (2 * Array.length a)) 0
+
+(* Truncated BFS: marks the radius-[radius] ball around [center] in
+   [s.visited] and leaves its members in [s.queue.(0 .. k-1)]; returns
+   [k]. Only the ball is explored, so small views of very large graphs
+   stay cheap. The caller clears the marks ([unmark]). *)
+let bfs_ball s g ~center ~radius =
+  if radius < 0 then invalid "view: negative radius %d" radius;
+  check_endpoint g.n center;
+  let visited = s.visited and dist = s.dist and queue = s.queue in
+  let off = g.off and adj = g.adj in
+  bit_set visited center;
+  Array.unsafe_set dist center 0;
+  Array.unsafe_set queue 0 center;
+  let head = ref 0 and tail = ref 1 in
+  while !head < !tail do
+    let u = Array.unsafe_get queue !head in
+    incr head;
+    let du = Array.unsafe_get dist u in
+    if du < radius then
+      for i = Array.unsafe_get off u to Array.unsafe_get off (u + 1) - 1 do
+        let w = Array.unsafe_get adj i in
+        if not (bit_test visited w) then begin
+          bit_set visited w;
+          Array.unsafe_set dist w (du + 1);
+          Array.unsafe_set queue !tail w;
+          incr tail
+        end
+      done
+  done;
+  !tail
+
+(* Index of the lowest set bit of a non-zero byte. *)
+let lowest_bit =
+  Array.init 256 (fun x ->
+      let rec go i = if x = 0 || x land (1 lsl i) <> 0 then i else go (i + 1) in
+      go 0)
+
+(* The [k] marked members of a [bfs_ball], increasing, into
+   [back.(0 .. k-1)]. A dense ball reads the bitset back in index order;
+   a sparse ball in a huge graph sorts the queue instead, since the
+   bitset scan costs O(n/8) whatever the ball's size. *)
+let sorted_members s g k back =
+  if g.n lsr 3 <= 4 * k then begin
+    let idx = ref 0 in
+    for b = 0 to ((g.n + 7) lsr 3) - 1 do
+      let rest = ref (Char.code (Bytes.unsafe_get s.visited b)) in
+      while !rest <> 0 do
+        let r = !rest in
+        Array.unsafe_set back !idx ((b lsl 3) + Array.unsafe_get lowest_bit r);
+        incr idx;
+        rest := r land (r - 1)
+      done
+    done
+  end
+  else begin
+    let members = Array.sub s.queue 0 k in
+    Array.sort int_compare members;
+    Array.blit members 0 back 0 k
+  end
+
+(* Total degree of [back.(0 .. k-1)]: room enough for their induced
+   adjacency. *)
+let slice_total g back k =
+  let total = ref 0 in
+  for i = 0 to k - 1 do
+    let v = back.(i) in
+    total := !total + g.off.(v + 1) - g.off.(v)
+  done;
+  !total
+
+(* The subgraph induced on the marked, sorted [back.(0 .. k-1)] in the
+   ball's numbering, into [off.(0 .. k)] and [adj.(0 .. off.(k) - 1)].
+   [back] and every slice are sorted, so the mapped ranks come out
+   sorted with no per-vertex sort. *)
+let induce s g k back off adj =
+  let rank = s.rank and visited = s.visited in
+  for i = 0 to k - 1 do
+    Array.unsafe_set rank back.(i) i
+  done;
+  off.(0) <- 0;
+  let e = ref 0 in
+  for i = 0 to k - 1 do
+    let v = back.(i) in
+    for j = g.off.(v) to g.off.(v + 1) - 1 do
+      let w = Array.unsafe_get g.adj j in
+      if bit_test visited w then begin
+        adj.(!e) <- Array.unsafe_get rank w;
+        incr e
+      end
+    done;
+    off.(i + 1) <- !e
+  done
+
+let unmark s back k =
+  for i = 0 to k - 1 do
+    bit_clear s.visited back.(i)
+  done
+
+let bfs_distances g src =
+  check_endpoint g.n src;
+  let queue = (scratch g.n).queue in
   let dist = Array.make g.n max_int in
   dist.(src) <- 0;
   queue.(0) <- src;
@@ -127,76 +349,71 @@ let bfs_distances_with queue g src =
     let u = queue.(!head) in
     incr head;
     let du = dist.(u) + 1 in
-    Array.iter
-      (fun v ->
-        if dist.(v) = max_int then begin
-          dist.(v) <- du;
-          queue.(!tail) <- v;
-          incr tail
-        end)
-      g.adj.(u)
+    for i = g.off.(u) to g.off.(u + 1) - 1 do
+      let v = g.adj.(i) in
+      if dist.(v) = max_int then begin
+        dist.(v) <- du;
+        queue.(!tail) <- v;
+        incr tail
+      end
+    done
   done;
   dist
-
-(* Truncated BFS: only the ball is explored, so extracting small views
-   from very large graphs (e.g. deep layered trees) stays cheap. The
-   visited set is a per-domain generation-stamped array — no clearing
-   between calls and no hashing on the hot path — so each call costs
-   O(ball edges + |ball| log |ball|) with zero table churn. *)
-type bfs_scratch = {
-  mutable stamp : int array;
-  mutable bdist : int array;
-  mutable bqueue : int array;
-  mutable gen : int;
-}
-
-let bfs_scratch_key =
-  Domain.DLS.new_key (fun () ->
-      { stamp = [||]; bdist = [||]; bqueue = [||]; gen = 0 })
-
-let bfs_scratch n =
-  let s = Domain.DLS.get bfs_scratch_key in
-  if Array.length s.stamp < n then begin
-    s.stamp <- Array.make n 0;
-    s.bdist <- Array.make n 0;
-    s.bqueue <- Array.make n 0;
-    s.gen <- 0
-  end;
-  s.gen <- s.gen + 1;
-  s
-
-let bfs_distances g src =
-  check_endpoint g.n src;
-  bfs_distances_with (bfs_scratch g.n).bqueue g src
 
 let dist g u v = (bfs_distances g u).(v)
 
 let ball g v t =
-  check_endpoint g.n v;
-  let s = bfs_scratch g.n in
-  let gen = s.gen and stamp = s.stamp and dist = s.bdist and queue = s.bqueue in
-  stamp.(v) <- gen;
-  dist.(v) <- 0;
-  queue.(0) <- v;
-  let head = ref 0 and tail = ref 1 in
-  while !head < !tail do
-    let u = queue.(!head) in
-    incr head;
-    let du = dist.(u) in
-    if du < t then
-      Array.iter
-        (fun w ->
-          if stamp.(w) <> gen then begin
-            stamp.(w) <- gen;
-            dist.(w) <- du + 1;
-            queue.(!tail) <- w;
-            incr tail
-          end)
-        g.adj.(u)
-  done;
-  let members = Array.sub queue 0 !tail in
-  Array.sort int_compare members;
+  let s = scratch g.n in
+  let k = bfs_ball s g ~center:v ~radius:t in
+  let members = Array.make k 0 in
+  sorted_members s g k members;
+  unmark s members k;
   members
+
+(* One ball as a CSR subgraph. Owned output is allocated at exact size,
+   the adjacency staged in [s.stage] and copied out; lent output goes
+   straight into the domain's borrowed buffers. *)
+let extract_into s g ~center ~radius ~lend =
+  let k = bfs_ball s g ~center ~radius in
+  let back =
+    if lend then begin
+      s.l_back <- grown s.l_back k;
+      s.l_back
+    end
+    else Array.make k 0
+  in
+  sorted_members s g k back;
+  let need = slice_total g back k in
+  let off, adj =
+    if lend then begin
+      s.l_off <- grown s.l_off (k + 1);
+      s.l_adj <- grown s.l_adj need;
+      (s.l_off, s.l_adj)
+    end
+    else begin
+      s.stage <- grown s.stage need;
+      (Array.make (k + 1) 0, s.stage)
+    end
+  in
+  induce s g k back off adj;
+  unmark s back k;
+  let adj = if lend then adj else Array.sub adj 0 off.(k) in
+  ({ n = k; m = off.(k) / 2; off; adj }, back, s.rank.(center))
+
+let extract_ball g ~center ~radius =
+  extract_into (scratch ~count:true g.n) g ~center ~radius ~lend:false
+
+let with_ball g ~center ~radius f =
+  let s = scratch ~count:true g.n in
+  if s.lent then begin
+    let sub, back, c = extract_into s g ~center ~radius ~lend:false in
+    f sub back c
+  end
+  else begin
+    let sub, back, c = extract_into s g ~center ~radius ~lend:true in
+    s.lent <- true;
+    Fun.protect ~finally:(fun () -> s.lent <- false) (fun () -> f sub back c)
+  end
 
 let eccentricity g v =
   let d = bfs_distances g v in
@@ -248,57 +465,37 @@ let induced g vs =
     if back.(i) = back.(i - 1) then invalid "induced: duplicate vertex %d" back.(i)
   done;
   Array.iter (check_endpoint g.n) back;
-  (* Vertex-to-rank lookup through a generation-stamped per-domain map:
-     O(1) per neighbour with no hashing, no clearing between calls.
-     Because [back] is sorted and the source adjacency lists are sorted,
-     the mapped neighbour ranks come out already sorted — no per-vertex
-     sort either. *)
-  let s = bfs_scratch g.n in
-  let gen = s.gen and rstamp = s.stamp and rmap = s.bdist in
-  Array.iteri
-    (fun i v ->
-      rstamp.(v) <- gen;
-      rmap.(v) <- i)
-    back;
-  let rank u = if rstamp.(u) = gen then rmap.(u) else -1 in
-  let adj =
-    Array.map
-      (fun v ->
-        let nbrs = g.adj.(v) in
-        let deg = Array.length nbrs in
-        let cnt = ref 0 in
-        for i = 0 to deg - 1 do
-          if rank nbrs.(i) >= 0 then incr cnt
-        done;
-        let out = Array.make !cnt 0 in
-        let j = ref 0 in
-        for i = 0 to deg - 1 do
-          let r = rank nbrs.(i) in
-          if r >= 0 then begin
-            out.(!j) <- r;
-            incr j
-          end
-        done;
-        out)
-      back
-  in
-  let m = Array.fold_left (fun acc a -> acc + Array.length a) 0 adj / 2 in
-  ({ n = k; adj; m }, back)
+  let s = scratch g.n in
+  Array.iter (bit_set s.visited) back;
+  s.stage <- grown s.stage (slice_total g back k);
+  let off = Array.make (k + 1) 0 in
+  induce s g k back off s.stage;
+  unmark s back k;
+  ({ n = k; m = off.(k) / 2; off; adj = Array.sub s.stage 0 off.(k) }, back)
 
 let disjoint_union g h =
-  let shift = g.n in
-  let adj =
-    Array.append (Array.map Array.copy g.adj)
-      (Array.map (Array.map (fun v -> v + shift)) h.adj)
-  in
-  { n = g.n + h.n; adj; m = g.m + h.m }
+  let eg = g.off.(g.n) and eh = h.off.(h.n) in
+  let off = Array.make (g.n + h.n + 1) 0 in
+  Array.blit g.off 0 off 0 (g.n + 1);
+  for v = 1 to h.n do
+    off.(g.n + v) <- eg + h.off.(v)
+  done;
+  let adj = Array.make (eg + eh) 0 in
+  Array.blit g.adj 0 adj 0 eg;
+  for i = 0 to eh - 1 do
+    adj.(eg + i) <- h.adj.(i) + g.n
+  done;
+  { n = g.n + h.n; m = g.m + h.m; off; adj }
 
 let add_edges g new_edges =
   of_edges ~n:g.n (new_edges @ edges g)
 
 let add_vertices g k =
   if k < 0 then invalid "add_vertices: negative count %d" k;
-  { n = g.n + k; adj = Array.append g.adj (Array.make k [||]); m = g.m }
+  let e = g.off.(g.n) in
+  let off = Array.make (g.n + k + 1) e in
+  Array.blit g.off 0 off 0 (g.n + 1);
+  { g with n = g.n + k; off; adj = Array.sub g.adj 0 e }
 
 let relabel g perm =
   if Array.length perm <> g.n then invalid "relabel: permutation length mismatch";
@@ -311,7 +508,12 @@ let relabel g perm =
     perm;
   of_edges ~n:g.n (List.map (fun (u, v) -> (perm.(u), perm.(v))) (edges g))
 
-let equal g h = g.n = h.n && g.adj = h.adj
+(* The used prefixes only: a borrowed graph's buffers run longer. *)
+let equal g h =
+  let rec same a b i stop = i >= stop || (a.(i) = b.(i) && same a b (i + 1) stop) in
+  g.n = h.n && g.m = h.m
+  && same g.off h.off 0 (g.n + 1)
+  && same g.adj h.adj 0 g.off.(g.n)
 
 let is_regular g d = fold_vertices (fun v acc -> acc && degree g v = d) g true
 

@@ -7,7 +7,10 @@
 
 type t
 (** A simple undirected graph. Vertices are integers [0 .. n-1]; no
-    self-loops, no parallel edges. The representation is immutable. *)
+    self-loops, no parallel edges. The representation is immutable and
+    flat (compressed sparse row): one offsets array of [n + 1] entries
+    and one array holding every sorted neighbour list back to back, so
+    a graph is two blocks however many vertices it has. *)
 
 exception Invalid_graph of string
 (** Raised by constructors on malformed input (self-loop, out-of-range
@@ -28,14 +31,6 @@ val of_adjacency : int array array -> t
 val empty : int -> t
 (** [empty n] is the edgeless graph on [n] vertices. *)
 
-val of_sorted_adjacency_unchecked : int array array -> t
-(** Adopt an adjacency array that is {e already} a valid normalised
-    representation: every per-vertex array sorted strictly increasing,
-    symmetric, loop-free, all endpoints in range. No checks, no copies —
-    the arrays are owned by the result. This is the fast-path
-    constructor for {!Arena}; general callers should use
-    {!of_adjacency}, which normalises. *)
-
 (** {1 Basic accessors} *)
 
 val order : t -> int
@@ -45,8 +40,27 @@ val size : t -> int
 (** Number of edges. *)
 
 val neighbours : t -> int -> int array
-(** [neighbours g v] is the sorted array of neighbours of [v]. The
-    returned array must not be mutated. *)
+(** [neighbours g v] is a fresh copy of the sorted neighbours of [v].
+    Hot paths should use {!neighbour} and the iterators below, which
+    allocate nothing. *)
+
+val neighbour : t -> int -> int -> int
+(** [neighbour g v k] is the [k]-th smallest neighbour of [v] (its port
+    [k]), for [0 <= k < degree g v], in O(1). *)
+
+val iter_neighbours : (int -> unit) -> t -> int -> unit
+(** [iter_neighbours f g v] applies [f] to each neighbour of [v] in
+    increasing order. *)
+
+val fold_neighbours : (int -> 'a -> 'a) -> t -> int -> 'a -> 'a
+(** [fold_neighbours f g v init] folds [f] over the neighbours of [v]
+    in increasing order: [f wk (... (f w1 init))]. *)
+
+val exists_neighbour : (int -> bool) -> t -> int -> bool
+(** Does some neighbour of [v] satisfy the predicate? Stops at the
+    first that does. *)
+
+val for_all_neighbours : (int -> bool) -> t -> int -> bool
 
 val degree : t -> int -> int
 
@@ -75,7 +89,36 @@ val dist : t -> int -> int -> int
 
 val ball : t -> int -> int -> int array
 (** [ball g v t] is the sorted array of vertices within distance [t] of
-    [v] (the set B(v,t) of the paper). *)
+    [v] (the set B(v,t) of the paper).
+    @raise Invalid_graph if [v] is out of range or [t] is negative. *)
+
+val extract_ball : t -> center:int -> radius:int -> t * int array * int
+(** [extract_ball g ~center ~radius] is [(sub, back, c)]: the subgraph
+    induced on [ball g center radius], exactly as {!induced} numbers it
+    ([back] sorted, vertex [i] of [sub] is [back.(i)] of [g]), and the
+    centre's index [c] in it. One truncated BFS over a per-domain
+    bitset scratch; beyond the returned arrays it allocates only a
+    temporary to sort the members of a ball far smaller than [g].
+    @raise Invalid_graph as {!ball}. *)
+
+val with_ball :
+  t -> center:int -> radius:int -> (t -> int array -> int -> 'r) -> 'r
+(** [with_ball g ~center ~radius f] is [f sub back c] for the same
+    [(sub, back, c)] as {!extract_ball}, but [sub]'s arrays and [back]
+    are the calling domain's lent buffers, valid only until [f]
+    returns: only [back.(0 .. order sub - 1)] is meaningful, and
+    neither may escape [f]. A [with_ball] nested inside [f] on the same
+    domain gets an owned extraction instead; the buffers are released
+    when [f] returns or raises. This is the primitive under
+    {!View.with_extract}. *)
+
+val scratch_reuses : unit -> int
+(** Number of {!extract_ball}/{!with_ball} calls (all domains, since
+    program start) served by their domain's already-allocated BFS
+    scratch. *)
+
+val scratch_allocs : unit -> int
+(** Number of such calls that had to grow (or first allocate) it. *)
 
 val eccentricity : t -> int -> int
 (** Maximum finite distance from the given vertex.
@@ -115,8 +158,8 @@ val relabel : t -> int array -> t
 (** {1 Predicates} *)
 
 val equal : t -> t -> bool
-(** Structural equality of the concrete representations (same vertex
-    numbering); use {!Iso} for isomorphism. *)
+(** Equality of the concrete representations (same vertex numbering),
+    compared over the used entries only; use {!Iso} for isomorphism. *)
 
 val is_cycle : t -> bool
 (** Is the graph a single cycle on >= 3 vertices? *)

@@ -30,14 +30,10 @@ let dir_between a b =
 
 let locally_oriented ~mod3_of g v =
   let own = mod3_of v in
-  let nbrs = Graph.neighbours g v in
-  let dirs = Array.map (fun u -> dir_between own (mod3_of u)) nbrs in
-  Array.for_all Option.is_some dirs
-  &&
   let seen = Hashtbl.create 4 in
-  Array.for_all
-    (fun d ->
-      match d with
+  Graph.for_all_neighbours
+    (fun u ->
+      match dir_between own (mod3_of u) with
       | None -> false
       | Some d ->
           if Hashtbl.mem seen d then false
@@ -45,12 +41,13 @@ let locally_oriented ~mod3_of g v =
             Hashtbl.replace seen d ();
             true
           end)
-    dirs
+    g v
 
 let neighbour_in_dir ~mod3_of g v dir =
   let own = mod3_of v in
   let hits =
-    Array.to_list (Graph.neighbours g v)
-    |> List.filter (fun u -> dir_between own (mod3_of u) = Some dir)
+    Graph.fold_neighbours
+      (fun u acc -> if dir_between own (mod3_of u) = Some dir then u :: acc else acc)
+      g v []
   in
   match hits with [ u ] -> Some u | _ -> None

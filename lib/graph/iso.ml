@@ -13,7 +13,8 @@ type key = int * int list
 let round_keys g colors =
   Array.mapi
     (fun v c ->
-      let nbr = Array.map (fun u -> colors.(u)) (Graph.neighbours g v) in
+      let nbr = Graph.neighbours g v in
+      Array.map_inplace (fun u -> colors.(u)) nbr;
       Array.sort compare nbr;
       ((c, Array.to_list nbr) : key))
     colors
@@ -106,12 +107,12 @@ let search g h colors_g colors_h anchor =
     let consistent u v =
       colors_g.(u) = colors_h.(v)
       && Graph.degree g u = Graph.degree h v
-      && Array.for_all
+      && Graph.for_all_neighbours
            (fun w -> fwd.(w) = -1 || Graph.mem_edge h fwd.(w) v)
-           (Graph.neighbours g u)
-      && Array.for_all
+           g u
+      && Graph.for_all_neighbours
            (fun y -> inv.(y) = -1 || Graph.mem_edge g inv.(y) u)
-           (Graph.neighbours h v)
+           h v
     in
     let rec assign i =
       if i >= n then true

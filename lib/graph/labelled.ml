@@ -22,7 +22,7 @@ let mapi f lg = { lg with labels = Array.mapi f lg.labels }
 
 let relabel_nodes lg perm =
   let g = Graph.relabel lg.graph perm in
-  let labels = Array.make (order lg) lg.labels.(0) in
+  let labels = Array.copy lg.labels in
   Array.iteri (fun v image -> labels.(image) <- lg.labels.(v)) perm;
   make g labels
 

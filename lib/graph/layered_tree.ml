@@ -116,11 +116,10 @@ let inspect ~arity ~depth ~label_of g v =
         Some { label_ok; missing = []; unexpected_tree = []; foreign = [] }
       else begin
         let expected = expected_neighbours ~arity ~depth ~r lab in
-        let nbrs = Graph.neighbours g v in
         let foreign = ref [] in
         let tree_nbr_labels = ref [] in
         let unexpected = ref [] in
-        Array.iter
+        Graph.iter_neighbours
           (fun u ->
             match label_of u with
             | None -> foreign := u :: !foreign
@@ -128,7 +127,7 @@ let inspect ~arity ~depth ~label_of g v =
                 if List.mem lu expected && not (List.mem lu !tree_nbr_labels) then
                   tree_nbr_labels := lu :: !tree_nbr_labels
                 else unexpected := u :: !unexpected)
-          nbrs;
+          g v;
         let missing =
           List.filter (fun l -> not (List.mem l !tree_nbr_labels)) expected
         in

@@ -97,11 +97,12 @@ let parent_of ~classify g v =
   | None -> None
   | Some me ->
       let parents =
-        Array.to_list (Graph.neighbours g v)
-        |> List.filter (fun u ->
-               match own_label classify u with
-               | Some lu -> classify_edge me lu = Some Parent
-               | None -> false)
+        Graph.fold_neighbours
+          (fun u acc ->
+            match own_label classify u with
+            | Some lu when classify_edge me lu = Some Parent -> u :: acc
+            | Some _ | None -> acc)
+          g v []
       in
       (match parents with [ p ] -> Some p | _ -> None)
 
@@ -111,9 +112,8 @@ let inspect ~classify g v =
   | Some me ->
       let errors = ref [] in
       let err fmt = Format.kasprintf (fun s -> errors := s :: !errors) fmt in
-      let nbrs = Graph.neighbours g v in
       let siblings = ref [] and parents = ref [] and children = ref [] in
-      Array.iter
+      Graph.iter_neighbours
         (fun u ->
           match own_label classify u with
           | None -> () (* foreign edges (e.g. to the pivot) are checked by the caller *)
@@ -123,7 +123,7 @@ let inspect ~classify g v =
               | Some (Sibling d) -> siblings := (d, u) :: !siblings
               | Some Parent -> parents := u :: !parents
               | Some Child -> children := u :: !children))
-        nbrs;
+        g v;
       (* Rule: at most one sibling per direction. *)
       let dirs = List.map fst !siblings in
       if List.length (List.sort_uniq compare dirs) <> List.length dirs then

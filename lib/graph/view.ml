@@ -130,33 +130,38 @@ let extractions = Atomic.make 0
 
 let extraction_count () = Atomic.get extractions
 
-let extract_mapped ?ids lg ~center ~radius =
-  if radius < 0 then invalid "view: negative radius %d" radius;
-  (match ids with
+let check_ids_length ?ids lg =
+  match ids with
   | Some ids when Array.length ids <> Labelled.order lg ->
       invalid "view: %d ids for %d nodes" (Array.length ids) (Labelled.order lg)
-  | Some _ | None -> ());
+  | Some _ | None -> ()
+
+(* The view on an extracted ball: labels and ids restricted to
+   [back.(0 .. k-1)], each a fresh array even when the ball is
+   borrowed. Injectivity is validated on the restriction only: global
+   injectivity is the input assignment's own invariant (enforced by
+   Ids.of_array), and an O(n) check here would make whole-graph runs
+   quadratic. *)
+let assemble ?ids lg ~radius sub back center =
   Atomic.incr extractions;
-  (* One fused pass over the CSR arena: truncated BFS with a bitset
-     frontier, then the induced adjacency in the new numbering —
-     representation-identical to the historical Graph.ball +
-     Labelled.induced pipeline (sorted [back], sorted per-node
-     adjacency), but without the per-assignment array churn. The arena
-     itself is flattened once per instance and per domain. *)
-  let arena = Arena.of_graph_cached (Labelled.graph lg) in
-  let sub, back, new_center = Arena.extract_ball arena ~center ~radius in
-  assert (new_center < Array.length back && back.(new_center) = center);
+  let k = Graph.order sub in
   let all_labels = Labelled.labels lg in
-  let labels = Array.map (fun v -> Array.unsafe_get all_labels v) back in
-  let ids = Option.map (fun ids -> Array.map (fun v -> ids.(v)) back) ids in
-  (* Injectivity is validated on the restriction only: global
-     injectivity is the input assignment's own invariant (enforced by
-     Ids.of_array), and an O(n) check here would make whole-graph runs
-     quadratic. *)
-  check_ids (Graph.order sub) ids;
-  ({ center = new_center; radius; graph = sub; labels; ids }, back)
+  let labels = Array.init k (fun i -> all_labels.(back.(i))) in
+  let ids = Option.map (fun ids -> Array.init k (fun i -> ids.(back.(i)))) ids in
+  check_ids k ids;
+  { center; radius; graph = sub; labels; ids }
+
+let extract_mapped ?ids lg ~center ~radius =
+  check_ids_length ?ids lg;
+  let sub, back, c = Graph.extract_ball (Labelled.graph lg) ~center ~radius in
+  (assemble ?ids lg ~radius sub back c, back)
 
 let extract ?ids lg ~center ~radius = fst (extract_mapped ?ids lg ~center ~radius)
+
+let with_extract ?ids lg ~center ~radius f =
+  check_ids_length ?ids lg;
+  Graph.with_ball (Labelled.graph lg) ~center ~radius (fun sub back c ->
+      f (assemble ?ids lg ~radius sub back c))
 
 let of_parts ?ids ~center ~radius lg =
   let g = Labelled.graph lg in
@@ -252,9 +257,8 @@ let fingerprint hash_label view =
   let g = view.graph in
   mix (Graph.order g);
   for v = 0 to Graph.order g - 1 do
-    let nbrs = Graph.neighbours g v in
-    mix (Array.length nbrs);
-    Array.iter mix nbrs
+    mix (Graph.degree g v);
+    Graph.iter_neighbours mix g v
   done;
   Array.iter (fun l -> mix (hash_label l)) view.labels;
   (match view.ids with

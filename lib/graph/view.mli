@@ -85,10 +85,29 @@ val extract_mapped :
     caller needs to re-attach a fresh id assignment to a pre-extracted
     view without re-extracting the ball. *)
 
+val with_extract :
+  ?ids:int array -> 'a Labelled.t -> center:int -> radius:int -> ('a t -> 'r) -> 'r
+(** [with_extract ?ids lg ~center ~radius f] is [f view] for a view
+    {!equal_repr} to [extract ?ids lg ~center ~radius], whose graph is
+    {e borrowed}: it lives in per-domain buffers that later borrowed
+    extractions overwrite, so no graph is allocated. The contract:
+    - the view and its graph are valid only inside [f]. They must never
+      be returned, stored, used as (or in) a memo key, or marshalled;
+      a caller whose view may escape uses {!extract};
+    - a [with_extract] nested inside [f] on the same domain falls back
+      to an owned extraction, and an owned extraction inside [f] never
+      touches the borrowed buffers;
+    - the buffers are released when [f] returns or raises;
+    - the labels and the restricted [ids] array are fresh allocations
+      as in {!extract}, so physical equality with the ids array still
+      identifies the input assignment (certification's provenance);
+    - it counts towards {!extraction_count}.
+    @raise Graph.Invalid_graph as {!extract}. *)
+
 val extraction_count : unit -> int
-(** Total ball extractions performed so far (all domains). Used by
-    tests to pin that hoisted decision paths do per-assignment work
-    that does not scale with view extraction. *)
+(** Total ball extractions, owned and borrowed, performed so far (all
+    domains). Used by tests to pin that hoisted decision paths do
+    per-assignment work that does not scale with view extraction. *)
 
 val of_parts :
   ?ids:int array -> center:int -> radius:int -> 'a Labelled.t -> 'a t
@@ -127,8 +146,11 @@ val label : 'a t -> int -> 'a
 (** [label view v] is the input label of view node [v]. *)
 
 val neighbours : 'a t -> int -> int array
-(** [neighbours view v] are the ball-local neighbours of [v] (a
-    structure read at [v]'s depth). The array must not be mutated. *)
+(** [neighbours view v] is a fresh array of the ball-local neighbours
+    of [v] (a structure read at [v]'s depth). Code that walks every
+    node's neighbours should prefer {!Graph.neighbour},
+    {!Graph.iter_neighbours} and its siblings on [view.graph], which
+    allocate nothing. *)
 
 val degree : 'a t -> int -> int
 

@@ -292,7 +292,7 @@ let run_engine ~config ~plan ~budget ?sink lg ~id =
     s.dirty_binds <- [];
     s.dirty_links <- [];
     s.dirty <- false;
-    Array.iter
+    Graph.iter_neighbours
       (fun w ->
         let uid = !next_uid in
         incr next_uid;
@@ -315,7 +315,7 @@ let run_engine ~config ~plan ~budget ?sink lg ~id =
             processed = false;
             purged = false;
           })
-      (Graph.neighbours g u)
+      g u
   in
   (* A send opportunity: the crash plan fires here — [r - 1] completed
      batches, then the node dies mid-flight at its [r]-th. *)

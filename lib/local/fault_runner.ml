@@ -72,7 +72,7 @@ let run ~plan ?(cost = default_cost) alg lg ~ids =
     in
     for v = 0 to n - 1 do
       if alive v then
-        Array.iter
+        Graph.iter_neighbours
           (fun u ->
             if alive u then begin
               incr messages;
@@ -105,7 +105,7 @@ let run ~plan ?(cost = default_cost) alg lg ~ids =
                 Knowledge.add_edge state.(v) id.(v) id.(u)
               end
             end)
-          (Graph.neighbours g v)
+          g v
     done
   done;
   let crashed = ref 0 and incomplete = ref 0 and fuel_exhausted = ref 0 in

@@ -67,7 +67,7 @@ let contains_ball k lg ~ids ~center ~radius =
   Array.for_all
     (fun u ->
       mem_node k ids.(u)
-      && Array.for_all
+      && Graph.for_all_neighbours
            (fun w -> (not in_ball.(w)) || mem_edge k ids.(u) ids.(w))
-           (Graph.neighbours g u))
+           g u)
     ball

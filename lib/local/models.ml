@@ -79,20 +79,18 @@ let run_po alg lg ~oriented =
     oriented;
   if Hashtbl.length dir <> Graph.size g then invalid "orientation misses some edges";
   let port_of u v =
-    let nbrs = Graph.neighbours g u in
-    let rec find i = if nbrs.(i) = v then i else find (i + 1) in
+    let rec find i = if Graph.neighbour g u i = v then i else find (i + 1) in
     find 0
   in
   Array.init (Labelled.order lg) (fun v ->
       let incident =
-        Graph.neighbours g v
-        |> Array.to_list
-        |> List.mapi (fun port u ->
-               {
-                 port;
-                 remote_port = port_of u v;
-                 outward = Hashtbl.mem dir (v, u);
-                 remote_label = Labelled.label lg u;
-               })
+        List.init (Graph.degree g v) (fun port ->
+            let u = Graph.neighbour g v port in
+            {
+              port;
+              remote_port = port_of u v;
+              outward = Hashtbl.mem dir (v, u);
+              remote_label = Labelled.label lg u;
+            })
       in
       alg.po_decide { center_label = Labelled.label lg v; incident })

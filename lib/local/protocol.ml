@@ -32,7 +32,9 @@ let run ~max_rounds proto lg ~ids =
       Array.init n (fun v ->
           if proto.halted state.(v) then state.(v)
           else
-            let received = Array.map (fun u -> outbox.(u)) (Graph.neighbours g v) in
+            let received =
+              Array.init (Graph.degree g v) (fun k -> outbox.(Graph.neighbour g v k))
+            in
             proto.round state.(v) ~received)
     in
     Array.blit next 0 state 0 n

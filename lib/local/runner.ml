@@ -43,7 +43,7 @@ type ('a, 'o) prepared = {
    tally and the quotient scans are billed in. *)
 let c_decides = Locald_runtime.Telemetry.Counter.make "runner.decides"
 
-(* Scratch-pool effectiveness, bridged from the arena's cumulative
+(* Scratch-pool effectiveness, bridged from the extractor's cumulative
    process-wide counters into the current telemetry run: after the
    first extraction on a worker, every further ball should reuse that
    worker's BFS scratch rather than reallocate. The bridge runs once
@@ -56,10 +56,10 @@ let last_scratch_reuses = Atomic.make 0
 let last_scratch_allocs = Atomic.make 0
 
 let sync_scratch_gauges () =
-  let cur = Arena.scratch_reuses () in
+  let cur = Graph.scratch_reuses () in
   let delta = cur - Atomic.exchange last_scratch_reuses cur in
   Locald_runtime.Telemetry.Gauge.add g_scratch_reuses (float_of_int delta);
-  let cur = Arena.scratch_allocs () in
+  let cur = Graph.scratch_allocs () in
   let delta = cur - Atomic.exchange last_scratch_allocs cur in
   Locald_runtime.Telemetry.Gauge.add g_scratch_allocs (float_of_int delta)
 

@@ -90,7 +90,7 @@ let is_proper_colouring g cols ~k =
   Graph.fold_vertices
     (fun v acc ->
       acc && cols.(v) >= 0 && cols.(v) < k
-      && Array.for_all (fun u -> cols.(u) <> cols.(v)) (Graph.neighbours g v))
+      && Graph.for_all_neighbours (fun u -> cols.(u) <> cols.(v)) g v)
     g true
 
 (* ------------------------------------------------------------------ *)

@@ -123,7 +123,7 @@ let raw_digest t (v : 'a View.t) =
   Array.iter (fun x -> mix (t.label_hash x)) v.View.labels;
   for u = 0 to Graph.order g - 1 do
     mix (u * 8191);
-    Array.iter mix (Graph.neighbours g u)
+    Graph.iter_neighbours mix g u
   done;
   !h land max_int
 

@@ -20,7 +20,11 @@ let test_of_edges_basic () =
   check bool "mem 0-1" true (Graph.mem_edge g 0 1);
   check bool "mem 1-0 (symmetric)" true (Graph.mem_edge g 1 0);
   check bool "no 0-2" false (Graph.mem_edge g 0 2);
-  check int "degree 1" 2 (Graph.degree g 1)
+  check int "degree 1" 2 (Graph.degree g 1);
+  check int "port 1 of vertex 1" 2 (Graph.neighbour g 1 1);
+  Alcotest.check_raises "port out of range"
+    (Graph.Invalid_graph "port 2 out of range [0,2) at vertex 1")
+    (fun () -> ignore (Graph.neighbour g 1 2))
 
 let test_of_edges_rejects_self_loop () =
   Alcotest.check_raises "self-loop" (Graph.Invalid_graph "self-loop at vertex 2")
@@ -88,6 +92,11 @@ let test_ball_matches_bfs () =
         done
       done)
     cases
+
+let test_ball_rejects_negative_radius () =
+  Alcotest.check_raises "negative radius"
+    (Graph.Invalid_graph "view: negative radius -1")
+    (fun () -> ignore (Graph.ball (Gen.path 3) 1 (-1)))
 
 let test_disconnected_distances () =
   let g = Graph.of_edges ~n:4 [ (0, 1) ] in
@@ -278,6 +287,8 @@ let () =
         [
           Alcotest.test_case "bfs on a path" `Quick test_bfs_on_path;
           Alcotest.test_case "ball = bfs restriction" `Quick test_ball_matches_bfs;
+          Alcotest.test_case "ball rejects a negative radius" `Quick
+            test_ball_rejects_negative_radius;
           Alcotest.test_case "disconnected graphs" `Quick test_disconnected_distances;
         ] );
       ( "transformations",

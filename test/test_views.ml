@@ -30,6 +30,12 @@ let test_labelled_relabel_nodes () =
   check int "label follows node (1 -> 0)" 1 (Labelled.label lh 0);
   check bool "edge image" true (Graph.mem_edge (Labelled.graph lh) 2 0)
 
+let test_labelled_relabel_empty () =
+  let lg = Labelled.const (Graph.empty 0) 'x' in
+  let lh = Labelled.relabel_nodes lg [||] in
+  check int "still empty" 0 (Labelled.order lh);
+  check bool "equal to the input" true (Labelled.equal Char.equal lg lh)
+
 let test_labelled_induced () =
   let lg = Labelled.init (Gen.cycle 5) (fun v -> v * v) in
   let sub, back = Labelled.induced lg [| 3; 1; 2 |] in
@@ -195,6 +201,8 @@ let () =
         [
           Alcotest.test_case "basics" `Quick test_labelled_basics;
           Alcotest.test_case "relabel nodes" `Quick test_labelled_relabel_nodes;
+          Alcotest.test_case "relabel the empty graph" `Quick
+            test_labelled_relabel_empty;
           Alcotest.test_case "induced" `Quick test_labelled_induced;
         ] );
       ( "extraction",
