@@ -1200,14 +1200,18 @@ let serve_cmd =
       | Some port -> [ Serve.listener_tcp ~port () ]
       | None -> [])
     in
-    Printf.printf "serve: listening on %s%s (inflight <= %d, engines <= %d)\n%!"
+    (* The pool's width, capped at the host's cores, sizes the
+       executor; the pool itself is never created. *)
+    let jobs = Pool.default_jobs () in
+    Printf.printf
+      "serve: listening on %s%s (jobs %d, inflight <= %d, engines <= %d)\n%!"
       socket
       (match tcp_port with
       | Some port -> Printf.sprintf " and 127.0.0.1:%d" port
       | None -> "")
-      max_inflight max_engines;
+      jobs max_inflight max_engines;
     let stats =
-      Serve.run ~max_inflight ~drain ~listeners
+      Serve.run ~max_inflight ~drain ~jobs ~listeners
         ~handlers:(Service.handlers svc) ()
     in
     (try Sys.remove socket with Sys_error _ -> ());
@@ -1223,9 +1227,9 @@ let serve_cmd =
       value & opt int 64
       & info [ "max-inflight" ] ~docv:"N"
           ~doc:
-            "Bound on queued requests (default 64): frames arriving \
-             past it are answered $(b,busy) immediately instead of \
-             buffered without bound.")
+            "Bound on requests admitted and not yet answered (default \
+             64): frames arriving past it are answered $(b,busy) \
+             immediately instead of buffered without bound.")
   in
   let max_engines =
     Arg.(
@@ -1252,10 +1256,14 @@ let serve_cmd =
           metrics / shutdown requests as length-prefixed JSON frames \
           over a Unix-domain (and optionally TCP) socket. Engines and \
           their decide-once memo tables persist across requests; \
-          per-request backend/seed/memo/jobs override the startup \
-          defaults without touching them. SIGTERM/SIGINT (or a \
-          shutdown request) drain: in-flight requests are answered, \
-          then the daemon exits 0.")
+          per-request backend/seed/memo override the startup defaults \
+          without touching them. $(b,--jobs) N runs up to N requests \
+          at once, each on one core: a single large request (a \
+          full-range decide, certify) does not fan out, and a \
+          request's own jobs field is checked but has no effect. \
+          Each connection gets its replies in request order. \
+          SIGTERM/SIGINT (or a shutdown request) drain: in-flight \
+          requests are answered, then the daemon exits 0.")
     Term.(
       const run $ socket_opt $ tcp_port_opt $ max_inflight $ max_engines
       $ memo_capacity $ engine_term () $ trace_opt)

@@ -17,7 +17,14 @@
    Per-request configuration is {e threaded}, never ambient: the
    daemon's startup backend and memo mode are given once at [create],
    and a request's backend/memo override them for that request only by
-   flowing through [w_eval]'s explicit parameters. *)
+   flowing through [w_eval]'s explicit parameters.
+
+   Requests run concurrently on the daemon's executor domains, so the
+   engine table and its LRU clock sit under one mutex. The same lock
+   covers every forcing of a workload's lazy instance (an engine build
+   or a geometry read): forcing one lazy from two domains at once
+   raises [Lazy.Undefined]. Engines themselves are shared without a
+   lock; their closures are pure and their memo tables concurrent. *)
 
 open Locald_runtime
 module Backend = Locald_local.Backend
@@ -38,6 +45,7 @@ type t = {
   sv_memo : Memo.mode;
   sv_memo_capacity : int;
   sv_max_engines : int;
+  sv_lock : Mutex.t;  (* the table, the tick, and workload lazies *)
   sv_engines : (string, engine) Hashtbl.t;
   mutable sv_tick : int;
 }
@@ -53,6 +61,7 @@ let create ?(backend = Backend.Sync) ?(memo = Memo.Exact_ids)
     sv_memo = memo;
     sv_memo_capacity = memo_capacity;
     sv_max_engines = max 1 max_engines;
+    sv_lock = Mutex.create ();
     sv_engines = Hashtbl.create 16;
     sv_tick = 0;
   }
@@ -78,15 +87,13 @@ let resolve_memo t (c : Proto.config) =
             (Printf.sprintf "unknown memo mode %S (expected off | exact | order)"
                s))
 
-(* Per-request pool width. Resizing the shared pool is safe between
-   requests (the loop executes them sequentially) and digest-neutral
-   (every engine entry point is deterministic at any width); a request
-   for the live pool's width keeps it. *)
-let apply_jobs (c : Proto.config) =
+(* A request's [jobs] is still range-checked, so a client's mistake is
+   an error, but it has no effect: every request runs at width one on
+   the daemon's executor. *)
+let check_jobs (c : Proto.config) =
   match c.c_jobs with
-  | None -> Ok ()
   | Some j when j < 1 || j > 64 -> Error "jobs must be within [1, 64]"
-  | Some j -> Ok (Pool.set_default_jobs j)
+  | Some _ | None -> Ok ()
 
 let backend_key = function
   | Backend.Sync -> "sync"
@@ -102,6 +109,7 @@ let engine_for t (w : Sweeps.workload) backend memo =
     Printf.sprintf "%s#%s#%s" w.Sweeps.w_name (backend_key backend)
       (Memo.mode_to_string memo)
   in
+  Mutex.protect t.sv_lock @@ fun () ->
   t.sv_tick <- t.sv_tick + 1;
   match Hashtbl.find_opt t.sv_engines key with
   | Some e ->
@@ -154,8 +162,8 @@ let handle_decide t (req : Proto.request) =
   in
   let* backend = resolve_backend t req.Proto.r_config in
   let* memo = resolve_memo t req.Proto.r_config in
-  let* () = apply_jobs req.Proto.r_config in
-  let geom = w.Sweeps.w_geometry () in
+  let* () = check_jobs req.Proto.r_config in
+  let geom = Mutex.protect t.sv_lock w.Sweeps.w_geometry in
   let total = geom.Sweeps.g_total in
   let lo = Option.value req.Proto.r_lo ~default:0 in
   let hi = Option.value req.Proto.r_hi ~default:total in
@@ -243,16 +251,8 @@ let handlers t =
             Serve.Final
               (Proto.response ~id ~op
                  (Json.Obj [ ("draining", Json.Bool true) ]))
-        | Proto.Decide -> (
-            match handle_decide t req with
-            | r -> reply r
-            | exception e ->
-                Serve.Reply (Proto.error_response ~id (Printexc.to_string e)))
-        | Proto.Certify -> (
-            match handle_certify t with
-            | r -> reply r
-            | exception e ->
-                Serve.Reply (Proto.error_response ~id (Printexc.to_string e))))
+        | Proto.Decide -> reply (handle_decide t req)
+        | Proto.Certify -> reply (handle_certify t))
   in
   {
     Serve.on_request;

@@ -19,10 +19,17 @@
     [sched_seed] / [fifo] / [memo] override them for that request
     only, by explicit threading, with the backend options read by
     {!Locald_local.Backend.resolve} as on the CLI. A request's [jobs]
-    resizes the process-wide {!Locald_runtime.Pool} (kept when the
-    width is unchanged). Unknown backend or memo names, contradictory
-    backend options, and out-of-range ranks or job counts, are
-    rejected with an error response — never coerced.
+    is range-checked but has no effect on a daemon: every request runs
+    at width one on {!Locald_runtime.Serve}'s executor, and the
+    process-wide {!Locald_runtime.Pool} is never resized. Unknown
+    backend or memo names, contradictory backend options, and
+    out-of-range ranks or job counts, are rejected with an error
+    response — never coerced.
+
+    {b Domain safety.} Requests run concurrently: the engine table,
+    its LRU clock and every forcing of a workload's lazy instance sit
+    under one mutex, and engines are shared by concurrent requests
+    (their closures are pure, their memo tables concurrent).
 
     {b Determinism.} Decide results carry counts and the
     {!Locald_runtime.Shard.result_digest} only — no wall times, no
@@ -52,6 +59,7 @@ val create :
 val handlers : t -> Locald_runtime.Serve.handlers
 (** The dispatcher: decide / certify / metrics / ping answer with
     [ok] responses, shutdown answers and begins the drain, unknown or
-    ill-typed requests answer with error responses. Handler exceptions
-    are caught and returned as error responses — a request can fail,
-    the daemon cannot. *)
+    ill-typed requests answer with error responses. An exception
+    escaping a decide or certify is answered by {!Locald_runtime.Serve}
+    with an error response carrying the request's id — a request can
+    fail, the daemon cannot. *)

@@ -21,12 +21,15 @@ let depth p = Bound.big_r ~regime:p.regime ~arity:p.arity ~r:p.r
 
 (* T_r is induced from repeatedly when enumerating the small instances;
    memoise it by its numeric shape (the regime only enters through the
-   computed depth). *)
+   computed depth). The serve daemon reaches this from concurrent
+   requests (engine builds, certify), so the table is locked. *)
 let tree_cache : (int * int * int, label Labelled.t) Hashtbl.t = Hashtbl.create 8
+let tree_cache_lock = Mutex.create ()
 
 let big_tree p =
   let d = depth p in
   let key = (p.arity, p.r, d) in
+  Mutex.protect tree_cache_lock @@ fun () ->
   match Hashtbl.find_opt tree_cache key with
   | Some t -> t
   | None ->

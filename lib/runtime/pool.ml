@@ -83,12 +83,12 @@ type t = {
   mutable workers : unit Domain.t list;
 }
 
-(* Set while a domain is executing pool work: nested [map]s go
-   sequential instead of re-entering the queue. *)
-let inside_worker : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
+(* Set while a domain is executing pool work or a [sequential] scope:
+   [map]s there go sequential instead of re-entering the queue. *)
+let width_one : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
 
 let worker_main pool () =
-  Domain.DLS.set inside_worker true;
+  Domain.DLS.set width_one true;
   let rec loop () =
     Mutex.lock pool.lock;
     while Queue.is_empty pool.queue && pool.live do
@@ -188,13 +188,9 @@ let set_default_jobs j =
 (* Deterministic fan-out                                               *)
 (* ------------------------------------------------------------------ *)
 
-let map ?pool f xs =
-  let pool = match pool with Some p -> p | None -> default () in
+let fan_out pool f xs =
   let n = Array.length xs in
-  Telemetry.Counter.incr c_maps;
-  if pool.jobs = 1 || n <= 1 || n < seq_threshold || Domain.DLS.get inside_worker
-  then Telemetry.span "pool.map" (fun () -> Array.map f xs)
-  else Telemetry.span "pool.map" @@ fun () -> begin
+  Telemetry.span "pool.map" @@ fun () -> begin
     let results = Array.make n None in
     let cursor = Atomic.make 0 in
     let failed = Atomic.make None in
@@ -254,6 +250,23 @@ let map ?pool f xs =
     | Some (e, bt) -> Printexc.raise_with_backtrace e bt
     | None -> require_all results
   end
+
+let sequential f =
+  let outer = Domain.DLS.get width_one in
+  Domain.DLS.set width_one true;
+  Fun.protect ~finally:(fun () -> Domain.DLS.set width_one outer) f
+
+let map ?pool f xs =
+  Telemetry.Counter.incr c_maps;
+  (* At width one no pool is consulted, so none is created. *)
+  let pool =
+    if Domain.DLS.get width_one then None
+    else Some (match pool with Some p -> p | None -> default ())
+  in
+  match pool with
+  | Some pool when pool.jobs > 1 && Array.length xs >= seq_threshold ->
+      fan_out pool f xs
+  | _ -> Telemetry.span "pool.map" (fun () -> Array.map f xs)
 
 let map_list ?pool f xs = Array.to_list (map ?pool f (Array.of_list xs))
 

@@ -59,6 +59,13 @@ val require_all : 'a option array -> 'a array
     lost-worker diagnosis is unit-testable; ordinary callers never need
     it. *)
 
+val sequential : (unit -> 'a) -> 'a
+(** [sequential f] runs [f] at width one: every {!map} it issues on
+    this domain, with or without [?pool], takes the exact sequential
+    path, and none consults or creates the default pool. The serve
+    daemon runs each request this way, so requests overlap across
+    its domains instead of each fanning out over the pool. *)
+
 val map : ?pool:t -> ('a -> 'b) -> 'a array -> 'b array
 (** Ordered parallel map. If any application of [f] raises, the first
     exception (in claim order) is re-raised on the caller after the

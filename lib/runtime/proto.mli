@@ -80,7 +80,9 @@ type config = {
   c_sched_seed : int option;  (** async scheduler seed *)
   c_fifo : bool option;       (** async FIFO delivery *)
   c_memo : string option;     (** ["off"], ["exact"] or ["order"] *)
-  c_jobs : int option;        (** pool width for this request *)
+  c_jobs : int option;
+      (** a pool width within [[1, 64]]; checked, but it has no
+          effect on a daemon, whose requests all run at width one *)
 }
 (** Per-request configuration — every field optional, defaults are the
     daemon's startup configuration. *)

@@ -1,16 +1,19 @@
-(** The generic frame server under [locald serve]: a single-threaded
-    select loop multiplexing listeners and connections, batching
-    pipelined frames, bounding the inflight queue, and draining
-    gracefully.
+(** The generic frame server under [locald serve]: a select loop
+    multiplexing listeners and connections, an executor of [jobs]
+    domains running requests, pipelined-frame batching, a bounded
+    inflight count and graceful draining.
 
     Request semantics are injected as {!handlers} — this module owns
-    sockets, framing, backpressure and shutdown; [Locald_core.Service]
-    owns what a request {e means}. Requests execute sequentially in
-    arrival order (each one fans out over the domain Pool internally),
-    which is what makes concurrent clients' responses byte-identical
-    to one-shot runs: no request can observe another in flight.
+    sockets, framing, execution, backpressure and shutdown;
+    [Locald_core.Service] owns what a request {e means}. Requests run
+    concurrently, each at width one ({!Pool.sequential}), and every
+    connection gets its replies in request order. Responses are
+    byte-identical to one-shot runs because each request's result is
+    a deterministic function of the request alone: the engines are
+    deterministic, their memo tables transparent, and a request's
+    configuration is explicit.
 
-    Telemetry: the loop bumps the run-scoped [serve.requests],
+    Telemetry: the executor bumps the run-scoped [serve.requests],
     [serve.busy], [serve.malformed] and [serve.connections] counters
     and wraps each execution in a [serve.request] span, so a metrics
     request (or the load generator) sees latency histograms for free. *)
@@ -23,7 +26,10 @@ type reply =
 
 type handlers = {
   on_request : Proto.Json.t -> reply;
-      (** one complete, well-formed frame; must not raise *)
+      (** one complete, well-formed frame. Called from any executor
+          domain, concurrently with other requests. Should not raise:
+          an exception becomes an error reply carrying the frame's id
+          ({!Proto.request_id}) and the loop keeps serving. *)
   on_busy : inflight:int -> Proto.Json.t -> Proto.Json.t;
       (** the reply for a frame refused by the inflight bound *)
   on_malformed : string -> Proto.Json.t;
@@ -49,18 +55,23 @@ val listener_tcp : ?host:string -> port:int -> unit -> Unix.file_descr
 val run :
   ?max_inflight:int ->
   ?max_frame:int ->
-  ?throttle_ms:float ->
   ?drain:bool Atomic.t ->
   ?poll_interval:float ->
+  jobs:int ->
   listeners:Unix.file_descr list ->
   handlers:handlers ->
   unit ->
   stats
-(** Serve until drained. [max_inflight] (default 64) bounds the
-    request queue — frames past it are answered via [on_busy]
-    immediately. [max_frame] is the per-connection
-    {!Proto.decoder} bound. [throttle_ms] is a test hook stalling
-    each execution so backpressure becomes deterministic.
+(** Serve until drained. [jobs] is the executor width: the calling
+    domain plus [jobs - 1] spawned ones run requests, each at width
+    one, and take turns running the select loop; the spawned domains
+    are joined before [run] returns (below 1 means 1). An exception
+    escaping the loop (not a handler) stops every domain and is
+    re-raised here.
+    [max_inflight] (default 64) bounds the requests admitted and not
+    yet answered — frames past it are answered via [on_busy]
+    immediately. [max_frame] is the per-connection {!Proto.decoder}
+    bound.
 
     [drain] is the graceful-shutdown switch: when it becomes true
     (from a signal handler, another thread, or a [Final] reply), the

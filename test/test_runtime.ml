@@ -102,6 +102,43 @@ let test_split_seeds () =
   check (Alcotest.array int) "split_seeds = sequential bits draws" expected
     (Pool.split_seeds rng 32)
 
+(* Inside [Pool.sequential] every map runs on the calling domain, even
+   one given an explicit three-domain pool; the scope ends with its
+   function, also when that raises. Fanning out is observed with a
+   latch between the first and the last item, which only two domains
+   running at once can pass (each side waits at most about 5 s). *)
+let test_sequential_scope () =
+  let pool = Lazy.force pool in
+  let here = (Domain.self () :> int) in
+  let xs = Array.init 64 Fun.id in
+  (* Each item sleeps a little, so a fanned-out map would reach the
+     workers. *)
+  let on_domains () =
+    Pool.map ~pool
+      (fun _ ->
+        Unix.sleepf 0.001;
+        (Domain.self () :> int))
+      xs
+  in
+  check bool "every item on the calling domain" true
+    (Array.for_all (( = ) here) (Pool.sequential on_domains));
+  (match Pool.sequential (fun () -> failwith "scope") with
+  | () -> Alcotest.fail "expected the exception"
+  | exception Failure _ -> ());
+  let arrived = Atomic.make 0 in
+  let meets i =
+    if i = 0 || i = Array.length xs - 1 then begin
+      Atomic.incr arrived;
+      let deadline = Timing.now () +. 5. in
+      while Atomic.get arrived < 2 && Timing.now () < deadline do
+        Domain.cpu_relax ()
+      done
+    end;
+    Atomic.get arrived >= 2
+  in
+  check bool "the scope has ended: the pool fans out again" true
+    (Pool.map ~pool meets xs).(0)
+
 (* Resizing the default pool to the width it already has (after the
    core-count cap) keeps the live pool instead of respawning it. *)
 let test_resize_keeps_same_width () =
@@ -556,6 +593,8 @@ let () =
           Alcotest.test_case "exception propagation" `Quick
             test_exception_propagation;
           Alcotest.test_case "nested maps" `Quick test_nested_map;
+          Alcotest.test_case "sequential scope stays on the caller" `Quick
+            test_sequential_scope;
           Alcotest.test_case "init_in_order" `Quick test_init_in_order;
           Alcotest.test_case "split_seeds" `Quick test_split_seeds;
           Alcotest.test_case "resize to the same width keeps the pool" `Quick

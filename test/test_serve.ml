@@ -4,7 +4,10 @@
    behaviour — concurrent clients with distinct per-request configs
    answered byte-identically to one-shot runs, per-request configs read
    as the CLI reads its flags, cross-request memo hits, busy
-   backpressure, malformed-frame survival and graceful drain. *)
+   backpressure, malformed-frame survival, graceful drain, and the
+   executor: overlapping requests with replies in per-connection
+   order, a raising handler costing one request, and first-time engine
+   builds racing on a fresh daemon. *)
 
 open Locald_runtime
 open Locald_core
@@ -212,10 +215,13 @@ let test_memo_unbounded_without_capacity () =
 let socket_counter = ref 0
 
 (* An in-process daemon on a private socket: the server loop runs on a
-   posix thread (requests still fan out over the domain pool), the
-   test body plays client, and the finaliser drains and joins so every
-   test ends with the loop's stats in hand. *)
-let with_server ?max_inflight ?max_frame ?throttle_ms ?max_engines f =
+   posix thread with an executor of [jobs] domains (by default the
+   pool's width, as [locald serve] sizes it; each request runs at
+   width one), the test body plays client, and the finaliser drains
+   and joins so every test ends with the loop's stats in hand.
+   [handlers] replaces the service's request semantics. *)
+let with_server ?max_inflight ?max_frame ?max_engines
+    ?(jobs = Pool.default_jobs ()) ?handlers f =
   incr socket_counter;
   let path =
     Filename.concat
@@ -223,7 +229,11 @@ let with_server ?max_inflight ?max_frame ?throttle_ms ?max_engines f =
       (Printf.sprintf "locald-test-%d-%d.sock" (Unix.getpid ()) !socket_counter)
   in
   let drain = Atomic.make false in
-  let svc = Service.create ?max_engines () in
+  let handlers =
+    match handlers with
+    | Some h -> h
+    | None -> Service.handlers (Service.create ?max_engines ())
+  in
   let listener = Serve.listener_unix path in
   let stats = ref None in
   let th =
@@ -231,8 +241,8 @@ let with_server ?max_inflight ?max_frame ?throttle_ms ?max_engines f =
       (fun () ->
         stats :=
           Some
-            (Serve.run ?max_inflight ?max_frame ?throttle_ms ~drain
-               ~listeners:[ listener ] ~handlers:(Service.handlers svc) ()))
+            (Serve.run ?max_inflight ?max_frame ~drain ~jobs
+               ~listeners:[ listener ] ~handlers ()))
       ()
   in
   let finish () =
@@ -395,7 +405,24 @@ let test_per_request_config_rejected_not_coerced () =
                      c_sched_seed = Some 3;
                    }
                  ~id:5 Proto.Decide)
-              "a sync backend with an async seed"))
+              "a sync backend with an async seed";
+            expect_error
+              (Proto.request
+                 ~config:{ Proto.no_config with Proto.c_jobs = Some 0 }
+                 ~id:6 Proto.Decide)
+              "a job count below 1";
+            (* In range, a request's jobs is accepted and inert: the
+               request runs at width one and the process pool keeps
+               its width. *)
+            let width = Pool.default_jobs () in
+            let jobs = if width = 1 then 2 else 1 in
+            ignore
+              (result_digest
+                 (rpc fd
+                    (Proto.request ~workload:"exhaustive-decider-a1"
+                       ~config:{ Proto.no_config with Proto.c_jobs = Some jobs }
+                       ~id:7 Proto.Decide)));
+            check int "pool width untouched" width (Pool.default_jobs ())))
   in
   ()
 
@@ -639,6 +666,182 @@ let test_engine_cache_evicts_lru () =
   check int "four engine builds" 4 builds;
   check bool "evictions happened" true (evictions >= 1)
 
+(* Request semantics for the executor tests: every request answers ok
+   with its own id, unless [special] handles it. *)
+let injected special =
+  let on_request json =
+    match special json with
+    | Some reply -> reply
+    | None ->
+        let id = Option.value (Proto.request_id json) ~default:0 in
+        Serve.Reply (Proto.response ~id ~op:Proto.Ping (Json.Obj []))
+  in
+  { (Service.handlers (Service.create ())) with Serve.on_request }
+
+(* A raising handler must cost one request, not the daemon: the
+   exception becomes an error reply with the frame's id, and the
+   connection goes on being served — at width 1, and at width 2, where
+   either domain may run the request. *)
+let test_handler_exception_answers_error () =
+  List.iter
+    (fun jobs ->
+      let handlers =
+        injected (fun json ->
+            if Proto.request_id json = Some 2 then failwith "injected fault"
+            else None)
+      in
+      let views, stats =
+        with_server ~jobs ~handlers (fun path _drain ->
+            let fd = Proto.connect_unix path in
+            Fun.protect
+              ~finally:(fun () -> Unix.close fd)
+              (fun () ->
+                List.map
+                  (fun id ->
+                    Proto.response_view (rpc fd (Proto.request ~id Proto.Ping)))
+                  [ 1; 2; 3 ]))
+      in
+      let ids = List.map (fun v -> v.Proto.v_id) views in
+      check (Alcotest.list (Alcotest.option int)) "ids" [ Some 1; Some 2; Some 3 ]
+        ids;
+      check (Alcotest.list bool) "only the raising request fails"
+        [ true; false; true ]
+        (List.map (fun v -> v.Proto.v_ok) views);
+      (match (List.nth views 1).Proto.v_error with
+      | Some msg when Str.string_match (Str.regexp ".*injected fault") msg 0 ->
+          ()
+      | e ->
+          Alcotest.failf "error reply should name the exception, got %s"
+            (Option.value e ~default:"none"));
+      check int "served counts the failed request" 3 stats.Serve.served)
+    [ 1; 2 ]
+
+(* Overlap and per-connection order without a timing assumption: two
+   requests pipelined in one write on one connection at width 2. The
+   first waits (at most about 10 s) on a latch only the second opens,
+   so the first can finish in time only if both ran at once; its reply
+   must still arrive first. *)
+let test_overlap_keeps_connection_order () =
+  let opened = Atomic.make false in
+  let handlers =
+    injected (fun json ->
+        match Proto.request_id json with
+        | Some 1 ->
+            let deadline = Timing.now () +. 10. in
+            while (not (Atomic.get opened)) && Timing.now () < deadline do
+              Unix.sleepf 0.001
+            done;
+            Some
+              (Serve.Reply
+                 (Proto.response ~id:1 ~op:Proto.Ping
+                    (Json.Obj
+                       [ ("timed_out", Json.Bool (not (Atomic.get opened))) ])))
+        | _ ->
+            Atomic.set opened true;
+            None)
+  in
+  let replies, stats =
+    with_server ~jobs:2 ~handlers (fun path _drain ->
+        let fd = Proto.connect_unix path in
+        Fun.protect
+          ~finally:(fun () -> Unix.close fd)
+          (fun () ->
+            let wire =
+              Bytes.concat Bytes.empty
+                (List.map
+                   (fun id ->
+                     Proto.encode_frame
+                       (Proto.request_to_json (Proto.request ~id Proto.Ping)))
+                   [ 1; 2 ])
+            in
+            check int "single write" (Bytes.length wire)
+              (Unix.write fd wire 0 (Bytes.length wire));
+            List.init 2 (fun _ ->
+                match Proto.read_frame fd with
+                | Some json -> Proto.response_view json
+                | None -> Alcotest.fail "connection closed early")))
+  in
+  check (Alcotest.list (Alcotest.option int)) "replies in request order"
+    [ Some 1; Some 2 ]
+    (List.map (fun v -> v.Proto.v_id) replies);
+  List.iter (fun v -> check bool "ok" true v.Proto.v_ok) replies;
+  (match (List.hd replies).Proto.v_result with
+  | Some result ->
+      check (Alcotest.option bool) "the first request was not left waiting"
+        (Some false)
+        (match Json.member "timed_out" result with
+        | Some (Json.Bool b) -> Some b
+        | _ -> None)
+  | None -> Alcotest.fail "the first reply carries no result");
+  check int "both served" 2 stats.Serve.served
+
+(* First-time decides of three workloads at once on a fresh [locald
+   serve --jobs 2]: each builds its engine while the others may be
+   building theirs, and two of them share H+'s lazy instance. All three
+   must answer with their one-shot digests. Whether two domains ever
+   force one lazy at the same instant is timing-dependent, so this
+   guards the locking against regressions rather than reproducing the
+   race on demand. *)
+let test_fresh_daemon_first_decides_at_once () =
+  let cli =
+    Filename.concat (Filename.dirname Sys.executable_name) "../bin/locald.exe"
+  in
+  let sock =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "locald-test-%d-fresh.sock" (Unix.getpid ()))
+  in
+  let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  let pid =
+    Unix.create_process cli
+      [| cli; "serve"; "--socket"; sock; "--jobs"; "2" |]
+      Unix.stdin null null
+  in
+  Unix.close null;
+  let workloads =
+    [ "exhaustive-decider"; "async-exhaustive"; "exhaustive-decider-a1" ]
+  in
+  let status = ref None in
+  let finish () =
+    (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
+    status := Some (snd (Unix.waitpid [] pid));
+    try Sys.remove sock with Sys_error _ -> ()
+  in
+  let digests =
+    Fun.protect ~finally:finish (fun () ->
+        let deadline = Timing.now () +. 30. in
+        let rec connect () =
+          match Proto.connect_unix sock with
+          | fd -> fd
+          | exception Unix.Unix_error ((Unix.ENOENT | Unix.ECONNREFUSED), _, _)
+            when Timing.now () < deadline ->
+              Unix.sleepf 0.01;
+              connect ()
+        in
+        let fds = List.map (fun _ -> connect ()) workloads in
+        Fun.protect
+          ~finally:(fun () -> List.iter Unix.close fds)
+          (fun () ->
+            List.iteri
+              (fun i (fd, workload) ->
+                Proto.write_frame fd
+                  (Proto.request_to_json
+                     (Proto.request ~workload ~id:i Proto.Decide)))
+              (List.combine fds workloads);
+            List.map
+              (fun fd ->
+                match Proto.read_frame fd with
+                | Some json -> result_digest json
+                | None -> Alcotest.fail "daemon closed a connection")
+              fds))
+  in
+  check bool "the daemon drained and exited 0" true
+    (!status = Some (Unix.WEXITED 0));
+  List.iter2
+    (fun workload digest ->
+      check string (workload ^ " = one-shot") (oneshot_digest workload) digest)
+    workloads digests
+
 let () =
   Alcotest.run "serve"
     [
@@ -685,5 +888,11 @@ let () =
             test_shutdown_request_drains;
           Alcotest.test_case "engine cache evicts LRU" `Slow
             test_engine_cache_evicts_lru;
+          Alcotest.test_case "handler exception answers an error" `Quick
+            test_handler_exception_answers_error;
+          Alcotest.test_case "pipelined requests overlap, replies in order"
+            `Quick test_overlap_keeps_connection_order;
+          Alcotest.test_case "fresh daemon, first decides at once" `Slow
+            test_fresh_daemon_first_decides_at_once;
         ] );
     ]
