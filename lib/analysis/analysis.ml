@@ -37,7 +37,6 @@ type report = {
   rep_views : int;
   rep_total : int;
   rep_degraded : int;
-  rep_distinct_views : int;
   rep_events : int;
   rep_max_depth : int;
   rep_flags : flag list;
@@ -68,32 +67,11 @@ let c_probes = Telemetry.Counter.make "certify.probes"
 let c_flags = Telemetry.Counter.make "certify.flags"
 
 let certify ?pool ?(budget = 20_000) ?(slack = 0) ?plan ?confirm ?confirm_on
-    ?backend ?confirm_memo ?memo (alg : ('a, bool) Algorithm.t) ~instances =
+    ?backend ?confirm_memo (alg : ('a, bool) Algorithm.t) ~instances =
   if budget < 1 then invalid_arg "Analysis.certify: budget must be positive";
   if slack < 0 then invalid_arg "Analysis.certify: negative slack";
   Telemetry.span "analysis.certify" @@ fun () ->
   let horizon = alg.Algorithm.radius + slack in
-  (* Probe-once memo: two nodes (possibly across instances) with equal
-     decorated views — structure, labels and the concrete id decoration
-     — trace identically for a pure decide, so the probe payload is
-     keyed by the view and computed once per distinct decorated ball.
-     Only exact keys are sound here: the trace of an id-reading decide
-     can differ across decorations of the same order type, so
-     [Order_type] deliberately does not coarsen this table. Off by
-     default: within one instance every decorated ball is distinct (the
-     probe ids are the global node numbers restricted to the ball), so
-     the table only pays for itself when the instance list overlaps or
-     repeats — the caller knows, we cannot. *)
-  let table =
-    match match memo with Some m -> m | None -> Memo.Off with
-    | Memo.Off -> None
-    | Memo.Exact_ids | Memo.Order_type ->
-        Some
-          (Memo.create
-             ~hash:(View.fingerprint Memo.structural_hash)
-             ~equal:(View.equal_repr Memo.structural_equal)
-             ())
-  in
   (* Degraded nodes first: a fault plan that leaves a node [Unknown]
      removes it from the coverage — we refuse to certify what we could
      not observe. *)
@@ -138,31 +116,23 @@ let certify ?pool ?(budget = 20_000) ?(slack = 0) ?plan ?confirm ?confirm_on
   let decide = tag_no_ids alg.Algorithm.name alg.Algorithm.decide in
   let probe (iname, lg, ids_arr, v) =
     Telemetry.Counter.incr c_probes;
-    let payload view () =
-      (* The extracted view owns a fresh restricted id array: that array
-         — and nothing else — carries the input assignment, so input
-         provenance is physical equality with it. Anything the algorithm
-         manufactures ([View.reassign_ids]) is a different array and
-         classifies as synthetic. *)
-      let input_arr =
-        match view.View.ids with Some a -> a | None -> assert false
-      in
-      let input_ids a = a == input_arr in
-      let (out1, t1), (out2, t2) = Trace.run_twice ~input_ids decide view in
-      ( Trace.first_input_id_read t1,
-        t1,
-        out1 <> out2 || not (Trace.equal t1 t2) )
-    in
+    (* The probe keeps no part of the view, so the ball is borrowed
+       rather than allocated. *)
     let first_input, trace, nondet =
-      match table with
-      | None ->
-          (* No table keys the view and the payload holds no part of
-             it, so the ball can be borrowed rather than allocated. *)
-          View.with_extract ~ids:ids_arr lg ~center:v ~radius:horizon
-            (fun view -> payload view ())
-      | Some tbl ->
-          let view = View.extract ~ids:ids_arr lg ~center:v ~radius:horizon in
-          Memo.find_or_compute tbl view (payload view)
+      View.with_extract ~ids:ids_arr lg ~center:v ~radius:horizon (fun view ->
+          (* The extracted view owns a fresh restricted id array: that
+             array — and nothing else — carries the input assignment, so
+             input provenance is physical equality with it. Anything the
+             algorithm manufactures ([View.reassign_ids]) is a different
+             array and classifies as synthetic. *)
+          let input_arr =
+            match view.View.ids with Some a -> a | None -> assert false
+          in
+          let input_ids a = a == input_arr in
+          let (out1, t1), (out2, t2) = Trace.run_twice ~input_ids decide view in
+          ( Trace.first_input_id_read t1,
+            t1,
+            out1 <> out2 || not (Trace.equal t1 t2) ))
     in
     {
       p_instance = iname;
@@ -259,10 +229,6 @@ let certify ?pool ?(budget = 20_000) ?(slack = 0) ?plan ?confirm ?confirm_on
     rep_views = covered;
     rep_total = total;
     rep_degraded = degraded_total;
-    rep_distinct_views =
-      (match table with
-      | None -> covered
-      | Some tbl -> (Memo.stats tbl).Memo.distinct);
     rep_events =
       Array.fold_left (fun acc p -> acc + Trace.total_events p.p_trace) 0 probes;
     rep_max_depth =

@@ -69,11 +69,6 @@ type report = {
   rep_views : int;               (** views actually traced *)
   rep_total : int;               (** candidate views over all instances *)
   rep_degraded : int;            (** views excluded by the fault plan *)
-  rep_distinct_views : int;      (** distinct decorated balls actually
-                                     decided — the orbit count the
-                                     probe memo collapsed the coverage
-                                     to ([= rep_views] with the memo
-                                     off) *)
   rep_events : int;              (** total trace events over traced views *)
   rep_max_depth : int;           (** deepest per-node access over all traces *)
   rep_flags : flag list;
@@ -93,23 +88,12 @@ val certify :
   ?confirm_on:string * 'a Labelled.t ->
   ?backend:Backend.t ->
   ?confirm_memo:Memo.mode ->
-  ?memo:Memo.mode ->
   ('a, bool) Algorithm.t ->
   instances:(string * 'a Labelled.t) list ->
   report
 (** [certify alg ~instances] traces [alg] on every node's view of every
     instance (with the sequential assignment [0 .. n-1] attached, so
     id reads are observable) and aggregates the verdict.
-
-    [memo] (default [Off]) routes probes through a probe-once table
-    keyed by the exact decorated view: equal balls are traced once and
-    the payload shared (transparent for pure decides — the verdict,
-    flags and aggregates are unchanged). Off by default because within
-    a single instance every decorated ball is distinct (probe ids are
-    global node numbers), so the table only helps when the instance
-    list overlaps or repeats. [Order_type] does not coarsen this table
-    — a trace is specific to the concrete id decoration — so any mode
-    other than [Off] behaves as exact.
 
     [budget] (default [20_000]) caps the number of traced views; hitting
     it yields {!Inconclusive}. [slack] (default [0]) extracts views at
@@ -122,8 +106,7 @@ val certify :
     running the search under [backend] (default [Sync]) and, for
     {!Confirm_exhaustive}, with its decide-once table in [confirm_memo]
     mode (default [Exact_ids]) — the engine settings of
-    {!Oblivious.find_variance_exhaustive}, separate from the probe
-    table's [memo]. *)
+    {!Oblivious.find_variance_exhaustive}. *)
 
 val certified : report -> bool
 val id_dependent : report -> bool

@@ -1,106 +1,134 @@
 (* Isomorphism by 1-WL colour refinement followed by backtracking.
 
-   The refinement assigns canonical colour numbers: at each round the
-   (old colour, sorted neighbour colours) keys are sorted and numbered
-   in key order, so two isomorphic coloured graphs end with the same
-   colour multiset. The backtracking search then only matches vertices
-   of equal final colour, maintaining both the forward and the inverse
-   partial map so that edges *and* non-edges are preserved at every
-   extension step. *)
+   The refinement assigns canonical colour numbers: at each round every
+   vertex's key (old colour, sorted neighbour colours) is replaced by
+   its rank among the distinct keys in lexicographic order, so two
+   isomorphic coloured graphs end with the same colour multiset. The
+   backtracking search then only matches vertices of equal final
+   colour, maintaining both the forward and the inverse partial map so
+   that edges *and* non-edges are preserved at every extension step. *)
 
-type key = int * int list
-
-let round_keys g colors =
-  Array.mapi
-    (fun v c ->
-      let nbr = Graph.neighbours g v in
-      Array.map_inplace (fun u -> colors.(u)) nbr;
-      Array.sort compare nbr;
-      ((c, Array.to_list nbr) : key))
-    colors
-
-let canonical_renumber (keyss : key array list) : int array list =
-  let all = List.concat_map Array.to_list keyss in
-  let distinct = List.sort_uniq compare all in
-  let tbl = Hashtbl.create (2 * List.length distinct) in
-  List.iteri (fun i k -> Hashtbl.replace tbl k i) distinct;
-  List.map (Array.map (fun k -> Hashtbl.find tbl k)) keyss
-
-let count_distinct colors =
-  let module S = Set.Make (Int) in
-  S.cardinal (Array.fold_left (fun s c -> S.add c s) S.empty colors)
-
-(* Jointly refine the colourings of several graphs until the total
-   number of distinct colours stabilises — but at most a fixed number
-   of rounds: refinement is only a pruning / bucketing aid (the
-   backtracking search is what decides isomorphism exactly), and on
-   large graphs that split one colour class per round, running to the
-   fixpoint costs Theta(n) rounds of Theta(n) allocation. A fixed
-   round count keeps the colouring canonical (both sides always
+(* Refinement runs at most this many rounds: it is only a pruning /
+   bucketing aid (the backtracking search is what decides isomorphism
+   exactly), and on large graphs that split one colour class per round,
+   running to the fixpoint costs Theta(n) rounds of Theta(n) work. A
+   fixed round count keeps the colouring canonical (both sides always
    perform the same rounds). *)
 let max_refinement_rounds = 6
 
-let refine_joint (pairs : (Graph.t * int array) list) : int array list =
-  let graphs = List.map fst pairs in
-  let rec go rounds colorss =
-    if rounds >= max_refinement_rounds then colorss
-    else
-      let keyss = List.map2 round_keys graphs colorss in
-      let colorss' = canonical_renumber keyss in
-      let total cs = List.fold_left (fun acc c -> acc + count_distinct c) 0 cs in
-      if total colorss' = total colorss then colorss' else go (rounds + 1) colorss'
-  in
-  (* Renumber the initial colours canonically as well, so arbitrary
-     initial colour values (e.g. hashes) become comparable. *)
-  let init =
-    canonical_renumber (List.map (fun (_, c) -> Array.map (fun x -> (x, [])) c) pairs)
-  in
-  go 0 init
+(* The refinement kernel. [init] gives each vertex of [g] an initial
+   colour (any int); the vertices below [split] and the rest count as
+   two graphs for the stopping rule, which stops when the number of
+   colours summed over the two stops growing. Returns the final
+   colouring and [order], the vertices sorted by it.
 
-(* [refine_joint] on one graph, stopping as soon as the colouring is
-   discrete: a discrete colouring is numbered 0..n-1 and its round keys
-   have distinct first components, so the next round would renumber
-   every vertex to its own colour and stop there anyway. *)
-let refine_colors g colors =
+   [order] stays sorted by colour, so each round fills [buf], one slice
+   per vertex at the graph's degree offsets, by visiting the vertices
+   in [order] and appending each one's colour to its neighbours'
+   slices: every slice comes out sorted without a sort. A round then
+   merge-sorts [order] by key, colour first and then slice,
+   lexicographically, and numbers the keys in that order. A merge
+   comparison costs at most the slice length of the vertex it places,
+   so a round is O((n + m) log n) however high a degree. Everything is
+   local to the call, so calls may run on several domains at once. *)
+let refine g ~split init =
   let n = Graph.order g in
-  let renumber keys =
-    match canonical_renumber [ keys ] with [ c ] -> c | _ -> assert false
+  let off = Array.make (n + 1) 0 in
+  for v = 0 to n - 1 do
+    off.(v + 1) <- off.(v) + Graph.degree g v
+  done;
+  let buf = Array.make off.(n) 0 and next = Array.make n 0 in
+  let order = Array.init n Fun.id in
+  let col = Array.make n 0 and col' = Array.make n 0 in
+  (* Number the vertices of [order] into [col']: a vertex gets the
+     colour of its predecessor when [same] holds for the two, else the
+     next colour. Returns the number of colours and the colour counts of
+     the two graphs summed; [col'] becomes the current colouring. *)
+  let number same =
+    let k = ref 0 and total = ref 0 and parts = ref 0 in
+    for i = 0 to n - 1 do
+      let v = order.(i) in
+      if i > 0 && not (same order.(i - 1) v) then begin
+        incr k;
+        total := !total + (!parts land 1) + (!parts lsr 1);
+        parts := 0
+      end;
+      parts := !parts lor (if v < split then 1 else 2);
+      col'.(v) <- !k
+    done;
+    Array.blit col' 0 col 0 n;
+    if n = 0 then (0, 0) else (!k + 1, !total + (!parts land 1) + (!parts lsr 1))
   in
-  let rec go rounds colors distinct =
-    if rounds >= max_refinement_rounds || distinct = n then colors
-    else
-      let colors' = renumber (round_keys g colors) in
-      let distinct' = count_distinct colors' in
-      if distinct' = distinct then colors' else go (rounds + 1) colors' distinct'
+  let compare_slices a b =
+    let oa = off.(a) and ob = off.(b) in
+    let la = off.(a + 1) - oa and lb = off.(b + 1) - ob in
+    let len = if la < lb then la else lb in
+    let rec go i =
+      if i = len then Int.compare la lb
+      else
+        let c = Int.compare buf.(oa + i) buf.(ob + i) in
+        if c <> 0 then c else go (i + 1)
+    in
+    go 0
   in
-  let init = renumber (Array.map (fun x -> (x, [])) colors) in
-  go 0 init (count_distinct init)
+  let colour = ref 0 in
+  let append w =
+    buf.(next.(w)) <- !colour;
+    next.(w) <- next.(w) + 1
+  in
+  let round () =
+    Array.blit off 0 next 0 n;
+    for i = 0 to n - 1 do
+      let u = order.(i) in
+      colour := col.(u);
+      Graph.iter_neighbours append g u
+    done;
+    let compare_keys a b =
+      let c = Int.compare col.(a) col.(b) in
+      if c <> 0 then c else compare_slices a b
+    in
+    Array.stable_sort compare_keys order;
+    number (fun a b -> compare_keys a b = 0)
+  in
+  Array.stable_sort (fun a b -> Int.compare init.(a) init.(b)) order;
+  let rec go rounds (k, total) =
+    (* A discrete colouring ([k = n]) is a fixpoint of [round]. *)
+    if rounds < max_refinement_rounds && k < n then
+      let k', total' = round () in
+      if total' <> total then go (rounds + 1) (k', total')
+  in
+  go 0 (number (fun a b -> init.(a) = init.(b)));
+  (col, order)
 
-let sorted_copy a =
-  let b = Array.copy a in
-  Array.sort compare b;
-  b
+let refine_colors g colors = fst (refine g ~split:(Graph.order g) colors)
 
-(* Backtracking extension of a partial isomorphism. [anchor] optionally
-   pre-maps one vertex (the view centre). *)
+let refine_joint g cg h ch =
+  let ng = Graph.order g in
+  let col, _ = refine (Graph.disjoint_union g h) ~split:ng (Array.append cg ch) in
+  (Array.sub col 0 ng, Array.sub col ng (Graph.order h))
+
+(* Backtracking extension of a partial isomorphism, given joint colours
+   of [g] and [h] (numbered from 0, below [order g + order h]). [anchor]
+   optionally pre-maps one vertex (the view centre). *)
 let search g h colors_g colors_h anchor =
   let n = Graph.order g in
+  let class_sizes colors =
+    let a = Array.make (2 * n) 0 in
+    Array.iter (fun c -> a.(c) <- a.(c) + 1) colors;
+    a
+  in
   if Graph.order h <> n || Graph.size g <> Graph.size h then None
-  else if sorted_copy colors_g <> sorted_copy colors_h then None
+  else if class_sizes colors_g <> class_sizes colors_h then None
   else begin
     let fwd = Array.make n (-1) in
     let inv = Array.make n (-1) in
     (* Most-constrained-first vertex order: small colour class, then
        high degree. *)
-    let class_size = Hashtbl.create 16 in
-    Array.iter
-      (fun c ->
-        Hashtbl.replace class_size c (1 + Option.value ~default:0 (Hashtbl.find_opt class_size c)))
-      colors_g;
+    let class_size = class_sizes colors_g in
     let order = Array.init n Fun.id in
     Array.sort
       (fun u v ->
-        match compare (Hashtbl.find class_size colors_g.(u)) (Hashtbl.find class_size colors_g.(v)) with
+        match compare class_size.(colors_g.(u)) class_size.(colors_g.(v)) with
         | 0 -> compare (Graph.degree g v) (Graph.degree g u)
         | c -> c)
       order;
@@ -169,9 +197,8 @@ let joint_colors_of_labels eq labels_g labels_h =
   (Array.sub colors 0 ng, Array.sub colors ng (Array.length labels_h))
 
 let find_isomorphism_colored g h cg ch anchor =
-  match refine_joint [ (g, cg); (h, ch) ] with
-  | [ cg'; ch' ] -> search g h cg' ch' anchor
-  | _ -> assert false
+  let cg', ch' = refine_joint g cg h ch in
+  search g h cg' ch' anchor
 
 let find_graph_isomorphism g h =
   let cg = Array.make (Graph.order g) 0 in
@@ -191,14 +218,22 @@ let views_isomorphic eq (a : 'a View.t) (b : 'a View.t) =
     (find_isomorphism_colored a.View.graph b.View.graph cg ch
        (Some (a.View.center, b.View.center)))
 
-let view_signature hash (v : 'a View.t) =
-  let d = View.dist_from_center v in
+let view_refinement hash (v : 'a View.t) =
+  let g = v.View.graph in
+  let n = Graph.order g in
   (* Combine the label hash with the distance from the centre so the
      rooting participates in the refinement. *)
-  let init = Array.mapi (fun i x -> Hashtbl.hash (hash x, d.(i))) v.View.labels in
-  let final = refine_colors v.View.graph init in
-  let multiset = sorted_copy final in
-  Hashtbl.hash (final.(v.View.center), Array.to_list multiset, Graph.size v.View.graph)
+  let init = View.dist_from_center v in
+  Array.iteri (fun i x -> init.(i) <- Hashtbl.hash (hash x, init.(i))) v.View.labels;
+  let col, order = refine g ~split:n init in
+  let multiset = ref [] in
+  for i = n - 1 downto 0 do
+    multiset := col.(order.(i)) :: !multiset
+  done;
+  let signature = Hashtbl.hash (col.(v.View.center), !multiset, Graph.size g) in
+  (signature, if col.(order.(n - 1)) = n - 1 then Some col else None)
+
+let view_signature hash v = fst (view_refinement hash v)
 
 (* The order type of an injective id restriction: ids.(i) is replaced
    by its rank in the sorted order, so [|5;1;9|] and [|7;2;8|] share
@@ -213,24 +248,3 @@ let order_type ids =
   let ranks = Array.make n 0 in
   Array.iteri (fun r i -> ranks.(i) <- r) idx;
   ranks
-
-let views_isomorphic_decorated eq (a : 'a View.t) da (b : 'a View.t) db =
-  let paired v deco = Array.mapi (fun i x -> (x, deco.(i))) v.View.labels in
-  let eq' (x, dx) (y, dy) = eq x y && (dx : int) = dy in
-  let cg, ch = joint_colors_of_labels eq' (paired a da) (paired b db) in
-  Option.is_some
-    (find_isomorphism_colored a.View.graph b.View.graph cg ch
-       (Some (a.View.center, b.View.center)))
-
-let decorated_signature hash (v : 'a View.t) deco =
-  let d = View.dist_from_center v in
-  (* Like {!view_signature}, with the per-node decoration folded into
-     the initial colours: isomorphic decorated views (an isomorphism
-     preserving labels AND decoration values) get equal signatures. *)
-  let init =
-    Array.mapi (fun i x -> Hashtbl.hash (hash x, d.(i), deco.(i))) v.View.labels
-  in
-  let final = refine_colors v.View.graph init in
-  let multiset = sorted_copy final in
-  Hashtbl.hash
-    (final.(v.View.center), Array.to_list multiset, Graph.size v.View.graph, 1)

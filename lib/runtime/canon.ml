@@ -1,13 +1,16 @@
 (* Canonical keys for rooted labelled views, with a memo table.
 
-   A key packages (a) the iso-invariant refinement fingerprint — the
-   same value as [Iso.view_signature], pinned by a test — and (b),
+   A key packages (a) the iso-invariant refinement fingerprint and (b),
    whenever the 1-WL refinement of the view is discrete (every vertex
-   its own colour), an exact canonical form: vertices renumbered in
-   colour order, centre rank, labels in rank order, sorted rank-space
-   edge list. Two views with discrete refinements are isomorphic iff
-   their forms are equal, so the expensive backtracking test reduces to
-   a linear comparison; when either refinement is not discrete,
+   its own colour), an exact canonical form. Both come from one call of
+   [Iso.view_refinement], the kernel behind [Iso.view_signature], so
+   the fingerprint is that signature by construction. A discrete
+   colouring is numbered 0..n-1, so it is the vertices' rank in the
+   form: centre rank, labels in rank order, and each edge a < b as the
+   int a * n + b, ascending. Two views with discrete refinements are
+   isomorphic iff their forms are equal, so the expensive backtracking
+   test reduces to a linear comparison; when either refinement is not
+   discrete,
    [equivalent] falls back transparently to [Iso.views_isomorphic] —
    cache and canonicalisation can never change an answer, only the
    route to it.
@@ -34,16 +37,6 @@ open Locald_graph
 
 type stats = { hits : int; misses : int; exact : int; fallback : int }
 
-let no_stats = { hits = 0; misses = 0; exact = 0; fallback = 0 }
-
-let add_stats a b =
-  {
-    hits = a.hits + b.hits;
-    misses = a.misses + b.misses;
-    exact = a.exact + b.exact;
-    fallback = a.fallback + b.fallback;
-  }
-
 (* Run-scoped counters, mirrored from every table's per-instance
    counters: what [locald --stats] and the bench JSON report without
    having to thread table handles out of the decision layers. They live
@@ -65,7 +58,7 @@ let run_stats () =
 type 'a form = {
   f_center : int;
   f_labels : 'a array;
-  f_edges : (int * int) list;
+  f_edges : int array;  (* each edge a < b as a * n + b, ascending *)
   f_hash : int;  (* of the three fields above, labels through [label_hash] *)
 }
 
@@ -130,51 +123,51 @@ let raw_digest t (v : 'a View.t) =
 let compute t (view : 'a View.t) =
   let g = view.View.graph in
   let n = Graph.order g in
-  let d = View.dist_from_center view in
-  let init =
-    Array.mapi (fun i x -> Hashtbl.hash (t.label_hash x, d.(i))) view.View.labels
-  in
-  let final = Iso.refine_colors g init in
-  let multiset = Array.copy final in
-  Array.sort compare multiset;
-  (* Same formula as [Iso.view_signature] (pinned by a test), so code
-     that buckets by signature keeps its exact bucket boundaries. *)
-  let fp =
-    Hashtbl.hash (final.(view.View.center), Array.to_list multiset, Graph.size g)
-  in
-  let discrete =
-    let rec distinct i = i >= n - 1 || (multiset.(i) <> multiset.(i + 1) && distinct (i + 1)) in
-    distinct 0
-  in
-  let form =
-    if not discrete then None
-    else begin
-      let order = Array.init n Fun.id in
-      Array.sort (fun a b -> compare final.(a) final.(b)) order;
-      let rank = Array.make n 0 in
-      Array.iteri (fun i v -> rank.(v) <- i) order;
-      let edges =
-        List.map
-          (fun (u, v) ->
-            let a = rank.(u) and b = rank.(v) in
-            if a < b then (a, b) else (b, a))
-          (Graph.edges g)
-        |> List.sort compare
-      in
-      let f_center = rank.(view.View.center) in
-      let f_labels = Array.map (fun v -> view.View.labels.(v)) order in
-      let h = ref f_center in
-      let mix x = h := (!h lxor x) * 0x100000001b3 in
-      Array.iter (fun x -> mix (t.label_hash x)) f_labels;
-      List.iter (fun (a, b) -> mix ((a * n) + b)) edges;
-      Some { f_center; f_labels; f_edges = edges; f_hash = !h land max_int }
-    end
+  let fp, numbering = Iso.view_refinement t.label_hash view in
+  (* A discrete colouring numbers the vertices 0..n-1 canonically: it is
+     the rank of each vertex in the form. *)
+  let form rank =
+    let by_rank = Array.make n 0 in
+    Array.iteri (fun v r -> by_rank.(r) <- v) rank;
+    let f_labels = Array.map (fun v -> view.View.labels.(v)) by_rank in
+    (* Edge a < b (ranks) is coded a * n + b. Bucket a holds the codes
+       of a's higher-ranked neighbours; visiting the vertices by rank b
+       fills every bucket in ascending order, so the codes come out
+       sorted without a sort. *)
+    let next = Array.make (n + 1) 0 in
+    for u = 0 to n - 1 do
+      let a = rank.(u) in
+      Graph.iter_neighbours
+        (fun w -> if rank.(w) > a then next.(a + 1) <- next.(a + 1) + 1)
+        g u
+    done;
+    for a = 1 to n do
+      next.(a) <- next.(a) + next.(a - 1)
+    done;
+    let edges = Array.make (Graph.size g) 0 in
+    Array.iteri
+      (fun b u ->
+        Graph.iter_neighbours
+          (fun w ->
+            let a = rank.(w) in
+            if a < b then begin
+              edges.(next.(a)) <- (a * n) + b;
+              next.(a) <- next.(a) + 1
+            end)
+          g u)
+      by_rank;
+    let f_center = rank.(view.View.center) in
+    let h = ref f_center in
+    let mix x = h := (!h lxor x) * 0x100000001b3 in
+    Array.iter (fun x -> mix (t.label_hash x)) f_labels;
+    Array.iter mix edges;
+    { f_center; f_labels; f_edges = edges; f_hash = !h land max_int }
   in
   {
     k_fingerprint = fp;
     k_order = n;
     k_size = Graph.size g;
-    k_form = form;
+    k_form = Option.map form numbering;
     k_view = view;
   }
 

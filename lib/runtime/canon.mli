@@ -2,12 +2,17 @@
 
     Coverage enumeration asks the same question millions of times: are
     these two stripped views isomorphic as rooted labelled graphs?
-    [key] canonicalises a view once — refinement fingerprint (equal to
-    {!Locald_graph.Iso.view_signature} by construction, pinned by a
-    test) plus, when the refinement is discrete, an exact canonical
-    form — after which {!equivalent} is a linear comparison instead of
-    a backtracking search. With the cache on, canonicalising an equal
-    extraction again is a hash lookup in the memo table.
+    [key] canonicalises a view once — refinement fingerprint plus, when
+    the refinement is discrete, an exact canonical form — after which
+    {!equivalent} is a linear comparison instead of a backtracking
+    search. Both come from one run of the refinement kernel in
+    {!Locald_graph.Iso.view_refinement}, so the fingerprint is
+    {!Locald_graph.Iso.view_signature} by construction. A discrete
+    colouring numbers the nodes [0 .. n-1] and is used as their rank
+    directly: the form is the centre's rank, the labels in rank order
+    and the edges as sorted [int] codes [a * n + b] ([a < b]). With the
+    cache on, canonicalising an equal extraction again is a hash lookup
+    in the memo table.
 
     The fingerprint alone is a poor bucket key for discrete views: their
     refinement is renumbered [0..n-1], so the fingerprint carries only
@@ -90,9 +95,6 @@ val mem : 'a classes -> 'a key -> bool
 (** Is some key of the set equivalent to this one? Read-only. *)
 
 val stats : 'a t -> stats
-
-val no_stats : stats
-val add_stats : stats -> stats -> stats
 
 val run_stats : unit -> stats
 (** Totals over every table, scoped to the ambient telemetry run

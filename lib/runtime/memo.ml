@@ -35,15 +35,6 @@ let mode_of_string s =
 
 type stats = { hits : int; misses : int; distinct : int }
 
-let no_stats = { hits = 0; misses = 0; distinct = 0 }
-
-let add_stats a b =
-  {
-    hits = a.hits + b.hits;
-    misses = a.misses + b.misses;
-    distinct = a.distinct + b.distinct;
-  }
-
 (* Run-scoped counters, aggregated over every table: what
    [locald --stats] and the bench JSON report. They live in the ambient
    telemetry run, so [Telemetry.new_run] gives each bench workload an
@@ -90,9 +81,6 @@ type ('k, 'v) t = {
   (* Per-shard entry bound; [max_int] when the table is unbounded. *)
   cap : int;
   shards : ('k, 'v) shard array;
-  s_hits : int Atomic.t;
-  s_misses : int Atomic.t;
-  s_distinct : int Atomic.t;
   s_evictions : int Atomic.t;
 }
 
@@ -116,17 +104,7 @@ let create ?(shards = 16) ?capacity ~hash ~equal () =
       Array.init count (fun _ ->
           { lock = Mutex.create (); table = Hashtbl.create 64;
             tick = 0; count = 0 });
-    s_hits = Atomic.make 0;
-    s_misses = Atomic.make 0;
-    s_distinct = Atomic.make 0;
     s_evictions = Atomic.make 0;
-  }
-
-let stats t =
-  {
-    hits = Atomic.get t.s_hits;
-    misses = Atomic.get t.s_misses;
-    distinct = Atomic.get t.s_distinct;
   }
 
 let evictions t = Atomic.get t.s_evictions
@@ -175,7 +153,6 @@ let store_under_lock t shard h key v =
   | Some b -> b := entry :: !b
   | None -> Hashtbl.replace shard.table h (ref [ entry ]));
   shard.count <- shard.count + 1;
-  Atomic.incr t.s_distinct;
   Telemetry.Counter.incr c_distinct;
   if shard.count > t.cap then evict_older_half t shard
 
@@ -191,11 +168,9 @@ let find_or_compute t key compute =
   Mutex.unlock shard.lock;
   match found with
   | Some v ->
-      Atomic.incr t.s_hits;
       Telemetry.Counter.incr c_hits;
       v
   | None ->
-      Atomic.incr t.s_misses;
       Telemetry.Counter.incr c_misses;
       (* The compute is the span-worthy part of a memoised lookup: one
          per distinct work item actually performed. *)

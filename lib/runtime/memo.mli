@@ -42,12 +42,6 @@ val mode_of_string : string -> mode option
 
 type ('k, 'v) t
 
-type stats = {
-  hits : int;      (** lookups answered from the table *)
-  misses : int;    (** lookups that computed *)
-  distinct : int;  (** distinct keys stored (deterministic) *)
-}
-
 val create :
   ?shards:int ->
   ?capacity:int ->
@@ -73,8 +67,6 @@ val find_or_compute : ('k, 'v) t -> 'k -> (unit -> 'v) -> 'v
     domains may compute the same fresh key concurrently; the first
     store wins and the table never holds duplicate keys). *)
 
-val stats : ('k, 'v) t -> stats
-
 val size : ('k, 'v) t -> int
 (** Live entries, summed over shards without taking their locks — a
     monitoring snapshot, which with a [capacity] never exceeds it. *)
@@ -82,15 +74,19 @@ val size : ('k, 'v) t -> int
 val evictions : ('k, 'v) t -> int
 (** Entries dropped by capacity eviction over this table's lifetime. *)
 
-val no_stats : stats
-val add_stats : stats -> stats -> stats
-
 (** {1 Run-scoped counters}
 
     Aggregated over every table into the ambient telemetry run — what
-    [locald --stats] and the bench JSON report.
+    [locald --stats] and the bench JSON report. Tables keep no counts
+    of their own beyond {!evictions}.
     [Telemetry.new_run ()] starts an independent tally (the bench
     harness does this between workloads). *)
+
+type stats = {
+  hits : int;      (** lookups answered from a table *)
+  misses : int;    (** lookups that computed *)
+  distinct : int;  (** keys stored (deterministic for unbounded tables) *)
+}
 
 val run_stats : unit -> stats
 

@@ -217,27 +217,6 @@ let test_certify_radius_violation () =
        report.Analysis.rep_flags);
   check int "max depth over traces" 1 report.Analysis.rep_max_depth
 
-(* With no memo table the probe borrows each view; with one it keys
-   owned views. Both paths must report the same certificate for every
-   registered subject: the quick ones and the G(M,1) ones. *)
-let test_owned_and_borrowed_agree () =
-  List.iter
-    (fun (Locald_core.Certify.Subject { s_alg; s_instances; _ }) ->
-      let run memo = Analysis.certify ~memo s_alg ~instances:s_instances in
-      let owned = run Locald_runtime.Memo.Exact_ids
-      and lent = run Locald_runtime.Memo.Off in
-      let name what = owned.Analysis.rep_algorithm ^ " " ^ what in
-      check string (name "verdict")
-        (Analysis.verdict_name owned.Analysis.rep_verdict)
-        (Analysis.verdict_name lent.Analysis.rep_verdict);
-      check int (name "views") owned.Analysis.rep_views lent.Analysis.rep_views;
-      check int (name "events") owned.Analysis.rep_events lent.Analysis.rep_events;
-      check int (name "max depth") owned.Analysis.rep_max_depth
-        lent.Analysis.rep_max_depth;
-      check bool (name "flags") true
-        (owned.Analysis.rep_flags = lent.Analysis.rep_flags))
-    (Locald_core.Certify.subjects ())
-
 let () =
   Alcotest.run "analysis"
     [
@@ -263,7 +242,5 @@ let () =
             test_certify_nondeterminism_flag;
           Alcotest.test_case "radius violation flag" `Quick
             test_certify_radius_violation;
-          Alcotest.test_case "owned and borrowed views agree" `Quick
-            test_owned_and_borrowed_agree;
         ] );
     ]

@@ -166,12 +166,15 @@ let shuffle rng a =
 
 let random_perm rng n = shuffle rng (Array.init n Fun.id)
 
+(* Random connected labelled graphs of 3 to 40 nodes; beyond 12 nodes
+   the edge probability falls as 3/n, so the average degree stays near
+   4 and radius-3 views are not the whole graph. *)
 let arbitrary_labelled =
   QCheck2.Gen.(
-    let* n = int_range 3 16 in
+    let* n = int_range 3 40 in
     let* seed = int_bound 1_000_000 in
     let rng = Random.State.make [| seed |] in
-    let g = Gen.random_connected rng ~n ~p:0.25 in
+    let g = Gen.random_connected rng ~n ~p:(Float.min 0.25 (3. /. Float.of_int n)) in
     let labels = Array.init n (fun _ -> Random.State.int rng 3) in
     return (Labelled.make g labels, seed))
 
@@ -204,13 +207,14 @@ let prop_relabelling_invariance =
 
 let prop_agrees_with_backtracking =
   QCheck2.Test.make ~name:"Canon.isomorphic = Iso.views_isomorphic" ~count:60
-    arbitrary_labelled (fun (lg, seed) ->
+    QCheck2.Gen.(pair arbitrary_labelled (int_range 1 3))
+    (fun ((lg, seed), radius) ->
       let canon = Canon.create ~equal:( = ) () in
       let rng = Random.State.make [| seed + 3 |] in
       let n = Labelled.order lg in
       let a = Random.State.int rng n and b = Random.State.int rng n in
-      let va = View.extract lg ~center:a ~radius:1 in
-      let vb = View.extract lg ~center:b ~radius:1 in
+      let va = View.extract lg ~center:a ~radius in
+      let vb = View.extract lg ~center:b ~radius in
       Canon.isomorphic canon va vb = Iso.views_isomorphic ( = ) va vb)
 
 let prop_cache_transparent =
@@ -289,53 +293,116 @@ let prop_classes_match_pairwise =
             views)
         [ None; Some 5 ])
 
-(* The refinement without the discrete shortcut: rounds of (colour,
-   sorted neighbour colours) renumbered in key order, at most six, until
-   the number of colours stops growing. *)
-let naive_refine g colors =
-  let renumber keys =
-    let distinct = List.sort_uniq compare (Array.to_list keys) in
-    Array.map
-      (fun k ->
-        let rec index i = function
-          | [] -> assert false
-          | x :: rest -> if x = k then i else index (i + 1) rest
-        in
-        index 0 distinct)
-      keys
+(* The refinement as lists, without the discrete shortcut: rounds of
+   (colour, sorted neighbour colours) keys renumbered jointly over all
+   the graphs in key order, at most six, until the number of colours
+   summed over the graphs stops growing. *)
+let naive_refine_joint graphs colorss =
+  let renumber keyss =
+    let distinct = List.sort_uniq compare (List.concat_map Array.to_list keyss) in
+    List.map
+      (Array.map (fun k ->
+           let rec index i = function
+             | [] -> assert false
+             | x :: rest -> if x = k then i else index (i + 1) rest
+           in
+           index 0 distinct))
+      keyss
   in
-  let count c = List.length (List.sort_uniq compare (Array.to_list c)) in
-  let round c =
+  let count cs =
+    List.fold_left
+      (fun acc c -> acc + List.length (List.sort_uniq compare (Array.to_list c)))
+      0 cs
+  in
+  let round cs =
     renumber
-      (Array.mapi
-         (fun v x ->
-           let nbr = Array.map (fun u -> c.(u)) (Graph.neighbours g v) in
-           Array.sort compare nbr;
-           (x, Array.to_list nbr))
-         c)
+      (List.map2
+         (fun g c ->
+           Array.mapi
+             (fun v x ->
+               let nbr = Array.map (fun u -> c.(u)) (Graph.neighbours g v) in
+               Array.sort compare nbr;
+               (x, Array.to_list nbr))
+             c)
+         graphs cs)
   in
-  let rec go rounds c =
-    if rounds >= 6 then c
+  let rec go rounds cs =
+    if rounds >= 6 then cs
     else
-      let c' = round c in
-      if count c' = count c then c' else go (rounds + 1) c'
+      let cs' = round cs in
+      if count cs' = count cs then cs' else go (rounds + 1) cs'
   in
-  go 0 (renumber (Array.map (fun x -> (x, [])) colors))
+  go 0 (renumber (List.map (Array.map (fun x -> (x, []))) colorss))
+
+let naive_refine g colors = List.hd (naive_refine_joint [ g ] [ colors ])
+
+(* Random coloured graphs on [n] vertices. Half are sparse random
+   connected graphs, and beyond 64 vertices those get a hub: vertex 0
+   joined to 64 or more others, so long neighbour slices meet in the
+   kernel's comparisons. The rest are random trees and paths, on which
+   uniform colours keep splitting up to the six-round cap. Palette 0 is
+   a discrete initial colouring (distinct hashes); the others draw from
+   1 to 3 colours, uniform included. *)
+let coloured_graph rng ~n ~palette =
+  let g =
+    match Random.State.int rng 4 with
+    | 0 -> Gen.random_tree rng n
+    | 1 -> Gen.path n
+    | _ ->
+        let g = Gen.random_connected rng ~n ~p:(Float.min 0.2 (3. /. float n)) in
+        if n <= 64 then g
+        else
+          Graph.add_edges g
+            (List.filter_map
+               (fun v -> if v <= 64 || Random.State.bool rng then Some (0, v) else None)
+               (List.init (n - 1) succ))
+  in
+  let colors =
+    if palette = 0 then Array.map Hashtbl.hash (random_perm rng n)
+    else Array.init n (fun _ -> Random.State.int rng palette)
+  in
+  (g, colors)
 
 let prop_refine_colors_naive =
   QCheck2.Test.make ~name:"Iso.refine_colors = naive six-round refinement"
     ~count:100
-    QCheck2.Gen.(triple (int_range 1 16) (int_bound 1_000_000) (int_bound 3))
+    QCheck2.Gen.(triple (int_range 1 96) (int_bound 1_000_000) (int_bound 3))
     (fun (n, seed, palette) ->
       let rng = Random.State.make [| seed |] in
-      let g = Gen.random_connected rng ~n ~p:0.2 in
-      (* Palette 0 is a discrete initial colouring (distinct hashes);
-         the others draw from 1 to 3 colours, uniform included. *)
-      let colors =
-        if palette = 0 then Array.map Hashtbl.hash (random_perm rng n)
-        else Array.init n (fun _ -> Random.State.int rng palette)
-      in
+      let g, colors = coloured_graph rng ~n ~palette in
       Iso.refine_colors g colors = naive_refine g colors)
+
+(* A third of the pairs are a graph and an isomorphic copy with its
+   colours carried along, a third two unrelated coloured graphs, and a
+   third two uniformly coloured random trees of 2 to 12 vertices: on
+   about one such pair in ten a colour class splits between the graphs
+   without splitting within either, and then keeps splitting across
+   them, so only the per-graph stopping rule gives the naive colours. *)
+let prop_refine_joint_naive =
+  QCheck2.Test.make ~name:"Iso.refine_joint = naive joint refinement"
+    ~count:200
+    QCheck2.Gen.(
+      quad (int_range 1 96) (int_range 1 96) (int_bound 1_000_000) (int_bound 3))
+    (fun (n, n', seed, palette) ->
+      let rng = Random.State.make [| seed |] in
+      let (g, cg), (h, ch) =
+        match Random.State.int rng 3 with
+        | 0 ->
+            let g, cg = coloured_graph rng ~n ~palette in
+            let perm = random_perm rng n in
+            let ch = Array.make n 0 in
+            Array.iteri (fun v c -> ch.(perm.(v)) <- c) cg;
+            ((g, cg), (Graph.relabel g perm, ch))
+        | 1 -> (coloured_graph rng ~n ~palette, coloured_graph rng ~n:n' ~palette)
+        | _ ->
+            let tree n =
+              let n = 2 + (n mod 11) in
+              (Gen.random_tree rng n, Array.make n 0)
+            in
+            (tree n, tree n')
+      in
+      let rg, rh = Iso.refine_joint g cg h ch in
+      [ rg; rh ] = naive_refine_joint [ g; h ] [ cg; ch ])
 
 (* ------------------------------------------------------------------ *)
 (* Orbit enumeration and decide-once keys                              *)
@@ -574,6 +641,7 @@ let qcheck_cases =
       prop_cache_transparent;
       prop_classes_match_pairwise;
       prop_refine_colors_naive;
+      prop_refine_joint_naive;
     ]
 
 let orbit_cases =
