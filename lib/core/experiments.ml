@@ -857,6 +857,14 @@ let crash_plan ~count ~n plan =
 
 let faults ?(quick = false) ?(seed = default_seed) ?drop ?crashes ?fuel
     ?retries ?runs () =
+  (match crashes with
+  | Some c when c < 0 ->
+      invalid_arg (Printf.sprintf "faults: --crashes must be >= 0, got %d" c)
+  | Some _ | None -> ());
+  (match runs with
+  | Some r when r < 1 ->
+      invalid_arg (Printf.sprintf "faults: --runs must be >= 1, got %d" r)
+  | Some _ | None -> ());
   let rng = rng ~seed () in
   let regime = Ids.f_linear_plus 1 in
   let runs = match runs with Some r -> r | None -> if quick then 4 else 10 in

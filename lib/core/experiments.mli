@@ -233,4 +233,7 @@ val faults :
   fault_row list
 (** With no overrides, sweeps a default grid of drop rates and retry
     budgets plus crash and fuel axes; [drop]/[crashes]/[fuel]/[retries]
-    pin the respective axis to a single CLI-chosen value. *)
+    pin the respective axis to a single CLI-chosen value.
+    @raise Invalid_argument, naming the CLI flag, on [crashes < 0] or
+    [runs < 1] (checked before any instance is built), and on an
+    invalid plan ({!Faults.make}). *)

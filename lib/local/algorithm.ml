@@ -27,4 +27,10 @@ let of_oblivious ob =
     decide = (fun view -> ob.ob_decide (View.strip_ids view));
   }
 
-let map_output f t = { t with decide = (fun view -> f (t.decide view)) }
+(* Attribute a [View.No_ids] escape to the algorithm that raised it:
+   the accessor alone cannot know which algorithm was running. *)
+let named name decide view =
+  try decide view
+  with View.No_ids msg -> raise (View.No_ids (name ^ ": " ^ msg))
+
+let named_decide t view = named t.name t.decide view

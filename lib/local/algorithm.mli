@@ -30,4 +30,11 @@ val of_oblivious : ('a, 'o) oblivious -> ('a, 'o) t
 (** Runs the oblivious algorithm in the full model by discarding the
     identifiers from every view. *)
 
-val map_output : ('o -> 'p) -> ('a, 'o) t -> ('a, 'p) t
+val named : string -> ('a View.t -> 'o) -> 'a View.t -> 'o
+(** [named name decide view] is [decide view], except that a
+    {!Locald_graph.View.No_ids} escaping the decide is re-raised with
+    its message prefixed by [name ^ ": "] — the accessor alone cannot
+    know which algorithm was running. *)
+
+val named_decide : ('a, 'o) t -> 'a View.t -> 'o
+(** [named t.name t.decide]: how every engine calls a decide. *)

@@ -1,18 +1,16 @@
 open Locald_graph
 
-type reason = Outcome.reason =
-  | Crashed
-  | Incomplete_view
-  | Fuel_exhausted
-  | Decide_failed
+type reason = Crashed | Incomplete_view | Fuel_exhausted | Decide_failed
 
-type 'o outcome = 'o Outcome.t = Decided of 'o | Unknown of reason
+type 'o outcome = Decided of 'o | Unknown of reason
 
-let decided = Outcome.decided
+let decided = function Decided _ -> true | Unknown _ -> false
 
-let reason_name = Outcome.reason_name
-
-let pp_outcome = Outcome.pp
+let reason_name = function
+  | Crashed -> "crashed"
+  | Incomplete_view -> "incomplete-view"
+  | Fuel_exhausted -> "fuel-exhausted"
+  | Decide_failed -> "decide-failed"
 
 type stats = {
   rounds : int;
@@ -45,7 +43,7 @@ let default_cost view = View.order view
    freezes. *)
 let run ~plan ?(cost = default_cost) alg lg ~ids =
   ignore (Faults.validate plan);
-  Runner.check_size lg ids;
+  Ids.check_size ~n:(Labelled.order lg) ids;
   let module Tel = Locald_runtime.Telemetry in
   Tel.span "faults.run" @@ fun () ->
   let g = Labelled.graph lg in

@@ -14,26 +14,21 @@
     true radius-[t] ball (so deciding would read a counterfeit view),
     its decide budget is exhausted, or its decide step itself raised.
     Consequently every [Decided] output equals the output the
-    fault-free engine would have produced for that node. *)
+    fault-free engine would have produced for that node. This is the
+    only engine that injects faults ({!Async_runner} is fault-free), so
+    the three-valued {!outcome} type is defined here. *)
 
 open Locald_graph
 
-type reason = Outcome.reason =
-  | Crashed
-  | Incomplete_view
-  | Fuel_exhausted
-  | Decide_failed
-(** Re-export of {!Outcome.reason}: the type lives in its own module so
-    the asynchronous engine ({!Async_runner}) can share it without
-    depending on this one. *)
+type reason = Crashed | Incomplete_view | Fuel_exhausted | Decide_failed
+(** Why a node answered {!Unknown}. *)
 
-type 'o outcome = 'o Outcome.t = Decided of 'o | Unknown of reason
+type 'o outcome = Decided of 'o | Unknown of reason
+(** The three-valued per-node answer: an output, or [Unknown] with the
+    reason the node could not answer soundly. *)
 
 val decided : 'o outcome -> bool
 val reason_name : reason -> string
-
-val pp_outcome :
-  (Format.formatter -> 'o -> unit) -> Format.formatter -> 'o outcome -> unit
 
 type stats = {
   rounds : int;          (** [radius + 1 + retries] *)

@@ -19,6 +19,9 @@ let assign t v = t.(v)
 let size t = Array.length t
 let max_id t = Array.fold_left max (-1) t
 
+let check_size ~n t =
+  if size t <> n then invalid "%d ids for a %d-node graph" (size t) n
+
 let sequential n = Array.init n Fun.id
 
 let fisher_yates rng a =

@@ -20,6 +20,11 @@ val assign : t -> int -> int
 val size : t -> int
 val max_id : t -> int
 
+val check_size : n:int -> t -> unit
+(** The precondition every engine checks before running on an
+    [n]-node graph.
+    @raise Invalid_ids if the assignment's size differs from [n]. *)
+
 val sequential : int -> t
 (** [0, 1, ..., n-1]. *)
 

@@ -2,10 +2,12 @@
 
     An algorithm is Id-oblivious when its node outputs are invariant
     under every reassignment of identifiers. For small instances this
-    can be checked exhaustively over a bounded identifier window; in
-    general it is sampled. A single witness of variance proves an
-    algorithm is *not* oblivious (that is the content of Theorem 1:
-    some properties force the outputs to depend on the assignment). *)
+    can be checked exhaustively over a bounded identifier window (the
+    search [Analysis.certify] runs to cross-check an [Id_dependent]
+    verdict); in general it is sampled. A single witness of variance
+    proves an algorithm is *not* oblivious (that is the content of
+    Theorem 1: some properties force the outputs to depend on the
+    assignment). *)
 
 open Locald_graph
 
@@ -30,7 +32,6 @@ val find_variance_sampled :
     (default [Sync]) runs each assignment, as in {!Runner.run}. *)
 
 val find_variance_exhaustive :
-  ?quotient:bool ->
   ?backend:Backend.t ->
   ?memo:Locald_runtime.Memo.mode ->
   bound:int ->
@@ -38,18 +39,9 @@ val find_variance_exhaustive :
   'a Labelled.t ->
   witness option
 (** Compare the outputs under {e every} injective assignment into
-    [0 .. bound-1] against the first one. Exponential; use only on
-    small instances.
-
-    [quotient:true] scans, per node, the injective restrictions of that
-    node's ball instead of whole assignments
-    ({!Locald_runtime.Orbit.injections}) — exhaustive over far fewer
-    decides, and it finds a witness iff the naive scan does (every
-    restriction extends to a global assignment). The reconstructed
-    witness pair is concretely re-run before being reported, but it is
-    generally a {e different} pair than the naive scan's first
-    disagreement, which is why the quotient is opt-in
-    (default [false]).
+    [0 .. bound-1] against the first one; the witness is the first
+    differing node of the first differing assignment, in enumeration
+    order. Exponential; use only on small instances.
 
     Views are prepared once with [backend] (default [Sync]) and decides
     go through a decide-once table in [memo] mode (default

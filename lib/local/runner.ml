@@ -1,29 +1,14 @@
 open Locald_graph
 
-let check_order order ids =
-  if Ids.size ids <> order then
-    raise
-      (Ids.Invalid_ids
-         (Printf.sprintf "%d ids for a %d-node graph" (Ids.size ids) order))
-
-let check_size lg ids = check_order (Labelled.order lg) ids
-
-(* Attribute a [View.No_ids] escape to the algorithm that raised it:
-   the accessor alone cannot know which algorithm was running. *)
-let named name decide view =
-  try decide view with View.No_ids msg -> raise (View.No_ids (name ^ ": " ^ msg))
-
-let named_decide (alg : ('a, 'o) Algorithm.t) view =
-  named alg.Algorithm.name alg.Algorithm.decide view
-
 let run ?(backend = Backend.Sync) alg lg ~ids =
   match backend with
   | Backend.Async config -> Async_runner.run ~config alg lg ~ids
   | Backend.Sync ->
-      check_size lg ids;
+      Ids.check_size ~n:(Labelled.order lg) ids;
       let ids = Ids.to_array ids in
       Array.init (Labelled.order lg) (fun v ->
-          named_decide alg (View.extract ~ids lg ~center:v ~radius:alg.radius))
+          Algorithm.named_decide alg
+            (View.extract ~ids lg ~center:v ~radius:alg.radius))
 
 (* Pre-extracted balls for the id-quantifying deciders: the ball
    structure of node [v] does not depend on the id assignment, only the
@@ -100,19 +85,21 @@ let ball_of prep v = snd prep.p_views.(v)
    pattern — sound only for order-invariant deciders, which is why the
    mode is opt-in at [prepare]. [r] must be fresh (the table keeps it as
    the stored key). *)
-let decide_restricted ?(memoise = true) prep v r =
+let decide_restricted prep v r =
   Locald_runtime.Telemetry.Counter.incr c_decides;
   let view, _ = prep.p_views.(v) in
-  let compute () = named_decide prep.p_alg (View.reassign_ids view r) in
+  let compute () =
+    Algorithm.named_decide prep.p_alg (View.reassign_ids view r)
+  in
   match prep.p_memo with
-  | Some tbl when memoise ->
+  | Some tbl ->
       let key_ids =
         match prep.p_mode with
         | Locald_runtime.Memo.Order_type -> Iso.order_type r
         | Off | Exact_ids -> r
       in
       Locald_runtime.Memo.find_or_compute tbl (v, key_ids) compute
-  | Some _ | None -> compute ()
+  | None -> compute ()
 
 (* Read-adaptive decide cache for the quotient scans.
 
@@ -150,7 +137,9 @@ type 'o trie =
 let restriction_scanner prep v =
   let view, back = prep.p_views.(v) in
   let k = Array.length back in
-  let plain r = named_decide prep.p_alg (View.reassign_ids view r) in
+  let plain r =
+    Algorithm.named_decide prep.p_alg (View.reassign_ids view r)
+  in
   let root : 'o trie option ref = ref None in
   let opaque = ref (View.monitored ()) in
   let seen = Array.make (max k 1) false in
@@ -226,7 +215,7 @@ let restriction_scanner prep v =
           o
 
 let run_prepared prep ~ids =
-  check_order prep.p_order ids;
+  Ids.check_size ~n:prep.p_order ids;
   let ids = Ids.to_array ids in
   Locald_runtime.Telemetry.span "runner.run_prepared" @@ fun () ->
   Array.mapi
@@ -236,5 +225,5 @@ let run_prepared prep ~ids =
 
 let run_oblivious ob lg =
   Array.init (Labelled.order lg) (fun v ->
-      named ob.Algorithm.ob_name ob.Algorithm.ob_decide
+      Algorithm.named ob.Algorithm.ob_name ob.Algorithm.ob_decide
         (View.extract lg ~center:v ~radius:ob.Algorithm.ob_radius))

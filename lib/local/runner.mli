@@ -9,14 +9,14 @@
     view from what it heard. All three give the same outputs on every
     input (pinned by test_async's cross-backend battery and
     test_faults' empty-plan identity) — the textbook "local horizon =
-    round count" correspondence of Section 1.2. *)
+    round count" correspondence of Section 1.2. All three reject an
+    assignment of the wrong size through {!Ids.check_size}; both
+    backends here decide through {!Algorithm.named_decide}, which
+    attributes an id read on an id-free view to the algorithm that
+    made it ({!Fault_runner} degrades a raising decide to [Unknown]
+    instead). *)
 
 open Locald_graph
-
-val check_size : 'a Labelled.t -> Ids.t -> unit
-(** Shared precondition of every engine (also used by {!Fault_runner}).
-    @raise Ids.Invalid_ids if the assignment's size differs from the
-    graph order. *)
 
 val run :
   ?backend:Backend.t ->
@@ -72,18 +72,13 @@ val ball_of : ('a, 'o) prepared -> int -> int array
     global node numbers (so its length is [v]'s ball size). Must not be
     mutated. *)
 
-val decide_restricted :
-  ?memoise:bool -> ('a, 'o) prepared -> int -> int array -> 'o
+val decide_restricted : ('a, 'o) prepared -> int -> int array -> 'o
 (** [decide_restricted prep v r] decides node [v] under the
     ball-restricted id assignment [r] ([r.(i)] is the id of view-local
     node [i] — the restriction of a global assignment along
     {!ball_of}). This is the decide-once memoisation point; under
     [Exact_ids] memoisation [r] must be freshly allocated (it is
-    retained as a table key) and injective. [memoise:false] bypasses
-    the table for this call — what the exact-mode quotient scans use,
-    since a scan visits every distinct restriction exactly once (the
-    table could only add overhead there) and can then feed the decide a
-    reused scratch array ({!Locald_runtime.Orbit.for_all_injections}). *)
+    retained as a table key) and injective. *)
 
 val restriction_scanner : ('a, 'o) prepared -> int -> int array -> 'o
 (** [restriction_scanner prep v] is a stateful decide function for

@@ -30,18 +30,17 @@
    caller really re-extracts equal views; a caller that keys each view
    once should create the table with [~cache:false], or the memo just
    retains every view. All [t] entry points are thread-safe: the table
-   is mutex-guarded and the counters are atomics, because keys are
-   typically computed under [Pool.map]. *)
+   is mutex-guarded and the run's counters are atomics, because keys
+   are typically computed under [Pool.map]. *)
 
 open Locald_graph
 
 type stats = { hits : int; misses : int; exact : int; fallback : int }
 
-(* Run-scoped counters, mirrored from every table's per-instance
-   counters: what [locald --stats] and the bench JSON report without
-   having to thread table handles out of the decision layers. They live
-   in the ambient telemetry run, so [Telemetry.new_run] restarts the
-   tally. *)
+(* Run-scoped counters, summed over every table: what [locald --stats]
+   and the bench JSON report without having to thread table handles out
+   of the decision layers. They live in the ambient telemetry run, so
+   [Telemetry.new_run] restarts the tally. *)
 let g_hits = Telemetry.Counter.make "canon.hits"
 let g_misses = Telemetry.Counter.make "canon.misses"
 let g_exact = Telemetry.Counter.make "canon.exact"
@@ -76,10 +75,6 @@ type 'a t = {
   use_cache : bool;
   memo : (int, ('a View.t * 'a key) list ref) Hashtbl.t;
   lock : Mutex.t;
-  s_hits : int Atomic.t;
-  s_misses : int Atomic.t;
-  s_exact : int Atomic.t;
-  s_fallback : int Atomic.t;
 }
 
 let create ?(cache = true) ?(hash = Hashtbl.hash) ~equal () =
@@ -89,18 +84,6 @@ let create ?(cache = true) ?(hash = Hashtbl.hash) ~equal () =
     use_cache = cache;
     memo = Hashtbl.create 256;
     lock = Mutex.create ();
-    s_hits = Atomic.make 0;
-    s_misses = Atomic.make 0;
-    s_exact = Atomic.make 0;
-    s_fallback = Atomic.make 0;
-  }
-
-let stats t =
-  {
-    hits = Atomic.get t.s_hits;
-    misses = Atomic.get t.s_misses;
-    exact = Atomic.get t.s_exact;
-    fallback = Atomic.get t.s_fallback;
   }
 
 let fingerprint k = k.k_fingerprint
@@ -171,13 +154,9 @@ let compute t (view : 'a View.t) =
     k_view = view;
   }
 
-let count_miss t =
-  Atomic.incr t.s_misses;
-  Telemetry.Counter.incr g_misses
-
 let key t view =
   if not t.use_cache then begin
-    count_miss t;
+    Telemetry.Counter.incr g_misses;
     compute t view
   end
   else begin
@@ -192,11 +171,10 @@ let key t view =
     Mutex.unlock t.lock;
     match found with
     | Some (_, k) ->
-        Atomic.incr t.s_hits;
         Telemetry.Counter.incr g_hits;
         k
     | None ->
-        count_miss t;
+        Telemetry.Counter.incr g_misses;
         let k = compute t view in
         Mutex.lock t.lock;
         (match Hashtbl.find_opt t.memo dg with
@@ -229,11 +207,9 @@ let equivalent ?(exact_threshold = max_int) t ka kb =
   else
     match (ka.k_form, kb.k_form) with
     | Some fa, Some fb ->
-        Atomic.incr t.s_exact;
         Telemetry.Counter.incr g_exact;
         forms_equal t fa fb
     | _ ->
-        Atomic.incr t.s_fallback;
         Telemetry.Counter.incr g_fallback;
         Iso.views_isomorphic t.label_equal ka.k_view kb.k_view
 
@@ -277,21 +253,3 @@ let add s k =
   | Some b ->
       b := k :: !b;
       true
-
-(* Derived canoniser over decorated views: labels paired with an int
-   decoration (the id restriction folded in via [View.mapi_labels]).
-   Keys of the derived table are iso-invariants of the *decorated* view,
-   so grouping by them quotients id-restrictions by decorated-view
-   orbit — the unit the ball-local enumeration of [Orbit] reports in. *)
-let decorated t =
-  {
-    label_hash = (fun (x, d) -> Hashtbl.hash (t.label_hash x, d));
-    label_equal = (fun (a, da) (b, db) -> da = db && t.label_equal a b);
-    use_cache = t.use_cache;
-    memo = Hashtbl.create 256;
-    lock = Mutex.create ();
-    s_hits = Atomic.make 0;
-    s_misses = Atomic.make 0;
-    s_exact = Atomic.make 0;
-    s_fallback = Atomic.make 0;
-  }

@@ -94,18 +94,7 @@ val add : 'a classes -> 'a key -> bool
 val mem : 'a classes -> 'a key -> bool
 (** Is some key of the set equivalent to this one? Read-only. *)
 
-val stats : 'a t -> stats
-
 val run_stats : unit -> stats
 (** Totals over every table, scoped to the ambient telemetry run
     (counters [canon.*]) — what [locald --stats] and the bench JSON
     surface. [Telemetry.new_run] restarts the tally. *)
-
-val decorated : 'a t -> ('a * int) t
-(** A fresh canoniser over views whose labels carry an [int] decoration
-    (e.g. the ball-restricted id assignment folded into the labels with
-    {!Locald_graph.View.mapi_labels}). Label hash and equality are
-    derived from [t]'s, the cache toggle is inherited, and the memo
-    table is fresh. Keys of the derived canoniser are iso-invariants of
-    the {e decorated} view: grouping id-restrictions by them quotients
-    the per-node enumeration by decorated-view orbit. *)

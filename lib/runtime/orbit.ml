@@ -4,19 +4,14 @@
    [{0..bound-1}] touches [perm ~bound ~k:n] assignments, but the
    locality correspondence says node [v]'s output depends only on the
    restriction of the assignment to its radius-[t] ball. Per node there
-   are just [perm ~bound ~k:(ball size)] distinct restrictions — and
-   when [bound >= n] every injective restriction extends to a global
-   assignment ([extend]), so scanning restrictions per node loses no
-   witnesses. This module provides the enumeration, the counting
-   arithmetic, the witness reconstruction, and the orbit-class grouping
-   (via decorated canonical keys) that the quotient paths in
-   [Locald_decision.Decider] and [Locald_local.Oblivious] build on.
+   are just [perm ~bound ~k:(ball size)] distinct restrictions. This
+   module provides the enumeration and the counting arithmetic that the
+   quotient path in [Locald_decision.Decider] builds on, and the rank
+   arithmetic the sharded exhaustive runs partition on.
 
    Counter: [scanned] accumulates, per quotient scan, the number of
    restriction classes actually enumerated — the denominator that bench
    rows surface as [orbit_classes] next to wall time. *)
-
-open Locald_graph
 
 let invalid fmt = Format.kasprintf invalid_arg fmt
 
@@ -28,19 +23,6 @@ let perm ~bound ~k =
     let acc = ref 1 in
     for i = bound - k + 1 to bound do
       acc := !acc * i
-    done;
-    !acc
-  end
-
-let choose ~bound ~k =
-  if k < 0 then invalid "Orbit.choose: negative k %d" k;
-  if bound < 0 then invalid "Orbit.choose: negative bound %d" bound;
-  if k > bound then 0
-  else begin
-    let k = min k (bound - k) in
-    let acc = ref 1 in
-    for i = 1 to k do
-      acc := !acc * (bound - k + i) / i
     done;
     !acc
   end
@@ -101,13 +83,6 @@ let injections_from ~bound ~k ~start =
   in
   from start
 
-(* One representative per order type: the rank patterns themselves,
-   i.e. the permutations of [{0..k-1}]. Every injective restriction
-   with ranks [p] shares its order type with representative [p], and
-   each order-type class contains exactly [choose ~bound ~k] sets of
-   values, each realised once. *)
-let order_representatives ~k = injections ~bound:k ~k
-
 (* Allocation-free variant for the hot quotient scans: same tuples in
    the same lexicographic order, but the callback receives a single
    scratch array that is overwritten between calls (copy to retain),
@@ -140,58 +115,6 @@ let for_all_injections ~bound ~k f =
     in
     go 0
   end
-
-let extend ~n ~bound ~back r =
-  if bound < n then
-    invalid "Orbit.extend: bound %d < %d nodes (no global assignment)" bound n;
-  let k = Array.length back in
-  if Array.length r <> k then
-    invalid "Orbit.extend: restriction length %d for a %d-node ball"
-      (Array.length r) k;
-  let used = Array.make bound false in
-  let ids = Array.make n (-1) in
-  Array.iteri
-    (fun i v ->
-      let x = r.(i) in
-      if x < 0 || x >= bound then
-        invalid "Orbit.extend: id %d outside [0,%d)" x bound;
-      if used.(x) then invalid "Orbit.extend: duplicate id %d" x;
-      used.(x) <- true;
-      ids.(v) <- x)
-    back;
-  (* Remaining nodes take the smallest unused ids in ascending node
-     order: a fixed, deterministic completion (any completion yields the
-     same outputs inside the ball; determinism keeps witness digests
-     stable). *)
-  let next = ref 0 in
-  for v = 0 to n - 1 do
-    if ids.(v) < 0 then begin
-      while used.(!next) do
-        incr next
-      done;
-      used.(!next) <- true;
-      ids.(v) <- !next
-    end
-  done;
-  ids
-
-(* ------------------------------------------------------------------ *)
-(* Orbit-class grouping via decorated canonical keys                    *)
-(* ------------------------------------------------------------------ *)
-
-(* Count id-restriction decorations of one view by decorated-view orbit:
-   fold each decoration into the labels, canonicalise with the derived
-   (decorated) canoniser, and count the keys a [Canon.classes] set
-   accepts as new. Intended for reporting and property tests — the hot
-   quotient scans count classes arithmetically instead of canonising
-   every restriction. *)
-let distinct_classes dc view decos =
-  let seen = Canon.classes dc in
-  Seq.fold_left
-    (fun classes (deco : int array) ->
-      let dv = View.mapi_labels (fun i x -> (x, deco.(i))) view in
-      if Canon.add seen (Canon.key dc dv) then classes + 1 else classes)
-    0 decos
 
 (* ------------------------------------------------------------------ *)
 (* Run-scoped scan accounting                                           *)

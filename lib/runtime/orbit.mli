@@ -4,17 +4,11 @@
     assignment depends only on the assignment's restriction to the
     node's ball. Exhaustive quantification can therefore scan, per node
     [v], the [perm ~bound ~k:(ball size)] distinct injective
-    restrictions instead of the [perm ~bound ~k:n] global assignments —
-    and since (for [bound >= n]) every injective restriction extends to
-    a global assignment, nothing is lost: a per-node violation
-    reconstructs to a concrete global witness with {!extend}.
+    restrictions instead of the [perm ~bound ~k:n] global assignments.
 
-    This module is policy-free: it enumerates, counts and reconstructs;
-    the decision layers ([Locald_decision.Decider],
-    [Locald_local.Oblivious]) own the soundness conditions under which
-    the quotient replaces the naive loop. *)
-
-open Locald_graph
+    This module is policy-free: it enumerates and counts; the decision
+    layer ([Locald_decision.Decider]) owns the soundness conditions
+    under which the quotient replaces the naive loop. *)
 
 val perm : bound:int -> k:int -> int
 (** Falling factorial [bound * (bound-1) * ... * (bound-k+1)] — the
@@ -22,9 +16,6 @@ val perm : bound:int -> k:int -> int
     [k > bound]. Unchecked native-int arithmetic: callers bound their
     inputs (the exhaustive paths already enumerate streams of this
     length, so overflow is beyond reach in practice). *)
-
-val choose : bound:int -> k:int -> int
-(** Binomial coefficient; the size of each order-type class. *)
 
 val injections : bound:int -> k:int -> int array Seq.t
 (** All injective k-tuples over [{0..bound-1}] in lexicographic order —
@@ -58,34 +49,9 @@ val for_all_injections : bound:int -> k:int -> (int array -> bool) -> bool
     allocation-free, for the hot quotient scans; copy it to retain a
     tuple. *)
 
-val order_representatives : k:int -> int array Seq.t
-(** One representative per order type: the permutations of [{0..k-1}]
-    (each order-type class over a larger [bound] contains
-    [choose ~bound ~k] value-sets and is represented by its rank
-    pattern). Sound as a quotient only for order-invariant deciders —
-    see [Locald_runtime.Memo.Order_type]. *)
-
-val extend : n:int -> bound:int -> back:int array -> int array -> int array
-(** [extend ~n ~bound ~back r] is the global assignment over [n] nodes
-    that restricts to [r] on the ball [back] (view-local index [i] maps
-    to global node [back.(i)], which receives id [r.(i)]) and gives
-    every remaining node the smallest unused ids in ascending node
-    order — a fixed completion, so reconstructed witnesses are
-    deterministic. Requires [bound >= n].
-    @raise Invalid_argument on a non-injective or out-of-range [r]. *)
-
-val distinct_classes :
-  ('a * int) Canon.t -> 'a View.t -> int array Seq.t -> int
-(** [distinct_classes dc view decos] is the number of decorated-view
-    orbits among the id-decorations [decos] of [view]: each decoration
-    is folded into the labels ({!Locald_graph.View.mapi_labels}) and
-    the derived canoniser's keys are collected into a {!Canon.classes}
-    set. Reporting and property-test grade — the hot quotient scans
-    count classes arithmetically. *)
-
 (** {1 Run-scoped scan accounting}
 
-    The quotient paths record how many restriction classes each scan
+    The quotient path records how many restriction classes each scan
     enumerated, into the ambient telemetry run (counter
     [orbit.scanned]); bench rows surface the total as [orbit_classes]
     and [Telemetry.new_run] starts a fresh tally. *)

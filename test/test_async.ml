@@ -2,14 +2,12 @@
    view-level and output-level identity with the synchronous simulator,
    digest equality over every quick-bench workload and every driver at
    several scheduler seeds and job counts, the adversarial scheduler's
-   determinism and reordering properties, fault-degradation parity with
-   the synchronous fault engine, and the observational transparency of
-   tracing over the async hot path. *)
+   determinism and reordering properties, and the observational
+   transparency of tracing over the async hot path. *)
 
 open Locald_graph
 open Locald_runtime
 open Locald_local
-open Locald_decision
 open Locald_core
 
 let check = Alcotest.check
@@ -84,6 +82,25 @@ let test_run_outputs_identical () =
             scheduler_configs)
         [ 1; 2 ])
     test_graphs
+
+(* The same identity on random connected graphs, at radii 0-2, under
+   random scheduler seeds in both FIFO modes. *)
+let prop_random_outputs_identical =
+  QCheck2.Test.make ~name:"async outputs equal sync outputs on random graphs"
+    ~count:60
+    QCheck2.Gen.(
+      pair
+        (quad (int_range 3 14) (int_bound 1_000_000) (int_bound 1000)
+           (int_bound 2))
+        bool)
+    (fun ((n, gseed, sched_seed, radius), fifo) ->
+      let rng = Random.State.make [| gseed |] in
+      let g = Gen.random_connected rng ~n ~p:0.3 in
+      let lg = Labelled.init g (fun v -> (v * 5) mod 3) in
+      let ids = Ids.shuffled rng n in
+      let alg = fingerprint_algorithm ~radius in
+      Runner.run ~backend:Backend.Sync alg lg ~ids
+      = Async_runner.run ~config:(config ~fifo sched_seed) alg lg ~ids)
 
 (* ------------------------------------------------------------------ *)
 (* Backend selection                                                    *)
@@ -167,8 +184,8 @@ let test_driver_cross_backend (x : Registry.experiment) () =
 (* Scheduler properties                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* Same seed => the whole observable execution replays: every event in
-   order, every outcome, every meter. *)
+(* Same seed => the whole observable execution replays: every
+   delivery in order, every output. *)
 let prop_replay_deterministic =
   QCheck2.Test.make ~name:"same scheduler seed replays the identical trace"
     ~count:40
@@ -180,29 +197,19 @@ let prop_replay_deterministic =
       let lg = Labelled.init g (fun v -> (v * 7) mod 3) in
       let ids = Ids.shuffled rng n in
       let alg = fingerprint_algorithm ~radius:2 in
-      let plan =
-        Faults.make ~seed:gseed ~drop:0.2 ~duplicate:0.1
-          ~crashes:[ (Random.State.int rng n, 1 + Random.State.int rng 2) ]
-          ()
-      in
       let run () =
-        Async_runner.run_trace ~config:(config ~fifo sched_seed) ~plan alg lg
-          ~ids
+        Async_runner.run_trace ~config:(config ~fifo sched_seed) alg lg ~ids
       in
-      let o1, s1, e1 = run () in
-      let o2, s2, e2 = run () in
-      o1 = o2 && s1 = s2 && e1 = e2)
+      run () = run ())
 
 let delivery_order cfg =
   let lg = Labelled.init (Gen.cycle 3) (fun v -> v) in
   let ids = Ids.sequential 3 in
-  let _, _, events =
-    Async_runner.run_trace ~config:cfg ~plan:Faults.empty
-      (fingerprint_algorithm ~radius:1) lg ~ids
+  let _, deliveries =
+    Async_runner.run_trace ~config:cfg (fingerprint_algorithm ~radius:1) lg
+      ~ids
   in
-  List.filter_map
-    (function Async_runner.Deliver { uid; _ } -> Some uid | _ -> None)
-    events
+  List.map (fun (d : Async_runner.delivery) -> d.uid) deliveries
 
 (* An adversary that cannot reorder is no adversary: on a triangle,
    eight seeds must produce at least two genuinely different delivery
@@ -235,172 +242,21 @@ let prop_fifo_preserves_link_order =
       let g = Gen.random_connected rng ~n ~p:0.3 in
       let lg = Labelled.init g (fun v -> v mod 2) in
       let ids = Ids.shuffled rng n in
-      let plan = Faults.make ~seed:gseed ~drop:0.15 () in
-      let _, _, events =
-        Async_runner.run_trace ~config:(config ~fifo:true sched_seed) ~plan
+      let _, deliveries =
+        Async_runner.run_trace ~config:(config ~fifo:true sched_seed)
           (fingerprint_algorithm ~radius:2) lg ~ids
       in
       let last : (int * int, int) Hashtbl.t = Hashtbl.create 32 in
       List.for_all
-        (function
-          | Async_runner.Deliver { uid; src; dst; _ } ->
-              let ok =
-                match Hashtbl.find_opt last (src, dst) with
-                | Some prev -> prev < uid
-                | None -> true
-              in
-              Hashtbl.replace last (src, dst) uid;
-              ok
-          | _ -> true)
-        events)
-
-(* ------------------------------------------------------------------ *)
-(* Faults under the async engine                                        *)
-(* ------------------------------------------------------------------ *)
-
-let to_verdict_outcome = function
-  | Outcome.Decided b -> Verdict.Outcome.of_bool b
-  | Outcome.Unknown _ -> Verdict.Outcome.Unknown
-
-let degraded_of outcomes =
-  Verdict.of_outcomes (Array.map to_verdict_outcome outcomes)
-
-(* A boolean decider with the same sensitivity as the fingerprint. *)
-let parity_algorithm ~radius =
-  Algorithm.make ~name:"parity" ~radius (fun view ->
-      let ids = match View.ids view with Some ids -> ids | None -> [||] in
-      Array.fold_left ( + ) 0 ids mod 2 = 0)
-
-(* On plans whose degradation is deterministic (everything lost, a
-   pre-send crash, duplicates only, nothing at all) both engines must
-   produce the same three-valued aggregate and the same crashed set —
-   the async engine degrades exactly like the synchronous one. *)
-let test_fault_aggregation_parity () =
-  let scenarios =
-    [
-      ("empty plan", Gen.grid 3 3, Faults.empty);
-      ("total loss", Gen.cycle 6, Faults.make ~drop:1.0 ());
-      ("hub crash", Gen.star 5, Faults.make ~crashes:[ (0, 1) ] ());
-      ("duplicates", Gen.grid 3 3, Faults.make ~seed:5 ~duplicate:1.0 ());
-      ( "crash + retries",
-        Gen.cycle 6,
-        Faults.make ~crashes:[ (2, 1) ] ~retries:1 () );
-    ]
-  in
-  List.iter
-    (fun (label, g, plan) ->
-      let lg = Labelled.init g (fun v -> v mod 2) in
-      let n = Labelled.order lg in
-      let ids = Ids.shuffled (rng ()) n in
-      let alg = parity_algorithm ~radius:1 in
-      let sync_out, _ = Fault_runner.run ~plan alg lg ~ids in
-      List.iter
-        (fun cfg ->
-          let async_out, _ =
-            Async_runner.run_outcomes ~config:cfg ~plan alg lg ~ids
+        (fun { Async_runner.uid; src; dst } ->
+          let ok =
+            match Hashtbl.find_opt last (src, dst) with
+            | Some prev -> prev < uid
+            | None -> true
           in
-          let s = degraded_of sync_out and a = degraded_of async_out in
-          check bool (label ^ ": verdict agrees") true
-            (s.Verdict.verdict = a.Verdict.verdict);
-          check (Alcotest.list int) (label ^ ": unknown set agrees")
-            s.Verdict.unknowns a.Verdict.unknowns;
-          check (Alcotest.array bool) (label ^ ": crashed set agrees")
-            (Array.map
-               (function Outcome.Unknown Outcome.Crashed -> true | _ -> false)
-               sync_out)
-            (Array.map
-               (function Outcome.Unknown Outcome.Crashed -> true | _ -> false)
-               async_out))
-        scheduler_configs)
-    scenarios
-
-(* Crash-stop isolation, stated over the trace: once the Crash event
-   fires, not a single message from that node is delivered — pending
-   ones are withdrawn (purged), not flushed. *)
-let crash_isolated events =
-  let crashed = Hashtbl.create 4 in
-  List.for_all
-    (function
-      | Async_runner.Crash { node; _ } ->
-          Hashtbl.replace crashed node ();
-          true
-      | Async_runner.Deliver { src; _ } -> not (Hashtbl.mem crashed src)
-      | _ -> true)
-    events
-
-let test_crash_never_delivers_after_crash () =
-  (* Crash at the second send opportunity: the first batch is already
-     in flight when the crash fires, so withdrawal is actually
-     exercised (mid-flight, not before-first-send). *)
-  let lg = Labelled.init (Gen.star 5) (fun v -> v mod 2) in
-  let ids = Ids.sequential (Labelled.order lg) in
-  let plan = Faults.make ~crashes:[ (0, 2) ] () in
-  List.iter
-    (fun cfg ->
-      let _, stats, events =
-        Async_runner.run_trace ~config:cfg ~plan
-          (fingerprint_algorithm ~radius:2) lg ~ids
-      in
-      check bool "no delivery from a crashed node" true (crash_isolated events);
-      check bool "the crash actually fired" true
-        (List.exists
-           (function Async_runner.Crash { node = 0; _ } -> true | _ -> false)
-           events);
-      check bool "withdrawal exercised" true (stats.Async_runner.purged > 0))
-    scheduler_configs
-
-let prop_crash_isolation =
-  QCheck2.Test.make ~name:"a crashed node never delivers after its crash"
-    ~count:40
-    QCheck2.Gen.(triple (int_range 3 12) (int_bound 1_000_000) (int_bound 1000))
-    (fun (n, gseed, sched_seed) ->
-      let rng = Random.State.make [| gseed |] in
-      let g = Gen.random_connected rng ~n ~p:0.3 in
-      let lg = Labelled.init g (fun v -> v mod 3) in
-      let ids = Ids.shuffled rng n in
-      let plan =
-        Faults.make ~seed:gseed ~drop:0.1
-          ~crashes:[ (Random.State.int rng n, 1 + Random.State.int rng 3) ]
-          ()
-      in
-      let _, _, events =
-        Async_runner.run_trace
-          ~config:(config ~fifo:(gseed mod 2 = 0) sched_seed)
-          ~plan
-          (fingerprint_algorithm ~radius:2)
-          lg ~ids
-      in
-      crash_isolated events)
-
-(* Same soundness contract as the synchronous fault engine: whatever a
-   fault plan and an adversarial schedule do, a Decided output equals
-   the fault-free output. *)
-let prop_async_decided_outputs_sound =
-  QCheck2.Test.make
-    ~name:"async Decided outputs equal the fault-free outputs" ~count:60
-    QCheck2.Gen.(
-      quad (int_range 3 14) (int_bound 1_000_000) (int_bound 1000) (int_bound 2))
-    (fun (n, gseed, sched_seed, radius) ->
-      let rng = Random.State.make [| gseed |] in
-      let g = Gen.random_connected rng ~n ~p:0.3 in
-      let lg = Labelled.init g (fun v -> (v * 5) mod 3) in
-      let ids = Ids.shuffled rng n in
-      let alg = fingerprint_algorithm ~radius in
-      let expected = Runner.run ~backend:Backend.Sync alg lg ~ids in
-      let plan =
-        Faults.make ~seed:gseed ~drop:0.25 ~duplicate:0.1
-          ~crashes:[ (Random.State.int rng n, 1 + Random.State.int rng 2) ]
-          ~retries:(Random.State.int rng 2) ()
-      in
-      let outcomes, _ =
-        Async_runner.run_outcomes
-          ~config:(config ~fifo:(gseed mod 2 = 1) sched_seed)
-          ~plan alg lg ~ids
-      in
-      Array.for_all2
-        (fun o e ->
-          match o with Outcome.Decided d -> d = e | Outcome.Unknown _ -> true)
-        outcomes expected)
+          Hashtbl.replace last (src, dst) uid;
+          ok)
+        deliveries)
 
 (* ------------------------------------------------------------------ *)
 (* Telemetry transparency on the async hot path                         *)
@@ -473,6 +329,7 @@ let () =
             test_assembled_views_identical;
           Alcotest.test_case "run outputs = sync outputs" `Quick
             test_run_outputs_identical;
+          QCheck_alcotest.to_alcotest prop_random_outputs_identical;
           Alcotest.test_case "backend parsing and resolution" `Quick
             test_backend_parsing;
           Alcotest.test_case "prepare hoist pins" `Quick
@@ -498,15 +355,6 @@ let () =
           Alcotest.test_case "seeds explore interleavings" `Quick
             test_seeds_explore_interleavings;
           QCheck_alcotest.to_alcotest prop_fifo_preserves_link_order;
-        ] );
-      ( "faults",
-        [
-          Alcotest.test_case "degraded aggregation parity" `Quick
-            test_fault_aggregation_parity;
-          Alcotest.test_case "mid-flight crash-stop isolation" `Quick
-            test_crash_never_delivers_after_crash;
-          QCheck_alcotest.to_alcotest prop_crash_isolation;
-          QCheck_alcotest.to_alcotest prop_async_decided_outputs_sound;
         ] );
       ( "telemetry",
         [

@@ -367,32 +367,7 @@ let prop_memo_transparent =
       transparent (weighed_alg 3) false
       && transparent (Algorithm.make ~name:"yes" ~radius:1 (fun _ -> true)) true)
 
-let prop_quotient_variance =
-  QCheck2.Test.make ~name:"quotient variance iff naive variance" ~count:25
-    gen_labelled (fun lg ->
-      let bound = Labelled.order lg + 1 in
-      let agree alg =
-        let naive =
-          Oblivious.find_variance_exhaustive ~quotient:false ~bound alg lg
-        in
-        let quot =
-          Oblivious.find_variance_exhaustive ~quotient:true ~bound alg lg
-        in
-        match (naive, quot) with
-        | None, None -> true
-        | Some _, Some w ->
-            (* The reconstructed witness must be a concrete,
-               independently re-checkable counterexample. *)
-            let out ids = (Runner.run alg lg ~ids).(w.Oblivious.node) in
-            out w.Oblivious.ids_a <> out w.Oblivious.ids_b
-        | _ -> false
-      in
-      agree (weighed_alg 3)
-      && agree (Algorithm.make ~name:"const" ~radius:1 (fun _ -> true)))
-
-let quotient_cases =
-  List.map QCheck_alcotest.to_alcotest
-    [ prop_memo_transparent; prop_quotient_variance ]
+let quotient_cases = [ QCheck_alcotest.to_alcotest prop_memo_transparent ]
 
 let () =
   Alcotest.run "decision"

@@ -47,6 +47,16 @@ let test_plan_validation () =
     (rejected (fun () -> Faults.make ~crashes:[ (0, 0) ] ()));
   check bool "negative crash node rejected" true
     (rejected (fun () -> Faults.make ~crashes:[ (-1, 1) ] ()));
+  (* The experiment's own counts, as the CLI's --crashes and --runs
+     pass them. *)
+  let faults = Locald_core.Experiments.faults ~quick:true in
+  check bool "--crashes=-1 rejected" true
+    (rejected (fun () -> faults ~crashes:(-1) ()));
+  check bool "--crashes=-2 rejected" true
+    (rejected (fun () -> faults ~crashes:(-2) ()));
+  check bool "--runs=-1 rejected" true
+    (rejected (fun () -> faults ~runs:(-1) ()));
+  check bool "--runs=0 rejected" true (rejected (fun () -> faults ~runs:0 ()));
   check bool "empty plan is empty" true (Faults.is_empty Faults.empty);
   (* Retries alone cannot change any view: still "empty". *)
   check bool "retries-only plan is empty" true

@@ -152,11 +152,24 @@ let prop_stats_formulae =
 let test_runner_size_mismatch () =
   let lg = Labelled.const (Gen.cycle 4) () in
   let alg = fingerprint_algorithm ~radius:1 in
-  let raised =
-    try ignore (Runner.run alg lg ~ids:(Ids.sequential 3)); false
-    with Ids.Invalid_ids _ -> true
-  in
-  check bool "size mismatch rejected" true raised
+  let ids = Ids.sequential 3 in
+  List.iter
+    (fun (engine, run) ->
+      let raised = try run (); false with Ids.Invalid_ids _ -> true in
+      check bool (engine ^ ": size mismatch rejected") true raised)
+    [
+      ("Runner.run", fun () -> ignore (Runner.run alg lg ~ids));
+      ( "Runner.run ~backend:Async",
+        fun () ->
+          ignore
+            (Runner.run
+               ~backend:(Backend.Async Async_runner.default_config)
+               alg lg ~ids) );
+      ( "Runner.run_prepared",
+        fun () -> ignore (Runner.run_prepared (Runner.prepare alg lg) ~ids) );
+      ( "Fault_runner.run",
+        fun () -> ignore (Fault_runner.run ~plan:Faults.empty alg lg ~ids) );
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Obliviousness checking                                              *)

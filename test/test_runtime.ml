@@ -434,23 +434,6 @@ let test_orbit_enumeration () =
   check bool "vacuous when k > bound" true
     (Orbit.for_all_injections ~bound:2 ~k:3 (fun _ -> false))
 
-let test_orbit_extend () =
-  let n = 5 and bound = 7 in
-  let back = [| 1; 3; 4 |] in
-  let r = [| 6; 0; 2 |] in
-  let ids = Orbit.extend ~n ~bound ~back r in
-  check int "length" n (Array.length ids);
-  Array.iteri
-    (fun i b -> check int "restriction preserved" r.(i) ids.(b))
-    back;
-  let seen = Hashtbl.create 8 in
-  Array.iter
-    (fun x ->
-      check bool "id in range" true (x >= 0 && x < bound);
-      check bool "id fresh" false (Hashtbl.mem seen x);
-      Hashtbl.replace seen x ())
-    ids
-
 (* An id-reading pure decide for the scanner and key properties:
    value- and position-sensitive, so only exact keys are sound. *)
 let parity_alg m =
@@ -483,7 +466,7 @@ let prop_scanner_agrees =
       QCheck2.assume (Orbit.perm ~bound ~k <= 20_000);
       Orbit.for_all_injections ~bound ~k (fun r ->
           scan r
-          = Runner.decide_restricted ~memoise:false prep v (Array.copy r)))
+          = Runner.decide_restricted prep v (Array.copy r)))
 
 let prop_decorated_key_hash =
   QCheck2.Test.make ~name:"decorated keys: equal => hash-equal" ~count:200
@@ -510,18 +493,20 @@ let prop_decorated_view_keys =
       View.equal_repr eq da db
       && View.fingerprint lh da = View.fingerprint lh db
       &&
-      let dc = Canon.decorated (Canon.create ~equal:( = ) ()) in
+      let dc = Canon.create ~hash:lh ~equal:eq () in
       let ka = Canon.key dc da and kb = Canon.key dc db in
       Canon.fingerprint ka = Canon.fingerprint kb && Canon.equivalent dc ka kb)
 
-(* Key equal extractions of one view three times; the table's counters. *)
+(* Key equal extractions of one view three times in a fresh telemetry
+   run; the run's counters. *)
 let stats_after_three_keys ~cache =
+  Telemetry.new_run ();
   let canon = Canon.create ~cache ~equal:( = ) () in
   let lg = Labelled.init (Gen.grid 4 4) (fun v -> v mod 2) in
   for _ = 1 to 3 do
     ignore (Canon.key canon (View.extract lg ~center:5 ~radius:2))
   done;
-  Canon.stats canon
+  Canon.run_stats ()
 
 let test_canon_memo_hits () =
   let s = stats_after_three_keys ~cache:true in
@@ -646,7 +631,6 @@ let qcheck_cases =
 
 let orbit_cases =
   Alcotest.test_case "injection enumeration" `Quick test_orbit_enumeration
-  :: Alcotest.test_case "witness extension" `Quick test_orbit_extend
   :: List.map QCheck_alcotest.to_alcotest
        [ prop_scanner_agrees; prop_decorated_key_hash; prop_decorated_view_keys ]
 

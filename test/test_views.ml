@@ -95,6 +95,18 @@ let test_extract_with_ids () =
         fun () ->
           ignore
             (Runner.run (Algorithm.of_oblivious ob) lg ~ids:(Ids.sequential 3)) );
+      ( "Runner.run ~backend:Async",
+        fun () ->
+          ignore
+            (Runner.run
+               ~backend:(Backend.Async Async_runner.default_config)
+               (Algorithm.of_oblivious ob) lg ~ids:(Ids.sequential 3)) );
+      ( "Runner.run_prepared",
+        fun () ->
+          ignore
+            (Runner.run_prepared
+               (Runner.prepare (Algorithm.of_oblivious ob) lg)
+               ~ids:(Ids.sequential 3)) );
       ("Runner.run_oblivious", fun () -> ignore (Runner.run_oblivious ob lg));
       ( "Decider.decide_oblivious",
         fun () -> ignore (Locald_decision.Decider.decide_oblivious ob lg) );
