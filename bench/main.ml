@@ -890,11 +890,11 @@ let parse_path_and_only ~default rest =
 
 let () =
   match Array.to_list Sys.argv with
-  | _ :: "--json" :: rest ->
+  | _ :: "--json" :: ([] | [ _ ] as rest) ->
       (* Quick mode: only the machine-readable bench. *)
       let path = match rest with p :: _ -> p | [] -> "BENCH_quick.json" in
       run_tier_bench ~only:[] Registry.Quick path
-  | _ :: "--check" :: rest ->
+  | _ :: "--check" :: ([] | [ _ ] as rest) ->
       let path = match rest with p :: _ -> p | [] -> "BENCH_quick.json" in
       run_check ~only:[] Registry.Quick path
   | _ :: "--scale" :: rest ->
@@ -903,16 +903,30 @@ let () =
   | _ :: "--check-scale" :: rest ->
       let path, only = parse_path_and_only ~default:"BENCH_scale.json" rest in
       run_check ~only Registry.Scale path
-  | _ :: "--serve" :: socket :: rest ->
+  | _ :: "--serve" :: socket :: ([] | [ _ ] as rest) ->
       let path = match rest with p :: _ -> p | [] -> "BENCH_serve.json" in
       run_serve_bench ~socket path
-  | _ :: "--check-serve" :: socket :: rest ->
+  | _ :: "--check-serve" :: socket :: ([] | [ _ ] as rest) ->
       let path = match rest with p :: _ -> p | [] -> "BENCH_serve.json" in
       run_check_serve ~socket path
   | _ :: (("--serve" | "--check-serve") as flag) :: [] ->
       Printf.eprintf "bench: %s needs a daemon socket path\n" flag;
       exit Locald_runtime.Shard.Exit.usage
-  | _ ->
+  | _ :: (_ :: _ as args) ->
+      (* Anything else writes no file: a typo must not rerun the
+         paper's artefacts and then rewrite the committed pins. *)
+      Printf.eprintf
+        "bench: unknown arguments: %s\n\
+         usage: main.exe                  every artefact, then BENCH_quick.json\n\
+        \       main.exe --json [PATH]\n\
+        \       main.exe --check [PATH]\n\
+        \       main.exe --scale [PATH] [--only WORKLOAD]...\n\
+        \       main.exe --check-scale [PATH] [--only WORKLOAD]...\n\
+        \       main.exe --serve SOCKET [PATH]\n\
+        \       main.exe --check-serve SOCKET [PATH]\n"
+        (String.concat " " args);
+      exit Locald_runtime.Shard.Exit.usage
+  | [] | [ _ ] ->
       regenerate_paper_artefacts ();
       run_ablations ();
       run_benchmarks ();

@@ -114,14 +114,16 @@ let certify ?pool ?(budget = 20_000) ?(slack = 0) ?plan ?confirm ?confirm_on
     prepared;
   let items = Array.of_list (List.rev !items) in
   let decide = tag_no_ids alg.Algorithm.name alg.Algorithm.decide in
+  (* The probe keeps no part of the view, so the ball is borrowed
+     rather than allocated, and a big ball's label and id arrays are
+     lent by this call's lender, which every worker shares. *)
+  let lender = View.lender () in
   let probe (iname, lg, ids_arr, v) =
     Telemetry.Counter.incr c_probes;
-    (* The probe keeps no part of the view, so the ball is borrowed
-       rather than allocated. *)
     let first_input, trace, nondet =
-      View.with_extract ~ids:ids_arr lg ~center:v ~radius:horizon (fun view ->
-          (* The extracted view owns a fresh restricted id array: that
-             array — and nothing else — carries the input assignment, so
+      View.with_extract lender ~ids:ids_arr lg ~center:v ~radius:horizon (fun view ->
+          (* The view's restricted id array, fresh or lent to this probe
+             alone, carries the input assignment, and nothing else does:
              input provenance is physical equality with it. Anything the
              algorithm manufactures ([View.reassign_ids]) is a different
              array and classifies as synthetic. *)

@@ -4,10 +4,15 @@ open Locald_turing
 type ctx = {
   g : Graph.t;
   label : int -> Gmr.label;
+  centre : int;
   parent_memo : int option option array;
-      (** memoised [pyr_parent]: [None] = not computed yet. Shared
-          across a whole-graph pass so that the pivot's huge
-          neighbourhood is scanned once, not once per neighbour. *)
+      (** memoised [pyr_parent]: [None] = not computed yet. The rules at
+          a node ask [pyr_parent] about that node and its neighbours
+          only. A whole-graph pass ([centre = -1]) keeps an entry per
+          node, shared across the pass, so that the pivot's huge
+          neighbourhood is scanned once, not once per neighbour. A
+          view's rules run at its [centre] alone: an entry for the
+          centre (slot 0) and one per neighbour (slot [1 + port]). *)
 }
 
 let classify_for_quadtree ctx u =
@@ -45,9 +50,16 @@ let cell_content (l : Gmr.label) =
 let neighbours_where ctx v p =
   List.rev (Graph.fold_neighbours (fun w acc -> if p w then w :: acc else acc) ctx.g v [])
 
+(* [v]'s entry in [ctx.parent_memo], or [-1] if the memo has none. *)
+let memo_slot ctx v =
+  if ctx.centre < 0 then v
+  else if v = ctx.centre then 0
+  else match Graph.port ctx.g ctx.centre v with -1 -> -1 | k -> k + 1
+
 (* The unique pyramid parent of a base cell, if any. *)
 let pyr_parent ctx v =
-  match ctx.parent_memo.(v) with
+  let slot = memo_slot ctx v in
+  match if slot < 0 then None else ctx.parent_memo.(slot) with
   | Some cached -> cached
   | None ->
       let parents =
@@ -57,7 +69,7 @@ let pyr_parent ctx v =
             | Gmr.Cell _ -> false)
       in
       let result = match parents with [ p ] -> Some p | _ -> None in
-      ctx.parent_memo.(v) <- Some result;
+      if slot >= 0 then ctx.parent_memo.(slot) <- Some result;
       result
 
 (* Grid-sibling test: mod-6 adjacent and parent-coherent per parity. *)
@@ -211,19 +223,25 @@ let ctx_of lg =
   {
     g = Labelled.graph lg;
     label = Labelled.label lg;
+    centre = -1;
     parent_memo = Array.make (Labelled.order lg) None;
   }
 
 let violations_in lg v = violations (ctx_of lg) v
 
 let violations_view (view : Gmr.label View.t) =
+  (* The rules read the ball through the view's fields; this one
+     monitored read records that the verdict depends on its structure. *)
+  ignore (View.order view);
+  let g = view.View.graph and centre = view.View.center in
   violations
     {
-      g = view.View.graph;
+      g;
       label = (fun u -> view.View.labels.(u));
-      parent_memo = Array.make (View.order view) None;
+      centre;
+      parent_memo = Array.make (1 + Graph.degree g centre) None;
     }
-    view.View.center
+    centre
 
 let structure_array lg =
   let ctx = ctx_of lg in

@@ -129,18 +129,19 @@ let max_degree g =
   done;
   !best
 
-(* Binary search in the sorted slice. *)
-let mem_edge g u v =
+(* Binary search in the sorted slice for its first entry >= [v]; a loop
+   rather than a local recursive function, so no closure is allocated. *)
+let port g u v =
   check_endpoint g.n u;
   check_endpoint g.n v;
-  let rec search lo hi =
-    if lo >= hi then false
-    else
-      let mid = (lo + hi) / 2 in
-      let w = g.adj.(mid) in
-      if w = v then true else if w < v then search (mid + 1) hi else search lo mid
-  in
-  search g.off.(u) g.off.(u + 1)
+  let lo = ref g.off.(u) and hi = ref g.off.(u + 1) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if g.adj.(mid) < v then lo := mid + 1 else hi := mid
+  done;
+  if !lo < g.off.(u + 1) && g.adj.(!lo) = v then !lo - g.off.(u) else -1
+
+let mem_edge g u v = port g u v >= 0
 
 let edges g =
   let acc = ref [] in

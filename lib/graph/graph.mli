@@ -69,6 +69,10 @@ val max_degree : t -> int
 val mem_edge : t -> int -> int -> bool
 (** [mem_edge g u v] tests adjacency in O(log degree). *)
 
+val port : t -> int -> int -> int
+(** [port g u v] is the [k] with [neighbour g u k = v], or [-1] when
+    [u] and [v] are not adjacent; O(log degree). *)
+
 val edges : t -> (int * int) list
 (** All edges as pairs [(u, v)] with [u < v], lexicographically sorted. *)
 

@@ -12,20 +12,19 @@ let invalid fmt = Format.kasprintf (fun s -> raise (Graph.Invalid_graph s)) fmt
 
 let check_ids n = function
   | None -> ()
-  | Some ids ->
+  | Some (ids : int array) ->
       if Array.length ids <> n then
         invalid "view: %d ids for %d nodes" (Array.length ids) n;
-      Array.iter
-        (fun id -> if id < 0 then invalid "view: negative identifier %d" id)
-        ids;
       (* Injectivity by sort + adjacent comparison: views are small and
          this check sits on the per-assignment hot path, so avoid the
          hashing and allocation of a table. Restrictions of monotone
          assignments arrive already strictly increasing — detect that
-         with one scan and skip the sort (injectivity is then free). *)
+         in the scan for negative ids and skip the sort (injectivity is
+         then free). *)
       let increasing = ref true in
-      for i = 1 to n - 1 do
-        if ids.(i - 1) >= ids.(i) then increasing := false
+      for i = 0 to n - 1 do
+        if ids.(i) < 0 then invalid "view: negative identifier %d" ids.(i);
+        if i > 0 && ids.(i - 1) >= ids.(i) then increasing := false
       done;
       if not !increasing then begin
         let sorted = Array.copy ids in
@@ -136,32 +135,88 @@ let check_ids_length ?ids lg =
       invalid "view: %d ids for %d nodes" (Array.length ids) (Labelled.order lg)
   | Some _ | None -> ()
 
+(* A borrowed view of a ball of more than [lend_above] nodes takes its
+   label and id arrays from its lender: an array of more than 256 words
+   (Max_young_wosize) is allocated in the major heap, which a fresh
+   pair per probe would fill. Smaller balls get fresh copies, which die
+   young. A shelf keeps at most [spare_cap] arrays, the most recently
+   returned first: each G(M,1) that certify sweeps has five distinct ball
+   sizes above 256. *)
+let lend_above = 256
+let spare_cap = 8
+
+type 'b shelf = { lock : Mutex.t; mutable spares : 'b array list }
+
+type 'a lender = { lent_labels : 'a shelf; lent_ids : int shelf }
+
+let shelf () = { lock = Mutex.create (); spares = [] }
+let lender () = { lent_labels = shelf (); lent_ids = shelf () }
+
+let take shelf k =
+  Mutex.protect shelf.lock (fun () ->
+      match List.find_opt (fun a -> Array.length a = k) shelf.spares with
+      | Some a as found ->
+          shelf.spares <- List.filter (( != ) a) shelf.spares;
+          found
+      | None -> None)
+
+let give_back shelf a =
+  if Array.length a > lend_above then
+    Mutex.protect shelf.lock (fun () ->
+        shelf.spares <- List.filteri (fun i _ -> i < spare_cap) (a :: shelf.spares))
+
 (* The view on an extracted ball: labels and ids restricted to
-   [back.(0 .. k-1)], each a fresh array even when the ball is
-   borrowed. Injectivity is validated on the restriction only: global
-   injectivity is the input assignment's own invariant (enforced by
-   Ids.of_array), and an O(n) check here would make whole-graph runs
-   quadratic. *)
-let assemble ?ids lg ~radius sub back center =
+   [back.(0 .. k-1)], in spares of [lender] when it has them, else in
+   fresh arrays. A label store goes through the write barrier, but
+   consecutive big balls mostly hold the same label at the same index,
+   so stores of the value already there are skipped. Injectivity is
+   validated on the restriction only: global injectivity is the input
+   assignment's own invariant (enforced by Ids.of_array), and an O(n)
+   check here would make whole-graph runs quadratic. *)
+let assemble lender ?ids lg ~radius sub back center =
   Atomic.incr extractions;
   let k = Graph.order sub in
+  let array_for shelf x =
+    match lender with
+    | Some l when k > lend_above -> (
+        match take (shelf l) k with Some a -> a | None -> Array.make k x)
+    | Some _ | None -> Array.make k x
+  in
   let all_labels = Labelled.labels lg in
-  let labels = Array.init k (fun i -> all_labels.(back.(i))) in
-  let ids = Option.map (fun ids -> Array.init k (fun i -> ids.(back.(i)))) ids in
+  let labels = array_for (fun l -> l.lent_labels) all_labels.(back.(0)) in
+  for i = 0 to k - 1 do
+    let x = all_labels.(back.(i)) in
+    if labels.(i) != x then labels.(i) <- x
+  done;
+  let ids =
+    Option.map
+      (fun (ids : int array) ->
+        let restricted = array_for (fun l -> l.lent_ids) 0 in
+        for i = 0 to k - 1 do
+          restricted.(i) <- ids.(back.(i))
+        done;
+        restricted)
+      ids
+  in
   check_ids k ids;
   { center; radius; graph = sub; labels; ids }
 
 let extract_mapped ?ids lg ~center ~radius =
   check_ids_length ?ids lg;
   let sub, back, c = Graph.extract_ball (Labelled.graph lg) ~center ~radius in
-  (assemble ?ids lg ~radius sub back c, back)
+  (assemble None ?ids lg ~radius sub back c, back)
 
 let extract ?ids lg ~center ~radius = fst (extract_mapped ?ids lg ~center ~radius)
 
-let with_extract ?ids lg ~center ~radius f =
+let with_extract lender ?ids lg ~center ~radius f =
   check_ids_length ?ids lg;
   Graph.with_ball (Labelled.graph lg) ~center ~radius (fun sub back c ->
-      f (assemble ?ids lg ~radius sub back c))
+      let view = assemble (Some lender) ?ids lg ~radius sub back c in
+      Fun.protect
+        ~finally:(fun () ->
+          give_back lender.lent_labels view.labels;
+          Option.iter (give_back lender.lent_ids) view.ids)
+        (fun () -> f view))
 
 let of_parts ?ids ~center ~radius lg =
   let g = Labelled.graph lg in

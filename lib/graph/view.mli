@@ -85,11 +85,25 @@ val extract_mapped :
     caller needs to re-attach a fresh id assignment to a pre-extracted
     view without re-extracting the ball. *)
 
+type 'a lender
+(** Spare label and id arrays for the views {!with_extract} builds on
+    big balls. One lender may serve every domain of a [Pool.map]: a
+    mutex guards its spares. It keeps at most a few of each kind, and
+    nothing outside it holds them, so they die with the lender. *)
+
+val lender : unit -> 'a lender
+
 val with_extract :
-  ?ids:int array -> 'a Labelled.t -> center:int -> radius:int -> ('a t -> 'r) -> 'r
-(** [with_extract ?ids lg ~center ~radius f] is [f view] for a view
-    {!equal_repr} to [extract ?ids lg ~center ~radius], whose graph is
-    {e borrowed}: it lives in per-domain buffers that later borrowed
+  'a lender ->
+  ?ids:int array ->
+  'a Labelled.t ->
+  center:int ->
+  radius:int ->
+  ('a t -> 'r) ->
+  'r
+(** [with_extract lender ?ids lg ~center ~radius f] is [f view] for a
+    view {!equal_repr} to [extract ?ids lg ~center ~radius], whose graph
+    is {e borrowed}: it lives in per-domain buffers that later borrowed
     extractions overwrite, so no graph is allocated. The contract:
     - the view and its graph are valid only inside [f]. They must never
       be returned, stored, used as (or in) a memo key, or marshalled;
@@ -97,10 +111,16 @@ val with_extract :
     - a [with_extract] nested inside [f] on the same domain falls back
       to an owned extraction, and an owned extraction inside [f] never
       touches the borrowed buffers;
-    - the buffers are released when [f] returns or raises;
-    - the labels and the restricted [ids] array are fresh allocations
-      as in {!extract}, so physical equality with the ids array still
-      identifies the input assignment (certification's provenance);
+    - the labels and the restricted [ids] array have exactly as many
+      entries as the ball has nodes. For a ball of more than 256 nodes
+      (the minor heap takes arrays of at most 256 words) both are lent
+      by [lender]: spares of that exact size, refilled and valid only
+      inside [f], so consecutive views may share them. Smaller balls
+      get fresh arrays. A lent array is never in two live views, so
+      physical equality with the view's ids array still identifies the
+      input assignment (certification's provenance);
+    - the buffers and lent arrays are released when [f] returns or
+      raises;
     - it counts towards {!extraction_count}.
     @raise Graph.Invalid_graph as {!extract}. *)
 

@@ -217,6 +217,39 @@ let test_certify_radius_violation () =
        report.Analysis.rep_flags);
   check int "max depth over traces" 1 report.Analysis.rep_max_depth
 
+(* Every radius-2 ball of two disjoint 400-leaf stars holds all 401
+   nodes of its star, more than the minor heap takes, so each probe's
+   id array is lent and consecutive probes refill the same one.
+   Provenance must still tell that array from one the decide builds. *)
+let test_certify_lent_provenance () =
+  let n = 802 in
+  let star =
+    ( "stars400",
+      Labelled.make
+        (Graph.disjoint_union (Gen.star 401) (Gen.star 401))
+        (Array.init n (fun v -> if v = n - 1 then 1 else 0)) )
+  in
+  (* Reads an id at the second star's last leaf only, whose probe gets
+     an array that the first star's probes filled. *)
+  let reader =
+    Algorithm.make ~name:"last-leaf-id" ~radius:2 (fun v ->
+        View.center_label v = 0 || View.center_id v >= 0)
+  in
+  (match (Analysis.certify reader ~instances:[ star ]).Analysis.rep_verdict with
+  | Analysis.Id_dependent
+      { w_node; w_access = View.Id_read { input = true; depth = 0; id; _ }; _ } ->
+      check int "witness node" (n - 1) w_node;
+      check int "witness id" (n - 1) id
+  | _ -> Alcotest.fail "expected an Id_dependent verdict with an input id read");
+  let own_ids =
+    Algorithm.make ~name:"own-ids" ~radius:2 (fun v ->
+        let own = Array.init (View.order v) (fun i -> 1000 + i) in
+        View.center_id (View.reassign_ids v own) >= 1000)
+  in
+  let report = Analysis.certify own_ids ~instances:[ star ] in
+  check bool "ids read through a built array certify oblivious" true
+    (Analysis.certified report)
+
 let () =
   Alcotest.run "analysis"
     [
@@ -242,5 +275,7 @@ let () =
             test_certify_nondeterminism_flag;
           Alcotest.test_case "radius violation flag" `Quick
             test_certify_radius_violation;
+          Alcotest.test_case "provenance on lent id arrays" `Quick
+            test_certify_lent_provenance;
         ] );
     ]

@@ -5,8 +5,9 @@
    members and ranks by position. Owned [View.extract] and borrowed
    [View.with_extract] must both be representation-identical to it —
    [View.equal_repr], not just isomorphic — over random connected
-   graphs and rings, radii 0-4, every centre, with and without ids, at
-   any job count and under both engine backends. The per-worker BFS
+   graphs and rings, radii 0-4, and two 400-leaf stars, whose borrowed
+   views have lent label and id arrays; every centre, with and without
+   ids, at any job count and under both backends. The per-worker BFS
    scratch must be allocated once and reused for every further
    extraction. (The suite keeps the test names of the CSR arena that
    the graph representation absorbed.) *)
@@ -44,18 +45,16 @@ let oracle_members g ~center ~radius =
 
 let oracle_extract ?ids lg ~center ~radius =
   let members, edges = oracle_members (Labelled.graph lg) ~center ~radius in
-  let rank v =
-    let rec go i = function
-      | [] -> -1
-      | u :: rest -> if u = v then i else go (i + 1) rest
-    in
-    go 0 members
-  in
+  (* Ranks by position, through a table: the 400-leaf stars' balls
+     would make a list search per edge endpoint quadratic. *)
+  let ranks = Hashtbl.create 64 in
+  List.iteri (fun i v -> Hashtbl.replace ranks v i) members;
   let sub_edges =
     List.filter_map
       (fun (a, b) ->
-        if List.mem a members && List.mem b members then Some (rank a, rank b)
-        else None)
+        match (Hashtbl.find_opt ranks a, Hashtbl.find_opt ranks b) with
+        | Some ra, Some rb -> Some (ra, rb)
+        | _ -> None)
       edges
   in
   let back = Array.of_list members in
@@ -65,7 +64,7 @@ let oracle_extract ?ids lg ~center ~radius =
       (Array.map (Labelled.label lg) back)
   in
   let rids = Option.map (fun ids -> Array.map (fun u -> ids.(u)) back) ids in
-  (View.of_parts ?ids:rids ~center:(rank center) ~radius sub, back)
+  (View.of_parts ?ids:rids ~center:(Hashtbl.find ranks center) ~radius sub, back)
 
 let random_instance gseed =
   let rng = Random.State.make [| gseed |] in
@@ -76,16 +75,18 @@ let random_instance gseed =
 
 (* Every centre of [lg] at [radius], with and without [ids]: owned and
    borrowed extraction against the reference, and the owned [back]
-   against its members. *)
+   against its members. One lender serves every borrow, so a ball of
+   more than 256 nodes gets arrays an earlier one filled. *)
 let extraction_agrees ~ids lg ~radius =
   let ok = ref true in
+  let lender = View.lender () in
   for center = 0 to Labelled.order lg - 1 do
     List.iter
       (fun ids ->
         let want, want_back = oracle_extract ?ids lg ~center ~radius in
         let got, got_back = View.extract_mapped ?ids lg ~center ~radius in
         let lent =
-          View.with_extract ?ids lg ~center ~radius (View.equal_repr ( = ) want)
+          View.with_extract lender ?ids lg ~center ~radius (View.equal_repr ( = ) want)
         in
         if not (View.equal_repr ( = ) got want && lent && got_back = want_back)
         then ok := false)
@@ -134,8 +135,17 @@ let prop_slices_match_neighbours =
         Graph.iter_neighbours (fun u -> seen := u :: !seen) g v;
         let folded = Graph.fold_neighbours (fun u acc -> u :: acc) g v [] in
         let odd u = u land 1 = 1 in
+        let rec index i u = function
+          | [] -> -1
+          | w :: rest -> if w = u then i else index (i + 1) u rest
+        in
         if
           nbrs <> from_edges
+          || List.exists
+               (fun u ->
+                 Graph.port g v u <> index 0 u nbrs
+                 || Graph.mem_edge g v u <> List.mem u nbrs)
+               (List.init n Fun.id)
           || Graph.degree g v <> List.length nbrs
           || List.init (Graph.degree g v) (Graph.neighbour g v) <> nbrs
           || List.rev !seen <> nbrs
@@ -173,6 +183,72 @@ let test_rings_match_reference () =
     done
   done
 
+let labelled g =
+  (Labelled.init g (fun v -> v mod 7), Array.init (Graph.order g) (fun v -> (3 * v) + 2))
+
+(* A star with [leaves] leaves: the hub's radius-1 ball and every
+   radius-2 ball hold all [leaves + 1] nodes. *)
+let star leaves = labelled (Gen.star (leaves + 1))
+
+(* The random graphs above have at most 30 nodes, so none of their
+   borrowed views has lent arrays. Two disjoint 400-leaf stars have,
+   and their balls of one size hold different nodes, so a lent array
+   that kept the other star's labels or ids would show. *)
+let test_star_matches_reference () =
+  let lg, ids = labelled (Graph.disjoint_union (Gen.star 401) (Gen.star 401)) in
+  for radius = 1 to 2 do
+    check bool
+      (Printf.sprintf "two 400-leaf stars at radius %d" radius)
+      true
+      (extraction_agrees ~ids lg ~radius)
+  done
+
+(* What a borrowed view's arrays are. Returning them from [f] breaks
+   [with_extract]'s contract on purpose: only their identity and length
+   are compared, never their contents. *)
+let arrays_of lender ?ids lg ~center ~radius =
+  View.with_extract lender ?ids lg ~center ~radius (fun view ->
+      (view.View.labels, View.ids view, Graph.order view.View.graph))
+
+let test_lent_arrays () =
+  let lg, ids = star 400 in
+  let lender = View.lender () in
+  let labels1, ids1, k1 = arrays_of lender ~ids lg ~center:3 ~radius:2 in
+  let labels2, ids2, _ = arrays_of lender ~ids lg ~center:9 ~radius:2 in
+  let ids1 = Option.get ids1 and ids2 = Option.get ids2 in
+  check int "labels: one per node" k1 (Array.length labels1);
+  check int "ids: one per node" k1 (Array.length ids1);
+  check int "a 401-node ball" 401 k1;
+  check bool "consecutive views share their labels" true (labels1 == labels2);
+  check bool "consecutive views share their ids" true (ids1 == ids2);
+  let nested =
+    View.with_extract lender ~ids lg ~center:5 ~radius:2 (fun outer ->
+        let inner_labels, inner_ids, _ = arrays_of lender ~ids lg ~center:6 ~radius:2 in
+        inner_labels != outer.View.labels
+        && Option.get inner_ids != Option.get (View.ids outer))
+  in
+  check bool "a nested borrow gets other arrays" true nested;
+  let raised = ref None in
+  (match
+     View.with_extract lender ~ids lg ~center:7 ~radius:2 (fun view ->
+         raised := Some (view.View.labels, View.ids view);
+         failwith "boom")
+   with
+  | _ -> Alcotest.fail "the callback's exception was swallowed"
+  | exception Failure _ -> ());
+  let labels3, ids3, _ = arrays_of lender ~ids lg ~center:8 ~radius:2 in
+  (match !raised with
+  | Some (labels, Some ids) ->
+      check bool "an exception returns the labels" true (labels == labels3);
+      check bool "an exception returns the ids" true (ids == Option.get ids3)
+  | _ -> Alcotest.fail "the callback saw no ids");
+  (* At 256 nodes a fresh array still fits the minor heap: nothing lent. *)
+  let small, _ = star 255 in
+  let a, _, k = arrays_of lender small ~center:0 ~radius:1 in
+  let b, _, _ = arrays_of lender small ~center:0 ~radius:1 in
+  check int "a 256-node ball" 256 k;
+  check bool "a small ball's labels are fresh" true (a != b)
+
 (* A borrow nested inside a borrow falls back to an owned view, and an
    owned extraction inside the callback leaves the borrowed ball
    intact. *)
@@ -181,11 +257,12 @@ let test_nested_borrow () =
   let lg = Labelled.init (Gen.random_connected rng ~n:24 ~p:0.2) (fun v -> v mod 4) in
   let ids = Ids.to_array (Ids.shuffled rng 24) in
   let want c = fst (oracle_extract ~ids lg ~center:c ~radius:2) in
+  let lender = View.lender () in
   let outer_ok, inner_ok, owned_ok, outer_after =
-    View.with_extract ~ids lg ~center:3 ~radius:2 (fun outer ->
+    View.with_extract lender ~ids lg ~center:3 ~radius:2 (fun outer ->
         let outer_ok = View.equal_repr ( = ) outer (want 3) in
         let inner_ok =
-          View.with_extract ~ids lg ~center:17 ~radius:2 (fun inner ->
+          View.with_extract lender ~ids lg ~center:17 ~radius:2 (fun inner ->
               View.equal_repr ( = ) inner (want 17))
         in
         let owned_ok =
@@ -208,13 +285,14 @@ let test_exception_releases () =
     ignore (Sys.opaque_identity (f ()));
     Gc.allocated_bytes () -. before
   in
-  let borrow () = View.with_extract lg ~center:0 ~radius:1 View.order in
+  let lender = View.lender () in
+  let borrow () = View.with_extract lender lg ~center:0 ~radius:1 View.order in
   let own () = View.order (View.extract lg ~center:0 ~radius:1) in
   (* First calls grow the lent and staging buffers. *)
   ignore (borrow ());
   ignore (own ());
   let owned = bytes own in
-  (match View.with_extract lg ~center:0 ~radius:1 (fun _ -> failwith "boom") with
+  (match View.with_extract lender lg ~center:0 ~radius:1 (fun _ -> failwith "boom") with
   | _ -> Alcotest.fail "the callback's exception was swallowed"
   | exception Failure _ -> ());
   let lent = bytes borrow in
@@ -225,7 +303,7 @@ let test_exception_releases () =
   check int "borrowed extractions count" 3
     (let c0 = View.extraction_count () in
      ignore (borrow ());
-     ignore (View.with_extract lg ~center:1 ~radius:1 (fun _ -> borrow ()));
+     ignore (View.with_extract lender lg ~center:1 ~radius:1 (fun _ -> borrow ()));
      View.extraction_count () - c0)
 
 (* The same equivalence through the engines: decide outputs over the
@@ -324,6 +402,9 @@ let () =
         @ [
             Alcotest.test_case "rings match the oracle" `Quick
               test_rings_match_reference;
+            Alcotest.test_case "400-leaf stars match the oracle" `Quick
+              test_star_matches_reference;
+            Alcotest.test_case "lent label and id arrays" `Quick test_lent_arrays;
             Alcotest.test_case "nested borrow" `Quick test_nested_borrow;
             Alcotest.test_case "exception releases the borrow" `Quick
               test_exception_releases;

@@ -105,22 +105,24 @@ let drop_edge lg (u, v) =
   let edges = List.filter (fun e -> e <> (min u v, max u v)) (Graph.edges g) in
   Labelled.make (Graph.of_edges ~n:(Graph.order g) edges) (Labelled.labels lg)
 
+(* [t] with a table symbol flipped in the middle of the run. *)
+let flipped_symbol (t : Gmr.t) =
+  Labelled.mapi
+    (fun v l ->
+      if v <> t.Gmr.pivot then
+        match (t.Gmr.provenance.(v), l.Gmr.part) with
+        | Gmr.Table_base (1, 1), Gmr.Cell c ->
+            { l with Gmr.part = Gmr.Cell { c with cell = { c.cell with Cell.sym = 1 - c.cell.Cell.sym } } }
+        | _ -> l
+      else l)
+    t.Gmr.lg
+
 let test_rules_catch_corruptions () =
   let t = Lazy.force g_yes in
   let lg = t.Gmr.lg in
   (* 1. Flip a table symbol in the middle of the run. *)
-  let flipped =
-    Labelled.mapi
-      (fun v l ->
-        if v <> t.Gmr.pivot then
-          match (t.Gmr.provenance.(v), l.Gmr.part) with
-          | Gmr.Table_base (1, 1), Gmr.Cell c ->
-              { l with Gmr.part = Gmr.Cell { c with cell = { c.cell with Cell.sym = 1 - c.cell.Cell.sym } } }
-          | _ -> l
-        else l)
-      lg
-  in
-  check bool "flipped symbol caught" true (Gmr_check.first_violation flipped <> None);
+  check bool "flipped symbol caught" true
+    (Gmr_check.first_violation (flipped_symbol t) <> None);
   (* 2. Remove a pyramid edge. *)
   let apex_child =
     (* The table pyramid's top node and one of its children. *)
@@ -181,37 +183,81 @@ let test_rules_catch_detached_pivot_edges () =
       check bool "unglued non-blank top cell caught" true
         (Gmr_check.first_violation cut <> None)
 
-let test_structure_array_agrees_with_per_node () =
+(* g_yes and three counterfeits whose rules fail in different places:
+   a flipped table symbol, a base cell cut from its pyramid parent, and
+   one glued to a second parent. The last two take [pyr_parent]'s
+   no-parent and several-parents branches. *)
+let agreement_instances () =
   let t = Lazy.force g_yes in
-  let fast = Gmr_check.structure_array t.Gmr.lg in
-  let n = Labelled.order t.Gmr.lg in
-  (* Check a sample of nodes (the full loop is the same code path). *)
-  let rec go v =
-    if v >= n then ()
-    else begin
-      check bool "agreement" fast.(v) (Gmr_check.violations_in t.Gmr.lg v = []);
-      go (v + 97)
-    end
+  let lg = t.Gmr.lg in
+  let g = Labelled.graph lg in
+  let parent_look u =
+    match (Labelled.label lg u).Gmr.part with
+    | Gmr.Pyr l -> l.Quadtree.z3 = 1
+    | Gmr.Cell _ -> false
   in
-  go 0
+  let cell =
+    let found = ref (-1) in
+    Array.iteri
+      (fun v p -> if p = Gmr.Table_base (2, 2) && v <> t.Gmr.pivot then found := v)
+      t.Gmr.provenance;
+    !found
+  in
+  let parent =
+    match List.filter parent_look (Array.to_list (Graph.neighbours g cell)) with
+    | [ p ] -> p
+    | _ -> Alcotest.fail "table cell (2, 2) has no unique pyramid parent"
+  in
+  let other =
+    List.find
+      (fun q -> parent_look q && q <> parent && not (Graph.mem_edge g cell q))
+      (Graph.vertices g)
+  in
+  let counterfeits =
+    [
+      ("flipped symbol", flipped_symbol t);
+      ("orphan cell", drop_edge lg (cell, parent));
+      ("two parents", Labelled.make (Graph.add_edges g [ (cell, other) ]) (Labelled.labels lg));
+    ]
+  in
+  List.iter
+    (fun (name, lg) ->
+      check bool (name ^ " violates a rule") true (Gmr_check.first_violation lg <> None))
+    counterfeits;
+  ("g_yes", lg) :: counterfeits
+
+let test_structure_array_agrees_with_per_node () =
+  List.iter
+    (fun (name, lg) ->
+      let fast = Gmr_check.structure_array lg in
+      for v = 0 to Labelled.order lg - 1 do
+        if fast.(v) <> (Gmr_check.violations_in lg v = []) then
+          Alcotest.failf "%s: node %d: one pass and per node disagree" name v
+      done)
+    (agreement_instances ())
 
 let test_view_rules_agree_with_global () =
   (* The honest radius-2 view evaluation agrees with the whole-graph
-     pass. *)
-  let t = Lazy.force g_yes in
-  let fast = Gmr_check.structure_array t.Gmr.lg in
-  let rec go v =
-    if v >= Labelled.order t.Gmr.lg then ()
-    else begin
-      let view = View.extract t.Gmr.lg ~center:v ~radius:2 in
-      check bool
-        (Printf.sprintf "node %d" v)
-        fast.(v)
-        (Gmr_check.violations_view view = []);
-      go (v + 131)
-    end
-  in
-  go 0
+     pass, rule for rule, on owned views and on borrowed ones, whose
+     labels are lent above 256 nodes. *)
+  List.iter
+    (fun (name, lg) ->
+      let fast = Gmr_check.structure_array lg in
+      let lender = View.lender () and lent = ref 0 in
+      for v = 0 to Labelled.order lg - 1 do
+        let want = List.length (Gmr_check.violations_in lg v) in
+        let owned = Gmr_check.violations_view (View.extract lg ~center:v ~radius:2) in
+        let borrowed =
+          View.with_extract lender lg ~center:v ~radius:2 (fun view ->
+              if View.order view > 256 then incr lent;
+              Gmr_check.violations_view view)
+        in
+        if fast.(v) <> (owned = []) || List.length owned <> want || borrowed <> owned then
+          Alcotest.failf "%s: node %d: %d violations globally, %d in the view, %d borrowed"
+            name v want (List.length owned) (List.length borrowed)
+      done;
+      check bool (name ^ ": some views have lent labels") true (!lent > 0))
+    (agreement_instances ())
 
 (* ------------------------------------------------------------------ *)
 (* Deciders                                                            *)
