@@ -1,368 +1,14 @@
-(* The benchmark harness.
+(* The pin harness: it reruns the registry's pinned workloads and
+   writes or checks their digests. Three tiers, each with its own pin
+   file: the quick tier (BENCH_quick.json), the scale tier
+   (BENCH_scale.json) and the serve tier, a load generator against a
+   running [locald serve] (BENCH_serve.json). The paper's experiments
+   are [locald all]; the benchmark is perfbench. *)
 
-   Part 1 regenerates every table and figure of the paper — every
-   [Registry] experiment, the same runs as the [locald] subcommands of
-   the same names — and prints them.
-
-   Part 2 runs bechamel micro-benchmarks over the library's hot paths:
-   view extraction, rooted isomorphism, Turing-machine execution,
-   table and fragment construction, the structure rules and the
-   deciders — one [Test.make] per operation. *)
-
-open Bechamel
-open Toolkit
-open Locald_graph
-open Locald_turing
-open Locald_local
 open Locald_core
 
 (* ------------------------------------------------------------------ *)
-(* Part 1: the paper's tables and figures                              *)
-(* ------------------------------------------------------------------ *)
-
-let regenerate_paper_artefacts () =
-  print_endline "=================================================================";
-  print_endline " PART 1: regenerated paper artefacts";
-  print_endline "=================================================================";
-  (* Heavy experiments run quick: their full sweeps belong to the CLI. *)
-  List.iter
-    (fun (x : Registry.experiment) ->
-      fst (x.e_run ~quick:x.e_heavy ~seed:None ()) ())
-    Registry.experiments
-
-(* ------------------------------------------------------------------ *)
-(* Part 2: micro-benchmarks                                            *)
-(* ------------------------------------------------------------------ *)
-
-let regime = Ids.f_linear_plus 1
-
-(* Pre-built inputs shared by the benchmarks (construction cost is
-   measured separately). *)
-let tree_params = { Tree_instances.regime; arity = 2; r = 1 }
-let big_tree = lazy (Tree_instances.big_tree tree_params)
-
-let gmr_config = { (Gmr.default_config ~r:1) with Gmr.fragment_cap = 100 }
-
-let gmr_instance =
-  lazy
-    (match
-       Gmr.build ~config:gmr_config ~r:1 (Zoo.two_faced ~steps:3 ~real:0 ~fake:1)
-     with
-    | Ok t -> t
-    | Error _ -> assert false)
-
-let gmr_fast = lazy (Gmr_deciders.Fast.prepare (Lazy.force gmr_instance).Gmr.lg)
-
-let bench_view_extraction =
-  Test.make ~name:"view-extraction (T_r, radius 2)"
-    (Staged.stage (fun () ->
-         let lg = Lazy.force big_tree in
-         ignore (View.extract lg ~center:17 ~radius:2)))
-
-let bench_rooted_iso =
-  let lg = lazy (Labelled.init (Gen.grid 5 5) (fun v -> v mod 3)) in
-  Test.make ~name:"rooted isomorphism (5x5 grid views)"
-    (Staged.stage (fun () ->
-         let lg = Lazy.force lg in
-         let a = View.extract lg ~center:12 ~radius:2 in
-         let b = View.extract lg ~center:12 ~radius:2 in
-         ignore (Iso.views_isomorphic ( = ) a b)))
-
-let bench_view_signature =
-  Test.make ~name:"view signature (T_r, radius 2)"
-    (Staged.stage (fun () ->
-         let lg = Lazy.force big_tree in
-         let v = View.extract lg ~center:17 ~radius:2 in
-         ignore (Iso.view_signature Hashtbl.hash v)))
-
-let bench_tm_execution =
-  let counter = Zoo.binary_counter ~bits:3 in
-  Test.make ~name:"TM execution (counter, 3 bits)"
-    (Staged.stage (fun () -> ignore (Exec.run ~fuel:1000 counter)))
-
-let bench_table_construction =
-  let m = Zoo.zigzag ~half:3 ~output:0 in
-  Test.make ~name:"execution-table construction"
-    (Staged.stage (fun () -> ignore (Table.of_machine ~fuel:64 m)))
-
-let bench_fragment_enumeration =
-  let m = Zoo.walk ~steps:2 ~output:0 in
-  Test.make ~name:"fragment enumeration (3x3, cap 200)"
-    (Staged.stage (fun () -> ignore (Fragment.enumerate m ~w:3 ~h:3 ~cap:200)))
-
-let bench_gmr_build =
-  Test.make ~name:"G(M,r) assembly (cap 100)"
-    (Staged.stage (fun () ->
-         ignore (Gmr.build ~config:gmr_config ~r:1 (Zoo.walk ~steps:2 ~output:0))))
-
-let bench_structure_rules =
-  Test.make ~name:"structure rules, whole graph"
-    (Staged.stage (fun () ->
-         ignore (Gmr_check.structure_array (Lazy.force gmr_instance).Gmr.lg)))
-
-let bench_fast_ld =
-  let rng = Random.State.make [| 21 |] in
-  Test.make ~name:"LD decider (fast path, one assignment)"
-    (Staged.stage (fun () ->
-         let t = Lazy.force gmr_instance in
-         let ids = Ids.shuffled rng (Gmr.order t) in
-         ignore (Gmr_deciders.Fast.ld (Lazy.force gmr_fast) ~ids)))
-
-let bench_tree_verifier =
-  Test.make ~name:"P' verifier on T_r"
-    (Staged.stage (fun () ->
-         ignore
-           (Locald_decision.Decider.decide_oblivious
-              (Tree_deciders.pprime_verifier tree_params)
-              (Lazy.force big_tree))))
-
-let bench_coverage =
-  let p1 = { Tree_instances.regime; arity = 1; r = 4 } in
-  Test.make ~name:"view coverage (arity 1, r=4, t=1)"
-    (Staged.stage (fun () -> ignore (Tree_deciders.coverage p1 ~t:1)))
-
-let bench_a_star =
-  let alg = Tree_deciders.p_decider tree_params in
-  let simulated =
-    Locald_decision.Simulation.a_star
-      ~budget:
-        (Locald_decision.Simulation.Sampled { bound = 12; trials = 16; seed = 5 })
-      alg
-  in
-  let instance = lazy (Tree_instances.small_instance tree_params ~apex:(1, 1)) in
-  Test.make ~name:"A* simulation (sampled, one instance)"
-    (Staged.stage (fun () ->
-         ignore
-           (Locald_decision.Decider.decide_oblivious simulated
-              (Lazy.force instance))))
-
-(* The synchronous gossip engine on a 6x6 grid at t=2: the empty plan
-   times fault-free gossip, the lossy plan adds re-gossip plus coin
-   flips. *)
-let bench_fault_engine_empty =
-  let lg = lazy (Labelled.init (Gen.grid 6 6) (fun v -> v mod 4)) in
-  let alg =
-    Algorithm.make ~name:"fingerprint" ~radius:2 (fun view ->
-        Iso.view_signature Hashtbl.hash view)
-  in
-  let rng = Random.State.make [| 22 |] in
-  Test.make ~name:"fault engine, empty plan (6x6 grid, t=2)"
-    (Staged.stage (fun () ->
-         let lg = Lazy.force lg in
-         let ids = Ids.shuffled rng (Labelled.order lg) in
-         ignore (Fault_runner.run ~plan:Faults.empty alg lg ~ids)))
-
-let bench_fault_engine_lossy =
-  let lg = lazy (Labelled.init (Gen.grid 6 6) (fun v -> v mod 4)) in
-  let alg =
-    Algorithm.make ~name:"fingerprint" ~radius:2 (fun view ->
-        Iso.view_signature Hashtbl.hash view)
-  in
-  let rng = Random.State.make [| 22 |] in
-  let plan = Faults.make ~seed:7 ~drop:0.1 ~retries:1 () in
-  Test.make ~name:"fault engine, drop 0.1 + 1 retry (6x6)"
-    (Staged.stage (fun () ->
-         let lg = Lazy.force lg in
-         let ids = Ids.shuffled rng (Labelled.order lg) in
-         ignore (Fault_runner.run ~plan alg lg ~ids)))
-
-(* The asynchronous engine on the same instance as the gossip
-   benchmarks: heap mode measures the adversarial scheduler's cost,
-   FIFO mode the per-link queue discipline. *)
-let bench_async_engine =
-  let lg = lazy (Labelled.init (Gen.grid 6 6) (fun v -> v mod 4)) in
-  let alg =
-    Algorithm.make ~name:"fingerprint" ~radius:2 (fun view ->
-        Iso.view_signature Hashtbl.hash view)
-  in
-  let rng = Random.State.make [| 22 |] in
-  Test.make ~name:"async engine, heap scheduler (6x6, t=2)"
-    (Staged.stage (fun () ->
-         let lg = Lazy.force lg in
-         let ids = Ids.shuffled rng (Labelled.order lg) in
-         ignore
-           (Async_runner.run
-              ~config:{ Async_runner.sched_seed = 7; fifo = false }
-              alg lg ~ids)))
-
-let bench_async_engine_fifo =
-  let lg = lazy (Labelled.init (Gen.grid 6 6) (fun v -> v mod 4)) in
-  let alg =
-    Algorithm.make ~name:"fingerprint" ~radius:2 (fun view ->
-        Iso.view_signature Hashtbl.hash view)
-  in
-  let rng = Random.State.make [| 22 |] in
-  Test.make ~name:"async engine, per-link FIFO (6x6, t=2)"
-    (Staged.stage (fun () ->
-         let lg = Lazy.force lg in
-         let ids = Ids.shuffled rng (Labelled.order lg) in
-         ignore
-           (Async_runner.run
-              ~config:{ Async_runner.sched_seed = 7; fifo = true }
-              alg lg ~ids)))
-
-let bench_fault_coins =
-  let plan = Faults.make ~seed:7 ~drop:0.1 () in
-  Test.make ~name:"fault coins (1000 drop draws)"
-    (Staged.stage (fun () ->
-         for i = 0 to 999 do
-           ignore (Faults.drops plan ~round:1 ~src:i ~dst:(i + 1))
-         done))
-
-let tests =
-  [
-    bench_view_extraction;
-    bench_rooted_iso;
-    bench_view_signature;
-    bench_tm_execution;
-    bench_table_construction;
-    bench_fragment_enumeration;
-    bench_gmr_build;
-    bench_structure_rules;
-    bench_fast_ld;
-    bench_tree_verifier;
-    bench_coverage;
-    bench_a_star;
-    bench_async_engine;
-    bench_async_engine_fifo;
-    bench_fault_engine_empty;
-    bench_fault_engine_lossy;
-    bench_fault_coins;
-  ]
-
-let run_benchmarks () =
-  print_endline "";
-  print_endline "=================================================================";
-  print_endline " PART 2: micro-benchmarks (bechamel, monotonic clock)";
-  print_endline "=================================================================";
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.25) ~kde:(Some 1000) ()
-  in
-  Printf.printf "%-44s %16s %10s\n" "benchmark" "time/run" "r^2";
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg instances test in
-      Hashtbl.iter
-        (fun name raw ->
-          let est = Analyze.one ols Instance.monotonic_clock raw in
-          let time_ns =
-            match Analyze.OLS.estimates est with
-            | Some [ e ] -> e
-            | Some _ | None -> nan
-          in
-          let r2 = Option.value ~default:nan (Analyze.OLS.r_square est) in
-          let pretty t =
-            if t >= 1e9 then Printf.sprintf "%.3f s" (t /. 1e9)
-            else if t >= 1e6 then Printf.sprintf "%.3f ms" (t /. 1e6)
-            else if t >= 1e3 then Printf.sprintf "%.3f us" (t /. 1e3)
-            else Printf.sprintf "%.1f ns" t
-          in
-          Printf.printf "%-44s %16s %10.4f\n%!" name (pretty time_ns) r2)
-        results)
-    tests
-
-(* ------------------------------------------------------------------ *)
-(* Part 3: ablations                                                   *)
-(* ------------------------------------------------------------------ *)
-
-(* Monotonic: ablation timings must not jump with NTP/calendar steps. *)
-let timed f = Locald_runtime.Timing.time f
-
-let ablation_fragment_cap () =
-  print_endline "";
-  print_endline "ablation A1: fragment-collection cap (G(twofaced3, 1))";
-  Printf.printf "%8s %10s %8s %9s %9s %8s\n" "cap" "fragments" "nodes"
-    "edges" "build(s)" "rules";
-  List.iter
-    (fun cap ->
-      let config = { (Gmr.default_config ~r:1) with Gmr.fragment_cap = cap } in
-      match
-        timed (fun () ->
-            Gmr.build ~config ~r:1 (Zoo.two_faced ~steps:3 ~real:0 ~fake:1))
-      with
-      | Ok t, dt ->
-          Printf.printf "%8d %10d %8d %9d %9.3f %8s\n" cap
-            (List.length t.Gmr.fragments)
-            (Gmr.order t) (Gmr.size t) dt
-            (if Gmr_check.structure_ok t then "pass" else "FAIL")
-      | Error _, _ -> Printf.printf "%8d (did not build)\n" cap)
-    [ 25; 50; 100; 200; 400 ]
-
-let ablation_phases () =
-  print_endline "";
-  print_endline "ablation A2: aligned anchor phases of the fragments";
-  Printf.printf "%10s %10s %8s %9s %8s\n" "phases" "fragments" "nodes" "edges" "rules";
-  List.iter
-    (fun all_phases ->
-      let config =
-        { (Gmr.default_config ~r:1) with
-          Gmr.fragment_cap = 50;
-          all_phases;
-        }
-      in
-      match Gmr.build ~config ~r:1 (Zoo.two_faced ~steps:3 ~real:0 ~fake:1) with
-      | Ok t ->
-          Printf.printf "%10s %10d %8d %9d %8s\n"
-            (if all_phases then "all (36)" else "origin")
-            (List.length t.Gmr.fragments)
-            (Gmr.order t) (Gmr.size t)
-            (if Gmr_check.structure_ok t then "pass" else "FAIL")
-      | Error _ -> ())
-    [ false; true ]
-
-let ablation_coverage_scaling () =
-  print_endline "";
-  print_endline "ablation A3: coverage experiment scaling (arity 1, t = 1)";
-  Printf.printf "%6s %8s %10s %12s %10s\n" "r" "R(r)" "|T_r|" "classes" "time(s)";
-  List.iter
-    (fun r ->
-      let p = { Tree_instances.regime; arity = 1; r } in
-      let c, dt = timed (fun () -> Tree_deciders.coverage p ~t:1) in
-      Printf.printf "%6d %8d %10d %7d/%-6d %8.3f\n" r (Tree_instances.depth p)
-        (Bound.tree_size ~arity:1 ~depth:(Tree_instances.depth p))
-        c.Tree_deciders.covered c.Tree_deciders.total_views dt)
-    [ 2; 4; 8; 16; 32 ]
-
-let ablation_scale () =
-  print_endline "";
-  print_endline
-    "ablation A4: Section 2 at scale (arity 2, r = 3, f(n) = n: |T_3| = 262143)";
-  let regime = Ids.f_identity in
-  let p = { Tree_instances.regime; arity = 2; r = 3 } in
-  let tr, t_build = timed (fun () -> Tree_instances.big_tree p) in
-  Printf.printf "  build T_3 (%d nodes): %.2fs\n" (Labelled.order tr) t_build;
-  let verdict, t_verify =
-    timed (fun () ->
-        Locald_decision.Decider.decide_oblivious
-          (Tree_deciders.pprime_verifier p) tr)
-  in
-  Printf.printf "  P' verifier over every node: %.2fs (accepts: %b)\n" t_verify
-    (Locald_decision.Verdict.accepts verdict);
-  let rng = Random.State.make [| 5 |] in
-  let ids = Ids.sample rng regime ~n:(Labelled.order tr) in
-  let v2, t_decide =
-    timed (fun () ->
-        Locald_decision.Decider.decide (Tree_deciders.p_decider p) tr ~ids)
-  in
-  Printf.printf "  P decider, one assignment: %.2fs (rejects T_3: %b)\n" t_decide
-    (Locald_decision.Verdict.rejects v2)
-
-let run_ablations () =
-  print_endline "";
-  print_endline "=================================================================";
-  print_endline " PART 3: ablations (design choices called out in DESIGN.md)";
-  print_endline "=================================================================";
-  ablation_fragment_cap ();
-  ablation_phases ();
-  ablation_coverage_scaling ();
-  ablation_scale ()
-
-(* ------------------------------------------------------------------ *)
-(* Part 4: the machine-readable quick bench (BENCH_quick.json)         *)
+(* The quick and scale tiers (BENCH_quick.json, BENCH_scale.json)     *)
 (* ------------------------------------------------------------------ *)
 
 (* Each registry workload runs at --jobs 1 and --jobs 4 and reports
@@ -395,7 +41,7 @@ let tier_backends = function
         Some Locald_local.Backend.Sync;
         Some
           (Locald_local.Backend.Async
-             { Async_runner.sched_seed = 7; fifo = false });
+             { Locald_local.Async_runner.sched_seed = 7; fifo = false });
       ]
 
 let backend_suffix = function
@@ -534,15 +180,10 @@ let write_entries path entries =
   close_out oc;
   Printf.printf "wrote %s\n" path
 
-(* Part 4 writes the quick tier (BENCH_quick.json), Part 5 the scale
-   tier (BENCH_scale.json). *)
 let run_tier_bench ~only tier path =
   refuse_if_checkpointing ();
-  print_endline "";
   print_endline "=================================================================";
-  Printf.printf " PART %d: %s bench (machine-readable)\n"
-    (match tier with Registry.Quick -> 4 | Registry.Scale -> 5)
-    (tier_name tier);
+  Printf.printf " %s bench (machine-readable)\n" (tier_name tier);
   print_endline "=================================================================";
   write_entries path (collect_entries tier (tier_workloads ~only tier))
 
@@ -638,6 +279,24 @@ let run_check ~only tier path =
         fail := true
       end)
     entries;
+  (* The other direction: a pin that no row produced is stale (a
+     workload renamed or deleted, or a job count or backend the tier no
+     longer runs). Under --only, the named workloads' pins are the ones
+     in the run. *)
+  let produced = List.map entry_key entries in
+  List.iter
+    (fun (key, _) ->
+      let workload =
+        match String.index_opt key '@' with
+        | Some i -> String.sub key 0 i
+        | None -> key
+      in
+      if (only = [] || List.mem workload only) && not (List.mem key produced)
+      then begin
+        Printf.printf "CHECK FAIL: pinned %s was produced by no row\n" key;
+        fail := true
+      end)
+    pins;
   if !fail then exit 1;
   let walls = List.map entry_key (List.filter wall_gated entries) in
   Printf.printf
@@ -648,7 +307,7 @@ let run_check ~only tier path =
      else "")
 
 (* ------------------------------------------------------------------ *)
-(* Part 6: the serve tier (BENCH_serve.json)                           *)
+(* The serve tier (BENCH_serve.json)                                  *)
 (* ------------------------------------------------------------------ *)
 
 (* The load generator for a running [locald serve]: two concurrent
@@ -806,7 +465,7 @@ let print_serve_entry e =
 
 let run_serve_bench ~socket path =
   print_endline "=================================================================";
-  Printf.printf " PART 6: serve tier (load generator against %s)\n" socket;
+  Printf.printf " serve tier (load generator against %s)\n" socket;
   print_endline "=================================================================";
   let e = run_serve_load socket in
   print_serve_entry e;
@@ -891,7 +550,6 @@ let parse_path_and_only ~default rest =
 let () =
   match Array.to_list Sys.argv with
   | _ :: "--json" :: ([] | [ _ ] as rest) ->
-      (* Quick mode: only the machine-readable bench. *)
       let path = match rest with p :: _ -> p | [] -> "BENCH_quick.json" in
       run_tier_bench ~only:[] Registry.Quick path
   | _ :: "--check" :: ([] | [ _ ] as rest) ->
@@ -912,22 +570,19 @@ let () =
   | _ :: (("--serve" | "--check-serve") as flag) :: [] ->
       Printf.eprintf "bench: %s needs a daemon socket path\n" flag;
       exit Locald_runtime.Shard.Exit.usage
-  | _ :: (_ :: _ as args) ->
-      (* Anything else writes no file: a typo must not rerun the
-         paper's artefacts and then rewrite the committed pins. *)
-      Printf.eprintf
-        "bench: unknown arguments: %s\n\
-         usage: main.exe                  every artefact, then BENCH_quick.json\n\
-        \       main.exe --json [PATH]\n\
+  | argv ->
+      (* No argument, or any other, writes no file: every write names
+         its tier, so nothing rewrites the committed pins by default. *)
+      (match argv with
+      | _ :: (_ :: _ as args) ->
+          Printf.eprintf "bench: unknown arguments: %s\n"
+            (String.concat " " args)
+      | [] | [ _ ] -> ());
+      prerr_string
+        "usage: main.exe --json [PATH]\n\
         \       main.exe --check [PATH]\n\
         \       main.exe --scale [PATH] [--only WORKLOAD]...\n\
         \       main.exe --check-scale [PATH] [--only WORKLOAD]...\n\
         \       main.exe --serve SOCKET [PATH]\n\
-        \       main.exe --check-serve SOCKET [PATH]\n"
-        (String.concat " " args);
+        \       main.exe --check-serve SOCKET [PATH]\n";
       exit Locald_runtime.Shard.Exit.usage
-  | [] | [ _ ] ->
-      regenerate_paper_artefacts ();
-      run_ablations ();
-      run_benchmarks ();
-      run_tier_bench ~only:[] Registry.Quick "BENCH_quick.json"

@@ -78,7 +78,7 @@ let engine_term ?(memo = true) ?(backend = true) () =
       let parse s =
         match Memo.mode_of_string s with
         | Some m -> Ok m
-        | None -> Error (`Msg "memo mode must be off | exact | order")
+        | None -> Error (`Msg "memo mode must be off | exact")
       in
       Arg.conv (parse, fun ppf m -> Fmt.string ppf (Memo.mode_to_string m))
     in
@@ -87,10 +87,9 @@ let engine_term ?(memo = true) ?(backend = true) () =
       & opt (some mode_conv) None
       & info [ "memo" ] ~docv:"MODE"
           ~doc:
-            "Decide-once memoisation: $(b,off), $(b,exact) (the safe \
-             default — keys carry the exact ball-restricted ids), or \
-             $(b,order) (order-type keys; sound only for order-invariant \
-             deciders). Default exact.")
+            "Decide-once memoisation: $(b,off) or $(b,exact) (keys carry \
+             the exact ball-restricted ids). Results do not depend on \
+             this value. Default exact.")
   in
   let backend_opt =
     Arg.(

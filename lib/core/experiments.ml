@@ -834,6 +834,121 @@ let warmups ?backend ?memo ?(quick = false) ?seed () =
   @ tm_warmup ?backend ?memo ?seed ~quick ()
 
 (* ------------------------------------------------------------------ *)
+(* A1-A4: ablations of the reproduction's design choices              *)
+(* ------------------------------------------------------------------ *)
+
+type ablation_row =
+  | Fragment_cap of {
+      cap : int;
+      fragments : int;
+      nodes : int;
+      edges : int;
+      rules_ok : bool;
+    }
+  | Anchor_phases of {
+      all_phases : bool;
+      fragments : int;
+      nodes : int;
+      edges : int;
+      rules_ok : bool;
+    }
+  | Coverage_scaling of {
+      r : int;
+      depth : int;
+      tree_nodes : int;
+      covered : int;
+      total : int;
+    }
+  | At_scale of {
+      r : int;
+      tree_nodes : int;
+      pprime_accepts : bool;
+      p_rejects : bool;
+    }
+
+(* G(twofaced3, 1) under one fragment configuration: its fragments,
+   nodes and edges, and whether its rules pass. [name] says which
+   ablation and parameter failed to build. *)
+let ablation_gmr ~name config =
+  match Gmr.build ~config ~r:1 (Zoo.two_faced ~steps:3 ~real:0 ~fake:1) with
+  | Ok t ->
+      ( List.length t.Gmr.fragments,
+        Gmr.order t,
+        Gmr.size t,
+        Gmr_check.structure_ok t )
+  | Error _ ->
+      failwith (Printf.sprintf "%s: G(twofaced3, 1) did not build" name)
+
+let fragment_cap_row cap =
+  let fragments, nodes, edges, rules_ok =
+    ablation_gmr
+      ~name:(Printf.sprintf "ablation A1 (cap %d)" cap)
+      { (Gmr.default_config ~r:1) with Gmr.fragment_cap = cap }
+  in
+  Fragment_cap { cap; fragments; nodes; edges; rules_ok }
+
+let anchor_phases_row all_phases =
+  let fragments, nodes, edges, rules_ok =
+    ablation_gmr
+      ~name:(Printf.sprintf "ablation A2 (all_phases %b)" all_phases)
+      { (Gmr.default_config ~r:1) with Gmr.fragment_cap = 50; all_phases }
+  in
+  Anchor_phases { all_phases; fragments; nodes; edges; rules_ok }
+
+let coverage_scaling_row r =
+  let p = { Ti.regime = Ids.f_linear_plus 1; arity = 1; r } in
+  let depth = Ti.depth p in
+  let c = Tree_deciders.coverage p ~t:1 in
+  Coverage_scaling
+    {
+      r;
+      depth;
+      tree_nodes = Bound.tree_size ~arity:1 ~depth;
+      covered = c.Tree_deciders.covered;
+      total = c.Tree_deciders.total_views;
+    }
+
+let at_scale_row r =
+  let regime = Ids.f_identity in
+  let p = { Ti.regime; arity = 2; r } in
+  let tr = Ti.big_tree p in
+  let ids = Ids.sample (rng ~seed:5 ()) regime ~n:(Labelled.order tr) in
+  At_scale
+    {
+      r;
+      tree_nodes = Labelled.order tr;
+      pprime_accepts =
+        Verdict.accepts
+          (Decider.decide_oblivious (Tree_deciders.pprime_verifier p) tr);
+      p_rejects =
+        Verdict.rejects (Decider.decide (Tree_deciders.p_decider p) tr ~ids);
+    }
+
+(* The check a row fails, named with its ablation and parameter. *)
+let ablation_failure = function
+  | Fragment_cap { cap; rules_ok = false; _ } ->
+      Some (Printf.sprintf "ablation A1 (cap %d): structure rules fail" cap)
+  | Anchor_phases { all_phases; rules_ok = false; _ } ->
+      Some
+        (Printf.sprintf "ablation A2 (all_phases %b): structure rules fail"
+           all_phases)
+  | At_scale { r; pprime_accepts = false; _ } ->
+      Some (Printf.sprintf "ablation A4 (r = %d): P' verifier rejects T_%d" r r)
+  | At_scale { r; p_rejects = false; _ } ->
+      Some (Printf.sprintf "ablation A4 (r = %d): P decider accepts T_%d" r r)
+  | Fragment_cap _ | Anchor_phases _ | Coverage_scaling _ | At_scale _ -> None
+
+let ablations ?(quick = false) () =
+  let rows =
+    List.map fragment_cap_row [ 25; 50; 100; 200; 400 ]
+    @ List.map anchor_phases_row [ false; true ]
+    @ List.map coverage_scaling_row [ 2; 4; 8; 16; 32 ]
+    @ [ at_scale_row (if quick then 2 else 3) ]
+  in
+  List.iter (fun row -> Option.iter failwith (ablation_failure row)) rows;
+  rows
+
+(* ------------------------------------------------------------------ *)
 (* FT: fault injection and graceful degradation                        *)
 (* ------------------------------------------------------------------ *)
 

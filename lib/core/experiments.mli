@@ -1,6 +1,6 @@
 (** Experiment drivers regenerating the paper's results table and
     figures. Each driver returns printable records; the [locald] CLI
-    and the benchmark harness render them. [quick] shrinks parameter
+    renders them ({!Report}). [quick] shrinks parameter
     sets for use in tests.
 
     See DESIGN.md (experiment index) for the mapping to the paper. *)
@@ -204,6 +204,50 @@ val warmups :
   ?seed:int ->
   unit ->
   warmup_row list
+
+(** {1 A1–A4 — ablations of the reproduction's design choices} *)
+
+type ablation_row =
+  | Fragment_cap of {
+      cap : int;
+      fragments : int;
+      nodes : int;
+      edges : int;
+      rules_ok : bool;  (** Appendix A rules pass everywhere *)
+    }
+      (** A1: [G(twofaced3, 1)] at one fragment-collection cap *)
+  | Anchor_phases of {
+      all_phases : bool;
+      fragments : int;
+      nodes : int;
+      edges : int;
+      rules_ok : bool;
+    }
+      (** A2: the same instance at cap 50, gluing the origin anchor
+          phase only or all 36 aligned phases *)
+  | Coverage_scaling of {
+      r : int;
+      depth : int;       (** [R(r)] *)
+      tree_nodes : int;  (** order of [T_r] *)
+      covered : int;
+      total : int;
+    }
+      (** A3: Figure 1's coverage at arity 1, [t = 1] *)
+  | At_scale of {
+      r : int;
+      tree_nodes : int;       (** order of [T_r] *)
+      pprime_accepts : bool;  (** the Id-oblivious [P'] verifier *)
+      p_rejects : bool;       (** the [P] decider, one sampled assignment *)
+    }
+      (** A4: Section 2's binary construction under [f(n) = n] *)
+
+val ablations : ?quick:bool -> unit -> ablation_row list
+(** A1 at caps 25–400, A2 with and without all phases, A3 at
+    [r ∈ {2,4,8,16,32}], then A4 at [r = 3] (262,143 nodes; [quick]:
+    [r = 2], 1,023 nodes).
+    @raise Failure naming the ablation and its parameter when a
+    [G(M,1)] does not build, its rules fail, the [P'] verifier rejects
+    [T_r] or the [P] decider accepts it. *)
 
 (** {1 FT — fault injection (robustness of the deciders)}
 

@@ -67,6 +67,12 @@ let experiments =
     experiment "warmups" "Run the warm-up promise-problem experiments."
       Report.print_warmups (fun ?backend ?memo ~quick ~seed () ->
         Experiments.warmups ?backend ?memo ~quick ?seed ());
+    experiment "ablations"
+      "Run the ablations A1-A4 of the reproduction's design choices \
+       (fragment cap, anchor phases, coverage scaling, Section 2 at scale); \
+       fails when a check fails."
+      Report.print_ablations (fun ?backend:_ ?memo:_ ~quick ~seed:_ () ->
+        Experiments.ablations ~quick ());
     (* Under fault injection the rows embed the seeded plans, so the
        digest pins those too. *)
     experiment ~heavy:true "faults"

@@ -2,8 +2,8 @@
 
     {b Experiments} are the paper's artefacts (Table 1's cells, Figures
     1–3, Corollary 1, ...; arXiv 1302.2570): the [locald] subcommands
-    of the same names, [locald all], [locald metrics], bench Part 1 and
-    the determinism batteries all iterate {!experiments}.
+    of the same names, [locald all], [locald metrics] and the
+    determinism batteries all iterate {!experiments}.
 
     {b Pinned workloads} are the bench rows BENCH_quick.json and
     BENCH_scale.json pin by digest: [bench --json / --check] run the
@@ -19,8 +19,8 @@ type experiment = {
   e_name : string;  (** the CLI subcommand *)
   e_doc : string;   (** its one-line help *)
   e_heavy : bool;
-      (** the full-size run takes minutes: batch runs of every
-          experiment (bench Part 1) use the quick parameters *)
+      (** even the quick run takes tens of seconds (faults: about 23 s
+          at [--jobs 1]), so test_experiments' printer pass skips it *)
   e_run :
     ?backend:Locald_local.Backend.t ->
     ?memo:Locald_runtime.Memo.mode ->
@@ -30,14 +30,15 @@ type experiment = {
     (unit -> unit) * string;
       (** Run the experiment: a printer for its rows and
           {!Locald_runtime.Shard.digest} of them. Experiments without a
-          random state ignore [seed]; [backend] and [memo] reach the
+          random state, and [ablations] (one draw from a fixed seed),
+          ignore [seed]; [backend] and [memo] reach the
           drivers that run deciders through the simulator (table1, oi,
           warmups; the engine defaults apply when omitted), and the
           others ignore them. *)
 }
 
 val experiments : experiment list
-(** In paper order; [faults] last. *)
+(** In paper order, then [ablations]; [faults] last. *)
 
 val find_experiment : string -> experiment option
 

@@ -1,5 +1,5 @@
-(* Plain-text rendering of the experiment records; shared by the
-   [locald] CLI and the benchmark harness. *)
+(* Plain-text rendering of the experiment records for the [locald]
+   CLI. *)
 
 let print_rule () = print_endline (String.make 78 '-')
 
@@ -203,6 +203,60 @@ let print_faults rows =
         e.Locald_decision.Decider.f_degraded
         e.Locald_decision.Decider.f_unknown_nodes
         e.Locald_decision.Decider.f_dropped)
+    rows;
+  print_rule ()
+
+(* Each ablation's heading and column line come before its first row. *)
+let print_ablations rows =
+  print_rule ();
+  print_endline "A1-A4: ablations of the design choices called out in DESIGN.md";
+  print_rule ();
+  let current = ref "" in
+  let section heading columns =
+    if !current <> heading then begin
+      current := heading;
+      print_endline "";
+      print_endline heading;
+      columns ()
+    end
+  in
+  let rules ok = if ok then "pass" else "FAIL" in
+  List.iter
+    (fun (row : Experiments.ablation_row) ->
+      match row with
+      | Fragment_cap x ->
+          section "ablation A1: fragment-collection cap (G(twofaced3, 1))"
+            (fun () ->
+              Printf.printf "%8s %10s %8s %9s %8s\n" "cap" "fragments" "nodes"
+                "edges" "rules");
+          Printf.printf "%8d %10d %8d %9d %8s\n" x.cap x.fragments x.nodes
+            x.edges (rules x.rules_ok)
+      | Anchor_phases x ->
+          section "ablation A2: aligned anchor phases of the fragments"
+            (fun () ->
+              Printf.printf "%10s %10s %8s %9s %8s\n" "phases" "fragments"
+                "nodes" "edges" "rules");
+          Printf.printf "%10s %10d %8d %9d %8s\n"
+            (if x.all_phases then "all (36)" else "origin")
+            x.fragments x.nodes x.edges (rules x.rules_ok)
+      | Coverage_scaling x ->
+          section "ablation A3: coverage experiment scaling (arity 1, t = 1)"
+            (fun () ->
+              Printf.printf "%6s %8s %10s %12s\n" "r" "R(r)" "|T_r|" "classes");
+          Printf.printf "%6d %8d %10d %7d/%-6d\n" x.r x.depth x.tree_nodes
+            x.covered x.total
+      | At_scale x ->
+          section
+            (Printf.sprintf
+               "ablation A4: Section 2 at scale (arity 2, r = %d, f(n) = n: \
+                |T_%d| = %d)"
+               x.r x.r x.tree_nodes)
+            ignore;
+          Printf.printf "  build T_%d (%d nodes)\n" x.r x.tree_nodes;
+          Printf.printf "  P' verifier over every node (accepts: %b)\n"
+            x.pprime_accepts;
+          Printf.printf "  P decider, one assignment (rejects T_%d: %b)\n" x.r
+            x.p_rejects)
     rows;
   print_rule ()
 

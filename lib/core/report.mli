@@ -1,5 +1,5 @@
-(** Plain-text rendering of the experiment records (shared by the CLI
-    and the benchmark harness). *)
+(** Plain-text rendering of the experiment records for the [locald]
+    CLI. *)
 
 val print_rule : unit -> unit
 val print_table1 : Experiments.cell_result list -> unit
@@ -14,6 +14,10 @@ val print_hereditary : Experiments.hereditary_row list -> unit
 val print_oi : Experiments.oi_row list -> unit
 val print_construction : Experiments.construction_row list -> unit
 val print_faults : Experiments.fault_row list -> unit
+
+val print_ablations : Experiments.ablation_row list -> unit
+(** One section per ablation, headed before its first row. Prints no
+    timings: the rows are byte-identical across runs and job counts. *)
 
 val print_certify : Certify.row list -> unit
 (** Per-subject verdicts with witnesses and flags, then a Table-1-shaped

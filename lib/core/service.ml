@@ -84,8 +84,7 @@ let resolve_memo t (c : Proto.config) =
       | Some m -> Ok m
       | None ->
           Error
-            (Printf.sprintf "unknown memo mode %S (expected off | exact | order)"
-               s))
+            (Printf.sprintf "unknown memo mode %S (expected off | exact)" s))
 
 (* A request's [jobs] is still range-checked, so a client's mistake is
    an error, but it has no effect: every request runs at width one on

@@ -77,8 +77,8 @@ val evaluate_exhaustive :
     memo already warm), so the result — counts, and the first-failure
     witness — is byte-identical to [quotient:false] in every case.
     [memo] / [memo_capacity] configure the implicit preparation's
-    decide-once table (default [Exact_ids], unbounded). All memo
-    configurations are digest-transparent. *)
+    decide-once table (default [Exact_ids], unbounded). Both memo
+    modes are digest-transparent. *)
 
 type range_evaluation = {
   rv_lo : int;

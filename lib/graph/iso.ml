@@ -234,17 +234,3 @@ let view_refinement hash (v : 'a View.t) =
   (signature, if col.(order.(n - 1)) = n - 1 then Some col else None)
 
 let view_signature hash v = fst (view_refinement hash v)
-
-(* The order type of an injective id restriction: ids.(i) is replaced
-   by its rank in the sorted order, so [|5;1;9|] and [|7;2;8|] share
-   the order type [|1;0;2|]. Two restrictions with the same order type
-   are indistinguishable to an order-invariant algorithm (the
-   order-invariance reductions of Naor–Stockmeyer and of
-   Fraigniaud–Halldorsson–Korman). *)
-let order_type ids =
-  let n = Array.length ids in
-  let idx = Array.init n Fun.id in
-  Array.sort (fun i j -> compare ids.(i) ids.(j)) idx;
-  let ranks = Array.make n 0 in
-  Array.iteri (fun r i -> ranks.(i) <- r) idx;
-  ranks

@@ -42,13 +42,6 @@ val view_refinement : ('a -> int) -> 'a View.t -> int * int array option
     renumbering them by their colourings gives equal centres, labels and
     edges — the canonical form of [Locald_runtime.Canon]. *)
 
-val order_type : int array -> int array
-(** [order_type ids] replaces each identifier by its rank in the sorted
-    order of the (injective) array: [[|5;1;9|]] and [[|7;2;8|]] share
-    the order type [[|1;0;2|]]. Two id restrictions with equal order
-    type are indistinguishable to an {e order-invariant} algorithm —
-    the canonicalisation behind the memo's [Order_type] mode. *)
-
 val refine_colors : Graph.t -> int array -> int array
 (** One-graph 1-WL colour refinement with canonical colour numbering:
     the output colours of isomorphic coloured graphs are equal as

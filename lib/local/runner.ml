@@ -20,7 +20,6 @@ type ('a, 'o) prepared = {
   p_alg : ('a, 'o) Algorithm.t;
   p_order : int;
   p_views : ('a View.t * int array) array;
-  p_mode : Locald_runtime.Memo.mode;
   p_memo : (int * int array, 'o) Locald_runtime.Memo.t option;
 }
 
@@ -65,11 +64,10 @@ let prepare ?(memo = Locald_runtime.Memo.Off) ?memo_capacity
               View.extract_mapped lg ~center:v ~radius:alg.Algorithm.radius)
       | Backend.Async config ->
           Async_runner.assemble_views ~config ~radius:alg.Algorithm.radius lg);
-    p_mode = memo;
     p_memo =
       (match memo with
       | Locald_runtime.Memo.Off -> None
-      | Exact_ids | Order_type ->
+      | Exact_ids ->
           Some (Locald_runtime.Memo.create_node_ids ?capacity:memo_capacity ()));
   }
 
@@ -80,11 +78,8 @@ let ball_of prep v = snd prep.p_views.(v)
 (* Decide node [v] under the ball-restricted assignment [r] (view-local
    order: [r.(i)] decorates view node [i]). This is the memoisation
    point: by the locality correspondence the output is a function of
-   (node, restriction), so under [Exact_ids] that pair is the key;
-   under [Order_type] the restriction is first collapsed to its rank
-   pattern — sound only for order-invariant deciders, which is why the
-   mode is opt-in at [prepare]. [r] must be fresh (the table keeps it as
-   the stored key). *)
+   (node, restriction), so that pair is the key. [r] must be fresh (the
+   table keeps it as the stored key). *)
 let decide_restricted prep v r =
   Locald_runtime.Telemetry.Counter.incr c_decides;
   let view, _ = prep.p_views.(v) in
@@ -92,13 +87,7 @@ let decide_restricted prep v r =
     Algorithm.named_decide prep.p_alg (View.reassign_ids view r)
   in
   match prep.p_memo with
-  | Some tbl ->
-      let key_ids =
-        match prep.p_mode with
-        | Locald_runtime.Memo.Order_type -> Iso.order_type r
-        | Off | Exact_ids -> r
-      in
-      Locald_runtime.Memo.find_or_compute tbl (v, key_ids) compute
+  | Some tbl -> Locald_runtime.Memo.find_or_compute tbl (v, r) compute
   | None -> compute ()
 
 (* Read-adaptive decide cache for the quotient scans.

@@ -54,9 +54,7 @@ val prepare :
     functions this is observationally transparent — byte-identical
     outputs at any [--jobs], with the memo on or off; deciders that are
     {e not} pure functions of their view (e.g. per-node randomness)
-    must keep the default. [Memo.Order_type] additionally collapses
-    keys to the restriction's rank pattern, which is only sound for
-    order-invariant deciders — opt in knowingly.
+    must keep the default.
 
     [memo_capacity] bounds the attached table's live entries
     ({!Locald_runtime.Memo.create}'s [capacity]); eviction recomputes

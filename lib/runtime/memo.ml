@@ -2,9 +2,9 @@
    enumeration kernel.
 
    The table maps decoration keys (a node index plus the id restriction
-   of the ball, canonicalised per the {!mode}) to decide outputs, so
-   quantifying over n! global assignments performs work proportional to
-   the number of *distinct* decorated balls actually seen. Shards are
+   of the ball) to decide outputs, so quantifying over n! global
+   assignments performs work proportional to the number of *distinct*
+   decorated balls actually seen. Shards are
    selected by key hash; each shard is a mutex plus an association
    bucket table keyed by the caller's hash (collisions resolved by the
    caller's equality — the polymorphic primitives are never applied to
@@ -19,18 +19,14 @@
    totals may race under parallel fan-out (two domains can miss on the
    same key); the number of distinct keys stored is deterministic. *)
 
-type mode = Off | Exact_ids | Order_type
+type mode = Off | Exact_ids
 
-let mode_to_string = function
-  | Off -> "off"
-  | Exact_ids -> "exact"
-  | Order_type -> "order"
+let mode_to_string = function Off -> "off" | Exact_ids -> "exact"
 
 let mode_of_string s =
   match String.trim (String.lowercase_ascii s) with
   | "off" -> Some Off
   | "exact" | "exact-ids" -> Some Exact_ids
-  | "order" | "order-type" -> Some Order_type
   | _ -> None
 
 type stats = { hits : int; misses : int; distinct : int }

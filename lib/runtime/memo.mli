@@ -20,23 +20,18 @@
     [Hashtbl.hash] or structural compare is flagged by the
     [decorated-key] rule of [locald analyze]. *)
 
-(** How id decorations are canonicalised into memo keys. *)
+(** Whether the decide-once entry points memoise. Both modes give
+    byte-identical results for every pure decider. *)
 type mode =
   | Off  (** no memoisation: every decide recomputes *)
   | Exact_ids
-      (** keys carry the exact restricted ids — safe for {e every}
-          decider (the default) *)
-  | Order_type
-      (** ids are replaced by their order type
-          ({!Locald_graph.Iso.order_type}): [1<5<9] and [2<3<7] share a
-          key. Sound only for order-invariant deciders — opt in
-          explicitly. *)
+      (** keys carry the exact restricted ids (the default) *)
 
 val mode_to_string : mode -> string
 
 val mode_of_string : string -> mode option
-(** Accepts ["off"], ["exact"]/["exact-ids"], ["order"]/["order-type"],
-    case- and whitespace-insensitively. *)
+(** Accepts ["off"] and ["exact"]/["exact-ids"], case- and
+    whitespace-insensitively. *)
 
 (** {1 Tables} *)
 

@@ -79,7 +79,7 @@ type config = {
   c_backend : string option;  (** ["sync"] or ["async"] *)
   c_sched_seed : int option;  (** async scheduler seed *)
   c_fifo : bool option;       (** async FIFO delivery *)
-  c_memo : string option;     (** ["off"], ["exact"] or ["order"] *)
+  c_memo : string option;     (** ["off"] or ["exact"] *)
   c_jobs : int option;
       (** a pool width within [[1, 64]]; checked, but it has no
           effect on a daemon, whose requests all run at width one *)

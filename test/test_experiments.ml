@@ -135,6 +135,27 @@ let test_warmups () =
       check bool (x.problem ^ " / " ^ x.setting ^ ": " ^ x.check) true x.ok)
     rows
 
+let test_ablations () =
+  let rows = Experiments.ablations ~quick:true () in
+  check Alcotest.int "5 caps, 2 phase settings, 5 radii, 1 scale row" 13
+    (List.length rows);
+  List.iter
+    (fun (row : Experiments.ablation_row) ->
+      match row with
+      | Fragment_cap x ->
+          check bool (Printf.sprintf "A1 cap %d: rules pass" x.cap) true
+            x.rules_ok
+      | Anchor_phases x ->
+          check bool
+            (Printf.sprintf "A2 all_phases %b: rules pass" x.all_phases)
+            true x.rules_ok
+      | Coverage_scaling _ -> ()
+      | At_scale x ->
+          check Alcotest.int "A4 quick size: T_2" 2 x.r;
+          check bool "A4: P' verifier accepts T_r" true x.pprime_accepts;
+          check bool "A4: P decider rejects T_r" true x.p_rejects)
+    rows
+
 let test_report_printers () =
   (* The renderers must handle every row shape without raising; the
      heavy fault grid is left to the determinism batteries. *)
@@ -151,6 +172,7 @@ let test_report_printers () =
   Report.print_p3 [];
   Report.print_fuel_diagonal [];
   Report.print_warmups [];
+  Report.print_ablations [];
   check bool "printers total" true true
 
 let () =
@@ -169,6 +191,7 @@ let () =
           Alcotest.test_case "OI order invariance" `Slow test_order_invariance;
           Alcotest.test_case "K construction" `Slow test_construction;
           Alcotest.test_case "W2/W3 warm-ups" `Slow test_warmups;
+          Alcotest.test_case "A1–A4 ablations" `Slow test_ablations;
           Alcotest.test_case "report printers" `Slow test_report_printers;
         ] );
     ]

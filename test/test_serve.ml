@@ -373,12 +373,14 @@ let test_per_request_config_rejected_not_coerced () =
         Fun.protect
           ~finally:(fun () -> Unix.close fd)
           (fun () ->
-            let expect_error req msg =
+            let error_text req msg =
               let v = Proto.response_view (rpc fd req) in
               if v.Proto.v_ok then Alcotest.failf "accepted %s" msg;
-              if v.Proto.v_error = None then
-                Alcotest.failf "no error text for %s" msg
+              match v.Proto.v_error with
+              | Some text -> text
+              | None -> Alcotest.failf "no error text for %s" msg
             in
+            let expect_error req msg = ignore (error_text req msg : string) in
             expect_error
               (Proto.request
                  ~config:{ Proto.no_config with Proto.c_backend = Some "asink" }
@@ -389,6 +391,23 @@ let test_per_request_config_rejected_not_coerced () =
                  ~config:{ Proto.no_config with Proto.c_memo = Some "maybe" }
                  ~id:2 Proto.Decide)
               "an unknown memo mode";
+            (* Order-type keys are gone: they changed the verdict of any
+               decider that reads id values. The reply names the modes
+               that remain. *)
+            let text =
+              error_text
+                (Proto.request
+                   ~config:{ Proto.no_config with Proto.c_memo = Some "order" }
+                   ~id:8 Proto.Decide)
+                "the order-type memo mode"
+            in
+            List.iter
+              (fun mode ->
+                check bool
+                  (Printf.sprintf "%S names %s" text mode)
+                  true
+                  (Str.string_match (Str.regexp (".*" ^ Str.quote mode)) text 0))
+              [ "off"; "exact" ];
             expect_error
               (Proto.request ~workload:"no-such-sweep" ~id:3 Proto.Decide)
               "an unknown workload";
@@ -489,7 +508,15 @@ let test_cli_and_serve_share_readers () =
       check bool "CLI exits 124" true (status = Unix.WEXITED Shard.Exit.usage);
       check string "CLI prints the resolver's message" ("locald: " ^ expected)
         stderr)
-    cases errors
+    cases errors;
+  (* Both spellings of the deleted order-type memo mode are usage
+     errors, as they are error replies on the daemon. *)
+  List.iter
+    (fun mode ->
+      let status, _ = run_cli [ "table1"; "--quick"; "--memo"; mode ] in
+      check bool ("CLI --memo " ^ mode ^ " exits 124") true
+        (status = Unix.WEXITED Shard.Exit.usage))
+    [ "order"; "order-type" ]
 
 let test_busy_backpressure () =
   let replies, stats =
