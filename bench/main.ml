@@ -491,6 +491,15 @@ let run_check_serve ~socket path =
           serve_entry_key (Locald_runtime.Shard.digest e.se_digests) pinned_digest;
         fail := true
       end);
+  (* The other direction, as in [--check]: the run produces one entry,
+     so any other pinned key is stale. *)
+  List.iter
+    (fun (key, _) ->
+      if key <> serve_entry_key then begin
+        Printf.printf "CHECK FAIL: pinned %s was produced by no row\n" key;
+        fail := true
+      end)
+    pins;
   (* Cross-tier pin: the mix's first request is the full-range
      exhaustive decider under the daemon's default config — its result
      digest must equal the quick tier's committed one-shot digest.

@@ -24,25 +24,38 @@ type experiment = {
     (unit -> unit) * string;
 }
 
-let experiment ?(heavy = false) name doc print driver =
+(* [failure] is the experiment's row-failure predicate (Report's
+   [*_failure]): a row it names fails the run with [Failure], as a
+   failed ablation check does, so [locald <experiment>], [locald all]
+   and the batteries exit non-zero. *)
+let experiment ?(heavy = false) ?(failure = fun _ -> None) name doc print
+    driver =
   let run ?backend ?memo ~quick ~seed () =
     let rows = driver ?backend ?memo ~quick ~seed () in
+    Option.iter
+      (fun msg -> failwith (Printf.sprintf "%s: %s" name msg))
+      (List.find_map failure rows);
     ((fun () -> print rows), Shard.digest rows)
   in
   { e_name = name; e_doc = doc; e_heavy = heavy; e_run = run }
 
 let experiments =
   [
-    experiment "table1" "Regenerate the Section 1.1 results table."
+    experiment "table1" ~failure:Report.table1_failure
+      "Regenerate the Section 1.1 results table."
       Report.print_table1 (fun ?backend ?memo ~quick ~seed () ->
         Experiments.table1 ?backend ?memo ~quick ?seed ());
-    experiment "fig1" "Regenerate Figure 1 (layered trees and view coverage)."
+    experiment "fig1" ~failure:Report.fig1_failure
+      "Regenerate Figure 1 (layered trees and view coverage)."
       Report.print_fig1 (fun ?backend:_ ?memo:_ ~quick ~seed:_ () ->
         Experiments.fig1 ~quick ());
-    experiment "fig2" "Regenerate Figure 2 (the G(M,r) construction)."
+    experiment "fig2" ~failure:Report.fig2_failure
+      "Regenerate Figure 2 (the G(M,r) construction)."
       Report.print_fig2 (fun ?backend:_ ?memo:_ ~quick ~seed:_ () ->
         Experiments.fig2 ~quick ());
-    experiment "fig3" "Regenerate Figure 3 (the pyramid)." Report.print_fig3
+    experiment "fig3" ~failure:Report.fig3_failure
+      "Regenerate Figure 3 (the pyramid)."
+      Report.print_fig3
       (fun ?backend:_ ?memo:_ ~quick ~seed:_ () -> Experiments.fig3 ~quick ());
     experiment "corollary1" "Regenerate the Corollary 1 experiment."
       Report.print_corollary1 (fun ?backend:_ ?memo:_ ~quick ~seed () ->
@@ -50,21 +63,24 @@ let experiments =
     experiment "p3" "Measure the neighbourhood generator's (P3) coverage."
       Report.print_p3 (fun ?backend:_ ?memo:_ ~quick ~seed:_ () ->
         Experiments.p3 ~quick ());
-    experiment "diagonal"
+    experiment "diagonal" ~failure:Report.diagonal_failure
       "Run the fuel diagonalisation against Id-oblivious candidates."
       Report.print_fuel_diagonal (fun ?backend:_ ?memo:_ ~quick ~seed:_ () ->
         Experiments.fuel_diagonal ~quick ());
-    experiment "construction"
+    experiment "construction" ~failure:Report.construction_failure
       "Run the constructive-side experiments (CV, Luby, gossip)."
       Report.print_construction (fun ?backend:_ ?memo:_ ~quick ~seed () ->
         Experiments.construction ~quick ?seed ());
-    experiment "oi" "Show that order-invariant algorithms also fail under (B)."
+    experiment "oi" ~failure:Report.oi_failure
+      "Show that order-invariant algorithms also fail under (B)."
       Report.print_oi (fun ?backend ?memo:_ ~quick ~seed () ->
         Experiments.order_invariance ?backend ~quick ?seed ());
-    experiment "hereditary" "Check hereditariness of the witness properties."
+    experiment "hereditary" ~failure:Report.hereditary_failure
+      "Check hereditariness of the witness properties."
       Report.print_hereditary (fun ?backend:_ ?memo:_ ~quick ~seed () ->
         Experiments.hereditary ~quick ?seed ());
-    experiment "warmups" "Run the warm-up promise-problem experiments."
+    experiment "warmups" ~failure:Report.warmups_failure
+      "Run the warm-up promise-problem experiments."
       Report.print_warmups (fun ?backend ?memo ~quick ~seed () ->
         Experiments.warmups ?backend ?memo ~quick ?seed ());
     experiment "ablations"

@@ -34,7 +34,12 @@ type experiment = {
           ignore [seed]; [backend] and [memo] reach the
           drivers that run deciders through the simulator (table1, oi,
           warmups; the engine defaults apply when omitted), and the
-          others ignore them. *)
+          others ignore them.
+          @raise Failure naming the experiment and the row when a
+          check fails: a row that the experiment's [Report] failure
+          predicate names (table1, fig1, fig2, fig3, diagonal,
+          construction, oi, hereditary, warmups), or a failed
+          ablation check. *)
 }
 
 val experiments : experiment list

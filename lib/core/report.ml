@@ -179,6 +179,53 @@ let print_construction rows =
     rows;
   print_rule ()
 
+(* ------------------------------------------------------------------ *)
+(* Row failures: the conditions the printers above mark               *)
+(* ------------------------------------------------------------------ *)
+
+let failing cond fmt =
+  Printf.ksprintf (fun s -> if cond then Some s else None) fmt
+
+let table1_failure (c : Experiments.cell_result) =
+  match List.find_opt (fun (_, ok) -> not ok) c.evidence with
+  | Some (name, _) -> Some (Printf.sprintf "%s FAILED: %s" c.cell name)
+  | None -> None
+
+let fig1_failure (x : Experiments.fig1_row) =
+  let full = x.covered = x.total in
+  failing (x.expected_full <> full) "arity %d, r %d, t %d: %s" x.arity x.r x.t
+    (if x.expected_full then "EXPECTED FULL BUT NOT" else "UNEXPECTEDLY FULL")
+
+let fig2_failure (x : Experiments.fig2_row) =
+  failing (not x.rules_ok) "%s: local rules FAIL" x.machine
+
+let fig3_failure (x : Experiments.fig3_row) =
+  failing
+    ((not x.genuine_ok) || not x.torus_rejected)
+    "h %d: %s" x.h
+    (if x.genuine_ok then "torus counterfeit MISSED"
+     else "genuine pyramid rules FAIL")
+
+let warmups_failure (x : Experiments.warmup_row) =
+  failing (not x.ok) "%s, %s: %s FAIL" x.problem x.setting x.check
+
+let diagonal_failure (x : Experiments.diagonal_row) =
+  failing
+    ((not x.fooled) || not x.honest_on_fast)
+    "fuel %d (%s): %s" x.fuel x.fooling_machine
+    (if x.fooled then "NO, wrong within its fuel" else "NO, not fooled")
+
+let hereditary_failure (x : Experiments.hereditary_row) =
+  failing
+    (x.hereditary_looking <> x.expected_hereditary)
+    "%s on %s: UNEXPECTED" x.property_name x.instance
+
+let oi_failure (x : Experiments.oi_row) =
+  failing (not x.ok) "%s FAIL" x.check
+
+let construction_failure (x : Experiments.construction_row) =
+  failing (not x.ok) "%s, n %d: NO" x.task x.n
+
 let print_faults rows =
   print_rule ();
   print_endline

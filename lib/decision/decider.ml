@@ -16,161 +16,77 @@ type evaluation = {
   failure : (Ids.t * Verdict.t) option;
 }
 
-(* Assignments per parallel batch: big enough to amortise the pool's
-   dispatch, small enough that the failure witness is found without
-   deciding the whole id space. *)
+(* Sampled assignments are drawn this many at a time before a batch is
+   decided, and a rank range is split into sub-ranges this wide, one
+   pool task each: enough to amortise the pool's dispatch and a task's
+   scratch. *)
 let tally_chunk = 512
 
-let tally ?prep ?backend ?(memo = Memo.Exact_ids) ~expected ~instance ~n
-    assignments_seq alg lg =
+(* A run accepts iff every node says yes (Section 1.2). A plain loop:
+   it runs once per rank, and [Array.for_all]'s local closure would
+   allocate. *)
+let accepts (out : bool array) =
+  let all = ref true in
+  for v = 0 to Array.length out - 1 do
+    all := !all && out.(v)
+  done;
+  !all
+
+let evaluate ?backend ?(memo = Memo.Exact_ids) ~rng ~regime ~assignments alg
+    ~expected ~instance lg =
+  if assignments < 0 then
+    invalid_arg (Printf.sprintf "Decider.evaluate: %d assignments" assignments);
+  Telemetry.span "decider.evaluate" @@ fun () ->
+  let n = Locald_graph.Labelled.order lg in
   (* The ball structure is id-independent: extract every view once and
      only re-decorate per assignment (see Runner.prepare). The decide
      itself is memoised per (node, ball restriction) — transparent for
      the pure deciders this module is specified for. *)
-  let prep =
-    match prep with
-    | Some p -> p
-    | None -> Runner.prepare ~memo ?backend alg lg
-  in
+  let prep = Runner.prepare ~memo ?backend alg lg in
   Telemetry.span "decider.tally" @@ fun () ->
-  let verdict_of ids = Verdict.of_outputs (Runner.run_prepared prep ~ids) in
-  let correct = ref 0 and wrong = ref 0 and failure = ref None and total = ref 0 in
-  let rec drain seq =
-    (* Force up to [tally_chunk] assignments sequentially — the
-       sampling / enumeration order must not depend on --jobs — then
-       decide the batch in parallel. *)
-    let buf = ref [] and len = ref 0 and rest = ref seq in
-    let continue = ref true in
-    while !continue && !len < tally_chunk do
-      match !rest () with
-      | Seq.Nil -> continue := false
-      | Seq.Cons (ids, tl) ->
-          buf := ids :: !buf;
-          incr len;
-          rest := tl
-    done;
-    let chunk = Array.of_list (List.rev !buf) in
-    if Array.length chunk > 0 then begin
-      let verdicts = Pool.map verdict_of chunk in
-      Array.iteri
-        (fun i verdict ->
-          incr total;
-          if Verdict.accepts verdict = expected then incr correct
-          else begin
-            incr wrong;
-            if !failure = None then failure := Some (chunk.(i), verdict)
-          end)
-        verdicts;
-      drain !rest
-    end
+  (* One pool task per assignment: its own Runner task and output
+     array, which also carries the witness verdict. *)
+  let outputs ids =
+    let task = Runner.task prep in
+    let out = Array.make n false in
+    Runner.decide_all task (Ids.to_array ids) out;
+    Runner.flush task;
+    out
   in
-  drain assignments_seq;
+  let correct = ref 0 and failure = ref None and drawn = ref 0 in
+  while !drawn < assignments do
+    (* Draw the batch in order — the sampling order must not depend on
+       --jobs — then decide it in parallel. *)
+    let batch =
+      Array.init (min tally_chunk (assignments - !drawn)) (fun _ ->
+          Ids.sample rng regime ~n)
+    in
+    Array.iteri
+      (fun i out ->
+        if accepts out = expected then incr correct
+        else if !failure = None then
+          failure := Some (batch.(i), Verdict.of_outputs out))
+      (Pool.map outputs batch);
+    drawn := !drawn + Array.length batch
+  done;
   {
     instance;
     n;
     expected;
-    assignments = !total;
+    assignments;
     correct = !correct;
-    wrong = !wrong;
+    wrong = assignments - !correct;
     failure = !failure;
   }
 
-let evaluate ?backend ?memo ~rng ~regime ~assignments alg ~expected ~instance
-    lg =
-  Telemetry.span "decider.evaluate" @@ fun () ->
-  let n = Locald_graph.Labelled.order lg in
-  let seq =
-    Seq.init assignments (fun _ -> Ids.sample rng regime ~n)
-  in
-  tally ?backend ?memo ~expected ~instance ~n seq alg lg
-
-(* Exhaustive evaluation through the ball-local quotient. By the
-   locality correspondence a node's output under an assignment depends
-   only on the restriction to its ball, so scanning each node's
-   [perm ~bound ~k:(ball size)] injective restrictions decides the
-   all-accept question over all [perm ~bound ~k:n] assignments:
-
-     every assignment accepted  <=>  every node accepts every
-                                     restriction of its ball
-
-   (left-to-right because every restriction extends to a global
-   assignment when [bound >= n] — enforced by [enumerate_injections] —
-   and right-to-left trivially). When the scan certifies all-accept,
-   the tallies follow by arithmetic and are byte-identical to the naive
-   loop's; any rejection instead falls back transparently to the naive
-   loop, whose memo table the scan has already partly warmed. *)
-let evaluate_exhaustive ?(quotient = true) ?backend ?(memo = Memo.Exact_ids)
-    ?memo_capacity ~bound alg ~expected ~instance lg =
-  Telemetry.span "decider.evaluate_exhaustive" @@ fun () ->
-  let n = Locald_graph.Labelled.order lg in
-  let prep = Runner.prepare ~memo ?memo_capacity ?backend alg lg in
-  let naive () =
-    tally ~prep ~expected ~instance ~n
-      (Ids.enumerate_injections ~n ~bound)
-      alg lg
-  in
-  if (not quotient) || n = 0 then naive ()
-  else begin
-    let all_accept = ref true in
-    let v = ref 0 in
-    while !all_accept && !v < n do
-      let k = Array.length (Runner.ball_of prep !v) in
-      (* Read-adaptive scan: each distinct behaviour of the decide on
-         this ball is computed once; restrictions that agree on the id
-         slots the decide actually reads are trie lookups. *)
-      let scan = Runner.restriction_scanner prep !v in
-      let scanned = ref 0 in
-      all_accept :=
-        Orbit.for_all_injections ~bound ~k (fun r ->
-            incr scanned;
-            scan r);
-      Orbit.add_scanned !scanned;
-      incr v
-    done;
-    if not !all_accept then naive ()
-    else begin
-      let assignments = Orbit.perm ~bound ~k:n in
-      if expected then
-        {
-          instance;
-          n;
-          expected;
-          assignments;
-          correct = assignments;
-          wrong = 0;
-          failure = None;
-        }
-      else
-        (* Every assignment is wrong; the witness the naive loop would
-           report is the first enumerated assignment, re-decided
-           concretely (a memo hit) so the stored verdict is the real
-           run's. *)
-        let failure =
-          match Ids.enumerate_injections ~n ~bound () with
-          | Seq.Nil -> None
-          | Seq.Cons (first, _) ->
-              Some (first, Verdict.of_outputs (Runner.run_prepared prep ~ids:first))
-        in
-        {
-          instance;
-          n;
-          expected;
-          assignments;
-          correct = 0;
-          wrong = assignments;
-          failure;
-        }
-    end
-  end
-
-(* Range-restricted exhaustive evaluation, for the sharded runs: the
-   assignments of lexicographic ranks [lo, hi) only, with the failure
-   witness carrying its global rank so per-shard firsts merge into the
-   global first by a minimum. Always the naive enumeration — the
-   quotient scan decides the whole space at once and cannot be
-   restricted to a rank interval — but through the same prepared
-   views and decide-once memo, so decides repeat across chunks at memo
-   cost. *)
+(* Range-restricted exhaustive evaluation, for the sharded runs and the
+   naive exhaustive loop: the assignments of lexicographic ranks
+   [lo, hi) only, with the failure witness carrying its global rank so
+   per-shard firsts merge into the global first by a minimum. Always
+   the naive enumeration — the quotient scan decides the whole space at
+   once and cannot be restricted to a rank interval — but through the
+   same prepared views and decide-once memo, so decides repeat across
+   chunks at memo cost. *)
 type range_evaluation = {
   rv_lo : int;
   rv_hi : int;
@@ -178,6 +94,32 @@ type range_evaluation = {
   rv_wrong : int;
   rv_failure : (int * Ids.t * Verdict.t) option;
 }
+
+(* One pool task: ranks [lo, hi) walked in place. The first assignment
+   is unranked once, every later one is its predecessor's in-place
+   successor, and every node's output lands in one reused array, so a
+   rank whose decides all hit the memo allocates nothing. The task's
+   first failure is built from that array: no decide is repeated. *)
+let walk_ranks prep ~bound ~n ~expected ~lo ~hi =
+  let task = Runner.task prep in
+  let ids = Orbit.unrank ~bound ~k:n lo in
+  let used = Array.make bound false in
+  Array.iter (fun id -> used.(id) <- true) ids;
+  let out = Array.make n false in
+  let correct = ref 0 and wrong = ref 0 and failure = ref None in
+  for rank = lo to hi - 1 do
+    if rank > lo then ignore (Orbit.next_injection ~bound ids used : bool);
+    Runner.decide_all task ids out;
+    if accepts out = expected then incr correct
+    else begin
+      incr wrong;
+      if !failure = None then
+        failure := Some (rank, Ids.of_array ids, Verdict.of_outputs out)
+    end
+  done;
+  Runner.flush task;
+  { rv_lo = lo; rv_hi = hi; rv_correct = !correct; rv_wrong = !wrong;
+    rv_failure = !failure }
 
 let evaluate_exhaustive_range ?prep ?backend ?(memo = Memo.Exact_ids)
     ?memo_capacity ~bound ~lo ~hi alg ~expected lg =
@@ -194,44 +136,105 @@ let evaluate_exhaustive_range ?prep ?backend ?(memo = Memo.Exact_ids)
     | Some p -> p
     | None -> Runner.prepare ~memo ?memo_capacity ?backend alg lg
   in
-  let verdict_of ids = Verdict.of_outputs (Runner.run_prepared prep ~ids) in
-  let correct = ref 0 and wrong = ref 0 and failure = ref None in
-  let rest = ref (Ids.enumerate_injections_from ~n ~bound ~start:lo) in
-  let next_rank = ref lo in
-  while !next_rank < hi do
-    (* Same batching discipline as [tally]: force the chunk
-       sequentially, decide it in parallel, so results are identical
-       at any job count. *)
-    let want = min tally_chunk (hi - !next_rank) in
-    let buf = ref [] and got = ref 0 in
-    while !got < want do
-      match !rest () with
-      | Seq.Nil -> assert false (* hi <= total bounds the stream *)
-      | Seq.Cons (ids, tl) ->
-          buf := ids :: !buf;
-          incr got;
-          rest := tl
+  (* Sub-ranges are fixed by [lo] alone and folded in rank order, so
+     counts and the first failure are identical at any job count. *)
+  let starts =
+    Array.init ((hi - lo + tally_chunk - 1) / tally_chunk) (fun c ->
+        lo + (c * tally_chunk))
+  in
+  let parts =
+    Pool.map
+      (fun lo ->
+        walk_ranks prep ~bound ~n ~expected ~lo ~hi:(min hi (lo + tally_chunk)))
+      starts
+  in
+  Array.fold_left
+    (fun acc p ->
+      {
+        acc with
+        rv_correct = acc.rv_correct + p.rv_correct;
+        rv_wrong = acc.rv_wrong + p.rv_wrong;
+        rv_failure =
+          (match acc.rv_failure with None -> p.rv_failure | f -> f);
+      })
+    { rv_lo = lo; rv_hi = hi; rv_correct = 0; rv_wrong = 0; rv_failure = None }
+    parts
+
+(* Exhaustive evaluation through the ball-local quotient. By the
+   locality correspondence a node's output under an assignment depends
+   only on the restriction to its ball, so scanning each node's
+   [perm ~bound ~k:(ball size)] injective restrictions decides the
+   all-accept question over all [perm ~bound ~k:n] assignments:
+
+     every assignment accepted  <=>  every node accepts every
+                                     restriction of its ball
+
+   (left-to-right because every restriction extends to a global
+   assignment when [bound >= n], and right-to-left trivially). When
+   the scan certifies all-accept, the tallies follow by arithmetic and
+   are byte-identical to the naive loop's; any rejection instead falls
+   back transparently to the naive loop — the range evaluator over
+   every rank — whose memo table the scan has already partly
+   warmed. *)
+let evaluate_exhaustive ?(quotient = true) ?backend ?(memo = Memo.Exact_ids)
+    ?memo_capacity ~bound alg ~expected ~instance lg =
+  Telemetry.span "decider.evaluate_exhaustive" @@ fun () ->
+  let n = Locald_graph.Labelled.order lg in
+  let prep = Runner.prepare ~memo ?memo_capacity ?backend alg lg in
+  let assignments = Orbit.perm ~bound ~k:n in
+  let naive () =
+    let rv =
+      evaluate_exhaustive_range ~prep ~bound ~lo:0 ~hi:assignments alg
+        ~expected lg
+    in
+    {
+      instance;
+      n;
+      expected;
+      assignments;
+      correct = rv.rv_correct;
+      wrong = rv.rv_wrong;
+      failure = Option.map (fun (_, ids, v) -> (ids, v)) rv.rv_failure;
+    }
+  in
+  if (not quotient) || n = 0 then naive ()
+  else begin
+    let all_accept = ref true in
+    let v = ref 0 in
+    let task = Runner.task prep in
+    while !all_accept && !v < n do
+      let k = Array.length (Runner.ball_of prep !v) in
+      (* Read-adaptive scan: each distinct behaviour of the decide on
+         this ball is computed once; restrictions that agree on the id
+         slots the decide actually reads are trie lookups. *)
+      let scan = Runner.restriction_scanner task !v in
+      let scanned = ref 0 in
+      all_accept :=
+        Orbit.for_all_injections ~bound ~k (fun r ->
+            incr scanned;
+            scan r);
+      Orbit.add_scanned !scanned;
+      incr v
     done;
-    let chunk = Array.of_list (List.rev !buf) in
-    let verdicts = Pool.map verdict_of chunk in
-    Array.iteri
-      (fun i verdict ->
-        if Verdict.accepts verdict = expected then incr correct
-        else begin
-          incr wrong;
-          if !failure = None then
-            failure := Some (!next_rank + i, chunk.(i), verdict)
-        end)
-      verdicts;
-    next_rank := !next_rank + want
-  done;
-  {
-    rv_lo = lo;
-    rv_hi = hi;
-    rv_correct = !correct;
-    rv_wrong = !wrong;
-    rv_failure = !failure;
-  }
+    Runner.flush task;
+    if not !all_accept then naive ()
+    else if expected then
+      { instance; n; expected; assignments; correct = assignments; wrong = 0;
+        failure = None }
+    else
+      (* Every assignment is wrong; the witness the naive loop would
+         report is the first enumerated assignment, re-decided
+         concretely (a memo hit) so the stored verdict is the real
+         run's. *)
+      let failure =
+        if assignments = 0 then None
+        else
+          let first = Ids.injection_at ~n ~bound 0 in
+          Some (first, Verdict.of_outputs (Runner.run_prepared prep ~ids:first))
+      in
+      { instance; n; expected; assignments; correct = 0; wrong = assignments;
+        failure }
+  end
 
 let all_correct e = e.wrong = 0 && e.assignments > 0
 

@@ -10,8 +10,9 @@
     [evaluate] and [evaluate_exhaustive] decide batches of assignments
     on the {!Locald_runtime.Pool}; the algorithm's [decide] function
     must therefore be safe to call from several domains at once (pure
-    functions and per-call local state are fine). Assignments are
-    sampled / enumerated sequentially before each batch, and views are
+    functions and per-call local state are fine). Sampled assignments
+    are drawn sequentially before each batch, exhaustive ranks are
+    split into sub-ranges fixed by the range alone, and views are
     pre-extracted once per instance ({!Locald_local.Runner.prepare}),
     so results — including the [failure] witness, which is the first
     wrong assignment in stream order — are identical at any job
@@ -76,6 +77,8 @@ val evaluate_exhaustive :
     transparently to the naive assignment loop (with the decide-once
     memo already warm), so the result — counts, and the first-failure
     witness — is byte-identical to [quotient:false] in every case.
+    [quotient:false] and the fallback are {!evaluate_exhaustive_range}
+    over every rank.
     [memo] / [memo_capacity] configure the implicit preparation's
     decide-once table (default [Exact_ids], unbounded). Both memo
     modes are digest-transparent. *)
@@ -107,7 +110,17 @@ val evaluate_exhaustive_range :
     range-restricted entry point the sharded exhaustive runs
     partition on. Any family of ranges that tiles [\[0, total)] sums
     (counts) and minimises (failure rank) to exactly
-    [evaluate_exhaustive]'s answer. Pass [prep] to share one
+    [evaluate_exhaustive]'s answer.
+
+    The range is split into 512-rank sub-ranges, one
+    {!Locald_runtime.Pool.map} task each. A task unranks its first
+    assignment once ({!Locald_runtime.Orbit.unrank}), steps to each
+    next one in place ({!Locald_runtime.Orbit.next_injection}), decides
+    every node into one reused output array through one
+    {!Locald_local.Runner.task}, and builds its first failure's witness
+    from that array. A rank whose decides all hit the memo allocates
+    nothing, and each task adds its decide and memo counts to the run
+    once. Pass [prep] to share one
     prepared-view/memo structure across many ranges within a process;
     without it, [memo] / [memo_capacity] configure the implicit
     preparation as in {!evaluate_exhaustive}.

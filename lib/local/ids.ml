@@ -91,12 +91,6 @@ let injection_at ~n ~bound rank =
   | a -> a
   | exception Invalid_argument msg -> invalid "%s" msg
 
-let enumerate_injections_from ~n ~bound ~start =
-  if bound < n then invalid "cannot inject %d nodes into %d ids" n bound;
-  match Locald_runtime.Orbit.injections_from ~bound ~k:n ~start with
-  | s -> (s : t Seq.t)
-  | exception Invalid_argument msg -> invalid "%s" msg
-
 type regime =
   | Unbounded
   | Bounded of { name : string; f : int -> int }

@@ -51,13 +51,6 @@ val injection_at : n:int -> bound:int -> int -> t
     @raise Invalid_ids if the rank is outside [0, bound!/(bound-n)!)
     or [bound < n]. *)
 
-val enumerate_injections_from : n:int -> bound:int -> start:int -> t Seq.t
-(** The suffix of {!enumerate_injections} beginning at rank [start]
-    (so [~start:0] is the whole stream, in the same order). Any rank
-    range [lo, hi) enumerates independently of every other range —
-    the stable chunk enumeration the shard layer partitions on.
-    @raise Invalid_ids on an out-of-range [start]. *)
-
 (** {1 Bounded-identifier regimes} *)
 
 type regime =

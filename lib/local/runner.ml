@@ -75,20 +75,83 @@ let prepared_size prep = prep.p_order
 
 let ball_of prep v = snd prep.p_views.(v)
 
-(* Decide node [v] under the ball-restricted assignment [r] (view-local
-   order: [r.(i)] decorates view node [i]). This is the memoisation
-   point: by the locality correspondence the output is a function of
-   (node, restriction), so that pair is the key. [r] must be fresh (the
-   table keeps it as the stored key). *)
-let decide_restricted prep v r =
-  Locald_runtime.Telemetry.Counter.incr c_decides;
+(* Per-task decide state. The decide paths — a range task, one
+   sampled assignment, a quotient scan — run many decides on one
+   domain, so they fill one scratch restriction per node and count
+   their decides, memo hits and memo misses here, adding them to the
+   run's counters once at [flush]. No decide writes a shared cell on
+   a memo hit. *)
+type ('a, 'o) task = {
+  k_prep : ('a, 'o) prepared;
+  k_rs : int array array;  (* node [v]'s restriction, sized by its ball *)
+  mutable k_decides : int;
+  mutable k_hits : int;
+  mutable k_misses : int;
+}
+
+let make_task prep k_rs =
+  { k_prep = prep; k_rs; k_decides = 0; k_hits = 0; k_misses = 0 }
+
+let task prep =
+  make_task prep
+    (Array.map (fun (_, back) -> Array.make (Array.length back) 0) prep.p_views)
+
+let flush task =
+  Locald_runtime.Telemetry.Counter.add c_decides task.k_decides;
+  Locald_runtime.Memo.note_hits task.k_hits;
+  Locald_runtime.Memo.note_misses task.k_misses;
+  task.k_decides <- 0;
+  task.k_hits <- 0;
+  task.k_misses <- 0
+
+(* The one memoised decide: node [v] under the ball-restricted
+   assignment [r] (view-local order: [r.(i)] decorates view node [i]).
+   By the locality correspondence the output is a function of (node,
+   restriction), so that pair is the key. [r] is looked up in place
+   and copied only on a miss, for the table and the view; a decide
+   never sees an array its caller will overwrite. *)
+let probe task v r =
+  let prep = task.k_prep in
+  task.k_decides <- task.k_decides + 1;
   let view, _ = prep.p_views.(v) in
-  let compute () =
-    Algorithm.named_decide prep.p_alg (View.reassign_ids view r)
-  in
   match prep.p_memo with
-  | Some tbl -> Locald_runtime.Memo.find_or_compute tbl (v, r) compute
-  | None -> compute ()
+  | None ->
+      Algorithm.named_decide prep.p_alg (View.reassign_ids view (Array.copy r))
+  | Some tbl -> (
+      match Locald_runtime.Memo.find_node_ids tbl v r with
+      | o ->
+          task.k_hits <- task.k_hits + 1;
+          o
+      | exception Not_found ->
+          task.k_misses <- task.k_misses + 1;
+          let key = Array.copy r in
+          let o =
+            Locald_runtime.Telemetry.span "memo.compute" (fun () ->
+                Algorithm.named_decide prep.p_alg (View.reassign_ids view key))
+          in
+          Locald_runtime.Memo.add tbl (v, key) o;
+          o)
+
+(* Node [v]'s restriction of the global assignment [ids], written
+   into the task's buffer for [v]. *)
+let restrict task ids v =
+  let _, back = task.k_prep.p_views.(v) in
+  let r = task.k_rs.(v) in
+  for i = 0 to Array.length back - 1 do
+    r.(i) <- ids.(back.(i))
+  done;
+  r
+
+let decide_all task ids out =
+  for v = 0 to task.k_prep.p_order - 1 do
+    out.(v) <- probe task v (restrict task ids v)
+  done
+
+let decide_restricted prep v r =
+  let task = make_task prep [||] in
+  let o = probe task v r in
+  flush task;
+  o
 
 (* Read-adaptive decide cache for the quotient scans.
 
@@ -123,7 +186,8 @@ type 'o trie =
   | Leaf of 'o
   | Branch of { slot : int; children : (int, 'o trie) Hashtbl.t }
 
-let restriction_scanner prep v =
+let restriction_scanner task v =
+  let prep = task.k_prep in
   let view, back = prep.p_views.(v) in
   let k = Array.length back in
   let plain r =
@@ -183,20 +247,20 @@ let restriction_scanner prep v =
           | None -> Hashtbl.replace b.children r.(s) (build o r rest))
   in
   fun r ->
-    Locald_runtime.Telemetry.Counter.incr c_decides;
+    task.k_decides <- task.k_decides + 1;
     if !opaque then plain r
     else
       let cached = match !root with None -> None | Some t -> walk t r in
       match cached with
       | Some o ->
-          Locald_runtime.Memo.note_hit ();
+          task.k_hits <- task.k_hits + 1;
           o
       | None ->
-          Locald_runtime.Memo.note_miss ();
+          task.k_misses <- task.k_misses + 1;
           let o, reads, bulk = decide_traced r in
           if bulk then opaque := true
           else begin
-            Locald_runtime.Memo.note_distinct ();
+            Locald_runtime.Memo.note_distincts 1;
             match !root with
             | None -> root := Some (build o r reads)
             | Some t -> graft t o r reads
@@ -207,10 +271,12 @@ let run_prepared prep ~ids =
   Ids.check_size ~n:prep.p_order ids;
   let ids = Ids.to_array ids in
   Locald_runtime.Telemetry.span "runner.run_prepared" @@ fun () ->
-  Array.mapi
-    (fun v (_, back) ->
-      decide_restricted prep v (Array.map (fun u -> ids.(u)) back))
-    prep.p_views
+  let task = task prep in
+  let out =
+    Array.init prep.p_order (fun v -> probe task v (restrict task ids v))
+  in
+  flush task;
+  out
 
 let run_oblivious ob lg =
   Array.init (Labelled.order lg) (fun v ->

@@ -70,16 +70,39 @@ val ball_of : ('a, 'o) prepared -> int -> int array
     global node numbers (so its length is [v]'s ball size). Must not be
     mutated. *)
 
+type ('a, 'o) task
+(** Per-task decide state over one preparation: a scratch restriction
+    buffer per node, and the task's counts of decides, memo hits and
+    memo misses, which reach the run's [runner.decides], [memo.hits]
+    and [memo.misses] only at {!flush}. A task is single-domain: make
+    one per pool task. *)
+
+val task : ('a, 'o) prepared -> ('a, 'o) task
+
+val flush : ('a, 'o) task -> unit
+(** Add the task's counts to the run's counters and zero them. *)
+
+val decide_all : ('a, 'o) task -> int array -> 'o array -> unit
+(** [decide_all task ids out] decides every node under the global
+    assignment [ids] (indexed by node; [ids] must be injective and is
+    neither retained nor copied) and writes node [v]'s output to
+    [out.(v)]. Each node's restriction is filled into the task's
+    buffer and looked up in the memo in place, so a decide answered by
+    the memo allocates nothing, takes no lock and writes no shared
+    counter; the restriction is copied only on a miss, for the table
+    and the view. *)
+
 val decide_restricted : ('a, 'o) prepared -> int -> int array -> 'o
 (** [decide_restricted prep v r] decides node [v] under the
     ball-restricted id assignment [r] ([r.(i)] is the id of view-local
     node [i] — the restriction of a global assignment along
-    {!ball_of}). This is the decide-once memoisation point; under
-    [Exact_ids] memoisation [r] must be freshly allocated (it is
-    retained as a table key) and injective. *)
+    {!ball_of}; it must be injective). It goes through the same probe
+    as {!decide_all}, counted and flushed at once. [r] need not be
+    fresh: it is copied if the memo stores it or a decide sees it, so
+    the caller may overwrite it afterwards. *)
 
-val restriction_scanner : ('a, 'o) prepared -> int -> int array -> 'o
-(** [restriction_scanner prep v] is a stateful decide function for
+val restriction_scanner : ('a, 'o) task -> int -> int array -> 'o
+(** [restriction_scanner task v] is a stateful decide function for
     scanning node [v] over many ball restrictions (same calling
     convention as {!decide_restricted}; the restriction array may be a
     reused scratch buffer). It caches decide outputs in a read-adaptive
@@ -92,14 +115,15 @@ val restriction_scanner : ('a, 'o) prepared -> int -> int array -> 'o
     inconsistencies degrade transparently to direct decides. The
     returned closure is single-domain state for one sequential scan —
     do not share it across domains; under an installed monitor it
-    degrades to direct decides so traces stay faithful. Cache traffic
-    is reported to the {!Locald_runtime.Memo} process-wide
-    counters. *)
+    degrades to direct decides so traces stay faithful. Decides, trie
+    hits and misses count into [task] (flush it after the scan);
+    stored behaviours count into [memo.distinct] at once. *)
 
 val run_prepared : ('a, 'o) prepared -> ids:Ids.t -> 'o array
 (** Exactly [run alg lg ~ids], but with the per-assignment view
     extraction hoisted out (and decides routed through the memo when
-    one was requested at {!prepare}).
+    one was requested at {!prepare}) — {!decide_all} on a fresh task,
+    flushed before it returns.
     @raise Ids.Invalid_ids if the assignment has the wrong size. *)
 
 val run_oblivious : ('a, 'o) Algorithm.oblivious -> 'a Labelled.t -> 'o array

@@ -4,12 +4,22 @@
    The table maps decoration keys (a node index plus the id restriction
    of the ball) to decide outputs, so quantifying over n! global
    assignments performs work proportional to the number of *distinct*
-   decorated balls actually seen. Shards are
-   selected by key hash; each shard is a mutex plus an association
-   bucket table keyed by the caller's hash (collisions resolved by the
-   caller's equality — the polymorphic primitives are never applied to
+   decorated balls actually seen. Shards are selected by key hash. Each
+   shard is a mutex plus a power-of-two array of immutable bucket lists,
+   published through an [Atomic.t]; collisions are resolved by the
+   caller's equality (the polymorphic primitives are never applied to
    keys, which is also what the [decorated-key] analyze rule enforces
    outside this library).
+
+   Reads take no lock and allocate nothing: they load the shard's array
+   and walk one bucket. Stores, eviction and growth run under the shard
+   lock and never mutate a bucket cell; they write a new list head into
+   a slot, or publish a new array. A racy slot read therefore sees
+   either the old list or the new one. OCaml 5's memory model makes an
+   immutable block reached through any read, racy or not, fully
+   initialised, so a reader never sees a half-built cell. A reader that
+   sees the old list misses the new key and recomputes it; the store's
+   re-check under the lock then keeps the first binding.
 
    Semantic transparency contract: [find_or_compute t k f] returns a
    value [f ()] returned on some call with an [equal]-equal key. For
@@ -47,25 +57,30 @@ let run_stats () =
     distinct = Telemetry.Counter.get c_distinct;
   }
 
-(* For decide-once caches that live outside this module's tables (the
-   read-adaptive scanner in [Locald_local.Runner]) but report into the
-   same run-scoped tallies. *)
-let note_hit () = Telemetry.Counter.incr c_hits
-let note_miss () = Telemetry.Counter.incr c_misses
-let note_distinct () = Telemetry.Counter.incr c_distinct
-
-(* Bulk variants: per-draw atomic increments are measurable on caches
-   sitting inside million-iteration verdict loops (Fast.corollary1),
-   so those tally locally and flush once per run. *)
+(* For decide-once caches that count outside this module's tables
+   (the read-adaptive scanner and the decide probes in
+   [Locald_local.Runner], Gmr_deciders' coin-draw cache) but report
+   into the same run-scoped tallies. Hot loops tally locally and flush
+   once per task or run, so these are bulk adds. *)
 let note_hits n = Telemetry.Counter.add c_hits n
 let note_misses n = Telemetry.Counter.add c_misses n
 let note_distincts n = Telemetry.Counter.add c_distinct n
 
+type ('k, 'v) bucket =
+  | Nil
+  | Cons of {
+      key : 'k;
+      hash : int;  (* the scrambled hash, so growth never rehashes a key *)
+      value : 'v;
+      stamp : int;  (* insertion order, for eviction *)
+      next : ('k, 'v) bucket;
+    }
+
 type ('k, 'v) shard = {
   lock : Mutex.t;
-  (* hash -> (key, value, insertion stamp) bucket; the int key is the
-     caller's hash, the stamp orders entries for eviction *)
-  table : (int, ('k * 'v * int) list ref) Hashtbl.t;
+  (* Slots are written, and the array replaced by a larger one, only
+     under [lock]; readers load it without. *)
+  slots : ('k, 'v) bucket array Atomic.t;
   mutable tick : int;  (* stamps handed out so far, under [lock] *)
   mutable count : int; (* live entries, under [lock] *)
 }
@@ -74,6 +89,7 @@ type ('k, 'v) t = {
   hash : 'k -> int;
   equal : 'k -> 'k -> bool;
   mask : int;
+  shift : int;  (* log2 of the shard count: slot bits sit above it *)
   (* Per-shard entry bound; [max_int] when the table is unbounded. *)
   cap : int;
   shards : ('k, 'v) shard array;
@@ -81,6 +97,10 @@ type ('k, 'v) t = {
 }
 
 let rec pow2_at_least n acc = if acc >= n then acc else pow2_at_least n (acc * 2)
+
+let rec log2 n = if n <= 1 then 0 else 1 + log2 (n / 2)
+
+let initial_slots = 64
 
 let create ?(shards = 16) ?capacity ~hash ~equal () =
   let count = pow2_at_least (max 1 shards) 1 in
@@ -95,11 +115,16 @@ let create ?(shards = 16) ?capacity ~hash ~equal () =
     hash;
     equal;
     mask = count - 1;
+    shift = log2 count;
     cap;
     shards =
       Array.init count (fun _ ->
-          { lock = Mutex.create (); table = Hashtbl.create 64;
-            tick = 0; count = 0 });
+          {
+            lock = Mutex.create ();
+            slots = Atomic.make (Array.make initial_slots Nil);
+            tick = 0;
+            count = 0;
+          });
     s_evictions = Atomic.make 0;
   }
 
@@ -110,78 +135,105 @@ let evictions t = Atomic.get t.s_evictions
    test uses this serves. *)
 let size t = Array.fold_left (fun acc s -> acc + s.count) 0 t.shards
 
-let bucket_find equal key bucket =
-  let rec go = function
-    | [] -> None
-    | (k, v, _) :: rest -> if equal key k then Some v else go rest
-  in
-  go bucket
+(* Callers' hashes can be weak in the low bits (the node-ids hash is a
+   polynomial in small ids); a multiply and a fold bring every input
+   bit down to the bits that pick the shard and the slot. *)
+let scramble h =
+  let h = h * 0x2545f4914f6cdd1d in
+  (h lxor (h lsr 31)) land max_int
+
+let shard_of t h = t.shards.(h land t.mask)
+
+let slot_of t h slots = (h lsr t.shift) land (Array.length slots - 1)
+
+let bucket t shard h =
+  let slots = Atomic.get shard.slots in
+  slots.(slot_of t h slots)
+
+let rec find_in equal key h = function
+  | Nil -> raise_notrace Not_found
+  | Cons c ->
+      if c.hash = h && equal key c.key then c.value
+      else find_in equal key h c.next
 
 (* Drop the older half of a full shard, by insertion stamp. Must run
    under the shard lock. Halving (rather than evicting one) keeps the
    amortised cost O(1) per store: a full scan every cap/2 insertions.
    Recency here is insertion order, not access order — cheaper than
    LRU stamping on every hit, and the enumeration workloads revisit
-   keys in waves for which insertion order is the right proxy. *)
+   keys in waves for which insertion order is the right proxy. Kept
+   tails are shared, dropped cells are rebuilt around. *)
 let evict_older_half t shard =
   let cutoff = shard.tick - max 1 (t.cap / 2) in
   let dropped = ref 0 in
-  Hashtbl.filter_map_inplace
-    (fun _ bucket ->
-      let kept = List.filter (fun (_, _, stamp) -> stamp > cutoff) !bucket in
-      match kept with
-      | [] ->
-          dropped := !dropped + List.length !bucket;
-          None
-      | _ ->
-          dropped := !dropped + (List.length !bucket - List.length kept);
-          bucket := kept;
-          Some bucket)
-    shard.table;
+  let rec keep = function
+    | Nil -> Nil
+    | Cons c as b ->
+        let next = keep c.next in
+        if c.stamp <= cutoff then begin
+          incr dropped;
+          next
+        end
+        else if next == c.next then b
+        else Cons { c with next }
+  in
+  let slots = Atomic.get shard.slots in
+  Array.iteri (fun i b -> slots.(i) <- keep b) slots;
   shard.count <- shard.count - !dropped;
   Atomic.fetch_and_add t.s_evictions !dropped |> ignore;
   Telemetry.Counter.add c_evictions !dropped
 
-let store_under_lock t shard h key v =
-  shard.tick <- shard.tick + 1;
-  let entry = (key, v, shard.tick) in
-  (match Hashtbl.find_opt shard.table h with
-  | Some b -> b := entry :: !b
-  | None -> Hashtbl.replace shard.table h (ref [ entry ]));
-  shard.count <- shard.count + 1;
-  Telemetry.Counter.incr c_distinct;
-  if shard.count > t.cap then evict_older_half t shard
+(* Double the slot array once the shard averages two entries a slot.
+   Readers holding the old array keep walking valid (old) lists. *)
+let grow t shard =
+  let old = Atomic.get shard.slots in
+  let slots = Array.make (2 * Array.length old) Nil in
+  let rec move = function
+    | Nil -> ()
+    | Cons c ->
+        let i = slot_of t c.hash slots in
+        slots.(i) <- Cons { c with next = slots.(i) };
+        move c.next
+  in
+  Array.iter move old;
+  Atomic.set shard.slots slots
+
+(* Store unless an [equal] key is already there (a sibling domain may
+   have stored it while we computed), so the table never holds
+   duplicates and [distinct] — stored bindings — is deterministic for
+   an unbounded table (with a capacity, an evicted key can be stored
+   again, so [distinct] counts stores). Eviction runs before the store,
+   so the live count never exceeds the cap, even transiently. *)
+let store t key h v =
+  let shard = shard_of t h in
+  Mutex.protect shard.lock @@ fun () ->
+  match find_in t.equal key h (bucket t shard h) with
+  | _ -> ()
+  | exception Not_found ->
+      if shard.count >= t.cap then evict_older_half t shard;
+      let slots = Atomic.get shard.slots in
+      let i = slot_of t h slots in
+      shard.tick <- shard.tick + 1;
+      slots.(i) <-
+        Cons { key; hash = h; value = v; stamp = shard.tick; next = slots.(i) };
+      shard.count <- shard.count + 1;
+      Telemetry.Counter.incr c_distinct;
+      if shard.count > 2 * Array.length slots then grow t shard
+
+let add t key v = store t key (scramble (t.hash key)) v
 
 let find_or_compute t key compute =
-  let h = t.hash key land max_int in
-  let shard = t.shards.(h land t.mask) in
-  Mutex.lock shard.lock;
-  let found =
-    match Hashtbl.find_opt shard.table h with
-    | None -> None
-    | Some b -> bucket_find t.equal key !b
-  in
-  Mutex.unlock shard.lock;
-  match found with
-  | Some v ->
+  let h = scramble (t.hash key) in
+  match find_in t.equal key h (bucket t (shard_of t h) h) with
+  | v ->
       Telemetry.Counter.incr c_hits;
       v
-  | None ->
+  | exception Not_found ->
       Telemetry.Counter.incr c_misses;
       (* The compute is the span-worthy part of a memoised lookup: one
          per distinct work item actually performed. *)
       let v = Telemetry.span "memo.compute" compute in
-      Mutex.lock shard.lock;
-      (* Re-check under the lock: a sibling domain may have stored the
-         key while we were computing. Keep the first stored binding so
-         the table never holds duplicates — [distinct] counts stored
-         bindings and is therefore deterministic for an unbounded
-         table (with a capacity, an evicted key can be re-stored, so
-         [distinct] counts stores). *)
-      (match Hashtbl.find_opt shard.table h with
-      | Some b when Option.is_some (bucket_find t.equal key !b) -> ()
-      | _ -> store_under_lock t shard h key v);
-      Mutex.unlock shard.lock;
+      store t key h v;
       v
 
 (* ------------------------------------------------------------------ *)
@@ -201,17 +253,36 @@ let structural_equal a b = a = b
 
 let mix_int h x = ((h * 131) + x) land max_int
 
-let hash_node_ids (node, (ids : int array)) =
+let hash_parts node (ids : int array) =
   let h = ref (mix_int 0x2545f491 node) in
-  Array.iter (fun x -> h := mix_int !h x) ids;
+  for i = 0 to Array.length ids - 1 do
+    h := mix_int !h ids.(i)
+  done;
   !h
 
-let equal_node_ids (na, (a : int array)) (nb, (b : int array)) =
+let hash_node_ids (node, ids) = hash_parts node ids
+
+(* Top-level loops, not local closures: a probe must allocate nothing. *)
+let rec equal_from (a : int array) (b : int array) i =
+  i < 0 || (a.(i) = b.(i) && equal_from a b (i - 1))
+
+let equal_parts na (a : int array) nb (b : int array) =
   na = nb
   && Array.length a = Array.length b
-  &&
-  let rec go i = i < 0 || (a.(i) = b.(i) && go (i - 1)) in
-  go (Array.length a - 1)
+  && equal_from a b (Array.length a - 1)
+
+let equal_node_ids (na, a) (nb, b) = equal_parts na a nb b
+
+let rec find_parts node ids h = function
+  | Nil -> raise_notrace Not_found
+  | Cons c ->
+      let nb, b = c.key in
+      if c.hash = h && equal_parts node ids nb b then c.value
+      else find_parts node ids h c.next
+
+let find_node_ids t node ids =
+  let h = scramble (hash_parts node ids) in
+  find_parts node ids h (bucket t (shard_of t h) h)
 
 let create_node_ids ?shards ?capacity () =
   create ?shards ?capacity ~hash:hash_node_ids ~equal:equal_node_ids ()

@@ -14,6 +14,12 @@
     (two domains can both miss on a fresh key); the count of distinct
     stored keys is deterministic.
 
+    {b Concurrency}: lookups take no lock and allocate nothing; stores,
+    eviction and growth take the key's shard lock. A lookup racing a
+    store may miss the new key and recompute it (the first stored
+    binding stays), and one racing an eviction may still find the
+    evicted binding — both transparent for pure computes.
+
     Keys are hashed and compared exclusively through the caller-supplied
     functions — never with the polymorphic primitives. Outside
     [lib/runtime], constructing memo tables over decorated keys with
@@ -42,8 +48,9 @@ val create :
   ?capacity:int ->
   hash:('k -> int) -> equal:('k -> 'k -> bool) -> unit ->
   ('k, 'v) t
-(** [shards] (rounded up to a power of two, default 16) mutex-guarded
-    shards; [hash] must respect [equal].
+(** [shards] (rounded up to a power of two, default 16) shards, each
+    a lock for writers and a slot array that doubles as it fills;
+    [hash] must respect [equal].
 
     [capacity] bounds the number of live entries (split evenly across
     shards, at least 2 per shard). When a shard fills, the {e older
@@ -58,13 +65,22 @@ val create :
 
 val find_or_compute : ('k, 'v) t -> 'k -> (unit -> 'v) -> 'v
 (** Return the cached value for an [equal] key, else compute, store and
-    return it. The compute function runs outside the shard lock (two
-    domains may compute the same fresh key concurrently; the first
-    store wins and the table never holds duplicate keys). *)
+    return it. The lookup takes no lock; the compute function runs
+    outside the shard lock (two domains may compute the same fresh key
+    concurrently; the first store wins and the table never holds
+    duplicate keys). Counts into [memo.hits] or [memo.misses], and the
+    compute runs under a [memo.compute] span. *)
+
+val add : ('k, 'v) t -> 'k -> 'v -> unit
+(** Store a binding unless an [equal] key is already stored; the key
+    is retained. Counts nothing but [memo.distinct] (and evictions):
+    callers that probe with {!find_node_ids} count their own hits and
+    misses. *)
 
 val size : ('k, 'v) t -> int
 (** Live entries, summed over shards without taking their locks — a
-    monitoring snapshot, which with a [capacity] never exceeds it. *)
+    monitoring snapshot, which with a [capacity] never exceeds it
+    (a full shard evicts before it stores). *)
 
 val evictions : ('k, 'v) t -> int
 (** Entries dropped by capacity eviction over this table's lifetime. *)
@@ -85,18 +101,14 @@ type stats = {
 
 val run_stats : unit -> stats
 
-val note_hit : unit -> unit
-val note_miss : unit -> unit
-val note_distinct : unit -> unit
-(** Bump the run-scoped counters directly — for decide-once caches
-    implemented outside this module (the read-adaptive restriction
-    scanner) that report into the same tallies. *)
-
 val note_hits : int -> unit
 val note_misses : int -> unit
 val note_distincts : int -> unit
-(** Bulk variants of the above, for caches on hot verdict loops that
-    tally locally and flush once per run. *)
+(** Add to the run-scoped counters directly — for decide-once caches
+    that count outside this module's tables (the decide probes and the
+    read-adaptive restriction scanner in [Locald_local.Runner], and
+    caches on hot verdict loops), which tally locally and flush once
+    per task or run. *)
 
 (** {1 Label-component hashing}
 
@@ -120,3 +132,11 @@ val equal_node_ids : int * int array -> int * int array -> bool
 
 val create_node_ids :
   ?shards:int -> ?capacity:int -> unit -> (int * int array, 'v) t
+
+val find_node_ids : (int * int array, 'v) t -> int -> int array -> 'v
+(** [find_node_ids t node ids] is the value stored for the key
+    [(node, ids)] in a table made by {!create_node_ids}, found without
+    building the key: [ids] may be a scratch buffer, and is neither
+    retained nor copied. Takes no lock, allocates nothing and counts
+    nothing.
+    @raise Not_found when no such key is stored. *)

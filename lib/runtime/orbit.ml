@@ -70,51 +70,50 @@ let unrank ~bound ~k rank =
   done;
   out
 
-let injections_from ~bound ~k ~start =
-  let total = perm ~bound ~k in
-  if start < 0 || start > total then
-    invalid "Orbit.injections_from: start %d outside [0,%d]" start total;
-  (* Each element is unranked independently, so the sequence is
-     persistent (re-forcing a node cannot observe sibling state) and
-     any suffix is as cheap to start as the whole stream. *)
-  let rec from rank () =
-    if rank >= total then Seq.Nil
-    else Seq.Cons (unrank ~bound ~k rank, from (rank + 1))
-  in
-  from start
+(* In-place lexicographic successor. Scanning from the right, the
+   first position whose value can grow to a larger unused value takes
+   the smallest such value, and every position after it takes the
+   smallest unused values in ascending order — the first completion of
+   the new prefix. [used] mirrors [r]'s values throughout, so a step
+   costs O(k * bound) at worst and allocates nothing. *)
+let rec grow_at ~bound r used i =
+  i >= 0
+  &&
+  let old = r.(i) in
+  used.(old) <- false;
+  let c = ref (old + 1) in
+  while !c < bound && used.(!c) do
+    incr c
+  done;
+  if !c >= bound then grow_at ~bound r used (i - 1)
+  else begin
+    r.(i) <- !c;
+    used.(!c) <- true;
+    let next = ref 0 in
+    for j = i + 1 to Array.length r - 1 do
+      while used.(!next) do
+        incr next
+      done;
+      r.(j) <- !next;
+      used.(!next) <- true
+    done;
+    true
+  end
 
-(* Allocation-free variant for the hot quotient scans: same tuples in
-   the same lexicographic order, but the callback receives a single
-   scratch array that is overwritten between calls (copy to retain),
-   and enumeration stops at the first [false]. A million restrictions
-   through the [Seq] version costs a list, an array and a closure chain
-   per tuple; this costs nothing per tuple. *)
+let next_injection ~bound r used = grow_at ~bound r used (Array.length r - 1)
+
+(* The allocation-free scan for the quotient paths: one scratch tuple
+   stepped in place, so the callback sees every tuple through the same
+   array (copy to retain). *)
 let for_all_injections ~bound ~k f =
   if k < 0 then invalid "Orbit.for_all_injections: negative k %d" k;
   if bound < 0 then invalid "Orbit.for_all_injections: negative bound %d" bound;
-  if k > bound then true
-  else begin
-    let r = Array.make k 0 in
-    let used = Array.make bound false in
-    let rec go i =
-      if i = k then f r
-      else begin
-        let ok = ref true in
-        let c = ref 0 in
-        while !ok && !c < bound do
-          if not used.(!c) then begin
-            used.(!c) <- true;
-            r.(i) <- !c;
-            if not (go (i + 1)) then ok := false;
-            used.(!c) <- false
-          end;
-          incr c
-        done;
-        !ok
-      end
-    in
-    go 0
-  end
+  k > bound
+  ||
+  let r = Array.init k Fun.id in
+  let used = Array.init bound (fun c -> c < k) in
+  let rec go () = f r && ((not (next_injection ~bound r used)) || go ()) in
+  go ()
 
 (* ------------------------------------------------------------------ *)
 (* Run-scoped scan accounting                                           *)

@@ -32,13 +32,14 @@ val unrank : bound:int -> k:int -> int -> int array
     shard depending on another's traversal.
     @raise Invalid_argument unless [0 <= rank < perm ~bound ~k]. *)
 
-val injections_from : bound:int -> k:int -> start:int -> int array Seq.t
-(** The suffix of {!injections} beginning at rank [start]: the tuples
-    of ranks [start, start+1, ..., perm ~bound ~k - 1] in order, each
-    freshly allocated. [injections_from ~start:0] enumerates the same
-    tuples in the same order as [injections]. The sequence is
-    persistent. @raise Invalid_argument unless
-    [0 <= start <= perm ~bound ~k]. *)
+val next_injection : bound:int -> int array -> bool array -> bool
+(** [next_injection ~bound r used] steps the injective tuple [r] over
+    [{0..bound-1}] to its successor in {!injections}'s lexicographic
+    order, in place; [used] has length [bound] and marks exactly the
+    values in [r], and the step keeps it so. Returns [false] exactly
+    when [r] is the last tuple, leaving [r] unchanged and [used]
+    cleared. Allocates nothing: the sharded range evaluator unranks a
+    range's first tuple once with {!unrank} and steps from there. *)
 
 val for_all_injections : bound:int -> k:int -> (int array -> bool) -> bool
 (** [for_all_injections ~bound ~k f] applies [f] to every injective

@@ -369,6 +369,144 @@ let prop_memo_transparent =
 
 let quotient_cases = [ QCheck_alcotest.to_alcotest prop_memo_transparent ]
 
+(* ------------------------------------------------------------------ *)
+(* The range evaluator against the LD definition                       *)
+(* ------------------------------------------------------------------ *)
+
+(* Radius 1 and value-reading: a node says no when its id is even and
+   a neighbour holds the next id. Rings and paths reject some
+   assignments and accept others; a clique rejects them all. *)
+let even_then_next =
+  Algorithm.make ~name:"even-then-next" ~radius:1 (fun view ->
+      let me = View.center_id view in
+      not
+        (me mod 2 = 0
+        && Array.exists
+             (fun u -> View.id view u = me + 1)
+             (View.neighbours view view.View.center)))
+
+(* Counts, then the first failure's rank (when [ranked]), ids and
+   verdict, as one string. *)
+let show ?(ranked = true) (correct, wrong, failure) =
+  Printf.sprintf "%d correct, %d wrong, first %s" correct wrong
+    (match failure with
+    | None -> "none"
+    | Some (rank, ids, verdict) ->
+        Format.asprintf "%s[%s] %a"
+          (if ranked then string_of_int rank ^ " " else "")
+          (String.concat ";" (List.map string_of_int (Array.to_list ids)))
+          Verdict.pp verdict)
+
+(* The definition, by brute force: every injective assignment in
+   [Ids.enumerate_injections]'s order, each run through the direct
+   engine (a fresh extraction per node, no preparation, no memo), a
+   run accepting iff every node says yes. *)
+let oracle lg ~bound ~expected =
+  let correct = ref 0 and wrong = ref 0 and first = ref None in
+  Seq.iteri
+    (fun rank ids ->
+      let verdict = Verdict.of_outputs (Runner.run even_then_next lg ~ids) in
+      if Verdict.accepts verdict = expected then incr correct
+      else begin
+        incr wrong;
+        if !first = None then first := Some (rank, Ids.to_array ids, verdict)
+      end)
+    (Ids.enumerate_injections ~n:(Labelled.order lg) ~bound);
+  (!correct, !wrong, !first)
+
+(* [0, total) cut at up to four random points (repeats give empty
+   ranges), each piece evaluated on its own through one preparation
+   and merged as the shard layer merges: counts add, the first piece
+   with a failure has the first failure. *)
+let tiled rng prep lg ~bound ~expected =
+  let total = Locald_runtime.Orbit.perm ~bound ~k:(Labelled.order lg) in
+  let cuts =
+    List.sort compare (List.init 4 (fun _ -> Random.State.int rng (total + 1)))
+  in
+  let bounds = (0 :: cuts) @ [ total ] in
+  let rec pieces acc = function
+    | lo :: (hi :: _ as rest) ->
+        let rv =
+          Decider.evaluate_exhaustive_range ~prep ~bound ~lo ~hi even_then_next
+            ~expected lg
+        in
+        let c, w, f = acc in
+        pieces
+          ( c + rv.Decider.rv_correct,
+            w + rv.Decider.rv_wrong,
+            match f with
+            | Some _ -> f
+            | None ->
+                Option.map
+                  (fun (rank, ids, v) -> (rank, Ids.to_array ids, v))
+                  rv.Decider.rv_failure )
+          rest
+    | _ -> acc
+  in
+  show (pieces (0, 0, None) bounds)
+
+let with_jobs jobs f =
+  Locald_runtime.Pool.set_default_jobs jobs;
+  Fun.protect ~finally:(fun () -> Locald_runtime.Pool.set_default_jobs 1) f
+
+let test_range_matches_oracle () =
+  let rng = Random.State.make [| 0x0ac1e |] in
+  let const g = Labelled.const g 0 in
+  let cases =
+    [
+      (* 40,320 ranks: enough sub-ranges for the pool to fan out. *)
+      ("ring 7", const (Gen.cycle 7), 8, true);
+      ("path 5", const (Gen.path 5), 6, true);
+      ("path 5, expected no", const (Gen.path 5), 5, false);
+      ("star", const (Gen.star 4), 5, true);
+      ("clique", const (Gen.complete 4), 5, true);
+      ("random tree", const (Gen.random_tree rng 6), 6, true);
+      ("random graph", const (Gen.random_connected rng ~n:5 ~p:0.5), 6, true);
+    ]
+  in
+  List.iter
+    (fun (name, lg, bound, expected) ->
+      let ((correct, wrong, _) as truth) = oracle lg ~bound ~expected in
+      if name = "ring 7" then
+        check bool "the ring has accepted and rejected assignments" true
+          (correct > 0 && wrong > 0);
+      List.iter
+        (fun (memo, jobs) ->
+          let where =
+            Printf.sprintf "%s, memo %s, jobs %d" name
+              (Memo.mode_to_string memo) jobs
+          in
+          with_jobs jobs (fun () ->
+              let prep = Runner.prepare ~memo even_then_next lg in
+              check Alcotest.string ("tiled ranges = oracle: " ^ where)
+                (show truth)
+                (tiled rng prep lg ~bound ~expected);
+              List.iter
+                (fun quotient ->
+                  let e =
+                    Decider.evaluate_exhaustive ~quotient ~memo ~bound
+                      even_then_next ~expected ~instance:name lg
+                  in
+                  check Alcotest.string
+                    (Printf.sprintf
+                       "evaluate_exhaustive (quotient %b) = oracle: %s" quotient
+                       where)
+                    (show ~ranked:false truth)
+                    (show ~ranked:false
+                       ( e.Decider.correct,
+                         e.Decider.wrong,
+                         Option.map
+                           (fun (ids, v) -> (0, Ids.to_array ids, v))
+                           e.Decider.failure )))
+                [ true; false ]))
+        [
+          (Memo.Off, 1);
+          (Memo.Exact_ids, 1);
+          (Memo.Off, 2);
+          (Memo.Exact_ids, 2);
+        ])
+    cases
+
 let () =
   Alcotest.run "decision"
     [
@@ -396,6 +534,11 @@ let () =
           Alcotest.test_case "negative with witness" `Quick test_hereditary_negative;
         ] );
       ("quotient", quotient_cases);
+      ( "oracle",
+        [
+          Alcotest.test_case "range evaluator = LD definition" `Quick
+            test_range_matches_oracle;
+        ] );
       ( "nondeterministic",
         [ Alcotest.test_case "beyond LD" `Quick test_nld_beats_ld_here ] );
       ( "lcl",

@@ -6,6 +6,17 @@ open Locald_core
 let check = Alcotest.check
 let bool = Alcotest.bool
 
+(* The row-failure predicate that fails [locald <experiment>]: silent
+   on every real quick row, and naming a hand-built failing row. *)
+let check_failure name failure rows bad =
+  List.iter
+    (fun row ->
+      Option.iter
+        (Alcotest.failf "%s: a real quick row is flagged: %s" name)
+        (failure row))
+    rows;
+  if failure bad = None then Alcotest.failf "%s: a failing row passes" name
+
 let test_table1 () =
   let rows = Experiments.table1 ~quick:true () in
   check Alcotest.int "four cells" 4 (List.length rows);
@@ -23,7 +34,10 @@ let test_table1 () =
   check Alcotest.string "(B,C)" "LD* <> LD" (rel "(B, C)");
   check Alcotest.string "(B,notC)" "LD* <> LD" (rel "(B, notC)");
   check Alcotest.string "(notB,C)" "LD* <> LD" (rel "(notB, C)");
-  check Alcotest.string "(notB,notC)" "LD* = LD" (rel "(notB, notC)")
+  check Alcotest.string "(notB,notC)" "LD* = LD" (rel "(notB, notC)");
+  let c = List.hd rows in
+  check_failure "table1" Report.table1_failure rows
+    { c with evidence = c.evidence @ [ ("a forced check", false) ] }
 
 let test_fig1 () =
   let rows = Experiments.fig1 ~quick:true () in
@@ -35,7 +49,10 @@ let test_fig1 () =
         (Printf.sprintf "arity=%d r=%d t=%d coverage matches prediction" x.arity
            x.r x.t)
         x.expected_full full)
-    rows
+    rows;
+  let x = List.hd rows in
+  check_failure "fig1" Report.fig1_failure rows
+    { x with expected_full = not x.expected_full }
 
 let test_fig2 () =
   let rows = Experiments.fig2 ~quick:true () in
@@ -45,7 +62,9 @@ let test_fig2 () =
       check bool (x.machine ^ " rules pass") true x.rules_ok;
       check bool (x.machine ^ " has fake windows") true (x.fake_windows > 0);
       check bool (x.machine ^ " node count sane") true (x.nodes > x.table_side * x.table_side))
-    rows
+    rows;
+  check_failure "fig2" Report.fig2_failure rows
+    { (List.hd rows) with rules_ok = false }
 
 let test_fig3 () =
   let rows = Experiments.fig3 ~quick:true () in
@@ -56,7 +75,9 @@ let test_fig3 () =
       check bool "overhead < 2" true (x.pyramid_overhead < 2.0);
       check bool "pyramid shortens the diameter for big grids" true
         (x.h <= 1 || x.pyramid_diameter <= x.grid_diameter))
-    rows
+    rows;
+  check_failure "fig3" Report.fig3_failure rows
+    { (List.hd rows) with torus_rejected = false }
 
 let test_corollary1 () =
   let rows = Experiments.corollary1 ~quick:true () in
@@ -86,7 +107,9 @@ let test_fuel_diagonal () =
       check bool (Printf.sprintf "fuel %d fooled" x.fuel) true x.fooled;
       check bool (Printf.sprintf "fuel %d honest within fuel" x.fuel) true
         x.honest_on_fast)
-    rows
+    rows;
+  check_failure "diagonal" Report.diagonal_failure rows
+    { (List.hd rows) with fooled = false }
 
 let test_construction () =
   let rows = Experiments.construction ~quick:true () in
@@ -112,20 +135,26 @@ let test_construction () =
         (Printf.sprintf "gossip messages n=%d" x.n)
         (3 * 2 * 2 * s * (s - 1))
         x.messages)
-    [ 4; 6 ] gossip
+    [ 4; 6 ] gossip;
+  check_failure "construction" Report.construction_failure rows
+    { (List.hd rows) with ok = false }
 
 let test_order_invariance () =
-  List.iter
-    (fun (x : Experiments.oi_row) -> check bool x.check true x.ok)
-    (Experiments.order_invariance ~quick:true ())
+  let rows = Experiments.order_invariance ~quick:true () in
+  List.iter (fun (x : Experiments.oi_row) -> check bool x.check true x.ok) rows;
+  check_failure "oi" Report.oi_failure rows { (List.hd rows) with ok = false }
 
 let test_hereditary () =
+  let rows = Experiments.hereditary ~quick:true () in
   List.iter
     (fun (x : Experiments.hereditary_row) ->
       check bool
         (x.property_name ^ " on " ^ x.instance)
         x.expected_hereditary x.hereditary_looking)
-    (Experiments.hereditary ~quick:true ())
+    rows;
+  let x = List.hd rows in
+  check_failure "hereditary" Report.hereditary_failure rows
+    { x with expected_hereditary = not x.expected_hereditary }
 
 let test_warmups () =
   let rows = Experiments.warmups ~quick:true () in
@@ -133,7 +162,9 @@ let test_warmups () =
   List.iter
     (fun (x : Experiments.warmup_row) ->
       check bool (x.problem ^ " / " ^ x.setting ^ ": " ^ x.check) true x.ok)
-    rows
+    rows;
+  check_failure "warmups" Report.warmups_failure rows
+    { (List.hd rows) with ok = false }
 
 let test_ablations () =
   let rows = Experiments.ablations ~quick:true () in

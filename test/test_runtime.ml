@@ -461,12 +461,12 @@ let prop_scanner_agrees =
       done;
       let v = !v in
       let k = Array.length (Runner.ball_of prep v) in
-      let scan = Runner.restriction_scanner prep v in
+      let scan = Runner.restriction_scanner (Runner.task prep) v in
       let bound = k + 2 in
       QCheck2.assume (Orbit.perm ~bound ~k <= 20_000);
       Orbit.for_all_injections ~bound ~k (fun r ->
           scan r
-          = Runner.decide_restricted prep v (Array.copy r)))
+          = Runner.decide_restricted prep v r))
 
 let prop_decorated_key_hash =
   QCheck2.Test.make ~name:"decorated keys: equal => hash-equal" ~count:200
@@ -518,6 +518,96 @@ let test_canon_uncached_misses () =
   check int "no memo hits" 0 s.Canon.hits;
   check int "every key canonicalised" 3 s.Canon.misses
 
+let with_jobs jobs f =
+  Pool.set_default_jobs jobs;
+  Fun.protect ~finally:(fun () -> Pool.set_default_jobs 1) f
+
+(* ------------------------------------------------------------------ *)
+(* The decide path: lock-free memo reads, in-place range walks         *)
+(* ------------------------------------------------------------------ *)
+
+(* Two domains probe and store one bounded node-id table. Two shards
+   of 256 entries each: a shard grows its 64 slots once it holds 129
+   entries and evicts its older half at 256, and 3,000 distinct keys
+   force both many times over. Whatever the interleaving, a value read
+   back is the pure function of its key, and the live count never
+   passes the capacity. *)
+let test_memo_contention () =
+  let capacity = 512 in
+  let m = Memo.create_node_ids ~shards:2 ~capacity () in
+  let value node ids =
+    (node * 1_000_003) + Array.fold_left (fun a x -> (a * 31) + x) 7 ids
+  in
+  let key i = (i mod 13, [| i / 13; i mod 7; i |]) in
+  let bad = Atomic.make None in
+  let note msg = ignore (Atomic.compare_and_set bad None (Some msg)) in
+  let worker stride () =
+    for round = 0 to 5 do
+      for j = 0 to 2_999 do
+        let i = ((j * stride) + round) mod 3_000 in
+        let node, ids = key i in
+        let got =
+          if (i + round) mod 2 = 0 then
+            match Memo.find_node_ids m node ids with
+            | v -> v
+            | exception Not_found ->
+                let v = value node ids in
+                Memo.add m (node, Array.copy ids) v;
+                v
+          else Memo.find_or_compute m (node, ids) (fun () -> value node ids)
+        in
+        if got <> value node ids then
+          note (Printf.sprintf "key %d read %d" i got);
+        let size = Memo.size m in
+        if size > capacity then
+          note (Printf.sprintf "size %d > %d" size capacity)
+      done
+    done
+  in
+  let other = Domain.spawn (worker 7) in
+  worker 11 ();
+  Domain.join other;
+  (match Atomic.get bad with Some msg -> Alcotest.fail msg | None -> ());
+  if Memo.evictions m <= 0 then Alcotest.fail "expected evictions"
+
+let exhaustive_eval () =
+  match Sweeps.find "exhaustive-decider" with
+  | Some w -> w.Sweeps.w_eval ()
+  | None -> Alcotest.fail "no exhaustive-decider sweep"
+
+(* A warm range is the serve daemon's hot path: every decide a memo
+   hit. Walking it in place allocates per task, not per rank. *)
+let test_warm_range_allocation () =
+  let eval = exhaustive_eval () in
+  Pool.sequential (fun () ->
+      ignore (eval ~lo:0 ~hi:256);
+      let before = Gc.minor_words () in
+      ignore (eval ~lo:0 ~hi:256);
+      let words = Gc.minor_words () -. before in
+      if words >= 16. *. 256. then
+        Alcotest.failf
+          "warm 256-rank range allocated %.0f minor words (%.1f a rank)" words
+          (words /. 256.))
+
+(* Tasks count in private and flush once; the totals must still be
+   one decide per node per rank, each a memo hit or a miss. *)
+let test_range_counters () =
+  let decides = Telemetry.Counter.make "runner.decides" in
+  List.iter
+    (fun jobs ->
+      with_jobs jobs (fun () ->
+          let eval = exhaustive_eval () in
+          Telemetry.new_run ();
+          let lo = 1_000 and hi = 40_313 in
+          ignore (eval ~lo ~hi);
+          let s = Memo.run_stats () in
+          let want = 8 * (hi - lo) in
+          check int (Printf.sprintf "runner.decides at jobs %d" jobs) want
+            (Telemetry.Counter.get decides);
+          check int (Printf.sprintf "memo hits + misses at jobs %d" jobs) want
+            (s.Memo.hits + s.Memo.misses)))
+    [ 1; 2 ]
+
 (* ------------------------------------------------------------------ *)
 (* The decider hoist: per-assignment work extracts no views            *)
 (* ------------------------------------------------------------------ *)
@@ -549,10 +639,6 @@ let test_prepared_runner_no_extraction () =
 (* ------------------------------------------------------------------ *)
 (* Determinism battery: every driver, jobs in {1, 2, 4}, repeated      *)
 (* ------------------------------------------------------------------ *)
-
-let with_jobs jobs f =
-  Pool.set_default_jobs jobs;
-  Fun.protect ~finally:(fun () -> Pool.set_default_jobs 1) f
 
 (* Every registered experiment at its quick parameters and seed 42:
    the fault grid replays exactly too — its rows embed the plans, so
@@ -657,6 +743,14 @@ let () =
         :: Alcotest.test_case "uncached misses" `Quick test_canon_uncached_misses
         :: qcheck_cases );
       ("orbit", orbit_cases);
+      ( "decide path",
+        [
+          Alcotest.test_case "memo under two domains" `Quick
+            test_memo_contention;
+          Alcotest.test_case "warm range allocation" `Quick
+            test_warm_range_allocation;
+          Alcotest.test_case "range counters" `Quick test_range_counters;
+        ] );
       ( "hoist",
         [
           Alcotest.test_case "prepared runner extracts no views per assignment"

@@ -32,23 +32,32 @@ let test_unrank_matches_enumeration () =
       check int "total" (List.length all) (Orbit.perm ~bound ~k:n))
     [ (3, 5); (4, 4); (1, 6); (0, 3) ]
 
-let test_enumerate_from_is_suffix () =
-  let n = 3 and bound = 5 in
-  let all = Array.of_seq (Ids.enumerate_injections ~n ~bound) in
-  let total = Array.length all in
-  List.iter
-    (fun start ->
-      let suffix =
-        Array.of_seq (Ids.enumerate_injections_from ~n ~bound ~start)
-      in
-      check int "suffix length" (total - start) (Array.length suffix);
-      Array.iteri
-        (fun i ids ->
-          check (Alcotest.array int) "suffix element"
-            (Ids.to_array all.(start + i))
-            (Ids.to_array ids))
-        suffix)
-    [ 0; 1; 17; total - 1; total ]
+(* The range evaluator unranks a range's first assignment once and
+   steps from there, so the in-place successor must agree with unrank
+   at every rank, and say when the space runs out. *)
+let test_next_injection_steps () =
+  for bound = 0 to 7 do
+    for k = 0 to bound do
+      let total = Orbit.perm ~bound ~k in
+      for rank = 0 to total - 1 do
+        let r = Orbit.unrank ~bound ~k rank in
+        let used = Array.make bound false in
+        Array.iter (fun x -> used.(x) <- true) r;
+        let stepped = Orbit.next_injection ~bound r used in
+        let where = Printf.sprintf "rank %d (bound=%d k=%d)" rank bound k in
+        if rank + 1 < total then begin
+          check bool ("steps from " ^ where) true stepped;
+          check (Alcotest.array int) ("successor of " ^ where)
+            (Orbit.unrank ~bound ~k (rank + 1))
+            r;
+          check (Alcotest.array bool) ("used bitmap after " ^ where)
+            (Array.init bound (fun x -> Array.mem x r))
+            used
+        end
+        else check bool ("no successor of last " ^ where) false stepped
+      done
+    done
+  done
 
 (* ------------------------------------------------------------------ *)
 (* The chunk partition                                                 *)
@@ -570,8 +579,8 @@ let () =
         [
           Alcotest.test_case "matches enumeration order" `Quick
             test_unrank_matches_enumeration;
-          Alcotest.test_case "enumerate_from is a suffix" `Quick
-            test_enumerate_from_is_suffix;
+          Alcotest.test_case "next_injection steps to rank + 1" `Quick
+            test_next_injection_steps;
         ] );
       ( "plan",
         [ QCheck_alcotest.to_alcotest plan_tiles_exactly ] );
