@@ -87,9 +87,9 @@ let engine_term ?(memo = true) ?(backend = true) () =
       & opt (some mode_conv) None
       & info [ "memo" ] ~docv:"MODE"
           ~doc:
-            "Decide-once memoisation: $(b,off) or $(b,exact) (keys carry \
-             the exact ball-restricted ids). Results do not depend on \
-             this value. Default exact.")
+            "Decide-once memoisation: $(b,off) or $(b,exact) (each node \
+             decides once per distinct value of the id slots its decide \
+             reads). Results do not depend on this value. Default exact.")
   in
   let backend_opt =
     Arg.(
@@ -1244,9 +1244,9 @@ let serve_cmd =
       value & opt int Service.default_memo_capacity
       & info [ "memo-capacity" ] ~docv:"N"
           ~doc:
-            "Bound on each engine's decide-once memo entries (default \
-             65536); overflowing drops the older half. Transparent to \
-             results.")
+            "Bound on each engine's decide-cache entries (default \
+             65536); reaching it drops the engine's whole cache. \
+             Transparent to results.")
   in
   Cmd.v
     (Cmd.info "serve"

@@ -52,9 +52,9 @@ let help = function
       "nondeterministic RNG seeding; thread an explicit Random.State instead"
   | Decorated_key ->
       "raw Hashtbl.hash / polymorphic equality as a decide-once memo key \
-       function outside lib/runtime; use Memo.hash_node_ids/equal_node_ids, \
-       View.fingerprint/equal_repr or a Canon key (Memo.structural_hash / \
-       structural_equal for label components)"
+       function outside lib/runtime; use View.fingerprint/equal_repr or a \
+       Canon key (Memo.structural_hash / structural_equal for label \
+       components)"
   | Domain_race ->
       "module-toplevel mutable state captured in a closure passed to \
        Pool.map/Domain.spawn; mediate with Atomic, Mutex.protect or \

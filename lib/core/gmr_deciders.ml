@@ -144,8 +144,8 @@ module Fast = struct
        The coins are still consumed one draw per node, exactly like
        the uncached decider: coins themselves are never memoised (the
        PR-4 contract), only the deterministic function of the draw is.
-       The reuse reports into the run-scoped memo tallies like the
-       restriction scanner's trie — flushed in bulk after the verdict,
+       The reuse reports into the run-scoped memo tallies like
+       Runner's decide tasks — flushed in bulk after the verdict,
        because this loop runs millions of times per experiment. *)
     let max_level = 62 in
     let outcomes = Bytes.make (max_level + 1) '\000' in

@@ -7,12 +7,12 @@
 
     {b Engine cache.} Each distinct (workload, backend config, memo
     mode) builds one {e engine} — the workload's [w_eval] closure:
-    prepared views plus a decide-once memo table bounded by
-    [memo_capacity]. Engines persist across requests in an LRU cache
-    of at most [max_engines], so repeated workloads hit warm memo
-    tables (the [memo.hits] counter visibly grows across requests —
-    the point of the daemon). Both eviction levels are
-    digest-transparent.
+    prepared views plus a read-adaptive decide cache
+    ({!Locald_local.Runner.prepare}) bounded by [memo_capacity] leaves.
+    Engines persist across requests in an LRU cache of at most
+    [max_engines], so repeated workloads hit warm caches (the
+    [memo.hits] counter visibly grows across requests — the point of
+    the daemon). Both eviction levels are digest-transparent.
 
     {b Per-request config, never ambient.} The daemon's backend and
     memo mode are given once to {!create}; a request's [backend] /

@@ -36,11 +36,13 @@ type workload = {
     unit ->
     lo:int -> hi:int -> Locald_runtime.Shard.chunk_result;
       (** [w_eval ()] builds the instance, prepared views and
-          decide-once memo once; the returned closure evaluates rank
-          ranges against them. Single-process state: build one per
-          shard process (or one per serve-daemon engine, shared across
-          requests — the memo table is the cross-request cache, so
-          long-lived holders should pass [memo_capacity]).
+          read-adaptive decide cache ({!Locald_local.Runner.prepare})
+          once; the returned closure evaluates rank ranges against
+          them, and any domain may call it. Single-process state:
+          build one per shard process (or one per serve-daemon engine,
+          shared across requests — the decide cache is the
+          cross-request cache, so long-lived holders should pass
+          [memo_capacity], a bound on its leaves).
 
           The optional config is {e per-request}: [backend]
           overrides the workload's construction-time backend (else

@@ -40,8 +40,8 @@ let evaluate ?backend ?(memo = Memo.Exact_ids) ~rng ~regime ~assignments alg
   let n = Locald_graph.Labelled.order lg in
   (* The ball structure is id-independent: extract every view once and
      only re-decorate per assignment (see Runner.prepare). The decide
-     itself is memoised per (node, ball restriction) — transparent for
-     the pure deciders this module is specified for. *)
+     itself goes through the preparation's read-adaptive cache —
+     transparent for the pure deciders this module is specified for. *)
   let prep = Runner.prepare ~memo ?backend alg lg in
   Telemetry.span "decider.tally" @@ fun () ->
   (* One pool task per assignment: its own Runner task and output
@@ -85,8 +85,8 @@ let evaluate ?backend ?(memo = Memo.Exact_ids) ~rng ~regime ~assignments alg
    per-shard firsts merge into the global first by a minimum. Always
    the naive enumeration — the quotient scan decides the whole space at
    once and cannot be restricted to a rank interval — but through the
-   same prepared views and decide-once memo, so decides repeat across
-   chunks at memo cost. *)
+   same prepared views and decide cache, so decides repeat across
+   chunks at cache cost. *)
 type range_evaluation = {
   rv_lo : int;
   rv_hi : int;
@@ -98,7 +98,7 @@ type range_evaluation = {
 (* One pool task: ranks [lo, hi) walked in place. The first assignment
    is unranked once, every later one is its predecessor's in-place
    successor, and every node's output lands in one reused array, so a
-   rank whose decides all hit the memo allocates nothing. The task's
+   rank whose decides all hit the cache allocates nothing. The task's
    first failure is built from that array: no decide is repeated. *)
 let walk_ranks prep ~bound ~n ~expected ~lo ~hi =
   let task = Runner.task prep in
@@ -174,7 +174,7 @@ let evaluate_exhaustive_range ?prep ?backend ?(memo = Memo.Exact_ids)
    the scan certifies all-accept, the tallies follow by arithmetic and
    are byte-identical to the naive loop's; any rejection instead falls
    back transparently to the naive loop — the range evaluator over
-   every rank — whose memo table the scan has already partly
+   every rank — whose decide cache the scan has already partly
    warmed. *)
 let evaluate_exhaustive ?(quotient = true) ?backend ?(memo = Memo.Exact_ids)
     ?memo_capacity ~bound alg ~expected ~instance lg =
@@ -203,16 +203,17 @@ let evaluate_exhaustive ?(quotient = true) ?backend ?(memo = Memo.Exact_ids)
     let v = ref 0 in
     let task = Runner.task prep in
     while !all_accept && !v < n do
-      let k = Array.length (Runner.ball_of prep !v) in
-      (* Read-adaptive scan: each distinct behaviour of the decide on
-         this ball is computed once; restrictions that agree on the id
-         slots the decide actually reads are trie lookups. *)
-      let scan = Runner.restriction_scanner task !v in
+      let node = !v in
+      let k = Array.length (Runner.ball_of prep node) in
+      (* Through the preparation's read-adaptive cache: each distinct
+         behaviour of the decide on this ball is computed once, and
+         restrictions that agree on the id slots it reads are trie
+         walks. *)
       let scanned = ref 0 in
       all_accept :=
         Orbit.for_all_injections ~bound ~k (fun r ->
             incr scanned;
-            scan r);
+            Runner.decide task node r);
       Orbit.add_scanned !scanned;
       incr v
     done;

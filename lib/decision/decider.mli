@@ -20,7 +20,15 @@
     point, default [Sync]; the fault-injected entry points below
     always use the engine their plan semantics are defined over) and
     in any decide-once memo mode (the [?memo] of each entry point,
-    default [Exact_ids]; see {!Locald_local.Runner.prepare}). *)
+    default [Exact_ids]; see {!Locald_local.Runner.prepare}).
+
+    Every decide of every entry point here except the fault-injected
+    ones goes through the preparation's one read-adaptive decide
+    cache ({!Locald_local.Runner.decide}): the sampled assignments,
+    the range walks and the quotient scan share it, so the scan warms
+    the naive fallback, and [Off] turns it off everywhere. A decide
+    that misses runs once under the access monitor; later restrictions
+    that agree on the id slots it read reuse its output. *)
 
 open Locald_graph
 open Locald_local
@@ -80,8 +88,9 @@ val evaluate_exhaustive :
     [quotient:false] and the fallback are {!evaluate_exhaustive_range}
     over every rank.
     [memo] / [memo_capacity] configure the implicit preparation's
-    decide-once table (default [Exact_ids], unbounded). Both memo
-    modes are digest-transparent. *)
+    decide cache (default [Exact_ids], unbounded); with [Off] the
+    quotient scan, too, decides every restriction. Both memo modes
+    are digest-transparent. *)
 
 type range_evaluation = {
   rv_lo : int;
@@ -118,10 +127,10 @@ val evaluate_exhaustive_range :
     next one in place ({!Locald_runtime.Orbit.next_injection}), decides
     every node into one reused output array through one
     {!Locald_local.Runner.task}, and builds its first failure's witness
-    from that array. A rank whose decides all hit the memo allocates
-    nothing, and each task adds its decide and memo counts to the run
+    from that array. A rank whose decides all hit the cache allocates
+    nothing, and each task adds its decide and cache counts to the run
     once. Pass [prep] to share one
-    prepared-view/memo structure across many ranges within a process;
+    prepared-view/cache structure across many ranges within a process;
     without it, [memo] / [memo_capacity] configure the implicit
     preparation as in {!evaluate_exhaustive}.
     @raise Invalid_argument on a range outside [\[0, total\]]. *)

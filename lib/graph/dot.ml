@@ -24,11 +24,13 @@ let of_labelled ?name ~pp_label lg =
     (Labelled.graph lg)
 
 let of_view ?name ~pp_label (view : 'a View.t) =
+  (* Through the accessor, so a monitor sees the id read. *)
+  let ids = View.ids view in
   render ?name
     ~node_attrs:(fun v ->
       let label = Format.asprintf "%a" pp_label view.View.labels.(v) in
       let id_part =
-        match view.View.ids with
+        match ids with
         | Some ids -> Printf.sprintf " id=%d" ids.(v)
         | None -> ""
       in

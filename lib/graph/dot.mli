@@ -14,4 +14,5 @@ val of_view :
   pp_label:(Format.formatter -> 'a -> unit) ->
   'a View.t ->
   string
-(** The centre is highlighted; identifiers (when present) are shown. *)
+(** The centre is highlighted; identifiers (when present) are shown,
+    and reported to an installed monitor as one bulk id read. *)

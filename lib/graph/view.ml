@@ -66,7 +66,9 @@ type installed = {
 let monitor_slot : installed option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 
-let monitored () = !(Domain.DLS.get monitor_slot) <> None
+(* On every cached decide: a match, not a polymorphic comparison. *)
+let monitored () =
+  match !(Domain.DLS.get monitor_slot) with Some _ -> true | None -> false
 
 let with_monitor mon f =
   let slot = Domain.DLS.get monitor_slot in
@@ -105,8 +107,8 @@ let note_id view v ids =
           input = inst.mon.input_ids ids;
         })
 
-let note_ids _view ids =
-  note _view (fun inst _ -> Ids_read { input = inst.mon.input_ids ids })
+let note_ids view ids =
+  note view (fun inst _ -> Ids_read { input = inst.mon.input_ids ids })
 
 let note_label view v =
   note view (fun inst view -> Label_read { node = v; depth = depth_of inst view v })
@@ -301,9 +303,11 @@ let reassign_ids view ids =
    labels (through the caller's label hash) and the id decoration when
    present. This is deliberately NOT an isomorphism invariant: it is the
    hash side of {!equal_repr}, for memo tables keyed by concrete
-   decorated views. Reads go through the raw fields (we are the module
-   that owns them), so computing a fingerprint never registers as an
-   algorithm access. *)
+   decorated views. Its id reads, like [equal_repr]'s and [pp]'s, are
+   reported as bulk reads: a decide that digests, compares or prints
+   its view depends on every id, and the read-adaptive decide cache
+   and the certifier must see that. Structure and label reads are not
+   reported. *)
 let fingerprint hash_label view =
   let h = ref 0x9e3779b9 in
   let mix x = h := ((!h * 131) + x) land max_int in
@@ -316,26 +320,36 @@ let fingerprint hash_label view =
     Graph.iter_neighbours mix g v
   done;
   Array.iter (fun l -> mix (hash_label l)) view.labels;
-  (match view.ids with
+  (match ids view with
   | None -> mix 0
   | Some ids ->
       mix 1;
       Array.iter mix ids);
   !h
 
+let equal_ids a b =
+  match (a.ids, b.ids) with
+  | Some x, Some y ->
+      note_ids a x;
+      note_ids b y;
+      x = y
+  | None, None -> true
+  | Some _, None | None, Some _ -> false
+
 let equal_repr eq a b =
   a.center = b.center && a.radius = b.radius
   && Graph.equal a.graph b.graph
   && Array.for_all2 eq a.labels b.labels
-  && a.ids = b.ids
+  && equal_ids a b
 
 let pp pp_label ppf view =
   Format.fprintf ppf "@[<v 2>view(centre=%d, radius=%d) %a" view.center
     view.radius Graph.pp view.graph;
+  let ids = ids view in
   Array.iteri
     (fun v x ->
       Format.fprintf ppf "@ x(%d)=%a%t" v pp_label x (fun ppf ->
-          match view.ids with
+          match ids with
           | Some ids -> Format.fprintf ppf " id=%d" ids.(v)
           | None -> ()))
     view.labels;

@@ -17,8 +17,11 @@
     e.g. by the simulation [A*] re-assigning ids before re-deciding).
     Reads through the raw record fields bypass the monitor; the
     [locald analyze] rule [naked-ids-access] therefore bans [.ids] field
-    access outside [lib/graph] and [lib/analysis], making identifier
-    reads exhaustively mediated. *)
+    access outside [lib/graph] and [lib/analysis], and every function
+    here and in {!Dot} that reads id values ({!fingerprint},
+    {!equal_repr}, {!pp}, [Dot.of_view]) reports them, making
+    identifier reads exhaustively mediated. The read-adaptive decide
+    cache of [Locald_local.Runner] relies on that for soundness. *)
 
 type 'a t = private {
   center : int;           (** index of the view's root *)
@@ -194,7 +197,8 @@ val reassign_ids : 'a t -> int array -> 'a t
 
 val equal_repr : ('a -> 'a -> bool) -> 'a t -> 'a t -> bool
 (** Equality of concrete representations; use {!Iso.views_isomorphic}
-    for equality up to isomorphism. *)
+    for equality up to isomorphism. When it compares two id arrays it
+    reports a bulk id read of each to an installed monitor. *)
 
 val fingerprint : ('a -> int) -> 'a t -> int
 (** [fingerprint hash_label view] is a structural digest of the {e
@@ -203,7 +207,9 @@ val fingerprint : ('a -> int) -> 'a t -> int
     hash companion of {!equal_repr} — [equal_repr eq a b] implies equal
     fingerprints whenever [eq x y] implies [hash_label x = hash_label y]
     — and is what memo tables keyed by concrete decorated views should
-    hash with. It is {e not} an isomorphism invariant, and computing it
-    does not register any access with an installed monitor. *)
+    hash with. It is {e not} an isomorphism invariant. A view's ids,
+    when present, are reported to an installed monitor as one bulk id
+    read; its structure and label reads are not reported. *)
 
 val pp : (Format.formatter -> 'a -> unit) -> Format.formatter -> 'a t -> unit
+(** Prints the ids, when present, as one bulk id read. *)

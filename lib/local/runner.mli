@@ -14,7 +14,16 @@
     backends here decide through {!Algorithm.named_decide}, which
     attributes an id read on an id-free view to the algorithm that
     made it ({!Fault_runner} degrades a raising decide to [Unknown]
-    instead). *)
+    instead).
+
+    The quantifying paths go through a {!prepared} instance, whose
+    views are extracted once, and through its one decide, {!decide}:
+    the range walks, sampled assignments, {!run_prepared},
+    {!decide_restricted} and the quotient scan alike. With a cache
+    (the [memo] of {!prepare}) each node is decided once per distinct
+    value of the id slots its decide reads, recorded by the access
+    monitor; that is sound for pure decides whose id reads all go
+    through [View]'s accessors. *)
 
 open Locald_graph
 
@@ -48,19 +57,24 @@ val prepare :
     identifiers; the resulting (view, ball map) pairs are
     representation-identical either way).
 
-    [memo] (default [Off]) attaches a decide-once table: every decide
-    through this preparation is keyed by (node, ball id-restriction)
-    and computed at most once per distinct key. For pure decide
-    functions this is observationally transparent — byte-identical
-    outputs at any [--jobs], with the memo on or off; deciders that are
-    {e not} pure functions of their view (e.g. per-node randomness)
-    must keep the default.
+    [memo] (default [Off]) attaches the read-adaptive decide cache
+    ({!Locald_runtime.Memo.Trie}) that every decide through this
+    preparation goes through: a decide that misses runs under a
+    recording access monitor, and its output is reused for every later
+    restriction of that node's ball that agrees on the id slots it
+    read. So a node is decided once per distinct value of the slots it
+    reads — once per distinct restriction for a decide that reads them
+    all. For pure decide functions whose id reads all go through
+    [View]'s accessors this is observationally transparent —
+    byte-identical outputs at any [--jobs], with the memo on or off;
+    deciders that are {e not} pure functions of their view (e.g.
+    per-node randomness) must keep the default.
 
-    [memo_capacity] bounds the attached table's live entries
-    ({!Locald_runtime.Memo.create}'s [capacity]); eviction recomputes
-    dropped keys and never changes outputs. Long-lived preparations —
-    the serve daemon's cross-request engines — always pass a bound;
-    one-shot runs default to unbounded. *)
+    [memo_capacity] bounds the cache's stored leaves; reaching it
+    drops every node's trie, which recomputes dropped behaviours and
+    never changes outputs. Long-lived preparations — the serve
+    daemon's cross-request engines — always pass a bound; one-shot runs
+    default to unbounded. *)
 
 val prepared_size : ('a, 'o) prepared -> int
 (** Order of the underlying graph. *)
@@ -72,8 +86,8 @@ val ball_of : ('a, 'o) prepared -> int -> int array
 
 type ('a, 'o) task
 (** Per-task decide state over one preparation: a scratch restriction
-    buffer per node, and the task's counts of decides, memo hits and
-    memo misses, which reach the run's [runner.decides], [memo.hits]
+    buffer per node, and the task's counts of decides, cache hits and
+    cache misses, which reach the run's [runner.decides], [memo.hits]
     and [memo.misses] only at {!flush}. A task is single-domain: make
     one per pool task. *)
 
@@ -82,46 +96,32 @@ val task : ('a, 'o) prepared -> ('a, 'o) task
 val flush : ('a, 'o) task -> unit
 (** Add the task's counts to the run's counters and zero them. *)
 
+val decide : ('a, 'o) task -> int -> int array -> 'o
+(** [decide task v r] decides node [v] under the ball-restricted id
+    assignment [r] ([r.(i)] is the id of view-local node [i] — the
+    restriction of a global assignment along {!ball_of}; it must be
+    injective). This is the one decide every path below goes through.
+    With a cache, a hit walks [v]'s trie over [r] and allocates
+    nothing, takes no lock and writes no shared cell; a miss decides a
+    copy of [r] under a recording monitor inside a [memo.compute] span
+    and stores the output. Under an installed monitor (a trace of the
+    decide itself) it decides directly, so the trace sees every read.
+    [r] may be a scratch buffer: the decide sees only a copy. *)
+
 val decide_all : ('a, 'o) task -> int array -> 'o array -> unit
 (** [decide_all task ids out] decides every node under the global
     assignment [ids] (indexed by node; [ids] must be injective and is
     neither retained nor copied) and writes node [v]'s output to
-    [out.(v)]. Each node's restriction is filled into the task's
-    buffer and looked up in the memo in place, so a decide answered by
-    the memo allocates nothing, takes no lock and writes no shared
-    counter; the restriction is copied only on a miss, for the table
-    and the view. *)
+    [out.(v)]: {!decide} on each node's restriction, filled into the
+    task's buffer. *)
 
 val decide_restricted : ('a, 'o) prepared -> int -> int array -> 'o
-(** [decide_restricted prep v r] decides node [v] under the
-    ball-restricted id assignment [r] ([r.(i)] is the id of view-local
-    node [i] — the restriction of a global assignment along
-    {!ball_of}; it must be injective). It goes through the same probe
-    as {!decide_all}, counted and flushed at once. [r] need not be
-    fresh: it is copied if the memo stores it or a decide sees it, so
-    the caller may overwrite it afterwards. *)
-
-val restriction_scanner : ('a, 'o) task -> int -> int array -> 'o
-(** [restriction_scanner task v] is a stateful decide function for
-    scanning node [v] over many ball restrictions (same calling
-    convention as {!decide_restricted}; the restriction array may be a
-    reused scratch buffer). It caches decide outputs in a read-adaptive
-    decision trie: each real decide runs under an access monitor that
-    records which id slots it read, and any later restriction agreeing
-    on exactly those slots reuses the output without deciding at all —
-    for a decide that reads, say, only the centre id, an entire
-    [perm bound k] scan costs [bound] real decides. Requires a pure
-    decide (the decide-once contract); bulk id reads or replay
-    inconsistencies degrade transparently to direct decides. The
-    returned closure is single-domain state for one sequential scan —
-    do not share it across domains; under an installed monitor it
-    degrades to direct decides so traces stay faithful. Decides, trie
-    hits and misses count into [task] (flush it after the scan);
-    stored behaviours count into [memo.distinct] at once. *)
+(** [decide_restricted prep v r] is {!decide} on a fresh task, counted
+    and flushed at once. *)
 
 val run_prepared : ('a, 'o) prepared -> ids:Ids.t -> 'o array
 (** Exactly [run alg lg ~ids], but with the per-assignment view
-    extraction hoisted out (and decides routed through the memo when
+    extraction hoisted out (and decides routed through the cache when
     one was requested at {!prepare}) — {!decide_all} on a fresh task,
     flushed before it returns.
     @raise Ids.Invalid_ids if the assignment has the wrong size. *)

@@ -1,15 +1,14 @@
-(* Decide-once memoisation: a sharded concurrent table for the
-   enumeration kernel.
+(* Decide-once memoisation: a sharded concurrent table for generic
+   keys, and the read-adaptive decide cache every decide path of
+   [Locald_local.Runner] goes through.
 
-   The table maps decoration keys (a node index plus the id restriction
-   of the ball) to decide outputs, so quantifying over n! global
-   assignments performs work proportional to the number of *distinct*
-   decorated balls actually seen. Shards are selected by key hash. Each
-   shard is a mutex plus a power-of-two array of immutable bucket lists,
-   published through an [Atomic.t]; collisions are resolved by the
-   caller's equality (the polymorphic primitives are never applied to
-   keys, which is also what the [decorated-key] analyze rule enforces
-   outside this library).
+   The table maps caller-hashed keys (certify's simulation cache, the
+   tree coverage's apex cache) to computed values. Shards are selected
+   by key hash. Each shard is a mutex plus a power-of-two array of
+   immutable bucket lists, published through an [Atomic.t]; collisions
+   are resolved by the caller's equality (the polymorphic primitives
+   are never applied to keys, which is also what the [decorated-key]
+   analyze rule enforces outside this library).
 
    Reads take no lock and allocate nothing: they load the shard's array
    and walk one bucket. Stores, eviction and growth run under the shard
@@ -23,11 +22,13 @@
 
    Semantic transparency contract: [find_or_compute t k f] returns a
    value [f ()] returned on some call with an [equal]-equal key. For
-   pure [f] (all the repo's deciders on a fixed view) the result is
-   indistinguishable from calling [f] every time — digests are
-   byte-identical with the memo on or off, at any job count. Hit/miss
-   totals may race under parallel fan-out (two domains can miss on the
-   same key); the number of distinct keys stored is deterministic. *)
+   pure [f] the result is indistinguishable from calling [f] every
+   time — digests are byte-identical with the memo on or off, at any
+   job count. Hit/miss totals may race under parallel fan-out (two
+   domains can miss on the same key); the number of distinct keys
+   stored is deterministic. The decide cache ([Trie], at the end of
+   this file) keeps the same discipline with per-node tries in place
+   of buckets. *)
 
 type mode = Off | Exact_ids
 
@@ -57,11 +58,10 @@ let run_stats () =
     distinct = Telemetry.Counter.get c_distinct;
   }
 
-(* For decide-once caches that count outside this module's tables
-   (the read-adaptive scanner and the decide probes in
-   [Locald_local.Runner], Gmr_deciders' coin-draw cache) but report
-   into the same run-scoped tallies. Hot loops tally locally and flush
-   once per task or run, so these are bulk adds. *)
+(* For decide-once caches that count their own hits and misses (the
+   decide tasks of [Locald_local.Runner], Gmr_deciders' coin-draw
+   cache) but report into the same run-scoped tallies. Hot loops tally
+   locally and flush once per task or run, so these are bulk adds. *)
 let note_hits n = Telemetry.Counter.add c_hits n
 let note_misses n = Telemetry.Counter.add c_misses n
 let note_distincts n = Telemetry.Counter.add c_distinct n
@@ -135,9 +135,9 @@ let evictions t = Atomic.get t.s_evictions
    test uses this serves. *)
 let size t = Array.fold_left (fun acc s -> acc + s.count) 0 t.shards
 
-(* Callers' hashes can be weak in the low bits (the node-ids hash is a
-   polynomial in small ids); a multiply and a fold bring every input
-   bit down to the bits that pick the shard and the slot. *)
+(* Callers' hashes can be weak in the low bits; a multiply and a fold
+   bring every input bit down to the bits that pick the shard and the
+   slot. *)
 let scramble h =
   let h = h * 0x2545f4914f6cdd1d in
   (h lxor (h lsr 31)) land max_int
@@ -220,8 +220,6 @@ let store t key h v =
       Telemetry.Counter.incr c_distinct;
       if shard.count > 2 * Array.length slots then grow t shard
 
-let add t key v = store t key (scramble (t.hash key)) v
-
 let find_or_compute t key compute =
   let h = scramble (t.hash key) in
   match find_in t.equal key h (bucket t (shard_of t h) h) with
@@ -248,41 +246,97 @@ let find_or_compute t key compute =
 let structural_hash x = Hashtbl.hash x
 let structural_equal a b = a = b
 
-(* The standard key shape for decide-once memoisation: a node index
-   plus the id restriction to its ball. *)
+(* ------------------------------------------------------------------ *)
+(* The read-adaptive decide cache                                      *)
+(* ------------------------------------------------------------------ *)
 
-let mix_int h x = ((h * 131) + x) land max_int
+(* A decide's output on a fixed ball depends on the restriction only
+   through the id values it reads, so each node has a trie that
+   branches on the slots it read, in first-read order (memo.mli). The
+   concurrency is the table's with a root per node in place of a
+   bucket array: lookups load a root and walk immutable nodes; stores
+   path-copy under the one lock and publish the new root. *)
+module Trie = struct
+  type 'v node =
+    | Empty
+    | Leaf of 'v
+    | Branch of { slot : int; keys : int array; kids : 'v node array }
 
-let hash_parts node (ids : int array) =
-  let h = ref (mix_int 0x2545f491 node) in
-  for i = 0 to Array.length ids - 1 do
-    h := mix_int !h ids.(i)
-  done;
-  !h
+  type 'v t = {
+    roots : 'v node Atomic.t array;
+    lock : Mutex.t;
+    cap : int;
+    mutable leaves : int;  (* under [lock] *)
+  }
 
-let hash_node_ids (node, ids) = hash_parts node ids
+  let create ?capacity nodes =
+    {
+      roots = Array.init nodes (fun _ -> Atomic.make Empty);
+      lock = Mutex.create ();
+      cap = (match capacity with None -> max_int | Some c -> max 1 c);
+      leaves = 0;
+    }
 
-(* Top-level loops, not local closures: a probe must allocate nothing. *)
-let rec equal_from (a : int array) (b : int array) i =
-  i < 0 || (a.(i) = b.(i) && equal_from a b (i - 1))
+  (* The index of [x] among a branch's keys, or -1. A branch has at
+     most one key per id value the decide saw in its slot. *)
+  let rec index (keys : int array) x i =
+    if i = Array.length keys then -1
+    else if keys.(i) = x then i
+    else index keys x (i + 1)
 
-let equal_parts na (a : int array) nb (b : int array) =
-  na = nb
-  && Array.length a = Array.length b
-  && equal_from a b (Array.length a - 1)
+  let rec walk node (r : int array) =
+    match node with
+    | Leaf v -> v
+    | Empty -> raise_notrace Not_found
+    | Branch b ->
+        let i = index b.keys r.(b.slot) 0 in
+        if i < 0 then raise_notrace Not_found else walk b.kids.(i) r
 
-let equal_node_ids (na, a) (nb, b) = equal_parts na a nb b
+  let find t node r = walk (Atomic.get t.roots.(node)) r
 
-let rec find_parts node ids h = function
-  | Nil -> raise_notrace Not_found
-  | Cons c ->
-      let nb, b = c.key in
-      if c.hash = h && equal_parts node ids nb b then c.value
-      else find_parts node ids h c.next
+  (* The path of a decide that read [reads.(i ..)] of [r]. *)
+  let rec chain (r : int array) reads i v =
+    if i = Array.length reads then Leaf v
+    else
+      let s = reads.(i) in
+      Branch { slot = s; keys = [| r.(s) |]; kids = [| chain r reads (i + 1) v |] }
 
-let find_node_ids t node ids =
-  let h = scramble (hash_parts node ids) in
-  find_parts node ids h (bucket t (shard_of t h) h)
+  (* [node] with the path of [reads.(i ..)] grafted in, copied from
+     here down; [Exit] when the path meets a leaf or leaves the stored
+     branches. *)
+  let rec graft node r reads i v =
+    match node with
+    | Empty -> chain r reads i v
+    | Leaf _ -> raise_notrace Exit
+    | Branch b ->
+        if i = Array.length reads || reads.(i) <> b.slot then raise_notrace Exit;
+        let x = r.(b.slot) in
+        let j = index b.keys x 0 in
+        if j >= 0 then begin
+          let kids = Array.copy b.kids in
+          kids.(j) <- graft b.kids.(j) r reads (i + 1) v;
+          Branch { b with kids }
+        end
+        else
+          Branch
+            {
+              b with
+              keys = Array.append b.keys [| x |];
+              kids = Array.append b.kids [| chain r reads (i + 1) v |];
+            }
 
-let create_node_ids ?shards ?capacity () =
-  create ?shards ?capacity ~hash:hash_node_ids ~equal:equal_node_ids ()
+  let store t node r ~reads v =
+    Mutex.protect t.lock @@ fun () ->
+    match graft (Atomic.get t.roots.(node)) r reads 0 v with
+    | exception Exit -> ()
+    | root ->
+        if t.leaves >= t.cap then begin
+          Array.iter (fun a -> Atomic.set a Empty) t.roots;
+          Telemetry.Counter.add c_evictions t.leaves;
+          t.leaves <- 0;
+          Atomic.set t.roots.(node) (chain r reads 0 v)
+        end
+        else Atomic.set t.roots.(node) root;
+        t.leaves <- t.leaves + 1;
+        Telemetry.Counter.incr c_distinct
+end

@@ -1,11 +1,13 @@
 (** Decide-once memoisation: sharded concurrent tables keyed by
-    decorated-ball keys.
+    caller-hashed keys, and the read-adaptive decide cache ({!Trie})
+    that every decide of [Locald_local.Runner] goes through.
 
     The locality correspondence (Section 1.2) makes a node's output a
     function of its decorated ball — structure, labels and the id
-    restriction. Exhaustive quantification over global assignments
-    therefore repeats the same decides massively; these tables collapse
-    the repetition to one decide per {e distinct} key.
+    restriction — and, for a pure decide, of only the id values it
+    reads. Exhaustive quantification over global assignments therefore
+    repeats the same decides massively; these caches collapse the
+    repetition to one decide per {e distinct} behaviour.
 
     {b Transparency contract}: for pure compute functions,
     [find_or_compute] is observationally identical to computing every
@@ -31,7 +33,8 @@
 type mode =
   | Off  (** no memoisation: every decide recomputes *)
   | Exact_ids
-      (** keys carry the exact restricted ids (the default) *)
+      (** one decide per distinct value of the id slots a decide
+          reads ({!Trie}; the default) *)
 
 val mode_to_string : mode -> string
 
@@ -71,12 +74,6 @@ val find_or_compute : ('k, 'v) t -> 'k -> (unit -> 'v) -> 'v
     duplicate keys). Counts into [memo.hits] or [memo.misses], and the
     compute runs under a [memo.compute] span. *)
 
-val add : ('k, 'v) t -> 'k -> 'v -> unit
-(** Store a binding unless an [equal] key is already stored; the key
-    is retained. Counts nothing but [memo.distinct] (and evictions):
-    callers that probe with {!find_node_ids} count their own hits and
-    misses. *)
-
 val size : ('k, 'v) t -> int
 (** Live entries, summed over shards without taking their locks — a
     monitoring snapshot, which with a [capacity] never exceeds it
@@ -105,10 +102,9 @@ val note_hits : int -> unit
 val note_misses : int -> unit
 val note_distincts : int -> unit
 (** Add to the run-scoped counters directly — for decide-once caches
-    that count outside this module's tables (the decide probes and the
-    read-adaptive restriction scanner in [Locald_local.Runner], and
-    caches on hot verdict loops), which tally locally and flush once
-    per task or run. *)
+    that count their own hits and misses (the decide tasks of
+    [Locald_local.Runner], and caches on hot verdict loops), which
+    tally locally and flush once per task or run. *)
 
 (** {1 Label-component hashing}
 
@@ -123,20 +119,43 @@ val note_distincts : int -> unit
 val structural_hash : 'a -> int
 val structural_equal : 'a -> 'a -> bool
 
-(** {1 The standard decide-once key}
+(** {1 The read-adaptive decide cache}
 
-    A node index plus the id restriction of its ball. *)
+    One trie per node of a prepared instance. A branch tests one slot
+    of the ball restriction, a leaf holds a decide's output: a decide
+    that read slots [s1, s2, ...] (in first-read order) of a
+    restriction [r] is stored along the path [r.(s1), r.(s2), ...], and
+    any restriction that agrees on those slots walks to it. Sound for
+    pure decides whose id reads all go through [View]'s monitored
+    accessors (DESIGN.md §3e).
 
-val hash_node_ids : int * int array -> int
-val equal_node_ids : int * int array -> int * int array -> bool
+    Trie nodes are immutable and each node's root is published through
+    an [Atomic.t]: a lookup racing a store or an eviction reads the old
+    root or the new one, and may decide again or find a dropped leaf,
+    both transparent for pure decides. *)
+module Trie : sig
+  type 'v t
 
-val create_node_ids :
-  ?shards:int -> ?capacity:int -> unit -> (int * int array, 'v) t
+  val create : ?capacity:int -> int -> 'v t
+  (** [create ?capacity nodes] is an empty cache with one trie per
+      node [0 .. nodes - 1]. [capacity] (default unbounded) bounds the
+      stored leaves: a store that would pass it first drops every
+      node's trie, adding the dropped leaves to [memo.evictions]. *)
 
-val find_node_ids : (int * int array, 'v) t -> int -> int array -> 'v
-(** [find_node_ids t node ids] is the value stored for the key
-    [(node, ids)] in a table made by {!create_node_ids}, found without
-    building the key: [ids] may be a scratch buffer, and is neither
-    retained nor copied. Takes no lock, allocates nothing and counts
-    nothing.
-    @raise Not_found when no such key is stored. *)
+  val find : 'v t -> int -> int array -> 'v
+  (** [find t node r] is the output stored on [node]'s path through
+      the restriction [r] ([r.(i)] decorates view slot [i]). [r] may
+      be a scratch buffer: it is neither retained nor copied. Takes no
+      lock, allocates nothing and counts nothing.
+      @raise Not_found when no stored decide agrees with [r] on the
+      slots it read. *)
+
+  val store : 'v t -> int -> int array -> reads:int array -> 'v -> unit
+  (** [store t node r ~reads v] records that a decide of [node] under
+      [r], which read the distinct slots [reads] in that order,
+      returned [v]. It path-copies under one mutex after re-walking
+      the current trie, and stores nothing when a leaf already covers
+      [r] (another domain stored first; its binding stays) or when
+      [reads] leaves the stored branches (an impure decide). [r] is
+      read, not retained. A store counts into [memo.distinct]. *)
+end

@@ -74,7 +74,7 @@ let test_self_init () =
 let test_decorated_key () =
   check rules "polymorphic hash on a memo key" [ Ast_rules.Decorated_key ]
     (rules_of
-       "let t = Memo.create ~hash:Hashtbl.hash ~equal:Memo.equal_node_ids ()");
+       "let t = Memo.create ~hash:Hashtbl.hash ~equal:Memo.structural_equal ()");
   check rules "structural equality on a memo key" [ Ast_rules.Decorated_key ]
     (rules_of "let t = Memo.create ~equal:( = ) ()");
   check rules "polymorphic compare on a memo key" [ Ast_rules.Decorated_key ]

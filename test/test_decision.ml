@@ -373,9 +373,10 @@ let quotient_cases = [ QCheck_alcotest.to_alcotest prop_memo_transparent ]
 (* The range evaluator against the LD definition                       *)
 (* ------------------------------------------------------------------ *)
 
-(* Radius 1 and value-reading: a node says no when its id is even and
-   a neighbour holds the next id. Rings and paths reject some
-   assignments and accept others; a clique rejects them all. *)
+(* Four deciders, one per way a decide can read ids. Radius 1 and
+   value-reading: a node says no when its id is even and a neighbour
+   holds the next id. Rings and paths reject some assignments and
+   accept others; a clique rejects them all. *)
 let even_then_next =
   Algorithm.make ~name:"even-then-next" ~radius:1 (fun view ->
       let me = View.center_id view in
@@ -384,6 +385,38 @@ let even_then_next =
         && Array.exists
              (fun u -> View.id view u = me + 1)
              (View.neighbours view view.View.center)))
+
+(* Reads ids only through one bulk [View.ids]. *)
+let bulk_sum =
+  Algorithm.make ~name:"bulk-sum" ~radius:1 (fun view ->
+      match View.ids view with
+      | Some ids ->
+          (Array.fold_left ( + ) 0 ids + ids.(view.View.center)) mod 4 <> 0
+      | None -> true)
+
+(* Reads no id: accepts unless the centre has degree above 2 and a
+   non-zero label. *)
+let no_ids =
+  Algorithm.make ~name:"no-ids" ~radius:1 (fun view ->
+      let c = view.View.center in
+      View.degree view c <= 2 || View.label view c = 0)
+
+(* Adaptive, in a different slot order per node: it starts at the
+   view's last slot when the centre's degree is even and at slot 0
+   otherwise, and each id it reads names the next slot. *)
+let hopping =
+  Algorithm.make ~name:"hopping" ~radius:1 (fun view ->
+      let k = View.order view in
+      let c = view.View.center in
+      let rec go s steps acc =
+        if steps = 0 then acc
+        else
+          let x = View.id view s in
+          go (x mod k) (steps - 1) (acc + x)
+      in
+      go (if View.degree view c mod 2 = 0 then k - 1 else 0) 3 0 mod 3 <> 0)
+
+let oracle_deciders = [ even_then_next; bulk_sum; no_ids; hopping ]
 
 (* Counts, then the first failure's rank (when [ranked]), ids and
    verdict, as one string. *)
@@ -401,11 +434,11 @@ let show ?(ranked = true) (correct, wrong, failure) =
    [Ids.enumerate_injections]'s order, each run through the direct
    engine (a fresh extraction per node, no preparation, no memo), a
    run accepting iff every node says yes. *)
-let oracle lg ~bound ~expected =
+let oracle alg lg ~bound ~expected =
   let correct = ref 0 and wrong = ref 0 and first = ref None in
   Seq.iteri
     (fun rank ids ->
-      let verdict = Verdict.of_outputs (Runner.run even_then_next lg ~ids) in
+      let verdict = Verdict.of_outputs (Runner.run alg lg ~ids) in
       if Verdict.accepts verdict = expected then incr correct
       else begin
         incr wrong;
@@ -418,7 +451,7 @@ let oracle lg ~bound ~expected =
    ranges), each piece evaluated on its own through one preparation
    and merged as the shard layer merges: counts add, the first piece
    with a failure has the first failure. *)
-let tiled rng prep lg ~bound ~expected =
+let tiled rng prep alg lg ~bound ~expected =
   let total = Locald_runtime.Orbit.perm ~bound ~k:(Labelled.order lg) in
   let cuts =
     List.sort compare (List.init 4 (fun _ -> Random.State.int rng (total + 1)))
@@ -427,8 +460,8 @@ let tiled rng prep lg ~bound ~expected =
   let rec pieces acc = function
     | lo :: (hi :: _ as rest) ->
         let rv =
-          Decider.evaluate_exhaustive_range ~prep ~bound ~lo ~hi even_then_next
-            ~expected lg
+          Decider.evaluate_exhaustive_range ~prep ~bound ~lo ~hi alg ~expected
+            lg
         in
         let c, w, f = acc in
         pieces
@@ -449,13 +482,76 @@ let with_jobs jobs f =
   Locald_runtime.Pool.set_default_jobs jobs;
   Fun.protect ~finally:(fun () -> Locald_runtime.Pool.set_default_jobs 1) f
 
+let backends =
+  [
+    Backend.Sync;
+    Backend.Async { Async_runner.sched_seed = 5; fifo = false };
+  ]
+
+(* Every decider on one instance against the oracle: each backend,
+   memo mode and job count, through random tilings and through
+   [evaluate_exhaustive] with the quotient on and off. *)
+let against_oracle rng name lg ~bound ~expected =
+  List.iter
+    (fun alg ->
+      let truth = oracle alg lg ~bound ~expected in
+      List.iter
+        (fun backend ->
+          List.iter
+            (fun (memo, jobs) ->
+              let where =
+                Printf.sprintf "%s, %s, %s, memo %s, jobs %d" name
+                  alg.Algorithm.name
+                  (match backend with
+                  | Backend.Sync -> "sync"
+                  | Backend.Async _ -> "async")
+                  (Memo.mode_to_string memo) jobs
+              in
+              with_jobs jobs (fun () ->
+                  let prep = Runner.prepare ~memo ~backend alg lg in
+                  check Alcotest.string ("tiled ranges = oracle: " ^ where)
+                    (show truth)
+                    (tiled rng prep alg lg ~bound ~expected);
+                  List.iter
+                    (fun quotient ->
+                      let e =
+                        Decider.evaluate_exhaustive ~quotient ~backend ~memo
+                          ~bound alg ~expected ~instance:name lg
+                      in
+                      check Alcotest.string
+                        (Printf.sprintf
+                           "evaluate_exhaustive (quotient %b) = oracle: %s"
+                           quotient where)
+                        (show ~ranked:false truth)
+                        (show ~ranked:false
+                           ( e.Decider.correct,
+                             e.Decider.wrong,
+                             Option.map
+                               (fun (ids, v) -> (0, Ids.to_array ids, v))
+                               e.Decider.failure )))
+                    [ true; false ]))
+            [
+              (Memo.Off, 1);
+              (Memo.Exact_ids, 1);
+              (Memo.Off, 2);
+              (Memo.Exact_ids, 2);
+            ])
+        backends)
+    oracle_deciders
+
 let test_range_matches_oracle () =
   let rng = Random.State.make [| 0x0ac1e |] in
   let const g = Labelled.const g 0 in
-  let cases =
+  let ring = const (Gen.cycle 7) in
+  let correct, wrong, _ = oracle even_then_next ring ~bound:8 ~expected:true in
+  check bool "the ring has accepted and rejected assignments" true
+    (correct > 0 && wrong > 0);
+  List.iter
+    (fun (name, lg, bound, expected) ->
+      against_oracle rng name lg ~bound ~expected)
     [
       (* 40,320 ranks: enough sub-ranges for the pool to fan out. *)
-      ("ring 7", const (Gen.cycle 7), 8, true);
+      ("ring 7", ring, 8, true);
       ("path 5", const (Gen.path 5), 6, true);
       ("path 5, expected no", const (Gen.path 5), 5, false);
       ("star", const (Gen.star 4), 5, true);
@@ -463,49 +559,21 @@ let test_range_matches_oracle () =
       ("random tree", const (Gen.random_tree rng 6), 6, true);
       ("random graph", const (Gen.random_connected rng ~n:5 ~p:0.5), 6, true);
     ]
-  in
-  List.iter
-    (fun (name, lg, bound, expected) ->
-      let ((correct, wrong, _) as truth) = oracle lg ~bound ~expected in
-      if name = "ring 7" then
-        check bool "the ring has accepted and rejected assignments" true
-          (correct > 0 && wrong > 0);
-      List.iter
-        (fun (memo, jobs) ->
-          let where =
-            Printf.sprintf "%s, memo %s, jobs %d" name
-              (Memo.mode_to_string memo) jobs
-          in
-          with_jobs jobs (fun () ->
-              let prep = Runner.prepare ~memo even_then_next lg in
-              check Alcotest.string ("tiled ranges = oracle: " ^ where)
-                (show truth)
-                (tiled rng prep lg ~bound ~expected);
-              List.iter
-                (fun quotient ->
-                  let e =
-                    Decider.evaluate_exhaustive ~quotient ~memo ~bound
-                      even_then_next ~expected ~instance:name lg
-                  in
-                  check Alcotest.string
-                    (Printf.sprintf
-                       "evaluate_exhaustive (quotient %b) = oracle: %s" quotient
-                       where)
-                    (show ~ranked:false truth)
-                    (show ~ranked:false
-                       ( e.Decider.correct,
-                         e.Decider.wrong,
-                         Option.map
-                           (fun (ids, v) -> (0, Ids.to_array ids, v))
-                           e.Decider.failure )))
-                [ true; false ]))
-        [
-          (Memo.Off, 1);
-          (Memo.Exact_ids, 1);
-          (Memo.Off, 2);
-          (Memo.Exact_ids, 2);
-        ])
-    cases
+
+(* Small connected [Gen] graphs with labels in {0, 1}, ids bounded by
+   the order or one more, either expectation. *)
+let prop_gen_graphs_match_oracle =
+  QCheck2.Test.make ~name:"Gen graphs = LD definition" ~count:12
+    QCheck2.Gen.(
+      quad (int_range 2 5) (int_bound 1) bool (int_bound 1_000_000))
+    (fun (n, extra, expected, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let g = Gen.random_connected rng ~n ~p:0.4 in
+      let lg = Labelled.init g (fun _ -> Random.State.int rng 2) in
+      against_oracle rng
+        (Printf.sprintf "Gen graph n=%d seed %d" n seed)
+        lg ~bound:(n + extra) ~expected;
+      true)
 
 let () =
   Alcotest.run "decision"
@@ -538,6 +606,7 @@ let () =
         [
           Alcotest.test_case "range evaluator = LD definition" `Quick
             test_range_matches_oracle;
+          QCheck_alcotest.to_alcotest prop_gen_graphs_match_oracle;
         ] );
       ( "nondeterministic",
         [ Alcotest.test_case "beyond LD" `Quick test_nld_beats_ld_here ] );

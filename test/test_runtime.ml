@@ -434,8 +434,9 @@ let test_orbit_enumeration () =
   check bool "vacuous when k > bound" true
     (Orbit.for_all_injections ~bound:2 ~k:3 (fun _ -> false))
 
-(* An id-reading pure decide for the scanner and key properties:
-   value- and position-sensitive, so only exact keys are sound. *)
+(* An id-reading pure decide for the cache properties: value- and
+   position-sensitive, and it reads every slot, so every restriction is
+   its own behaviour. *)
 let parity_alg m =
   Algorithm.make ~name:"parity" ~radius:1 (fun view ->
       let acc = ref (View.center_id view) in
@@ -444,37 +445,63 @@ let parity_alg m =
       done;
       !acc mod m = 0)
 
-let prop_scanner_agrees =
-  QCheck2.Test.make ~name:"restriction scanner = direct decide" ~count:40
+(* The node of the smallest ball: perm (k+2) k grows factorially, and
+   the agreement being tested is per node, not per graph. *)
+let smallest_ball prep =
+  let v = ref 0 in
+  for u = 1 to Runner.prepared_size prep - 1 do
+    if
+      Array.length (Runner.ball_of prep u)
+      < Array.length (Runner.ball_of prep !v)
+    then v := u
+  done;
+  !v
+
+(* A cache's live leaves in a fresh run are its stores less its
+   evictions. Reading the stores first can only undercount them. *)
+let c_distinct = Telemetry.Counter.make "memo.distinct"
+let c_evictions = Telemetry.Counter.make "memo.evictions"
+
+let live_leaves () =
+  let stored = Telemetry.Counter.get c_distinct in
+  stored - Telemetry.Counter.get c_evictions
+
+(* Two domains decide every restriction of the smallest ball through
+   one capacity-bounded cache, in opposite orders, each output checked
+   against an uncached preparation. The decider reads every slot, so
+   each restriction is a leaf of its own and the 8-leaf bound is hit
+   many times over. *)
+let prop_cache_agrees =
+  QCheck2.Test.make ~name:"decide cache = direct decide" ~count:30
     arbitrary_labelled (fun (lg, _seed) ->
-      let alg = parity_alg 3 in
-      let prep = Runner.prepare alg lg in
-      let n = Labelled.order lg in
-      (* Scan the smallest ball: perm (k+2) k grows factorially, and the
-         agreement being tested is per-node, not per-graph. *)
-      let v = ref 0 in
-      for u = 1 to n - 1 do
-        if
-          Array.length (Runner.ball_of prep u)
-          < Array.length (Runner.ball_of prep !v)
-        then v := u
-      done;
-      let v = !v in
-      let k = Array.length (Runner.ball_of prep v) in
-      let scan = Runner.restriction_scanner (Runner.task prep) v in
+      let alg = parity_alg 3 and capacity = 8 in
+      let cached =
+        Runner.prepare ~memo:Memo.Exact_ids ~memo_capacity:capacity alg lg
+      in
+      let direct = Runner.prepare alg lg in
+      let v = smallest_ball cached in
+      let k = Array.length (Runner.ball_of cached v) in
       let bound = k + 2 in
       QCheck2.assume (Orbit.perm ~bound ~k <= 20_000);
-      Orbit.for_all_injections ~bound ~k (fun r ->
-          scan r
-          = Runner.decide_restricted prep v r))
-
-let prop_decorated_key_hash =
-  QCheck2.Test.make ~name:"decorated keys: equal => hash-equal" ~count:200
-    QCheck2.Gen.(pair (int_bound 50) (list_size (int_bound 8) (int_bound 100)))
-    (fun (node, ids) ->
-      let a = (node, Array.of_list ids) in
-      let b = (node, Array.of_list ids) in
-      Memo.equal_node_ids a b && Memo.hash_node_ids a = Memo.hash_node_ids b)
+      let rs = Array.of_seq (Orbit.injections ~bound ~k) in
+      let n = Array.length rs in
+      Telemetry.new_run ();
+      let scan index () =
+        let ok = ref true in
+        for i = 0 to n - 1 do
+          let r = rs.(index i) in
+          ok :=
+            !ok
+            && Runner.decide_restricted cached v r
+               = Runner.decide_restricted direct v r
+            && live_leaves () <= capacity
+        done;
+        !ok
+      in
+      let other = Domain.spawn (scan (fun i -> n - 1 - i)) in
+      let mine = scan Fun.id () in
+      let theirs = Domain.join other in
+      mine && theirs && Telemetry.Counter.get c_evictions > 0)
 
 let prop_decorated_view_keys =
   QCheck2.Test.make
@@ -526,41 +553,49 @@ let with_jobs jobs f =
 (* The decide path: lock-free memo reads, in-place range walks         *)
 (* ------------------------------------------------------------------ *)
 
-(* Two domains probe and store one bounded node-id table. Two shards
-   of 256 entries each: a shard grows its 64 slots once it holds 129
-   entries and evicts its older half at 256, and 3,000 distinct keys
-   force both many times over. Whatever the interleaving, a value read
-   back is the pure function of its key, and the live count never
-   passes the capacity. *)
+(* Two domains look up and store one bounded decide cache over five
+   nodes. The stand-in decide reads adaptively: slot [node mod 4],
+   then the slot its value names, until it revisits a slot, so the
+   tries branch on different slots along different paths. 3,000
+   restrictions give far more behaviours than the 64-leaf bound.
+   Whatever the interleaving, a value read back is the pure function
+   of its restriction, and the live leaves never pass the bound. *)
 let test_memo_contention () =
-  let capacity = 512 in
-  let m = Memo.create_node_ids ~shards:2 ~capacity () in
-  let value node ids =
-    (node * 1_000_003) + Array.fold_left (fun a x -> (a * 31) + x) 7 ids
+  let capacity = 64 and nodes = 5 and k = 4 in
+  Telemetry.new_run ();
+  let t = Memo.Trie.create ~capacity nodes in
+  let decide node r =
+    let seen = Array.make k false in
+    let rec go s acc reads =
+      if seen.(s) then (Array.of_list (List.rev reads), acc)
+      else begin
+        seen.(s) <- true;
+        go (r.(s) mod k) ((acc * 31) + r.(s)) (s :: reads)
+      end
+    in
+    go (node mod k) node []
   in
-  let key i = (i mod 13, [| i / 13; i mod 7; i |]) in
+  let restriction i = [| i mod 12; i / 12 mod 12; i / 144 mod 12; i mod 7 |] in
   let bad = Atomic.make None in
   let note msg = ignore (Atomic.compare_and_set bad None (Some msg)) in
   let worker stride () =
     for round = 0 to 5 do
       for j = 0 to 2_999 do
         let i = ((j * stride) + round) mod 3_000 in
-        let node, ids = key i in
+        let node = i mod nodes and r = restriction i in
+        let want = snd (decide node r) in
         let got =
-          if (i + round) mod 2 = 0 then
-            match Memo.find_node_ids m node ids with
-            | v -> v
-            | exception Not_found ->
-                let v = value node ids in
-                Memo.add m (node, Array.copy ids) v;
-                v
-          else Memo.find_or_compute m (node, ids) (fun () -> value node ids)
+          match Memo.Trie.find t node r with
+          | v -> v
+          | exception Not_found ->
+              let reads, v = decide node r in
+              Memo.Trie.store t node r ~reads v;
+              v
         in
-        if got <> value node ids then
-          note (Printf.sprintf "key %d read %d" i got);
-        let size = Memo.size m in
-        if size > capacity then
-          note (Printf.sprintf "size %d > %d" size capacity)
+        if got <> want then note (Printf.sprintf "restriction %d read %d" i got);
+        let live = live_leaves () in
+        if live > capacity then
+          note (Printf.sprintf "%d leaves > %d" live capacity)
       done
     done
   in
@@ -568,7 +603,41 @@ let test_memo_contention () =
   worker 11 ();
   Domain.join other;
   (match Atomic.get bad with Some msg -> Alcotest.fail msg | None -> ());
-  if Memo.evictions m <= 0 then Alcotest.fail "expected evictions"
+  if Telemetry.Counter.get c_evictions <= 0 then
+    Alcotest.fail "expected evictions"
+
+(* [View.fingerprint] reads every id of the view it digests. A decider
+   that branches on it must show an input id read in its trace, and
+   the cache, which sees only monitored reads, must then key it on
+   every slot: cached decides agree with uncached ones on every
+   restriction of every ball. *)
+let test_fingerprint_reads () =
+  let alg =
+    Algorithm.make ~name:"fingerprint" ~radius:1 (fun view ->
+        View.fingerprint Fun.id view mod 3 = 0)
+  in
+  let lg = Labelled.init (Gen.cycle 5) (fun v -> v mod 2) in
+  let view = View.extract ~ids:[| 4; 0; 3; 1; 2 |] lg ~center:0 ~radius:1 in
+  let input = Option.get (View.ids view) in
+  let _, trace =
+    Locald_analysis.Trace.run ~input_ids:(fun a -> a == input)
+      alg.Algorithm.decide view
+  in
+  check bool "fingerprint's id read is traced" true
+    (Locald_analysis.Trace.reads_input_ids trace);
+  let cached = Runner.prepare ~memo:Memo.Exact_ids alg lg in
+  let direct = Runner.prepare alg lg in
+  for v = 0 to Labelled.order lg - 1 do
+    let k = Array.length (Runner.ball_of cached v) in
+    Array.iter
+      (fun r ->
+        check bool
+          (Printf.sprintf "node %d, restriction %s" v
+             (String.concat "," (Array.to_list (Array.map string_of_int r))))
+          (Runner.decide_restricted direct v r)
+          (Runner.decide_restricted cached v r))
+      (Array.of_seq (Orbit.injections ~bound:(k + 2) ~k))
+  done
 
 let exhaustive_eval () =
   match Sweeps.find "exhaustive-decider" with
@@ -718,7 +787,7 @@ let qcheck_cases =
 let orbit_cases =
   Alcotest.test_case "injection enumeration" `Quick test_orbit_enumeration
   :: List.map QCheck_alcotest.to_alcotest
-       [ prop_scanner_agrees; prop_decorated_key_hash; prop_decorated_view_keys ]
+       [ prop_cache_agrees; prop_decorated_view_keys ]
 
 let () =
   Alcotest.run "runtime"
@@ -747,6 +816,8 @@ let () =
         [
           Alcotest.test_case "memo under two domains" `Quick
             test_memo_contention;
+          Alcotest.test_case "fingerprint reads are monitored" `Quick
+            test_fingerprint_reads;
           Alcotest.test_case "warm range allocation" `Quick
             test_warm_range_allocation;
           Alcotest.test_case "range counters" `Quick test_range_counters;
