@@ -46,23 +46,22 @@ let apply_trace trace = Option.iter Telemetry.open_sink trace
 (* Engine flags                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* The five engine flags, declared once: pool width, decide-once
-   memoisation and the simulator backend. Results are byte-identical
-   under every setting (pinned by the determinism and cross-backend
-   batteries); only who computes what, and how often, changes. A
-   subcommand takes them as one [engine] value, resolved in process,
-   forwarded to shard children, or sent as a request's config. *)
+(* The four engine flags, declared once: pool width and the simulator
+   backend. Results are byte-identical under every setting (pinned by
+   the determinism and cross-backend batteries); only who computes
+   what changes. A subcommand takes them as one [engine] value,
+   resolved in process, forwarded to shard children, or sent as a
+   request's config. *)
 type engine = {
   jobs : int option;
-  memo : Memo.mode option;
   backend : string option;
   sched_seed : int option;
   fifo : bool;
 }
 
-(* [~memo:false] / [~backend:false] leave those flags off a subcommand
+(* [~jobs:false] / [~backend:false] leave those flags off a subcommand
    that has no use for them; their fields then stay unset. *)
-let engine_term ?(memo = true) ?(backend = true) () =
+let engine_term ?(jobs = true) ?(backend = true) () =
   let jobs_opt =
     Arg.(
       value
@@ -72,24 +71,6 @@ let engine_term ?(memo = true) ?(backend = true) () =
             "Worker domains for the parallel experiment stages (default: \
              $(b,LOCALD_JOBS), else the recommended domain count). \
              Results do not depend on this value.")
-  in
-  let memo_opt =
-    let mode_conv =
-      let parse s =
-        match Memo.mode_of_string s with
-        | Some m -> Ok m
-        | None -> Error (`Msg "memo mode must be off | exact")
-      in
-      Arg.conv (parse, fun ppf m -> Fmt.string ppf (Memo.mode_to_string m))
-    in
-    Arg.(
-      value
-      & opt (some mode_conv) None
-      & info [ "memo" ] ~docv:"MODE"
-          ~doc:
-            "Decide-once memoisation: $(b,off) or $(b,exact) (each node \
-             decides once per distinct value of the id slots its decide \
-             reads). Results do not depend on this value. Default exact.")
   in
   let backend_opt =
     Arg.(
@@ -123,10 +104,9 @@ let engine_term ?(memo = true) ?(backend = true) () =
   in
   let unset v = Term.const v in
   Term.(
-    const (fun jobs memo backend sched_seed fifo ->
-        { jobs; memo; backend; sched_seed; fifo })
-    $ jobs_opt
-    $ (if memo then memo_opt else unset None)
+    const (fun jobs backend sched_seed fifo ->
+        { jobs; backend; sched_seed; fifo })
+    $ (if jobs then jobs_opt else unset None)
     $ (if backend then backend_opt else unset None)
     $ (if backend then sched_seed_opt else unset None)
     $ if backend then fifo_flag else unset false)
@@ -155,7 +135,6 @@ let resolve_engine e =
 let engine_argv e =
   let opt flag show = function Some v -> [ flag; show v ] | None -> [] in
   opt "--jobs" string_of_int e.jobs
-  @ opt "--memo" Memo.mode_to_string e.memo
   @ opt "--backend" Fun.id e.backend
   @ opt "--sched-seed" string_of_int e.sched_seed
   @ if e.fifo then [ "--fifo" ] else []
@@ -166,24 +145,20 @@ let engine_config e =
     Proto.c_backend = e.backend;
     c_sched_seed = e.sched_seed;
     c_fifo = (if e.fifo then Some true else None);
-    c_memo = Option.map Memo.mode_to_string e.memo;
-    c_jobs = e.jobs;
   }
 
-(* [memo] is the [--memo] flag; unset, the engine default (exact). *)
-let print_runtime_stats memo =
+let print_runtime_stats () =
   let m = Memo.run_stats () in
   let c = Canon.run_stats () in
   Printf.printf
-    "memo (%s): %d hits, %d misses, %d distinct keys; %d orbit \
-     restrictions scanned\n"
-    (Memo.mode_to_string (Option.value memo ~default:Memo.Exact_ids))
+    "memo: %d hits, %d misses, %d distinct keys; %d orbit restrictions \
+     scanned\n"
     m.Memo.hits m.Memo.misses m.Memo.distinct (Orbit.scanned ());
   Printf.printf
     "canon: %d hits, %d misses, %d exact, %d fallback\n"
     c.Canon.hits c.Canon.misses c.Canon.exact c.Canon.fallback
 
-let maybe_stats stats memo = if stats then print_runtime_stats memo
+let maybe_stats stats = if stats then print_runtime_stats ()
 
 (* ------------------------------------------------------------------ *)
 (* The paper's experiments                                             *)
@@ -194,7 +169,7 @@ let run_cmd (x : Registry.experiment) =
     let backend = resolve_engine engine in
     apply_trace trace;
     let (print, _), wall =
-      Timing.time (x.e_run ?backend ?memo:engine.memo ~quick ~seed)
+      Timing.time (x.e_run ?backend ~quick ~seed)
     in
     print ();
     Report.print_timings
@@ -206,7 +181,7 @@ let run_cmd (x : Registry.experiment) =
           t_speedup = None;
         };
       ];
-    maybe_stats stats engine.memo
+    maybe_stats stats
   in
   Cmd.v (Cmd.info x.e_name ~doc:x.e_doc)
     Term.(
@@ -267,7 +242,7 @@ let faults_cmd (x : Registry.experiment) =
   Cmd.v (Cmd.info x.e_name ~doc:x.e_doc)
     Term.(
       const run $ quick_flag $ seed_opt
-      $ engine_term ~memo:false ~backend:false ()
+      $ engine_term ~backend:false ()
       $ trace_opt $ drop $ crashes $ fuel $ retries $ runs)
 
 let experiment_cmds =
@@ -286,11 +261,9 @@ let certify_cmd =
   let run _all quick engine stats trace =
     let backend = resolve_engine engine in
     apply_trace trace;
-    let rows =
-      Locald_core.Certify.run ~quick ?backend ?memo:engine.memo ()
-    in
+    let rows = Locald_core.Certify.run ~quick ?backend () in
     Report.print_certify rows;
-    maybe_stats stats engine.memo;
+    maybe_stats stats;
     (* Exit 3 (verdict mismatch), per the README's exit-code
        convention shared with [merge --expect-digest]. *)
     if not (Locald_core.Certify.all_ok rows) then exit Shard.Exit.mismatch
@@ -566,14 +539,14 @@ let coverage_cmd =
     (Cmd.info "coverage"
        ~doc:"Measure Figure 1's view coverage for chosen parameters.")
     Term.(
-      const run $ arity $ r $ t $ engine_term ~memo:false ~backend:false ())
+      const run $ arity $ r $ t $ engine_term ~backend:false ())
 
 let all_cmd =
   let run quick seed engine stats trace speedup =
     let backend = resolve_engine engine in
     apply_trace trace;
     let timing (x : Registry.experiment) =
-      let run = x.e_run ?backend ?memo:engine.memo ~quick ~seed in
+      let run = x.e_run ?backend ~quick ~seed in
       let (print, _), wall = Timing.time run in
       print ();
       let t_speedup =
@@ -596,7 +569,7 @@ let all_cmd =
       }
     in
     Report.print_timings (List.map timing Registry.experiments);
-    maybe_stats stats engine.memo
+    maybe_stats stats
   in
   let speedup_flag =
     Arg.(
@@ -622,14 +595,12 @@ let metrics_cmd =
     @ [ "certify" ]
   in
   let run name quick seed engine trace =
-    let memo = engine.memo in
     let driver =
       match Registry.find_experiment name with
-      | Some x -> fun backend -> fst (x.e_run ?backend ?memo ~quick ~seed ()) ()
+      | Some x -> fun backend -> fst (x.e_run ?backend ~quick ~seed ()) ()
       | None when name = "certify" ->
           fun backend ->
-            Report.print_certify
-              (Locald_core.Certify.run ~quick ?backend ?memo ())
+            Report.print_certify (Locald_core.Certify.run ~quick ?backend ())
       | None ->
           prerr_endline
             ("locald metrics: unknown experiment " ^ name ^ " (try: "
@@ -728,7 +699,7 @@ let shard_cmd =
     if index < 0 || index >= shards then
       usage_error "--index %d outside [0, %d)" index shards;
     let plan = plan_of ~w ~chunk ~shards in
-    let eval0 = w.Sweeps.w_eval ?backend ?memo:engine.memo () in
+    let eval0 = w.Sweeps.w_eval ?backend () in
     let eval ~lo ~hi =
       if throttle > 0. then Unix.sleepf (throttle /. 1000.);
       eval0 ~lo ~hi
@@ -744,7 +715,7 @@ let shard_cmd =
       s.Shard.s_index s.Shard.s_of w.Sweeps.w_name s.Shard.s_chunks evaluated
       (s.Shard.s_chunks - evaluated)
       s.Shard.s_correct s.Shard.s_wrong s.Shard.s_digest wall;
-    maybe_stats stats engine.memo
+    maybe_stats stats
   in
   let index =
     Arg.(
@@ -1190,7 +1161,7 @@ let serve_cmd =
     Sys.set_signal Sys.sigterm graceful;
     Sys.set_signal Sys.sigint graceful;
     let svc =
-      Service.create ?backend ?memo:engine.memo ~max_engines ~memo_capacity ()
+      Service.create ?backend ~max_engines ~memo_capacity ()
     in
     let listeners =
       Serve.listener_unix socket
@@ -1235,16 +1206,16 @@ let serve_cmd =
       value & opt int Service.default_max_engines
       & info [ "max-engines" ] ~docv:"N"
           ~doc:
-            "Bound on cached engines — (workload, backend, memo) \
-             prepared-view/memo structures kept warm across requests \
-             (default 8, LRU eviction).")
+            "Bound on cached engines — (workload, backend) \
+             prepared-view/decide-cache structures kept warm across \
+             requests (default 8, LRU eviction).")
   in
   let memo_capacity =
     Arg.(
       value & opt int Service.default_memo_capacity
       & info [ "memo-capacity" ] ~docv:"N"
           ~doc:
-            "Bound on each engine's decide-cache entries (default \
+            "Bound on each engine's decide-cache leaves (default \
              65536); reaching it drops the engine's whole cache. \
              Transparent to results.")
   in
@@ -1254,15 +1225,14 @@ let serve_cmd =
          "Long-lived decision service: accept decide / certify / \
           metrics / shutdown requests as length-prefixed JSON frames \
           over a Unix-domain (and optionally TCP) socket. Engines and \
-          their decide-once memo tables persist across requests; \
-          per-request backend/seed/memo override the startup defaults \
-          without touching them. $(b,--jobs) N runs up to N requests \
-          at once, each on one core: a single large request (a \
-          full-range decide, certify) does not fan out, and a \
-          request's own jobs field is checked but has no effect. \
-          Each connection gets its replies in request order. \
-          SIGTERM/SIGINT (or a shutdown request) drain: in-flight \
-          requests are answered, then the daemon exits 0.")
+          their decide caches persist across requests; a request's \
+          backend/seed/fifo override the startup default without \
+          touching it. $(b,--jobs) N runs up to N requests at once, \
+          each on one core: a single large request (a full-range \
+          decide, certify) does not fan out. Each connection gets its \
+          replies in request order. SIGTERM/SIGINT (or a shutdown \
+          request) drain: in-flight requests are answered, then the \
+          daemon exits 0.")
     Term.(
       const run $ socket_opt $ tcp_port_opt $ max_inflight $ max_engines
       $ memo_capacity $ engine_term () $ trace_opt)
@@ -1336,11 +1306,11 @@ let client_cmd =
          "One request against a running $(b,locald serve): send a \
           frame, print the JSON response. Exit 0 on an ok response, 2 \
           on busy, 3 on an error response. $(b,--backend) / \
-          $(b,--sched-seed) / $(b,--fifo) / $(b,--memo) / $(b,--jobs) \
-          travel as per-request configuration.")
+          $(b,--sched-seed) / $(b,--fifo) travel as per-request \
+          configuration.")
     Term.(
       const run $ op $ socket_opt $ tcp_port_opt $ workload $ lo $ hi
-      $ engine_term () $ id)
+      $ engine_term ~jobs:false () $ id)
 
 let main =
   let doc =

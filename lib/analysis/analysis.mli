@@ -87,7 +87,6 @@ val certify :
   ?confirm:confirm_method ->
   ?confirm_on:string * 'a Labelled.t ->
   ?backend:Backend.t ->
-  ?confirm_memo:Memo.mode ->
   ('a, bool) Algorithm.t ->
   instances:(string * 'a Labelled.t) list ->
   report
@@ -103,10 +102,9 @@ val certify :
     as {!Inconclusive}, never as a false certificate). [confirm]
     cross-checks an {!Id_dependent} verdict by searching for semantic
     output variance on [confirm_on] (default: the witness instance),
-    running the search under [backend] (default [Sync]) and, for
-    {!Confirm_exhaustive}, with its decide-once table in [confirm_memo]
-    mode (default [Exact_ids]) — the engine settings of
-    {!Oblivious.find_variance_exhaustive}. *)
+    running the search under [backend] (default [Sync]), the engine
+    setting of {!Oblivious.find_variance_exhaustive} and
+    {!Oblivious.find_variance_sampled}. *)
 
 val certified : report -> bool
 val id_dependent : report -> bool

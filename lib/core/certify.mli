@@ -62,22 +62,20 @@ val certify_subject :
   ?pool:Pool.t ->
   ?plan:Faults.plan ->
   ?backend:Backend.t ->
-  ?memo:Memo.mode ->
   subject ->
   row
-(** [backend] and [memo] configure the confirm step's variance search
-    (the [backend] / [confirm_memo] of
-    {!Locald_analysis.Analysis.certify}); the probe table stays off. *)
+(** [backend] configures the confirm step's variance search (the
+    [backend] of {!Locald_analysis.Analysis.certify}); the probes
+    decide under the trace monitor, uncached. *)
 
 val run :
   ?quick:bool ->
   ?pool:Pool.t ->
   ?backend:Backend.t ->
-  ?memo:Memo.mode ->
   unit ->
   row list
 (** Certify every registered subject (instance sets are built
     sequentially; each certification fans out on the pool). Output is
-    byte-identical at any job count, backend and memo mode. *)
+    byte-identical at any job count and backend. *)
 
 val all_ok : row list -> bool

@@ -20,7 +20,7 @@ type cell_result = {
 
 (* (B, C) and (B, notC): the Section 2 construction separates, for any
    bound function — computable or oracle. *)
-let cell_bc ?backend ?memo ?seed ~regime ~quick ~name () =
+let cell_bc ?backend ?seed ~regime ~quick ~name () =
   let p2 = { Ti.regime; arity = 2; r = (if quick then 1 else 2) } in
   let rng = rng ?seed () in
   let verifier = Tree_deciders.pprime_verifier p2 in
@@ -38,7 +38,7 @@ let cell_bc ?backend ?memo ?seed ~regime ~quick ~name () =
   let assignments = if quick then 10 else 40 in
   let eval expected lg =
     Decider.all_correct
-      (Decider.evaluate ?backend ?memo ~rng ~regime ~assignments decider
+      (Decider.evaluate ?backend ~rng ~regime ~assignments decider
          ~expected ~instance:"" lg)
   in
   let coverage_params = { Ti.regime; arity = 1; r = (if quick then 4 else 6) } in
@@ -156,7 +156,7 @@ let two_colouring_blaming_decider () =
            (fun u -> violating_with u && View.id view c < View.id view u)
            g c))
 
-let cell_nbnc ?backend ?memo ?seed ~quick () =
+let cell_nbnc ?backend ?seed ~quick () =
   let rng = rng ?seed () in
   let alg = two_colouring_blaming_decider () in
   let property = Property.proper_colouring ~k:2 in
@@ -189,7 +189,7 @@ let cell_nbnc ?backend ?memo ?seed ~quick () =
     List.for_all
       (fun lg ->
         let e =
-          Decider.evaluate ?backend ?memo ~rng ~regime:Ids.Unbounded
+          Decider.evaluate ?backend ~rng ~regime:Ids.Unbounded
             ~assignments:(if quick then 8 else 25)
             alg
             ~expected:(property.Property.mem lg)
@@ -209,14 +209,14 @@ let cell_nbnc ?backend ?memo ?seed ~quick () =
       ];
   }
 
-let table1 ?backend ?memo ?(quick = false) ?seed () =
+let table1 ?backend ?(quick = false) ?seed () =
   [
-    cell_bc ?backend ?memo ?seed ~regime:(Ids.f_linear_plus 1) ~quick
+    cell_bc ?backend ?seed ~regime:(Ids.f_linear_plus 1) ~quick
       ~name:"(B, C)" ();
-    cell_bc ?backend ?memo ?seed ~regime:(Ids.f_oracle ~seed:7) ~quick
+    cell_bc ?backend ?seed ~regime:(Ids.f_oracle ~seed:7) ~quick
       ~name:"(B, notC)" ();
     cell_nbc ?seed ~quick ();
-    cell_nbnc ?backend ?memo ?seed ~quick ();
+    cell_nbnc ?backend ?seed ~quick ();
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -739,7 +739,7 @@ type warmup_row = {
   ok : bool;
 }
 
-let cycle_warmup ?backend ?memo ?seed ~regime ~name ~quick () =
+let cycle_warmup ?backend ?seed ~regime ~name ~quick () =
   let rng = rng ?seed () in
   let rs = if quick then [ 4 ] else [ 4; 8; 16 ] in
   List.concat_map
@@ -750,7 +750,7 @@ let cycle_warmup ?backend ?memo ?seed ~regime ~name ~quick () =
       let assignments = if quick then 15 else 60 in
       let eval expected lg =
         Decider.all_correct
-          (Decider.evaluate ?backend ?memo ~rng ~regime ~assignments decider
+          (Decider.evaluate ?backend ~rng ~regime ~assignments decider
              ~expected ~instance:"" lg)
       in
       [
@@ -769,7 +769,7 @@ let cycle_warmup ?backend ?memo ?seed ~regime ~name ~quick () =
       ])
     rs
 
-let tm_warmup ?backend ?memo ?seed ~quick () =
+let tm_warmup ?backend ?seed ~quick () =
   let rng = rng ?seed () in
   let fuel = 32 in
   let decider = Tm_promise.ld_decider () in
@@ -794,7 +794,7 @@ let tm_warmup ?backend ?memo ?seed ~quick () =
         let n = max 3 (s + 1) in
         let lg = Tm_promise.instance ~machine:m ~n in
         let e =
-          Decider.evaluate ?backend ?memo ~rng ~regime:Ids.Unbounded
+          Decider.evaluate ?backend ~rng ~regime:Ids.Unbounded
             ~assignments:(if quick then 10 else 30)
             decider ~expected ~instance:"" lg
         in
@@ -824,14 +824,14 @@ let tm_warmup ?backend ?memo ?seed ~quick () =
   in
   rows @ [ fooled ]
 
-let warmups ?backend ?memo ?(quick = false) ?seed () =
-  cycle_warmup ?backend ?memo ?seed ~regime:(Ids.f_linear_plus 1)
+let warmups ?backend ?(quick = false) ?seed () =
+  cycle_warmup ?backend ?seed ~regime:(Ids.f_linear_plus 1)
     ~name:"f=n+1" ~quick ()
   @ (if quick then []
      else
-       cycle_warmup ?backend ?memo ?seed ~regime:Ids.f_square
+       cycle_warmup ?backend ?seed ~regime:Ids.f_square
          ~name:"f=n^2+1" ~quick ())
-  @ tm_warmup ?backend ?memo ?seed ~quick ()
+  @ tm_warmup ?backend ?seed ~quick ()
 
 (* ------------------------------------------------------------------ *)
 (* A1-A4: ablations of the reproduction's design choices              *)

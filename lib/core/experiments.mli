@@ -18,21 +18,19 @@ type cell_result = {
 
 val table1 :
   ?backend:Backend.t ->
-  ?memo:Locald_runtime.Memo.mode ->
   ?quick:bool ->
   ?seed:int ->
   unit ->
   cell_result list
 (** [seed] (here and below) reseeds the experiment's random state —
     threaded from the CLI's global [--seed] option; defaults to the
-    historical constant. [backend] and [memo] (here and below) are the
-    engine settings of the decider evaluations
-    ({!Locald_decision.Decider.evaluate}, whose defaults apply); the
-    rows do not depend on them. *)
+    historical constant. [backend] (here and below) is the engine
+    setting of the decider evaluations
+    ({!Locald_decision.Decider.evaluate}, whose default applies); the
+    rows do not depend on it. *)
 
 val cell_bc :
   ?backend:Backend.t ->
-  ?memo:Locald_runtime.Memo.mode ->
   ?seed:int -> regime:Ids.regime -> quick:bool -> name:string -> unit ->
   cell_result
 (** The two (B, -) separations, parametric in the bound function — pass a
@@ -43,7 +41,6 @@ val cell_nbc : ?seed:int -> quick:bool -> unit -> cell_result
 
 val cell_nbnc :
   ?backend:Backend.t ->
-  ?memo:Locald_runtime.Memo.mode ->
   ?seed:int -> quick:bool -> unit -> cell_result
 (** The (notB, notC) equality via the Id-oblivious simulation [A*]. *)
 
@@ -199,7 +196,6 @@ type warmup_row = {
 
 val warmups :
   ?backend:Backend.t ->
-  ?memo:Locald_runtime.Memo.mode ->
   ?quick:bool ->
   ?seed:int ->
   unit ->

@@ -17,7 +17,6 @@ type experiment = {
   e_heavy : bool;
   e_run :
     ?backend:Backend.t ->
-    ?memo:Memo.mode ->
     quick:bool ->
     seed:int option ->
     unit ->
@@ -30,8 +29,8 @@ type experiment = {
    and the batteries exit non-zero. *)
 let experiment ?(heavy = false) ?(failure = fun _ -> None) name doc print
     driver =
-  let run ?backend ?memo ~quick ~seed () =
-    let rows = driver ?backend ?memo ~quick ~seed () in
+  let run ?backend ~quick ~seed () =
+    let rows = driver ?backend ~quick ~seed () in
     Option.iter
       (fun msg -> failwith (Printf.sprintf "%s: %s" name msg))
       (List.find_map failure rows);
@@ -43,58 +42,58 @@ let experiments =
   [
     experiment "table1" ~failure:Report.table1_failure
       "Regenerate the Section 1.1 results table."
-      Report.print_table1 (fun ?backend ?memo ~quick ~seed () ->
-        Experiments.table1 ?backend ?memo ~quick ?seed ());
+      Report.print_table1 (fun ?backend ~quick ~seed () ->
+        Experiments.table1 ?backend ~quick ?seed ());
     experiment "fig1" ~failure:Report.fig1_failure
       "Regenerate Figure 1 (layered trees and view coverage)."
-      Report.print_fig1 (fun ?backend:_ ?memo:_ ~quick ~seed:_ () ->
+      Report.print_fig1 (fun ?backend:_ ~quick ~seed:_ () ->
         Experiments.fig1 ~quick ());
     experiment "fig2" ~failure:Report.fig2_failure
       "Regenerate Figure 2 (the G(M,r) construction)."
-      Report.print_fig2 (fun ?backend:_ ?memo:_ ~quick ~seed:_ () ->
+      Report.print_fig2 (fun ?backend:_ ~quick ~seed:_ () ->
         Experiments.fig2 ~quick ());
     experiment "fig3" ~failure:Report.fig3_failure
       "Regenerate Figure 3 (the pyramid)."
       Report.print_fig3
-      (fun ?backend:_ ?memo:_ ~quick ~seed:_ () -> Experiments.fig3 ~quick ());
+      (fun ?backend:_ ~quick ~seed:_ () -> Experiments.fig3 ~quick ());
     experiment "corollary1" "Regenerate the Corollary 1 experiment."
-      Report.print_corollary1 (fun ?backend:_ ?memo:_ ~quick ~seed () ->
+      Report.print_corollary1 (fun ?backend:_ ~quick ~seed () ->
         Experiments.corollary1 ~quick ?seed ());
     experiment "p3" "Measure the neighbourhood generator's (P3) coverage."
-      Report.print_p3 (fun ?backend:_ ?memo:_ ~quick ~seed:_ () ->
+      Report.print_p3 (fun ?backend:_ ~quick ~seed:_ () ->
         Experiments.p3 ~quick ());
     experiment "diagonal" ~failure:Report.diagonal_failure
       "Run the fuel diagonalisation against Id-oblivious candidates."
-      Report.print_fuel_diagonal (fun ?backend:_ ?memo:_ ~quick ~seed:_ () ->
+      Report.print_fuel_diagonal (fun ?backend:_ ~quick ~seed:_ () ->
         Experiments.fuel_diagonal ~quick ());
     experiment "construction" ~failure:Report.construction_failure
       "Run the constructive-side experiments (CV, Luby, gossip)."
-      Report.print_construction (fun ?backend:_ ?memo:_ ~quick ~seed () ->
+      Report.print_construction (fun ?backend:_ ~quick ~seed () ->
         Experiments.construction ~quick ?seed ());
     experiment "oi" ~failure:Report.oi_failure
       "Show that order-invariant algorithms also fail under (B)."
-      Report.print_oi (fun ?backend ?memo:_ ~quick ~seed () ->
+      Report.print_oi (fun ?backend ~quick ~seed () ->
         Experiments.order_invariance ?backend ~quick ?seed ());
     experiment "hereditary" ~failure:Report.hereditary_failure
       "Check hereditariness of the witness properties."
-      Report.print_hereditary (fun ?backend:_ ?memo:_ ~quick ~seed () ->
+      Report.print_hereditary (fun ?backend:_ ~quick ~seed () ->
         Experiments.hereditary ~quick ?seed ());
     experiment "warmups" ~failure:Report.warmups_failure
       "Run the warm-up promise-problem experiments."
-      Report.print_warmups (fun ?backend ?memo ~quick ~seed () ->
-        Experiments.warmups ?backend ?memo ~quick ?seed ());
+      Report.print_warmups (fun ?backend ~quick ~seed () ->
+        Experiments.warmups ?backend ~quick ?seed ());
     experiment "ablations"
       "Run the ablations A1-A4 of the reproduction's design choices \
        (fragment cap, anchor phases, coverage scaling, Section 2 at scale); \
        fails when a check fails."
-      Report.print_ablations (fun ?backend:_ ?memo:_ ~quick ~seed:_ () ->
+      Report.print_ablations (fun ?backend:_ ~quick ~seed:_ () ->
         Experiments.ablations ~quick ());
     (* Under fault injection the rows embed the seeded plans, so the
        digest pins those too. *)
     experiment ~heavy:true "faults"
       "Measure decider accuracy and degradation under seeded fault \
        injection (message drops, crash-stop failures, fuel budgets)."
-      Report.print_faults (fun ?backend:_ ?memo:_ ~quick ~seed () ->
+      Report.print_faults (fun ?backend:_ ~quick ~seed () ->
         Experiments.faults ~quick ?seed ());
   ]
 
@@ -111,7 +110,7 @@ type pinned = {
   p_tier : tier;
   p_hits_gated : bool;
   p_wall_gated : bool;
-  p_run : ?backend:Backend.t -> ?memo:Memo.mode -> unit -> int * string;
+  p_run : ?backend:Backend.t -> unit -> int * string;
 }
 
 let pinned ?(hits_gated = false) ?(wall_gated = false) p_tier p_name p_run =
@@ -126,8 +125,8 @@ let coverage ~regime ~t () =
         c.Tree_deciders.total_views,
         c.Tree_deciders.uncovered_node ) )
 
-let exhaustive ?backend ?memo ?bound () =
-  let e = Sweeps.exhaustive_decider ?backend ?memo ?bound () in
+let exhaustive ?backend ?bound () =
+  let e = Sweeps.exhaustive_decider ?backend ?bound () in
   (e.Locald_decision.Decider.assignments, Sweeps.digest e)
 
 (* Certification workloads report the trace-event count as their
@@ -198,40 +197,40 @@ let corollary1_scale () =
 
 let workloads =
   [
-    pinned Quick "f1-coverage" ~hits_gated:true (fun ?backend:_ ?memo:_ () ->
+    pinned Quick "f1-coverage" ~hits_gated:true (fun ?backend:_ () ->
         coverage ~regime ~t:2 ());
-    pinned Quick "exhaustive-decider" ~wall_gated:true (fun ?backend ?memo () ->
-        exhaustive ?backend ?memo ());
-    pinned Quick "p3-coverage" (fun ?backend:_ ?memo:_ () ->
+    pinned Quick "exhaustive-decider" ~wall_gated:true (fun ?backend () ->
+        exhaustive ?backend ());
+    pinned Quick "p3-coverage" (fun ?backend:_ () ->
         let rows = Experiments.p3 ~quick:true () in
         ( List.fold_left
             (fun acc (r : Experiments.p3_row) ->
               acc + r.Experiments.g_classes + r.Experiments.b_classes)
             0 rows,
           Shard.digest rows ));
-    pinned Quick "corollary1" ~hits_gated:true (fun ?backend:_ ?memo:_ () ->
+    pinned Quick "corollary1" ~hits_gated:true (fun ?backend:_ () ->
         let rows = Experiments.corollary1 () in
         ( List.fold_left
             (fun acc (r : Experiments.corollary1_row) -> max acc r.Experiments.n)
             0 rows,
           Shard.digest rows ));
-    pinned Quick "certify-tree" (fun ?backend:_ ?memo:_ () ->
+    pinned Quick "certify-tree" (fun ?backend:_ () ->
         certify (Tree_deciders.p_decider t_r1) tree_r1 ());
     pinned Quick "certify-gmr" ~hits_gated:true ~wall_gated:true
-      (fun ?backend:_ ?memo:_ () ->
+      (fun ?backend:_ () ->
         certify (Gmr_deciders.ld_decider ()) gmr_quick ());
     (* Regime constant 5 instead of 1: deeper trees, one radius up. *)
     pinned Scale "f1-coverage-scale" ~hits_gated:true
-      (fun ?backend:_ ?memo:_ () ->
+      (fun ?backend:_ () ->
         coverage ~regime:(Ids.f_linear_plus 5) ~t:3 ());
     (* The quick tier's H+ into [0..9] instead of [0..7]: 45x the
        assignment space over the identical decider. *)
-    pinned Scale "exhaustive-decider-scale" (fun ?backend ?memo () ->
-        exhaustive ?backend ?memo ~bound:10 ());
+    pinned Scale "exhaustive-decider-scale" (fun ?backend () ->
+        exhaustive ?backend ~bound:10 ());
     pinned Scale "corollary1-scale" ~hits_gated:true
-      (fun ?backend:_ ?memo:_ () -> corollary1_scale ());
+      (fun ?backend:_ () -> corollary1_scale ());
     pinned Scale "certify-gmr-scale" ~hits_gated:true
-      (fun ?backend:_ ?memo:_ () ->
+      (fun ?backend:_ () ->
         certify ~budget:50_000 (Gmr_deciders.ld_decider ()) gmr_scale ());
   ]
 

@@ -23,7 +23,6 @@ type experiment = {
           at [--jobs 1]), so test_experiments' printer pass skips it *)
   e_run :
     ?backend:Locald_local.Backend.t ->
-    ?memo:Locald_runtime.Memo.mode ->
     quick:bool ->
     seed:int option ->
     unit ->
@@ -31,10 +30,10 @@ type experiment = {
       (** Run the experiment: a printer for its rows and
           {!Locald_runtime.Shard.digest} of them. Experiments without a
           random state, and [ablations] (one draw from a fixed seed),
-          ignore [seed]; [backend] and [memo] reach the
-          drivers that run deciders through the simulator (table1, oi,
-          warmups; the engine defaults apply when omitted), and the
-          others ignore them.
+          ignore [seed]; [backend] reaches the drivers that run
+          deciders through the simulator (table1, oi, warmups; the
+          engine default applies when omitted), and the others ignore
+          it.
           @raise Failure naming the experiment and the row when a
           check fails: a row that the experiment's [Report] failure
           predicate names (table1, fig1, fig2, fig3, diagonal,
@@ -56,15 +55,11 @@ type pinned = {
   p_wall_gated : bool;
       (** [--check] requires the [@j1] row within 2x (+50ms) of its
           pinned wall time *)
-  p_run :
-    ?backend:Locald_local.Backend.t ->
-    ?memo:Locald_runtime.Memo.mode ->
-    unit ->
-    int * string;
+  p_run : ?backend:Locald_local.Backend.t -> unit -> int * string;
       (** Run on the default pool: the problem size and the result
-          digest. [backend] and [memo] reach the exhaustive-decider
-          evaluations (the engine defaults apply when omitted); the
-          other workloads ignore them. *)
+          digest. [backend] reaches the exhaustive-decider evaluations
+          (the engine default applies when omitted); the other
+          workloads ignore it. *)
 }
 
 val workloads : pinned list

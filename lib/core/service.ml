@@ -4,8 +4,8 @@
 
    The centrepiece is the engine cache. An {e engine} is one
    [Sweeps.w_eval] closure — an instance's prepared views plus its
-   read-adaptive decide cache — keyed by (workload, backend config,
-   memo mode). Engines persist across requests, so a repeated workload
+   read-adaptive decide cache — keyed by (workload, backend config).
+   Engines persist across requests, so a repeated workload
    hits the warm cache: the cross-request cache the long-lived daemon
    exists for. A rebuilt engine's cache fills fast, because it keys a
    decide by the id slots the decide reads: the exhaustive-decider
@@ -18,9 +18,11 @@
    one knew.
 
    Per-request configuration is {e threaded}, never ambient: the
-   daemon's startup backend and memo mode are given once at [create],
-   and a request's backend/memo override them for that request only by
-   flowing through [w_eval]'s explicit parameters.
+   daemon's startup backend is given once at [create], and a request's
+   backend overrides it for that request only by flowing through
+   [w_eval]'s explicit parameters. A request field the daemon does not
+   read — such as the [memo] and [jobs] of older clients — is ignored,
+   as [Proto] ignores every unknown field.
 
    Requests run concurrently on the daemon's executor domains, so the
    engine table and its LRU clock sit under one mutex. The same lock
@@ -45,7 +47,6 @@ type engine = {
 
 type t = {
   sv_backend : Backend.t;  (* startup default for config-less requests *)
-  sv_memo : Memo.mode;
   sv_memo_capacity : int;
   sv_max_engines : int;
   sv_lock : Mutex.t;  (* the table, the tick, and workload lazies *)
@@ -56,12 +57,10 @@ type t = {
 let default_max_engines = 8
 let default_memo_capacity = 1 lsl 16
 
-let create ?(backend = Backend.Sync) ?(memo = Memo.Exact_ids)
-    ?(max_engines = default_max_engines)
+let create ?(backend = Backend.Sync) ?(max_engines = default_max_engines)
     ?(memo_capacity = default_memo_capacity) () =
   {
     sv_backend = backend;
-    sv_memo = memo;
     sv_memo_capacity = memo_capacity;
     sv_max_engines = max 1 max_engines;
     sv_lock = Mutex.create ();
@@ -79,24 +78,6 @@ let resolve_backend t (c : Proto.config) =
   Backend.resolve c.c_backend ~sched_seed:c.c_sched_seed ~fifo:c.c_fifo
   |> Result.map (Option.value ~default:t.sv_backend)
 
-let resolve_memo t (c : Proto.config) =
-  match c.c_memo with
-  | None -> Ok t.sv_memo
-  | Some s -> (
-      match Memo.mode_of_string s with
-      | Some m -> Ok m
-      | None ->
-          Error
-            (Printf.sprintf "unknown memo mode %S (expected off | exact)" s))
-
-(* A request's [jobs] is still range-checked, so a client's mistake is
-   an error, but it has no effect: every request runs at width one on
-   the daemon's executor. *)
-let check_jobs (c : Proto.config) =
-  match c.c_jobs with
-  | Some j when j < 1 || j > 64 -> Error "jobs must be within [1, 64]"
-  | Some _ | None -> Ok ()
-
 let backend_key = function
   | Backend.Sync -> "sync"
   | Backend.Async { Async_runner.sched_seed; fifo } ->
@@ -106,11 +87,8 @@ let backend_key = function
 (* The engine cache                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let engine_for t (w : Sweeps.workload) backend memo =
-  let key =
-    Printf.sprintf "%s#%s#%s" w.Sweeps.w_name (backend_key backend)
-      (Memo.mode_to_string memo)
-  in
+let engine_for t (w : Sweeps.workload) backend =
+  let key = w.Sweeps.w_name ^ "#" ^ backend_key backend in
   Mutex.protect t.sv_lock @@ fun () ->
   t.sv_tick <- t.sv_tick + 1;
   match Hashtbl.find_opt t.sv_engines key with
@@ -138,8 +116,7 @@ let engine_for t (w : Sweeps.workload) backend memo =
       let e =
         {
           e_eval =
-            w.Sweeps.w_eval ~backend ~memo ~memo_capacity:t.sv_memo_capacity
-              ();
+            w.Sweeps.w_eval ~backend ~memo_capacity:t.sv_memo_capacity ();
           e_used = t.sv_tick;
         }
       in
@@ -163,8 +140,6 @@ let handle_decide t (req : Proto.request) =
              (String.concat ", " Sweeps.names))
   in
   let* backend = resolve_backend t req.Proto.r_config in
-  let* memo = resolve_memo t req.Proto.r_config in
-  let* () = check_jobs req.Proto.r_config in
   let geom = Mutex.protect t.sv_lock w.Sweeps.w_geometry in
   let total = geom.Sweeps.g_total in
   let lo = Option.value req.Proto.r_lo ~default:0 in
@@ -174,7 +149,7 @@ let handle_decide t (req : Proto.request) =
       Error (Printf.sprintf "range [%d,%d) outside [0,%d]" lo hi total)
     else Ok ()
   in
-  let engine = engine_for t w backend memo in
+  let engine = engine_for t w backend in
   let r = engine.e_eval ~lo ~hi in
   (* No wall times, no cache statistics in the result: responses must
      be byte-comparable across runs and against one-shot CLI digests.
@@ -200,7 +175,7 @@ let handle_decide t (req : Proto.request) =
        ])
 
 let handle_certify t =
-  let rows = Certify.run ~backend:t.sv_backend ~memo:t.sv_memo () in
+  let rows = Certify.run ~backend:t.sv_backend () in
   let row_json r =
     Json.Obj
       [

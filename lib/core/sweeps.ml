@@ -24,12 +24,10 @@ type workload = {
   w_geometry : unit -> geometry;
   w_eval :
     ?backend:Backend.t ->
-    ?memo:Memo.mode ->
     ?memo_capacity:int ->
     unit ->
     lo:int -> hi:int -> Shard.chunk_result;
-  w_unsharded :
-    ?backend:Backend.t -> ?memo:Memo.mode -> unit -> Decider.evaluation;
+  w_unsharded : ?backend:Backend.t -> unit -> Decider.evaluation;
 }
 
 let regime = Ids.f_linear_plus 1
@@ -48,10 +46,10 @@ let h_plus = tree_instance ~arity:2 ~r:2 ~apex:(0, 1)
 
 (* The reference unsharded run: every injective assignment into
    [0 .. bound-1] (default: the instance's own order). *)
-let evaluate_tree ?backend ?memo ?bound ~name ~expected (lg, alg) =
+let evaluate_tree ?backend ?bound ~name ~expected (lg, alg) =
   let lg = Lazy.force lg in
   let bound = Option.value bound ~default:(Labelled.order lg) in
-  Decider.evaluate_exhaustive ?backend ?memo ~bound alg ~expected
+  Decider.evaluate_exhaustive ?backend ~bound alg ~expected
     ~instance:name lg
 
 (* A tree-instance workload: the P decider quantified over every
@@ -65,13 +63,13 @@ let tree_workload ?backend ~name ~description ~instance ~expected ~chunk () =
   in
   (* Per-request configuration: an explicit [?backend] overrides the
      workload's construction-time backend. *)
-  let eval ?backend:req_backend ?(memo = Memo.Exact_ids) ?memo_capacity () =
+  let eval ?backend:req_backend ?memo_capacity () =
     let lg = Lazy.force lg in
     let n = Labelled.order lg in
     let backend =
       match req_backend with Some _ -> req_backend | None -> backend
     in
-    let prep = Runner.prepare ~memo ?memo_capacity ?backend alg lg in
+    let prep = Runner.prepare ?memo_capacity ?backend alg lg in
     fun ~lo ~hi ->
       let rv =
         Decider.evaluate_exhaustive_range ~prep ~bound:n ~lo ~hi alg ~expected
@@ -83,11 +81,11 @@ let tree_workload ?backend ~name ~description ~instance ~expected ~chunk () =
         r_fail = Option.map (fun (rank, _, _) -> rank) rv.Decider.rv_failure;
       }
   in
-  let unsharded ?backend:req_backend ?memo () =
+  let unsharded ?backend:req_backend () =
     let backend =
       match req_backend with Some _ -> req_backend | None -> backend
     in
-    evaluate_tree ?backend ?memo ~name ~expected instance
+    evaluate_tree ?backend ~name ~expected instance
   in
   {
     w_name = name;
@@ -130,12 +128,12 @@ let corollary1_workload ~name ~description ~machine ~expected ~total ~chunk ()
   let verdict_at fast k =
     Verdict.accepts (Gmr_deciders.Fast.corollary1 fast (Random.State.make [| k |]))
   in
-  (* Seed-ranked: there is no backend or memo axis (the randomised
-     decider neither extracts runner views nor memoises), so the
-     per-request configuration is accepted and inert — the same
+  (* Seed-ranked: there is no backend axis and no decide cache (the
+     randomised decider neither extracts runner views nor memoises),
+     so the per-request configuration is accepted and inert — the same
      workload name answers identically whatever config a serve request
      attaches. *)
-  let eval ?backend:_ ?memo:_ ?memo_capacity:_ () =
+  let eval ?backend:_ ?memo_capacity:_ () =
     let t = Lazy.force built in
     let fast = Gmr_deciders.Fast.prepare t.Gmr.lg in
     fun ~lo ~hi ->
@@ -149,7 +147,7 @@ let corollary1_workload ~name ~description ~machine ~expected ~total ~chunk ()
       done;
       { Shard.r_correct = !correct; r_wrong = !wrong; r_fail = !fail }
   in
-  let unsharded ?backend:_ ?memo:_ () =
+  let unsharded ?backend:_ () =
     let t = Lazy.force built in
     let fast = Gmr_deciders.Fast.prepare t.Gmr.lg in
     let correct = ref 0 and wrong = ref 0 in
@@ -204,9 +202,9 @@ let certify_gmr_workload ~name ~description ~machine ~chunk () =
     out && Locald_analysis.Trace.reads_input_ids tr
   in
   (* Node-ranked provenance traces under the access monitor: direct
-     [View.extract], no backend or memo axis — per-request
+     [View.extract], no backend axis and no decide cache — per-request
      configuration is accepted and inert, as for the curve workload. *)
-  let eval ?backend:_ ?memo:_ ?memo_capacity:_ () =
+  let eval ?backend:_ ?memo_capacity:_ () =
     let t = Lazy.force built in
     let lg = t.Gmr.lg in
     let n = Gmr.order t in
@@ -224,7 +222,7 @@ let certify_gmr_workload ~name ~description ~machine ~chunk () =
       done;
       { Shard.r_correct = !correct; r_wrong = !wrong; r_fail = !fail }
   in
-  let unsharded ?backend:_ ?memo:_ () =
+  let unsharded ?backend:_ () =
     let t = Lazy.force built in
     let lg = t.Gmr.lg in
     let n = Gmr.order t in
@@ -313,8 +311,8 @@ let find name = List.find_opt (fun w -> w.w_name = name) all
 
 let default_name = "exhaustive-decider"
 
-let exhaustive_decider ?backend ?memo ?bound () =
-  evaluate_tree ?backend ?memo ?bound ~name:default_name ~expected:true h_plus
+let exhaustive_decider ?backend ?bound () =
+  evaluate_tree ?backend ?bound ~name:default_name ~expected:true h_plus
 
 let digest (e : Decider.evaluation) =
   Shard.result_digest ~correct:e.Decider.correct ~wrong:e.Decider.wrong

@@ -31,7 +31,6 @@ type workload = {
   w_geometry : unit -> geometry;
   w_eval :
     ?backend:Locald_local.Backend.t ->
-    ?memo:Locald_runtime.Memo.mode ->
     ?memo_capacity:int ->
     unit ->
     lo:int -> hi:int -> Locald_runtime.Shard.chunk_result;
@@ -46,13 +45,11 @@ type workload = {
 
           The optional config is {e per-request}: [backend]
           overrides the workload's construction-time backend (else
-          [Sync]) and [memo] defaults to [Exact_ids]. Workloads
-          without a backend/memo axis (the seed-ranked curve, the
-          certify sweep) accept and ignore it; every configuration is
-          digest-transparent. *)
+          [Sync]). Workloads without a backend axis or a decide cache
+          (the seed-ranked curve, the certify sweep) accept and ignore
+          it; every configuration is digest-transparent. *)
   w_unsharded :
     ?backend:Locald_local.Backend.t ->
-    ?memo:Locald_runtime.Memo.mode ->
     unit ->
     Locald_decision.Decider.evaluation;
       (** The reference unsharded run ([evaluate_exhaustive], quotient
@@ -71,14 +68,13 @@ val default_name : string
 
 val exhaustive_decider :
   ?backend:Locald_local.Backend.t ->
-  ?memo:Locald_runtime.Memo.mode ->
   ?bound:int ->
   unit ->
   Locald_decision.Decider.evaluation
 (** The instance and decider of ["exhaustive-decider"] quantified over
     every injective assignment into [0 .. bound - 1]
     ({!Locald_decision.Decider.evaluate_exhaustive}, whose [backend]
-    and [memo] defaults apply). At the default bound (the instance's
+    default applies). At the default bound (the instance's
     order, 8) this is the workload's [w_unsharded] run and the
     BENCH_quick pin; at [bound = 10] it is the BENCH_scale pin. *)
 

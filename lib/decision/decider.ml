@@ -32,8 +32,7 @@ let accepts (out : bool array) =
   done;
   !all
 
-let evaluate ?backend ?(memo = Memo.Exact_ids) ~rng ~regime ~assignments alg
-    ~expected ~instance lg =
+let evaluate ?backend ~rng ~regime ~assignments alg ~expected ~instance lg =
   if assignments < 0 then
     invalid_arg (Printf.sprintf "Decider.evaluate: %d assignments" assignments);
   Telemetry.span "decider.evaluate" @@ fun () ->
@@ -42,7 +41,7 @@ let evaluate ?backend ?(memo = Memo.Exact_ids) ~rng ~regime ~assignments alg
      only re-decorate per assignment (see Runner.prepare). The decide
      itself goes through the preparation's read-adaptive cache —
      transparent for the pure deciders this module is specified for. *)
-  let prep = Runner.prepare ~memo ?backend alg lg in
+  let prep = Runner.prepare ?backend alg lg in
   Telemetry.span "decider.tally" @@ fun () ->
   (* One pool task per assignment: its own Runner task and output
      array, which also carries the witness verdict. *)
@@ -121,8 +120,8 @@ let walk_ranks prep ~bound ~n ~expected ~lo ~hi =
   { rv_lo = lo; rv_hi = hi; rv_correct = !correct; rv_wrong = !wrong;
     rv_failure = !failure }
 
-let evaluate_exhaustive_range ?prep ?backend ?(memo = Memo.Exact_ids)
-    ?memo_capacity ~bound ~lo ~hi alg ~expected lg =
+let evaluate_exhaustive_range ?prep ?backend ?memo_capacity ~bound ~lo ~hi alg
+    ~expected lg =
   Telemetry.span "decider.evaluate_range" @@ fun () ->
   let n = Locald_graph.Labelled.order lg in
   let total = Orbit.perm ~bound ~k:n in
@@ -134,7 +133,7 @@ let evaluate_exhaustive_range ?prep ?backend ?(memo = Memo.Exact_ids)
   let prep =
     match prep with
     | Some p -> p
-    | None -> Runner.prepare ~memo ?memo_capacity ?backend alg lg
+    | None -> Runner.prepare ?memo_capacity ?backend alg lg
   in
   (* Sub-ranges are fixed by [lo] alone and folded in rank order, so
      counts and the first failure are identical at any job count. *)
@@ -176,11 +175,11 @@ let evaluate_exhaustive_range ?prep ?backend ?(memo = Memo.Exact_ids)
    back transparently to the naive loop — the range evaluator over
    every rank — whose decide cache the scan has already partly
    warmed. *)
-let evaluate_exhaustive ?(quotient = true) ?backend ?(memo = Memo.Exact_ids)
-    ?memo_capacity ~bound alg ~expected ~instance lg =
+let evaluate_exhaustive ?backend ?memo_capacity ~bound alg ~expected ~instance
+    lg =
   Telemetry.span "decider.evaluate_exhaustive" @@ fun () ->
   let n = Locald_graph.Labelled.order lg in
-  let prep = Runner.prepare ~memo ?memo_capacity ?backend alg lg in
+  let prep = Runner.prepare ?memo_capacity ?backend alg lg in
   let assignments = Orbit.perm ~bound ~k:n in
   let naive () =
     let rv =
@@ -197,7 +196,7 @@ let evaluate_exhaustive ?(quotient = true) ?backend ?(memo = Memo.Exact_ids)
       failure = Option.map (fun (_, ids, v) -> (ids, v)) rv.rv_failure;
     }
   in
-  if (not quotient) || n = 0 then naive ()
+  if n = 0 then naive ()
   else begin
     let all_accept = ref true in
     let v = ref 0 in

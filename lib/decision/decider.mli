@@ -16,19 +16,20 @@
     pre-extracted once per instance ({!Locald_local.Runner.prepare}),
     so results — including the [failure] witness, which is the first
     wrong assignment in stream order — are identical at any job
-    count, at any simulator backend (the [?backend] of each entry
+    count and at any simulator backend (the [?backend] of each entry
     point, default [Sync]; the fault-injected entry points below
-    always use the engine their plan semantics are defined over) and
-    in any decide-once memo mode (the [?memo] of each entry point,
-    default [Exact_ids]; see {!Locald_local.Runner.prepare}).
+    always use the engine their plan semantics are defined over).
 
-    Every decide of every entry point here except the fault-injected
-    ones goes through the preparation's one read-adaptive decide
-    cache ({!Locald_local.Runner.decide}): the sampled assignments,
-    the range walks and the quotient scan share it, so the scan warms
-    the naive fallback, and [Off] turns it off everywhere. A decide
-    that misses runs once under the access monitor; later restrictions
-    that agree on the id slots it read reuse its output. *)
+    Every decide of every entry point here except {!decide},
+    {!decide_oblivious} and the fault-injected ones goes through the
+    preparation's one read-adaptive decide cache
+    ({!Locald_local.Runner.decide}): the sampled assignments, the range
+    walks and the quotient scan share it, so the scan warms the naive
+    fallback. A decide that misses runs once under the access monitor;
+    later restrictions that agree on the id slots it read reuse its
+    output. There is no uncached mode: test_decision's oracle checks
+    these entry points against folds of {!decide}'s direct engine over
+    the same assignments. *)
 
 open Locald_graph
 open Locald_local
@@ -53,7 +54,6 @@ type evaluation = {
 
 val evaluate :
   ?backend:Backend.t ->
-  ?memo:Locald_runtime.Memo.mode ->
   rng:Random.State.t ->
   regime:Ids.regime ->
   assignments:int ->
@@ -65,9 +65,7 @@ val evaluate :
 (** Random assignments drawn from the regime. *)
 
 val evaluate_exhaustive :
-  ?quotient:bool ->
   ?backend:Backend.t ->
-  ?memo:Locald_runtime.Memo.mode ->
   ?memo_capacity:int ->
   bound:int ->
   ('a, bool) Algorithm.t ->
@@ -76,21 +74,17 @@ val evaluate_exhaustive :
   'a Labelled.t ->
   evaluation
 (** Every injective assignment into [0 .. bound-1] (small instances
-    only). With [quotient] (the default) the all-accept question is
-    first decided on the ball-local assignment quotient — per node,
-    every injective restriction of its ball
-    ({!Locald_runtime.Orbit.injections}) — which is exhaustive over
-    far fewer decides; the tallies then follow by counting arithmetic.
-    Whenever any node rejects any restriction, evaluation falls back
-    transparently to the naive assignment loop (with the decide-once
-    memo already warm), so the result — counts, and the first-failure
-    witness — is byte-identical to [quotient:false] in every case.
-    [quotient:false] and the fallback are {!evaluate_exhaustive_range}
-    over every rank.
-    [memo] / [memo_capacity] configure the implicit preparation's
-    decide cache (default [Exact_ids], unbounded); with [Off] the
-    quotient scan, too, decides every restriction. Both memo modes
-    are digest-transparent. *)
+    only). The all-accept question is first decided on the ball-local
+    assignment quotient — per node, every injective restriction of its
+    ball ({!Locald_runtime.Orbit.injections}) — which is exhaustive
+    over far fewer decides; the tallies then follow by counting
+    arithmetic. Whenever any node rejects any restriction, evaluation
+    falls back transparently to the naive assignment loop (with the
+    decide cache already warm), so the result — counts, and the
+    first-failure witness — is byte-identical in every case to
+    {!evaluate_exhaustive_range} over every rank, which is that
+    fallback. [memo_capacity] bounds the implicit preparation's decide
+    cache (default unbounded). *)
 
 type range_evaluation = {
   rv_lo : int;
@@ -105,7 +99,6 @@ type range_evaluation = {
 val evaluate_exhaustive_range :
   ?prep:('a, bool) Runner.prepared ->
   ?backend:Backend.t ->
-  ?memo:Locald_runtime.Memo.mode ->
   ?memo_capacity:int ->
   bound:int ->
   lo:int ->
@@ -131,7 +124,7 @@ val evaluate_exhaustive_range :
     nothing, and each task adds its decide and cache counts to the run
     once. Pass [prep] to share one
     prepared-view/cache structure across many ranges within a process;
-    without it, [memo] / [memo_capacity] configure the implicit
+    without it, [backend] and [memo_capacity] configure the implicit
     preparation as in {!evaluate_exhaustive}.
     @raise Invalid_argument on a range outside [\[0, total\]]. *)
 

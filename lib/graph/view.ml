@@ -92,32 +92,41 @@ let depth_of inst view v =
   end;
   inst.memo_dist.(v)
 
-let[@inline] note view make =
+(* Each reporter looks at the monitor slot before it builds anything:
+   with no monitor installed an accessor allocates nothing. *)
+let note_id view v ids =
   match !(Domain.DLS.get monitor_slot) with
   | None -> ()
-  | Some inst -> inst.mon.emit (make inst view)
+  | Some inst ->
+      inst.mon.emit
+        (Id_read
+           {
+             node = v;
+             depth = depth_of inst view v;
+             id = ids.(v);
+             input = inst.mon.input_ids ids;
+           })
 
-let note_id view v ids =
-  note view (fun inst view ->
-      Id_read
-        {
-          node = v;
-          depth = depth_of inst view v;
-          id = ids.(v);
-          input = inst.mon.input_ids ids;
-        })
-
-let note_ids view ids =
-  note view (fun inst _ -> Ids_read { input = inst.mon.input_ids ids })
+let note_ids ids =
+  match !(Domain.DLS.get monitor_slot) with
+  | None -> ()
+  | Some inst -> inst.mon.emit (Ids_read { input = inst.mon.input_ids ids })
 
 let note_label view v =
-  note view (fun inst view -> Label_read { node = v; depth = depth_of inst view v })
+  match !(Domain.DLS.get monitor_slot) with
+  | None -> ()
+  | Some inst ->
+      inst.mon.emit (Label_read { node = v; depth = depth_of inst view v })
 
+(* A read of node [v]'s adjacency, or of the whole view's shape when
+   [v] is negative. *)
 let note_structure view v =
-  note view (fun inst view ->
-      match v with
-      | None -> Structure_read { node = None; depth = 0 }
-      | Some v -> Structure_read { node = Some v; depth = depth_of inst view v })
+  match !(Domain.DLS.get monitor_slot) with
+  | None -> ()
+  | Some inst ->
+      inst.mon.emit
+        (if v < 0 then Structure_read { node = None; depth = 0 }
+         else Structure_read { node = Some v; depth = depth_of inst view v })
 
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)
@@ -239,7 +248,7 @@ let strip_ids view = { view with ids = None }
 (* ------------------------------------------------------------------ *)
 
 let order view =
-  note_structure view None;
+  note_structure view (-1);
   Graph.order view.graph
 
 let center_label view =
@@ -263,7 +272,7 @@ let id view v =
       ids.(v)
 
 let ids view =
-  (match view.ids with Some a -> note_ids view a | None -> ());
+  (match view.ids with Some a -> note_ids a | None -> ());
   view.ids
 
 let has_ids view = view.ids <> None
@@ -275,15 +284,15 @@ let label view v =
   view.labels.(v)
 
 let neighbours view v =
-  note_structure view (Some v);
+  note_structure view v;
   Graph.neighbours view.graph v
 
 let degree view v =
-  note_structure view (Some v);
+  note_structure view v;
   Graph.degree view.graph v
 
 let dist_from_center view =
-  note_structure view None;
+  note_structure view (-1);
   Graph.bfs_distances view.graph view.center
 
 (* ------------------------------------------------------------------ *)
@@ -330,8 +339,8 @@ let fingerprint hash_label view =
 let equal_ids a b =
   match (a.ids, b.ids) with
   | Some x, Some y ->
-      note_ids a x;
-      note_ids b y;
+      note_ids x;
+      note_ids y;
       x = y
   | None, None -> true
   | Some _, None | None, Some _ -> false

@@ -30,10 +30,9 @@ let find_variance_sampled ?backend ~rng ~trials ~regime alg lg =
   in
   go 0
 
-let find_variance_exhaustive ?backend ?(memo = Locald_runtime.Memo.Exact_ids)
-    ~bound alg lg =
+let find_variance_exhaustive ?backend ~bound alg lg =
   let n = Labelled.order lg in
-  let prep = Runner.prepare ~memo ?backend alg lg in
+  let prep = Runner.prepare ?backend alg lg in
   (* Every assignment against the first, views extracted once and
      decides memoised — the witness (first differing node of the first
      differing assignment, in enumeration order) is identical to the

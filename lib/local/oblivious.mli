@@ -33,7 +33,6 @@ val find_variance_sampled :
 
 val find_variance_exhaustive :
   ?backend:Backend.t ->
-  ?memo:Locald_runtime.Memo.mode ->
   bound:int ->
   ('a, 'o) Algorithm.t ->
   'a Labelled.t ->
@@ -44,5 +43,6 @@ val find_variance_exhaustive :
     order. Exponential; use only on small instances.
 
     Views are prepared once with [backend] (default [Sync]) and decides
-    go through a decide-once table in [memo] mode (default
-    [Exact_ids]; see {!Runner.prepare}). Neither changes the witness. *)
+    go through the preparation's decide cache (see {!Runner.prepare}).
+    Neither changes the witness: it is the one a {!Runner.run} per
+    assignment finds. *)

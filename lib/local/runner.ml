@@ -20,7 +20,7 @@ type ('a, 'o) prepared = {
   p_alg : ('a, 'o) Algorithm.t;
   p_order : int;
   p_views : ('a View.t * int array) array;
-  p_cache : 'o Locald_runtime.Memo.Trie.t option;
+  p_cache : 'o Locald_runtime.Memo.Trie.t;
 }
 
 (* Each call is one ball-restricted decide — the unit both the naive
@@ -47,8 +47,7 @@ let sync_scratch_gauges () =
   let delta = cur - Atomic.exchange last_scratch_allocs cur in
   Locald_runtime.Telemetry.Gauge.add g_scratch_allocs (float_of_int delta)
 
-let prepare ?(memo = Locald_runtime.Memo.Off) ?memo_capacity
-    ?(backend = Backend.Sync) alg lg =
+let prepare ?memo_capacity ?(backend = Backend.Sync) alg lg =
   Locald_runtime.Telemetry.span "runner.prepare" @@ fun () ->
   Fun.protect ~finally:sync_scratch_gauges @@ fun () ->
   {
@@ -65,12 +64,8 @@ let prepare ?(memo = Locald_runtime.Memo.Off) ?memo_capacity
       | Backend.Async config ->
           Async_runner.assemble_views ~config ~radius:alg.Algorithm.radius lg);
     p_cache =
-      (match memo with
-      | Locald_runtime.Memo.Off -> None
-      | Exact_ids ->
-          Some
-            (Locald_runtime.Memo.Trie.create ?capacity:memo_capacity
-               (Labelled.order lg)));
+      Locald_runtime.Memo.Trie.create ?capacity:memo_capacity
+        (Labelled.order lg);
   }
 
 let prepared_size prep = prep.p_order
@@ -117,7 +112,7 @@ let decide_view prep v r =
    store the output along those slots. Reads of other id arrays do not
    depend on [r] except through values read from the copy, which are
    recorded. *)
-let decide_recorded cache prep v r =
+let decide_recorded prep v r =
   let key = Array.copy r in
   let k = Array.length key in
   let seen = Array.make k false and slots = Array.make k 0 and n = ref 0 in
@@ -143,7 +138,8 @@ let decide_recorded cache prep v r =
       { View.input_ids = (fun a -> a == key); emit }
       (fun () -> decide_view prep v key)
   in
-  Locald_runtime.Memo.Trie.store cache v key ~reads:(Array.sub slots 0 !n) out;
+  Locald_runtime.Memo.Trie.store prep.p_cache v key
+    ~reads:(Array.sub slots 0 !n) out;
   out
 
 (* The one decide: node [v] under the ball-restricted assignment [r]
@@ -155,17 +151,16 @@ let decide_recorded cache prep v r =
 let decide task v r =
   let prep = task.k_prep in
   task.k_decides <- task.k_decides + 1;
-  match prep.p_cache with
-  | Some cache when not (View.monitored ()) -> (
-      match Locald_runtime.Memo.Trie.find cache v r with
-      | o ->
-          task.k_hits <- task.k_hits + 1;
-          o
-      | exception Not_found ->
-          task.k_misses <- task.k_misses + 1;
-          Locald_runtime.Telemetry.span "memo.compute" (fun () ->
-              decide_recorded cache prep v r))
-  | Some _ | None -> decide_view prep v (Array.copy r)
+  if View.monitored () then decide_view prep v (Array.copy r)
+  else
+    match Locald_runtime.Memo.Trie.find prep.p_cache v r with
+    | o ->
+        task.k_hits <- task.k_hits + 1;
+        o
+    | exception Not_found ->
+        task.k_misses <- task.k_misses + 1;
+        Locald_runtime.Telemetry.span "memo.compute" (fun () ->
+            decide_recorded prep v r)
 
 (* Node [v]'s restriction of the global assignment [ids], written
    into the task's buffer for [v]. *)

@@ -19,11 +19,13 @@
     The quantifying paths go through a {!prepared} instance, whose
     views are extracted once, and through its one decide, {!decide}:
     the range walks, sampled assignments, {!run_prepared},
-    {!decide_restricted} and the quotient scan alike. With a cache
-    (the [memo] of {!prepare}) each node is decided once per distinct
-    value of the id slots its decide reads, recorded by the access
-    monitor; that is sound for pure decides whose id reads all go
-    through [View]'s accessors. *)
+    {!decide_restricted} and the quotient scan alike. Every
+    preparation carries a read-adaptive decide cache, so each node is
+    decided once per distinct value of the id slots its decide reads,
+    recorded by the access monitor; that is sound for pure decides
+    whose id reads all go through [View]'s accessors. The cache has no
+    off switch: {!run} is the uncached engine, and the reference the
+    cached paths are tested against. *)
 
 open Locald_graph
 
@@ -47,7 +49,6 @@ type ('a, 'o) prepared
     extraction at all. *)
 
 val prepare :
-  ?memo:Locald_runtime.Memo.mode ->
   ?memo_capacity:int ->
   ?backend:Backend.t ->
   ('a, 'o) Algorithm.t -> 'a Labelled.t -> ('a, 'o) prepared
@@ -57,18 +58,17 @@ val prepare :
     identifiers; the resulting (view, ball map) pairs are
     representation-identical either way).
 
-    [memo] (default [Off]) attaches the read-adaptive decide cache
-    ({!Locald_runtime.Memo.Trie}) that every decide through this
-    preparation goes through: a decide that misses runs under a
-    recording access monitor, and its output is reused for every later
-    restriction of that node's ball that agrees on the id slots it
-    read. So a node is decided once per distinct value of the slots it
-    reads — once per distinct restriction for a decide that reads them
-    all. For pure decide functions whose id reads all go through
-    [View]'s accessors this is observationally transparent —
-    byte-identical outputs at any [--jobs], with the memo on or off;
-    deciders that are {e not} pure functions of their view (e.g.
-    per-node randomness) must keep the default.
+    Every decide through the preparation goes through its
+    read-adaptive decide cache ({!Locald_runtime.Memo.Trie}): a decide
+    that misses runs under a recording access monitor, and its output
+    is reused for every later restriction of that node's ball that
+    agrees on the id slots it read. So a node is decided once per
+    distinct value of the slots it reads — once per distinct
+    restriction for a decide that reads them all. For pure decide
+    functions whose id reads all go through [View]'s accessors this is
+    observationally transparent: the outputs are {!run}'s, at any
+    [--jobs]. A decider that is {e not} a pure function of its view
+    (e.g. per-node randomness) must run through {!run} instead.
 
     [memo_capacity] bounds the cache's stored leaves; reaching it
     drops every node's trie, which recomputes dropped behaviours and
@@ -101,8 +101,8 @@ val decide : ('a, 'o) task -> int -> int array -> 'o
     assignment [r] ([r.(i)] is the id of view-local node [i] — the
     restriction of a global assignment along {!ball_of}; it must be
     injective). This is the one decide every path below goes through.
-    With a cache, a hit walks [v]'s trie over [r] and allocates
-    nothing, takes no lock and writes no shared cell; a miss decides a
+    A cache hit walks [v]'s trie over [r] and allocates nothing,
+    takes no lock and writes no shared cell; a miss decides a
     copy of [r] under a recording monitor inside a [memo.compute] span
     and stores the output. Under an installed monitor (a trace of the
     decide itself) it decides directly, so the trace sees every read.
@@ -121,9 +121,8 @@ val decide_restricted : ('a, 'o) prepared -> int -> int array -> 'o
 
 val run_prepared : ('a, 'o) prepared -> ids:Ids.t -> 'o array
 (** Exactly [run alg lg ~ids], but with the per-assignment view
-    extraction hoisted out (and decides routed through the cache when
-    one was requested at {!prepare}) — {!decide_all} on a fresh task,
-    flushed before it returns.
+    extraction hoisted out and decides routed through the cache —
+    {!decide_all} on a fresh task, flushed before it returns.
     @raise Ids.Invalid_ids if the assignment has the wrong size. *)
 
 val run_oblivious : ('a, 'o) Algorithm.oblivious -> 'a Labelled.t -> 'o array

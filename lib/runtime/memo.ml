@@ -1,44 +1,26 @@
-(* Decide-once memoisation: a sharded concurrent table for generic
-   keys, and the read-adaptive decide cache every decide path of
+(* Decide-once memoisation: a concurrent table for generic keys, and
+   the read-adaptive decide cache every prepared decide of
    [Locald_local.Runner] goes through.
 
    The table maps caller-hashed keys (certify's simulation cache, the
-   tree coverage's apex cache) to computed values. Shards are selected
-   by key hash. Each shard is a mutex plus a power-of-two array of
-   immutable bucket lists, published through an [Atomic.t]; collisions
-   are resolved by the caller's equality (the polymorphic primitives
-   are never applied to keys, which is also what the [decorated-key]
-   analyze rule enforces outside this library).
-
-   Reads take no lock and allocate nothing: they load the shard's array
-   and walk one bucket. Stores, eviction and growth run under the shard
-   lock and never mutate a bucket cell; they write a new list head into
-   a slot, or publish a new array. A racy slot read therefore sees
-   either the old list or the new one. OCaml 5's memory model makes an
-   immutable block reached through any read, racy or not, fully
-   initialised, so a reader never sees a half-built cell. A reader that
-   sees the old list misses the new key and recomputes it; the store's
-   re-check under the lock then keeps the first binding.
+   tree coverage's apex cache) to computed values: one hash table of
+   buckets indexed by the caller's hash, each bucket a list of
+   (key, value) pairs told apart by the caller's equality (the
+   polymorphic primitives are never applied to keys, which is also what
+   the [decorated-key] analyze rule enforces outside this library).
+   One mutex guards the hash table; both callers look up a few tens of
+   thousands of keys a run, so the lock is never the cost. A lookup
+   holds it only to fetch a bucket, and compares keys outside it. The
+   compute runs outside the lock, and a store re-checks under it, so
+   the first binding of a key stays and the table never holds
+   duplicates.
 
    Semantic transparency contract: [find_or_compute t k f] returns a
    value [f ()] returned on some call with an [equal]-equal key. For
    pure [f] the result is indistinguishable from calling [f] every
-   time — digests are byte-identical with the memo on or off, at any
-   job count. Hit/miss totals may race under parallel fan-out (two
-   domains can miss on the same key); the number of distinct keys
-   stored is deterministic. The decide cache ([Trie], at the end of
-   this file) keeps the same discipline with per-node tries in place
-   of buckets. *)
-
-type mode = Off | Exact_ids
-
-let mode_to_string = function Off -> "off" | Exact_ids -> "exact"
-
-let mode_of_string s =
-  match String.trim (String.lowercase_ascii s) with
-  | "off" -> Some Off
-  | "exact" | "exact-ids" -> Some Exact_ids
-  | _ -> None
+   time, at any job count. Hit/miss totals may race under parallel
+   fan-out (two domains can miss on the same key); the number of
+   distinct keys stored is deterministic. *)
 
 type stats = { hits : int; misses : int; distinct : int }
 
@@ -66,173 +48,44 @@ let note_hits n = Telemetry.Counter.add c_hits n
 let note_misses n = Telemetry.Counter.add c_misses n
 let note_distincts n = Telemetry.Counter.add c_distinct n
 
-type ('k, 'v) bucket =
-  | Nil
-  | Cons of {
-      key : 'k;
-      hash : int;  (* the scrambled hash, so growth never rehashes a key *)
-      value : 'v;
-      stamp : int;  (* insertion order, for eviction *)
-      next : ('k, 'v) bucket;
-    }
-
-type ('k, 'v) shard = {
-  lock : Mutex.t;
-  (* Slots are written, and the array replaced by a larger one, only
-     under [lock]; readers load it without. *)
-  slots : ('k, 'v) bucket array Atomic.t;
-  mutable tick : int;  (* stamps handed out so far, under [lock] *)
-  mutable count : int; (* live entries, under [lock] *)
-}
-
 type ('k, 'v) t = {
   hash : 'k -> int;
   equal : 'k -> 'k -> bool;
-  mask : int;
-  shift : int;  (* log2 of the shard count: slot bits sit above it *)
-  (* Per-shard entry bound; [max_int] when the table is unbounded. *)
-  cap : int;
-  shards : ('k, 'v) shard array;
-  s_evictions : int Atomic.t;
+  lock : Mutex.t;
+  buckets : (int, ('k * 'v) list) Hashtbl.t;  (* by caller hash, under [lock] *)
 }
 
-let rec pow2_at_least n acc = if acc >= n then acc else pow2_at_least n (acc * 2)
+let create ~hash ~equal () =
+  { hash; equal; lock = Mutex.create (); buckets = Hashtbl.create 64 }
 
-let rec log2 n = if n <= 1 then 0 else 1 + log2 (n / 2)
+(* The bucket of [h]; the caller holds the lock. *)
+let bucket t h = Option.value (Hashtbl.find_opt t.buckets h) ~default:[]
 
-let initial_slots = 64
-
-let create ?(shards = 16) ?capacity ~hash ~equal () =
-  let count = pow2_at_least (max 1 shards) 1 in
-  let cap =
-    match capacity with
-    | None -> max_int
-    (* Never below 2 per shard, or eviction would thrash the very entry
-       that was just stored. *)
-    | Some c -> max 2 (max 1 c / count)
-  in
-  {
-    hash;
-    equal;
-    mask = count - 1;
-    shift = log2 count;
-    cap;
-    shards =
-      Array.init count (fun _ ->
-          {
-            lock = Mutex.create ();
-            slots = Atomic.make (Array.make initial_slots Nil);
-            tick = 0;
-            count = 0;
-          });
-    s_evictions = Atomic.make 0;
-  }
-
-let evictions t = Atomic.get t.s_evictions
-
-(* A snapshot, not a fence: shard counts are read without their locks,
-   so a concurrent store can be missed — fine for the monitoring and
-   test uses this serves. *)
-let size t = Array.fold_left (fun acc s -> acc + s.count) 0 t.shards
-
-(* Callers' hashes can be weak in the low bits; a multiply and a fold
-   bring every input bit down to the bits that pick the shard and the
-   slot. *)
-let scramble h =
-  let h = h * 0x2545f4914f6cdd1d in
-  (h lxor (h lsr 31)) land max_int
-
-let shard_of t h = t.shards.(h land t.mask)
-
-let slot_of t h slots = (h lsr t.shift) land (Array.length slots - 1)
-
-let bucket t shard h =
-  let slots = Atomic.get shard.slots in
-  slots.(slot_of t h slots)
-
-let rec find_in equal key h = function
-  | Nil -> raise_notrace Not_found
-  | Cons c ->
-      if c.hash = h && equal key c.key then c.value
-      else find_in equal key h c.next
-
-(* Drop the older half of a full shard, by insertion stamp. Must run
-   under the shard lock. Halving (rather than evicting one) keeps the
-   amortised cost O(1) per store: a full scan every cap/2 insertions.
-   Recency here is insertion order, not access order — cheaper than
-   LRU stamping on every hit, and the enumeration workloads revisit
-   keys in waves for which insertion order is the right proxy. Kept
-   tails are shared, dropped cells are rebuilt around. *)
-let evict_older_half t shard =
-  let cutoff = shard.tick - max 1 (t.cap / 2) in
-  let dropped = ref 0 in
-  let rec keep = function
-    | Nil -> Nil
-    | Cons c as b ->
-        let next = keep c.next in
-        if c.stamp <= cutoff then begin
-          incr dropped;
-          next
-        end
-        else if next == c.next then b
-        else Cons { c with next }
-  in
-  let slots = Atomic.get shard.slots in
-  Array.iteri (fun i b -> slots.(i) <- keep b) slots;
-  shard.count <- shard.count - !dropped;
-  Atomic.fetch_and_add t.s_evictions !dropped |> ignore;
-  Telemetry.Counter.add c_evictions !dropped
-
-(* Double the slot array once the shard averages two entries a slot.
-   Readers holding the old array keep walking valid (old) lists. *)
-let grow t shard =
-  let old = Atomic.get shard.slots in
-  let slots = Array.make (2 * Array.length old) Nil in
-  let rec move = function
-    | Nil -> ()
-    | Cons c ->
-        let i = slot_of t c.hash slots in
-        slots.(i) <- Cons { c with next = slots.(i) };
-        move c.next
-  in
-  Array.iter move old;
-  Atomic.set shard.slots slots
-
-(* Store unless an [equal] key is already there (a sibling domain may
-   have stored it while we computed), so the table never holds
-   duplicates and [distinct] — stored bindings — is deterministic for
-   an unbounded table (with a capacity, an evicted key can be stored
-   again, so [distinct] counts stores). Eviction runs before the store,
-   so the live count never exceeds the cap, even transiently. *)
-let store t key h v =
-  let shard = shard_of t h in
-  Mutex.protect shard.lock @@ fun () ->
-  match find_in t.equal key h (bucket t shard h) with
-  | _ -> ()
-  | exception Not_found ->
-      if shard.count >= t.cap then evict_older_half t shard;
-      let slots = Atomic.get shard.slots in
-      let i = slot_of t h slots in
-      shard.tick <- shard.tick + 1;
-      slots.(i) <-
-        Cons { key; hash = h; value = v; stamp = shard.tick; next = slots.(i) };
-      shard.count <- shard.count + 1;
-      Telemetry.Counter.incr c_distinct;
-      if shard.count > 2 * Array.length slots then grow t shard
+(* The value bound to [key] in a bucket. Buckets are immutable lists,
+   so the caller's equality, which may walk a large key, runs outside
+   the lock. *)
+let bound t key bucket =
+  List.find_map (fun (k, v) -> if t.equal key k then Some v else None) bucket
 
 let find_or_compute t key compute =
-  let h = scramble (t.hash key) in
-  match find_in t.equal key h (bucket t (shard_of t h) h) with
-  | v ->
+  let h = t.hash key in
+  match bound t key (Mutex.protect t.lock (fun () -> bucket t h)) with
+  | Some v ->
       Telemetry.Counter.incr c_hits;
       v
-  | exception Not_found ->
+  | None -> (
       Telemetry.Counter.incr c_misses;
       (* The compute is the span-worthy part of a memoised lookup: one
          per distinct work item actually performed. *)
       let v = Telemetry.span "memo.compute" compute in
-      store t key h v;
-      v
+      Mutex.protect t.lock @@ fun () ->
+      let b = bucket t h in
+      match bound t key b with
+      | Some first -> first
+      | None ->
+          Hashtbl.replace t.buckets h ((key, v) :: b);
+          Telemetry.Counter.incr c_distinct;
+          v)
 
 (* ------------------------------------------------------------------ *)
 (* Decoration-key helpers                                              *)
@@ -252,10 +105,14 @@ let structural_equal a b = a = b
 
 (* A decide's output on a fixed ball depends on the restriction only
    through the id values it reads, so each node has a trie that
-   branches on the slots it read, in first-read order (memo.mli). The
-   concurrency is the table's with a root per node in place of a
-   bucket array: lookups load a root and walk immutable nodes; stores
-   path-copy under the one lock and publish the new root. *)
+   branches on the slots it read, in first-read order (memo.mli).
+
+   Lookups take no lock: they load a node's root from its [Atomic.t]
+   and walk immutable trie nodes. Stores path-copy under the one lock
+   and publish the new root, never mutating a published node. OCaml
+   5's memory model makes an immutable block reached through any read
+   fully initialised, so a reader sees the old trie or the new one,
+   never a half-built node. *)
 module Trie = struct
   type 'v node =
     | Empty

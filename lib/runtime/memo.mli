@@ -1,6 +1,10 @@
-(** Decide-once memoisation: sharded concurrent tables keyed by
-    caller-hashed keys, and the read-adaptive decide cache ({!Trie})
-    that every decide of [Locald_local.Runner] goes through.
+(** Decide-once memoisation: a concurrent table keyed by caller-hashed
+    keys, and the read-adaptive decide cache ({!Trie}) that every
+    prepared decide of [Locald_local.Runner] goes through. There is no
+    switch to turn the decide cache off: it is transparent for the
+    pure decides it is specified for, and the uncached reference is
+    the direct engine ([Runner.run]), which test_decision's oracle
+    folds over every assignment.
 
     The locality correspondence (Section 1.2) makes a node's output a
     function of its decorated ball — structure, labels and the id
@@ -11,16 +15,9 @@
 
     {b Transparency contract}: for pure compute functions,
     [find_or_compute] is observationally identical to computing every
-    time — results are byte-identical with the memo on or off and at
-    any [--jobs]. Hit/miss counters may race under parallel fan-out
-    (two domains can both miss on a fresh key); the count of distinct
-    stored keys is deterministic.
-
-    {b Concurrency}: lookups take no lock and allocate nothing; stores,
-    eviction and growth take the key's shard lock. A lookup racing a
-    store may miss the new key and recompute it (the first stored
-    binding stays), and one racing an eviction may still find the
-    evicted binding — both transparent for pure computes.
+    time, at any [--jobs]. Hit/miss counters may race under parallel
+    fan-out (two domains can both miss on a fresh key); the count of
+    distinct stored keys is deterministic.
 
     Keys are hashed and compared exclusively through the caller-supplied
     functions — never with the polymorphic primitives. Outside
@@ -28,72 +25,36 @@
     [Hashtbl.hash] or structural compare is flagged by the
     [decorated-key] rule of [locald analyze]. *)
 
-(** Whether the decide-once entry points memoise. Both modes give
-    byte-identical results for every pure decider. *)
-type mode =
-  | Off  (** no memoisation: every decide recomputes *)
-  | Exact_ids
-      (** one decide per distinct value of the id slots a decide
-          reads ({!Trie}; the default) *)
-
-val mode_to_string : mode -> string
-
-val mode_of_string : string -> mode option
-(** Accepts ["off"] and ["exact"]/["exact-ids"], case- and
-    whitespace-insensitively. *)
-
 (** {1 Tables} *)
 
 type ('k, 'v) t
 
 val create :
-  ?shards:int ->
-  ?capacity:int ->
-  hash:('k -> int) -> equal:('k -> 'k -> bool) -> unit ->
-  ('k, 'v) t
-(** [shards] (rounded up to a power of two, default 16) shards, each
-    a lock for writers and a slot array that doubles as it fills;
-    [hash] must respect [equal].
-
-    [capacity] bounds the number of live entries (split evenly across
-    shards, at least 2 per shard). When a shard fills, the {e older
-    half} of its entries (by insertion stamp) is dropped in one sweep —
-    amortised O(1) per store, and the right recency proxy for
-    enumeration workloads that revisit keys in waves. Omitting
-    [capacity] keeps the table unbounded (the one-shot CLI behaviour);
-    the serve daemon always bounds its cross-request tables. Eviction
-    never breaks the transparency contract — a dropped key simply
-    recomputes, and [distinct] then counts stores rather than unique
-    keys. *)
+  hash:('k -> int) -> equal:('k -> 'k -> bool) -> unit -> ('k, 'v) t
+(** An empty, unbounded table; [hash] must respect [equal]. *)
 
 val find_or_compute : ('k, 'v) t -> 'k -> (unit -> 'v) -> 'v
 (** Return the cached value for an [equal] key, else compute, store and
-    return it. The lookup takes no lock; the compute function runs
-    outside the shard lock (two domains may compute the same fresh key
-    concurrently; the first store wins and the table never holds
-    duplicate keys). Counts into [memo.hits] or [memo.misses], and the
-    compute runs under a [memo.compute] span. *)
-
-val size : ('k, 'v) t -> int
-(** Live entries, summed over shards without taking their locks — a
-    monitoring snapshot, which with a [capacity] never exceeds it
-    (a full shard evicts before it stores). *)
-
-val evictions : ('k, 'v) t -> int
-(** Entries dropped by capacity eviction over this table's lifetime. *)
+    return it. A lookup takes the table's one mutex to fetch a bucket
+    and calls [equal] outside it; a store takes it to re-check and
+    insert. The compute function runs outside the lock (two domains may
+    compute the same fresh key concurrently; the first store wins, both
+    calls return its value, and the table never holds duplicate keys).
+    Counts into [memo.hits] or [memo.misses], and the compute runs
+    under a [memo.compute] span. *)
 
 (** {1 Run-scoped counters}
 
     Aggregated over every table into the ambient telemetry run — what
     [locald --stats] and the bench JSON report. Tables keep no counts
-    of their own beyond {!evictions}.
+    of their own.
     [Telemetry.new_run ()] starts an independent tally (the bench
     harness does this between workloads). *)
 
 type stats = {
   hits : int;      (** lookups answered from a table *)
   misses : int;    (** lookups that computed *)
-  distinct : int;  (** keys stored (deterministic for unbounded tables) *)
+  distinct : int;  (** keys and decide-cache leaves stored *)
 }
 
 val run_stats : unit -> stats

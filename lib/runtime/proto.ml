@@ -16,10 +16,10 @@
      is intact, so the server answers with an error response and keeps
      the connection.
 
-   The typed layer speaks in strings for backend and memo mode: this
-   module sits in [lib/runtime], below [lib/local], so it cannot name
-   [Backend.t] — and the wire shouldn't either. [Locald_core.Service]
-   owns the string -> config interpretation (and its rejections). *)
+   The typed layer speaks in strings for the backend: this module sits
+   in [lib/runtime], below [lib/local], so it cannot name [Backend.t] —
+   and the wire shouldn't either. [Locald_core.Service] owns the
+   string -> config interpretation (and its rejections). *)
 
 module Json = Telemetry.Json
 
@@ -44,31 +44,46 @@ type frame = Frame of Json.t | Garbage of string | Corrupt of string
 
 type decoder = {
   max_frame : int;
-  (* Unconsumed bytes. Appending re-allocates, which is fine at the
-     request sizes this protocol carries; what matters is that [feed]
-     never blocks and [next] never reads. *)
-  mutable pending : string;
+  (* Bytes fed so far; those before [start] are consumed. A frame
+     leaves the buffer only as its payload copy, and the consumed
+     prefix is dropped once it outgrows the live part, so every byte
+     fed is copied a bounded number of times however the peer splits
+     its writes. *)
+  buf : Buffer.t;
+  mutable start : int;
   (* Sticky: once the framing desynchronises every further [next]
      reports it, so the owner reliably closes the connection. *)
   mutable corrupt : string option;
 }
 
 let decoder ?(max_frame = max_frame_default) () =
-  { max_frame; pending = ""; corrupt = None }
+  { max_frame; buf = Buffer.create 256; start = 0; corrupt = None }
 
-let feed d b off len = d.pending <- d.pending ^ Bytes.sub_string b off len
+let feed d b off len = Buffer.add_subbytes d.buf b off len
 
+let live d = Buffer.length d.buf - d.start
+
+let byte d i = Char.code (Buffer.nth d.buf (d.start + i))
+
+(* The unsigned big-endian length prefix at [start], read in place: a
+   prefix above 2^31 must compare as huge, not negative. *)
 let frame_len d =
-  (* Unsigned read: a length prefix above 2^31 must compare as huge,
-     not negative. *)
-  let b = Bytes.of_string (String.sub d.pending 0 4) in
-  Int32.to_int (Bytes.get_int32_be b 0) land 0xFFFFFFFF
+  (byte d 0 lsl 24) lor (byte d 1 lsl 16) lor (byte d 2 lsl 8) lor byte d 3
+
+let consume d n =
+  d.start <- d.start + n;
+  if d.start > live d then begin
+    let rest = Buffer.sub d.buf d.start (live d) in
+    Buffer.clear d.buf;
+    Buffer.add_string d.buf rest;
+    d.start <- 0
+  end
 
 let next d =
   match d.corrupt with
   | Some msg -> Some (Corrupt msg)
   | None ->
-      if String.length d.pending < 4 then None
+      if live d < 4 then None
       else
         let len = frame_len d in
         if len > d.max_frame then begin
@@ -78,12 +93,10 @@ let next d =
           d.corrupt <- Some msg;
           Some (Corrupt msg)
         end
-        else if String.length d.pending < 4 + len then None
+        else if live d < 4 + len then None
         else begin
-          let payload = String.sub d.pending 4 len in
-          d.pending <-
-            String.sub d.pending (4 + len)
-              (String.length d.pending - 4 - len);
+          let payload = Buffer.sub d.buf (d.start + 4) len in
+          consume d (4 + len);
           match Json.of_string payload with
           | v -> Some (Frame v)
           | exception Json.Parse_error msg -> Some (Garbage msg)
@@ -168,18 +181,9 @@ type config = {
   c_backend : string option;
   c_sched_seed : int option;
   c_fifo : bool option;
-  c_memo : string option;
-  c_jobs : int option;
 }
 
-let no_config =
-  {
-    c_backend = None;
-    c_sched_seed = None;
-    c_fifo = None;
-    c_memo = None;
-    c_jobs = None;
-  }
+let no_config = { c_backend = None; c_sched_seed = None; c_fifo = None }
 
 type request = {
   r_id : int;
@@ -208,8 +212,6 @@ let request_to_json r =
          opt "backend" (fun s -> Json.String s) r.r_config.c_backend;
          opt "sched_seed" (fun i -> Json.Int i) r.r_config.c_sched_seed;
          opt "fifo" (fun b -> Json.Bool b) r.r_config.c_fifo;
-         opt "memo" (fun s -> Json.String s) r.r_config.c_memo;
-         opt "jobs" (fun i -> Json.Int i) r.r_config.c_jobs;
        ])
 
 (* Lenient on unknown fields (forward compatibility), strict on the
@@ -258,8 +260,6 @@ let request_of_json json =
       let* backend = str "backend" in
       let* sched_seed = int "sched_seed" in
       let* fifo = bool "fifo" in
-      let* memo = str "memo" in
-      let* jobs = int "jobs" in
       Ok
         {
           r_id = id;
@@ -268,13 +268,7 @@ let request_of_json json =
           r_lo = lo;
           r_hi = hi;
           r_config =
-            {
-              c_backend = backend;
-              c_sched_seed = sched_seed;
-              c_fifo = fifo;
-              c_memo = memo;
-              c_jobs = jobs;
-            };
+            { c_backend = backend; c_sched_seed = sched_seed; c_fifo = fifo };
         }
   | _ -> Error "request must be a JSON object"
 

@@ -3,7 +3,7 @@
     Length-prefixed JSON framing (4-byte big-endian payload length,
     then one strict {!Telemetry.Json} value) plus the typed
     request/response messages the daemon and its clients exchange.
-    Backend and memo mode travel as strings: this module sits below
+    The backend travels as a string: this module sits below
     [lib/local] and cannot (and should not) name [Backend.t] — the
     interpretation, including rejection of unknown names, belongs to
     [Locald_core.Service].
@@ -49,7 +49,9 @@ val feed : decoder -> bytes -> int -> int -> unit
     blocks, never parses. *)
 
 val next : decoder -> frame option
-(** The next complete frame, if one is buffered. *)
+(** The next complete frame, if one is buffered. Decoding copies each
+    byte fed a bounded number of times, whether the peer sends a frame
+    one byte per write or many frames in one. *)
 
 (** {1 Blocking helpers}
 
@@ -79,10 +81,6 @@ type config = {
   c_backend : string option;  (** ["sync"] or ["async"] *)
   c_sched_seed : int option;  (** async scheduler seed *)
   c_fifo : bool option;       (** async FIFO delivery *)
-  c_memo : string option;     (** ["off"] or ["exact"] *)
-  c_jobs : int option;
-      (** a pool width within [[1, 64]]; checked, but it has no
-          effect on a daemon, whose requests all run at width one *)
 }
 (** Per-request configuration — every field optional, defaults are the
     daemon's startup configuration. *)
@@ -109,7 +107,9 @@ val request_to_json : request -> Json.t
 val request_of_json : Json.t -> (request, string) result
 (** Strict on the types of known fields (a string where an integer
     belongs is an error, never a coercion), lenient on unknown
-    fields. *)
+    fields, which are ignored (forward and backward compatibility:
+    the [memo] and [jobs] fields of older clients are unknown
+    fields). *)
 
 (** {1 Responses} *)
 

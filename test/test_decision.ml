@@ -1,6 +1,7 @@
 (* Tests for the decision layer: verdicts, properties, deciders, the
    Id-oblivious simulation A*, promise problems, hereditariness, LCL
-   specs and the decide-once memo. *)
+   specs, the assignment quotient, and the oracle that checks the
+   cached decide paths against the LD definition. *)
 
 open Locald_graph
 open Locald_local
@@ -305,14 +306,12 @@ let test_lcl_deciders_are_oblivious () =
     = None)
 
 (* ------------------------------------------------------------------ *)
-(* Decide-once memoisation and the assignment quotient                 *)
+(* The assignment quotient                                             *)
 (* ------------------------------------------------------------------ *)
 
-module Memo = Locald_runtime.Memo
-
 (* A pure decide that reads identifiers value- and position-
-   sensitively, so the exact-ids memo and the quotient have real work
-   to be transparent over. *)
+   sensitively, so the quotient has real work to be transparent
+   over. *)
 let weighed_alg m =
   Algorithm.make ~name:"weighed" ~radius:1 (fun view ->
       let acc = ref (View.center_id view) in
@@ -337,28 +336,40 @@ let gen_labelled =
         Labelled.init g (fun _ -> Random.State.int st 3))
       (int_bound 3) (int_bound 1000))
 
-(* Over both simulator backends: every (backend, memo, quotient)
-   configuration against the plain synchronous loop. *)
-let prop_memo_transparent =
-  QCheck2.Test.make ~name:"memoised = unmemoised exhaustive evaluation"
-    ~count:25 gen_labelled (fun lg ->
-      let bound = Labelled.order lg + 1 in
-      let eval alg expected backend memo quotient =
-        Locald_runtime.Shard.digest
-          (Decider.evaluate_exhaustive ~quotient ~backend ~memo ~bound alg
-             ~expected ~instance:"prop" lg)
-      in
+(* Over both simulator backends: [evaluate_exhaustive], which decides
+   the all-accept question on the quotient first, against the plain
+   walk over every rank that it falls back to. *)
+let prop_quotient_transparent =
+  QCheck2.Test.make ~name:"quotient = full range walk" ~count:25 gen_labelled
+    (fun lg ->
+      let n = Labelled.order lg in
+      let bound = n + 1 in
+      let total = Locald_runtime.Orbit.perm ~bound ~k:n in
       let transparent alg expected =
-        let reference = eval alg expected Backend.Sync Memo.Off false in
         List.for_all
           (fun backend ->
-            List.for_all
-              (fun (memo, quotient) ->
-                eval alg expected backend memo quotient = reference)
-              [
-                (Memo.Off, false); (Memo.Off, true); (Memo.Exact_ids, false);
-                (Memo.Exact_ids, true);
-              ])
+            let rv =
+              Decider.evaluate_exhaustive_range ~backend ~bound ~lo:0
+                ~hi:total alg ~expected lg
+            in
+            let walked =
+              {
+                Decider.instance = "prop";
+                n;
+                expected;
+                assignments = total;
+                correct = rv.Decider.rv_correct;
+                wrong = rv.Decider.rv_wrong;
+                failure =
+                  Option.map
+                    (fun (_, ids, v) -> (ids, v))
+                    rv.Decider.rv_failure;
+              }
+            in
+            Locald_runtime.Shard.digest
+              (Decider.evaluate_exhaustive ~backend ~bound alg ~expected
+                 ~instance:"prop" lg)
+            = Locald_runtime.Shard.digest walked)
           [ Backend.Sync; Backend.Async Async_runner.default_config ]
       in
       (* An id-reading decide with failures (exercises the quotient's
@@ -367,7 +378,7 @@ let prop_memo_transparent =
       transparent (weighed_alg 3) false
       && transparent (Algorithm.make ~name:"yes" ~radius:1 (fun _ -> true)) true)
 
-let quotient_cases = [ QCheck_alcotest.to_alcotest prop_memo_transparent ]
+let quotient_cases = [ QCheck_alcotest.to_alcotest prop_quotient_transparent ]
 
 (* ------------------------------------------------------------------ *)
 (* The range evaluator against the LD definition                       *)
@@ -488,54 +499,113 @@ let backends =
     Backend.Async { Async_runner.sched_seed = 5; fifo = false };
   ]
 
-(* Every decider on one instance against the oracle: each backend,
-   memo mode and job count, through random tilings and through
-   [evaluate_exhaustive] with the quotient on and off. *)
+(* The sampled evaluation by brute force: the same [Ids.sample] draws
+   [Decider.evaluate] makes from an equal generator, each run through
+   the direct engine. Counts, then the first failure's ids and
+   verdict. *)
+let sampled_oracle alg lg ~seed ~regime ~assignments ~expected =
+  let rng = Random.State.make [| seed |] in
+  let n = Labelled.order lg in
+  let correct = ref 0 and wrong = ref 0 and first = ref None in
+  for _ = 1 to assignments do
+    let ids = Ids.sample rng regime ~n in
+    let verdict = Verdict.of_outputs (Runner.run alg lg ~ids) in
+    if Verdict.accepts verdict = expected then incr correct
+    else begin
+      incr wrong;
+      if !first = None then first := Some (0, Ids.to_array ids, verdict)
+    end
+  done;
+  (!correct, !wrong, !first)
+
+(* Id-obliviousness by brute force: every assignment's direct run
+   against the first one's; the first differing node of the first
+   differing assignment, in enumeration order. *)
+let variance_oracle alg lg ~bound =
+  let outputs ids = Runner.run alg lg ~ids in
+  match Ids.enumerate_injections ~n:(Labelled.order lg) ~bound () with
+  | Seq.Nil -> None
+  | Seq.Cons (first, rest) ->
+      let reference = outputs first in
+      Seq.find_map
+        (fun ids ->
+          let out = outputs ids in
+          Option.map
+            (fun node -> { Oblivious.node; ids_a = first; ids_b = ids })
+            (Seq.find
+               (fun v -> out.(v) <> reference.(v))
+               (Seq.init (Array.length out) Fun.id)))
+        rest
+
+(* An evaluation's counts and first failure, unranked. *)
+let show_evaluation e =
+  show ~ranked:false
+    ( e.Decider.correct,
+      e.Decider.wrong,
+      Option.map (fun (ids, v) -> (0, Ids.to_array ids, v)) e.Decider.failure )
+
+let show_witness = function
+  | None -> "oblivious"
+  | Some w ->
+      Format.asprintf "node %d: %a vs %a" w.Oblivious.node Ids.pp
+        w.Oblivious.ids_a Ids.pp w.Oblivious.ids_b
+
+(* Every decider on one instance against the oracle, on each backend
+   and job count: random tilings of the range evaluator,
+   [evaluate_exhaustive] (the quotient, with its fallback), sampled
+   [evaluate] over 600 draws (two batches) of identifiers below
+   [n + 1], and the exhaustive variance search. *)
 let against_oracle rng name lg ~bound ~expected =
   List.iter
     (fun alg ->
       let truth = oracle alg lg ~bound ~expected in
+      let seed = Random.State.bits rng in
+      let regime = Ids.f_linear_plus 1 and assignments = 600 in
+      let sampled_truth =
+        sampled_oracle alg lg ~seed ~regime ~assignments ~expected
+      in
+      let variance_truth = variance_oracle alg lg ~bound in
       List.iter
         (fun backend ->
+          let backend_name =
+            match backend with
+            | Backend.Sync -> "sync"
+            | Backend.Async _ -> "async"
+          in
+          check Alcotest.string
+            (Printf.sprintf "variance search = oracle: %s, %s, %s" name
+               alg.Algorithm.name backend_name)
+            (show_witness variance_truth)
+            (show_witness
+               (Oblivious.find_variance_exhaustive ~backend ~bound alg lg));
           List.iter
-            (fun (memo, jobs) ->
+            (fun jobs ->
               let where =
-                Printf.sprintf "%s, %s, %s, memo %s, jobs %d" name
-                  alg.Algorithm.name
-                  (match backend with
-                  | Backend.Sync -> "sync"
-                  | Backend.Async _ -> "async")
-                  (Memo.mode_to_string memo) jobs
+                Printf.sprintf "%s, %s, %s, jobs %d" name alg.Algorithm.name
+                  backend_name jobs
               in
               with_jobs jobs (fun () ->
-                  let prep = Runner.prepare ~memo ~backend alg lg in
+                  let prep = Runner.prepare ~backend alg lg in
                   check Alcotest.string ("tiled ranges = oracle: " ^ where)
                     (show truth)
                     (tiled rng prep alg lg ~bound ~expected);
-                  List.iter
-                    (fun quotient ->
-                      let e =
-                        Decider.evaluate_exhaustive ~quotient ~backend ~memo
-                          ~bound alg ~expected ~instance:name lg
-                      in
-                      check Alcotest.string
-                        (Printf.sprintf
-                           "evaluate_exhaustive (quotient %b) = oracle: %s"
-                           quotient where)
-                        (show ~ranked:false truth)
-                        (show ~ranked:false
-                           ( e.Decider.correct,
-                             e.Decider.wrong,
-                             Option.map
-                               (fun (ids, v) -> (0, Ids.to_array ids, v))
-                               e.Decider.failure )))
-                    [ true; false ]))
-            [
-              (Memo.Off, 1);
-              (Memo.Exact_ids, 1);
-              (Memo.Off, 2);
-              (Memo.Exact_ids, 2);
-            ])
+                  let e =
+                    Decider.evaluate_exhaustive ~backend ~bound alg ~expected
+                      ~instance:name lg
+                  in
+                  check Alcotest.string
+                    ("evaluate_exhaustive = oracle: " ^ where)
+                    (show ~ranked:false truth)
+                    (show_evaluation e);
+                  let e =
+                    Decider.evaluate ~backend
+                      ~rng:(Random.State.make [| seed |])
+                      ~regime ~assignments alg ~expected ~instance:name lg
+                  in
+                  check Alcotest.string ("sampled evaluate = oracle: " ^ where)
+                    (show ~ranked:false sampled_truth)
+                    (show_evaluation e)))
+            [ 1; 2 ])
         backends)
     oracle_deciders
 

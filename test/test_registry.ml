@@ -4,14 +4,13 @@
    pinned workloads. The suite runs at whatever pool width it is
    launched with (LOCALD_JOBS); the pins do not depend on it.
 
-   The engine settings the CLI forwards reach the engine: the digests
-   are the same under every backend and memo mode, so only the
-   counters can show a dropped setting. *)
+   The backend the CLI forwards reaches the engine: the digests are
+   the same under every backend, so only the counters can show a
+   dropped setting. *)
 
 open Locald_core
 module Json = Locald_runtime.Telemetry.Json
 module Telemetry = Locald_runtime.Telemetry
-module Memo = Locald_runtime.Memo
 module Backend = Locald_local.Backend
 
 let pins =
@@ -55,42 +54,26 @@ let test_row (w : Registry.pinned) () =
       Alcotest.(check string) (key ^ " result_digest") pinned digest
   | _ -> Alcotest.failf "%s has no result_digest" key
 
-(* Counters of one run, in a fresh telemetry scope. *)
-let counted run =
+(* The async deliveries of one run, in a fresh telemetry scope. *)
+let deliveries run =
   let deliveries = Telemetry.Counter.make "async.deliveries" in
   Telemetry.new_run ();
   run ();
-  (Telemetry.Counter.get deliveries, (Memo.run_stats ()).Memo.distinct)
+  Telemetry.Counter.get deliveries
 
 let async = Backend.Async Locald_local.Async_runner.default_config
 
-let experiment name ?backend ?memo () =
+let experiment name ?backend () =
   let x = Option.get (Registry.find_experiment name) in
-  ignore (x.Registry.e_run ?backend ?memo ~quick:true ~seed:None ())
+  ignore (x.Registry.e_run ?backend ~quick:true ~seed:None ())
 
-let certify ?backend ?memo () =
-  ignore (Certify.run ~quick:true ?backend ?memo ())
+let certify ?backend () = ignore (Certify.run ~quick:true ?backend ())
 
 let test_backend_reaches name run () =
-  let async_deliveries, _ = counted (run async) in
-  let sync_deliveries, _ = counted (run Backend.Sync) in
+  let async_deliveries = deliveries (run async) in
+  let sync_deliveries = deliveries (run Backend.Sync) in
   Alcotest.(check bool) (name ^ ": async delivers") true (async_deliveries > 0);
   Alcotest.(check int) (name ^ ": sync delivers nothing") 0 sync_deliveries
-
-let test_table1_memo_reaches () =
-  let _, off = counted (fun () -> experiment "table1" ~memo:Memo.Off ()) in
-  let _, exact =
-    counted (fun () -> experiment "table1" ~memo:Memo.Exact_ids ())
-  in
-  Alcotest.(check bool)
-    (Printf.sprintf "distinct keys: off %d < exact %d" off exact)
-    true (off < exact)
-
-let test_certify_memo_reaches () =
-  let _, off = counted (fun () -> certify ~memo:Memo.Off ()) in
-  let _, exact = counted (fun () -> certify ~memo:Memo.Exact_ids ()) in
-  Alcotest.(check int) "no keys with the memo off" 0 off;
-  Alcotest.(check bool) "keys with the memo exact" true (exact > 0)
 
 let forwarding =
   List.map
@@ -101,10 +84,6 @@ let forwarding =
   @ [
       Alcotest.test_case "certify --backend reaches the engine" `Quick
         (test_backend_reaches "certify" (fun backend () -> certify ~backend ()));
-      Alcotest.test_case "table1 --memo reaches the engine" `Quick
-        test_table1_memo_reaches;
-      Alcotest.test_case "certify --memo reaches the engine" `Quick
-        test_certify_memo_reaches;
     ]
 
 let () =

@@ -466,20 +466,25 @@ let live_leaves () =
   let stored = Telemetry.Counter.get c_distinct in
   stored - Telemetry.Counter.get c_evictions
 
+(* The uncached reference for node [v]'s restrictions: its ball,
+   extracted afresh, decorated with a restriction and decided
+   directly. *)
+let direct_decide alg lg v =
+  let view, _ = View.extract_mapped lg ~center:v ~radius:alg.Algorithm.radius in
+  fun r -> alg.Algorithm.decide (View.reassign_ids view (Array.copy r))
+
 (* Two domains decide every restriction of the smallest ball through
    one capacity-bounded cache, in opposite orders, each output checked
-   against an uncached preparation. The decider reads every slot, so
-   each restriction is a leaf of its own and the 8-leaf bound is hit
-   many times over. *)
+   against a direct decide. The decider reads every slot, so each
+   restriction is a leaf of its own and the 8-leaf bound is hit many
+   times over. *)
 let prop_cache_agrees =
   QCheck2.Test.make ~name:"decide cache = direct decide" ~count:30
     arbitrary_labelled (fun (lg, _seed) ->
       let alg = parity_alg 3 and capacity = 8 in
-      let cached =
-        Runner.prepare ~memo:Memo.Exact_ids ~memo_capacity:capacity alg lg
-      in
-      let direct = Runner.prepare alg lg in
+      let cached = Runner.prepare ~memo_capacity:capacity alg lg in
       let v = smallest_ball cached in
+      let direct = direct_decide alg lg v in
       let k = Array.length (Runner.ball_of cached v) in
       let bound = k + 2 in
       QCheck2.assume (Orbit.perm ~bound ~k <= 20_000);
@@ -492,8 +497,7 @@ let prop_cache_agrees =
           let r = rs.(index i) in
           ok :=
             !ok
-            && Runner.decide_restricted cached v r
-               = Runner.decide_restricted direct v r
+            && Runner.decide_restricted cached v r = direct r
             && live_leaves () <= capacity
         done;
         !ok
@@ -625,16 +629,16 @@ let test_fingerprint_reads () =
   in
   check bool "fingerprint's id read is traced" true
     (Locald_analysis.Trace.reads_input_ids trace);
-  let cached = Runner.prepare ~memo:Memo.Exact_ids alg lg in
-  let direct = Runner.prepare alg lg in
+  let cached = Runner.prepare alg lg in
   for v = 0 to Labelled.order lg - 1 do
+    let direct = direct_decide alg lg v in
     let k = Array.length (Runner.ball_of cached v) in
     Array.iter
       (fun r ->
         check bool
           (Printf.sprintf "node %d, restriction %s" v
              (String.concat "," (Array.to_list (Array.map string_of_int r))))
-          (Runner.decide_restricted direct v r)
+          (direct r)
           (Runner.decide_restricted cached v r))
       (Array.of_seq (Orbit.injections ~bound:(k + 2) ~k))
   done

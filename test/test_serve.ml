@@ -1,9 +1,10 @@
 (* The decision service: wire protocol round-trips, incremental frame
-   decoding and its two-tier failure taxonomy, the JSON parser's depth
-   bound, capacity-bounded memo eviction, and end-to-end daemon
-   behaviour — concurrent clients with distinct per-request configs
-   answered byte-identically to one-shot runs, per-request configs read
-   as the CLI reads its flags, cross-request memo hits, busy
+   decoding (its two-tier failure taxonomy and its cost per byte fed),
+   the JSON parser's depth bound, the generic memo table under two
+   domains, and end-to-end daemon behaviour — concurrent clients with
+   distinct per-request configs answered byte-identically to one-shot
+   runs, per-request configs read as the CLI reads its flags, retired
+   request fields ignored, cross-request memo hits, busy
    backpressure, malformed-frame survival, graceful drain, and the
    executor: overlapping requests with replies in per-connection
    order, a raising handler costing one request, and first-time engine
@@ -29,20 +30,12 @@ let request_gen =
   let small_string = string_size ~gen:printable (int_range 0 12) in
   let config =
     map
-      (fun (backend, seed, fifo, memo, jobs) ->
-        {
-          Proto.c_backend = backend;
-          c_sched_seed = seed;
-          c_fifo = fifo;
-          c_memo = memo;
-          c_jobs = jobs;
-        })
-      (tup5
+      (fun (backend, seed, fifo) ->
+        { Proto.c_backend = backend; c_sched_seed = seed; c_fifo = fifo })
+      (triple
          (opt (oneofl [ "sync"; "async" ]))
          (opt (int_range 0 1000))
-         (opt bool)
-         (opt (oneofl [ "off"; "exact"; "order" ]))
-         (opt (int_range 1 8)))
+         (opt bool))
   in
   map
     (fun (id, op, workload, lo, hi, config) ->
@@ -75,8 +68,8 @@ let test_request_rejects_ill_typed () =
   reject
     (Json.Obj
        [ ("id", Json.Int 1); ("op", Json.String "decide");
-         ("jobs", Json.String "4") ])
-    "a string where the job count belongs";
+         ("sched_seed", Json.String "4") ])
+    "a string where the scheduler seed belongs";
   (* Unknown fields are tolerated: old daemons must survive newer
      clients. *)
   match
@@ -134,6 +127,61 @@ let test_decoder_garbage_keeps_stream () =
   | Some (Proto.Frame (Json.Int 7)) -> ()
   | _ -> Alcotest.fail "stream should survive a garbage payload"
 
+(* Bytes allocated by [f], per byte of [wire]. *)
+let allocated_per_byte wire f =
+  let before = Gc.allocated_bytes () in
+  f ();
+  (Gc.allocated_bytes () -. before) /. float_of_int (Bytes.length wire)
+
+(* Every frame [d] holds, pushed onto [out] as [Proto.next] yields
+   them. *)
+let rec drain_frames d out =
+  match Proto.next d with
+  | Some (Proto.Frame j) ->
+      out := j :: !out;
+      drain_frames d out
+  | Some _ -> Alcotest.fail "spurious decode failure"
+  | None -> ()
+
+(* A peer that trickles a 65 kB frame one byte per write, and one that
+   pipelines 16,000 small frames in one: either way the decoder copies
+   each byte a bounded number of times. A decoder that rebuilds its
+   pending bytes per feed or per frame allocates thousands of bytes
+   per byte fed here. *)
+let test_decoder_cost_per_byte () =
+  let big = Json.String (String.make 65_560 'x') in
+  let wire = Proto.encode_frame big in
+  let d = Proto.decoder () and out = ref [] in
+  let per_byte =
+    allocated_per_byte wire (fun () ->
+        for i = 0 to Bytes.length wire - 1 do
+          Proto.feed d wire i 1;
+          drain_frames d out
+        done)
+  in
+  if per_byte >= 100. then
+    Alcotest.failf "byte-at-a-time decoding: %.0f bytes allocated a byte fed"
+      per_byte;
+  check (Alcotest.list string) "the trickled frame"
+    [ Json.to_string big ] (List.map Json.to_string !out);
+  let msgs =
+    List.init 16_000 (fun i ->
+        Proto.request_to_json (Proto.request ~id:(10_000 + i) Proto.Ping))
+  in
+  let wire = Bytes.concat Bytes.empty (List.map Proto.encode_frame msgs) in
+  let d = Proto.decoder () and out = ref [] in
+  let per_byte =
+    allocated_per_byte wire (fun () ->
+        Proto.feed d wire 0 (Bytes.length wire);
+        drain_frames d out)
+  in
+  if per_byte >= 100. then
+    Alcotest.failf "pipelined decoding: %.0f bytes allocated a byte fed"
+      per_byte;
+  check (Alcotest.list string) "pipelined frames in order"
+    (List.map Json.to_string msgs)
+    (List.rev_map Json.to_string !out)
+
 let test_decoder_oversized_is_sticky_corrupt () =
   let d = Proto.decoder ~max_frame:64 () in
   let b = Bytes.create 4 in
@@ -172,41 +220,26 @@ let test_json_depth_bound () =
   | _ -> Alcotest.fail "explicit max_depth should bind"
 
 (* ------------------------------------------------------------------ *)
-(* Memo capacity eviction                                              *)
+(* The generic memo table                                              *)
 (* ------------------------------------------------------------------ *)
 
-let test_memo_capacity_bounds_size () =
-  (* Plain int keys, not decorated balls — the raw key functions are
-     fine here. *)
-  let m =
-    (* int keys: *) Memo.create ~shards:1 ~capacity:8 (* locald-lint: allow *)
-      ~hash:Hashtbl.hash ~equal:Int.equal ()
+(* Two domains look up 3,000 keys each, 2,000 of them shared, in
+   opposite orders, through a hash that puts about thirty keys in a
+   bucket. Whatever the interleaving, every value is the pure function
+   of its key, and the table stores each distinct key once. *)
+let test_memo_two_domains () =
+  let distinct () = (Memo.run_stats ()).Memo.distinct in
+  let stored_before = distinct () in
+  let m = Memo.create ~hash:(fun k -> k mod 97) ~equal:Int.equal () in
+  let f k = (k * k) + 1 in
+  let worker keys () =
+    Array.for_all (fun k -> Memo.find_or_compute m k (fun () -> f k) = f k) keys
   in
-  for k = 0 to 99 do
-    check int "computes through" (k * k)
-      (Memo.find_or_compute m k (fun () -> k * k))
-  done;
-  if Memo.size m > 8 then
-    Alcotest.failf "size %d exceeds capacity 8" (Memo.size m);
-  if Memo.evictions m <= 0 then Alcotest.fail "expected evictions";
-  (* Transparency: evicted keys recompute to the same values. *)
-  for k = 0 to 99 do
-    check int "recomputes transparently" (k * k)
-      (Memo.find_or_compute m k (fun () -> k * k))
-  done;
-  if Memo.size m > 8 then
-    Alcotest.failf "size %d exceeds capacity 8 after reuse" (Memo.size m)
-
-let test_memo_unbounded_without_capacity () =
-  let m =
-    (* int keys: *) Memo.create ~shards:1 (* locald-lint: allow *)
-      ~hash:Hashtbl.hash ~equal:Int.equal ()
-  in
-  for k = 0 to 99 do
-    ignore (Memo.find_or_compute m k (fun () -> k))
-  done;
-  check int "all keys live" 100 (Memo.size m);
-  check int "no evictions" 0 (Memo.evictions m)
+  let other = Domain.spawn (worker (Array.init 3_000 (fun i -> 3_999 - i))) in
+  let mine = worker (Array.init 3_000 Fun.id) () in
+  check bool "values are the function of their keys" true
+    (mine && Domain.join other);
+  check int "memo.distinct = distinct keys" 4_000 (distinct () - stored_before)
 
 (* ------------------------------------------------------------------ *)
 (* The daemon, end to end                                              *)
@@ -255,11 +288,13 @@ let with_server ?max_inflight ?max_frame ?max_engines
   | Some s -> (result, s)
   | None -> Alcotest.fail "server loop died without returning stats"
 
-let rpc fd req =
-  Proto.write_frame fd (Proto.request_to_json req);
+let rpc_json fd json =
+  Proto.write_frame fd json;
   match Proto.read_frame fd with
   | Some json -> json
   | None -> Alcotest.fail "connection closed without a response"
+
+let rpc fd req = rpc_json fd (Proto.request_to_json req)
 
 let result_digest json =
   let v = Proto.response_view json in
@@ -387,28 +422,6 @@ let test_per_request_config_rejected_not_coerced () =
                  ~id:1 Proto.Decide)
               "an unknown backend name";
             expect_error
-              (Proto.request
-                 ~config:{ Proto.no_config with Proto.c_memo = Some "maybe" }
-                 ~id:2 Proto.Decide)
-              "an unknown memo mode";
-            (* Order-type keys are gone: they changed the verdict of any
-               decider that reads id values. The reply names the modes
-               that remain. *)
-            let text =
-              error_text
-                (Proto.request
-                   ~config:{ Proto.no_config with Proto.c_memo = Some "order" }
-                   ~id:8 Proto.Decide)
-                "the order-type memo mode"
-            in
-            List.iter
-              (fun mode ->
-                check bool
-                  (Printf.sprintf "%S names %s" text mode)
-                  true
-                  (Str.string_match (Str.regexp (".*" ^ Str.quote mode)) text 0))
-              [ "off"; "exact" ];
-            expect_error
               (Proto.request ~workload:"no-such-sweep" ~id:3 Proto.Decide)
               "an unknown workload";
             expect_error
@@ -424,26 +437,41 @@ let test_per_request_config_rejected_not_coerced () =
                      c_sched_seed = Some 3;
                    }
                  ~id:5 Proto.Decide)
-              "a sync backend with an async seed";
-            expect_error
-              (Proto.request
-                 ~config:{ Proto.no_config with Proto.c_jobs = Some 0 }
-                 ~id:6 Proto.Decide)
-              "a job count below 1";
-            (* In range, a request's jobs is accepted and inert: the
-               request runs at width one and the process pool keeps
-               its width. *)
-            let width = Pool.default_jobs () in
-            let jobs = if width = 1 then 2 else 1 in
-            ignore
-              (result_digest
-                 (rpc fd
-                    (Proto.request ~workload:"exhaustive-decider-a1"
-                       ~config:{ Proto.no_config with Proto.c_jobs = Some jobs }
-                       ~id:7 Proto.Decide)));
-            check int "pool width untouched" width (Pool.default_jobs ())))
+              "a sync backend with an async seed"))
   in
   ()
+
+(* The [memo] and [jobs] fields of older clients are unknown fields
+   now: a request carrying them, even with values the daemon once
+   rejected, is answered as the same request without them, by the
+   same engine. *)
+let test_retired_fields_ignored () =
+  let (plain, retired, builds_before, builds_after), _stats =
+    with_server (fun path _drain ->
+        let fd = Proto.connect_unix path in
+        Fun.protect
+          ~finally:(fun () -> Unix.close fd)
+          (fun () ->
+            let req id =
+              Proto.request_to_json
+                (Proto.request ~workload:"exhaustive-decider-a1" ~id
+                   Proto.Decide)
+            in
+            let with_retired = function
+              | Json.Obj kvs ->
+                  Json.Obj
+                    (kvs
+                    @ [ ("memo", Json.String "off"); ("jobs", Json.Int 0) ])
+              | _ -> Alcotest.fail "a request is a JSON object"
+            in
+            let plain = result_digest (rpc_json fd (req 1)) in
+            let builds_before = metrics_counter fd "serve.engine_builds" in
+            let retired = result_digest (rpc_json fd (with_retired (req 2))) in
+            let builds_after = metrics_counter fd "serve.engine_builds" in
+            (plain, retired, builds_before, builds_after)))
+  in
+  check string "same digest with the retired fields" plain retired;
+  check int "no extra engine build" builds_before builds_after
 
 (* The CLI, run as a child process: its exit status and stderr. *)
 let run_cli args =
@@ -475,10 +503,8 @@ let test_cli_and_serve_share_readers () =
       ([ "--backend"; "asink" ], Some "asink", None, None);
     ]
   in
-  let request c_backend c_sched_seed c_fifo c_memo =
-    let config =
-      { Proto.no_config with Proto.c_backend; c_sched_seed; c_fifo; c_memo }
-    in
+  let request c_backend c_sched_seed c_fifo =
+    let config = { Proto.c_backend; c_sched_seed; c_fifo } in
     Proto.request ~workload:"exhaustive-decider" ~lo:0 ~hi:64 ~config ~id:1
       Proto.Decide
   in
@@ -490,9 +516,9 @@ let test_cli_and_serve_share_readers () =
           (fun () ->
             let view req = Proto.response_view (rpc fd req) in
             ( List.map
-                (fun (_, b, s, f) -> (view (request b s f None)).Proto.v_error)
+                (fun (_, b, s, f) -> (view (request b s f)).Proto.v_error)
                 cases,
-              view (request (Some " Async ") None None (Some "EXACT")) )))
+              view (request (Some " Async ") None None) )))
   in
   check bool "serve reads names in any case" true mixed_case.Proto.v_ok;
   List.iter2
@@ -509,14 +535,21 @@ let test_cli_and_serve_share_readers () =
       check string "CLI prints the resolver's message" ("locald: " ^ expected)
         stderr)
     cases errors;
-  (* Both spellings of the deleted order-type memo mode are usage
-     errors, as they are error replies on the daemon. *)
+  (* The decide cache has no off switch and the client no pool: a
+     [--memo] flag, with any mode, and the client's [--jobs] are usage
+     errors. *)
   List.iter
-    (fun mode ->
-      let status, _ = run_cli [ "table1"; "--quick"; "--memo"; mode ] in
-      check bool ("CLI --memo " ^ mode ^ " exits 124") true
+    (fun args ->
+      let status, _ = run_cli args in
+      check bool
+        (String.concat " " args ^ " exits 124")
+        true
         (status = Unix.WEXITED Shard.Exit.usage))
-    [ "order"; "order-type" ]
+    ([ [ "serve"; "--memo"; "exact" ]; [ "client"; "decide"; "--memo"; "off" ];
+       [ "client"; "ping"; "--jobs"; "2" ] ]
+    @ List.map
+        (fun mode -> [ "table1"; "--quick"; "--memo"; mode ])
+        [ "off"; "exact"; "order"; "order-type" ])
 
 let test_busy_backpressure () =
   let replies, stats =
@@ -883,15 +916,15 @@ let () =
             test_decoder_garbage_keeps_stream;
           Alcotest.test_case "oversized frame is sticky corrupt" `Quick
             test_decoder_oversized_is_sticky_corrupt;
+          Alcotest.test_case "decoding cost is linear in bytes fed" `Quick
+            test_decoder_cost_per_byte;
           Alcotest.test_case "JSON nesting depth is bounded" `Quick
             test_json_depth_bound;
         ] );
       ( "memo",
         [
-          Alcotest.test_case "capacity bounds live entries" `Quick
-            test_memo_capacity_bounds_size;
-          Alcotest.test_case "unbounded without capacity" `Quick
-            test_memo_unbounded_without_capacity;
+          Alcotest.test_case "find_or_compute under two domains" `Quick
+            test_memo_two_domains;
         ] );
       ( "daemon",
         [
@@ -903,6 +936,8 @@ let () =
             test_per_request_config_rejected_not_coerced;
           Alcotest.test_case "CLI and serve share the config readers" `Quick
             test_cli_and_serve_share_readers;
+          Alcotest.test_case "retired memo and jobs fields ignored" `Quick
+            test_retired_fields_ignored;
           Alcotest.test_case "inflight bound bounces busy" `Quick
             test_busy_backpressure;
           Alcotest.test_case "malformed frame survival" `Quick

@@ -206,6 +206,27 @@ let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [ prop_view_order_is_ball_size; prop_view_edges_are_induced ]
 
+(* With no monitor installed the instrumented accessors report
+   nothing, so they must allocate nothing: every uncached decide reads
+   its view through them. 75,000 calls of each on a radius-2 view of
+   an 8-cycle. *)
+let test_unmonitored_accessors_allocate_nothing () =
+  let lg = Labelled.init (Gen.cycle 8) (fun v -> v mod 3) in
+  let view =
+    View.extract ~ids:(Array.init 8 (fun v -> 10 + v)) lg ~center:0 ~radius:2
+  in
+  let k = View.order view and sink = ref 0 in
+  let calls = 75_000 in
+  let before = Gc.minor_words () in
+  for i = 1 to calls do
+    let u = i mod k in
+    sink := !sink + View.label view u + View.id view u + View.degree view u
+  done;
+  let per_call = (Gc.minor_words () -. before) /. float_of_int (3 * calls) in
+  check bool "the loop ran" true (!sink > 0);
+  if per_call >= 0.1 then
+    Alcotest.failf "%.2f minor words per accessor call" per_call
+
 let () =
   Alcotest.run "views"
     [
@@ -230,6 +251,8 @@ let () =
           Alcotest.test_case "labelled disjoint union" `Quick
             test_labelled_disjoint_union;
           Alcotest.test_case "view map_labels" `Quick test_view_map_labels;
+          Alcotest.test_case "unmonitored accessors allocate nothing" `Quick
+            test_unmonitored_accessors_allocate_nothing;
         ] );
       ("properties", qcheck_cases);
     ]
