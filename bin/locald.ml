@@ -154,9 +154,8 @@ let print_runtime_stats () =
     "memo: %d hits, %d misses, %d distinct keys; %d orbit restrictions \
      scanned\n"
     m.Memo.hits m.Memo.misses m.Memo.distinct (Orbit.scanned ());
-  Printf.printf
-    "canon: %d hits, %d misses, %d exact, %d fallback\n"
-    c.Canon.hits c.Canon.misses c.Canon.exact c.Canon.fallback
+  Printf.printf "canon: %d keys, %d exact, %d fallback\n" c.Canon.keys
+    c.Canon.exact c.Canon.fallback
 
 let maybe_stats stats = if stats then print_runtime_stats ()
 
@@ -1141,8 +1140,10 @@ let tcp_port_opt =
               $(docv).")
 
 let serve_cmd =
-  let run socket tcp_port max_inflight max_engines memo_capacity engine trace
-      =
+  let run socket tcp_port max_inflight max_engines memo_capacity deleted_memo
+      engine trace =
+    if deleted_memo <> None then
+      usage_error "--memo was deleted: the decide cache has no off switch";
     if max_inflight < 1 then usage_error "--max-inflight must be positive";
     if max_engines < 1 then usage_error "--max-engines must be positive";
     if memo_capacity < 1 then usage_error "--memo-capacity must be positive";
@@ -1219,6 +1220,14 @@ let serve_cmd =
              65536); reaching it drops the engine's whole cache. \
              Transparent to results.")
   in
+  (* Without this hidden option cmdliner would read [--memo N], the
+     deleted flag, as the unambiguous prefix of [--memo-capacity N]. *)
+  let deleted_memo =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "memo" ] ~docs:Manpage.s_none ~docv:"MODE")
+  in
   Cmd.v
     (Cmd.info "serve"
        ~doc:
@@ -1235,7 +1244,7 @@ let serve_cmd =
           daemon exits 0.")
     Term.(
       const run $ socket_opt $ tcp_port_opt $ max_inflight $ max_engines
-      $ memo_capacity $ engine_term () $ trace_opt)
+      $ memo_capacity $ deleted_memo $ engine_term () $ trace_opt)
 
 let client_cmd =
   let run op socket tcp_port workload lo hi engine id =

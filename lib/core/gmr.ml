@@ -239,25 +239,20 @@ let build ?config ~r machine =
 let order t = Labelled.order t.lg
 let size t = Graph.size (Labelled.graph t.lg)
 
-(* Deduplicate views up to rooted isomorphism. Exact isomorphism is
-   only attempted on small views; the huge views around the pivot (one
-   per glued border cell) are deduplicated by signature and size alone
-   — backtracking over thousands of near-symmetric nodes is not worth
-   the certainty there, and keeping a spurious duplicate is harmless
-   for every consumer of these lists. *)
-let iso_dedupe_threshold = 400
-
-(* Canonical keys are computed for all views in parallel; deduplication
-   itself stays sequential in input order so class representatives come
-   out identical at any job count. [Canon.classes] decides membership
-   under the threshold; the [(signature, order, size)] table ([Canon]'s
-   fingerprint is [Iso.view_signature] by construction) only fixes the
-   historical output order. *)
+(* Deduplicate views up to rooted isomorphism, exactly at every size:
+   the huge views around the pivot (one per glued border cell) go
+   through the same canonical forms and backtracking search as the
+   rest. Canonical keys are computed for all views in parallel;
+   deduplication itself stays sequential in input order so class
+   representatives come out identical at any job count.
+   [Canon.classes] decides membership; the [(signature, order, size)]
+   table ([Canon]'s fingerprint is [Iso.view_signature] by
+   construction) only fixes the historical output order. *)
 let dedupe_views views =
   let canon = Canon.create ~equal:equal_label () in
   let views = Array.of_list views in
   let keys = Pool.map (Canon.key canon) views in
-  let seen = Canon.classes ~exact_threshold:iso_dedupe_threshold canon in
+  let seen = Canon.classes canon in
   let classes = Hashtbl.create 256 in
   Array.iteri
     (fun i view ->
@@ -275,7 +270,7 @@ let dedupe_views views =
 let views_covered views ~by =
   let canon = Canon.create ~equal:equal_label () in
   let keys vs = Pool.map (Canon.key canon) (Array.of_list vs) in
-  let known = Canon.classes ~exact_threshold:iso_dedupe_threshold canon in
+  let known = Canon.classes canon in
   Array.iter (fun key -> ignore (Canon.add known key)) (keys by);
   let flags = Pool.map (Canon.mem known) (keys views) in
   let covered = Array.fold_left (fun acc ok -> if ok then acc + 1 else acc) 0 flags in

@@ -106,11 +106,10 @@ val generator_views :
 val views_covered :
   label View.t list -> by:label View.t list -> bool * int * int
 (** [views_covered views ~by] — does every view occur (up to rooted
-    isomorphism) in [by]? Returns [(all, covered, total)]. [by] is
-    collected into a {!Locald_runtime.Canon.classes} set; views larger
-    than an internal threshold are matched by signature, order and size
-    alone (see the dedup note in the implementation). This is the (P3)
-    coverage measurement. *)
+    labelled isomorphism, decided exactly at every view size) in [by]?
+    Returns [(all, covered, total)]. [by] is collected into a
+    {!Locald_runtime.Canon.classes} set. This is the (P3) coverage
+    measurement. *)
 
 val all_views : ?radius:int -> ?dedupe:bool -> t -> label View.t list
 (** All views of a built [G(M, r)] at the given radius (default [r]),

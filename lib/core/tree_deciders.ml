@@ -97,8 +97,7 @@ let coverage p ~t =
   let d = Ti.depth p in
   let arity = p.Ti.arity in
   let n = Labelled.order tr in
-  (* Each view is keyed once, so a memo table would never hit. *)
-  let canon = Canon.create ~cache:false ~equal:( = ) () in
+  let canon = Canon.create ~equal:( = ) () in
   (* Extract and canonically key every view of T_r in parallel, then
      deduplicate sequentially in ascending node order, so the class
      representatives are the same at any job count. [seen] decides

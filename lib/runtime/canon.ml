@@ -1,4 +1,4 @@
-(* Canonical keys for rooted labelled views, with a memo table.
+(* Canonical keys for rooted labelled views.
 
    A key packages (a) the iso-invariant refinement fingerprint and (b),
    whenever the 1-WL refinement of the view is discrete (every vertex
@@ -10,9 +10,8 @@
    int a * n + b, ascending. Two views with discrete refinements are
    isomorphic iff their forms are equal, so the expensive backtracking
    test reduces to a linear comparison; when either refinement is not
-   discrete,
-   [equivalent] falls back transparently to [Iso.views_isomorphic] —
-   cache and canonicalisation can never change an answer, only the
+   discrete, [equivalent] falls back to [Iso.views_isomorphic], at any
+   view size — canonicalisation can never change an answer, only the
    route to it.
 
    The fingerprint is a weak bucket key exactly where the exact route
@@ -24,32 +23,26 @@
    exact keys are bucketed by a hash of their canonical form, every
    other key by (fingerprint, order, size).
 
-   The memo table keys computed keys by a structural digest of the raw
-   view (collisions resolved by [View.equal_repr]), so canonicalising
-   an equal extraction twice is a hash lookup. It only pays when a
-   caller really re-extracts equal views; a caller that keys each view
-   once should create the table with [~cache:false], or the memo just
-   retains every view. All [t] entry points are thread-safe: the table
-   is mutex-guarded and the run's counters are atomics, because keys
-   are typically computed under [Pool.map]. *)
+   There is no memo table: [key] and [equivalent] are pure functions of
+   their arguments and the two label functions, so they are safe under
+   [Pool.map] by holding no state; the run's counters are atomics. *)
 
 open Locald_graph
 
-type stats = { hits : int; misses : int; exact : int; fallback : int }
+type stats = { keys : int; exact : int; fallback : int }
 
-(* Run-scoped counters, summed over every table: what [locald --stats]
-   and the bench JSON report without having to thread table handles out
-   of the decision layers. They live in the ambient telemetry run, so
-   [Telemetry.new_run] restarts the tally. *)
-let g_hits = Telemetry.Counter.make "canon.hits"
-let g_misses = Telemetry.Counter.make "canon.misses"
+(* Run-scoped counters: what [locald --stats] and the bench JSON report
+   without threading handles out of the decision layers. They live in
+   the ambient telemetry run, so [Telemetry.new_run] restarts the tally.
+   Every computed key counts under the name [canon.misses], which the
+   bench's per-layer columns read. *)
+let g_keys = Telemetry.Counter.make "canon.misses"
 let g_exact = Telemetry.Counter.make "canon.exact"
 let g_fallback = Telemetry.Counter.make "canon.fallback"
 
 let run_stats () =
   {
-    hits = Telemetry.Counter.get g_hits;
-    misses = Telemetry.Counter.get g_misses;
+    keys = Telemetry.Counter.get g_keys;
     exact = Telemetry.Counter.get g_exact;
     fallback = Telemetry.Counter.get g_fallback;
   }
@@ -69,43 +62,19 @@ type 'a key = {
   k_view : 'a View.t;
 }
 
-type 'a t = {
-  label_hash : 'a -> int;
-  label_equal : 'a -> 'a -> bool;
-  use_cache : bool;
-  memo : (int, ('a View.t * 'a key) list ref) Hashtbl.t;
-  lock : Mutex.t;
-}
+type 'a t = { label_hash : 'a -> int; label_equal : 'a -> 'a -> bool }
 
-let create ?(cache = true) ?(hash = Hashtbl.hash) ~equal () =
-  {
-    label_hash = hash;
-    label_equal = equal;
-    use_cache = cache;
-    memo = Hashtbl.create 256;
-    lock = Mutex.create ();
-  }
+let create ?(hash = Hashtbl.hash) ~equal () =
+  { label_hash = hash; label_equal = equal }
 
 let fingerprint k = k.k_fingerprint
 let view k = k.k_view
 let exact k = k.k_form <> None
 
-(* Structural (not iso-invariant) digest of a view, for the memo
-   buckets only. *)
-let raw_digest t (v : 'a View.t) =
-  let g = v.View.graph in
-  let h = ref (Hashtbl.hash (v.View.center, Graph.order g, Graph.size g)) in
-  let mix x = h := (!h * 131) + x in
-  Array.iter (fun x -> mix (t.label_hash x)) v.View.labels;
-  for u = 0 to Graph.order g - 1 do
-    mix (u * 8191);
-    Graph.iter_neighbours mix g u
-  done;
-  !h land max_int
-
-let compute t (view : 'a View.t) =
+let key t (view : 'a View.t) =
   let g = view.View.graph in
   let n = Graph.order g in
+  Telemetry.Counter.incr g_keys;
   let fp, numbering = Iso.view_refinement t.label_hash view in
   (* A discrete colouring numbers the vertices 0..n-1 canonically: it is
      the rank of each vertex in the form. *)
@@ -154,36 +123,6 @@ let compute t (view : 'a View.t) =
     k_view = view;
   }
 
-let key t view =
-  if not t.use_cache then begin
-    Telemetry.Counter.incr g_misses;
-    compute t view
-  end
-  else begin
-    let dg = raw_digest t view in
-    Mutex.lock t.lock;
-    let found =
-      match Hashtbl.find_opt t.memo dg with
-      | None -> None
-      | Some b ->
-          List.find_opt (fun (w, _) -> View.equal_repr t.label_equal view w) !b
-    in
-    Mutex.unlock t.lock;
-    match found with
-    | Some (_, k) ->
-        Telemetry.Counter.incr g_hits;
-        k
-    | None ->
-        Telemetry.Counter.incr g_misses;
-        let k = compute t view in
-        Mutex.lock t.lock;
-        (match Hashtbl.find_opt t.memo dg with
-        | Some b -> b := (view, k) :: !b
-        | None -> Hashtbl.replace t.memo dg (ref [ (view, k) ]));
-        Mutex.unlock t.lock;
-        k
-  end
-
 let forms_equal t fa fb =
   fa.f_center = fb.f_center
   && Array.length fa.f_labels = Array.length fb.f_labels
@@ -195,56 +134,42 @@ let forms_equal t fa fb =
   in
   labels 0
 
-let equivalent ?(exact_threshold = max_int) t ka kb =
+let equivalent t ka kb =
   ka.k_fingerprint = kb.k_fingerprint
   && ka.k_order = kb.k_order
   && ka.k_size = kb.k_size
   &&
-  if ka.k_order > exact_threshold then
-    (* Caller-sanctioned signature-only regime for oversized views
-       (mirrors the historical dedupe threshold in [Gmr]). *)
-    true
-  else
-    match (ka.k_form, kb.k_form) with
-    | Some fa, Some fb ->
-        Telemetry.Counter.incr g_exact;
-        forms_equal t fa fb
-    | _ ->
-        Telemetry.Counter.incr g_fallback;
-        Iso.views_isomorphic t.label_equal ka.k_view kb.k_view
+  match (ka.k_form, kb.k_form) with
+  | Some fa, Some fb ->
+      Telemetry.Counter.incr g_exact;
+      forms_equal t fa fb
+  | _ ->
+      Telemetry.Counter.incr g_fallback;
+      Iso.views_isomorphic t.label_equal ka.k_view kb.k_view
 
-let isomorphic t a b = equivalent t (key t a) (key t b)
+(* A set of keys up to [equivalent]. Equivalent keys always share a
+   bucket: discreteness is an iso invariant, so both are exact (and
+   then have equal forms) or neither is, and every equivalent pair
+   agrees on (fingerprint, order, size). Single writer ([add]);
+   concurrent [mem] only reads the table. *)
+type 'a classes = { c_canon : 'a t; c_buckets : (int, 'a key list ref) Hashtbl.t }
 
-(* A set of keys up to [equivalent ?exact_threshold]. Equivalent keys
-   always share a bucket: equivalent keys have equal order, so both sit
-   on the same side of the threshold; within it, discreteness is an iso
-   invariant, so both are exact (and then have equal forms) or neither
-   is; every other equivalent pair agrees on (fingerprint, order, size).
-   Single writer ([add]); concurrent [mem] only reads the table. *)
-type 'a classes = {
-  c_canon : 'a t;
-  c_threshold : int;
-  c_buckets : (int, 'a key list ref) Hashtbl.t;
-}
+let classes t = { c_canon = t; c_buckets = Hashtbl.create 256 }
 
-let classes ?(exact_threshold = max_int) t =
-  { c_canon = t; c_threshold = exact_threshold; c_buckets = Hashtbl.create 256 }
-
-let class_hash s k =
+let class_hash k =
   match k.k_form with
-  | Some f when k.k_order <= s.c_threshold -> f.f_hash
-  | Some _ | None -> Hashtbl.hash (k.k_fingerprint, k.k_order, k.k_size)
+  | Some f -> f.f_hash
+  | None -> Hashtbl.hash (k.k_fingerprint, k.k_order, k.k_size)
 
-let in_bucket s k b =
-  List.exists (equivalent ~exact_threshold:s.c_threshold s.c_canon k) !b
+let in_bucket s k b = List.exists (equivalent s.c_canon k) !b
 
 let mem s k =
-  match Hashtbl.find_opt s.c_buckets (class_hash s k) with
+  match Hashtbl.find_opt s.c_buckets (class_hash k) with
   | None -> false
   | Some b -> in_bucket s k b
 
 let add s k =
-  let h = class_hash s k in
+  let h = class_hash k in
   match Hashtbl.find_opt s.c_buckets h with
   | None ->
       Hashtbl.replace s.c_buckets h (ref [ k ]);

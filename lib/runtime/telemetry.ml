@@ -403,6 +403,17 @@ let counter_cell run name =
   Mutex.unlock run.r_lock;
   cell
 
+(* The name of every counter handle ever made, so [metrics_json] can
+   report an untouched counter as 0 instead of omitting it. *)
+let counter_names = Atomic.make []
+
+let rec register_name name =
+  let names = Atomic.get counter_names in
+  if
+    (not (List.mem name names))
+    && not (Atomic.compare_and_set counter_names names (name :: names))
+  then register_name name
+
 module Counter = struct
   type t = { name : string; mutable cell : int Atomic.t; mutable epoch : int }
 
@@ -418,6 +429,7 @@ module Counter = struct
     c.cell
 
   let make name =
+    register_name name;
     let c = { name; cell = Atomic.make 0; epoch = 0 } in
     ignore (resolve c);
     c
@@ -670,8 +682,10 @@ let metrics_json () =
   let run = Atomic.get current_run in
   Mutex.lock run.r_lock;
   let counters =
-    sorted_bindings run.r_counters
-    |> List.map (fun (k, v) -> (k, Json.Int (Atomic.get v)))
+    List.sort String.compare (Atomic.get counter_names)
+    |> List.map (fun k ->
+           let v = Hashtbl.find_opt run.r_counters k in
+           (k, Json.Int (Option.fold ~none:0 ~some:Atomic.get v)))
   in
   let gauges =
     sorted_bindings run.r_gauges

@@ -69,8 +69,8 @@ val new_run : unit -> unit
     restart from zero. Handles made before the call transparently
     re-resolve into the new scope. *)
 
-(** Monotonic counters, always collected. [make] registers the handle;
-    increments after the first touch are an epoch check plus an atomic
+(** Monotonic counters, always collected. [make] registers the name,
+    which {!metrics_json} then always lists; increments after the first touch are an epoch check plus an atomic
     increment. Counts may under-report by a handful under domain races
     around {!new_run} — same contract as the memo tables' totals. *)
 module Counter : sig
@@ -173,7 +173,8 @@ val event : string -> (string * Json.t) list -> unit
 
 val metrics_json : unit -> Json.t
 (** The current run's counters, gauges and histogram summaries, keys
-    sorted. *)
+    sorted. Every counter ever made with {!Counter.make} is listed, with
+    0 when the run has not touched it. *)
 
 val pp_metrics : Format.formatter -> unit -> unit
 (** Human-readable rendering of {!metrics_json}. *)

@@ -99,6 +99,27 @@ let test_p3 () =
       end)
     rows
 
+(* The full-size P3 rows: the only registry run with views of more than
+   400 nodes, so this keeps the exact comparison of big views, and its
+   cost, under test. Every class is covered in both directions. *)
+let test_p3_full () =
+  let show (x : Experiments.p3_row) =
+    Printf.sprintf "%s halts=%b G=%d B=%d G-in-B=%d B-in-G=%d" x.machine
+      x.halts_in_window x.g_classes x.b_classes x.g_covered_by_b
+      x.b_covered_by_g
+  in
+  let covered (machine, n) =
+    Printf.sprintf "%s halts=true G=%d B=%d G-in-B=%d B-in-G=%d" machine n n
+      n n
+  in
+  check
+    Alcotest.(list string)
+    "P3 rows"
+    (List.map covered
+       [ ("twofaced2.0~1", 330); ("twofaced2.1~0", 331); ("walk3.0", 585);
+         ("zigzag2.1", 461) ])
+    (List.map show (Experiments.p3 ()))
+
 let test_fuel_diagonal () =
   let rows = Experiments.fuel_diagonal ~quick:true () in
   check bool "has rows" true (rows <> []);
@@ -217,6 +238,7 @@ let () =
           Alcotest.test_case "F3 pyramid" `Quick test_fig3;
           Alcotest.test_case "C1 randomised decider" `Slow test_corollary1;
           Alcotest.test_case "P3 generator coverage" `Slow test_p3;
+          Alcotest.test_case "P3 full-size rows" `Slow test_p3_full;
           Alcotest.test_case "D fuel diagonalisation" `Slow test_fuel_diagonal;
           Alcotest.test_case "H hereditariness" `Slow test_hereditary;
           Alcotest.test_case "OI order invariance" `Slow test_order_invariance;

@@ -348,6 +348,51 @@ let test_p3_coverage () =
   let bwd, _, _ = Gmr.views_covered b_views ~by:g_views in
   check bool "B(N,r) = views of G(N,r) when N halts in the window" true (fwd && bwd)
 
+module Canon = Locald_runtime.Canon
+
+(* Two views that agree on (fingerprint, order, size) without being
+   isomorphic must stay two classes at any size: the coverage and
+   dedupe claims are exact isomorphism claims. Such a pair of 450-node
+   trees turns up in a short seeded search, because the fingerprint
+   hashes only a prefix of a big view's colour list. Both trees carry
+   one label of a built instance, rooted at node 0. *)
+let colliding_big_views () =
+  let t = Lazy.force g_yes in
+  let label = Labelled.label t.Gmr.lg t.Gmr.pivot in
+  let canon = Canon.create ~equal:Gmr.equal_label () in
+  let rng = Random.State.make [| 42 |] in
+  let seen = Hashtbl.create 64 in
+  let rec search tries =
+    if tries = 0 then Alcotest.fail "no colliding pair of 450-node trees";
+    let tree = Gen.random_tree rng 450 in
+    let view =
+      View.extract (Labelled.init tree (fun _ -> label)) ~center:0 ~radius:450
+    in
+    let key = Canon.key canon view in
+    let signature =
+      (Canon.fingerprint key, View.order view, Graph.size view.View.graph)
+    in
+    match Hashtbl.find_opt seen signature with
+    | Some (other, other_key)
+      when not (Iso.views_isomorphic Gmr.equal_label other view) ->
+        (canon, (other, other_key), (view, key))
+    | _ ->
+        Hashtbl.replace seen signature (view, key);
+        search (tries - 1)
+  in
+  search 200
+
+let test_big_views_compared_exactly () =
+  let canon, (a, ka), (b, kb) = colliding_big_views () in
+  check bool "more than 400 nodes" true (View.order a > 400);
+  let all, covered, total = Gmr.views_covered [ a ] ~by:[ b ] in
+  check (Alcotest.triple bool int int) "a non-isomorphic view is not covered"
+    (false, 0, 1) (all, covered, total);
+  let set = Canon.classes canon in
+  check bool "first view is a class" true (Canon.add set ka);
+  check bool "second view is another class" true
+    (Canon.add set kb)
+
 (* ------------------------------------------------------------------ *)
 (* Membership property and the randomised decider                      *)
 (* ------------------------------------------------------------------ *)
@@ -545,6 +590,8 @@ let () =
           Alcotest.test_case "anchor phases" `Quick test_all_phases_views_richer;
           Alcotest.test_case "exact generator branch" `Quick
             test_generator_agrees_for_fast_machine;
+          Alcotest.test_case "big views compared exactly" `Quick
+            test_big_views_compared_exactly;
         ] );
       ( "property-and-randomness",
         [

@@ -537,7 +537,9 @@ let test_cli_and_serve_share_readers () =
     cases errors;
   (* The decide cache has no off switch and the client no pool: a
      [--memo] flag, with any mode, and the client's [--jobs] are usage
-     errors. *)
+     errors. On [serve], [--memo 5] must not pass for the prefix of
+     [--memo-capacity]; its socket path cannot be bound, so a CLI that
+     accepted it would fail at once instead of serving. *)
   List.iter
     (fun args ->
       let status, _ = run_cli args in
@@ -545,7 +547,9 @@ let test_cli_and_serve_share_readers () =
         (String.concat " " args ^ " exits 124")
         true
         (status = Unix.WEXITED Shard.Exit.usage))
-    ([ [ "serve"; "--memo"; "exact" ]; [ "client"; "decide"; "--memo"; "off" ];
+    ([ [ "serve"; "--memo"; "exact" ];
+       [ "serve"; "--socket"; "/nonexistent/locald.sock"; "--memo"; "5" ];
+       [ "client"; "decide"; "--memo"; "off" ];
        [ "client"; "ping"; "--jobs"; "2" ] ]
     @ List.map
         (fun mode -> [ "table1"; "--quick"; "--memo"; mode ])
@@ -687,6 +691,20 @@ let test_shutdown_request_drains () =
             | Some _ -> Alcotest.fail "expected EOF after shutdown"))
   in
   check int "shutdown served" 1 stats.Serve.served
+
+(* A metrics reply lists every registered counter, 0 when the run has
+   not touched it: in a fresh telemetry run, before any decide, the
+   daemon reports no engine eviction instead of omitting the counter. *)
+let test_metrics_lists_untouched_counters () =
+  Telemetry.new_run ();
+  let evictions, _stats =
+    with_server (fun path _drain ->
+        let fd = Proto.connect_unix path in
+        Fun.protect
+          ~finally:(fun () -> Unix.close fd)
+          (fun () -> metrics_counter fd "serve.engine_evictions"))
+  in
+  check int "untouched counter is 0" 0 evictions
 
 let test_engine_cache_evicts_lru () =
   let (builds, evictions), _stats =
@@ -948,6 +966,8 @@ let () =
             test_drain_delivers_inflight;
           Alcotest.test_case "shutdown request drains" `Quick
             test_shutdown_request_drains;
+          Alcotest.test_case "metrics lists untouched counters" `Quick
+            test_metrics_lists_untouched_counters;
           Alcotest.test_case "engine cache evicts LRU" `Slow
             test_engine_cache_evicts_lru;
           Alcotest.test_case "handler exception answers an error" `Quick
