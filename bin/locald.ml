@@ -1139,6 +1139,16 @@ let tcp_port_opt =
         ~doc:"Also (serve) or instead (client) speak TCP on loopback \
               $(docv).")
 
+(* A socket address that cannot be bound or reached ends the command
+   with one line and [code] instead of an uncaught [Unix_error]. *)
+let or_exit code what f =
+  try f ()
+  with Unix.Unix_error (err, _, _) ->
+    prerr_endline (what ^ ": " ^ Unix.error_message err);
+    exit code
+
+let loopback port = Printf.sprintf "127.0.0.1:%d" port
+
 let serve_cmd =
   let run socket tcp_port max_inflight max_engines memo_capacity deleted_memo
       engine trace =
@@ -1164,21 +1174,26 @@ let serve_cmd =
     let svc =
       Service.create ?backend ~max_engines ~memo_capacity ()
     in
-    let listeners =
-      Serve.listener_unix socket
-      ::
-      (match tcp_port with
-      | Some port -> [ Serve.listener_tcp ~port () ]
-      | None -> [])
+    let listen address f =
+      or_exit Shard.Exit.usage ("locald serve: cannot listen on " ^ address) f
     in
-    (* The pool's width, capped at the host's cores, sizes the
-       executor; the pool itself is never created. *)
+    (* TCP first, so a failure leaves no socket file behind. *)
+    let tcp =
+      Option.map
+        (fun port -> listen (loopback port) (fun () -> Serve.listener_tcp ~port ()))
+        tcp_port
+    in
+    let listeners =
+      listen socket (fun () -> Serve.listener_unix socket) :: Option.to_list tcp
+    in
+    (* The default pool's width, capped at the host's cores, sizes the
+       daemon's own pool; the default pool is never created. *)
     let jobs = Pool.default_jobs () in
     Printf.printf
       "serve: listening on %s%s (jobs %d, inflight <= %d, engines <= %d)\n%!"
       socket
       (match tcp_port with
-      | Some port -> Printf.sprintf " and 127.0.0.1:%d" port
+      | Some port -> " and " ^ loopback port
       | None -> "")
       jobs max_inflight max_engines;
     let stats =
@@ -1251,10 +1266,14 @@ let client_cmd =
     let req =
       Proto.request ?workload ?lo ?hi ~config:(engine_config engine) ~id op
     in
-    let fd =
+    let address, connect =
       match tcp_port with
-      | Some port -> Proto.connect_tcp ~port ()
-      | None -> Proto.connect_unix socket
+      | Some port -> (loopback port, fun () -> Proto.connect_tcp ~port ())
+      | None -> (socket, fun () -> Proto.connect_unix socket)
+    in
+    let fd =
+      or_exit Shard.Exit.incomplete ("locald client: cannot connect to " ^ address)
+        connect
     in
     Proto.write_frame fd (Proto.request_to_json req);
     match Proto.read_frame fd with
@@ -1314,7 +1333,8 @@ let client_cmd =
        ~doc:
          "One request against a running $(b,locald serve): send a \
           frame, print the JSON response. Exit 0 on an ok response, 2 \
-          on busy, 3 on an error response. $(b,--backend) / \
+          on busy or when the daemon cannot be reached, 3 on an error \
+          response. $(b,--backend) / \
           $(b,--sched-seed) / $(b,--fifo) travel as per-request \
           configuration.")
     Term.(

@@ -66,7 +66,7 @@ let tag_no_ids name f x =
 let c_probes = Telemetry.Counter.make "certify.probes"
 let c_flags = Telemetry.Counter.make "certify.flags"
 
-let certify ?pool ?(budget = 20_000) ?(slack = 0) ?plan ?confirm ?confirm_on
+let certify ?(budget = 20_000) ?(slack = 0) ?plan ?confirm ?confirm_on
     ?backend (alg : ('a, bool) Algorithm.t) ~instances =
   if budget < 1 then invalid_arg "Analysis.certify: budget must be positive";
   if slack < 0 then invalid_arg "Analysis.certify: negative slack";
@@ -144,7 +144,7 @@ let certify ?pool ?(budget = 20_000) ?(slack = 0) ?plan ?confirm ?confirm_on
       p_nondet = nondet;
     }
   in
-  let probes = Pool.map ?pool probe items in
+  let probes = Pool.map probe items in
   (* Sequential aggregation, first-in-node-order semantics. *)
   let flags = ref [] in
   Array.iter

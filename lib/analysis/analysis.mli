@@ -31,7 +31,6 @@
 
 open Locald_graph
 open Locald_local
-open Locald_runtime
 
 type confirmation = {
   cf_instance : string;          (** instance the variance search ran on *)
@@ -80,7 +79,6 @@ type confirm_method =
   | Confirm_sampled of { regime : Ids.regime; trials : int; seed : int }
 
 val certify :
-  ?pool:Pool.t ->
   ?budget:int ->
   ?slack:int ->
   ?plan:Faults.plan ->

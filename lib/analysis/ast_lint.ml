@@ -86,8 +86,7 @@ let hashtbl_iterators = [ [ "Hashtbl"; "fold" ]; [ "Hashtbl"; "iter" ] ]
 let spawners =
   [
     [ "Pool"; "map" ];
-    [ "Pool"; "map_list" ];
-    [ "Pool"; "map_reduce" ];
+    [ "Pool"; "submit" ];
     [ "Domain"; "spawn" ];
   ]
 

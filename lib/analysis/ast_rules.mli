@@ -19,8 +19,8 @@
     - {!Domain_race} — module-toplevel mutable state (a [ref],
       [Hashtbl.create], [Queue]/[Buffer]/[Stack], an [Array.make], or
       a record later mutated with [<-]) captured inside a function
-      literal passed to [Pool.map]/[Pool.map_list]/[Pool.map_reduce]/
-      [Domain.spawn] without a [Mutex.protect] mediator. Such captures
+      literal passed to [Pool.map]/[Pool.submit]/[Domain.spawn]
+      without a [Mutex.protect] mediator. Such captures
       race across domains and void the byte-identical-at-any-[--jobs]
       contract. [Atomic.make]/[Mutex.create]/[Domain.DLS] bindings are
       mediators, not findings.

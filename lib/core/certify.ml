@@ -268,10 +268,10 @@ let subjects ?(quick = false) () =
     [ List.hd trees; List.nth trees 1; List.nth nbnc 1 ]
   else tree_subjects () @ gmr_subjects () @ nbnc_subjects ()
 
-let certify_subject ?pool ?plan ?backend
+let certify_subject ?plan ?backend
     (Subject { s_cell; s_claim; s_alg; s_instances; s_confirm; s_confirm_on }) =
   let report =
-    Analysis.certify ?pool ?plan ?confirm:s_confirm ?confirm_on:s_confirm_on
+    Analysis.certify ?plan ?confirm:s_confirm ?confirm_on:s_confirm_on
       ?backend s_alg ~instances:s_instances
   in
   let ok =
@@ -289,7 +289,7 @@ let certify_subject ?pool ?plan ?backend
     c_ok = ok;
   }
 
-let run ?quick ?pool ?backend () =
-  List.map (certify_subject ?pool ?backend) (subjects ?quick ())
+let run ?quick ?backend () =
+  List.map (certify_subject ?backend) (subjects ?quick ())
 
 let all_ok rows = List.for_all (fun r -> r.c_ok) rows

@@ -26,7 +26,6 @@
 
 open Locald_graph
 open Locald_local
-open Locald_runtime
 open Locald_analysis
 
 type claim = Claims_oblivious | Claims_id_dependent
@@ -59,7 +58,6 @@ val subjects : ?quick:bool -> unit -> subject list
 (** The registry. [quick] prunes to one subject per verdict kind. *)
 
 val certify_subject :
-  ?pool:Pool.t ->
   ?plan:Faults.plan ->
   ?backend:Backend.t ->
   subject ->
@@ -70,7 +68,6 @@ val certify_subject :
 
 val run :
   ?quick:bool ->
-  ?pool:Pool.t ->
   ?backend:Backend.t ->
   unit ->
   row list

@@ -280,7 +280,7 @@ let views_covered views ~by =
 let views_of_lg lg ~radius =
   Pool.map
     (fun v -> View.extract lg ~center:v ~radius)
-    (Pool.init_in_order (Labelled.order lg) Fun.id)
+    (Array.init (Labelled.order lg) Fun.id)
   |> Array.to_list
 
 let all_views ?radius ?(dedupe = true) t =
@@ -327,7 +327,7 @@ let generator_views ?config ?view_radius ?(dedupe = true) ~r ~side_exp machine =
           (fun v ->
             let view, ball = View.extract_mapped lg ~center:v ~radius in
             if Array.exists suspect ball then None else Some view)
-          (Pool.init_in_order (Labelled.order lg) Fun.id)
+          (Array.init (Labelled.order lg) Fun.id)
         |> Array.to_list
         |> List.filter_map Fun.id
       in

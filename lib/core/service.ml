@@ -24,7 +24,7 @@
    read — such as the [memo] and [jobs] of older clients — is ignored,
    as [Proto] ignores every unknown field.
 
-   Requests run concurrently on the daemon's executor domains, so the
+   Requests run concurrently on the domains of the daemon's pool, so the
    engine table and its LRU clock sit under one mutex. The same lock
    covers every forcing of a workload's lazy instance (an engine build
    or a geometry read): forcing one lazy from two domains at once

@@ -18,8 +18,8 @@
     given once to {!create}; a request's [backend] / [sched_seed] /
     [fifo] override it for that request only, by explicit threading,
     read by {!Locald_local.Backend.resolve} as on the CLI. Every
-    request runs at width one on {!Locald_runtime.Serve}'s executor,
-    and the process-wide {!Locald_runtime.Pool} is never resized.
+    request runs at width one as a task of {!Locald_runtime.Serve}'s
+    pool, and the default {!Locald_runtime.Pool} is never resized.
     Unknown backend names, contradictory backend options and
     out-of-range ranks are rejected with an error response — never
     coerced. A field the daemon does not read (an older client's

@@ -109,7 +109,7 @@ let coverage p ~t =
   let keyed =
     Pool.map
       (fun v -> (View.extract tr ~center:v ~radius:t, v))
-      (Pool.init_in_order n Fun.id)
+      (Array.init n Fun.id)
   in
   let keys = Pool.map (fun (view, _) -> Canon.key canon view) keyed in
   let seen = Canon.classes canon in

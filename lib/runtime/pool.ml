@@ -5,15 +5,19 @@
    in the same order) at any job count — parallelism only changes who
    computes each slot, never what is computed. Anything stateful (an
    RNG stream, an id sequence) must therefore be split *per work item*
-   by the caller, before the fan-out; {!split_seeds} and
-   {!init_in_order} are the two helpers for doing that sequentially.
+   by the caller, before the fan-out: {!split_seeds} does it for seeds,
+   and [Array.init] applies its function in index order.
 
    Work distribution is a chunked index queue (an atomic cursor over
    [0 .. n-1] claimed in blocks), so there is no per-item locking. The
    caller participates as a worker and, while waiting for stragglers,
    steals queued tasks — a nested [map] issued from inside a worker
    falls back to the exact sequential path (a Domain-local flag), so
-   the pool can never deadlock on itself. *)
+   the pool can never deadlock on itself.
+
+   The same queue takes whole tasks ([submit]), and a domain outside
+   the pool can work it too ([work]): the serve daemon runs its select
+   loop and its requests that way, every one at width one. *)
 
 let max_jobs = 64
 
@@ -41,31 +45,6 @@ let recommended_jobs () =
    domain wake-up and completion signalling cost more than the work. *)
 let seq_threshold = 32
 
-exception Lost_task of { index : int; total : int }
-
-let () =
-  Printexc.register_printer (function
-    | Lost_task { index; total } ->
-        Some
-          (Printf.sprintf
-             "Locald_runtime.Pool.Lost_task: fan-out finished without a \
-              result for task %d of %d (worker lost mid-run?)"
-             index total)
-    | _ -> None)
-
-(* The completion check of [map]: every slot of the fan-out must have
-   been filled. A missing slot means a worker vanished without either
-   a result or an exception — name the task instead of dying on a bare
-   assertion, so a run killed under a fault plan reports *which* work
-   item was lost. *)
-let require_all results =
-  let total = Array.length results in
-  Array.mapi
-    (fun index -> function
-      | Some y -> y
-      | None -> raise (Lost_task { index; total }))
-    results
-
 (* Telemetry: fan-out shape and queue pressure. Counters are always-on
    (atomic bumps); the queue-depth gauge is only touched when telemetry
    is active because it takes the metric lock. *)
@@ -83,11 +62,12 @@ type t = {
   mutable workers : unit Domain.t list;
 }
 
-(* Set while a domain is executing pool work or a [sequential] scope:
-   [map]s there go sequential instead of re-entering the queue. *)
+(* Set while a domain works a pool's queue: [map]s there go sequential
+   instead of re-entering the queue. *)
 let width_one : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
 
-let worker_main pool () =
+let work pool =
+  let outer = Domain.DLS.get width_one in
   Domain.DLS.set width_one true;
   let rec loop () =
     Mutex.lock pool.lock;
@@ -102,7 +82,7 @@ let worker_main pool () =
       loop ()
     end
   in
-  loop ()
+  Fun.protect ~finally:(fun () -> Domain.DLS.set width_one outer) loop
 
 let create ~jobs =
   let jobs = clamp_jobs jobs in
@@ -117,16 +97,19 @@ let create ~jobs =
     }
   in
   if jobs > 1 then
-    pool.workers <- List.init (jobs - 1) (fun _ -> Domain.spawn (worker_main pool));
+    pool.workers <- List.init (jobs - 1) (fun _ -> Domain.spawn (fun () -> work pool));
   pool
 
 let jobs pool = pool.jobs
 
-let shutdown pool =
+let stop pool =
   Mutex.lock pool.lock;
   pool.live <- false;
   Condition.broadcast pool.work_ready;
-  Mutex.unlock pool.lock;
+  Mutex.unlock pool.lock
+
+let shutdown pool =
+  stop pool;
   List.iter Domain.join pool.workers;
   pool.workers <- []
 
@@ -248,13 +231,8 @@ let fan_out pool f xs =
     wait ();
     match Atomic.get failed with
     | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-    | None -> require_all results
+    | None -> Array.map Option.get results
   end
-
-let sequential f =
-  let outer = Domain.DLS.get width_one in
-  Domain.DLS.set width_one true;
-  Fun.protect ~finally:(fun () -> Domain.DLS.set width_one outer) f
 
 let map ?pool f xs =
   Telemetry.Counter.incr c_maps;
@@ -268,17 +246,8 @@ let map ?pool f xs =
       fan_out pool f xs
   | _ -> Telemetry.span "pool.map" (fun () -> Array.map f xs)
 
-let map_list ?pool f xs = Array.to_list (map ?pool f (Array.of_list xs))
-
-let map_reduce ?pool ~f ~combine ~init xs =
-  Array.fold_left combine init (map ?pool f xs)
-
 (* ------------------------------------------------------------------ *)
-(* Sequential splitting helpers                                        *)
+(* Seed splitting                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let init_in_order n f =
-  let rec go i acc = if i >= n then List.rev acc else go (i + 1) (f i :: acc) in
-  Array.of_list (go 0 [])
-
-let split_seeds rng n = init_in_order n (fun _ -> Random.State.bits rng)
+let split_seeds rng n = Array.init n (fun _ -> Random.State.bits rng)

@@ -5,14 +5,20 @@
     [i] into slot [i], so its output is byte-identical at any job
     count; parallelism changes only who computes each slot. Callers
     with stateful inputs (RNG streams, id draws) must split them {e per
-    work item} sequentially before fanning out — see {!split_seeds} —
-    never per worker.
+    work item} sequentially before fanning out — see {!split_seeds};
+    [Array.init] applies its function in index order — never per
+    worker.
 
     Work functions passed to [map] must be thread-safe: they run
     concurrently on several domains (the repo's deciders are pure view
     functions, which qualifies). A [map] issued from inside a pool
-    worker runs on the exact sequential path, so nesting cannot
-    deadlock. *)
+    task runs on the exact sequential path, so nesting cannot
+    deadlock.
+
+    The pool also runs whole tasks: {!submit} queues one and {!work}
+    lends the calling domain to the queue. The serve daemon runs its
+    select loop and its requests as tasks of its own pool, each at
+    width one. *)
 
 type t
 
@@ -24,7 +30,25 @@ val create : jobs:int -> t
 val jobs : t -> int
 
 val shutdown : t -> unit
-(** Join the worker domains. The pool must not be used afterwards. *)
+(** {!stop}, then join the worker domains. Call it from outside the
+    pool's tasks. The pool must not be used afterwards. *)
+
+(** {1 Tasks} *)
+
+val submit : t -> (unit -> unit) -> unit
+(** Queue a task. The pool's domains, and any domain in {!work}, take
+    tasks in submission order and run each at width one: a {!map}
+    inside a task takes the exact sequential path. A task must not
+    raise; an exception escaping one ends the domain running it. *)
+
+val work : t -> unit
+(** Run queued tasks on the calling domain too, until the pool is
+    stopped and its queue is empty. The calling domain runs at width
+    one meanwhile, and its width is restored on return. *)
+
+val stop : t -> unit
+(** Let the queued tasks finish, then end {!work} and the worker
+    domains' loops. Callable from a task. *)
 
 (** {1 The default pool}
 
@@ -46,31 +70,10 @@ val set_default_jobs : int -> unit
 
 (** {1 Deterministic fan-out} *)
 
-exception Lost_task of { index : int; total : int }
-(** A fan-out completed with no result {e and} no exception in slot
-    [index] of [total] — a worker was lost mid-run (e.g. killed under a
-    fault plan). Registered with a [Printexc] printer so an escaping
-    instance names the lost task instead of printing a bare
-    constructor. *)
-
-val require_all : 'a option array -> 'a array
-(** The completion check of {!map}: unwrap every slot, raising
-    {!Lost_task} with the first missing index. Exposed so the
-    lost-worker diagnosis is unit-testable; ordinary callers never need
-    it. *)
-
-val sequential : (unit -> 'a) -> 'a
-(** [sequential f] runs [f] at width one: every {!map} it issues on
-    this domain, with or without [?pool], takes the exact sequential
-    path, and none consults or creates the default pool. The serve
-    daemon runs each request this way, so requests overlap across
-    its domains instead of each fanning out over the pool. *)
-
 val map : ?pool:t -> ('a -> 'b) -> 'a array -> 'b array
 (** Ordered parallel map. If any application of [f] raises, the first
     exception (in claim order) is re-raised on the caller after the
-    fan-out drains, and the pool remains usable; a slot left empty with
-    no recorded exception raises {!Lost_task}. Fan-outs smaller than
+    fan-out drains, and the pool remains usable. Fan-outs smaller than
     32 items take the exact sequential path — below that the domain
     wake-up costs more than the work, and by the determinism contract
     the results are identical.
@@ -82,19 +85,7 @@ val map : ?pool:t -> ('a -> 'b) -> 'a array -> 'b array
     recorded as [pool.tasks], [pool.steals] and
     [pool.queue_depth.max]. *)
 
-val map_list : ?pool:t -> ('a -> 'b) -> 'a list -> 'b list
-
-val map_reduce :
-  ?pool:t -> f:('a -> 'b) -> combine:('acc -> 'b -> 'acc) -> init:'acc ->
-  'a array -> 'acc
-(** [map] then a {e sequential} left fold, so the result does not
-    depend on [combine] being associative or commutative. *)
-
-(** {1 Sequential splitting helpers} *)
-
-val init_in_order : int -> (int -> 'a) -> 'a array
-(** Like [Array.init] but with a guaranteed ascending evaluation order
-    — the building block for drawing per-item state before a fan-out. *)
+(** {1 Seed splitting} *)
 
 val split_seeds : Random.State.t -> int -> int array
 (** [n] seeds drawn sequentially from [rng]: the per-work-item seed

@@ -4,27 +4,26 @@
    [lib/runtime], below the workload registry that interprets
    requests).
 
-   Concurrency model: an executor of exactly [jobs] domains, the
-   caller's plus [jobs - 1] spawned ones, pulls admitted requests from
-   one FIFO queue, and each request runs at width one
-   ([Pool.sequential]). Requests overlap with each other instead of
-   each fanning out over the domain Pool: the daemon's requests are
-   small rank ranges, where the fan-out costs more than it saves.
-   Responses stay byte-identical to one-shot runs because nothing
-   about another in-flight request can influence an execution: every
-   engine entry point is deterministic, the memo tables are
-   transparent, and each request carries its configuration
+   Concurrency model: [run] creates a [Pool] of [jobs] domains, the
+   caller's ([Pool.work]) plus [jobs - 1] workers, and every admitted
+   request becomes one pool task. Pool tasks run at width one, so
+   requests overlap with each other instead of each fanning out: the
+   daemon's requests are small rank ranges, where the fan-out costs
+   more than it saves. Responses stay byte-identical to one-shot runs
+   because nothing about another in-flight request can influence an
+   execution: every engine entry point is deterministic, the memo
+   tables are transparent, and each request carries its configuration
    explicitly.
 
-   The select loop belongs to no domain: whichever is free runs it,
-   one at a time. The loop's domain keeps it until a round admits a
-   request, then runs that request itself and wakes a sleeping domain
-   to take the loop over; a domain that finishes a request takes the
-   loop back if nobody holds it. Pinned to one domain, the loop would
-   sit out its own request while replies finished elsewhere waited and
-   a domain idled. A domain that finishes a request while another runs
-   the loop hands it the reply and wakes it through a self-pipe; only
-   the loop's holder touches connections.
+   The select loop is a pool task too, so it belongs to no domain. It
+   runs rounds until one admits requests; then it queues all but the
+   first, queues itself behind them, and runs the first itself. A free
+   domain takes the next queued request or the loop, so replies go out
+   and requests come in whenever some domain is free. Pinned to one
+   domain, the loop would sit out its own request while replies
+   finished elsewhere waited and a domain idled. A domain that finishes
+   a request hands the loop its reply, and wakes it through a self-pipe
+   only while it runs; only the loop touches connections.
 
    Ordering: each admitted request takes a slot at the tail of its
    connection's reply queue, and a connection writes only from the
@@ -42,7 +41,7 @@
    handlers, or by a [Final] reply to a shutdown request) switches the
    loop into drain mode — listeners close, already-buffered frames are
    still read and executed, every queued response is flushed, and only
-   then does [run] join the executor and return. In-flight work is
+   then does the loop stop the pool and [run] return. In-flight work is
    never dropped, unlike the flush-and-redeliver signal handlers of
    the batch CLI. *)
 
@@ -105,36 +104,23 @@ type conn = {
   mutable closing : bool; (* close once [out] drains: corrupt framing *)
 }
 
-(* State shared by the executing domains, under [lock]: the FIFO of
-   admitted requests, the replies of finished ones (moved into their
-   slots by the select loop), and whether a domain runs the loop. *)
-type executor = {
-  lock : Mutex.t;
-  ready : Condition.t;
-  todo : (Proto.Json.t * slot) Queue.t;
-  finished : (slot * Bytes.t) Queue.t;
-  mutable leading : bool;  (* some domain is running the select loop *)
-  mutable stop : bool;
-}
+(* Between select rounds the loop sleeps at most this long, so it sees
+   the drain flag soon after a signal sets it. *)
+let poll_interval = 0.05
 
-let run ?(max_inflight = 64) ?max_frame ?(drain = Atomic.make false)
-    ?(poll_interval = 0.05) ~jobs ~listeners ~handlers () =
+let run ?(max_inflight = 64) ?max_frame ?(drain = Atomic.make false) ~jobs
+    ~listeners ~handlers () =
   (* A peer that disappears mid-write must surface as EPIPE on the
      write call, not kill the daemon. Process-global and deliberately
      not restored: any process hosting this loop wants it. *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let ex =
-    {
-      lock = Mutex.create ();
-      ready = Condition.create ();
-      todo = Queue.create ();
-      finished = Queue.create ();
-      leading = false;
-      stop = false;
-    }
-  in
-  (* From here to [run_round], state belongs to the domain running the
-     select loop, one at a time ([ex.leading]). *)
+  (* Replies of finished requests, moved into their slots by the loop,
+     and whether the loop is running (rather than queued), under
+     [lock]. *)
+  let lock = Mutex.create () in
+  let finished = Queue.create () in
+  let looping = ref false in
+  (* From here to [run_round], state belongs to the loop task. *)
   let served = ref 0
   and busy = ref 0
   and malformed = ref 0
@@ -236,18 +222,16 @@ let run ?(max_inflight = 64) ?max_frame ?(drain = Atomic.make false)
           :: !conns
     | exception Unix.Unix_error _ -> ()
   in
-  (* Move finished replies into their slots; true if requests are
-     still waiting to run. *)
+  (* Move finished replies into their slots. *)
   let collect () =
-    Mutex.protect ex.lock (fun () ->
+    Mutex.protect lock (fun () ->
         Queue.iter
           (fun (slot, frame) ->
             slot.frame <- Some frame;
             incr served;
             decr inflight)
-          ex.finished;
-        Queue.clear ex.finished;
-        not (Queue.is_empty ex.todo))
+          finished;
+        Queue.clear finished)
   in
   (* One round of the select loop; false once a drain has finished. *)
   let run_round () =
@@ -258,7 +242,7 @@ let run ?(max_inflight = 64) ?max_frame ?(drain = Atomic.make false)
         !listeners_open;
       listeners_open := []
     end;
-    let waiting = collect () in
+    collect ();
     let read_fds =
       (wake_r :: !listeners_open)
       @ List.filter_map
@@ -268,13 +252,9 @@ let run ?(max_inflight = 64) ?max_frame ?(drain = Atomic.make false)
     let write_fds =
       List.filter_map (fun c -> if writable c then Some c.fd else None) !conns
     in
-    (* Requests already waiting are this domain's next work: do not
-       sleep on them. Drain mode polls fast: the loop only has to pick
-       up what is already buffered in the kernel and flush what it
-       owes. *)
-    let timeout =
-      if waiting then 0. else if !draining then 0.01 else poll_interval
-    in
+    (* Drain mode polls fast: the loop only has to pick up what is
+       already buffered in the kernel and flush what it owes. *)
+    let timeout = if !draining then 0.01 else poll_interval in
     let r, w, _ =
       try Unix.select read_fds write_fds [] timeout
       with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
@@ -288,22 +268,30 @@ let run ?(max_inflight = 64) ?max_frame ?(drain = Atomic.make false)
     List.iter
       (fun c -> if (c.closing || c.eof) && Queue.is_empty c.out then close_conn c)
       !conns;
-    (* Dispatch only after the whole read sweep, so the inflight bound
-       sees every frame a sweep decoded before any runs. *)
-    Mutex.protect ex.lock (fun () -> Queue.transfer admitted ex.todo);
     not
       (!draining && r = [] && w = [] && !inflight = 0
       && List.for_all (fun c -> Queue.is_empty c.out) !conns)
   in
-  (* Run one request at width one. A handler that raises answers an
-     error carrying the frame's id: the request fails, the loop and its
-     slot do not. *)
+  let pool = Pool.create ~jobs in
+  (* [task f] is [f] as a pool task. The first exception to escape one
+     (the loop's own, not a handler's) stops the pool, turns the tasks
+     still queued into no-ops, and is re-raised by [run]. *)
+  let failure = Atomic.make None in
+  let task f () =
+    if Atomic.get failure = None then
+      try f ()
+      with e ->
+        let bt = Printexc.get_raw_backtrace () in
+        ignore (Atomic.compare_and_set failure None (Some (e, bt)));
+        Pool.stop pool
+  in
+  (* Run one request. A handler that raises answers an error carrying
+     the frame's id: the request fails, the loop and its slot do not. *)
   let execute (json, slot) =
     Telemetry.Counter.incr c_requests;
     let reply =
       match
-        Telemetry.span "serve.request" (fun () ->
-            Pool.sequential (fun () -> handlers.on_request json))
+        Telemetry.span "serve.request" (fun () -> handlers.on_request json)
       with
       | Reply j -> j
       | Final j ->
@@ -313,93 +301,43 @@ let run ?(max_inflight = 64) ?max_frame ?(drain = Atomic.make false)
           Proto.error_response ?id:(Proto.request_id json) (Printexc.to_string e)
     in
     let frame = Proto.encode_frame reply in
-    (* With no domain in the loop this one runs it next, so only a
-       loop running elsewhere needs waking. *)
-    if Mutex.protect ex.lock (fun () -> Queue.add (slot, frame) ex.finished; ex.leading)
+    (* A queued loop collects the reply when it next runs; only a
+       running one needs waking. *)
+    if Mutex.protect lock (fun () -> Queue.add (slot, frame) finished; !looping)
     then
       try ignore (Unix.single_write wake_w wake_byte 0 1)
       with Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
   in
-  let stop_all () =
-    Mutex.protect ex.lock (fun () ->
-        ex.stop <- true;
-        Condition.broadcast ex.ready)
-  in
-  (* Every domain runs [work]: run the select loop if no domain does,
-     else take the oldest waiting request, else sleep. The loop's domain
-     keeps it until a round admits a request, then runs that request
-     itself and hands the loop to a sleeping domain; a domain that
-     finishes a request takes the loop back if it is free. So replies
-     go out and requests come in whenever some domain is free. *)
-  let rec work () =
-    let next =
-      Mutex.protect ex.lock (fun () ->
-          while Queue.is_empty ex.todo && ex.leading && not ex.stop do
-            Condition.wait ex.ready ex.lock
-          done;
-          if ex.stop then `Stop
-          else if not ex.leading then begin
-            ex.leading <- true;
-            `Lead
-          end
-          else `Run (Queue.pop ex.todo))
+  (* The loop task: rounds until one admits requests, dispatched only
+     after the whole read sweep so the inflight bound sees every frame
+     the sweep decoded before any runs. *)
+  let rec loop () =
+    Mutex.protect lock (fun () -> looping := true);
+    let rec rounds () =
+      if not (run_round ()) then Pool.stop pool
+      else if Queue.is_empty admitted then rounds ()
+      else begin
+        Mutex.protect lock (fun () -> looping := false);
+        let first = Queue.pop admitted in
+        Queue.iter
+          (fun job -> Pool.submit pool (task (fun () -> execute job)))
+          admitted;
+        Queue.clear admitted;
+        Pool.submit pool (task loop);
+        execute first
+      end
     in
-    match next with
-    | `Stop -> ()
-    | `Run job ->
-        execute job;
-        work ()
-    | `Lead -> lead ()
-  and lead () =
-    match run_round () with
-    | false -> stop_all ()
-    | true -> (
-        let job =
-          Mutex.protect ex.lock (fun () ->
-              match Queue.take_opt ex.todo with
-              | None -> None
-              | Some job ->
-                  (* Wake a sleeping domain for the loop and one for
-                     each request still waiting. *)
-                  ex.leading <- false;
-                  for _ = 0 to Queue.length ex.todo do
-                    Condition.signal ex.ready
-                  done;
-                  Some job)
-        in
-        match job with
-        | None -> lead ()
-        | Some job ->
-            execute job;
-            work ())
+    rounds ()
   in
-  (* A domain that fails (the loop itself, not a handler) stops the
-     others, and [run] re-raises. *)
-  let guarded () =
-    match work () with
-    | () -> None
-    | exception e ->
-        stop_all ();
-        Some e
-  in
-  let spawned = ref [] in
-  let failure =
-    match
-      for _ = 2 to jobs do
-        spawned := Domain.spawn guarded :: !spawned
-      done
-    with
-    | () -> guarded ()
-    | exception e -> Some e
-  in
-  stop_all ();
-  let failures = failure :: List.map Domain.join !spawned in
+  Pool.submit pool (task loop);
+  Pool.work pool;
+  Pool.shutdown pool;
   List.iter
     (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
     ((wake_r :: wake_w :: !listeners_open) @ List.map (fun c -> c.fd) !conns);
   conns := [];
-  match List.find_map Fun.id failures with
-  | Some e -> raise e
+  match Atomic.get failure with
+  | Some (e, bt) -> Printexc.raise_with_backtrace e bt
   | None ->
       {
         served = !served;

@@ -119,6 +119,13 @@ let test_domain_race () =
             "let stats = { hits = 0; misses = 0 }";
             "let run xs = Pool.map (fun x -> stats.hits <- x; x) xs";
           ]));
+  check rules "toplevel ref captured in Pool.submit" [ Ast_rules.Domain_race ]
+    (rules_of
+       (String.concat "\n"
+          [
+            "let hits = ref 0";
+            "let run pool = Pool.submit pool (fun () -> incr hits)";
+          ]));
   check rules "queue captured in Domain.spawn" [ Ast_rules.Domain_race ]
     (rules_of
        (String.concat "\n"

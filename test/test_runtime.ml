@@ -33,20 +33,6 @@ let test_map_matches_sequential () =
         (Pool.map ~pool f xs))
     [ 0; 1; 2; 3; 17; 100; 1000 ]
 
-let test_map_list () =
-  let pool = Lazy.force pool in
-  let xs = List.init 257 Fun.id in
-  check (Alcotest.list int) "map_list = List.map"
-    (List.map (fun x -> 3 * x) xs)
-    (Pool.map_list ~pool (fun x -> 3 * x) xs)
-
-let test_map_reduce () =
-  let pool = Lazy.force pool in
-  let xs = Array.init 500 Fun.id in
-  check int "map_reduce sums squares"
-    (Array.fold_left (fun acc x -> acc + (x * x)) 0 xs)
-    (Pool.map_reduce ~pool ~f:(fun x -> x * x) ~combine:( + ) ~init:0 xs)
-
 let test_exception_propagation () =
   let pool = Lazy.force pool in
   let f x = if x = 13 then failwith "unlucky" else x in
@@ -81,18 +67,6 @@ let test_nested_map () =
        rows)
     sums
 
-let test_init_in_order () =
-  let trace = ref [] in
-  let a =
-    Pool.init_in_order 10 (fun i ->
-        trace := i :: !trace;
-        i * 3)
-  in
-  check (Alcotest.list int) "ascending evaluation order"
-    [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9 ]
-    (List.rev !trace);
-  check (Alcotest.array int) "values" (Array.init 10 (fun i -> i * 3)) a
-
 let test_split_seeds () =
   let expected =
     let rng = Random.State.make [| 99 |] in
@@ -101,43 +75,6 @@ let test_split_seeds () =
   let rng = Random.State.make [| 99 |] in
   check (Alcotest.array int) "split_seeds = sequential bits draws" expected
     (Pool.split_seeds rng 32)
-
-(* Inside [Pool.sequential] every map runs on the calling domain, even
-   one given an explicit three-domain pool; the scope ends with its
-   function, also when that raises. Fanning out is observed with a
-   latch between the first and the last item, which only two domains
-   running at once can pass (each side waits at most about 5 s). *)
-let test_sequential_scope () =
-  let pool = Lazy.force pool in
-  let here = (Domain.self () :> int) in
-  let xs = Array.init 64 Fun.id in
-  (* Each item sleeps a little, so a fanned-out map would reach the
-     workers. *)
-  let on_domains () =
-    Pool.map ~pool
-      (fun _ ->
-        Unix.sleepf 0.001;
-        (Domain.self () :> int))
-      xs
-  in
-  check bool "every item on the calling domain" true
-    (Array.for_all (( = ) here) (Pool.sequential on_domains));
-  (match Pool.sequential (fun () -> failwith "scope") with
-  | () -> Alcotest.fail "expected the exception"
-  | exception Failure _ -> ());
-  let arrived = Atomic.make 0 in
-  let meets i =
-    if i = 0 || i = Array.length xs - 1 then begin
-      Atomic.incr arrived;
-      let deadline = Timing.now () +. 5. in
-      while Atomic.get arrived < 2 && Timing.now () < deadline do
-        Domain.cpu_relax ()
-      done
-    end;
-    Atomic.get arrived >= 2
-  in
-  check bool "the scope has ended: the pool fans out again" true
-    (Pool.map ~pool meets xs).(0)
 
 (* Resizing the default pool to the width it already has (after the
    core-count cap) keeps the live pool instead of respawning it. *)
@@ -719,18 +656,17 @@ let exhaustive_eval () =
   | None -> Alcotest.fail "no exhaustive-decider sweep"
 
 (* A warm range is the serve daemon's hot path: every decide a memo
-   hit. Walking it in place allocates per task, not per rank. *)
+   hit. Walking it in place allocates per task, not per rank; 256 ranks
+   are one task, on the caller. *)
 let test_warm_range_allocation () =
   let eval = exhaustive_eval () in
-  Pool.sequential (fun () ->
-      ignore (eval ~lo:0 ~hi:256);
-      let before = Gc.minor_words () in
-      ignore (eval ~lo:0 ~hi:256);
-      let words = Gc.minor_words () -. before in
-      if words >= 16. *. 256. then
-        Alcotest.failf
-          "warm 256-rank range allocated %.0f minor words (%.1f a rank)" words
-          (words /. 256.))
+  ignore (eval ~lo:0 ~hi:256);
+  let before = Gc.minor_words () in
+  ignore (eval ~lo:0 ~hi:256);
+  let words = Gc.minor_words () -. before in
+  if words >= 16. *. 256. then
+    Alcotest.failf "warm 256-rank range allocated %.0f minor words (%.1f a rank)"
+      words (words /. 256.)
 
 (* Tasks count in private and flush once; the totals must still be
    one decide per node per rank, each a memo hit or a miss. *)
@@ -869,14 +805,9 @@ let () =
       ( "pool",
         [
           Alcotest.test_case "map = Array.map" `Quick test_map_matches_sequential;
-          Alcotest.test_case "map_list" `Quick test_map_list;
-          Alcotest.test_case "map_reduce" `Quick test_map_reduce;
           Alcotest.test_case "exception propagation" `Quick
             test_exception_propagation;
           Alcotest.test_case "nested maps" `Quick test_nested_map;
-          Alcotest.test_case "sequential scope stays on the caller" `Quick
-            test_sequential_scope;
-          Alcotest.test_case "init_in_order" `Quick test_init_in_order;
           Alcotest.test_case "split_seeds" `Quick test_split_seeds;
           Alcotest.test_case "resize to the same width keeps the pool" `Quick
             test_resize_keeps_same_width;

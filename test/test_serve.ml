@@ -6,9 +6,10 @@
    runs, per-request configs read as the CLI reads its flags, retired
    request fields ignored, cross-request memo hits, busy
    backpressure, malformed-frame survival, graceful drain, and the
-   executor: overlapping requests with replies in per-connection
-   order, a raising handler costing one request, and first-time engine
-   builds racing on a fresh daemon. *)
+   daemon's pool: overlapping requests with replies in per-connection
+   order, a raising handler costing one request, a request's own maps
+   staying at width one, a failing loop stopping every domain, and
+   first-time engine builds racing on a fresh daemon. *)
 
 open Locald_runtime
 open Locald_core
@@ -247,20 +248,21 @@ let test_memo_two_domains () =
 
 let socket_counter = ref 0
 
+let fresh_socket_path () =
+  incr socket_counter;
+  Filename.concat
+    (Filename.get_temp_dir_name ())
+    (Printf.sprintf "locald-test-%d-%d.sock" (Unix.getpid ()) !socket_counter)
+
 (* An in-process daemon on a private socket: the server loop runs on a
-   posix thread with an executor of [jobs] domains (by default the
+   posix thread with a pool of [jobs] domains (by default the default
    pool's width, as [locald serve] sizes it; each request runs at
    width one), the test body plays client, and the finaliser drains
    and joins so every test ends with the loop's stats in hand.
    [handlers] replaces the service's request semantics. *)
 let with_server ?max_inflight ?max_frame ?max_engines
     ?(jobs = Pool.default_jobs ()) ?handlers f =
-  incr socket_counter;
-  let path =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "locald-test-%d-%d.sock" (Unix.getpid ()) !socket_counter)
-  in
+  let path = fresh_socket_path () in
   let drain = Atomic.make false in
   let handlers =
     match handlers with
@@ -537,9 +539,7 @@ let test_cli_and_serve_share_readers () =
     cases errors;
   (* The decide cache has no off switch and the client no pool: a
      [--memo] flag, with any mode, and the client's [--jobs] are usage
-     errors. On [serve], [--memo 5] must not pass for the prefix of
-     [--memo-capacity]; its socket path cannot be bound, so a CLI that
-     accepted it would fail at once instead of serving. *)
+     errors. *)
   List.iter
     (fun args ->
       let status, _ = run_cli args in
@@ -548,12 +548,22 @@ let test_cli_and_serve_share_readers () =
         true
         (status = Unix.WEXITED Shard.Exit.usage))
     ([ [ "serve"; "--memo"; "exact" ];
-       [ "serve"; "--socket"; "/nonexistent/locald.sock"; "--memo"; "5" ];
        [ "client"; "decide"; "--memo"; "off" ];
        [ "client"; "ping"; "--jobs"; "2" ] ]
     @ List.map
         (fun mode -> [ "table1"; "--quick"; "--memo"; mode ])
-        [ "off"; "exact"; "order"; "order-type" ])
+        [ "off"; "exact"; "order"; "order-type" ]);
+  (* On [serve], [--memo 5] must not pass for the prefix of
+     [--memo-capacity]. Its socket path cannot be bound, so a CLI that
+     took the prefix fails at once instead of serving, but with exit
+     124 too: the message tells the two apart. *)
+  let status, stderr =
+    run_cli [ "serve"; "--socket"; "/nonexistent/locald.sock"; "--memo"; "5" ]
+  in
+  check bool "serve --memo 5 exits 124" true
+    (status = Unix.WEXITED Shard.Exit.usage);
+  check string "serve --memo 5 names the deleted flag"
+    "locald: --memo was deleted: the decide cache has no off switch" stderr
 
 let test_busy_backpressure () =
   let replies, stats =
@@ -859,7 +869,9 @@ let test_overlap_keeps_connection_order () =
    must answer with their one-shot digests. Whether two domains ever
    force one lazy at the same instant is timing-dependent, so this
    guards the locking against regressions rather than reproducing the
-   race on demand. *)
+   race on demand. After the decides the daemon runs at most 4
+   threads, its pool's two domains and the runtime's backup thread of
+   each: no other domain. *)
 let test_fresh_daemon_first_decides_at_once () =
   let cli =
     Filename.concat (Filename.dirname Sys.executable_name) "../bin/locald.exe"
@@ -885,7 +897,16 @@ let test_fresh_daemon_first_decides_at_once () =
     status := Some (snd (Unix.waitpid [] pid));
     try Sys.remove sock with Sys_error _ -> ()
   in
-  let digests =
+  let threads () =
+    let line =
+      In_channel.with_open_text (Printf.sprintf "/proc/%d/status" pid)
+        In_channel.input_all
+      |> String.split_on_char '\n'
+      |> List.find (String.starts_with ~prefix:"Threads:")
+    in
+    int_of_string (String.trim (String.sub line 8 (String.length line - 8)))
+  in
+  let digests, threads =
     Fun.protect ~finally:finish (fun () ->
         let deadline = Timing.now () +. 30. in
         let rec connect () =
@@ -906,19 +927,152 @@ let test_fresh_daemon_first_decides_at_once () =
                   (Proto.request_to_json
                      (Proto.request ~workload ~id:i Proto.Decide)))
               (List.combine fds workloads);
-            List.map
-              (fun fd ->
-                match Proto.read_frame fd with
-                | Some json -> result_digest json
-                | None -> Alcotest.fail "daemon closed a connection")
-              fds))
+            let digests =
+              List.map
+                (fun fd ->
+                  match Proto.read_frame fd with
+                  | Some json -> result_digest json
+                  | None -> Alcotest.fail "daemon closed a connection")
+                fds
+            in
+            (digests, threads ())))
   in
   check bool "the daemon drained and exited 0" true
     (!status = Some (Unix.WEXITED 0));
+  if threads > 4 then
+    Alcotest.failf "a --jobs 2 daemon runs %d threads" threads;
   List.iter2
     (fun workload digest ->
       check string (workload ^ " = one-shot") (oneshot_digest workload) digest)
     workloads digests
+
+(* A request runs at width one: a [Pool.map] inside it, over an
+   explicit three-domain pool and slow enough to reach its workers
+   anywhere else, stays on the domain running the request, at width 2
+   where another domain is free. [Serve.run] lent this domain to its
+   pool, so once it returns the same map must fan out here again. That
+   is observed with a latch between the first and the last item, which
+   only two domains running at once can pass (each side waits at most
+   about 5 s). *)
+let test_request_map_stays_on_its_domain () =
+  let pool = Pool.create ~jobs:3 in
+  let xs = Array.init 64 Fun.id in
+  let arrived = Atomic.make 0 in
+  let meets i =
+    if i = 0 || i = Array.length xs - 1 then begin
+      Atomic.incr arrived;
+      let deadline = Timing.now () +. 5. in
+      while Atomic.get arrived < 2 && Timing.now () < deadline do
+        Domain.cpu_relax ()
+      done
+    end;
+    Atomic.get arrived >= 2
+  in
+  let handlers =
+    injected (fun _ ->
+        let here = (Domain.self () :> int) in
+        let domains =
+          Pool.map ~pool
+            (fun _ ->
+              Unix.sleepf 0.001;
+              (Domain.self () :> int))
+            xs
+        in
+        let stayed = Array.for_all (( = ) here) domains in
+        Some
+          (Serve.Reply
+             (Proto.response ~id:1 ~op:Proto.Ping
+                (Json.Obj [ ("stayed", Json.Bool stayed) ]))))
+  in
+  let (reply, _stats), fans_out =
+    Fun.protect
+      ~finally:(fun () -> Pool.shutdown pool)
+      (fun () ->
+        let served =
+          with_server ~jobs:2 ~handlers (fun path _drain ->
+              let fd = Proto.connect_unix path in
+              Fun.protect
+                ~finally:(fun () -> Unix.close fd)
+                (fun () -> rpc fd (Proto.request ~id:1 Proto.Ping)))
+        in
+        (served, (Pool.map ~pool meets xs).(0)))
+  in
+  (match (Proto.response_view reply).Proto.v_result with
+  | Some result ->
+      check (Alcotest.option bool) "every item on the request's domain"
+        (Some true)
+        (match Json.member "stayed" result with
+        | Some (Json.Bool b) -> Some b
+        | _ -> None)
+  | None -> Alcotest.fail "the reply carries no result");
+  check bool "the caller's width is restored: the map fans out again" true
+    fans_out
+
+(* An exception escaping the loop itself (here from [on_malformed],
+   which the loop calls) must stop every domain of the pool and leave
+   [Serve.run] with the exception, at width 1 and 2, instead of leaving
+   domains waiting for a loop that is gone. *)
+let test_loop_failure_stops_every_domain () =
+  List.iter
+    (fun jobs ->
+      let handlers =
+        {
+          (injected (fun _ -> None)) with
+          Serve.on_malformed = (fun _ -> failwith "loop fault");
+        }
+      in
+      let path = fresh_socket_path () in
+      let listener = Serve.listener_unix path in
+      let outcome = Atomic.make None in
+      let th =
+        Thread.create
+          (fun () ->
+            Atomic.set outcome
+              (Some
+                 (match
+                    Serve.run ~jobs ~listeners:[ listener ] ~handlers ()
+                  with
+                 | _ -> "returned"
+                 | exception Failure msg -> msg)))
+          ()
+      in
+      let fd = Proto.connect_unix path in
+      let bad = "{{{{" in
+      let frame = Bytes.create (4 + String.length bad) in
+      Bytes.set_int32_be frame 0 (Int32.of_int (String.length bad));
+      Bytes.blit_string bad 0 frame 4 (String.length bad);
+      ignore (Unix.write fd frame 0 (Bytes.length frame));
+      let deadline = Timing.now () +. 10. in
+      while Atomic.get outcome = None && Timing.now () < deadline do
+        Unix.sleepf 0.01
+      done;
+      Unix.close fd;
+      (try Sys.remove path with Sys_error _ -> ());
+      match Atomic.get outcome with
+      | None -> Alcotest.failf "Serve.run still running at jobs %d" jobs
+      | Some msg ->
+          Thread.join th;
+          check string
+            (Printf.sprintf "re-raised at jobs %d" jobs)
+            "loop fault" msg)
+    [ 1; 2 ]
+
+(* A socket path that cannot be bound or reached ends the command with
+   one line: [serve] as a usage error, [client] with its no-response
+   code. *)
+let test_unusable_socket_paths () =
+  let path = "/nonexistent/locald.sock" in
+  let status, stderr = run_cli [ "serve"; "--socket"; path ] in
+  check bool "serve exits 124" true (status = Unix.WEXITED Shard.Exit.usage);
+  check string "serve names the path"
+    ("locald serve: cannot listen on " ^ path ^ ": No such file or directory")
+    stderr;
+  let status, stderr = run_cli [ "client"; "ping"; "--socket"; path ] in
+  check bool "client exits 2" true
+    (status = Unix.WEXITED Shard.Exit.incomplete);
+  check string "client names the path"
+    ("locald client: cannot connect to " ^ path ^ ": No such file or directory")
+    stderr
 
 let () =
   Alcotest.run "serve"
@@ -976,5 +1130,11 @@ let () =
             `Quick test_overlap_keeps_connection_order;
           Alcotest.test_case "fresh daemon, first decides at once" `Slow
             test_fresh_daemon_first_decides_at_once;
+          Alcotest.test_case "a request's Pool.map stays on its domain" `Quick
+            test_request_map_stays_on_its_domain;
+          Alcotest.test_case "a loop failure stops every domain" `Quick
+            test_loop_failure_stops_every_domain;
+          Alcotest.test_case "unusable socket paths end in one line" `Quick
+            test_unusable_socket_paths;
         ] );
     ]

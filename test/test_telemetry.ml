@@ -1,9 +1,8 @@
 (* The telemetry layer: JSON round-trips (including hostile strings),
-   monotonic timing, per-run counter scoping, the pool's lost-task
-   diagnosis, and the observation contract — enabling telemetry must
-   leave every quick-bench digest byte-identical at any job count, and
-   a traced run must produce schema-valid JSONL covering the
-   runner/pool/memo/decider phases. *)
+   monotonic timing, per-run counter scoping, and the observation
+   contract — enabling telemetry must leave every quick-bench digest
+   byte-identical at any job count, and a traced run must produce
+   schema-valid JSONL covering the runner/pool/memo/decider phases. *)
 
 open Locald_graph
 open Locald_local
@@ -138,35 +137,6 @@ let test_timing_monotonic () =
     (Timing.duration_since t0 >= 0.);
   let (), d = Timing.time (fun () -> Sys.opaque_identity (ignore [| 1; 2 |])) in
   check bool "time reports a non-negative duration" true (d >= 0.)
-
-(* ------------------------------------------------------------------ *)
-(* Pool: the lost-task diagnosis                                       *)
-(* ------------------------------------------------------------------ *)
-
-let test_require_all () =
-  check
-    (Alcotest.array int)
-    "full fan-out unwraps"
-    [| 10; 20; 30 |]
-    (Pool.require_all [| Some 10; Some 20; Some 30 |]);
-  (match Pool.require_all [| Some 1; None; Some 3 |] with
-  | _ -> Alcotest.fail "expected Lost_task"
-  | exception Pool.Lost_task { index; total } ->
-      check int "lost index" 1 index;
-      check int "fan-out size" 3 total);
-  (* The registered printer names the task — that is the point of
-     replacing the old bare assertion. *)
-  let msg = Printexc.to_string (Pool.Lost_task { index = 7; total = 12 }) in
-  check bool "printer names the lost task" true
-    (String.length msg > 0
-    && (let has_sub s sub =
-          let n = String.length s and m = String.length sub in
-          let rec go i =
-            i + m <= n && (String.sub s i m = sub || go (i + 1))
-          in
-          go 0
-        in
-        has_sub msg "task 7 of 12"))
 
 (* ------------------------------------------------------------------ *)
 (* Per-run counter scoping                                             *)
@@ -396,8 +366,6 @@ let () =
         ] );
       ( "timing",
         [ Alcotest.test_case "monotonic clock" `Quick test_timing_monotonic ] );
-      ( "pool",
-        [ Alcotest.test_case "lost-task diagnosis" `Quick test_require_all ] );
       ( "run scoping",
         [
           Alcotest.test_case "per-run memo counters" `Quick
