@@ -257,7 +257,7 @@ let experiment_cmds =
 let certify_cmd =
   (* No timing output here, deliberately: CI asserts the certification
      run is byte-identical at --jobs 1 and --jobs 4. *)
-  let run _all quick engine stats trace =
+  let run quick engine stats trace =
     let backend = resolve_engine engine in
     apply_trace trace;
     let rows = Locald_core.Certify.run ~quick ?backend () in
@@ -267,14 +267,6 @@ let certify_cmd =
        convention shared with [merge --expect-digest]. *)
     if not (Locald_core.Certify.all_ok rows) then exit Shard.Exit.mismatch
   in
-  let all_flag =
-    Arg.(
-      value & flag
-      & info [ "all" ]
-          ~doc:
-            "Certify every registered decider (the default; present for \
-             symmetry with the other subcommands).")
-  in
   Cmd.v
     (Cmd.info "certify"
        ~doc:
@@ -282,7 +274,7 @@ let certify_cmd =
           access-trace provenance analysis; non-zero exit on any verdict \
           that contradicts a decider's declared classification.")
     Term.(
-      const run $ all_flag $ quick_flag $ engine_term ~backend:false ()
+      const run $ quick_flag $ engine_term ~backend:false ()
       $ stats_flag $ trace_opt)
 
 (* The analyser covers the whole tree by default: library, bench, CLI
@@ -336,56 +328,28 @@ let findings_json_flag =
 let analyze_cmd =
   let module A = Locald_analysis.Ast_lint in
   let module R = Locald_analysis.Ast_rules in
-  let run roots json sarif rule_names allow_test baseline write_baseline =
+  let run roots json sarif rule_names allow_test =
     let roots = scan_roots_arg roots in
     let rules =
       match rule_names with [] -> None | l -> Some (parse_rule_names l)
     in
     let test_allow = parse_rule_names allow_test in
     let findings = A.scan_tree ?rules ~test_allow roots in
-    match write_baseline with
-    | Some path ->
-        A.Baseline.write path findings;
-        Printf.printf "analyze: wrote %d baseline entr%s to %s\n"
-          (List.length findings)
-          (if List.length findings = 1 then "y" else "ies")
-          path
-    | None -> (
-        let entries =
-          match baseline with
-          | None -> []
-          | Some path -> (
-              try A.Baseline.load path
-              with Failure msg | Sys_error msg ->
-                prerr_endline ("locald analyze: bad baseline: " ^ msg);
-                exit Shard.Exit.usage)
-        in
-        let fresh = A.Baseline.subtract entries findings in
-        let baselined = List.length findings - List.length fresh in
-        if sarif then
-          print_endline (Telemetry.Json.to_string (A.sarif fresh))
-        else if json then
-          List.iter
-            (fun f ->
-              print_endline (Telemetry.Json.to_string (A.finding_json f)))
-            fresh
-        else begin
-          List.iter
-            (fun f -> print_endline (Format.asprintf "%a" A.pp_finding f))
-            fresh;
-          let suffix =
-            if baselined > 0 then Printf.sprintf ", %d baselined" baselined
-            else ""
-          in
-          if fresh = [] then
-            Printf.printf "analyze: clean (%s)%s\n" (String.concat " " roots)
-              suffix
-          else
-            Printf.printf "analyze: %d finding(s)%s\n" (List.length fresh)
-              suffix
-        end;
-        (* Unified exit codes: 0 clean, 2 findings, 124 usage. *)
-        if fresh <> [] then exit Shard.Exit.incomplete)
+    if sarif then print_endline (Telemetry.Json.to_string (A.sarif findings))
+    else if json then
+      List.iter
+        (fun f -> print_endline (Telemetry.Json.to_string (A.finding_json f)))
+        findings
+    else begin
+      List.iter
+        (fun f -> print_endline (Format.asprintf "%a" A.pp_finding f))
+        findings;
+      if findings = [] then
+        Printf.printf "analyze: clean (%s)\n" (String.concat " " roots)
+      else Printf.printf "analyze: %d finding(s)\n" (List.length findings)
+    end;
+    (* Unified exit codes: 0 clean, 2 findings, 124 usage. *)
+    if findings <> [] then exit Shard.Exit.incomplete
   in
   let roots =
     Arg.(
@@ -407,25 +371,6 @@ let analyze_cmd =
       & info [ "rule" ] ~docv:"RULE"
           ~doc:"Run only rule $(docv) (repeatable; default: all rules).")
   in
-  let baseline_opt =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "baseline" ] ~docv:"FILE"
-          ~doc:
-            "Subtract the accepted findings in $(docv) (JSONL of \
-             file/rule/excerpt; line-drift tolerant) before reporting \
-             and gating.")
-  in
-  let write_baseline_opt =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "write-baseline" ] ~docv:"FILE"
-          ~doc:
-            "Write every current finding to $(docv) as a baseline and \
-             exit 0 (acceptance, not a gate).")
-  in
   Cmd.v
     (Cmd.info "analyze"
        ~doc:
@@ -440,7 +385,7 @@ let analyze_cmd =
           findings, 124 on usage errors.")
     Term.(
       const run $ roots $ findings_json_flag $ sarif_flag $ rule_opt
-      $ allow_test_opt $ baseline_opt $ write_baseline_opt)
+      $ allow_test_opt)
 
 (* ------------------------------------------------------------------ *)
 (* Inspection subcommands                                              *)
@@ -664,14 +609,6 @@ let chunk_opt =
           "Checkpoint chunk size in assignment ranks (default: the \
            workload's own). Must match across the shards of one run.")
 
-let fsync_opt =
-  Arg.(
-    value & opt int 1
-    & info [ "fsync-every" ] ~docv:"N"
-        ~doc:
-          "Checkpoint appends between fsync calls (default 1: sync \
-           every chunk). Larger values trade crash-window for speed.")
-
 let throttle_opt =
   Arg.(
     value & opt float 0.
@@ -689,8 +626,8 @@ let plan_of ~w ~chunk ~shards =
   | exception Invalid_argument msg -> usage_error "%s" msg
 
 let shard_cmd =
-  let run workload index shards checkpoint resume chunk fsync_every throttle
-      engine stats trace =
+  let run workload index shards checkpoint resume chunk throttle engine stats
+      trace =
     let backend = resolve_engine engine in
     apply_trace trace;
     let w = lookup_workload workload in
@@ -705,7 +642,7 @@ let shard_cmd =
     in
     let (s, evaluated), wall =
       Timing.time (fun () ->
-          Shard.run ?checkpoint ~resume ~fsync_every ~workload:w.Sweeps.w_name
+          Shard.run ?checkpoint ~resume ~workload:w.Sweeps.w_name
             ~plan ~index ~eval ())
     in
     Printf.printf
@@ -754,7 +691,7 @@ let shard_cmd =
           $(b,--of)-way partition, checkpointing each completed chunk.")
     Term.(
       const run $ workload_opt $ index $ shards $ checkpoint $ resume
-      $ chunk_opt $ fsync_opt $ throttle_opt $ engine_term () $ stats_flag
+      $ chunk_opt $ throttle_opt $ engine_term () $ stats_flag
       $ trace_opt)
 
 (* Merge reporting shared by [merge] and [sweep]: print the folded
@@ -916,7 +853,7 @@ let describe_status = function
   | Unix.WSTOPPED s -> Printf.sprintf "stopped by %s" (signal_name s)
 
 let sweep_cmd =
-  let run workload shards procs dir chunk fsync_every timeout max_retries
+  let run workload shards procs dir chunk timeout max_retries
       retry_seed throttle expect_digest json engine trace =
     (* Flag errors end here, before any child is spawned. *)
     ignore (resolve_engine engine : Locald_local.Backend.t option);
@@ -938,7 +875,6 @@ let sweep_cmd =
            "--checkpoint"; dir;
            "--resume";
            "--chunk"; string_of_int plan.Shard.p_chunk;
-           "--fsync-every"; string_of_int fsync_every;
          ]
         @ (if throttle > 0. then
              [ "--throttle-ms"; Printf.sprintf "%g" throttle ]
@@ -1117,7 +1053,7 @@ let sweep_cmd =
           if shards are missing after retries, 3 on a digest or \
           consistency mismatch.")
     Term.(
-      const run $ workload_opt $ shards $ procs $ dir $ chunk_opt $ fsync_opt
+      const run $ workload_opt $ shards $ procs $ dir $ chunk_opt
       $ timeout $ max_retries $ retry_seed $ throttle_opt $ expect_digest_opt
       $ json_flag $ engine_term () $ trace_opt)
 

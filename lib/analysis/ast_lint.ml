@@ -736,63 +736,3 @@ let sarif findings =
               ];
           ] );
     ]
-
-(* ------------------------------------------------------------------ *)
-(* Baseline                                                            *)
-(* ------------------------------------------------------------------ *)
-
-module Baseline = struct
-  type entry = { b_file : string; b_rule : string; b_excerpt : string }
-
-  let of_json line j =
-    let str k =
-      match Json.member k j with
-      | Some (Json.String s) -> s
-      | _ ->
-          failwith
-            (Printf.sprintf "baseline line %d: missing string field %S" line k)
-    in
-    { b_file = str "file"; b_rule = str "rule"; b_excerpt = str "excerpt" }
-
-  let load path =
-    read_file path |> String.split_on_char '\n'
-    |> List.mapi (fun i l -> (i + 1, String.trim l))
-    |> List.filter (fun (_, l) -> l <> "" && l.[0] <> '#')
-    |> List.map (fun (i, l) ->
-           match Json.of_string l with
-           | j -> of_json i j
-           | exception Json.Parse_error msg ->
-               failwith (Printf.sprintf "baseline line %d: %s" i msg))
-
-  let matched e f =
-    e.b_file = f.a_file
-    && e.b_rule = Ast_rules.name f.a_rule
-    && e.b_excerpt = f.a_excerpt
-
-  let subtract entries findings =
-    List.filter (fun f -> not (List.exists (fun e -> matched e f) entries))
-      findings
-
-  let entry_json f =
-    Json.Obj
-      [
-        ("file", Json.String f.a_file);
-        ("rule", Json.String (Ast_rules.name f.a_rule));
-        ("excerpt", Json.String f.a_excerpt);
-      ]
-
-  let write path findings =
-    let oc = open_out path in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () ->
-        output_string oc
-          "# locald analyze baseline: accepted findings, one JSON object per \
-           line.\n";
-        output_string oc
-          "# Matching is by (file, rule, excerpt); line drift does not \
-           invalidate entries.\n";
-        List.iter
-          (fun f -> output_string oc (Json.to_string (entry_json f) ^ "\n"))
-          findings)
-end

@@ -89,28 +89,3 @@ val finding_json : finding -> Locald_runtime.Telemetry.Json.t
 val sarif : finding list -> Locald_runtime.Telemetry.Json.t
 (** A minimal SARIF 2.1.0 log (one run, driver [locald-analyze], rule
     metadata from {!Ast_rules}) for code-scanning upload. *)
-
-(** {1 Baseline}
-
-    A committed ledger of accepted findings: [analyze --baseline FILE]
-    subtracts them from the report so the gate only fails on {e new}
-    findings. Entries are line-drift tolerant — a finding matches on
-    [(file, rule, excerpt)], not on the line number. *)
-
-module Baseline : sig
-  type entry = { b_file : string; b_rule : string; b_excerpt : string }
-
-  val load : string -> entry list
-  (** Parse a JSONL baseline file ([{"file", "rule", "excerpt"}] per
-      line; blank lines and [#] comment lines skipped). Raises
-      [Failure] with a one-line diagnostic on malformed input. *)
-
-  val subtract : entry list -> finding list -> finding list
-  (** Remove findings matched by baseline entries. Each entry absorbs
-      any number of identical findings (whole-line duplicates of an
-      accepted idiom stay accepted). *)
-
-  val write : string -> finding list -> unit
-  (** Serialise findings as baseline entries, one per line, with a
-      header comment — the [--write-baseline] implementation. *)
-end

@@ -93,12 +93,3 @@ let pp_access ppf (ev : View.access) =
       Format.fprintf ppf "structure-read(whole view)"
   | View.Structure_read { node = Some v; depth } ->
       Format.fprintf ppf "structure-read(node %d, depth %d)" v depth
-
-let pp ppf t =
-  Format.fprintf ppf
-    "@[<v 2>trace: %d events (id %d input / %d synthetic / %d bulk; label %d; \
-     structure %d; max depth %d)"
-    (total_events t) t.input_id_reads t.synthetic_id_reads t.input_bulk_reads
-    t.label_reads t.structure_reads t.max_depth;
-  List.iter (fun ev -> Format.fprintf ppf "@ %a" pp_access ev) t.events;
-  Format.fprintf ppf "@]"

@@ -48,4 +48,3 @@ val equal : t -> t -> bool
     deterministic decision on the same view must compare equal. *)
 
 val pp_access : Format.formatter -> View.access -> unit
-val pp : Format.formatter -> t -> unit

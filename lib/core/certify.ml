@@ -268,11 +268,11 @@ let subjects ?(quick = false) () =
     [ List.hd trees; List.nth trees 1; List.nth nbnc 1 ]
   else tree_subjects () @ gmr_subjects () @ nbnc_subjects ()
 
-let certify_subject ?plan ?backend
+let certify_subject ?backend
     (Subject { s_cell; s_claim; s_alg; s_instances; s_confirm; s_confirm_on }) =
   let report =
-    Analysis.certify ?plan ?confirm:s_confirm ?confirm_on:s_confirm_on
-      ?backend s_alg ~instances:s_instances
+    Analysis.certify ?confirm:s_confirm ?confirm_on:s_confirm_on ?backend
+      s_alg ~instances:s_instances
   in
   let ok =
     match s_claim with

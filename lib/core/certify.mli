@@ -57,22 +57,16 @@ val claim_name : claim -> string
 val subjects : ?quick:bool -> unit -> subject list
 (** The registry. [quick] prunes to one subject per verdict kind. *)
 
-val certify_subject :
-  ?plan:Faults.plan ->
-  ?backend:Backend.t ->
-  subject ->
-  row
-(** [backend] configures the confirm step's variance search (the
-    [backend] of {!Locald_analysis.Analysis.certify}); the probes
-    decide under the trace monitor, uncached. *)
-
 val run :
   ?quick:bool ->
   ?backend:Backend.t ->
   unit ->
   row list
 (** Certify every registered subject (instance sets are built
-    sequentially; each certification fans out on the pool). Output is
-    byte-identical at any job count and backend. *)
+    sequentially; each certification fans out on the pool). [backend]
+    configures the confirm step's variance search (the [backend] of
+    {!Locald_analysis.Analysis.certify}); the probes decide under the
+    trace monitor, uncached. Output is byte-identical at any job count
+    and backend. *)
 
 val all_ok : row list -> bool

@@ -594,7 +594,7 @@ let construction ?(quick = false) ?seed () =
           n;
           ok =
             outcome.Locald_local.Protocol.all_halted
-            && (Lcl.property Lcl.maximal_independent_set).Property.mem lg;
+            && Property.maximal_independent_set.Property.mem lg;
           rounds = outcome.Locald_local.Protocol.rounds_used;
           messages = 0;
         })

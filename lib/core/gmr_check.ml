@@ -20,22 +20,6 @@ let classify_for_quadtree ctx u =
   | Gmr.Pyr l -> Quadtree.Upper l
   | Gmr.Cell { m6x; m6y; _ } -> Quadtree.Bottom (m6x, m6y)
 
-(* Unique mod-6 direction between two base positions. *)
-let dir6_between (ax, ay) (bx, by) =
-  let step (a, b) = function
-    | Grid.Left -> ((a + 5) mod 6, b)
-    | Grid.Right -> ((a + 1) mod 6, b)
-    | Grid.Up -> (a, (b + 5) mod 6)
-    | Grid.Down -> (a, (b + 1) mod 6)
-  in
-  match
-    List.filter
-      (fun d -> step (ax, ay) d = (bx, by))
-      [ Grid.Left; Grid.Right; Grid.Up; Grid.Down ]
-  with
-  | [ d ] -> Some d
-  | _ -> None
-
 let cell_m6 (l : Gmr.label) =
   match l.Gmr.part with
   | Gmr.Cell { m6x; m6y; _ } -> Some (m6x, m6y)
@@ -76,7 +60,7 @@ let pyr_parent ctx v =
 let grid_sibling ctx v w =
   match (cell_m6 (ctx.label v), cell_m6 (ctx.label w)) with
   | Some m6v, Some m6w -> (
-      match dir6_between m6v m6w with
+      match Quadtree.dir6_between m6v m6w with
       | None -> None
       | Some d -> (
           match (pyr_parent ctx v, pyr_parent ctx w) with
@@ -84,10 +68,10 @@ let grid_sibling ctx v w =
               let x, y = m6v in
               let same_expected =
                 match d with
-                | Grid.Right -> x mod 2 = 0
-                | Grid.Left -> x mod 2 = 1
-                | Grid.Down -> y mod 2 = 0
-                | Grid.Up -> y mod 2 = 1
+                | Quadtree.Right -> x mod 2 = 0
+                | Quadtree.Left -> x mod 2 = 1
+                | Quadtree.Down -> y mod 2 = 0
+                | Quadtree.Up -> y mod 2 = 1
               in
               let coherent =
                 if same_expected then pv = pw
@@ -113,7 +97,7 @@ let m6_neighbour_excluding_pivot ctx v d =
             (not (Gmr.pivot_look (ctx.label w)))
             &&
             match cell_m6 (ctx.label w) with
-            | Some m6w -> dir6_between m6v m6w = Some d
+            | Some m6w -> Quadtree.dir6_between m6v m6w = Some d
             | None -> false)
       in
       match hits with [ w ] -> Some w | _ -> None)
@@ -127,7 +111,7 @@ let border_look ctx v =
   (* Missing some grid direction (by mod-6 adjacency, pivots excluded). *)
   List.exists
     (fun d -> m6_neighbour_excluding_pivot ctx v d = None)
-    [ Grid.Left; Grid.Right; Grid.Up; Grid.Down ]
+    [ Quadtree.Left; Quadtree.Right; Quadtree.Up; Quadtree.Down ]
 
 let pyr_rules ctx v =
   Quadtree.inspect ~classify:(classify_for_quadtree ctx) ctx.g v
@@ -159,7 +143,9 @@ let cell_rules ctx v =
   let glued = glue_partners ctx v in
   let own_pivot = Gmr.pivot_look own in
   if own_pivot then begin
-    if sibling_in_dir ctx v Grid.Up <> None || sibling_in_dir ctx v Grid.Left <> None
+    if
+      sibling_in_dir ctx v Quadtree.Up <> None
+      || sibling_in_dir ctx v Quadtree.Left <> None
     then err "pivot %d has an Up or Left grid sibling" v;
     List.iter
       (fun w ->
@@ -180,11 +166,11 @@ let cell_rules ctx v =
     ()
   end;
   (* Rule 3: execution-window consistency against the row above. *)
-  (match sibling_in_dir ctx v Grid.Up with
+  (match sibling_in_dir ctx v Quadtree.Up with
   | Some up ->
       let up_cell w = Option.get (cell_content (ctx.label w)) in
-      let upleft = m6_neighbour_excluding_pivot ctx up Grid.Left in
-      let upright = m6_neighbour_excluding_pivot ctx up Grid.Right in
+      let upleft = m6_neighbour_excluding_pivot ctx up Quadtree.Left in
+      let upright = m6_neighbour_excluding_pivot ctx up Quadtree.Right in
       (match
          Rules.successor machine
            ~left:(Option.map up_cell upleft)

@@ -328,12 +328,9 @@ let print_certify rows =
            Printf.sprintf "[MISMATCH: declared %s]"
              (Certify.claim_name r.Certify.c_claim));
       let rep = r.Certify.c_report in
-      Printf.printf "    views %d/%d%s  events %d  max depth %d\n"
-        rep.Analysis.rep_views rep.Analysis.rep_total
-        (if rep.Analysis.rep_degraded > 0 then
-           Printf.sprintf " (%d degraded)" rep.Analysis.rep_degraded
-         else "")
-        rep.Analysis.rep_events rep.Analysis.rep_max_depth;
+      Printf.printf "    views %d/%d  events %d  max depth %d\n"
+        rep.Analysis.rep_views rep.Analysis.rep_total rep.Analysis.rep_events
+        rep.Analysis.rep_max_depth;
       (match rep.Analysis.rep_verdict with
       | Analysis.Id_dependent w ->
           (* [Printf] writes straight to stdout while [Format.printf]

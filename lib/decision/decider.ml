@@ -120,8 +120,7 @@ let walk_ranks prep ~bound ~n ~expected ~lo ~hi =
   { rv_lo = lo; rv_hi = hi; rv_correct = !correct; rv_wrong = !wrong;
     rv_failure = !failure }
 
-let evaluate_exhaustive_range ?prep ?backend ?memo_capacity ~bound ~lo ~hi alg
-    ~expected lg =
+let evaluate_exhaustive_range ?prep ?backend ~bound ~lo ~hi alg ~expected lg =
   Telemetry.span "decider.evaluate_range" @@ fun () ->
   let n = Locald_graph.Labelled.order lg in
   let total = Orbit.perm ~bound ~k:n in
@@ -133,7 +132,7 @@ let evaluate_exhaustive_range ?prep ?backend ?memo_capacity ~bound ~lo ~hi alg
   let prep =
     match prep with
     | Some p -> p
-    | None -> Runner.prepare ?memo_capacity ?backend alg lg
+    | None -> Runner.prepare ?backend alg lg
   in
   (* Sub-ranges are fixed by [lo] alone and folded in rank order, so
      counts and the first failure are identical at any job count. *)
@@ -175,11 +174,10 @@ let evaluate_exhaustive_range ?prep ?backend ?memo_capacity ~bound ~lo ~hi alg
    back transparently to the naive loop — the range evaluator over
    every rank — whose decide cache the scan has already partly
    warmed. *)
-let evaluate_exhaustive ?backend ?memo_capacity ~bound alg ~expected ~instance
-    lg =
+let evaluate_exhaustive ?backend ~bound alg ~expected ~instance lg =
   Telemetry.span "decider.evaluate_exhaustive" @@ fun () ->
   let n = Locald_graph.Labelled.order lg in
-  let prep = Runner.prepare ?memo_capacity ?backend alg lg in
+  let prep = Runner.prepare ?backend alg lg in
   let assignments = Orbit.perm ~bound ~k:n in
   let naive () =
     let rv =
@@ -297,13 +295,6 @@ let evaluate_faulty ~rng ~regime ~runs ~plan ?cost alg ~expected ~instance lg =
     f_dropped = !dropped;
     f_crashed = !crashed;
   }
-
-let pp_fault_evaluation ppf e =
-  Format.fprintf ppf
-    "%-28s n=%-5d expect=%-4s %d/%d correct, %d wrong, %d degraded (%d unknown nodes)"
-    e.f_instance e.f_n
-    (if e.f_expected then "yes" else "no")
-    e.f_correct e.f_runs e.f_wrong e.f_degraded e.f_unknown_nodes
 
 let pp_evaluation ppf e =
   Format.fprintf ppf "%-28s n=%-6d expect=%-6s %d/%d assignments correct%s"

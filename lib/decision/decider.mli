@@ -66,7 +66,6 @@ val evaluate :
 
 val evaluate_exhaustive :
   ?backend:Backend.t ->
-  ?memo_capacity:int ->
   bound:int ->
   ('a, bool) Algorithm.t ->
   expected:bool ->
@@ -76,15 +75,14 @@ val evaluate_exhaustive :
 (** Every injective assignment into [0 .. bound-1] (small instances
     only). The all-accept question is first decided on the ball-local
     assignment quotient — per node, every injective restriction of its
-    ball ({!Locald_runtime.Orbit.injections}) — which is exhaustive
+    ball ({!Locald_runtime.Orbit.for_all_injections}) — which is exhaustive
     over far fewer decides; the tallies then follow by counting
     arithmetic. Whenever any node rejects any restriction, evaluation
     falls back transparently to the naive assignment loop (with the
     decide cache already warm), so the result — counts, and the
     first-failure witness — is byte-identical in every case to
     {!evaluate_exhaustive_range} over every rank, which is that
-    fallback. [memo_capacity] bounds the implicit preparation's decide
-    cache (default unbounded). *)
+    fallback. *)
 
 type range_evaluation = {
   rv_lo : int;
@@ -99,7 +97,6 @@ type range_evaluation = {
 val evaluate_exhaustive_range :
   ?prep:('a, bool) Runner.prepared ->
   ?backend:Backend.t ->
-  ?memo_capacity:int ->
   bound:int ->
   lo:int ->
   hi:int ->
@@ -108,7 +105,7 @@ val evaluate_exhaustive_range :
   'a Labelled.t ->
   range_evaluation
 (** The assignments of lexicographic ranks [\[lo, hi)] of
-    {!Locald_local.Ids.enumerate_injections}'s order only — the
+    {!Locald_local.Ids.injection_at}'s order only — the
     range-restricted entry point the sharded exhaustive runs
     partition on. Any family of ranges that tiles [\[0, total)] sums
     (counts) and minimises (failure rank) to exactly
@@ -124,8 +121,8 @@ val evaluate_exhaustive_range :
     nothing, and each task adds its decide and cache counts to the run
     once. Pass [prep] to share one
     prepared-view/cache structure across many ranges within a process;
-    without it, [backend] and [memo_capacity] configure the implicit
-    preparation as in {!evaluate_exhaustive}.
+    without it, [backend] configures the implicit preparation as in
+    {!evaluate_exhaustive}.
     @raise Invalid_argument on a range outside [\[0, total\]]. *)
 
 val all_correct : evaluation -> bool
@@ -174,5 +171,3 @@ val evaluate_faulty :
 (** Repeated faulted runs: run [k] uses fault seed [plan.seed + k] and
     a fresh identifier assignment sampled from the regime, so the whole
     evaluation is reproducible from [rng] and [plan.seed]. *)
-
-val pp_fault_evaluation : Format.formatter -> fault_evaluation -> unit

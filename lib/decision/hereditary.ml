@@ -84,8 +84,3 @@ let connected_induced_counterexample ~rng ~samples p lg =
       go 0
     end
   end
-
-let looks_hereditary_on ~rng ~samples p instances =
-  List.for_all
-    (fun lg -> connected_induced_counterexample ~rng ~samples p lg = None)
-    instances

@@ -28,11 +28,3 @@ val connected_induced_counterexample :
     instances with at most 12 nodes every connected subset is tried.
     [None] means no violation was found (consistent with the property
     being hereditary). *)
-
-val looks_hereditary_on :
-  rng:Random.State.t ->
-  samples:int ->
-  'a Property.t ->
-  'a Labelled.t list ->
-  bool
-(** No counterexample found on any of the given yes-instances. *)

@@ -5,6 +5,3 @@ type 'a t = {
 }
 
 let make ~name ~promise ~mem = { name; promise; mem }
-
-let to_property t =
-  Property.make ~name:(t.name ^ "-total") (fun lg -> t.promise lg && t.mem lg)

@@ -14,7 +14,3 @@ val make :
   promise:('a Labelled.t -> bool) ->
   mem:('a Labelled.t -> bool) ->
   'a t
-
-val to_property : 'a t -> 'a Property.t
-(** The total property "satisfies the promise and is a yes-instance" —
-    what a promise-free variant must decide. *)

@@ -1,16 +1,10 @@
 open Locald_graph
 open Locald_local
+open Locald_runtime
 
 type budget =
   | Exhaustive of int
   | Sampled of { bound : int; trials : int; seed : int }
-
-let assignments_of_budget budget ~k =
-  match budget with
-  | Exhaustive bound -> Ids.enumerate_injections ~n:k ~bound
-  | Sampled { bound; trials; seed } ->
-      let rng = Random.State.make [| seed; k |] in
-      Seq.init trials (fun _ -> Ids.random_below rng ~bound k)
 
 let a_star ~budget alg =
   let name =
@@ -21,18 +15,21 @@ let a_star ~budget alg =
   in
   Algorithm.make_oblivious ~name ~radius:alg.Algorithm.radius (fun view ->
       let k = View.order view in
-      let all_yes = ref true in
-      let check ids =
-        let view' = View.reassign_ids view (Ids.to_array ids) in
-        if not (alg.Algorithm.decide view') then all_yes := false
-      in
-      let rec scan seq =
-        if !all_yes then
-          match seq () with
-          | Seq.Nil -> ()
-          | Seq.Cons (ids, rest) ->
-              check ids;
-              scan rest
-      in
-      scan (assignments_of_budget budget ~k);
-      !all_yes)
+      let says_yes ids = alg.Algorithm.decide (View.reassign_ids view ids) in
+      match budget with
+      | Exhaustive bound ->
+          if k > bound then
+            raise
+              (Ids.Invalid_ids
+                 (Printf.sprintf "cannot inject %d nodes into %d ids" k bound));
+          (* The walker's tuple is scratch, and [reassign_ids] keeps the
+             array it is given in the view: the decide gets a copy. *)
+          Orbit.for_all_injections ~bound ~k (fun r -> says_yes (Array.copy r))
+      | Sampled { bound; trials; seed } ->
+          let rng = Random.State.make [| seed; k |] in
+          let rec go t =
+            t >= trials
+            || (says_yes (Ids.to_array (Ids.random_below rng ~bound k))
+               && go (t + 1))
+          in
+          go 0)

@@ -22,8 +22,9 @@ type budget =
 val a_star :
   budget:budget -> ('a, bool) Algorithm.t -> ('a, bool) Algorithm.oblivious
 (** The simulated Id-oblivious algorithm: yes iff every assignment in
-    the budget keeps [A] saying yes. *)
-
-val assignments_of_budget : budget -> k:int -> Ids.t Seq.t
-(** The assignment stream the simulation searches for a view of [k]
-    nodes (exposed for tests). *)
+    the budget keeps [A] saying yes. On a view of [k] nodes it tries
+    the budget's assignments in order and stops at the first no: an
+    [Exhaustive] budget steps through the injections in lexicographic
+    order ({!Locald_runtime.Orbit.for_all_injections}), a [Sampled] one
+    draws from a generator seeded by [seed] and [k].
+    @raise Ids.Invalid_ids when [k] exceeds the budget's bound. *)

@@ -53,9 +53,3 @@ let of_outcomes outcomes =
 
 let decisive d = d.unknowns = []
 let degraded d = not (decisive d)
-
-let pp_degraded ppf d =
-  if decisive d then pp ppf d.verdict
-  else
-    Format.fprintf ppf "%a (degraded: %d unknown)" pp d.verdict
-      (List.length d.unknowns)

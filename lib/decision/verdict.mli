@@ -42,5 +42,3 @@ val decisive : degraded -> bool
 (** No node answered [Unknown]: the verdict has full force. *)
 
 val degraded : degraded -> bool
-
-val pp_degraded : Format.formatter -> degraded -> unit

@@ -200,13 +200,6 @@ let find_isomorphism_colored g h cg ch anchor =
   let cg', ch' = refine_joint g cg h ch in
   search g h cg' ch' anchor
 
-let find_graph_isomorphism g h =
-  let cg = Array.make (Graph.order g) 0 in
-  let ch = Array.make (Graph.order h) 0 in
-  find_isomorphism_colored g h cg ch None
-
-let graphs_isomorphic g h = Option.is_some (find_graph_isomorphism g h)
-
 let labelled_isomorphic eq a b =
   let cg, ch = joint_colors_of_labels eq (Labelled.labels a) (Labelled.labels b) in
   Option.is_some

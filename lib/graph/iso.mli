@@ -1,17 +1,10 @@
-(** Graph, labelled-graph and rooted-view isomorphism.
+(** Labelled-graph and rooted-view isomorphism.
 
     The separation proofs of the paper rest on local indistinguishability:
     every [t]-view of a no-instance already occurs (up to isomorphism of
     rooted labelled views) in some yes-instance. This module provides the
     exact isomorphism tests used by those experiments, plus a cheap
     canonical signature for bucketing views before the exact test. *)
-
-val graphs_isomorphic : Graph.t -> Graph.t -> bool
-
-val find_graph_isomorphism : Graph.t -> Graph.t -> int array option
-(** [find_graph_isomorphism g h] returns a bijection [p] with
-    [p.(u) = image of u] such that [u ~ v] in [g] iff [p u ~ p v] in
-    [h], if one exists. *)
 
 val labelled_isomorphic :
   ('a -> 'a -> bool) -> 'a Labelled.t -> 'a Labelled.t -> bool

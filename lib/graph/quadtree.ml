@@ -70,26 +70,28 @@ let own_label classify v =
   | Upper l -> Some l
   | Foreign -> None
 
-type edge_kind = Sibling of Grid.dir | Parent | Child
+type dir = Left | Right | Up | Down
+
+let dir6_between (ax, ay) b =
+  let step = function
+    | Left -> ((ax + 5) mod 6, ay)
+    | Right -> ((ax + 1) mod 6, ay)
+    | Up -> (ax, (ay + 5) mod 6)
+    | Down -> (ax, (ay + 1) mod 6)
+  in
+  match List.filter (fun d -> step d = b) [ Left; Right; Up; Down ] with
+  | [ d ] -> Some d
+  | _ -> None
+
+type edge_kind = Sibling of dir | Parent | Child
 
 let classify_edge (me : label) (other : label) : edge_kind option =
   if other.z3 = (me.z3 + 1) mod 3 then Some Parent
   else if other.z3 = (me.z3 + 2) mod 3 then Some Child
   else if other.z3 = me.z3 then
-    (* Mod-6 adjacency in a unique direction. *)
-    let step (a, b) = function
-      | Grid.Left -> ((a + 5) mod 6, b)
-      | Grid.Right -> ((a + 1) mod 6, b)
-      | Grid.Up -> (a, (b + 5) mod 6)
-      | Grid.Down -> (a, (b + 1) mod 6)
-    in
-    let me6 = (me.m6x, me.m6y) and other6 = (other.m6x, other.m6y) in
-    let hits =
-      List.filter
-        (fun d -> step me6 d = other6)
-        [ Grid.Left; Grid.Right; Grid.Up; Grid.Down ]
-    in
-    (match hits with [ d ] -> Some (Sibling d) | _ -> None)
+    Option.map
+      (fun d -> Sibling d)
+      (dir6_between (me.m6x, me.m6y) (other.m6x, other.m6y))
   else None
 
 let parent_of ~classify g v =
@@ -151,10 +153,10 @@ let inspect ~classify g v =
                   | Some pu ->
                       let same_expected =
                         match d with
-                        | Grid.Right -> me.m6x mod 2 = 0
-                        | Grid.Left -> me.m6x mod 2 = 1
-                        | Grid.Down -> me.m6y mod 2 = 0
-                        | Grid.Up -> me.m6y mod 2 = 1
+                        | Right -> me.m6x mod 2 = 0
+                        | Left -> me.m6x mod 2 = 1
+                        | Down -> me.m6y mod 2 = 0
+                        | Up -> me.m6y mod 2 = 1
                       in
                       if same_expected then begin
                         if pu <> p then

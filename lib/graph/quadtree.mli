@@ -5,12 +5,13 @@
     node [(x, y, z)] with [z < h] connected to [(x/2, y/2, z+1)].
 
     Nodes carry only *bounded* labels: the residues
-    [(x mod 6, y mod 6, z mod 3)]. Mod 6 supplies both the mod-3
-    orientation of Section 3.2 and the coordinate parity needed to
-    check parent/child block alignment; mod-3 level residues let nodes
-    tell apart adjacent layers. Absolute coordinates or levels are
-    deliberately *not* included: they would leak the machine's running
-    time to an Id-oblivious algorithm and destroy property (P3). *)
+    [(x mod 6, y mod 6, z mod 3)]. Mod 6 supplies both the grid
+    orientation of Section 3.2 ({!dir6_between}) and the coordinate
+    parity needed to check parent/child block alignment; mod-3 level
+    residues let nodes tell apart adjacent layers. Absolute coordinates
+    or levels are deliberately *not* included: they would leak the
+    machine's running time to an Id-oblivious algorithm and destroy
+    property (P3). *)
 
 type coord3 = { x : int; y : int; z : int }
 
@@ -20,7 +21,16 @@ val equal_label : label -> label -> bool
 val pp_label : Format.formatter -> label -> unit
 
 val label_of_coord : ?phase:int * int -> coord3 -> label
-(** [phase] shifts the (x, y) origin, as in {!Grid.mod3}. *)
+(** [phase] shifts the (x, y) origin. *)
+
+type dir = Left | Right | Up | Down
+
+val dir6_between : int * int -> int * int -> dir option
+(** [dir6_between a b] is the direction in which the mod-6 position
+    [b] lies next to [a] (x grows to the [Right], y grows [Down]), if
+    the two positions are adjacent in exactly one direction; equal,
+    diagonal or distant positions give [None]. The one orientation
+    rule of the pyramid's base grid and of the execution table. *)
 
 val side : h:int -> int
 (** Grid side [2^h]. *)

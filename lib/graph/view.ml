@@ -275,8 +275,6 @@ let ids view =
   (match view.ids with Some a -> note_ids a | None -> ());
   view.ids
 
-let has_ids view = view.ids <> None
-
 let label view v =
   if v < 0 || v >= Graph.order view.graph then
     invalid_arg (Printf.sprintf "View.label: node %d out of range" v);

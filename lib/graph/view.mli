@@ -18,8 +18,8 @@
     Reads through the raw record fields bypass the monitor; the
     [locald analyze] rule [naked-ids-access] therefore bans [.ids] field
     access outside [lib/graph] and [lib/analysis], and every function
-    here and in {!Dot} that reads id values ({!fingerprint},
-    {!equal_repr}, {!pp}, [Dot.of_view]) reports them, making
+    here that reads id values ({!fingerprint}, {!equal_repr}, {!pp})
+    reports them, making
     identifier reads exhaustively mediated. The read-adaptive decide
     cache of [Locald_local.Runner] relies on that for soundness. *)
 
@@ -160,10 +160,6 @@ val id : 'a t -> int -> int
 val ids : 'a t -> int array option
 (** The whole identifier array (recorded as a bulk id read when
     present). The returned array must not be mutated. *)
-
-val has_ids : 'a t -> bool
-(** Does the view carry identifiers? Observing {e presence} reveals
-    nothing about the assignment, so no id read is recorded. *)
 
 val label : 'a t -> int -> 'a
 (** [label view v] is the input label of view node [v]. *)

@@ -60,31 +60,13 @@ let offset t k =
   if k < 0 then invalid "negative offset %d" k;
   Array.map (fun id -> id + k) t
 
-let enumerate_injections ~n ~bound =
-  if bound < n then invalid "cannot inject %d nodes into %d ids" n bound;
-  (* Depth-first enumeration of injections as a lazy sequence. *)
-  let rec extend prefix used k () =
-    if k = n then Seq.Cons (Array.of_list (List.rev prefix), Seq.empty)
-    else
-      let rec candidates id () =
-        if id >= bound then Seq.Nil
-        else if List.mem id used then candidates (id + 1) ()
-        else
-          Seq.append
-            (extend (id :: prefix) (id :: used) (k + 1))
-            (candidates (id + 1))
-            ()
-      in
-      candidates 0 ()
-  in
-  extend [] [] 0
-
-(* Rank-addressed access to the same lexicographic stream, for the
-   sharded exhaustive runs: a chunk [lo, hi) of ranks enumerates
-   independently of every other chunk, and [injection_at] recovers the
-   concrete assignment behind a recorded failure rank. Delegates to the
-   runtime's falling-factorial unranking so restriction streams and
-   assignment streams keep agreeing on what "rank" means. *)
+(* Rank-addressed access to the lexicographic stream of injections,
+   for the sharded exhaustive runs: a chunk [lo, hi) of ranks
+   enumerates independently of every other chunk, and [injection_at]
+   recovers the concrete assignment behind a recorded failure rank.
+   Delegates to the runtime's falling-factorial unranking so
+   restriction streams and assignment streams keep agreeing on what
+   "rank" means. *)
 let injection_at ~n ~bound rank =
   if bound < n then invalid "cannot inject %d nodes into %d ids" n bound;
   match Locald_runtime.Orbit.unrank ~bound ~k:n rank with

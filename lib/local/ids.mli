@@ -39,15 +39,14 @@ val offset : t -> int -> t
 (** Shift every identifier by a non-negative constant — the easy way
     to make "adversarially large" assignments under [(not B)]. *)
 
-val enumerate_injections : n:int -> bound:int -> t Seq.t
-(** All [bound! / (bound-n)!] injective assignments of [n] nodes into
-    [0 .. bound-1], for exhaustive small-instance experiments. *)
-
 val injection_at : n:int -> bound:int -> int -> t
-(** The assignment at a given rank of {!enumerate_injections}'s
-    lexicographic order, computed by direct index arithmetic
+(** The assignment at a given rank of the lexicographic order of the
+    [bound! / (bound-n)!] injective assignments of [n] nodes into
+    [0 .. bound-1], computed by direct index arithmetic
     ({!Locald_runtime.Orbit.unrank}) — no enumeration. Sharded
-    exhaustive runs address the id space through these ranks.
+    exhaustive runs address the id space through these ranks, and
+    exhaustive searches step from rank 0 with
+    {!Locald_runtime.Orbit.next_injection}.
     @raise Invalid_ids if the rank is outside [0, bound!/(bound-n)!)
     or [bound < n]. *)
 

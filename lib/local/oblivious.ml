@@ -32,23 +32,23 @@ let find_variance_sampled ?backend ~rng ~trials ~regime alg lg =
 
 let find_variance_exhaustive ?backend ~bound alg lg =
   let n = Labelled.order lg in
+  (* Rank 0 first; raises [Ids.Invalid_ids] when [bound < n]. *)
+  let first = Ids.injection_at ~n ~bound 0 in
   let prep = Runner.prepare ?backend alg lg in
-  (* Every assignment against the first, views extracted once and
-     decides memoised — the witness (first differing node of the first
-     differing assignment, in enumeration order) is identical to the
-     historical per-assignment [Runner.run] loop. *)
-  let all = Ids.enumerate_injections ~n ~bound in
-  match all () with
-  | Seq.Nil -> None
-  | Seq.Cons (first, rest) ->
-      let reference = Runner.run_prepared prep ~ids:first in
-      let rec scan seq =
-        match seq () with
-        | Seq.Nil -> None
-        | Seq.Cons (ids, rest) -> (
-            let outputs = Runner.run_prepared prep ~ids in
-            match differing_node reference outputs with
-            | Some node -> Some { node; ids_a = first; ids_b = ids }
-            | None -> scan rest)
-      in
-      scan rest
+  (* Every assignment against the first, in lexicographic order, views
+     extracted once and decides memoised — the witness (first differing
+     node of the first differing assignment) is the one a [Runner.run]
+     per assignment finds. [r] is stepped in place; each assignment
+     handed on is a copy ([Ids.of_array]). *)
+  let reference = Runner.run_prepared prep ~ids:first in
+  let r = Ids.to_array first and used = Array.make bound false in
+  Array.iter (fun c -> used.(c) <- true) r;
+  let rec scan () =
+    if not (Locald_runtime.Orbit.next_injection ~bound r used) then None
+    else
+      let ids = Ids.of_array r in
+      match differing_node reference (Runner.run_prepared prep ~ids) with
+      | Some node -> Some { node; ids_a = first; ids_b = ids }
+      | None -> scan ()
+  in
+  scan ()

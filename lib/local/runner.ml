@@ -68,8 +68,6 @@ let prepare ?memo_capacity ?(backend = Backend.Sync) alg lg =
         (Labelled.order lg);
   }
 
-let prepared_size prep = prep.p_order
-
 let ball_of prep v = snd prep.p_views.(v)
 
 (* Per-task decide state. The decide paths — a range task, one
@@ -86,12 +84,17 @@ type ('a, 'o) task = {
   mutable k_misses : int;
 }
 
-let make_task prep k_rs =
-  { k_prep = prep; k_rs; k_decides = 0; k_hits = 0; k_misses = 0 }
-
 let task prep =
-  make_task prep
-    (Array.map (fun (_, back) -> Array.make (Array.length back) 0) prep.p_views)
+  {
+    k_prep = prep;
+    k_rs =
+      Array.map
+        (fun (_, back) -> Array.make (Array.length back) 0)
+        prep.p_views;
+    k_decides = 0;
+    k_hits = 0;
+    k_misses = 0;
+  }
 
 let flush task =
   Locald_runtime.Telemetry.Counter.add c_decides task.k_decides;
@@ -176,12 +179,6 @@ let decide_all task ids out =
   for v = 0 to task.k_prep.p_order - 1 do
     out.(v) <- decide task v (restrict task ids v)
   done
-
-let decide_restricted prep v r =
-  let task = make_task prep [||] in
-  let o = decide task v r in
-  flush task;
-  o
 
 let run_prepared prep ~ids =
   Ids.check_size ~n:prep.p_order ids;

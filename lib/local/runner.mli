@@ -18,8 +18,8 @@
 
     The quantifying paths go through a {!prepared} instance, whose
     views are extracted once, and through its one decide, {!decide}:
-    the range walks, sampled assignments, {!run_prepared},
-    {!decide_restricted} and the quotient scan alike. Every
+    the range walks, sampled assignments, {!run_prepared} and the
+    quotient scan alike. Every
     preparation carries a read-adaptive decide cache, so each node is
     decided once per distinct value of the id slots its decide reads,
     recorded by the access monitor; that is sound for pure decides
@@ -76,9 +76,6 @@ val prepare :
     daemon's cross-request engines — always pass a bound; one-shot runs
     default to unbounded. *)
 
-val prepared_size : ('a, 'o) prepared -> int
-(** Order of the underlying graph. *)
-
 val ball_of : ('a, 'o) prepared -> int -> int array
 (** The sorted array mapping node [v]'s view-local indices back to
     global node numbers (so its length is [v]'s ball size). Must not be
@@ -114,10 +111,6 @@ val decide_all : ('a, 'o) task -> int array -> 'o array -> unit
     neither retained nor copied) and writes node [v]'s output to
     [out.(v)]: {!decide} on each node's restriction, filled into the
     task's buffer. *)
-
-val decide_restricted : ('a, 'o) prepared -> int -> int array -> 'o
-(** [decide_restricted prep v r] is {!decide} on a fresh task, counted
-    and flushed at once. *)
 
 val run_prepared : ('a, 'o) prepared -> ids:Ids.t -> 'o array
 (** Exactly [run alg lg ~ids], but with the per-assignment view

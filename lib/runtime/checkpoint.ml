@@ -7,8 +7,8 @@
    - A torn final line (the write was cut mid-record): [load] stops at
      the first unparseable line; [resume] truncates the file back to
      the valid prefix so appended records never follow garbage.
-   - Lost tail (records written but not yet fsync'd): bounded by
-     [fsync_every] appends; those chunks are simply recomputed.
+   - Lost tail: every append is fsync'd before it returns, so at most
+     the record being written is lost; its chunk is simply recomputed.
    - A crash between "all chunks recorded" and "marker renamed": the
      marker is missing, so the shard reads as incomplete and a resume
      replays nothing but the final summary. The rename itself is
@@ -186,8 +186,6 @@ type writer = {
   w_fd : Unix.file_descr;
   w_path : string;
   w_oc : out_channel;
-  w_fsync_every : int;
-  mutable w_since_sync : int;
   mutable w_closed : bool;
   w_lock : Mutex.t;
 }
@@ -223,8 +221,7 @@ let active_writer_paths () =
 
 let sync w =
   flush w.w_oc;
-  (try Unix.fsync w.w_fd with Unix.Unix_error _ -> ());
-  w.w_since_sync <- 0
+  try Unix.fsync w.w_fd with Unix.Unix_error _ -> ()
 
 let flush_all () =
   Mutex.lock writers_lock;
@@ -249,13 +246,11 @@ let rec mkdir_p dir =
     try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
 
-let writer_of_fd ~fsync_every ~path fd =
+let writer_of_fd ~path fd =
   {
     w_fd = fd;
     w_path = path;
     w_oc = Unix.out_channel_of_descr fd;
-    w_fsync_every = max 1 fsync_every;
-    w_since_sync = 0;
     w_closed = false;
     w_lock = Mutex.create ();
   }
@@ -263,11 +258,9 @@ let writer_of_fd ~fsync_every ~path fd =
 let output_record w j =
   output_string w.w_oc (Json.to_string j);
   output_char w.w_oc '\n';
-  flush w.w_oc;
-  w.w_since_sync <- w.w_since_sync + 1;
-  if w.w_since_sync >= w.w_fsync_every then sync w
+  sync w
 
-let create ?(fsync_every = 1) ~dir header =
+let create ~dir header =
   mkdir_p dir;
   ensure_hook ();
   (* A fresh attempt invalidates any previous completion claim. *)
@@ -277,13 +270,12 @@ let create ?(fsync_every = 1) ~dir header =
   let fd =
     Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
   in
-  let w = writer_of_fd ~fsync_every ~path fd in
+  let w = writer_of_fd ~path fd in
   output_record w (header_json header);
-  sync w;
   register w;
   w
 
-let resume ?(fsync_every = 1) ~dir header =
+let resume ~dir header =
   let path = file_path ~dir ~index:header.h_index in
   match load_prefix path with
   | Some (h, chunks, valid_bytes) when h = header ->
@@ -296,13 +288,13 @@ let resume ?(fsync_every = 1) ~dir header =
          garbage in its middle. *)
       Unix.ftruncate fd valid_bytes;
       ignore (Unix.lseek fd 0 Unix.SEEK_END);
-      let w = writer_of_fd ~fsync_every ~path fd in
+      let w = writer_of_fd ~path fd in
       register w;
       (w, chunks)
   | _ ->
       (* Missing, unreadable, or written under a different geometry:
          a resume of nothing is a fresh start. *)
-      (create ~fsync_every ~dir header, [])
+      (create ~dir header, [])
 
 let append w c =
   Mutex.lock w.w_lock;

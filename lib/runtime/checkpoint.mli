@@ -4,13 +4,13 @@
     One shard writes one append-only JSONL file,
     [DIR/shard-<i>.jsonl]: a schema-tagged header line followed by one
     record per completed chunk (rank range, tallies, the running
-    verdict digest). The file is flushed on every append and fsync'd
-    every [fsync_every] appends, so a crash — SIGKILL included — loses
-    at most the records since the last sync plus possibly a torn final
-    line. {!load} tolerates the torn tail by dropping everything from
-    the first unparseable line onward; {!resume} additionally
-    truncates the file back to that valid prefix before appending, so
-    a resumed file never carries garbage in its middle.
+    verdict digest). Every append is flushed and fsync'd before it
+    returns, so a crash — SIGKILL included — loses at most the record
+    being written, as a torn final line. {!load} tolerates the torn
+    tail by dropping everything from the first unparseable line onward;
+    {!resume} additionally truncates the file back to that valid prefix
+    before appending, so a resumed file never carries garbage in its
+    middle.
 
     Completion is a separate, atomically-renamed marker
     ([DIR/shard-<i>.done.json]): a reader that sees the marker sees
@@ -53,14 +53,13 @@ val done_path : dir:string -> index:int -> string
 
 type writer
 
-val create : ?fsync_every:int -> dir:string -> header -> writer
+val create : dir:string -> header -> writer
 (** Open a fresh checkpoint file (truncating any previous one, and
     removing a stale completion marker), write the header line, and
     register the writer for signal-time flushing. [dir] is created if
-    missing. [fsync_every] (default 1: every append) is the number of
-    appends between [fsync] calls. *)
+    missing. *)
 
-val resume : ?fsync_every:int -> dir:string -> header -> writer * chunk list
+val resume : dir:string -> header -> writer * chunk list
 (** Reopen an existing checkpoint: parse its valid prefix, truncate
     the torn tail off the file, and return the writer positioned for
     appending together with the chunks already recorded. When the file
@@ -69,8 +68,7 @@ val resume : ?fsync_every:int -> dir:string -> header -> writer * chunk list
     checkpoint is discarded and this is exactly {!create}. *)
 
 val append : writer -> chunk -> unit
-(** Append one chunk record (one line), flush, and fsync per the
-    writer's interval. *)
+(** Append one chunk record (one line), flush, and fsync. *)
 
 val close : writer -> unit
 (** Final fsync and close; unregisters the writer. Idempotent. *)

@@ -27,22 +27,6 @@ let perm ~bound ~k =
     !acc
   end
 
-(* Injective k-tuples over [{0..bound-1}] in lexicographic order — the
-   same order [Ids.enumerate_injections] uses for global assignments, so
-   restriction streams and assignment streams agree on "first". *)
-let injections ~bound ~k =
-  if k < 0 then invalid "Orbit.injections: negative k %d" k;
-  if bound < 0 then invalid "Orbit.injections: negative bound %d" bound;
-  let rec go prefix len : int array Seq.t =
-    if len = k then Seq.return (Array.of_list (List.rev prefix))
-    else
-      Seq.concat_map
-        (fun c ->
-          if List.mem c prefix then Seq.empty else go (c :: prefix) (len + 1))
-        (Seq.init bound Fun.id)
-  in
-  go [] 0
-
 (* Unranking in the falling-factorial number system: position [i] of
    the tuple has [perm ~bound:(bound-i-1) ~k:(k-i-1)] completions per
    candidate value, so the lexicographic rank decomposes digit by digit

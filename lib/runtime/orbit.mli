@@ -17,38 +17,33 @@ val perm : bound:int -> k:int -> int
     inputs (the exhaustive paths already enumerate streams of this
     length, so overflow is beyond reach in practice). *)
 
-val injections : bound:int -> k:int -> int array Seq.t
-(** All injective k-tuples over [{0..bound-1}] in lexicographic order —
-    the restriction-stream counterpart of
-    [Locald_local.Ids.enumerate_injections], and in the same order, so
-    the two streams agree on which violation is "first". Arrays are
-    fresh. *)
-
 val unrank : bound:int -> k:int -> int -> int array
-(** [unrank ~bound ~k rank] is the [rank]-th tuple of {!injections}'s
-    lexicographic order, computed directly by falling-factorial index
-    arithmetic (no enumeration) — the partition primitive of the
-    sharded exhaustive runs: rank ranges split the stream without any
-    shard depending on another's traversal.
+(** [unrank ~bound ~k rank] is the [rank]-th injective k-tuple over
+    [{0..bound-1}] in lexicographic order, computed directly by
+    falling-factorial index arithmetic (no enumeration) — the
+    partition primitive of the sharded exhaustive runs: rank ranges
+    split the stream without any shard depending on another's
+    traversal. Global assignments ([Locald_local.Ids.injection_at]) and
+    ball restrictions share this order, so the two streams agree on
+    which violation is "first".
     @raise Invalid_argument unless [0 <= rank < perm ~bound ~k]. *)
 
 val next_injection : bound:int -> int array -> bool array -> bool
 (** [next_injection ~bound r used] steps the injective tuple [r] over
-    [{0..bound-1}] to its successor in {!injections}'s lexicographic
-    order, in place; [used] has length [bound] and marks exactly the
-    values in [r], and the step keeps it so. Returns [false] exactly
+    [{0..bound-1}] to its successor in lexicographic order, in place;
+    [used] has length [bound] and marks exactly the values in [r], and
+    the step keeps it so. Returns [false] exactly
     when [r] is the last tuple, leaving [r] unchanged and [used]
     cleared. Allocates nothing: the sharded range evaluator unranks a
     range's first tuple once with {!unrank} and steps from there. *)
 
 val for_all_injections : bound:int -> k:int -> (int array -> bool) -> bool
 (** [for_all_injections ~bound ~k f] applies [f] to every injective
-    k-tuple over [{0..bound-1}] in the same lexicographic order as
-    {!injections}, stopping at (and returning) the first [false];
-    vacuously [true] when [k > bound]. Unlike {!injections} the
-    callback receives a {e scratch} array overwritten between calls —
-    allocation-free, for the hot quotient scans; copy it to retain a
-    tuple. *)
+    k-tuple over [{0..bound-1}] in lexicographic order ({!unrank}'s),
+    stopping at (and returning) the first [false]; vacuously [true]
+    when [k > bound]. The callback receives a {e scratch} array
+    overwritten between calls — allocation-free, for the hot quotient
+    scans; copy it to retain a tuple. *)
 
 (** {1 Run-scoped scan accounting}
 

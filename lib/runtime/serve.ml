@@ -66,10 +66,25 @@ let c_malformed = Telemetry.Counter.make "serve.malformed"
 let c_connections = Telemetry.Counter.make "serve.connections"
 
 let listener_unix path =
-  (* A stale socket file from a previous daemon would make bind fail;
-     removing it is safe because a live daemon holds the listening fd,
-     not the name. *)
-  (try Unix.unlink path with Unix.Unix_error _ -> ());
+  (* A socket file left by a daemon that is gone would make bind fail,
+     so it is removed. Anything else at the path is refused and left
+     alone: a file that is not a socket, and a socket that accepts a
+     connection, whose daemon would lose its name. *)
+  (match Unix.lstat path with
+  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
+  | { Unix.st_kind = Unix.S_SOCK; _ } ->
+      let probe = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      let live =
+        Fun.protect
+          ~finally:(fun () -> Unix.close probe)
+          (fun () ->
+            match Unix.connect probe (Unix.ADDR_UNIX path) with
+            | () -> true
+            | exception Unix.Unix_error (Unix.ECONNREFUSED, _, _) -> false)
+      in
+      if live then raise (Unix.Unix_error (Unix.EADDRINUSE, "bind", path));
+      Unix.unlink path
+  | _ -> raise (Unix.Unix_error (Unix.ENOTSOCK, "bind", path)));
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   (try
      Unix.bind fd (Unix.ADDR_UNIX path);

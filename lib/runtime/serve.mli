@@ -46,8 +46,11 @@ type stats = {
 }
 
 val listener_unix : string -> Unix.file_descr
-(** Bind and listen on a Unix-domain socket path, unlinking any stale
-    socket file first. *)
+(** Bind and listen on a Unix-domain socket path. A socket file there
+    that refuses a connection is stale and is unlinked first. Anything
+    else at the path is left alone and refused with a [Unix_error]:
+    [ENOTSOCK] for a file that is not a socket, [EADDRINUSE] for a
+    socket that accepts a connection (a live daemon keeps its name). *)
 
 val listener_tcp : ?host:string -> port:int -> unit -> Unix.file_descr
 (** Bind and listen on [host:port] ([host] defaults to loopback), with

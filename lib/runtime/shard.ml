@@ -165,7 +165,7 @@ let read_summaries ~dir ~shards =
           | None -> None))
     (List.init shards Fun.id)
 
-let run ?checkpoint ?(resume = false) ?(fsync_every = 1) ~workload ~plan:p
+let run ?checkpoint ?(resume = false) ~workload ~plan:p
     ~index ~eval () =
   let chunks = chunks_of p ~index in
   let header =
@@ -182,9 +182,9 @@ let run ?checkpoint ?(resume = false) ?(fsync_every = 1) ~workload ~plan:p
     | None -> (None, [])
     | Some dir ->
         if resume then
-          let w, cs = Checkpoint.resume ~fsync_every ~dir header in
+          let w, cs = Checkpoint.resume ~dir header in
           (Some (dir, w), cs)
-        else (Some (dir, Checkpoint.create ~fsync_every ~dir header), [])
+        else (Some (dir, Checkpoint.create ~dir header), [])
   in
   (* Validate the restored prefix: records must follow this shard's
      chunk sequence with the right ranges and an intact digest chain.

@@ -93,7 +93,6 @@ type summary = {
 val run :
   ?checkpoint:string ->
   ?resume:bool ->
-  ?fsync_every:int ->
   workload:string ->
   plan:plan ->
   index:int ->

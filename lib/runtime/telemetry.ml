@@ -494,9 +494,7 @@ let metrics_on = Atomic.make false
 
 let set_metrics b = Atomic.set metrics_on b
 
-let metrics_enabled () = Atomic.get metrics_on
-
-type sink = { s_oc : out_channel; s_lock : Mutex.t; s_path : string }
+type sink = { s_oc : out_channel; s_lock : Mutex.t }
 
 let sink : sink option Atomic.t = Atomic.make None
 
@@ -534,7 +532,7 @@ let at_exit_registered = Atomic.make false
 let open_sink path =
   close_sink ();
   let oc = open_out path in
-  Atomic.set sink (Some { s_oc = oc; s_lock = Mutex.create (); s_path = path });
+  Atomic.set sink (Some { s_oc = oc; s_lock = Mutex.create () });
   if not (Atomic.exchange at_exit_registered true) then at_exit close_sink;
   emit_line
     (Json.Obj
@@ -543,8 +541,6 @@ let open_sink path =
          ("schema", Json.String schema);
          ("unix_time", Json.Float (Timing.wall ()));
        ])
-
-let sink_path () = Option.map (fun s -> s.s_path) (Atomic.get sink)
 
 (* ------------------------------------------------------------------ *)
 (* Shutdown: signal-safe flushing                                      *)

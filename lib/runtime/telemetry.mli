@@ -112,8 +112,6 @@ val set_metrics : bool -> unit
 (** Enable gauge and span-histogram collection (independent of the
     sink). *)
 
-val metrics_enabled : unit -> bool
-
 val open_sink : string -> unit
 (** Start tracing to [path] (truncates). Writes a [run-start] header
     line; a [run-end] line is appended by {!close_sink}, which is also
@@ -122,8 +120,6 @@ val open_sink : string -> unit
 val close_sink : unit -> unit
 
 val tracing : unit -> bool
-
-val sink_path : unit -> string option
 
 (** {1 Shutdown}
 

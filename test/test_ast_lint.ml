@@ -1,6 +1,6 @@
 (* The static analysis engine: per-rule positive/negative fixtures,
    scope awareness (opens, aliases, shadowing), parse errors,
-   baselines, the repo's own analyze-clean gate, and the inputs of the
+   the repo's own analyze-clean gate, and the inputs of the
    original lint suite (banned tokens in comments and strings among
    them).
 
@@ -335,26 +335,6 @@ let test_finding_json_shape () =
   check Alcotest.string "parse-error severity" "error"
     (str "severity" broken)
 
-let test_baseline_roundtrip () =
-  let findings =
-    scan
-      (String.concat "\n"
-         [ "let a v = v.View.ids"; "let roll () = Random.int 6" ])
-  in
-  check Alcotest.int "two findings to baseline" 2 (List.length findings);
-  let path = Filename.temp_file "analyze-baseline" ".jsonl" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Ast_lint.Baseline.write path findings;
-      let entries = Ast_lint.Baseline.load path in
-      check Alcotest.int "all entries load back" 2 (List.length entries);
-      check Alcotest.int "baseline absorbs its findings" 0
-        (List.length (Ast_lint.Baseline.subtract entries findings));
-      let fresh = scan "let t0 () = Unix.gettimeofday ()" in
-      check Alcotest.int "a new finding passes through" 1
-        (List.length (Ast_lint.Baseline.subtract entries fresh)))
-
 (* ------------------------------------------------------------------ *)
 (* Scope resolution units                                              *)
 (* ------------------------------------------------------------------ *)
@@ -548,8 +528,6 @@ let () =
             test_parse_error_mli;
           Alcotest.test_case "finding JSON shape" `Quick
             test_finding_json_shape;
-          Alcotest.test_case "baseline round-trip" `Quick
-            test_baseline_roundtrip;
         ] );
       ( "scope",
         [ Alcotest.test_case "resolution" `Quick test_scope ] );

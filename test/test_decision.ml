@@ -143,28 +143,37 @@ let test_a_star_recovers_obliviousness () =
   check bool "A* rejects no" true
     (Verdict.rejects (Decider.decide_oblivious simulated no))
 
-let test_assignments_of_budget () =
-  let count budget =
-    Seq.fold_left (fun acc _ -> acc + 1) 0 (Simulation.assignments_of_budget budget ~k:2)
+(* The assignments [A*] tries on one view: every injection below the
+   bound in lexicographic order, or the seeded draws, up to the first
+   no; a view with more nodes than the bound has no injection. *)
+let test_budget_streams () =
+  let tried = ref [] and say_no_at = ref 0 in
+  let recorder =
+    Algorithm.make ~name:"recorder" ~radius:1 (fun v ->
+        tried := Array.init (View.order v) (View.id v) :: !tried;
+        List.length !tried <> !say_no_at)
   in
-  check int "exhaustive 3 ids, 2 nodes" 6 (count (Simulation.Exhaustive 3));
+  let view = View.extract (Labelled.const (Gen.path 2) 0) ~center:0 ~radius:1 in
+  let tries ?(no_at = 0) budget =
+    tried := [];
+    say_no_at := no_at;
+    let yes = (Simulation.a_star ~budget recorder).Algorithm.ob_decide view in
+    check bool "yes iff no assignment said no" (no_at = 0) yes;
+    List.rev !tried
+  in
+  check
+    Alcotest.(list (array int))
+    "exhaustive 3 ids, 2 nodes, lexicographic"
+    [ [| 0; 1 |]; [| 0; 2 |]; [| 1; 0 |]; [| 1; 2 |]; [| 2; 0 |]; [| 2; 1 |] ]
+    (tries (Simulation.Exhaustive 3));
+  check int "stops at the first no" 4
+    (List.length (tries ~no_at:4 (Simulation.Exhaustive 3)));
   check int "sampled count" 7
-    (count (Simulation.Sampled { bound = 10; trials = 7; seed = 1 }))
-
-(* ------------------------------------------------------------------ *)
-(* Promise problems                                                    *)
-(* ------------------------------------------------------------------ *)
-
-let test_promise_to_property () =
-  let p =
-    Promise.make ~name:"even-cycles"
-      ~promise:(fun lg -> Graph.is_cycle (Labelled.graph lg))
-      ~mem:(fun lg -> Labelled.order lg mod 2 = 0)
-  in
-  let total = Promise.to_property p in
-  check bool "in promise and yes" true (total.Property.mem (Labelled.const (Gen.cycle 6) ()));
-  check bool "in promise, no" false (total.Property.mem (Labelled.const (Gen.cycle 5) ()));
-  check bool "outside promise" false (total.Property.mem (Labelled.const (Gen.path 6) ()))
+    (List.length
+       (tries (Simulation.Sampled { bound = 10; trials = 7; seed = 1 })));
+  match tries (Simulation.Exhaustive 1) with
+  | exception Ids.Invalid_ids _ -> ()
+  | _ -> Alcotest.fail "two nodes injected into one id"
 
 (* ------------------------------------------------------------------ *)
 (* Hereditariness                                                      *)
@@ -173,12 +182,15 @@ let test_promise_to_property () =
 let test_hereditary_positive () =
   let rng = rng () in
   let col = Property.proper_colouring ~k:3 in
-  check bool "3-colouring is hereditary (no violation found)" true
-    (Hereditary.looks_hereditary_on ~rng ~samples:100 col
-       [
-         Labelled.init (Gen.cycle 9) (fun v -> v mod 3);
-         Labelled.init (Gen.grid 3 3) (fun v -> ((v mod 3) + (v / 3)) mod 3);
-       ])
+  List.iter
+    (fun lg ->
+      check bool "3-colouring is hereditary (no violation found)" true
+        (Hereditary.connected_induced_counterexample ~rng ~samples:100 col lg
+        = None))
+    [
+      Labelled.init (Gen.cycle 9) (fun v -> v mod 3);
+      Labelled.init (Gen.grid 3 3) (fun v -> ((v mod 3) + (v / 3)) mod 3);
+    ]
 
 let test_hereditary_negative () =
   let rng = rng () in
@@ -213,97 +225,6 @@ let test_nld_beats_ld_here () =
   let v_odd = View.extract odd ~center:0 ~radius:2 in
   check bool "views of C8 and C9 isomorphic" true
     (Iso.views_isomorphic ( = ) v_even v_odd)
-
-(* ------------------------------------------------------------------ *)
-(* LCL specs                                                           *)
-(* ------------------------------------------------------------------ *)
-
-let test_lcl_colouring () =
-  let spec = Lcl.proper_colouring ~k:3 in
-  let yes = Labelled.init (Gen.cycle 9) (fun v -> v mod 3) in
-  let no = Labelled.const (Gen.cycle 9) 1 in
-  check bool "property yes" true ((Lcl.property spec).Property.mem yes);
-  check bool "property no" false ((Lcl.property spec).Property.mem no);
-  check bool "decider decides" true (Lcl.decides spec [ yes; no ])
-
-let test_lcl_mis_and_dominating () =
-  let graphs = [ Gen.cycle 7; Gen.grid 3 4; Gen.complete_binary_tree 3 ] in
-  List.iter
-    (fun g ->
-      let lg = Labelled.const g 0 in
-      let mis = Labelled.make g (Lcl.greedy_mis lg) in
-      check bool "greedy MIS valid" true
-        ((Lcl.property Lcl.maximal_independent_set).Property.mem mis);
-      (* Every MIS is also a dominating set. *)
-      check bool "MIS dominates" true
-        ((Lcl.property Lcl.dominating_set).Property.mem mis);
-      (* The empty set is neither. *)
-      let empty = Labelled.const g 0 in
-      check bool "empty not MIS" false
-        ((Lcl.property Lcl.maximal_independent_set).Property.mem empty);
-      check bool "empty not dominating" false
-        ((Lcl.property Lcl.dominating_set).Property.mem empty))
-    graphs
-
-let test_lcl_matching () =
-  let graphs = [ Gen.cycle 8; Gen.path 7; Gen.grid 3 3 ] in
-  List.iter
-    (fun g ->
-      let lg = Labelled.const g 0 in
-      let matching = Labelled.make g (Lcl.greedy_matching lg) in
-      check bool "greedy matching valid" true
-        ((Lcl.property Lcl.maximal_matching).Property.mem matching);
-      (* Unmatching one endpoint breaks the pointer symmetry. *)
-      let broken =
-        Labelled.mapi
-          (fun v x -> if v = 0 then None else x)
-          matching
-      in
-      check bool "broken matching rejected" false
-        ((Lcl.property Lcl.maximal_matching).Property.mem broken))
-    graphs
-
-let test_lcl_sinkless () =
-  (* Orient a cycle consistently: every node points to its successor;
-     no node's out-edge is reciprocated. *)
-  let g = Gen.cycle 6 in
-  let labels =
-    Array.init 6 (fun v ->
-        let nbrs = Graph.neighbours g v in
-        let succ = (v + 1) mod 6 in
-        let rec find k = if nbrs.(k) = succ then k else find (k + 1) in
-        find 0)
-  in
-  let lg = Labelled.make g labels in
-  check bool "cycle orientation sinkless-valid" true
-    ((Lcl.property Lcl.sinkless_orientation).Property.mem lg);
-  (* Two nodes pointing at each other violate the progress rule. *)
-  let bad =
-    Labelled.mapi
-      (fun v x ->
-        if v = 0 then (
-          let nbrs = Graph.neighbours g 0 in
-          let rec find k = if nbrs.(k) = 1 then k else find (k + 1) in
-          find 0)
-        else if v = 1 then (
-          let nbrs = Graph.neighbours g 1 in
-          let rec find k = if nbrs.(k) = 0 then k else find (k + 1) in
-          find 0)
-        else x)
-      lg
-  in
-  check bool "2-cycle rejected" false
-    ((Lcl.property Lcl.sinkless_orientation).Property.mem bad)
-
-let test_lcl_deciders_are_oblivious () =
-  let rng = rng () in
-  let spec = Lcl.maximal_independent_set in
-  let lg = Labelled.make (Gen.cycle 7) (Lcl.greedy_mis (Labelled.const (Gen.cycle 7) 0)) in
-  let lifted = Algorithm.of_oblivious (Lcl.decider spec) in
-  check bool "no id variance" true
-    (Oblivious.find_variance_sampled ~rng ~trials:30 ~regime:Ids.Unbounded lifted
-       lg
-    = None)
 
 (* ------------------------------------------------------------------ *)
 (* The assignment quotient                                             *)
@@ -442,7 +363,8 @@ let show ?(ranked = true) (correct, wrong, failure) =
           Verdict.pp verdict)
 
 (* The definition, by brute force: every injective assignment in
-   [Ids.enumerate_injections]'s order, each run through the direct
+   the test tree's own lexicographic order ([Injections.all]), each
+   run through the direct
    engine (a fresh extraction per node, no preparation, no memo), a
    run accepting iff every node says yes. *)
 let oracle alg lg ~bound ~expected =
@@ -455,7 +377,7 @@ let oracle alg lg ~bound ~expected =
         incr wrong;
         if !first = None then first := Some (rank, Ids.to_array ids, verdict)
       end)
-    (Ids.enumerate_injections ~n:(Labelled.order lg) ~bound);
+    (Seq.map Ids.of_array (Injections.all ~n:(Labelled.order lg) ~bound));
   (!correct, !wrong, !first)
 
 (* [0, total) cut at up to four random points (repeats give empty
@@ -523,7 +445,9 @@ let sampled_oracle alg lg ~seed ~regime ~assignments ~expected =
    differing assignment, in enumeration order. *)
 let variance_oracle alg lg ~bound =
   let outputs ids = Runner.run alg lg ~ids in
-  match Ids.enumerate_injections ~n:(Labelled.order lg) ~bound () with
+  match
+    Seq.map Ids.of_array (Injections.all ~n:(Labelled.order lg) ~bound) ()
+  with
   | Seq.Nil -> None
   | Seq.Cons (first, rest) ->
       let reference = outputs first in
@@ -663,9 +587,8 @@ let () =
         [
           Alcotest.test_case "A* recovers obliviousness" `Quick
             test_a_star_recovers_obliviousness;
-          Alcotest.test_case "budget streams" `Quick test_assignments_of_budget;
+          Alcotest.test_case "budget streams" `Quick test_budget_streams;
         ] );
-      ("promise", [ Alcotest.test_case "to_property" `Quick test_promise_to_property ]);
       ( "hereditary",
         [
           Alcotest.test_case "positive" `Quick test_hereditary_positive;
@@ -680,12 +603,4 @@ let () =
         ] );
       ( "nondeterministic",
         [ Alcotest.test_case "beyond LD" `Quick test_nld_beats_ld_here ] );
-      ( "lcl",
-        [
-          Alcotest.test_case "colouring" `Quick test_lcl_colouring;
-          Alcotest.test_case "mis and dominating" `Quick test_lcl_mis_and_dominating;
-          Alcotest.test_case "matching" `Quick test_lcl_matching;
-          Alcotest.test_case "sinkless orientation" `Quick test_lcl_sinkless;
-          Alcotest.test_case "deciders oblivious" `Quick test_lcl_deciders_are_oblivious;
-        ] );
     ]

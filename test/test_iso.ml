@@ -17,12 +17,15 @@ let shuffle rng a =
 let random_perm rng n = shuffle rng (Array.init n Fun.id)
 
 (* ------------------------------------------------------------------ *)
-(* Graph isomorphism                                                   *)
+(* Graph isomorphism: labelled isomorphism under constant labels       *)
 (* ------------------------------------------------------------------ *)
+
+let graphs_isomorphic g h =
+  Iso.labelled_isomorphic ( = ) (Labelled.const g ()) (Labelled.const h ())
 
 let test_iso_reflexive () =
   List.iter
-    (fun g -> check bool "g ~ g" true (Iso.graphs_isomorphic g g))
+    (fun g -> check bool "g ~ g" true (graphs_isomorphic g g))
     [ Gen.cycle 7; Gen.grid 3 4; Gen.complete_binary_tree 3 ]
 
 let test_iso_relabelled () =
@@ -30,27 +33,19 @@ let test_iso_relabelled () =
   List.iter
     (fun g ->
       let h = Graph.relabel g (random_perm rng (Graph.order g)) in
-      check bool "g ~ relabel g" true (Iso.graphs_isomorphic g h);
-      match Iso.find_graph_isomorphism g h with
-      | None -> Alcotest.fail "no mapping returned"
-      | Some p ->
-          List.iter
-            (fun (u, v) ->
-              check bool "mapping preserves edges" true
-                (Graph.mem_edge h p.(u) p.(v)))
-            (Graph.edges g))
+      check bool "g ~ relabel g" true (graphs_isomorphic g h))
     [ Gen.cycle 8; Gen.grid 3 3; Gen.star 6; Gen.complete_binary_tree 3 ]
 
 let test_iso_negative () =
   check bool "path vs cycle" false
-    (Iso.graphs_isomorphic (Gen.path 6) (Gen.cycle 6));
+    (graphs_isomorphic (Gen.path 6) (Gen.cycle 6));
   check bool "different sizes" false
-    (Iso.graphs_isomorphic (Gen.cycle 6) (Gen.cycle 7));
+    (graphs_isomorphic (Gen.cycle 6) (Gen.cycle 7));
   (* Same degree sequence, different structure: two triangles vs C6. *)
   let two_triangles = Graph.disjoint_union (Gen.cycle 3) (Gen.cycle 3) in
-  check bool "2xC3 vs C6" false (Iso.graphs_isomorphic two_triangles (Gen.cycle 6));
+  check bool "2xC3 vs C6" false (graphs_isomorphic two_triangles (Gen.cycle 6));
   check bool "4x4 grid vs 4x4 torus" false
-    (Iso.graphs_isomorphic (Gen.grid 4 4) (Gen.torus 4 4))
+    (graphs_isomorphic (Gen.grid 4 4) (Gen.torus 4 4))
 
 let test_refine_colors_invariant () =
   (* Colour refinement distinguishes a path's endpoints from its

@@ -39,15 +39,22 @@ let test_ids_generators () =
   let off = Ids.offset seq 10 in
   check int "offset" 12 (Ids.assign off 2)
 
-let test_enumerate_injections_count () =
-  (* 3 nodes into 4 ids: 4 * 3 * 2 = 24 injections. *)
-  let count = Seq.fold_left (fun acc _ -> acc + 1) 0 (Ids.enumerate_injections ~n:3 ~bound:4) in
-  check int "injection count" 24 count;
-  (* All distinct and valid. *)
-  let all = List.of_seq (Ids.enumerate_injections ~n:2 ~bound:3) in
-  let arrays = List.map Ids.to_array all in
-  check int "distinct" (List.length arrays)
-    (List.length (List.sort_uniq compare arrays))
+let test_injection_ranks () =
+  (* 3 nodes into 4 ids: 4 * 3 * 2 = 24 injections, ranked 0 .. 23,
+     all distinct and valid. *)
+  let all =
+    List.init 24 (fun rank ->
+        Ids.to_array (Ids.injection_at ~n:3 ~bound:4 rank))
+  in
+  check int "distinct" 24 (List.length (List.sort_uniq compare all));
+  check bool "valid" true
+    (List.for_all (fun a -> Array.for_all (fun id -> id < 4) a) all);
+  (match Ids.injection_at ~n:3 ~bound:4 24 with
+  | exception Ids.Invalid_ids _ -> ()
+  | _ -> Alcotest.fail "rank 24 of 24 accepted");
+  match Ids.injection_at ~n:3 ~bound:2 0 with
+  | exception Ids.Invalid_ids _ -> ()
+  | _ -> Alcotest.fail "3 nodes injected into 2 ids"
 
 let test_regimes () =
   let rng = rng () in
@@ -341,7 +348,7 @@ let test_luby_mis () =
       check bool "terminates" true outcome.Protocol.all_halted;
       let lg = Labelled.make g labels in
       check bool "result is an MIS" true
-        ((Locald_decision.Lcl.property Locald_decision.Lcl.maximal_independent_set)
+        (Locald_decision.Property.maximal_independent_set
            .Locald_decision.Property.mem lg))
     [ Gen.cycle 9; Gen.grid 5 5; Gen.complete 6; Gen.complete_binary_tree 4;
       Gen.random_connected (Random.State.make [| 3 |]) ~n:40 ~p:0.1 ]
@@ -355,8 +362,7 @@ let prop_luby_mis_random =
       let ids = Ids.shuffled rng n in
       let labels, outcome = Symmetry.run_luby ~seed ~max_rounds:80 g ~ids in
       outcome.Protocol.all_halted
-      && (Locald_decision.Lcl.property
-            Locald_decision.Lcl.maximal_independent_set)
+      && Locald_decision.Property.maximal_independent_set
            .Locald_decision.Property.mem
            (Labelled.make g labels))
 
@@ -383,7 +389,8 @@ let () =
         [
           Alcotest.test_case "validation" `Quick test_ids_validation;
           Alcotest.test_case "generators" `Quick test_ids_generators;
-          Alcotest.test_case "injection enumeration" `Quick test_enumerate_injections_count;
+          Alcotest.test_case "injection enumeration" `Quick
+            test_injection_ranks;
           Alcotest.test_case "regimes" `Quick test_regimes;
         ] );
       ( "runner",

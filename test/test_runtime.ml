@@ -427,21 +427,16 @@ let prop_refine_joint_naive =
 
 let test_orbit_enumeration () =
   let bound = 5 and k = 3 in
-  let via_orbit = List.of_seq (Orbit.injections ~bound ~k) in
-  check int "count = perm" (Orbit.perm ~bound ~k) (List.length via_orbit);
-  let via_ids =
-    Ids.enumerate_injections ~n:k ~bound |> Seq.map Ids.to_array |> List.of_seq
-  in
-  check bool "same order as Ids.enumerate_injections" true
-    (List.for_all2 ( = ) via_orbit via_ids);
-  (* The imperative scan visits the same restrictions in the same
+  let naive = List.of_seq (Injections.all ~n:k ~bound) in
+  check int "count = perm" (Orbit.perm ~bound ~k) (List.length naive);
+  (* The in-place scan visits the naive enumerator's tuples in its
      order (through a reused scratch buffer). *)
   let seen = ref [] in
   check bool "scan completes" true
     (Orbit.for_all_injections ~bound ~k (fun r ->
          seen := Array.copy r :: !seen;
          true));
-  check bool "scan = lazy enumeration" true (List.rev !seen = via_orbit);
+  check bool "scan = naive enumeration" true (List.rev !seen = naive);
   let count = ref 0 in
   check bool "scan stops on first false" false
     (Orbit.for_all_injections ~bound ~k (fun _ ->
@@ -464,9 +459,9 @@ let parity_alg m =
 
 (* The node of the smallest ball: perm (k+2) k grows factorially, and
    the agreement being tested is per node, not per graph. *)
-let smallest_ball prep =
+let smallest_ball prep lg =
   let v = ref 0 in
-  for u = 1 to Runner.prepared_size prep - 1 do
+  for u = 1 to Labelled.order lg - 1 do
     if
       Array.length (Runner.ball_of prep u)
       < Array.length (Runner.ball_of prep !v)
@@ -500,23 +495,24 @@ let prop_cache_agrees =
     arbitrary_labelled (fun (lg, _seed) ->
       let alg = parity_alg 3 and capacity = 8 in
       let cached = Runner.prepare ~memo_capacity:capacity alg lg in
-      let v = smallest_ball cached in
+      let v = smallest_ball cached lg in
       let direct = direct_decide alg lg v in
       let k = Array.length (Runner.ball_of cached v) in
       let bound = k + 2 in
       QCheck2.assume (Orbit.perm ~bound ~k <= 20_000);
-      let rs = Array.of_seq (Orbit.injections ~bound ~k) in
+      let rs = Array.of_seq (Injections.all ~n:k ~bound) in
       let n = Array.length rs in
       Telemetry.new_run ();
       let scan index () =
-        let ok = ref true in
+        let task = Runner.task cached and ok = ref true in
         for i = 0 to n - 1 do
           let r = rs.(index i) in
           ok :=
             !ok
-            && Runner.decide_restricted cached v r = direct r
+            && Runner.decide task v r = direct r
             && live_leaves () <= capacity
         done;
+        Runner.flush task;
         !ok
       in
       let other = Domain.spawn (scan (fun i -> n - 1 - i)) in
@@ -637,6 +633,7 @@ let test_fingerprint_reads () =
   check bool "fingerprint's id read is traced" true
     (Locald_analysis.Trace.reads_input_ids trace);
   let cached = Runner.prepare alg lg in
+  let task = Runner.task cached in
   for v = 0 to Labelled.order lg - 1 do
     let direct = direct_decide alg lg v in
     let k = Array.length (Runner.ball_of cached v) in
@@ -646,8 +643,8 @@ let test_fingerprint_reads () =
           (Printf.sprintf "node %d, restriction %s" v
              (String.concat "," (Array.to_list (Array.map string_of_int r))))
           (direct r)
-          (Runner.decide_restricted cached v r))
-      (Array.of_seq (Orbit.injections ~bound:(k + 2) ~k))
+          (Runner.decide task v r))
+      (Array.of_seq (Injections.all ~n:k ~bound:(k + 2)))
   done
 
 let exhaustive_eval () =
@@ -701,7 +698,6 @@ let test_prepared_runner_no_extraction () =
   let prep = Runner.prepare alg lg in
   let after_prepare = View.extraction_count () in
   check int "prepare extracts once per node" n (after_prepare - before);
-  check int "prepared_size" n (Runner.prepared_size prep);
   let rng = Random.State.make [| 7 |] in
   for _ = 1 to 20 do
     let ids = Ids.sample rng regime ~n in

@@ -475,7 +475,9 @@ let test_retired_fields_ignored () =
   check string "same digest with the retired fields" plain retired;
   check int "no extra engine build" builds_before builds_after
 
-(* The CLI, run as a child process: its exit status and stderr. *)
+(* The CLI, run as a child process: its exit status and stderr. A
+   child still running after 30 s (a [serve] that took a path it should
+   have refused) is stopped and fails the test. *)
 let run_cli args =
   let cli =
     Filename.concat (Filename.dirname Sys.executable_name) "../bin/locald.exe"
@@ -488,10 +490,25 @@ let run_cli args =
   in
   Unix.close err_fd;
   Unix.close null;
-  let _, status = Unix.waitpid [] pid in
+  let deadline = Timing.now () +. 30. in
+  let rec wait () =
+    match Unix.waitpid [ Unix.WNOHANG ] pid with
+    | 0, _ when Timing.now () < deadline ->
+        Unix.sleepf 0.01;
+        wait ()
+    | 0, _ ->
+        Unix.kill pid Sys.sigterm;
+        ignore (Unix.waitpid [] pid);
+        None
+    | _, status -> Some status
+  in
+  let status = wait () in
   let msg = In_channel.with_open_bin err In_channel.input_all in
   Sys.remove err;
-  (status, String.trim msg)
+  match status with
+  | Some status -> (status, String.trim msg)
+  | None ->
+      Alcotest.failf "locald %s still ran after 30 s" (String.concat " " args)
 
 (* One reader for the backend options: on a contradiction the daemon's
    error response and the CLI's usage error carry the message of
@@ -1074,6 +1091,59 @@ let test_unusable_socket_paths () =
     ("locald client: cannot connect to " ^ path ^ ": No such file or directory")
     stderr
 
+(* A path [serve] must not take: a regular file keeps its contents, and
+   a live daemon keeps its socket. Both end the command with one line
+   and the usage code. *)
+let test_serve_keeps_a_regular_file () =
+  let path = fresh_socket_path () in
+  Out_channel.with_open_bin path (fun oc -> output_string oc "precious");
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      let status, stderr = run_cli [ "serve"; "--socket"; path ] in
+      check bool "serve exits 124" true
+        (status = Unix.WEXITED Shard.Exit.usage);
+      check string "one line naming the path"
+        ("locald serve: cannot listen on " ^ path
+       ^ ": Socket operation on non-socket")
+        stderr;
+      check string "contents unchanged" "precious"
+        (In_channel.with_open_bin path In_channel.input_all))
+
+let test_serve_keeps_a_live_daemons_socket () =
+  (* [with_server] returns only once its daemon has drained. *)
+  let (), _stats =
+    with_server (fun path _drain ->
+        let status, stderr = run_cli [ "serve"; "--socket"; path ] in
+        check bool "second serve exits 124" true
+          (status = Unix.WEXITED Shard.Exit.usage);
+        check string "one line naming the path"
+          ("locald serve: cannot listen on " ^ path
+         ^ ": Address already in use")
+          stderr;
+        let status, _ = run_cli [ "client"; "ping"; "--socket"; path ] in
+        check bool "the first daemon still answers ping" true
+          (status = Unix.WEXITED 0))
+  in
+  ()
+
+(* A socket file nobody listens on, left by a daemon that died, is
+   replaced. *)
+let test_stale_socket_replaced () =
+  let path = fresh_socket_path () in
+  let stale = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind stale (Unix.ADDR_UNIX path);
+  Unix.close stale;
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      check bool "a socket file is there" true
+        ((Unix.lstat path).Unix.st_kind = Unix.S_SOCK);
+      let fd = Serve.listener_unix path in
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () -> Unix.close (Proto.connect_unix path)))
+
 let () =
   Alcotest.run "serve"
     [
@@ -1136,5 +1206,11 @@ let () =
             test_loop_failure_stops_every_domain;
           Alcotest.test_case "unusable socket paths end in one line" `Quick
             test_unusable_socket_paths;
+          Alcotest.test_case "serve leaves a regular file alone" `Quick
+            test_serve_keeps_a_regular_file;
+          Alcotest.test_case "a live daemon keeps its socket" `Quick
+            test_serve_keeps_a_live_daemons_socket;
+          Alcotest.test_case "a stale socket file is replaced" `Quick
+            test_stale_socket_replaced;
         ] );
     ]

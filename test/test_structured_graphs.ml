@@ -1,5 +1,5 @@
-(* Tests for the structured graphs of the constructions: oriented
-   grids, layered trees (Figure 1) and pyramids (Figure 3). *)
+(* Tests for the structured graphs of the constructions: grid
+   orientation, layered trees (Figure 1) and pyramids (Figure 3). *)
 
 open Locald_graph
 
@@ -8,49 +8,45 @@ let bool = Alcotest.bool
 let int = Alcotest.int
 
 (* ------------------------------------------------------------------ *)
-(* Grid orientation labels                                             *)
+(* Grid orientation: the mod-6 rule of the pyramid and the table       *)
 (* ------------------------------------------------------------------ *)
 
-let test_mod3_steps () =
-  let l = Grid.mod3 { Grid.x = 4; y = 7 } in
-  check (Alcotest.pair int int) "mod3" (1, 1) l;
-  check (Alcotest.pair int int) "step right" (2, 1) (Grid.step_mod3 l Grid.Right);
-  check (Alcotest.pair int int) "step up" (1, 0) (Grid.step_mod3 l Grid.Up);
-  check
-    (Alcotest.option (Alcotest.of_pp (fun ppf (_ : Grid.dir) -> Fmt.string ppf "dir")))
-    "dir between" (Some Grid.Right)
-    (Grid.dir_between (1, 1) (2, 1));
-  check bool "no dir between equal labels" true (Grid.dir_between (1, 1) (1, 1) = None)
+let m6_of ~w v = (v mod w mod 6, v / w mod 6)
 
-let grid_mod3_of w v = Grid.mod3 (Grid.coord_of_index ~w v)
+(* Node [v] is oriented when every neighbour lies in a direction, and
+   no two in the same one. *)
+let oriented g m6 v =
+  let dirs =
+    Graph.fold_neighbours
+      (fun u acc -> Quadtree.dir6_between (m6 v) (m6 u) :: acc)
+      g v []
+  in
+  List.for_all Option.is_some dirs
+  && List.length (List.sort_uniq compare dirs) = List.length dirs
 
 let test_grid_locally_oriented () =
-  let w = 5 and h = 4 in
-  let g = Grid.graph ~w ~h in
-  let mod3_of = grid_mod3_of w in
+  let w = 7 and h = 4 in
+  let g = Gen.grid w h in
+  let m6 = m6_of ~w in
   for v = 0 to Graph.order g - 1 do
-    check bool "oriented" true (Grid.locally_oriented ~mod3_of g v)
+    check bool "oriented" true (oriented g m6 v)
   done;
-  (* Neighbour lookup agrees with coordinates. *)
-  let v = Grid.index ~w { Grid.x = 2; y = 1 } in
-  check (Alcotest.option int) "right neighbour"
-    (Some (Grid.index ~w { Grid.x = 3; y = 1 }))
-    (Grid.neighbour_in_dir ~mod3_of g v Grid.Right);
-  check (Alcotest.option int) "up neighbour"
-    (Some (Grid.index ~w { Grid.x = 2; y = 0 }))
-    (Grid.neighbour_in_dir ~mod3_of g v Grid.Up)
+  (* Directions agree with coordinates, across the wrap from x = 5 to
+     x = 6 too. *)
+  check bool "right across the wrap" true
+    (Quadtree.dir6_between (m6 5) (m6 6) = Some Quadtree.Right);
+  check bool "up" true
+    (Quadtree.dir6_between (m6 (w + 2)) (m6 2) = Some Quadtree.Up)
 
 let test_grid_orientation_catches_corruption () =
-  (* Swap two labels: some node sees two neighbours in one direction
-     or an unclassifiable neighbour. *)
-  let w = 5 and h = 4 in
-  let g = Grid.graph ~w ~h in
-  let corrupted v =
-    if v = 7 then grid_mod3_of w 8 else grid_mod3_of w v
-  in
+  (* Copy a neighbour's label: some node sees two neighbours in one
+     direction or an unclassifiable neighbour. *)
+  let w = 7 and h = 4 in
+  let g = Gen.grid w h in
+  let corrupted v = if v = 7 then m6_of ~w 8 else m6_of ~w v in
   let all_ok = ref true in
   for v = 0 to Graph.order g - 1 do
-    if not (Grid.locally_oriented ~mod3_of:corrupted g v) then all_ok := false
+    if not (oriented g corrupted v) then all_ok := false
   done;
   check bool "corruption detected" false !all_ok
 
@@ -218,7 +214,6 @@ let () =
     [
       ( "grid",
         [
-          Alcotest.test_case "mod3 steps" `Quick test_mod3_steps;
           Alcotest.test_case "genuine grid oriented" `Quick test_grid_locally_oriented;
           Alcotest.test_case "corruption caught" `Quick
             test_grid_orientation_catches_corruption;
